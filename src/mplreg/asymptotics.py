@@ -16,7 +16,8 @@ pointwise multiplication to expand nested sums
     sum_{n > n_1 > ... > n_r > 0}  prod_i  z_i^{n_i} (log n_i)^{k_i} n_i^{-a_i}.
 
 Constants are extracted by numeric matching against exact partial sums at a
-doubling cutoff pair, certified by a stability check.
+doubling cutoff pair, certified by a stability check; the partial sums come
+from the one kernel ``summation.nested_sums``.
 """
 
 from __future__ import annotations
@@ -221,35 +222,8 @@ def order_lower_bound(spec: DepthSpec) -> int:
 
 
 def nested_char_partial_sums(z: ZVector, a, kvec, cutoffs) -> dict:
-    """{N: sum_{N>n_1>...>n_r>0} prod z_i^{n_i} (log n_i)^{k_i} n_i^{-a_i}}.
-
-    One forward pass with running inner sums; cost O(max(cutoffs) * r).
-    """
-    r = len(z)
-    cutoffs = sorted(set(int(N) for N in cutoffs))
-    want = set(cutoffs)
-    top = cutoffs[-1]
-    tables = [zi.power_values() for zi in z]
-    orders = [zi.order for zi in z]
-    running = [mp.mpc(0)] * (r + 1)
-    running[r] = mp.mpc(1)
-    out = {}
-    for n in range(1, top + 1):
-        if n in want:
-            out[n] = running[0]
-        if n == top:
-            break
-        log_n = mp.log(n) if any(kvec) else None
-        weights = []
-        for j in range(r):
-            w = tables[j][n % orders[j]] * mp.mpf(n) ** (-a[j])
-            if kvec[j]:
-                w *= log_n ** kvec[j]
-            weights.append(w)
-        contrib = [weights[j] * running[j + 1] for j in range(r)]
-        for j in range(r):
-            running[j] += contrib[j]
-    return out
+    """{N: sum_{N>n_1>...>n_r>0} prod z_i^{n_i} (log n_i)^{k_i} n_i^{-a_i}}."""
+    return summation.nested_sums(z, a, kvec, cutoffs)
 
 
 def partial_sum(e: AsymptoticExpansion, err_const_mode="exact", *,

@@ -9,7 +9,9 @@ stays machine-readable on failure (a JSON error object is printed).
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 import os
 import random
@@ -96,12 +98,23 @@ def _emit(payload: str, out):
     click.echo(payload)
 
 
-def _fail(exc: BaseException, out):
-    code = exc.exit_code if isinstance(exc, MplregError) else 1
-    payload = json.dumps({"error": {"type": type(exc).__name__,
-                                    "message": str(exc)}})
-    _emit(payload, out)
-    sys.exit(code)
+def _json_errors(command):
+    """Turn a failed command into a JSON error object on stdout and its exit
+    code (``MplregError.exit_code``, 1 for any other exception).  SystemExit
+    and KeyboardInterrupt are not exceptions in this sense and pass through."""
+
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except Exception as exc:
+            code = exc.exit_code if isinstance(exc, MplregError) else 1
+            _emit(json.dumps({"error": {"type": type(exc).__name__,
+                                        "message": str(exc)}}),
+                  kwargs.get("out"))
+            sys.exit(code)
+
+    return wrapper
 
 
 def _parse_z(text: str) -> ZVector:
@@ -144,42 +157,38 @@ def main():
               help="roots of unity, e.g. 1,-1 or 1/3,2/3")
 @click.option("-s", "stext", default=None, help="complex point a+bi,...")
 @config_options
+@_json_errors
 def domain(ztext, stext, prec, order, tol, ceiling, out, fmt):
     """Classify a point: q(z), the counts Q_i(z), domain membership and the
     candidate singular hyperplanes."""
-    try:
-        cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
-        cfg.activate()
-        z = _parse_z(ztext)
-        report = {
-            "z": str(z),
-            "q": first_nontrivial_prefix(z),
-            "Q": [index_set_and_count(z, j)[1] for j in range(1, z.r + 1)],
-            "hyperplanes": [h.to_json_obj() for h in singular_hyperplanes(z)],
-        }
-        if stext is not None:
-            s = ComplexPoint.parse(stext)
-            report["s"] = stext
-            report["membership"] = {kind: contains(kind, z, s)
-                                    for kind in ("Ur", "Urz", "Vrz")}
-        if cfg.output_format == "text":
-            lines = [f"z = {report['z']}", f"q(z) = {report['q']}",
-                     f"Q_i(z) = {report['Q']}"]
-            if "membership" in report:
-                lines.append(f"s = {stext}: " + ", ".join(
-                    f"{k}={'in' if v else 'out'}"
-                    for k, v in report["membership"].items()))
-            lines += ["singular hyperplane candidates:"] + [
-                "  " + h["text"] for h in report["hyperplanes"]]
-            if not report["hyperplanes"]:
-                lines.append("  (none; the function is entire)")
-            _emit("\n".join(lines), out)
-        else:
-            _emit(json.dumps(report, indent=2), out)
-    except SystemExit:
-        raise
-    except BaseException as exc:
-        _fail(exc, out)
+    cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
+    cfg.activate()
+    z = _parse_z(ztext)
+    report = {
+        "z": str(z),
+        "q": first_nontrivial_prefix(z),
+        "Q": [index_set_and_count(z, j)[1] for j in range(1, z.r + 1)],
+        "hyperplanes": [h.to_json_obj() for h in singular_hyperplanes(z)],
+    }
+    if stext is not None:
+        s = ComplexPoint.parse(stext)
+        report["s"] = stext
+        report["membership"] = {kind: contains(kind, z, s)
+                                for kind in ("Ur", "Urz", "Vrz")}
+    if cfg.output_format == "text":
+        lines = [f"z = {report['z']}", f"q(z) = {report['q']}",
+                 f"Q_i(z) = {report['Q']}"]
+        if "membership" in report:
+            lines.append(f"s = {stext}: " + ", ".join(
+                f"{k}={'in' if v else 'out'}"
+                for k, v in report["membership"].items()))
+        lines += ["singular hyperplane candidates:"] + [
+            "  " + h["text"] for h in report["hyperplanes"]]
+        if not report["hyperplanes"]:
+            lines.append("  (none; the function is entire)")
+        _emit("\n".join(lines), out)
+    else:
+        _emit(json.dumps(report, indent=2), out)
 
 
 @main.command("eval")
@@ -187,40 +196,36 @@ def domain(ztext, stext, prec, order, tol, ceiling, out, fmt):
 @click.option("-s", "stext", default=None, help="complex point a+bi,...")
 @click.option("-a", "atext", default=None, help="integer point")
 @config_options
+@_json_errors
 def cmd_eval(ztext, stext, atext, prec, order, tol, ceiling, out, fmt):
     """Evaluate the nested series, dispatching to the regularised route at
     integer points of V_r(z) and to direct convergent evaluation otherwise."""
-    try:
-        cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
-        cfg.activate()
-        z = _parse_z(ztext)
-        if (stext is None) == (atext is None):
-            raise ValueError("give exactly one of -s or -a")
-        if atext is not None:
-            a = _parse_ints(atext, "-a")
-            if contains("Vrz", z, a):
-                report = polylog.eval_integer_point(
-                    z, a, A=cfg.expansion_order, tol=None)
-            else:
-                report = polylog.eval_convergent(
-                    z, a, tol=cfg.tol, ceiling=cfg.cutoff_ceiling)
+    cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
+    cfg.activate()
+    z = _parse_z(ztext)
+    if (stext is None) == (atext is None):
+        raise ValueError("give exactly one of -s or -a")
+    if atext is not None:
+        a = _parse_ints(atext, "-a")
+        if contains("Vrz", z, a):
+            report = polylog.eval_integer_point(
+                z, a, A=cfg.expansion_order, tol=None)
         else:
-            s = ComplexPoint.parse(stext)
             report = polylog.eval_convergent(
-                z, s, tol=cfg.tol, ceiling=cfg.cutoff_ceiling)
-        obj = report.to_json_obj()
-        obj["precision_bits"] = cfg.precision_bits
-        if cfg.output_format == "text":
-            value = mp.mpc(report.value)
-            _emit(f"value = {mp.nstr(value, mp.mp.dps)}\n"
-                  f"abs error estimate <= {mp.nstr(mp.mpf(report.abs_error_estimate), 5)}\n"
-                  f"method = {report.method}", out)
-        else:
-            _emit(json.dumps(obj, indent=2), out)
-    except SystemExit:
-        raise
-    except BaseException as exc:
-        _fail(exc, out)
+                z, a, tol=cfg.tol, ceiling=cfg.cutoff_ceiling)
+    else:
+        s = ComplexPoint.parse(stext)
+        report = polylog.eval_convergent(
+            z, s, tol=cfg.tol, ceiling=cfg.cutoff_ceiling)
+    obj = report.to_json_obj()
+    obj["precision_bits"] = cfg.precision_bits
+    if cfg.output_format == "text":
+        value = mp.mpc(report.value)
+        _emit(f"value = {mp.nstr(value, mp.mp.dps)}\n"
+              f"abs error estimate <= {mp.nstr(mp.mpf(report.abs_error_estimate), 5)}\n"
+              f"method = {report.method}", out)
+    else:
+        _emit(json.dumps(obj, indent=2), out)
 
 
 @main.command("reg")
@@ -228,27 +233,23 @@ def cmd_eval(ztext, stext, atext, prec, order, tol, ceiling, out, fmt):
 @click.option("-a", "atext", required=True, help="integer exponents")
 @click.option("-k", "ktext", default=None, help="log powers (default all 0)")
 @config_options
+@_json_errors
 def cmd_reg(ztext, atext, ktext, prec, order, tol, ceiling, out, fmt):
     """Regularised value plus the full asymptotic expansion of the partial
     sums (multiple Stieltjes constant at the given point and log orders)."""
-    try:
-        cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
-        cfg.activate()
-        z = _parse_z(ztext)
-        a = _parse_ints(atext, "-a")
-        kvec = _parse_ints(ktext, "-k") if ktext else (0,) * len(a)
-        expansion = depth_expansion(DepthSpec(z, a, kvec), cfg.expansion_order)
-        payload = _expansion_payload(expansion, cfg)
-        payload.update({"z": str(z), "a": list(a), "k": list(kvec)})
-        if cfg.output_format == "text":
-            value = expansion.regularised_value()
-            _emit(f"regularised value = {mp.nstr(value, mp.mp.dps)}", out)
-        else:
-            _emit(json.dumps(payload, indent=2), out)
-    except SystemExit:
-        raise
-    except BaseException as exc:
-        _fail(exc, out)
+    cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
+    cfg.activate()
+    z = _parse_z(ztext)
+    a = _parse_ints(atext, "-a")
+    kvec = _parse_ints(ktext, "-k") if ktext else (0,) * len(a)
+    expansion = depth_expansion(DepthSpec(z, a, kvec), cfg.expansion_order)
+    payload = _expansion_payload(expansion, cfg)
+    payload.update({"z": str(z), "a": list(a), "k": list(kvec)})
+    if cfg.output_format == "text":
+        value = expansion.regularised_value()
+        _emit(f"regularised value = {mp.nstr(value, mp.mp.dps)}", out)
+    else:
+        _emit(json.dumps(payload, indent=2), out)
 
 
 def _translation_suite(rng: random.Random, trials: int, tol):
@@ -307,37 +308,33 @@ def _summation_suite(rng: random.Random, trials: int, tol):
 @click.option("--trials", type=int, default=10)
 @click.option("--seed", type=int, default=0)
 @config_options
+@_json_errors
 def cmd_verify(suite, trials, seed, prec, order, tol, ceiling, out, fmt):
     """Run the translation-identity and summation-engine verification suites;
     exits nonzero if any residual exceeds the tolerance."""
-    try:
-        cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
-        cfg.activate()
-        rng = random.Random(seed)
-        results, failures = [], []
-        if suite in ("translation", "all"):
-            res, bad = _translation_suite(rng, trials, cfg.tol)
-            results += res
-            failures += bad
-        if suite in ("summation", "all"):
-            res, bad = _summation_suite(rng, trials, cfg.tol)
-            results += res
-            failures += bad
-        payload = {"trials": len(results), "failures": len(failures),
-                   "tol": fmt_real(cfg.tol), "results": results}
-        if cfg.output_format == "text":
-            lines = [f"{r['suite']}: residual {r['residual']} "
-                     f"{'PASS' if r['pass'] else 'FAIL'}" for r in results]
-            lines.append(f"{len(results) - len(failures)}/{len(results)} passed")
-            _emit("\n".join(lines), out)
-        else:
-            _emit(json.dumps(payload, indent=2), out)
-        if failures:
-            sys.exit(1)
-    except SystemExit:
-        raise
-    except BaseException as exc:
-        _fail(exc, out)
+    cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
+    cfg.activate()
+    rng = random.Random(seed)
+    results, failures = [], []
+    if suite in ("translation", "all"):
+        res, bad = _translation_suite(rng, trials, cfg.tol)
+        results += res
+        failures += bad
+    if suite in ("summation", "all"):
+        res, bad = _summation_suite(rng, trials, cfg.tol)
+        results += res
+        failures += bad
+    payload = {"trials": len(results), "failures": len(failures),
+               "tol": fmt_real(cfg.tol), "results": results}
+    if cfg.output_format == "text":
+        lines = [f"{r['suite']}: residual {r['residual']} "
+                 f"{'PASS' if r['pass'] else 'FAIL'}" for r in results]
+        lines.append(f"{len(results) - len(failures)}/{len(results)} passed")
+        _emit("\n".join(lines), out)
+    else:
+        _emit(json.dumps(payload, indent=2), out)
+    if failures:
+        sys.exit(1)
 
 
 def _parse_ranges(text: str):
@@ -366,63 +363,53 @@ def _parse_ranges(text: str):
               help='integer grid, e.g. "1..3,-1..1" (one range per coordinate)')
 @click.option("-k", "ktext", default=None, help="log powers (default all 0)")
 @config_options
+@_json_errors
 def cmd_table(ztext, atext, ktext, prec, order, tol, ceiling, out, fmt):
     """Sweep a grid of integer points and emit one CSV row per point."""
-    try:
-        cfg = JobConfig.from_options(prec, order, tol, fmt or "csv", ceiling)
-        cfg.activate()
-        z = _parse_z(ztext)
-        axes = _parse_ranges(atext)
-        if len(axes) != z.r:
-            raise ValueError(f"-a has {len(axes)} coordinates, z has depth {z.r}")
-        kvec = _parse_ints(ktext, "-k") if ktext else (0,) * z.r
-        import itertools
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, delimiter=";")
-        writer.writerow(CSV_COLUMNS)
-        for a in itertools.product(*axes):
-            if any(kvec) or not contains("Vrz", z, a):
-                expansion = depth_expansion(DepthSpec(z, a, kvec),
-                                            cfg.expansion_order)
-                value = expansion.regularised_value()
-                err = expansion.residual_bound
-                method = "regularised"
-            else:
-                rep = polylog.eval_integer_point(z, a, A=cfg.expansion_order)
-                value, err, method = mp.mpc(rep.value), rep.abs_error_estimate, rep.method
-            writer.writerow([str(z),
-                             ",".join(str(x) for x in a),
-                             ",".join(str(x) for x in kvec),
-                             method,
-                             fmt_real(value.real), fmt_real(value.imag),
-                             fmt_real(err), cfg.precision_bits,
-                             cfg.expansion_order])
-        _emit(buf.getvalue().rstrip("\n"), out)
-    except SystemExit:
-        raise
-    except BaseException as exc:
-        _fail(exc, out)
+    cfg = JobConfig.from_options(prec, order, tol, fmt or "csv", ceiling)
+    cfg.activate()
+    z = _parse_z(ztext)
+    axes = _parse_ranges(atext)
+    if len(axes) != z.r:
+        raise ValueError(f"-a has {len(axes)} coordinates, z has depth {z.r}")
+    kvec = _parse_ints(ktext, "-k") if ktext else (0,) * z.r
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=";")
+    writer.writerow(CSV_COLUMNS)
+    for a in itertools.product(*axes):
+        if any(kvec) or not contains("Vrz", z, a):
+            expansion = depth_expansion(DepthSpec(z, a, kvec),
+                                        cfg.expansion_order)
+            value = expansion.regularised_value()
+            err = expansion.residual_bound
+            method = "regularised"
+        else:
+            rep = polylog.eval_integer_point(z, a, A=cfg.expansion_order)
+            value, err, method = mp.mpc(rep.value), rep.abs_error_estimate, rep.method
+        writer.writerow([str(z),
+                         ",".join(str(x) for x in a),
+                         ",".join(str(x) for x in kvec),
+                         method,
+                         fmt_real(value.real), fmt_real(value.imag),
+                         fmt_real(err), cfg.precision_bits,
+                         cfg.expansion_order])
+    _emit(buf.getvalue().rstrip("\n"), out)
 
 
 @main.command("euler-poly")
 @click.argument("k", type=int)
 @click.argument("n", type=int)
 @config_options
+@_json_errors
 def cmd_euler_poly(k, n, prec, order, tol, ceiling, out, fmt):
     """Print the exact coefficients of the generalised Euler polynomial."""
-    try:
-        cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
-        poly = gen_euler_polynomial(k, n)
-        coeffs = [str(c) for c in poly.coeffs]
-        if cfg.output_format == "text":
-            _emit(" + ".join(f"({c})*x^{i}" for i, c in enumerate(coeffs)), out)
-        else:
-            _emit(json.dumps({"k": k, "n": n, "coefficients": coeffs}), out)
-    except SystemExit:
-        raise
-    except BaseException as exc:
-        _fail(exc, out)
+    cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
+    poly = gen_euler_polynomial(k, n)
+    coeffs = [str(c) for c in poly.coeffs]
+    if cfg.output_format == "text":
+        _emit(" + ".join(f"({c})*x^{i}" for i, c in enumerate(coeffs)), out)
+    else:
+        _emit(json.dumps({"k": k, "n": n, "coefficients": coeffs}), out)
 
 
 if __name__ == "__main__":

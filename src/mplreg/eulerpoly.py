@@ -127,7 +127,7 @@ class RationalPolynomial:
         return f"RationalPolynomial({list(self._coeffs)!r})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def bernoulli_number(j: int) -> Fraction:
     """Exact B_j with the B_1 = -1/2 convention (so B_j = B_j(0))."""
     if j < 0:
@@ -142,7 +142,7 @@ def bernoulli_number(j: int) -> Fraction:
     return -total / (j + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def bernoulli_polynomial(j: int) -> RationalPolynomial:
     """B_j(x) = sum_i binom(j, i) B_i x^(j-i)."""
     coeffs = [Fraction(0)] * (j + 1)
@@ -156,7 +156,7 @@ def bernoulli_sup_bound(j: int) -> Fraction:
     return bernoulli_polynomial(j).coeff_abs_sum()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def power_sum(k: int, d: int) -> int:
     """S_k(d) = 0^d + 1^d + ... + (k-1)^d with the 0^0 = 1 convention."""
     if d == 0:
@@ -164,7 +164,7 @@ def power_sum(k: int, d: int) -> int:
     return sum(j ** d for j in range(1, k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def gen_euler_polynomial(k: int, n: int) -> RationalPolynomial:
     """E_{k,n}(x), from the averaging recurrence
 

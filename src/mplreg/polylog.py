@@ -4,7 +4,8 @@ The nested series  sum_{n_1 > ... > n_r > 0}  prod_i z_i^{n_i} n_i^{-s_i}
 is handled four ways:
 
 * ``brute_partial_sum``  -- exact truncated sums t_N and tails t_{M,N}
-  (general complex weights |z_i| <= 1, complex exponents);
+  (general complex weights |z_i| <= 1, complex exponents) from the one
+  kernel ``summation.nested_sums``;
 * ``eval_convergent``    -- limit inside the conditional-convergence domain
   U_r(z), by geometric cutoff doubling with period averaging and adaptive
   extrapolation across the doubling ladder;
@@ -25,6 +26,7 @@ import mpmath as mp
 from .asymptotics import DepthSpec, depth_expansion, fmt_real
 from .errors import DomainError, NonConvergenceError, TruncationError
 from .rootsofunity import RotationNumber, ZVector, _coords, contains
+from .summation import nested_sums
 
 __all__ = [
     "PartialSumSpec",
@@ -32,7 +34,6 @@ __all__ = [
     "TranslationReport",
     "pochhammer",
     "brute_partial_sum",
-    "partial_sums",
     "eval_convergent",
     "eval_integer_point",
     "stieltjes_constant",
@@ -93,68 +94,13 @@ class TranslationReport:
     terms_used: int
 
 
-def _weight_values(z):
-    """Normalise weights to plain complex values; RotationNumber stays exact
-    through a power table."""
-    if isinstance(z, ZVector):
-        entries = z.entries
-    else:
-        entries = tuple(z)
-    out = []
-    for entry in entries:
-        if isinstance(entry, RotationNumber):
-            table = entry.power_values()
-            out.append(("rot", table, entry.order))
-        else:
-            out.append(("gen", mp.mpc(entry), None))
-    return out
-
-
 def _nested_sums(z, s, cutoffs) -> dict:
     """{N: t_N} for general weights and complex exponents, one forward pass."""
-    weights = _weight_values(z)
-    svals = [mp.mpc(c) for c in _coords(s)]
-    r = len(weights)
+    svals = _coords(s)
+    r = len(z)
     if len(svals) != r:
         raise DomainError(f"point has {len(svals)} coordinates, z has depth {r}")
-    int_exp = [s_j.imag == 0 and s_j.real == int(s_j.real) for s_j in svals]
-    s_int = [int(s_j.real) if flag else None for flag, s_j in zip(int_exp, svals)]
-    cutoffs = sorted(set(int(N) for N in cutoffs))
-    want = set(cutoffs)
-    top = cutoffs[-1]
-    running = [mp.mpc(0)] * (r + 1)
-    running[r] = mp.mpc(1)
-    gen_pows = [mp.mpc(1)] * r
-    out = {}
-    for n in range(1, top + 1):
-        if n in want:
-            out[n] = running[0]
-        if n == top:
-            break
-        log_n = None
-        contrib = []
-        for j in range(r):
-            kind, data, order = weights[j]
-            if kind == "rot":
-                zp = data[n % order]
-            else:
-                gen_pows[j] *= data
-                zp = gen_pows[j]
-            if int_exp[j]:
-                w = zp * mp.mpf(n) ** (-s_int[j])
-            else:
-                if log_n is None:
-                    log_n = mp.log(n)
-                w = zp * mp.exp(-svals[j] * log_n)
-            contrib.append(w * running[j + 1])
-        for j in range(r):
-            running[j] += contrib[j]
-    return out
-
-
-def partial_sums(z, s, cutoffs) -> dict:
-    """Exact truncated sums {N: t_N} at each requested cutoff."""
-    return _nested_sums(z, s, cutoffs)
+    return nested_sums(z, svals, (0,) * r, cutoffs)
 
 
 def brute_partial_sum(spec: PartialSumSpec):
@@ -171,14 +117,12 @@ def brute_partial_sum(spec: PartialSumSpec):
     return sums[spec.M] - sums[max(spec.N, 1)]
 
 
-def _oscillation_period(z: ZVector, cap: int = 420) -> int:
+def _oscillation_period(z: ZVector) -> int:
     """lcm of the orders of the z_i: averaging t_N over this many consecutive
     cutoffs cancels every oscillatory character of the expansion."""
     period = 1
     for zi in z:
         period = period * zi.order // math.gcd(period, zi.order)
-        if period > cap:
-            return cap
     return period
 
 

@@ -15,14 +15,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-__all__ = [
-    "ScaleFunction",
-    "differentiate",
-    "antiderivative",
-    "evaluate",
-    "abs_tail_bound",
-    "shift_expand",
-]
+__all__ = ["ScaleFunction"]
 
 
 def _as_mpc(c):
@@ -159,14 +152,6 @@ class ScaleFunction:
             total += abs(c) * integral * a ** (1 - m)
         return total
 
-    def abs_integral(self, a, b):
-        """Upper bound for int_a^b |f| on 1 <= a <= b (termwise, basis >= 0)."""
-        bound = mp.mpf(0)
-        for l, m, c in self.terms():
-            g = ScaleFunction.term(l, m).antiderivative()
-            bound += abs(c) * (g._value_at(b) - g._value_at(a)).real
-        return bound
-
     def shift_expand(self, t0: int, order: int):
         """Expand f(n + t0) in the scale of n, valid up to O(n^-(order+1) * logs).
 
@@ -201,7 +186,7 @@ def _poly_mul(p, q, depth):
     return res
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _shifted_basis_term(l: int, m: int, t0: int, depth: int):
     """Rational expansion data for (log(n+t0))^l (n+t0)^(-m): tuples
     (l', d, coeff) meaning coeff * (log n)^l' * n^-(m+d), d <= depth."""
@@ -227,23 +212,3 @@ def _shifted_basis_term(l: int, m: int, t0: int, depth: int):
             if coef:
                 out.append((l - j, d, comb * coef))
     return tuple(out)
-
-
-def differentiate(f: ScaleFunction) -> ScaleFunction:
-    return f.differentiate()
-
-
-def antiderivative(f: ScaleFunction) -> ScaleFunction:
-    return f.antiderivative()
-
-
-def evaluate(f: ScaleFunction, t):
-    return f.evaluate(t)
-
-
-def abs_tail_bound(f: ScaleFunction, a):
-    return f.abs_tail_bound(a)
-
-
-def shift_expand(f: ScaleFunction, t0: int, order: int):
-    return f.shift_expand(t0, order)

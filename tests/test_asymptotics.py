@@ -242,14 +242,6 @@ class TestOrderLowerBound:
 
 
 class TestNestedPartialSums:
-    def test_against_polylog_brute(self):
-        from mplreg.polylog import PartialSumSpec, brute_partial_sum
-
-        z = ZVector.parse("1,-1")
-        sums = nested_char_partial_sums(z, (2, -1), (0, 0), (12,))
-        other = brute_partial_sum(PartialSumSpec(z, [2, -1], 12))
-        assert abs(sums[12] - other) < mp.mpf("1e-35")
-
     def test_log_weights_by_enumeration(self):
         z = ZVector.parse("-1,1")
         got = nested_char_partial_sums(z, (1, 2), (1, 0), (5,))[5]

@@ -91,6 +91,23 @@ class TestEval:
         assert res.exit_code == 1
 
 
+class TestErrorPath:
+    def test_keyboard_interrupt_propagates(self, monkeypatch, capsys):
+        # Ctrl-C is not a failed command: no JSON error object, no exit 1;
+        # click turns it into its own Abort
+        import click
+        import mplreg.cli as climod
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(climod, "depth_expansion", interrupt)
+        with pytest.raises(click.exceptions.Abort) as info:
+            main.main(["reg", "-z", "-1", "-a", "0"], standalone_mode=False)
+        assert isinstance(info.value.__cause__, KeyboardInterrupt)
+        assert "error" not in capsys.readouterr().out
+
+
 class TestReg:
     def test_log_alternating(self, runner):
         res = invoke(runner, ["reg", "-z", "-1", "-a", "0", "-k", "1"])

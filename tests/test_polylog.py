@@ -3,20 +3,22 @@ import random
 import mpmath as mp
 import pytest
 
+from mplreg.asymptotics import DepthSpec, depth_expansion
 from mplreg.errors import DomainError, NonConvergenceError
 from mplreg.polylog import (
     EvalReport,
     PartialSumSpec,
+    _oscillation_period,
     brute_partial_sum,
     eval_convergent,
     eval_integer_point,
-    partial_sums,
     pochhammer,
     raw_cutoff_limit,
     stieltjes_constant,
     verify_translation,
 )
 from mplreg.rootsofunity import RotationNumber, ZVector
+from mplreg.summation import nested_sums
 
 from oracles import averaged_limit, em_zeta
 
@@ -62,7 +64,8 @@ class TestBrutePartialSum:
 
     def test_closed_form_limit(self):
         # sum over n1 > n2 of (-1)^n2 / n1^2 converges to -zeta(2)/4
-        limit = averaged_limit(lambda cs: partial_sums(Z("1,-1"), [2, 0], cs), 2)
+        limit = averaged_limit(
+            lambda cs: nested_sums(Z("1,-1"), [2, 0], (0, 0), cs), 2)
         assert abs(limit + em_zeta(2) / 4) < mp.mpf("1e-12")
 
 
@@ -77,7 +80,8 @@ class TestEvalConvergent:
     def test_alternating_halfline(self):
         rep = eval_convergent(Z("-1"), [mp.mpf("0.5")], tol=mp.mpf("1e-10"))
         # reference: window-averaged raw sums at N = 10^6
-        window = partial_sums(Z("-1"), [mp.mpf("0.5")], range(10**6, 10**6 + 2))
+        window = nested_sums(Z("-1"), [mp.mpf("0.5")], (0,),
+                             range(10**6, 10**6 + 2))
         reference = sum(window.values()) / 2
         assert abs(rep.value - reference) < mp.mpf("1e-8")
 
@@ -98,6 +102,10 @@ class TestEvalConvergent:
         with pytest.raises(NonConvergenceError):
             eval_convergent(Z("-1"), [mp.mpf("0.1")], tol=mp.mpf("1e-30"),
                             ceiling=2000)
+
+    def test_oscillation_period_is_the_full_lcm(self):
+        assert _oscillation_period(Z("1/5,1/7,1/13")) == 455
+        assert _oscillation_period(Z("1,-1,1/3")) == 6
 
     def test_raw_mode_matches_contract(self):
         rep = eval_convergent(Z("-1"), [2], tol=mp.mpf("1e-6"), accelerate=False)
@@ -142,7 +150,8 @@ class TestEvalIntegerPoint:
             period = 1
             for zi in z:
                 period = period * zi.order // mp.libmp.gcd(period, zi.order)
-            limit = averaged_limit(lambda cs: partial_sums(z, list(a), cs), period)
+            limit = averaged_limit(
+                lambda cs: nested_sums(z, a, (0,) * len(a), cs), period)
             assert abs(rep.value - limit) < mp.mpf("1e-8"), (z, a, rng)
 
 
@@ -167,6 +176,18 @@ class TestStieltjes:
         limit = averaged_limit(
             lambda cs: nested_char_partial_sums(z, a, kvec, cs), 2)
         assert abs(value - limit) < mp.mpf("1e-10")
+
+    @pytest.mark.parametrize("prec", [128, 256])
+    @pytest.mark.parametrize("ztext", ["2/5", "1/6"])
+    def test_depth_one_nonpositive_estimate_is_honest(self, ztext, prec):
+        # the matched constant carries the rounding of the 2N-term sum,
+        # which the double-cutoff drift cannot see
+        with mp.workprec(prec):
+            for a in (-1, 0):
+                e = depth_expansion(DepthSpec(Z(ztext), (a,), (0,)), 6)
+                with mp.workprec(prec + 64):
+                    want = mp.polylog(a, RotationNumber.parse(ztext).value())
+                assert abs(e.regularised_value() - want) <= e.residual_bound, a
 
 
 class TestTranslation:

@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mplreg.errors import PrecisionError
 from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber
@@ -9,6 +12,7 @@ from mplreg.scalefun import ScaleFunction
 from mplreg.summation import (
     euler_maclaurin,
     gen_euler_boole,
+    nested_sums,
     term_sum_expansion,
 )
 
@@ -214,3 +218,41 @@ class TestTermSumExpansion:
                 term_sum_expansion(MINUS_ONE, 1, 0, 8, tol=mp.mpf("1e-40"))
         finally:
             mp.mp.prec = saved
+
+
+# one factor of the nested sum: (weight, exponent, log power)
+rotation_weights = st.builds(RotationNumber, st.integers(0, 11), st.integers(1, 12))
+complex_weights = st.builds(
+    lambda r, t: mp.mpf(r) * mp.expjpi(mp.mpf(t)),
+    st.floats(0, 1), st.floats(-1, 1))
+exponents = st.one_of(
+    st.integers(-2, 3),
+    st.builds(lambda re, im: mp.mpc(re, im), st.floats(-1, 3), st.floats(-1, 1)))
+factors = st.tuples(st.one_of(rotation_weights, complex_weights), exponents,
+                    st.integers(0, 2))
+
+
+class TestNestedSums:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(factors, min_size=1, max_size=3),
+           st.sets(st.integers(1, 12), min_size=1, max_size=3))
+    def test_against_direct_enumeration(self, spec, cutoffs):
+        z = [w for w, _, _ in spec]
+        s = [e for _, e, _ in spec]
+        kvec = [k for _, _, k in spec]
+        got = nested_sums(z, s, kvec, cutoffs)
+        assert set(got) == cutoffs
+
+        def weight(j, n):
+            w = z[j]
+            zn = (w ** n).value() if isinstance(w, RotationNumber) else w ** n
+            return zn * mp.log(n) ** kvec[j] * mp.mpf(n) ** (-mp.mpc(s[j]))
+
+        for N in cutoffs:
+            want, size = mp.mpc(0), mp.mpf(0)
+            # n_1 > n_2 > ... > n_r: the combinations of range(1, N) reversed
+            for combo in itertools.combinations(range(1, N), len(spec)):
+                term = mp.fprod(weight(j, n) for j, n in enumerate(reversed(combo)))
+                want += term
+                size += abs(term)
+            assert abs(got[N] - want) <= mp.mpf(2) ** -110 * (1 + size)
