@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -109,9 +110,9 @@ class RotationNumber:
         return mp.mpc(mp.cospi(mp.mpf(t.numerator) / t.denominator),
                       mp.sinpi(mp.mpf(t.numerator) / t.denominator))
 
-    def power_values(self) -> list:
-        """[zeta^0, ..., zeta^(q-1)] at the current precision (zeta^n cycles)."""
-        return [(self ** a).value() for a in range(self.order)]
+    def power_values(self) -> tuple:
+        """(zeta^0, ..., zeta^(q-1)) at the current precision (zeta^n cycles)."""
+        return _power_values(self._frac, mp.mp.prec)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RotationNumber) and self._frac == other._frac
@@ -124,6 +125,13 @@ class RotationNumber:
 
     def __repr__(self) -> str:
         return f"RotationNumber({self._frac.numerator}, {self._frac.denominator})"
+
+
+@lru_cache(maxsize=4096)
+def _power_values(frac: Fraction, prec: int) -> tuple:
+    with mp.workprec(prec):
+        return tuple(RotationNumber(frac * a).value()
+                     for a in range(frac.denominator))
 
 
 ONE = RotationNumber(0, 1)

@@ -22,7 +22,11 @@ at a cutoff pair (N, 2N) chosen from a predicted residual bound.
 ``nested_sums`` is the package's one partial-sum kernel: every exact
 truncated nested sum t_N (the matching oracle of the depth driver, the
 convergent route and the translation checks) comes out of its single
-forward pass.
+forward pass.  When every weight is a RotationNumber and every exponent an
+integer, the pass runs on Python integers scaled by 2^P, P = prec + g, with
+the guard g taken from an a-priori bound on the accumulated truncations, so
+that each t_N errs by at most 2^-(prec+8) before its final rounding;
+complex weights or exponents run the same pass in mpmath numbers.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from functools import lru_cache
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import log_int_fixed, to_fixed
 
 from . import eulerpoly
 from .errors import PrecisionError
@@ -406,19 +411,127 @@ def nested_sums(z, s, kvec, cutoffs) -> dict:
     complex weight (powers by running products); each s_j is an integer or
     complex.  One forward pass: running[j] (0-based) is the sum of the last
     r - j factors over n > n_{j+1} > ... > n_r > 0, so running[0] = t_n, and
-    the step at n adds the weight of index j at n times running[j + 1]; the
-    innermost running[r] = 1 is never multiplied.  Cost O(max(cutoffs) * r).
+    the step at n adds the weight w_j(n) = z_j^n (log n)^{k_j} n^{-s_j} times
+    running[j + 1]; the innermost running[r] = 1 is never multiplied.  Cost
+    O(max(cutoffs) * r).
+
+    The input decides the arithmetic.  When every z_j is a RotationNumber
+    and every s_j is integral, the pass runs on Python integers scaled by
+    2^P (``_fixed_pass``), and its absolute error on each t_N is at most
+    2^-(prec+8), prec being the working precision, before the final
+    rounding to it; see ``_guard_bits`` for the bound.  Complex weights or
+    non-integral exponents take the mpmath loop (``_mpmath_pass``).
     """
     z = tuple(z)
-    r = len(z)
     exps = [_exponent(s_j) for s_j in s]
     kvec = tuple(int(k) for k in kvec)
+    cutoffs = sorted(set(int(N) for N in cutoffs))
+    if z and all(isinstance(zj, RotationNumber) for zj in z) \
+            and all(isinstance(e, int) for e in exps):
+        return _fixed_pass(z, exps, kvec, cutoffs)
+    return _mpmath_pass(z, exps, kvec, cutoffs)
+
+
+def _guard_bits(exps, kvec, top) -> int:
+    """Guard bits g such that the fixed-point pass to cutoff N = top, run
+    with P >= prec + g fractional bits, errs by at most 2^-(prec+8).
+
+    Error accounting in units u = 2^-P (truncations are floors, < 1 u).
+    With lb = bit_length(N) >= log n for every n < N, weight j is bounded by
+    M_j = N^max(0, -a_j) lb^k_j >= 1.  Its table entries err by < 1 u, log n
+    by < 2 u, the power (log n)^k by < 3k lb^(k-1) u, so the scaled weight
+    errs by less than 8 (1 + K) M_j u, K = max k_j.  The running sums obey
+    |running[j]| <= N^(r-j) prod_{i>=j} M_i, and each step adds |w_j| times
+    the error of running[j+1], the weight error times |running[j+1]|, and
+    one truncation.  Over N steps and r levels, by induction from the
+    innermost level, every t_N errs by less than
+
+        B u,   B = (r + 1) (8K + 10) N^r prod_j M_j,
+
+    the factor r + 1 (rather than r) absorbing the products of two errors.
+    g = bit_length(B) + 8 then gives B u <= 2^-(prec+8), 2^19 N times below
+    the 2^(11-prec) N that ``_rounding_slack(2N, ...)`` certifies.
+    """
+    r = len(exps)
+    lb = max(1, top.bit_length())
+    bound = (r + 1) * (8 * max(kvec) + 10) * top ** r
+    for a, k in zip(exps, kvec):
+        bound *= top ** max(0, -a) * lb ** k
+    return bound.bit_length() + 8
+
+
+@lru_cache(maxsize=4096)
+def _fixed_power_table(frac: Fraction, P: int) -> tuple:
+    """((cos, sin) of 2 pi frac a, scaled by 2^P and floored) for a < q."""
+    with mp.workprec(P + 10):
+        values = RotationNumber(frac).power_values()
+    return tuple((to_fixed(v.real._mpf_, P), to_fixed(v.imag._mpf_, P))
+                 for v in values)
+
+
+def _fixed_pass(z, exps, kvec, cutoffs) -> dict:
+    """The forward pass on Python ints scaled by 2^P, P = prec + g rounded
+    up to a multiple of 64 so that nearby cutoffs share the power tables.
+
+    z_j^n comes from the memoised integer cos/sin table, n^-a from an exact
+    division by n^a (a > 0) or an exact multiply by n^|a| (a <= 0), and
+    (log n)^k from ``log_int_fixed``; each product of scaled values is
+    shifted right by P.  Each requested t_N becomes an mpc once, at the end.
+    """
+    top = cutoffs[-1]
+    P = mp.mp.prec + _guard_bits(exps, kvec, top)
+    P += -P % 64
+    last = len(z) - 1
+    levels = [(_fixed_power_table(zj.fraction, P), zj.order, k, a)
+              for zj, k, a in zip(z, kvec, exps)]
+    kmax = max(kvec)
+    lpow = [1 << P] * (kmax + 1)
+    want = set(cutoffs)
+    re = [0] * (last + 1)
+    im = [0] * (last + 1)
+    hits = {}
+    for n in range(1, top + 1):
+        if n in want:
+            hits[n] = (re[0], im[0])
+        if n == top:
+            break
+        if kmax:
+            log_n = log_int_fixed(n, P)
+            for k in range(1, kmax + 1):
+                lpow[k] = log_n if k == 1 else (lpow[k - 1] * log_n) >> P
+        # ascending j: running[j + 1] still excludes n_{j+1} = n
+        for j, (table, q, k, a) in enumerate(levels):
+            c, s = table[n % q]
+            if k:
+                c = (c * lpow[k]) >> P
+                s = (s * lpow[k]) >> P
+            if a > 0:
+                d = n ** a
+                c //= d
+                s //= d
+            elif a < 0:
+                d = n ** -a
+                c *= d
+                s *= d
+            if j == last:
+                re[j] += c
+                im[j] += s
+            else:
+                x, y = re[j + 1], im[j + 1]
+                re[j] += (c * x - s * y) >> P
+                im[j] += (c * y + s * x) >> P
+    return {N: mp.mpc(mp.mpf((x, -P)), mp.mpf((y, -P)))
+            for N, (x, y) in hits.items()}
+
+
+def _mpmath_pass(z, exps, kvec, cutoffs) -> dict:
+    """The forward pass in mpmath numbers at the working precision."""
+    r = len(z)
     tables = [zj.power_values() if isinstance(zj, RotationNumber) else None
               for zj in z]
     gen = [None if isinstance(zj, RotationNumber) else mp.mpc(zj) for zj in z]
     gen_pows = [mp.mpc(1)] * r
     need_log = any(kvec) or not all(isinstance(e, int) for e in exps)
-    cutoffs = sorted(set(int(N) for N in cutoffs))
     want = set(cutoffs)
     top = cutoffs[-1]
     running = [mp.mpc(0)] * r + [mp.mpc(1)]
@@ -466,12 +579,19 @@ def resolve_tol(tol):
     """Effective matching tolerance.
 
     The default adapts to the working precision (it cannot beat rounding);
-    an explicit tolerance is taken verbatim, so an unreachable request ends
-    in a precision failure rather than being silently loosened.
+    an explicit tolerance is taken verbatim, and one below the precision
+    floor 2^(20-prec) fails at once with PrecisionError rather than being
+    silently loosened or left to matching noise to reject.
     """
+    floor = mp.mpf(2) ** (20 - mp.mp.prec)
     if tol is None:
-        return max(mp.mpf(DEFAULT_MATCH_TOL), mp.mpf(2) ** (20 - mp.mp.prec))
-    return mp.mpf(tol)
+        return max(mp.mpf(DEFAULT_MATCH_TOL), floor)
+    tol = mp.mpf(tol)
+    if tol < floor:
+        raise PrecisionError(
+            f"tolerance {mp.nstr(tol, 5)} is below the precision floor "
+            f"2^{20 - mp.mp.prec} at {mp.mp.prec} bits")
+    return tol
 
 
 def internal_precision(A: int, tol) -> int:

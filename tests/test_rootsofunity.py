@@ -62,6 +62,20 @@ class TestRotationNumber:
         assert RotationNumber(2, 6).order == 3
         assert ONE.order == 1
 
+    def test_power_values_memoised_per_precision(self):
+        zeta = RotationNumber(2, 7)
+        table = zeta.power_values()
+        assert isinstance(table, tuple) and len(table) == 7
+        assert RotationNumber(2, 7).power_values() is table
+        for a, v in enumerate(table):
+            assert v == (zeta ** a).value()
+        with mp.workprec(256):
+            fine = zeta.power_values()
+            assert fine is not table
+            assert fine[3] == (zeta ** 3).value()
+        # the 256-bit table does not leak into 128-bit results
+        assert zeta.power_values() is table
+
     @given(rotations, rotations, rotations)
     def test_group_associativity(self, a, b, c):
         assert (a * b) * c == a * (b * c)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mplreg.errors import PrecisionError
 from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber
 from mplreg.scalefun import ScaleFunction
+import mplreg.summation as summod
 from mplreg.summation import (
     euler_maclaurin,
     gen_euler_boole,
@@ -219,6 +220,16 @@ class TestTermSumExpansion:
         finally:
             mp.mp.prec = saved
 
+    def test_unreachable_tolerance_fails_before_summing(self, monkeypatch):
+        def no_sums(*args):
+            raise AssertionError("summed although the tolerance is unreachable")
+
+        monkeypatch.setattr(summod, "nested_sums", no_sums)
+        with pytest.raises(PrecisionError, match="precision floor"):
+            term_sum_expansion(MINUS_ONE, 1, 0, 8, tol=mp.mpf("1e-40"))
+        # the floor at 128 bits is 2^-108; a tolerance just above it passes
+        assert summod.resolve_tol(mp.mpf(2) ** -107) == mp.mpf(2) ** -107
+
 
 # one factor of the nested sum: (weight, exponent, log power)
 rotation_weights = st.builds(RotationNumber, st.integers(0, 11), st.integers(1, 12))
@@ -256,3 +267,57 @@ class TestNestedSums:
                 want += term
                 size += abs(term)
             assert abs(got[N] - want) <= mp.mpf(2) ** -110 * (1 + size)
+
+
+# factors the integer pass takes: root-of-unity weights of order <= 12,
+# integer exponents, log powers 0..2
+fixed_factors = st.tuples(rotation_weights, st.integers(-2, 3), st.integers(0, 2))
+
+
+def _fixed_against_mpmath_loop(z, a, kvec, cutoffs, prec):
+    """nested_sums at prec, which must take the integer pass, against the
+    mpmath loop at prec + 64; |t_N - ref| <= 2^(10-prec) N (1 + |ref|)."""
+    with mp.workprec(prec + 64):
+        ref = summod._mpmath_pass(tuple(z), list(a), tuple(kvec), sorted(cutoffs))
+
+    def no_mpmath(*args):
+        raise AssertionError("the integer pass was not taken")
+
+    with pytest.MonkeyPatch.context() as patch, mp.workprec(prec):
+        patch.setattr(summod, "_mpmath_pass", no_mpmath)
+        got = nested_sums(z, a, kvec, cutoffs)
+        assert set(got) == set(cutoffs)
+        for N in cutoffs:
+            bound = mp.mpf(2) ** (10 - prec) * N * (1 + abs(ref[N]))
+            assert abs(got[N] - ref[N]) <= bound
+
+
+class TestFixedPass:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(fixed_factors, min_size=1, max_size=3),
+           st.sets(st.integers(1, 3000), min_size=1, max_size=2),
+           st.sampled_from([128, 256]))
+    def test_against_mpmath_loop(self, spec, cutoffs, prec):
+        z = [w for w, _, _ in spec]
+        a = [e for _, e, _ in spec]
+        kvec = [k for _, _, k in spec]
+        _fixed_against_mpmath_loop(z, a, kvec, cutoffs, prec)
+
+    @pytest.mark.parametrize("prec", [128, 256])
+    @pytest.mark.parametrize("a", [(-2, -2, -2), (3, -2, -2)])
+    def test_large_magnitudes(self, a, prec):
+        # the guard is 140 and 112 bits here.  At (-2, -2, -2) it covers
+        # |t_N| ~ 5e25; at (3, -2, -2) the inner sums reach ~2e16 while
+        # |t_N| ~ 5e4, and with P = prec + 8 the error exceeded the bound
+        # a thousandfold
+        z = [RotationNumber(1, 3), RotationNumber(1, 4), RotationNumber(2, 5)]
+        _fixed_against_mpmath_loop(z, a, [0, 0, 0], {8000, 16000}, prec)
+
+    def test_complex_input_takes_the_mpmath_loop(self, monkeypatch):
+        def no_fixed(*args):
+            raise AssertionError("complex input reached the integer pass")
+
+        monkeypatch.setattr(summod, "_fixed_pass", no_fixed)
+        nested_sums([MINUS_ONE], [mp.mpc(2, 1)], [0], [10])
+        nested_sums([mp.mpc(0, 1)], [2], [0], [10])
+        nested_sums([MINUS_ONE], [mp.mpf("1.5")], [0], [10])
