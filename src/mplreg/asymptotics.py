@@ -322,17 +322,18 @@ def depth_expansion(spec: DepthSpec, A: int, tol=None) -> AsymptoticExpansion:
     Recursive over the depth: expand the inner suffix at raised precision,
     multiply by the head monomial, and partial-sum with the level's constant
     matched against exact nested partial sums of the same suffix series.
+    The inner suffix is kept to the internal precision of matching: terms
+    it dropped would sit in neither the outer level's tail nor its residual.
     """
     if A < 0:
         raise ValueError(f"expansion precision must be >= 0, got {A}")
+    tol_eff = summation.resolve_tol(tol)
 
     def build(i: int, a_i: int) -> AsymptoticExpansion:
-        if a_i < 0:
-            raise PrecisionError(
-                f"negative intermediate precision {a_i} at depth {i}")
         if i == spec.r:
             return AsymptoticExpansion.constant_one(a_i)
-        inner = build(i + 1, a_i + inner_expansion_order(spec.a[i]))
+        inner = build(i + 1, summation.internal_precision(
+            a_i + inner_expansion_order(spec.a[i]), tol_eff))
         prod = inner.multiply_monomial(spec.z[i], spec.kvec[i], spec.a[i])
         suffix = spec.z.suffix(i)
 

@@ -69,9 +69,6 @@ class ScaleFunction:
         """Smallest decay index m present, or None for the zero function."""
         return min((m for (_, m) in self._terms), default=None)
 
-    def max_log_power(self) -> int:
-        return max((l for (l, _) in self._terms), default=0)
-
     def __add__(self, other: "ScaleFunction") -> "ScaleFunction":
         items = list(self._terms.items()) + list(other._terms.items())
         return ScaleFunction(items)

@@ -13,11 +13,13 @@ picks up correction sums proportional to  zeta*E_{k,j}(1) - E_{k,j}(0);
 that coefficient vanishes identically at k = 2, which recovers the classical
 alternating formula.  The engines carry these corrections and are exact.
 
-``term_sum_expansion`` turns the same block structure into the asymptotic
-expansion of  sum_{a<n} xi^a (log a)^l a^(-m):  all n-dependent coefficients
-come out of the boundary blocks symbolically, while the limit constant is
-extracted numerically by matching the expansion against exact partial sums
-at a cutoff pair (N, 2N) chosen from a predicted residual bound.
+``term_sum_expansion`` expands  sum_{a<n} xi^a (log a)^l a^(-m)  with
+symbolic n-dependent coefficients: Euler-Maclaurin terms for xi = 1, else
+the series h = sum_{j<=J} c_j f^(j), c_j the Taylor coefficients of
+1/(xi e^t - 1), J = max(1, A + 2 - m), in O(A^2) whatever the order of xi,
+with remainder K (|f^(J+1)|(n) + int_n^inf |f^(J+1)|), K = sum_j |c_j| /
+(J - j + 1)!, once the pseudo-terms of f^(J+1) decrease on [n, inf).  The
+constant is matched against exact partial sums at a cutoff pair (N, 2N).
 
 ``nested_sums`` is the package's one partial-sum kernel: every exact
 truncated nested sum t_N (the matching oracle of the depth driver, the
@@ -290,66 +292,55 @@ def _em_nparts(l: int, m: int, a_max: int):
     return parts, tail
 
 
+def _geometric_coeffs(xi_value, J: int) -> list:
+    """Taylor coefficients c_0..c_J of G(t) = 1/(xi e^t - 1), xi != 1, from
+    (xi e^t - 1) G(t) = 1 order by order: c_0 = 1/(xi - 1) and
+    c_n = -xi/(xi - 1) * sum_{i<n} c_i/(n - i)!."""
+    coeffs = [1 / (xi_value - 1)]
+    factor = -xi_value / (xi_value - 1)
+    for n in range(1, J + 1):
+        coeffs.append(factor * sum(c / math.factorial(n - i)
+                                   for i, c in enumerate(coeffs)))
+    return coeffs
+
+
 def _boole_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
     """n-dependent part of sum_{a<n} xi^a (log a)^l a^(-m), xi != 1.
 
-    All coefficients attach to the character xi.  The jump-correction sums
-    recurse on the derivative terms; each step raises the decay index, so
-    the recursion bottoms out at the precision floor.
+    With f = (log x)^l x^(-m) and h = sum_{j<=J} c_j f^(j), c_j the Taylor
+    coefficients of G(t) = 1/(xi e^t - 1) and J = max(1, a_max + 2 - m),
+    telescoping gives  sum_{a<n} xi^a f(a) = C + xi^n h(n) + eps(n)
+    (Borwein, Calkin & Manna, "Euler-Boole summation revisited", Amer. Math.
+    Monthly 116, 2009).  All coefficients attach to the character xi: the
+    terms of h with decay m' <= a_max are the parts, the others go to the
+    tail pointwise.  The cost is O(J^2) whatever the order of xi.
+
+    The remainder is derived, not estimated.  Taylor's theorem on each
+    f^(j)(a + 1), j <= J, with (xi e^t - 1) G_J(t) = 1 mod t^(J+1), gives
+
+        |xi h(a+1) - h(a) - f(a)| <= K sup_[a,a+1] |f^(J+1)|,
+        K = sum_j |c_j| / (J - j + 1)!,
+
+    and eps(n) sums these defects over a >= n.  With F the sum of the
+    absolute pseudo-terms of f^(J+1), |eps(n)| <= K (F(n) + int_n^inf F)
+    as soon as every pseudo-term (log x)^l' x^(-m') is decreasing on
+    [n, inf), i.e. n >= e^(l'/m').  Since l' <= l and m' = m + J + 1, raising
+    J to (m + J + 1) log(MATCH_START) >= l makes that hold at every
+    matching cutoff.
     """
-    k = xi.order
-    zp = xi.power_values()
-    f = ScaleFunction.term(l, m)
-    mo = max(1, a_max + 2 - m)
-    vw = eulerpoly.inner_product(k, xi, 1, k - 1)
+    J = max(1, a_max + 2 - m, math.ceil(l / math.log(MATCH_START)) - m - 1)
+    coeffs = _geometric_coeffs(xi.value(), J)
     parts: dict = {}
     tail: dict = {}
-
-    def add_shift(t0, coef):
-        if coef == 0:
-            return
-        g, _ = f.shift_expand(t0, a_max + 2)
-        for l2, m2, c in g.terms():
-            c = c * coef
-            if m2 <= a_max:
-                key = (l2, m2)
-                parts[key] = parts.get(key, mp.mpc(0)) + c
-            else:
-                # dropped shift orders: small at n >= 1000, double for safety
-                add_tail(tail, l2, m2, 2 * abs(c))
-
-    # head/tail averaging block: (1/k) zeta^n sum_t f(n+t) sum_{a>t} zeta^a
-    for t in range(0, k - 1):
-        add_shift(t, sum(zp[a % k] for a in range(t + 1, k)) / k)
-    # upper step block: zeta^n sum_i <v_{i,k-1}, w_{i,k-1}> (f(n+i-1) - f(n+i-2))
-    for i in range(2, k):
-        coef = eulerpoly.inner_product(k, xi, i, k - 1)
-        add_shift(i - 1, coef)
-        add_shift(i - 2, -coef)
-
-    g = f.differentiate()
-    for j in range(1, mo):
-        e0 = eulerpoly.gen_euler_at_zero(k, j)
-        e1 = eulerpoly.gen_euler_at_one(k, j)
-        fac = mp.mpf(1) / math.factorial(j)
-        _add_scale(parts, tail, g, -vw * _mpq(e0) * fac, a_max)
-        corr_coef = vw * fac * (zp[1] * _mpq(e1) - _mpq(e0))
-        if corr_coef != 0:
-            for l2, m2, c in g.terms():
-                scale = corr_coef * c
-                if m2 <= a_max:
-                    sub_parts, sub_tail = _term_nparts(xi, l2, m2, a_max)
-                    for key, v in sub_parts.items():
-                        parts[key] = parts.get(key, mp.mpc(0)) + scale * v
-                    merge_tail(tail, sub_tail, abs(scale))
-                else:
-                    # whole corrected sum sits below the floor; its n-part is
-                    # O(|scale| * |f^(j)| / |xi - 1|)
-                    add_tail(tail, l2, m2, 2 * abs(scale) / abs(zp[1] - 1))
+    g = ScaleFunction.term(l, m)
+    for c in coeffs:
+        _add_scale(parts, tail, g, c, a_max)
         g = g.differentiate()
-    # g = f^(mo); remainder tail of the final integral
-    _abs_tail_pseudo(g, abs(vw) * _mpq(eulerpoly.sup_bound(k, mo - 1))
-                     / math.factorial(mo - 1), tail)
+    # g = f^(J+1): the pointwise term and the integral of the remainder bound
+    K = sum(abs(c) / math.factorial(J - j + 1) for j, c in enumerate(coeffs))
+    for l2, m2, c in g.terms():
+        add_tail(tail, l2, m2, K * abs(c))
+    _abs_tail_pseudo(g, K, tail)
     return parts, tail
 
 
@@ -359,9 +350,9 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 
 
 # every memo in the package is an lru_cache of this size, keyed on explicit
-# arguments only; here it holds the 1,440 (xi, l, m, a_max, prec) keys that
-# one process running every reg-sweep and reg-high-order benchmark template
-# reaches, with room to spare
+# arguments only; here it holds the 658 (xi, l, m, a_max, prec) keys that
+# one process running two rounds (seed 101) of every reg-sweep and
+# reg-high-order benchmark template reaches, with room to spare
 @lru_cache(maxsize=4096)
 def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     with mp.workprec(prec):
@@ -595,8 +586,12 @@ def resolve_tol(tol):
 
 
 def internal_precision(A: int, tol) -> int:
-    """Expansion completeness needed so matching at N ~ 1000 reaches tol."""
-    needed = int(mp.ceil(-mp.log(tol) / mp.log(MATCH_START))) + 2
+    """Expansion completeness needed so matching at N ~ 1000 reaches tol:
+    the count of n^-(A+1) <= tol at N = MATCH_START plus 4, since the
+    constant errs by about the remainder at 2N and a character of order q
+    gains only ~2 pi N/(q j) per order (with 2, z = 1/19, a = 1 erred by
+    1.4e-30 at tol = 1e-25)."""
+    needed = int(mp.ceil(-mp.log(tol) / mp.log(MATCH_START))) + 4
     return max(A, needed)
 
 
@@ -660,10 +655,10 @@ def term_sum_expansion(xi: RotationNumber, l: int, m: int, A: int,
                        tol=None) -> TermSumResult:
     """Expansion of  v_n = sum_{a<n} xi^a (log a)^l a^(-m)  to precision A.
 
-    The n-dependent coefficients are assembled symbolically from the
-    summation-formula blocks; the constant is matched numerically against
-    exact partial sums at a cutoff pair (N, 2N) and certified by the
-    double-cutoff stability check.
+    The n-dependent coefficients and their remainder bound are symbolic
+    (``_term_nparts``); the constant is matched numerically against exact
+    partial sums at a cutoff pair (N, 2N) and certified by the double-cutoff
+    stability check.
     """
     from .asymptotics import AsymptoticExpansion
 

@@ -4,12 +4,14 @@ Nothing here goes through the library's expansion machinery: the zeta
 routine is a standalone classical-formula evaluation with hard-coded
 Bernoulli numbers, the tail-coefficient oracle comes from a geometric
 operator series, and the sequence limits use plain window averaging with
-Aitken extrapolation over raw partial sums.
+Aitken extrapolation over raw partial sums.  ``primitive_roots`` is the
+shared Hypothesis strategy for roots of unity of high order.
 """
 
 from fractions import Fraction
 import math
 
+from hypothesis import strategies as st
 import mpmath as mp
 
 # B_2, B_4, ..., B_16
@@ -83,3 +85,12 @@ def averaged_limit(sums_fn, period: int, start: int = 512, rungs: int = 8):
                 new.append(prev[j] + d2 / (d1 / d2 - 1))
         table.append(new)
     return table[-1][-1]
+
+
+def primitive_roots(max_order: int):
+    """Strategy for e^{2 pi i p/q}, 2 <= q <= max_order, any unit p mod q."""
+    from mplreg.rootsofunity import RotationNumber
+
+    return st.integers(2, max_order).flatmap(
+        lambda q: st.sampled_from([p for p in range(1, q) if math.gcd(p, q) == 1])
+        .map(lambda p: RotationNumber(p, q)))

@@ -2,6 +2,8 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mplreg.asymptotics import DepthSpec, depth_expansion
 from mplreg.errors import DomainError, NonConvergenceError
@@ -20,7 +22,7 @@ from mplreg.polylog import (
 from mplreg.rootsofunity import RotationNumber, ZVector
 from mplreg.summation import nested_sums
 
-from oracles import averaged_limit, em_zeta
+from oracles import averaged_limit, em_zeta, primitive_roots
 
 Z = ZVector.parse
 
@@ -153,6 +155,27 @@ class TestEvalIntegerPoint:
             limit = averaged_limit(
                 lambda cs: nested_sums(z, a, (0,) * len(a), cs), period)
             assert abs(rep.value - limit) < mp.mpf("1e-8"), (z, a, rng)
+
+
+class TestHighOrderRoutes:
+    @settings(max_examples=30, deadline=None)
+    @given(primitive_roots(60), st.sampled_from([-1, 0, 1, 2, 3]),
+           st.sampled_from([128, 256]))
+    def test_depth_one_against_mp_polylog(self, xi, a, prec):
+        # a <= 0 lies outside V_1(z), so depth_expansion is called directly
+        with mp.workprec(prec):
+            e = depth_expansion(DepthSpec(ZVector([xi]), (a,), (0,)), 6)
+        with mp.workprec(prec + 64):
+            want = mp.polylog(a, xi.value())
+        assert abs(e.regularised_value() - want) <= e.residual_bound
+
+    def test_depth_three_across_precisions(self):
+        z, a = Z("1/5,1/7,1/13"), (1, 1, 1)
+        low = eval_integer_point(z, a, A=5)
+        with mp.workprec(192):
+            high = eval_integer_point(z, a, A=7)
+        assert abs(low.value - high.value) <= (low.abs_error_estimate
+                                               + high.abs_error_estimate)
 
 
 class TestStieltjes:

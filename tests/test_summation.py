@@ -17,7 +17,7 @@ from mplreg.summation import (
     term_sum_expansion,
 )
 
-from oracles import geometric_tail_coeffs
+from oracles import geometric_tail_coeffs, primitive_roots
 
 
 def feval(f: ScaleFunction, a: int):
@@ -229,6 +229,27 @@ class TestTermSumExpansion:
             term_sum_expansion(MINUS_ONE, 1, 0, 8, tol=mp.mpf("1e-40"))
         # the floor at 128 bits is 2^-108; a tolerance just above it passes
         assert summod.resolve_tol(mp.mpf(2) ** -107) == mp.mpf(2) ** -107
+
+
+class TestTwistedTail:
+    @settings(max_examples=40, deadline=None)
+    @given(primitive_roots(60), st.integers(0, 2), st.integers(-2, 3),
+           st.sampled_from([128, 256]))
+    def test_tail_bounds_the_remainder_of_brute_sums(self, xi, l, m, prec):
+        # S(n) - xi^n h(n) is the constant plus the remainder, so its drift
+        # between N and 2N must sit within tail(N) + tail(2N) and rounding;
+        # with a_max = 3 the remainder is far above rounding, so an emptied
+        # tail fails here
+        N = 1000
+        with mp.workprec(prec):
+            parts, tail = summod._nparts_at(xi, l, m, 3, prec)
+            sums = nested_sums((xi,), (m,), (l,), (N, 2 * N))
+            approx = {n: summod.eval_nparts(parts, xi, n) for n in (N, 2 * N)}
+            drift = abs((sums[N] - approx[N]) - (sums[2 * N] - approx[2 * N]))
+            bound = (summod.eval_tail(tail, N) + summod.eval_tail(tail, 2 * N)
+                     + summod._rounding_slack(2 * N, [*sums.values(),
+                                                      *approx.values()]))
+            assert drift <= bound
 
 
 # one factor of the nested sum: (weight, exponent, log power)
