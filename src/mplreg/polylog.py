@@ -7,8 +7,8 @@ is handled four ways:
   (general complex weights |z_i| <= 1, complex exponents) from the one
   kernel ``summation.nested_sums``;
 * ``eval_convergent``    -- limit inside the conditional-convergence domain
-  U_r(z), by geometric cutoff doubling with period averaging and adaptive
-  extrapolation across the doubling ladder;
+  U_r(z), by period averaging and adaptive extrapolation across a doubling
+  ladder of period multiples, read off one resumed kernel pass;
 * ``eval_integer_point`` -- regularised evaluation at integer points of
   V_r(z) through the asymptotic-expansion driver;
 * ``verify_translation`` -- numerical check of the translation identities
@@ -26,7 +26,7 @@ import mpmath as mp
 from .asymptotics import DepthSpec, depth_expansion, fmt_real
 from .errors import DomainError, NonConvergenceError, TruncationError
 from .rootsofunity import RotationNumber, ZVector, _coords, contains
-from .summation import nested_sums
+from .summation import NestedPass, nested_sums
 
 __all__ = [
     "PartialSumSpec",
@@ -94,13 +94,14 @@ class TranslationReport:
     terms_used: int
 
 
-def _nested_sums(z, s, cutoffs) -> dict:
-    """{N: t_N} for general weights and complex exponents, one forward pass."""
+def _nested_sums(z, s, cutoffs, state=None) -> dict:
+    """{N: t_N} for general weights and complex exponents, one forward pass,
+    resumed from ``state`` (a ``summation.NestedPass``) when one is given."""
     svals = _coords(s)
     r = len(z)
     if len(svals) != r:
         raise DomainError(f"point has {len(svals)} coordinates, z has depth {r}")
-    return nested_sums(z, svals, (0,) * r, cutoffs)
+    return nested_sums(z, svals, (0,) * r, cutoffs, state)
 
 
 def brute_partial_sum(spec: PartialSumSpec):
@@ -134,21 +135,22 @@ def raw_cutoff_limit(z, s, tol, ceiling=DEFAULT_CUTOFF_CEILING, start=64):
     """The literal doubling loop on raw partial sums, no acceleration.
 
     Stops once |t_{2N} - t_N| < tol/2 for two consecutive doublings and
-    returns (t at the last cutoff, error estimate, cutoff used).
+    returns (t at the last cutoff, error estimate, cutoff used, terms summed).
     """
     tol = mp.mpf(tol)
     n = start
-    prev = brute_partial_sum(PartialSumSpec(z, s, n))
+    kernel = NestedPass(2 * max(ceiling, start))
+    prev = _nested_sums(z, s, (n,), kernel)[n]
     small_streak = 0
     increment = mp.inf
     while n <= ceiling:
         n *= 2
-        cur = brute_partial_sum(PartialSumSpec(z, s, n))
+        cur = _nested_sums(z, s, (n,), kernel)[n]
         increment = abs(cur - prev)
         small_streak = small_streak + 1 if increment < tol / 2 else 0
         prev = cur
         if small_streak >= 2:
-            return cur, 4 * increment, n
+            return cur, 4 * increment, n, kernel.terms
     raise NonConvergenceError(
         f"partial sums did not settle below {mp.nstr(tol, 5)} up to cutoff {n // 2}")
 
@@ -160,8 +162,11 @@ def eval_convergent(z: ZVector, s, tol=None, *, ceiling=DEFAULT_CUTOFF_CEILING,
 
     Acceleration averages t_N over one full oscillation period (killing the
     leading character terms) and Richardson-extrapolates across the doubling
-    ladder; it uses nothing but raw partial sums.  ``accelerate=False`` gives
-    the plain doubling loop on t_N itself.
+    ladder of period multiples from ``start`` up (off them an averaged rung
+    keeps xi^N-phased terms that Richardson cannot remove); it uses nothing
+    but raw partial sums.  ``accelerate=False`` gives the plain doubling loop
+    on t_N itself.  Both ladders resume one kernel pass, so each term is
+    summed once; ``diagnostics["terms"]`` counts them.
     """
     flags = _domain_flags(z, s)
     if not flags["Urz"]:
@@ -169,17 +174,18 @@ def eval_convergent(z: ZVector, s, tol=None, *, ceiling=DEFAULT_CUTOFF_CEILING,
     tol = mp.mpf(DEFAULT_EVAL_TOL if tol is None else tol)
 
     if not accelerate:
-        value, err, used = raw_cutoff_limit(z, s, tol, ceiling=ceiling, start=start)
+        value, err, used, terms = raw_cutoff_limit(z, s, tol, ceiling, start)
         return EvalReport(value, err, "convergent", flags,
-                          {"cutoff": used, "accelerated": False})
+                          {"cutoff": used, "terms": terms, "accelerated": False})
 
     period = _oscillation_period(z)
     table = []  # ragged extrapolation table, one row per doubling
     values = []
-    n = start
+    n = -(-start // period) * period
+    kernel = NestedPass(ceiling + period)
     small_streak = 0
     while n <= ceiling:
-        window = _nested_sums(z, s, range(n, n + period))
+        window = _nested_sums(z, s, range(n, n + period), kernel)
         rung = sum(window.values()) / period
         # iterated extrapolation along the doubling ladder; each column's
         # decay ratio is estimated from the data, so fractional tail
@@ -206,7 +212,8 @@ def eval_convergent(z: ZVector, s, tol=None, *, ceiling=DEFAULT_CUTOFF_CEILING,
             if small_streak >= 2:
                 return EvalReport(values[-1], 4 * increment, "convergent", flags,
                                   {"cutoff": n, "rungs": len(values),
-                                   "period": period, "accelerated": True})
+                                   "period": period, "terms": kernel.terms,
+                                   "accelerated": True})
         n *= 2
     raise NonConvergenceError(
         f"accelerated partial sums did not settle below {mp.nstr(tol, 5)} "

@@ -53,6 +53,7 @@ __all__ = [
     "gen_euler_boole",
     "term_sum_expansion",
     "nested_sums",
+    "NestedPass",
     "DEFAULT_MATCH_TOL",
 ]
 
@@ -395,7 +396,7 @@ def _exponent(s):
     return s
 
 
-def nested_sums(z, s, kvec, cutoffs) -> dict:
+def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     """{N: sum_{N>n_1>...>n_r>0} prod z_j^{n_j} (log n_j)^{k_j} n_j^{-s_j}}.
 
     Each z_j is a RotationNumber (read off its exact power table) or a
@@ -412,15 +413,42 @@ def nested_sums(z, s, kvec, cutoffs) -> dict:
     2^-(prec+8), prec being the working precision, before the final
     rounding to it; see ``_guard_bits`` for the bound.  Complex weights or
     non-integral exponents take the mpmath loop (``_mpmath_pass``).
+
+    A ``NestedPass`` as ``state`` resumes the pass where that state stands,
+    so a ladder of calls on one state sums each term once.
     """
     z = tuple(z)
     exps = [_exponent(s_j) for s_j in s]
     kvec = tuple(int(k) for k in kvec)
     cutoffs = sorted(set(int(N) for N in cutoffs))
+    if state is not None:
+        state.check((z, tuple(exps), kvec), cutoffs)
     if z and all(isinstance(zj, RotationNumber) for zj in z) \
             and all(isinstance(e, int) for e in exps):
-        return _fixed_pass(z, exps, kvec, cutoffs)
-    return _mpmath_pass(z, exps, kvec, cutoffs)
+        return _fixed_pass(z, exps, kvec, cutoffs, state)
+    return _mpmath_pass(z, exps, kvec, cutoffs, state)
+
+
+class NestedPass:
+    """One resumable ``nested_sums`` pass for one (z, s, k), at the working
+    precision of its making, up to cutoff ``top``; it stands at t_n and has
+    summed ``terms`` terms.  A cutoff below n or above top, another input or
+    another precision raises ValueError.  The integer pass fixes P from
+    ``_guard_bits`` at top, so its bound holds at every cutoff it can reach.
+    Without a state, each loop runs one-shot from n = 1.
+    """
+
+    def __init__(self, top: int):
+        self.top, self.prec = int(top), mp.mp.prec
+        self.n, self.terms, self.key, self.running = 1, 0, None, None
+
+    def check(self, key, cutoffs):
+        self.key = self.key or key
+        if (key, mp.mp.prec) != (self.key, self.prec) \
+                or not self.n <= cutoffs[0] <= cutoffs[-1] <= self.top:
+            raise ValueError(f"a pass standing at {self.n} of {self.top} at {self.prec} "
+                             f"bits cannot go to {cutoffs[0]}..{cutoffs[-1]} at "
+                             f"{mp.mp.prec} bits or on another input")
 
 
 def _guard_bits(exps, kvec, top) -> int:
@@ -460,7 +488,7 @@ def _fixed_power_table(frac: Fraction, P: int) -> tuple:
                  for v in values)
 
 
-def _fixed_pass(z, exps, kvec, cutoffs) -> dict:
+def _fixed_pass(z, exps, kvec, cutoffs, state=None) -> dict:
     """The forward pass on Python ints scaled by 2^P, P = prec + g rounded
     up to a multiple of 64 so that nearby cutoffs share the power tables.
 
@@ -469,19 +497,20 @@ def _fixed_pass(z, exps, kvec, cutoffs) -> dict:
     (log n)^k from ``log_int_fixed``; each product of scaled values is
     shifted right by P.  Each requested t_N becomes an mpc once, at the end.
     """
+    state = state or NestedPass(cutoffs[-1])
+    if state.running is None:
+        P = mp.mp.prec + _guard_bits(exps, kvec, state.top)
+        state.running = (P + -P % 64, [0] * len(z), [0] * len(z))
+    P, re, im = state.running
     top = cutoffs[-1]
-    P = mp.mp.prec + _guard_bits(exps, kvec, top)
-    P += -P % 64
     last = len(z) - 1
     levels = [(_fixed_power_table(zj.fraction, P), zj.order, k, a)
               for zj, k, a in zip(z, kvec, exps)]
     kmax = max(kvec)
     lpow = [1 << P] * (kmax + 1)
     want = set(cutoffs)
-    re = [0] * (last + 1)
-    im = [0] * (last + 1)
     hits = {}
-    for n in range(1, top + 1):
+    for n in range(state.n, top + 1):
         if n in want:
             hits[n] = (re[0], im[0])
         if n == top:
@@ -511,23 +540,26 @@ def _fixed_pass(z, exps, kvec, cutoffs) -> dict:
                 x, y = re[j + 1], im[j + 1]
                 re[j] += (c * x - s * y) >> P
                 im[j] += (c * y + s * x) >> P
+    state.n, state.terms = top, state.terms + top - state.n
     return {N: mp.mpc(mp.mpf((x, -P)), mp.mpf((y, -P)))
             for N, (x, y) in hits.items()}
 
 
-def _mpmath_pass(z, exps, kvec, cutoffs) -> dict:
+def _mpmath_pass(z, exps, kvec, cutoffs, state=None) -> dict:
     """The forward pass in mpmath numbers at the working precision."""
     r = len(z)
     tables = [zj.power_values() if isinstance(zj, RotationNumber) else None
               for zj in z]
     gen = [None if isinstance(zj, RotationNumber) else mp.mpc(zj) for zj in z]
-    gen_pows = [mp.mpc(1)] * r
+    state = state or NestedPass(cutoffs[-1])
+    if state.running is None:
+        state.running = ([mp.mpc(0)] * r + [mp.mpc(1)], [mp.mpc(1)] * r)
+    running, gen_pows = state.running
     need_log = any(kvec) or not all(isinstance(e, int) for e in exps)
     want = set(cutoffs)
     top = cutoffs[-1]
-    running = [mp.mpc(0)] * r + [mp.mpc(1)]
     out = {}
-    for n in range(1, top + 1):
+    for n in range(state.n, top + 1):
         if n in want:
             out[n] = running[0]
         if n == top:
@@ -550,6 +582,7 @@ def _mpmath_pass(z, exps, kvec, cutoffs) -> dict:
             if kvec[j]:
                 w *= log_n ** kvec[j]
             running[j] += w if j == r - 1 else w * running[j + 1]
+    state.n, state.terms = top, state.terms + top - state.n
     return out
 
 

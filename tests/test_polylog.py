@@ -116,6 +116,48 @@ class TestEvalConvergent:
         assert rep.diagnostics["accelerated"] is False
 
 
+class TestConvergentRoute:
+    # tol and ceiling of the benchmark's convergent operations
+    TOL, CEILING = mp.mpf("1e-10"), 2 * 10**5
+
+    def convergent(self, z, s):
+        return eval_convergent(z, s, tol=self.TOL, ceiling=self.CEILING)
+
+    @pytest.mark.parametrize("ztext,a", [("1/29", (1,)), ("1/3,2/3", (1, 1)),
+                                         ("1/7,1/11", (1, 1))])
+    def test_agrees_with_regularised_route(self, ztext, a):
+        conv = self.convergent(Z(ztext), list(a))
+        reg = eval_integer_point(Z(ztext), a)
+        assert abs(conv.value - reg.value) <= (conv.abs_error_estimate
+                                               + reg.abs_error_estimate)
+
+    def check_against_mp_polylog(self, xi, s):
+        rep = self.convergent(ZVector([xi]), [s])
+        with mp.workprec(mp.mp.prec + 64):
+            want = mp.polylog(s, xi.value())
+        assert abs(rep.value - want) <= rep.abs_error_estimate
+
+    @pytest.mark.parametrize("ztext,s", [("1/3", "0.5"), ("1/6", "1"),
+                                         ("1/5", "0.7"), ("2/5", "0.3"),
+                                         ("1/12", "0.5")])
+    def test_depth_one_against_mp_polylog(self, ztext, s):
+        self.check_against_mp_polylog(RotationNumber.parse(ztext), mp.mpf(s))
+
+    @settings(max_examples=8, deadline=None)
+    @given(primitive_roots(30), st.floats(0.3, 0.9))
+    def test_depth_one_sweep_against_mp_polylog(self, xi, s):
+        self.check_against_mp_polylog(xi, mp.mpf(s))
+
+    def test_ladder_is_one_pass(self):
+        # every rung is a multiple of the period, and one pass sums each
+        # n below the last cutoff reached (cutoff + period - 1) exactly once
+        d = self.convergent(Z("1/3"), [mp.mpf("0.5")]).diagnostics
+        assert d["cutoff"] % d["period"] == 0
+        assert d["terms"] == d["cutoff"] + d["period"] - 2
+        raw = eval_convergent(Z("-1"), [2], tol=mp.mpf("1e-6"), accelerate=False)
+        assert raw.diagnostics["terms"] == raw.diagnostics["cutoff"] - 1
+
+
 class TestEvalIntegerPoint:
     def test_depth_two_alternating_inner(self):
         rep = eval_integer_point(Z("1,-1"), (2, -1), A=6)

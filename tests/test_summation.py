@@ -342,3 +342,54 @@ class TestFixedPass:
         nested_sums([MINUS_ONE], [mp.mpc(2, 1)], [0], [10])
         nested_sums([mp.mpc(0, 1)], [2], [0], [10])
         nested_sums([MINUS_ONE], [mp.mpf("1.5")], [0], [10])
+
+
+class TestNestedPass:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(factors, min_size=1, max_size=3),
+           st.lists(st.integers(1, 2000), min_size=1, max_size=8, unique=True),
+           st.integers(0, 3000), st.sampled_from([128, 256]), st.data())
+    def test_resumed_equals_one_shot(self, spec, cutoffs, extra, prec, data):
+        # successive calls on one state against one call over every cutoff:
+        # the mpmath loop is bit for bit the same; the integer pass takes P
+        # from the state's top cutoff, so it is held to the TestFixedPass bound
+        z = [w for w, _, _ in spec]
+        s = [e for _, e, _ in spec]
+        kvec = [k for _, _, k in spec]
+        cutoffs = sorted(cutoffs)
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(cutoffs) - 1),
+                                        max_size=3))) if len(cutoffs) > 1 else []
+        chunks = [cutoffs[i:j] for i, j in zip([0] + cuts, cuts + [len(cutoffs)])]
+        fixed = all(isinstance(w, RotationNumber) for w in z) \
+            and all(isinstance(summod._exponent(e), int) for e in s)
+        with mp.workprec(prec):
+            ref = nested_sums(z, s, kvec, cutoffs)
+            state = summod.NestedPass(cutoffs[-1] + extra)
+            got = {}
+            for chunk in chunks:
+                got.update(nested_sums(z, s, kvec, chunk, state))
+            assert set(got) == set(cutoffs)
+            assert state.terms == cutoffs[-1] - 1
+            for N in cutoffs:
+                if fixed:
+                    bound = mp.mpf(2) ** (10 - prec) * N * (1 + abs(ref[N]))
+                    assert abs(got[N] - ref[N]) <= bound
+                else:
+                    assert got[N] == ref[N]
+
+    @pytest.mark.parametrize("z,s", [([RotationNumber(1, 3)], [1]),
+                                     ([mp.mpc("0.6", "0.8")], [mp.mpf("0.5")])])
+    def test_misuse_raises(self, z, s):
+        state = summod.NestedPass(1000)
+        nested_sums(z, s, [0], [100, 200], state)
+        nested_sums(z, s, [0], [200], state)  # standing still is allowed
+        with pytest.raises(ValueError):  # rewinding
+            nested_sums(z, s, [0], [150, 300], state)
+        with pytest.raises(ValueError), mp.workprec(mp.mp.prec + 64):
+            nested_sums(z, s, [0], [300], state)
+        with pytest.raises(ValueError):  # beyond the top the state was made for
+            nested_sums(z, s, [0], [1001], state)
+        with pytest.raises(ValueError):  # another input
+            nested_sums(z, [2], [0], [300], state)
+        assert nested_sums(z, s, [0], [300], state)[300] \
+            == nested_sums(z, s, [0], [300])[300]
