@@ -226,18 +226,17 @@ def nested_char_partial_sums(z: ZVector, a, kvec, cutoffs) -> dict:
     return summation.nested_sums(z, a, kvec, cutoffs)
 
 
-def partial_sum(e: AsymptoticExpansion, err_const_mode="exact", *,
+def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
                 precision=None, tol=None, carried_growth=None) -> AsymptoticExpansion:
     """Expansion of v_n = sum_{m<n} u_m given the expansion e of u_n.
 
-    ``err_const_mode`` fixes how the constant contributed by the part of u
-    that e does not represent is handled:
-
-    * ``"exact"`` -- e represents u exactly (no residual); the constant is
-      the sum of the per-term matched constants.
-    * a callable ``cutoffs -> {N: value}`` returning exact partial sums of
-      the true underlying sequence -- the constant is matched globally
-      against it, which also absorbs the residual's constant.
+    The n-dependent coefficients come from each stored term's symbolic
+    n-parts; the constant is matched once, at a cutoff pair (N, 2N), against
+    exact partial sums of u given by ``sums_fn`` (``cutoffs -> {N: value}``),
+    which also absorbs the constant of the part of u that e does not
+    represent.  Without ``sums_fn``, e is taken to represent u exactly (its
+    ``residual_bound`` is not carried) and the oracle is
+    sum c * ``summation.char_partial_sums`` over e's terms.
 
     ``carried_growth = (exponent, log_power)`` tells the matcher how the
     uncertainty carried in e's coefficients (``residual_bound``) is imaged
@@ -248,16 +247,18 @@ def partial_sum(e: AsymptoticExpansion, err_const_mode="exact", *,
     """
     a_out = e.precision if precision is None else int(precision)
     tol_eff = summation.resolve_tol(tol)
+    exact = sums_fn is None
+    if exact:
+        terms = e.items()
 
-    if err_const_mode == "exact":
-        total = AsymptoticExpansion({}, precision=a_out)
-        for (xi, l, m), c in e.items():
-            term = summation.term_sum_expansion(xi, l, m, a_out, tol=tol_eff)
-            total = total.add(term.expansion.scaled(c))
-        return total
-
-    if not callable(err_const_mode):
-        raise ValueError("err_const_mode must be 'exact' or a callable")
+        def sums_fn(cutoffs):
+            total = dict.fromkeys(cutoffs, mp.mpc(0))
+            for (xi, l, m), c in terms:
+                for n, v in summation.char_partial_sums(xi, l, m, cutoffs).items():
+                    total[n] += c * v
+            return total
+    elif not callable(sums_fn):
+        raise ValueError("sums_fn must be a callable cutoffs -> {N: value}")
 
     a_int = summation.internal_precision(a_out, tol_eff)
     parts_total: dict = {}
@@ -285,9 +286,12 @@ def partial_sum(e: AsymptoticExpansion, err_const_mode="exact", *,
                 * (1 + mp.log(n)) ** growth_log * mp.mpf(n) ** growth_exp)
 
     c2, residual, _ = summation.run_matching(
-        err_const_mode,
+        sums_fn,
         lambda n: _eval_parts_by_char(parts_total, n),
-        tail_total, tol_eff, prop_fn=prop)
+        tail_total, tol_eff,
+        # an exact e carries no uncertainty: the predicted residual alone
+        # picks the cutoff, and one that cannot reach tol fails at once
+        prop_fn=None if exact else prop)
 
     coeffs = {k: v for k, v in parts_total.items() if k[2] <= a_out}
     key00 = (ONE, 0, 0)

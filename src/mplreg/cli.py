@@ -2,8 +2,11 @@
 verification and table generation with machine-readable output.
 
 Exit codes separate the failure classes: 2 for domain errors, 3 for
-non-convergence, 4 for precision failures, 1 for anything else.  Stdout
-stays machine-readable on failure (a JSON error object is printed).
+non-convergence, 4 for precision failures, 1 for anything else, usage
+errors included.  Stdout stays machine-readable on failure (a JSON error
+object is printed).  Each command takes only the options it reads, and a
+command body runs under ``mp.workprec(--prec)``, so the caller's working
+precision is left as it was.
 """
 
 from __future__ import annotations
@@ -13,10 +16,8 @@ import functools
 import io
 import itertools
 import json
-import os
 import random
 import sys
-from dataclasses import dataclass
 
 import click
 import mpmath as mp
@@ -37,58 +38,20 @@ from .rootsofunity import (
 from .scalefun import ScaleFunction
 from .summation import euler_maclaurin, gen_euler_boole
 
-PREC_ENV_VAR = "MPLREG_PREC_BITS"
 CSV_COLUMNS = ["z", "a", "k", "method", "re", "im", "abs_err",
                "precision_bits", "order"]
 
-
-@dataclass
-class JobConfig:
-    precision_bits: int = 128
-    expansion_order: int = 6
-    tol: object = None
-    cutoff_ceiling: int = 10**7
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if self.precision_bits < 53:
-            raise ValueError("precision must be >= 53 bits")
-        if self.expansion_order < 1:
-            raise ValueError("expansion order must be >= 1")
-        if self.tol is None:
-            self.tol = mp.mpf("1e-12")
-        else:
-            self.tol = mp.mpf(self.tol)
-        if not self.tol > 0:
-            raise ValueError("tolerance must be > 0")
-
-    @classmethod
-    def from_options(cls, prec, order, tol, fmt, ceiling=None) -> "JobConfig":
-        if prec is None:
-            prec = int(os.environ.get(PREC_ENV_VAR, 128))
-        return cls(precision_bits=prec,
-                   expansion_order=6 if order is None else order,
-                   tol=tol,
-                   cutoff_ceiling=10**7 if ceiling is None else ceiling,
-                   output_format=fmt or "json")
-
-    def activate(self):
-        mp.mp.prec = self.precision_bits
-
-
-def config_options(f):
-    f = click.option("--prec", type=int, default=None,
-                     help=f"working precision in bits (env {PREC_ENV_VAR}; default 128)")(f)
-    f = click.option("--order", "-A", "order", type=int, default=None,
-                     help="expansion precision order (default 6)")(f)
-    f = click.option("--tol", default=None, help="tolerance for reported values")(f)
-    f = click.option("--ceiling", type=int, default=None,
-                     help="cutoff ceiling for direct summation (default 10^7)")(f)
-    f = click.option("--out", type=click.Path(), default=None,
-                     help="also write the output to this file (UTF-8)")(f)
-    f = click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
-                     default=None, help="output format (default json)")(f)
-    return f
+prec_option = click.option("--prec", type=click.IntRange(min=53), default=128,
+                           show_default=True, help="working precision in bits")
+order_option = click.option("--order", "-A", "order", type=click.IntRange(min=1),
+                            default=6, show_default=True,
+                            help="expansion precision order")
+tol_option = click.option("--tol", default=polylog.DEFAULT_EVAL_TOL, show_default=True,
+                          help="tolerance for reported values")
+out_option = click.option("--out", type=click.Path(), default=None,
+                          help="also write the output to this file (UTF-8)")
+format_option = click.option("--format", "fmt", type=click.Choice(["json", "text"]),
+                             default="json", show_default=True, help="output format")
 
 
 def _emit(payload: str, out):
@@ -98,23 +61,36 @@ def _emit(payload: str, out):
     click.echo(payload)
 
 
+def _fail(exc, out=None):
+    """Print ``exc`` as a JSON error object and exit with its code
+    (``MplregError.exit_code``, 1 for any other exception)."""
+    code = exc.exit_code if isinstance(exc, MplregError) else 1
+    _emit(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
+          out)
+    sys.exit(code)
+
+
 def _json_errors(command):
-    """Turn a failed command into a JSON error object on stdout and its exit
-    code (``MplregError.exit_code``, 1 for any other exception).  SystemExit
-    and KeyboardInterrupt are not exceptions in this sense and pass through."""
+    """Run a command body at its ``--prec`` and turn a failure into the JSON
+    error path.  SystemExit and KeyboardInterrupt are not exceptions in this
+    sense and pass through."""
 
     @functools.wraps(command)
     def wrapper(*args, **kwargs):
         try:
-            return command(*args, **kwargs)
+            with mp.workprec(kwargs.get("prec") or mp.mp.prec):
+                return command(*args, **kwargs)
         except Exception as exc:
-            code = exc.exit_code if isinstance(exc, MplregError) else 1
-            _emit(json.dumps({"error": {"type": type(exc).__name__,
-                                        "message": str(exc)}}),
-                  kwargs.get("out"))
-            sys.exit(code)
+            _fail(exc, kwargs.get("out"))
 
     return wrapper
+
+
+def _positive_tol(text):
+    tol = mp.mpf(text)
+    if not tol > 0:
+        raise ValueError("tolerance must be > 0")
+    return tol
 
 
 def _parse_z(text: str) -> ZVector:
@@ -136,17 +112,24 @@ def _parse_ints(text: str, flag: str):
     return tuple(out)
 
 
-def _expansion_payload(expansion, cfg: JobConfig) -> dict:
-    value = expansion.regularised_value()
-    return {
-        "regularised_value": {"re": fmt_real(value.real), "im": fmt_real(value.imag)},
-        "order": (None if expansion.is_empty() else int(expansion.order())),
-        "precision_bits": cfg.precision_bits,
-        "expansion": expansion.to_json_obj(),
-    }
+class _Group(click.Group):
+    """A usage error (unknown command or option, bad option value, missing
+    command) takes the JSON error path with exit code 1."""
+
+    def parse_args(self, ctx, args):
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            _fail(exc)
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(exc)
 
 
-@click.group()
+@click.group(cls=_Group, no_args_is_help=False)
 def main():
     """Multiple polylogarithms at roots of unity: domains, values,
     regularisation and verification."""
@@ -156,13 +139,13 @@ def main():
 @click.option("-z", "--roots", "ztext", required=True,
               help="roots of unity, e.g. 1,-1 or 1/3,2/3")
 @click.option("-s", "stext", default=None, help="complex point a+bi,...")
-@config_options
+@prec_option
+@out_option
+@format_option
 @_json_errors
-def domain(ztext, stext, prec, order, tol, ceiling, out, fmt):
+def domain(ztext, stext, prec, out, fmt):
     """Classify a point: q(z), the counts Q_i(z), domain membership and the
     candidate singular hyperplanes."""
-    cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
-    cfg.activate()
     z = _parse_z(ztext)
     report = {
         "z": str(z),
@@ -175,7 +158,7 @@ def domain(ztext, stext, prec, order, tol, ceiling, out, fmt):
         report["s"] = stext
         report["membership"] = {kind: contains(kind, z, s)
                                 for kind in ("Ur", "Urz", "Vrz")}
-    if cfg.output_format == "text":
+    if fmt == "text":
         lines = [f"z = {report['z']}", f"q(z) = {report['q']}",
                  f"Q_i(z) = {report['Q']}"]
         if "membership" in report:
@@ -195,31 +178,33 @@ def domain(ztext, stext, prec, order, tol, ceiling, out, fmt):
 @click.option("-z", "ztext", required=True, help="roots of unity")
 @click.option("-s", "stext", default=None, help="complex point a+bi,...")
 @click.option("-a", "atext", default=None, help="integer point")
-@config_options
+@prec_option
+@order_option
+@tol_option
+@click.option("--ceiling", type=int, default=polylog.DEFAULT_CUTOFF_CEILING,
+              help="cutoff ceiling of the convergent route (default 10^7)")
+@out_option
+@format_option
 @_json_errors
 def cmd_eval(ztext, stext, atext, prec, order, tol, ceiling, out, fmt):
     """Evaluate the nested series, dispatching to the regularised route at
     integer points of V_r(z) and to direct convergent evaluation otherwise."""
-    cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
-    cfg.activate()
+    tol = _positive_tol(tol)
     z = _parse_z(ztext)
     if (stext is None) == (atext is None):
         raise ValueError("give exactly one of -s or -a")
     if atext is not None:
         a = _parse_ints(atext, "-a")
         if contains("Vrz", z, a):
-            report = polylog.eval_integer_point(
-                z, a, A=cfg.expansion_order, tol=None)
+            report = polylog.eval_integer_point(z, a, A=order, tol=None)
         else:
-            report = polylog.eval_convergent(
-                z, a, tol=cfg.tol, ceiling=cfg.cutoff_ceiling)
+            report = polylog.eval_convergent(z, a, tol=tol, ceiling=ceiling)
     else:
         s = ComplexPoint.parse(stext)
-        report = polylog.eval_convergent(
-            z, s, tol=cfg.tol, ceiling=cfg.cutoff_ceiling)
+        report = polylog.eval_convergent(z, s, tol=tol, ceiling=ceiling)
     obj = report.to_json_obj()
-    obj["precision_bits"] = cfg.precision_bits
-    if cfg.output_format == "text":
+    obj["precision_bits"] = prec
+    if fmt == "text":
         value = mp.mpc(report.value)
         _emit(f"value = {mp.nstr(value, mp.mp.dps)}\n"
               f"abs error estimate <= {mp.nstr(mp.mpf(report.abs_error_estimate), 5)}\n"
@@ -232,24 +217,30 @@ def cmd_eval(ztext, stext, atext, prec, order, tol, ceiling, out, fmt):
 @click.option("-z", "ztext", required=True, help="roots of unity")
 @click.option("-a", "atext", required=True, help="integer exponents")
 @click.option("-k", "ktext", default=None, help="log powers (default all 0)")
-@config_options
+@prec_option
+@order_option
+@out_option
+@format_option
 @_json_errors
-def cmd_reg(ztext, atext, ktext, prec, order, tol, ceiling, out, fmt):
+def cmd_reg(ztext, atext, ktext, prec, order, out, fmt):
     """Regularised value plus the full asymptotic expansion of the partial
     sums (multiple Stieltjes constant at the given point and log orders)."""
-    cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
-    cfg.activate()
     z = _parse_z(ztext)
     a = _parse_ints(atext, "-a")
     kvec = _parse_ints(ktext, "-k") if ktext else (0,) * len(a)
-    expansion = depth_expansion(DepthSpec(z, a, kvec), cfg.expansion_order)
-    payload = _expansion_payload(expansion, cfg)
-    payload.update({"z": str(z), "a": list(a), "k": list(kvec)})
-    if cfg.output_format == "text":
-        value = expansion.regularised_value()
+    expansion = depth_expansion(DepthSpec(z, a, kvec), order)
+    value = expansion.regularised_value()
+    if fmt == "text":
         _emit(f"regularised value = {mp.nstr(value, mp.mp.dps)}", out)
-    else:
-        _emit(json.dumps(payload, indent=2), out)
+        return
+    payload = {
+        "regularised_value": {"re": fmt_real(value.real), "im": fmt_real(value.imag)},
+        "order": (None if expansion.is_empty() else int(expansion.order())),
+        "precision_bits": prec,
+        "expansion": expansion.to_json_obj(),
+        "z": str(z), "a": list(a), "k": list(kvec),
+    }
+    _emit(json.dumps(payload, indent=2), out)
 
 
 def _translation_suite(rng: random.Random, trials: int, tol):
@@ -307,26 +298,28 @@ def _summation_suite(rng: random.Random, trials: int, tol):
               default="all")
 @click.option("--trials", type=int, default=10)
 @click.option("--seed", type=int, default=0)
-@config_options
+@prec_option
+@tol_option
+@out_option
+@format_option
 @_json_errors
-def cmd_verify(suite, trials, seed, prec, order, tol, ceiling, out, fmt):
+def cmd_verify(suite, trials, seed, prec, tol, out, fmt):
     """Run the translation-identity and summation-engine verification suites;
     exits nonzero if any residual exceeds the tolerance."""
-    cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
-    cfg.activate()
+    tol = _positive_tol(tol)
     rng = random.Random(seed)
     results, failures = [], []
     if suite in ("translation", "all"):
-        res, bad = _translation_suite(rng, trials, cfg.tol)
+        res, bad = _translation_suite(rng, trials, tol)
         results += res
         failures += bad
     if suite in ("summation", "all"):
-        res, bad = _summation_suite(rng, trials, cfg.tol)
+        res, bad = _summation_suite(rng, trials, tol)
         results += res
         failures += bad
     payload = {"trials": len(results), "failures": len(failures),
-               "tol": fmt_real(cfg.tol), "results": results}
-    if cfg.output_format == "text":
+               "tol": fmt_real(tol), "results": results}
+    if fmt == "text":
         lines = [f"{r['suite']}: residual {r['residual']} "
                  f"{'PASS' if r['pass'] else 'FAIL'}" for r in results]
         lines.append(f"{len(results) - len(failures)}/{len(results)} passed")
@@ -362,12 +355,12 @@ def _parse_ranges(text: str):
 @click.option("-a", "atext", required=True,
               help='integer grid, e.g. "1..3,-1..1" (one range per coordinate)')
 @click.option("-k", "ktext", default=None, help="log powers (default all 0)")
-@config_options
+@prec_option
+@order_option
+@out_option
 @_json_errors
-def cmd_table(ztext, atext, ktext, prec, order, tol, ceiling, out, fmt):
+def cmd_table(ztext, atext, ktext, prec, order, out):
     """Sweep a grid of integer points and emit one CSV row per point."""
-    cfg = JobConfig.from_options(prec, order, tol, fmt or "csv", ceiling)
-    cfg.activate()
     z = _parse_z(ztext)
     axes = _parse_ranges(atext)
     if len(axes) != z.r:
@@ -377,36 +370,28 @@ def cmd_table(ztext, atext, ktext, prec, order, tol, ceiling, out, fmt):
     writer = csv.writer(buf, delimiter=";")
     writer.writerow(CSV_COLUMNS)
     for a in itertools.product(*axes):
-        if any(kvec) or not contains("Vrz", z, a):
-            expansion = depth_expansion(DepthSpec(z, a, kvec),
-                                        cfg.expansion_order)
-            value = expansion.regularised_value()
-            err = expansion.residual_bound
-            method = "regularised"
-        else:
-            rep = polylog.eval_integer_point(z, a, A=cfg.expansion_order)
-            value, err, method = mp.mpc(rep.value), rep.abs_error_estimate, rep.method
+        expansion = depth_expansion(DepthSpec(z, a, kvec), order)
+        value = expansion.regularised_value()
         writer.writerow([str(z),
                          ",".join(str(x) for x in a),
                          ",".join(str(x) for x in kvec),
-                         method,
+                         "regularised",
                          fmt_real(value.real), fmt_real(value.imag),
-                         fmt_real(err), cfg.precision_bits,
-                         cfg.expansion_order])
+                         fmt_real(expansion.residual_bound), prec, order])
     _emit(buf.getvalue().rstrip("\n"), out)
 
 
 @main.command("euler-poly")
 @click.argument("k", type=int)
 @click.argument("n", type=int)
-@config_options
+@out_option
+@format_option
 @_json_errors
-def cmd_euler_poly(k, n, prec, order, tol, ceiling, out, fmt):
+def cmd_euler_poly(k, n, out, fmt):
     """Print the exact coefficients of the generalised Euler polynomial."""
-    cfg = JobConfig.from_options(prec, order, tol, fmt, ceiling)
     poly = gen_euler_polynomial(k, n)
     coeffs = [str(c) for c in poly.coeffs]
-    if cfg.output_format == "text":
+    if fmt == "text":
         _emit(" + ".join(f"({c})*x^{i}" for i, c in enumerate(coeffs)), out)
     else:
         _emit(json.dumps({"k": k, "n": n, "coefficients": coeffs}), out)

@@ -42,6 +42,7 @@ __all__ = [
 
 DEFAULT_EVAL_TOL = "1e-12"
 DEFAULT_CUTOFF_CEILING = 10**7
+CONVERGENT_START = 64  # first rung of the convergent ladder, before rounding up
 
 
 def pochhammer(s, count: int):
@@ -131,57 +132,28 @@ def _domain_flags(z: ZVector, s) -> dict:
     return {kind: contains(kind, z, s) for kind in ("Ur", "Urz", "Vrz")}
 
 
-def raw_cutoff_limit(z, s, tol, ceiling=DEFAULT_CUTOFF_CEILING, start=64):
-    """The literal doubling loop on raw partial sums, no acceleration.
-
-    Stops once |t_{2N} - t_N| < tol/2 for two consecutive doublings and
-    returns (t at the last cutoff, error estimate, cutoff used, terms summed).
-    """
-    tol = mp.mpf(tol)
-    n = start
-    kernel = NestedPass(2 * max(ceiling, start))
-    prev = _nested_sums(z, s, (n,), kernel)[n]
-    small_streak = 0
-    increment = mp.inf
-    while n <= ceiling:
-        n *= 2
-        cur = _nested_sums(z, s, (n,), kernel)[n]
-        increment = abs(cur - prev)
-        small_streak = small_streak + 1 if increment < tol / 2 else 0
-        prev = cur
-        if small_streak >= 2:
-            return cur, 4 * increment, n, kernel.terms
-    raise NonConvergenceError(
-        f"partial sums did not settle below {mp.nstr(tol, 5)} up to cutoff {n // 2}")
-
-
-def eval_convergent(z: ZVector, s, tol=None, *, ceiling=DEFAULT_CUTOFF_CEILING,
-                    start=64, accelerate=True) -> EvalReport:
+def eval_convergent(z: ZVector, s, tol=None, *,
+                    ceiling=DEFAULT_CUTOFF_CEILING) -> EvalReport:
     """Evaluate inside U_r(z) by doubling the cutoff until the increments of
-    the (accelerated) cutoff sequence pass the tolerance twice in a row.
+    the accelerated cutoff sequence pass the tolerance twice in a row.
 
     Acceleration averages t_N over one full oscillation period (killing the
     leading character terms) and Richardson-extrapolates across the doubling
-    ladder of period multiples from ``start`` up (off them an averaged rung
-    keeps xi^N-phased terms that Richardson cannot remove); it uses nothing
-    but raw partial sums.  ``accelerate=False`` gives the plain doubling loop
-    on t_N itself.  Both ladders resume one kernel pass, so each term is
-    summed once; ``diagnostics["terms"]`` counts them.
+    ladder of period multiples from ``CONVERGENT_START`` up (off them an
+    averaged rung keeps xi^N-phased terms that Richardson cannot remove); it
+    uses nothing but raw partial sums.  Every rung is read off one resumed
+    kernel pass, so each term is summed once; ``diagnostics["terms"]``
+    counts them.
     """
     flags = _domain_flags(z, s)
     if not flags["Urz"]:
         raise DomainError(f"point {_coords(s)} is outside U_r(z) for z = {z}")
     tol = mp.mpf(DEFAULT_EVAL_TOL if tol is None else tol)
 
-    if not accelerate:
-        value, err, used, terms = raw_cutoff_limit(z, s, tol, ceiling, start)
-        return EvalReport(value, err, "convergent", flags,
-                          {"cutoff": used, "terms": terms, "accelerated": False})
-
     period = _oscillation_period(z)
     table = []  # ragged extrapolation table, one row per doubling
     values = []
-    n = -(-start // period) * period
+    n = -(-CONVERGENT_START // period) * period
     kernel = NestedPass(ceiling + period)
     small_streak = 0
     while n <= ceiling:
@@ -212,8 +184,7 @@ def eval_convergent(z: ZVector, s, tol=None, *, ceiling=DEFAULT_CUTOFF_CEILING,
             if small_streak >= 2:
                 return EvalReport(values[-1], 4 * increment, "convergent", flags,
                                   {"cutoff": n, "rungs": len(values),
-                                   "period": period, "terms": kernel.terms,
-                                   "accelerated": True})
+                                   "period": period, "terms": kernel.terms})
         n *= 2
     raise NonConvergenceError(
         f"accelerated partial sums did not settle below {mp.nstr(tol, 5)} "
@@ -232,7 +203,7 @@ def eval_integer_point(z: ZVector, a, A: int = 6, tol=None) -> EvalReport:
     value = expansion.regularised_value()
     return EvalReport(value, expansion.residual_bound, "regularised", flags,
                       {"precision": A, "order": int(expansion.order()),
-                       "terms": len(expansion)})
+                       "expansion_terms": len(expansion)})
 
 
 def stieltjes_constant(z: ZVector, a, kvec, A: int = 6, tol=None):

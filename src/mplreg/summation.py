@@ -43,7 +43,7 @@ from mpmath.libmp import log_int_fixed, to_fixed
 
 from . import eulerpoly
 from .errors import PrecisionError
-from .rootsofunity import ONE, RotationNumber
+from .rootsofunity import RotationNumber
 from .scalefun import ScaleFunction
 
 __all__ = [
@@ -688,30 +688,16 @@ def term_sum_expansion(xi: RotationNumber, l: int, m: int, A: int,
                        tol=None) -> TermSumResult:
     """Expansion of  v_n = sum_{a<n} xi^a (log a)^l a^(-m)  to precision A.
 
-    The n-dependent coefficients and their remainder bound are symbolic
-    (``_term_nparts``); the constant is matched numerically against exact
-    partial sums at a cutoff pair (N, 2N) and certified by the double-cutoff
-    stability check.
+    This is ``asymptotics.partial_sum`` on the monomial: the n-dependent
+    coefficients and their remainder bound are symbolic (``_term_nparts``);
+    the constant is matched numerically against exact partial sums at a
+    cutoff pair (N, 2N) and certified by the double-cutoff stability check.
     """
-    from .asymptotics import AsymptoticExpansion
+    from .asymptotics import AsymptoticExpansion, partial_sum
 
-    tol_eff = resolve_tol(tol)
-    a_int = internal_precision(A, tol_eff)
-    parts, tail = _term_nparts(xi, l, m, a_int)
-    c2, residual, _ = run_matching(
-        lambda cutoffs: char_partial_sums(xi, l, m, cutoffs),
-        lambda n: eval_nparts(parts, xi, n),
-        tail, tol_eff)
-
-    char = ONE if xi.is_one() else xi
-    coeffs = {}
-    for (l2, m2), c in parts.items():
-        if m2 <= A:
-            coeffs[(char, l2, m2)] = c
-    key00 = (ONE, 0, 0)
-    coeffs[key00] = coeffs.get(key00, mp.mpc(0)) + c2
-    expansion = AsymptoticExpansion(coeffs, precision=A, residual_bound=residual)
-    return TermSumResult(constant=coeffs.get(key00, mp.mpc(0)),
+    monomial = AsymptoticExpansion({(xi, l, m): 1}, precision=max(A, m))
+    expansion = partial_sum(monomial, precision=A, tol=tol)
+    return TermSumResult(constant=expansion.regularised_value(),
                          expansion=expansion,
                          precision=A,
-                         match_residual=residual)
+                         match_residual=expansion.residual_bound)

@@ -88,18 +88,18 @@ class TestAlgebra:
 class TestPartialSum:
     def test_alternating_unit(self):
         e = exp_of({(MINUS_ONE, 0, 0): mp.mpc(1)}, 3)
-        out = partial_sum(e, "exact")
+        out = partial_sum(e)
         assert abs(out.coefficient(ONE, 0, 0) + mp.mpf("0.5")) < mp.mpf("1e-24")
         assert abs(out.coefficient(MINUS_ONE, 0, 0) + mp.mpf("0.5")) < mp.mpf("1e-24")
 
     def test_empty_input(self):
-        out = partial_sum(exp_of({}, 4), "exact")
+        out = partial_sum(exp_of({}, 4))
         assert out.is_empty()
         assert out.regularised_value() == 0
 
     def test_basel_leading_term(self):
         e = exp_of({(ONE, 0, 2): mp.mpc(1)}, 3)
-        out = partial_sum(e, "exact")
+        out = partial_sum(e)
         assert abs(out.regularised_value() - mp.pi ** 2 / 6) < mp.mpf("1e-24")
         assert abs(out.coefficient(ONE, 0, 1) + 1) < mp.mpf("1e-24")
 
@@ -112,7 +112,7 @@ class TestPartialSum:
             base = char_partial_sums(MINUS_ONE, 1, 1, cutoffs)
             return {n: mp.mpc(2, 1) * v for n, v in base.items()}
 
-        via_exact = partial_sum(e, "exact")
+        via_exact = partial_sum(e)
         via_match = partial_sum(e, sums)
         for (key, c) in via_exact.items():
             assert abs(via_match.coefficient(*key) - c) < mp.mpf("1e-22")
@@ -124,8 +124,8 @@ class TestPartialSum:
     def test_linearity_in_exact_mode(self):
         e1 = exp_of({(MINUS_ONE, 0, 1): mp.mpc(2)}, 4)
         e2 = exp_of({(ONE, 0, 2): mp.mpc(0, 3)}, 4)
-        lhs = partial_sum(e1.add(e2), "exact")
-        rhs = partial_sum(e1, "exact").add(partial_sum(e2, "exact"))
+        lhs = partial_sum(e1.add(e2))
+        rhs = partial_sum(e1).add(partial_sum(e2))
         for key, c in lhs.items():
             assert abs(rhs.coefficient(*key) - c) < mp.mpf("1e-24")
 

@@ -176,12 +176,49 @@ class TestEulerPoly:
         assert "error" in json.loads(res.output)
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("args", [
+        ["reg", "-z", "-1", "-a", "0", "--bogus", "1"],   # unknown option
+        ["eval", "-z", "-1", "-a", "2", "--prec", "abc"],  # bad option value
+        ["bogus"],                                         # unknown command
+        ["--bogus"],                                       # unknown group option
+        [],                                                # missing command
+        ["table", "-z", "-1", "-a", "1..2", "--format", "json"],  # CSV only
+        ["reg", "-z", "-1", "-a", "0", "--format", "csv"],
+        ["domain", "-z", "1,-1", "--order", "0"],         # not a domain option
+    ])
+    def test_usage_error_is_json_with_exit_1(self, runner, args):
+        res = invoke(runner, args)
+        assert res.exit_code == 1
+        assert "error" in json.loads(res.output)
+
+    def test_each_command_takes_only_what_it_reads(self):
+        shared = {"prec", "order", "tol", "ceiling", "out", "fmt"}
+        want = {
+            "domain": {"prec", "out", "fmt"},
+            "eval": {"prec", "order", "tol", "ceiling", "out", "fmt"},
+            "reg": {"prec", "order", "out", "fmt"},
+            "verify": {"prec", "tol", "out", "fmt"},
+            "table": {"prec", "order", "out"},
+            "euler-poly": {"out", "fmt"},
+        }
+        got = {name: {p.name for p in cmd.params} & shared
+               for name, cmd in main.commands.items()}
+        assert got == want
+        for name, cmd in main.commands.items():
+            for p in cmd.params:
+                if p.name == "fmt":
+                    assert list(p.type.choices) == ["json", "text"], name
+
+
 class TestPrecisionControl:
-    def test_env_variable_override(self, runner):
-        res = runner.invoke(
-            main, ["eval", "-z", "-1", "-a", "2"],
-            env={"MPLREG_PREC_BITS": "96"}, catch_exceptions=False)
-        assert json.loads(res.output)["precision_bits"] == 96
+    def test_precision_is_scoped(self, capsys):
+        # a command runs at its --prec and leaves the caller's precision
+        mp.mp.prec = 53
+        main.main(["eval", "-z", "-1", "-a", "2", "--prec", "200"],
+                  standalone_mode=False)
+        assert mp.mp.prec == 53
+        assert json.loads(capsys.readouterr().out)["precision_bits"] == 200
 
     def test_rejects_low_precision(self, runner):
         res = invoke(runner, ["eval", "-z", "-1", "-a", "2", "--prec", "10"])
