@@ -104,18 +104,8 @@ class AsymptoticExpansion:
             return mp.inf
         return min(m for (_, _, m) in self._coeffs)
 
-    def characters(self):
-        return sorted({xi for (xi, _, _) in self._coeffs}, key=lambda x: x.fraction)
-
     def evaluate(self, n: int):
-        n = int(n)
-        nf = mp.mpf(n)
-        log_n = mp.log(nf)
-        powers = {xi: xi.power_values()[n % xi.order] for xi in self.characters()}
-        acc = mp.mpc(0)
-        for (xi, l, m), c in self._coeffs.items():
-            acc += c * powers[xi] * log_n ** l * nf ** (-m)
-        return acc
+        return _eval_parts_by_char(self._coeffs, int(n))
 
     def add(self, other: "AsymptoticExpansion") -> "AsymptoticExpansion":
         precision = min(self.precision, other.precision)
@@ -129,12 +119,6 @@ class AsymptoticExpansion:
     def __add__(self, other):
         return self.add(other)
 
-    def scaled(self, c) -> "AsymptoticExpansion":
-        c = mp.mpc(c)
-        return AsymptoticExpansion(
-            {k: v * c for k, v in self._coeffs.items()},
-            self.precision, residual_bound=self.residual_bound * abs(c))
-
     def multiply_monomial(self, xi0: RotationNumber, l0: int, m0: int
                           ) -> "AsymptoticExpansion":
         """Pointwise product with xi0^n (log n)^l0 n^(-m0)."""
@@ -143,11 +127,6 @@ class AsymptoticExpansion:
             coeffs[(xi * xi0, l + l0, m + m0)] = c
         return AsymptoticExpansion(coeffs, self.precision + m0,
                                    residual_bound=self.residual_bound)
-
-    def truncated(self, precision: int) -> "AsymptoticExpansion":
-        return AsymptoticExpansion(
-            {k: c for k, c in self._coeffs.items() if k[2] <= precision},
-            precision, residual_bound=self.residual_bound)
 
     def to_json_obj(self) -> dict:
         terms = [
@@ -267,9 +246,8 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
     for (xi, l, m), c in e.items():
         max_log = max(max_log, l)
         parts, tail = summation._term_nparts(xi, l, m, a_int)
-        char = ONE if xi.is_one() else xi
         for (l2, m2), v in parts.items():
-            key = (char, l2, m2)
+            key = (xi, l2, m2)
             parts_total[key] = parts_total.get(key, mp.mpc(0)) + c * v
         summation.merge_tail(tail_total, tail, abs(c))
 

@@ -46,8 +46,6 @@ prec_option = click.option("--prec", type=click.IntRange(min=53), default=128,
 order_option = click.option("--order", "-A", "order", type=click.IntRange(min=1),
                             default=6, show_default=True,
                             help="expansion precision order")
-tol_option = click.option("--tol", default=polylog.DEFAULT_EVAL_TOL, show_default=True,
-                          help="tolerance for reported values")
 out_option = click.option("--out", type=click.Path(), default=None,
                           help="also write the output to this file (UTF-8)")
 format_option = click.option("--format", "fmt", type=click.Choice(["json", "text"]),
@@ -180,7 +178,10 @@ def domain(ztext, stext, prec, out, fmt):
 @click.option("-a", "atext", default=None, help="integer point")
 @prec_option
 @order_option
-@tol_option
+@click.option("--tol", default=None,
+              help="tolerance of the convergent route (default 1e-12), or of "
+                   "constant matching at integer points of V_r(z) (default "
+                   "max(1e-25, 2^(20-prec)))")
 @click.option("--ceiling", type=int, default=polylog.DEFAULT_CUTOFF_CEILING,
               help="cutoff ceiling of the convergent route (default 10^7)")
 @out_option
@@ -189,14 +190,14 @@ def domain(ztext, stext, prec, out, fmt):
 def cmd_eval(ztext, stext, atext, prec, order, tol, ceiling, out, fmt):
     """Evaluate the nested series, dispatching to the regularised route at
     integer points of V_r(z) and to direct convergent evaluation otherwise."""
-    tol = _positive_tol(tol)
+    tol = None if tol is None else _positive_tol(tol)
     z = _parse_z(ztext)
     if (stext is None) == (atext is None):
         raise ValueError("give exactly one of -s or -a")
     if atext is not None:
         a = _parse_ints(atext, "-a")
         if contains("Vrz", z, a):
-            report = polylog.eval_integer_point(z, a, A=order, tol=None)
+            report = polylog.eval_integer_point(z, a, A=order, tol=tol)
         else:
             report = polylog.eval_convergent(z, a, tol=tol, ceiling=ceiling)
     else:
@@ -299,7 +300,8 @@ def _summation_suite(rng: random.Random, trials: int, tol):
 @click.option("--trials", type=int, default=10)
 @click.option("--seed", type=int, default=0)
 @prec_option
-@tol_option
+@click.option("--tol", default=polylog.DEFAULT_EVAL_TOL, show_default=True,
+              help="tolerance for reported residuals")
 @out_option
 @format_option
 @_json_errors

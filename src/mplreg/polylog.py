@@ -26,7 +26,7 @@ import mpmath as mp
 from .asymptotics import DepthSpec, depth_expansion, fmt_real
 from .errors import DomainError, NonConvergenceError, TruncationError
 from .rootsofunity import RotationNumber, ZVector, _coords, contains
-from .summation import NestedPass, nested_sums
+from .summation import NestedPass, _rounding_slack, nested_sums
 
 __all__ = [
     "PartialSumSpec",
@@ -182,7 +182,10 @@ def eval_convergent(z: ZVector, s, tol=None, *,
             increment = abs(values[-1] - values[-2])
             small_streak = small_streak + 1 if increment < tol / 2 else 0
             if small_streak >= 2:
-                return EvalReport(values[-1], 4 * increment, "convergent", flags,
+                # the ladder cannot see rounding common to its rungs; the
+                # kernel's sums carry it up to the last cutoff reached
+                estimate = 4 * increment + _rounding_slack(kernel.n, [values[-1]])
+                return EvalReport(values[-1], estimate, "convergent", flags,
                                   {"cutoff": n, "rungs": len(values),
                                    "period": period, "terms": kernel.terms})
         n *= 2

@@ -92,12 +92,6 @@ class ScaleFunction:
             out.append((l, m + 1, -c * m))
         return ScaleFunction(out)
 
-    def derivative(self, order: int) -> "ScaleFunction":
-        f = self
-        for _ in range(order):
-            f = f.differentiate()
-        return f
-
     def antiderivative(self) -> "ScaleFunction":
         """Exact antiderivative with zero integration constant."""
         out = []
@@ -127,27 +121,37 @@ class ScaleFunction:
             raise ValueError(f"evaluate requires t > 1, got {t}")
         return self._value_at(t)
 
-    def abs_tail_bound(self, a):
-        """Upper bound for int_a^inf |f|, a >= 2; +inf if some term has m <= 1.
+    def abs_tail(self):
+        """Pseudo-terms {(l', m'): amp} with  int_a^inf |f| <= sum amp
+        (log a)^l' a^(-m')  for a >= 1, or None if some term has m <= 1.
 
-        Uses sum_{terms} |c| * int_a^inf (log t)^l t^(-m) dt, each integral in
-        the closed form  a^{1-m} * sum_{i<=l} (l!/(l-i)!) (log a)^{l-i}/(m-1)^{i+1}.
+        Each term contributes |c| * int_a^inf (log t)^l t^(-m) dt in the closed
+        form  a^{1-m} * sum_{i<=l} (l!/(l-i)!) (log a)^{l-i}/(m-1)^{i+1}.
         """
-        if not a >= 2:
-            raise ValueError(f"abs_tail_bound requires a >= 2, got {a}")
-        a = mp.mpf(a)
-        log_a = mp.log(a)
-        total = mp.mpf(0)
+        out = {}
         for (l, m), c in self._terms.items():
             if m <= 1:
-                return mp.inf
-            integral = mp.mpf(0)
+                return None
             fall = 1
             for i in range(l + 1):
-                integral += fall * log_a ** (l - i) / mp.mpf(m - 1) ** (i + 1)
+                key = (l - i, m - 1)
+                amp = abs(c) * fall / mp.mpf(m - 1) ** (i + 1)
+                out[key] = out.get(key, mp.mpf(0)) + amp
                 fall *= l - i
-            total += abs(c) * integral * a ** (1 - m)
-        return total
+        return out
+
+    def abs_tail_bound(self, a):
+        """Upper bound for int_a^inf |f|, a >= 2: ``abs_tail`` at a, +inf if
+        some term has m <= 1."""
+        if not a >= 2:
+            raise ValueError(f"abs_tail_bound requires a >= 2, got {a}")
+        tail = self.abs_tail()
+        if tail is None:
+            return mp.inf
+        a = mp.mpf(a)
+        log_a = mp.log(a)
+        return sum((amp * log_a ** l * a ** (-m) for (l, m), amp in tail.items()),
+                   mp.mpf(0))
 
     def shift_expand(self, t0: int, order: int):
         """Expand f(n + t0) in the scale of n, valid up to O(n^-(order+1) * logs).

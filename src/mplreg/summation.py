@@ -14,12 +14,14 @@ that coefficient vanishes identically at k = 2, which recovers the classical
 alternating formula.  The engines carry these corrections and are exact.
 
 ``term_sum_expansion`` expands  sum_{a<n} xi^a (log a)^l a^(-m)  with
-symbolic n-dependent coefficients: Euler-Maclaurin terms for xi = 1, else
-the series h = sum_{j<=J} c_j f^(j), c_j the Taylor coefficients of
-1/(xi e^t - 1), J = max(1, A + 2 - m), in O(A^2) whatever the order of xi,
-with remainder K (|f^(J+1)|(n) + int_n^inf |f^(J+1)|), K = sum_j |c_j| /
-(J - j + 1)!, once the pseudo-terms of f^(J+1) decrease on [n, inf).  The
-constant is matched against exact partial sums at a cutoff pair (N, 2N).
+symbolic n-dependent coefficients from one series for every xi: the
+antiderivative when xi = 1 plus h = sum_{j<=J} c_j f^(j), c_j the Taylor
+coefficients of 1/(xi e^t - 1) less its pole, J = max(1, A + 2 - m), in
+O(A^2) whatever the order of xi, with remainder
+K (|f^(J+1)|(n) + int_n^inf |f^(J+1)|), K = [xi = 1]/(J + 2)! +
+sum_j |c_j| / (J - j + 1)!, once the pseudo-terms of f^(J+1) decrease on
+[n, inf).  The constant is matched against exact partial sums at a cutoff
+pair (N, 2N).
 
 ``nested_sums`` is the package's one partial-sum kernel: every exact
 truncated nested sum t_N (the matching oracle of the depth driver, the
@@ -90,13 +92,13 @@ class TermSumResult:
 # ---------------------------------------------------------------------------
 
 
-def _poly_times_scale_integral(poly_coeffs, g: ScaleFunction, a: int, b: int):
-    """int_a^b p(x) g(x) dx for an exact-rational polynomial p."""
+def _poly_times_scale_integral(poly_coeffs, antis, a: int, b: int):
+    """int_a^b p(x) g(x) dx for an exact-rational polynomial p, given the
+    antiderivatives ``antis[e]`` of x^e g(x), built once per engine call."""
     total = mp.mpc(0)
-    for e, c in enumerate(poly_coeffs):
+    for c, anti in zip(poly_coeffs, antis):
         if c == 0:
             continue
-        anti = g.times_power(e).antiderivative()
         total += _mpq(c) * (anti._value_at(b) - anti._value_at(a))
     return total
 
@@ -124,10 +126,11 @@ def euler_maclaurin(f: ScaleFunction, n: int, m: int) -> SummationBreakdown:
         g = g.differentiate()
     # g is now f^(m)
     bpoly = eulerpoly.bernoulli_polynomial(m)
+    antis = [g.times_power(e).antiderivative() for e in range(bpoly.degree + 1)]
     remainder = mp.mpc(0)
     for i in range(1, n):
         shifted = bpoly.compose_affine(1, -i)  # B_m(t - i) on [i, i+1)
-        remainder += _poly_times_scale_integral(shifted.coeffs, g, i, i + 1)
+        remainder += _poly_times_scale_integral(shifted.coeffs, antis, i, i + 1)
     remainder *= mp.mpf((-1) ** (m + 1)) / math.factorial(m)
     total = integral + boundary + remainder
     # the remainder integral is evaluated exactly, so the identity error is
@@ -201,12 +204,14 @@ def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
     blk_corr *= vw
 
     epoly = eulerpoly.gen_euler_polynomial(k, m - 1)
+    antis = [derivs[m].times_power(e).antiderivative()
+             for e in range(epoly.degree + 1)]
     remainder = mp.mpc(0)
     for i in range(k - 1, n):
         # on (i, i+1) the periodic factor is zeta^(i+1) * E_{k,m-1}(1+i-x)
         shifted = epoly.compose_affine(-1, 1 + i)
         remainder += zpow(i + 1) * _poly_times_scale_integral(
-            shifted.coeffs, derivs[m], i, i + 1)
+            shifted.coeffs, antis, i, i + 1)
     remainder *= vw / math.factorial(m - 1)
 
     total = blk_head + blk_lower + blk_upper + blk_bound + blk_corr + remainder
@@ -262,87 +267,22 @@ def _add_scale(parts, tail, g: ScaleFunction, coef, a_max):
             add_tail(tail, l2, m2, abs(c))
 
 
-def _abs_tail_pseudo(g: ScaleFunction, coef_abs, tail):
-    """Pseudo-terms bounding coef_abs * int_N^inf |g|, in closed form."""
-    for l2, m2, c in g.terms():
-        if m2 <= 1:
-            raise AssertionError("remainder tail must be integrable")
-        fall = 1
-        for i in range(l2 + 1):
-            amp = coef_abs * abs(c) * fall / mp.mpf(m2 - 1) ** (i + 1)
-            add_tail(tail, l2 - i, m2 - 1, amp)
-            fall *= l2 - i
+def _geometric_coeffs(xi: RotationNumber, J: int) -> list:
+    """Taylor coefficients c_0..c_J of G(t) = 1/(xi e^t - 1) less its pole.
 
-
-def _em_nparts(l: int, m: int, a_max: int):
-    """n-dependent part of sum_{a<n} (log a)^l a^(-m) (the xi = 1 branch)."""
-    f = ScaleFunction.term(l, m)
-    mo = max(1, a_max + 2 - m)
-    parts: dict = {}
-    tail: dict = {}
-    _add_scale(parts, tail, f.antiderivative(), 1, a_max)
-    g = f
-    for j in range(1, mo + 1):
-        bj = eulerpoly.bernoulli_number(j)
-        if bj:
-            _add_scale(parts, tail, g, _mpq(bj / math.factorial(j)), a_max)
-        g = g.differentiate()
-    # g = f^(mo); remainder tail: (sup|B_mo| / mo!) * int_N^inf |f^(mo)|
-    _abs_tail_pseudo(g, _mpq(eulerpoly.bernoulli_sup_bound(mo))
-                     / math.factorial(mo), tail)
-    return parts, tail
-
-
-def _geometric_coeffs(xi_value, J: int) -> list:
-    """Taylor coefficients c_0..c_J of G(t) = 1/(xi e^t - 1), xi != 1, from
-    (xi e^t - 1) G(t) = 1 order by order: c_0 = 1/(xi - 1) and
+    At xi = 1 the pole is 1/t and c_j = B_{j+1}/(j+1)! exactly.  Otherwise
+    (xi e^t - 1) G(t) = 1 order by order gives c_0 = 1/(xi - 1) and
     c_n = -xi/(xi - 1) * sum_{i<n} c_i/(n - i)!."""
+    if xi.is_one():
+        return [_mpq(eulerpoly.bernoulli_number(j + 1) / math.factorial(j + 1))
+                for j in range(J + 1)]
+    xi_value = xi.value()
     coeffs = [1 / (xi_value - 1)]
     factor = -xi_value / (xi_value - 1)
     for n in range(1, J + 1):
         coeffs.append(factor * sum(c / math.factorial(n - i)
                                    for i, c in enumerate(coeffs)))
     return coeffs
-
-
-def _boole_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
-    """n-dependent part of sum_{a<n} xi^a (log a)^l a^(-m), xi != 1.
-
-    With f = (log x)^l x^(-m) and h = sum_{j<=J} c_j f^(j), c_j the Taylor
-    coefficients of G(t) = 1/(xi e^t - 1) and J = max(1, a_max + 2 - m),
-    telescoping gives  sum_{a<n} xi^a f(a) = C + xi^n h(n) + eps(n)
-    (Borwein, Calkin & Manna, "Euler-Boole summation revisited", Amer. Math.
-    Monthly 116, 2009).  All coefficients attach to the character xi: the
-    terms of h with decay m' <= a_max are the parts, the others go to the
-    tail pointwise.  The cost is O(J^2) whatever the order of xi.
-
-    The remainder is derived, not estimated.  Taylor's theorem on each
-    f^(j)(a + 1), j <= J, with (xi e^t - 1) G_J(t) = 1 mod t^(J+1), gives
-
-        |xi h(a+1) - h(a) - f(a)| <= K sup_[a,a+1] |f^(J+1)|,
-        K = sum_j |c_j| / (J - j + 1)!,
-
-    and eps(n) sums these defects over a >= n.  With F the sum of the
-    absolute pseudo-terms of f^(J+1), |eps(n)| <= K (F(n) + int_n^inf F)
-    as soon as every pseudo-term (log x)^l' x^(-m') is decreasing on
-    [n, inf), i.e. n >= e^(l'/m').  Since l' <= l and m' = m + J + 1, raising
-    J to (m + J + 1) log(MATCH_START) >= l makes that hold at every
-    matching cutoff.
-    """
-    J = max(1, a_max + 2 - m, math.ceil(l / math.log(MATCH_START)) - m - 1)
-    coeffs = _geometric_coeffs(xi.value(), J)
-    parts: dict = {}
-    tail: dict = {}
-    g = ScaleFunction.term(l, m)
-    for c in coeffs:
-        _add_scale(parts, tail, g, c, a_max)
-        g = g.differentiate()
-    # g = f^(J+1): the pointwise term and the integral of the remainder bound
-    K = sum(abs(c) / math.factorial(J - j + 1) for j, c in enumerate(coeffs))
-    for l2, m2, c in g.terms():
-        add_tail(tail, l2, m2, K * abs(c))
-    _abs_tail_pseudo(g, K, tail)
-    return parts, tail
 
 
 def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
@@ -356,10 +296,52 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 # reg-high-order benchmark template reaches, with room to spare
 @lru_cache(maxsize=4096)
 def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
+    """n-dependent part of sum_{a<n} xi^a (log a)^l a^(-m), every xi.
+
+    With f = (log x)^l x^(-m), F its antiderivative and
+    h = [xi = 1] F + sum_{j<=J} c_j f^(j), c_j the Taylor coefficients of
+    G(t) = 1/(xi e^t - 1) less its pole (``_geometric_coeffs``) and
+    J = max(1, a_max + 2 - m), telescoping gives
+    sum_{a<n} xi^a f(a) = C + xi^n h(n) + eps(n)  (the generalised
+    Euler-Boole formula of Borwein, Calkin & Manna, "Euler-Boole summation
+    revisited", Amer. Math. Monthly 116, 2009; at xi = 1 the pole 1/t of G
+    is the antiderivative and this is Euler-Maclaurin).  All coefficients
+    attach to the character xi: the terms of h with decay m' <= a_max are
+    the parts, the others go to the tail pointwise.  The cost is O(J^2)
+    whatever the order of xi.
+
+    The remainder is derived, not estimated.  Taylor's theorem on F(a + 1)
+    to order J + 2 and on each f^(j)(a + 1), j <= J, with
+    (xi e^t - 1) G(t) = 1 mod t^(J+1), gives
+
+        |xi h(a+1) - h(a) - f(a)| <= K sup_[a,a+1] |f^(J+1)|,
+        K = [xi = 1]/(J + 2)! + sum_j |c_j| / (J - j + 1)!,
+
+    and eps(n) sums these defects over a >= n.  With P the sum of the
+    absolute pseudo-terms of f^(J+1), |eps(n)| <= K (P(n) + int_n^inf P)
+    as soon as every pseudo-term (log x)^l' x^(-m') is decreasing on
+    [n, inf), i.e. n >= e^(l'/m').  Since l' <= l and m' = m + J + 1, raising
+    J to (m + J + 1) log(MATCH_START) >= l makes that hold at every
+    matching cutoff.
+    """
     with mp.workprec(prec):
+        J = max(1, a_max + 2 - m, math.ceil(l / math.log(MATCH_START)) - m - 1)
+        coeffs = _geometric_coeffs(xi, J)
+        parts: dict = {}
+        tail: dict = {}
+        g = ScaleFunction.term(l, m)
+        K = sum(abs(c) / math.factorial(J - j + 1) for j, c in enumerate(coeffs))
         if xi.is_one():
-            return _em_nparts(l, m, a_max)
-        return _boole_nparts(xi, l, m, a_max)
+            _add_scale(parts, tail, g.antiderivative(), 1, a_max)
+            K += mp.mpf(1) / math.factorial(J + 2)
+        for c in coeffs:
+            _add_scale(parts, tail, g, c, a_max)
+            g = g.differentiate()
+        # g = f^(J+1): the pointwise term and the integral of the remainder bound
+        for l2, m2, c in g.terms():
+            add_tail(tail, l2, m2, K * abs(c))
+        merge_tail(tail, g.abs_tail(), K)
+        return parts, tail
 
 
 def eval_nparts(parts, xi: RotationNumber, n):

@@ -67,6 +67,14 @@ class TestEval:
         assert res.exit_code == 2
         assert "error" in json.loads(res.output)
 
+    def test_tol_reaches_integer_points(self, runner):
+        # an explicit --tol goes to constant matching; 1e-40 is below the
+        # precision floor 2^-108 at 128 bits
+        res = invoke(runner, ["eval", "-z", "1,-1", "-a", "2,-1",
+                              "--tol", "1e-40", "--prec", "128"])
+        assert res.exit_code == 4
+        assert json.loads(res.output)["error"]["type"] == "PrecisionError"
+
     def test_nonconvergence_exit_code(self, runner):
         # hopeless tolerance with a tiny ceiling: failure class 3
         res = invoke(runner, ["eval", "-z", "-1", "-s", "0.2",

@@ -144,6 +144,17 @@ class TestConvergentRoute:
     def test_depth_one_sweep_against_mp_polylog(self, xi, s):
         self.check_against_mp_polylog(xi, mp.mpf(s))
 
+    def test_estimate_carries_rounding(self):
+        # at 53 bits the extrapolated increments (4.8e-15 here) fall below
+        # the actual error (1.2e-14); the rounding slack of the sums up to
+        # the last cutoff reached keeps the estimate honest
+        xi, s = RotationNumber(11, 18), mp.mpf(0.6518809305976807)
+        with mp.workprec(53):
+            rep = self.convergent(ZVector([xi]), [s])
+        with mp.workprec(128):
+            err = abs(rep.value - mp.polylog(s, xi.value()))
+        assert err <= rep.abs_error_estimate
+
     def test_ladder_is_one_pass(self):
         # every rung is a multiple of the period, and one pass sums each
         # n below the last cutoff reached (cutoff + period - 1) exactly once
