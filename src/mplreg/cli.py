@@ -297,7 +297,7 @@ def _summation_suite(rng: random.Random, trials: int, tol):
 @main.command("verify")
 @click.option("--suite", type=click.Choice(["translation", "summation", "all"]),
               default="all")
-@click.option("--trials", type=int, default=10)
+@click.option("--trials", type=click.IntRange(min=1), default=10)
 @click.option("--seed", type=int, default=0)
 @prec_option
 @click.option("--tol", default=polylog.DEFAULT_EVAL_TOL, show_default=True,

@@ -143,17 +143,23 @@ def eval_convergent(z: ZVector, s, tol=None, *,
     averaged rung keeps xi^N-phased terms that Richardson cannot remove); it
     uses nothing but raw partial sums.  Every rung is read off one resumed
     kernel pass, so each term is summed once; ``diagnostics["terms"]``
-    counts them.
+    counts them.  A tol <= 0 or a ceiling below the first rung raises
+    ValueError before any term is summed.
     """
     flags = _domain_flags(z, s)
     if not flags["Urz"]:
         raise DomainError(f"point {_coords(s)} is outside U_r(z) for z = {z}")
     tol = mp.mpf(DEFAULT_EVAL_TOL if tol is None else tol)
-
     period = _oscillation_period(z)
+    n = -(-CONVERGENT_START // period) * period
+    # no ladder can settle below a non-positive tol or start above the ceiling
+    if not tol > 0:
+        raise ValueError(f"tolerance must be > 0, got {mp.nstr(tol, 5)}")
+    if ceiling < n:
+        raise ValueError(f"ceiling {ceiling} is below the first rung {n}")
+
     table = []  # ragged extrapolation table, one row per doubling
     values = []
-    n = -(-CONVERGENT_START // period) * period
     kernel = NestedPass(ceiling + period)
     small_streak = 0
     while n <= ceiling:

@@ -26,11 +26,13 @@ pair (N, 2N).
 ``nested_sums`` is the package's one partial-sum kernel: every exact
 truncated nested sum t_N (the matching oracle of the depth driver, the
 convergent route and the translation checks) comes out of its single
-forward pass.  When every weight is a RotationNumber and every exponent an
-integer, the pass runs on Python integers scaled by 2^P, P = prec + g, with
-the guard g taken from an a-priori bound on the accumulated truncations, so
-that each t_N errs by at most 2^-(prec+8) before its final rounding;
-complex weights or exponents run the same pass in mpmath numbers.
+forward pass, for every input, on Python integers scaled by 2^P,
+P = prec + g, with the guard g taken from an a-priori bound on the
+accumulated truncations.  Roots of unity come from exact power tables,
+complex weights from running products, integral exponents from exact
+division or multiplication, and non-integral ones from one mpmath power per
+term.  When every exponent is an integer, each t_N errs by at most
+2^-(prec+8) before its final rounding.
 """
 
 from __future__ import annotations
@@ -382,114 +384,58 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     """{N: sum_{N>n_1>...>n_r>0} prod z_j^{n_j} (log n_j)^{k_j} n_j^{-s_j}}.
 
     Each z_j is a RotationNumber (read off its exact power table) or a
-    complex weight (powers by running products); each s_j is an integer or
-    complex.  One forward pass: running[j] (0-based) is the sum of the last
-    r - j factors over n > n_{j+1} > ... > n_r > 0, so running[0] = t_n, and
-    the step at n adds the weight w_j(n) = z_j^n (log n)^{k_j} n^{-s_j} times
-    running[j + 1]; the innermost running[r] = 1 is never multiplied.  Cost
-    O(max(cutoffs) * r).
+    complex weight with |z_j| <= 1 (powers by running products); each s_j is
+    an integer or complex.  One forward pass: running[j] (0-based) is the sum
+    of the last r - j factors over n > n_{j+1} > ... > n_r > 0, so
+    running[0] = t_n, and the step at n adds the weight
+    w_j(n) = z_j^n (log n)^{k_j} n^{-s_j} times running[j + 1]; the
+    innermost running[r] = 1 is never multiplied.  Cost O(max(cutoffs) * r).
 
-    The input decides the arithmetic.  When every z_j is a RotationNumber
-    and every s_j is integral, the pass runs on Python integers scaled by
-    2^P (``_fixed_pass``), and its absolute error on each t_N is at most
-    2^-(prec+8), prec being the working precision, before the final
-    rounding to it; see ``_guard_bits`` for the bound.  Complex weights or
-    non-integral exponents take the mpmath loop (``_mpmath_pass``).
+    The pass runs on Python integers scaled by 2^P, P = prec + g rounded up
+    to a multiple of 64 so that nearby cutoffs share the power tables, prec
+    being the working precision and g from ``_guard_bits``.  Each weight is
+    a product of scaled factors:
+
+    * z_j^n from the memoised integer cos/sin table of a RotationNumber, or
+      from a fixed-point running product of a complex z_j;
+    * (log n)^k from ``log_int_fixed``;
+    * n^-a, a integral, by an exact division by n^a (a > 0) or an exact
+      multiply by n^|a| (a <= 0);
+    * n^-s, s not integral, as exp(-s log n) in mpmath at prec, converted to
+      fixed point once and multiplied in as a complex pair.
+
+    Each product of scaled values is shifted right by P; each requested t_N
+    becomes an mpc once, at the end.  When every exponent is integral, each
+    t_N errs by at most 2^-(prec+8) before that final rounding.  The weight
+    of a non-integral exponent also carries mpmath's rounding at prec, which
+    ``_rounding_slack`` covers.
 
     A ``NestedPass`` as ``state`` resumes the pass where that state stands,
-    so a ladder of calls on one state sums each term once.
+    so a ladder of calls on one state sums each term once; without one the
+    pass runs one-shot from n = 1.
     """
     z = tuple(z)
     exps = [_exponent(s_j) for s_j in s]
     kvec = tuple(int(k) for k in kvec)
     cutoffs = sorted(set(int(N) for N in cutoffs))
-    if state is not None:
-        state.check((z, tuple(exps), kvec), cutoffs)
-    if z and all(isinstance(zj, RotationNumber) for zj in z) \
-            and all(isinstance(e, int) for e in exps):
-        return _fixed_pass(z, exps, kvec, cutoffs, state)
-    return _mpmath_pass(z, exps, kvec, cutoffs, state)
-
-
-class NestedPass:
-    """One resumable ``nested_sums`` pass for one (z, s, k), at the working
-    precision of its making, up to cutoff ``top``; it stands at t_n and has
-    summed ``terms`` terms.  A cutoff below n or above top, another input or
-    another precision raises ValueError.  The integer pass fixes P from
-    ``_guard_bits`` at top, so its bound holds at every cutoff it can reach.
-    Without a state, each loop runs one-shot from n = 1.
-    """
-
-    def __init__(self, top: int):
-        self.top, self.prec = int(top), mp.mp.prec
-        self.n, self.terms, self.key, self.running = 1, 0, None, None
-
-    def check(self, key, cutoffs):
-        self.key = self.key or key
-        if (key, mp.mp.prec) != (self.key, self.prec) \
-                or not self.n <= cutoffs[0] <= cutoffs[-1] <= self.top:
-            raise ValueError(f"a pass standing at {self.n} of {self.top} at {self.prec} "
-                             f"bits cannot go to {cutoffs[0]}..{cutoffs[-1]} at "
-                             f"{mp.mp.prec} bits or on another input")
-
-
-def _guard_bits(exps, kvec, top) -> int:
-    """Guard bits g such that the fixed-point pass to cutoff N = top, run
-    with P >= prec + g fractional bits, errs by at most 2^-(prec+8).
-
-    Error accounting in units u = 2^-P (truncations are floors, < 1 u).
-    With lb = bit_length(N) >= log n for every n < N, weight j is bounded by
-    M_j = N^max(0, -a_j) lb^k_j >= 1.  Its table entries err by < 1 u, log n
-    by < 2 u, the power (log n)^k by < 3k lb^(k-1) u, so the scaled weight
-    errs by less than 8 (1 + K) M_j u, K = max k_j.  The running sums obey
-    |running[j]| <= N^(r-j) prod_{i>=j} M_i, and each step adds |w_j| times
-    the error of running[j+1], the weight error times |running[j+1]|, and
-    one truncation.  Over N steps and r levels, by induction from the
-    innermost level, every t_N errs by less than
-
-        B u,   B = (r + 1) (8K + 10) N^r prod_j M_j,
-
-    the factor r + 1 (rather than r) absorbing the products of two errors.
-    g = bit_length(B) + 8 then gives B u <= 2^-(prec+8), 2^19 N times below
-    the 2^(11-prec) N that ``_rounding_slack(2N, ...)`` certifies.
-    """
-    r = len(exps)
-    lb = max(1, top.bit_length())
-    bound = (r + 1) * (8 * max(kvec) + 10) * top ** r
-    for a, k in zip(exps, kvec):
-        bound *= top ** max(0, -a) * lb ** k
-    return bound.bit_length() + 8
-
-
-@lru_cache(maxsize=4096)
-def _fixed_power_table(frac: Fraction, P: int) -> tuple:
-    """((cos, sin) of 2 pi frac a, scaled by 2^P and floored) for a < q."""
-    with mp.workprec(P + 10):
-        values = RotationNumber(frac).power_values()
-    return tuple((to_fixed(v.real._mpf_, P), to_fixed(v.imag._mpf_, P))
-                 for v in values)
-
-
-def _fixed_pass(z, exps, kvec, cutoffs, state=None) -> dict:
-    """The forward pass on Python ints scaled by 2^P, P = prec + g rounded
-    up to a multiple of 64 so that nearby cutoffs share the power tables.
-
-    z_j^n comes from the memoised integer cos/sin table, n^-a from an exact
-    division by n^a (a > 0) or an exact multiply by n^|a| (a <= 0), and
-    (log n)^k from ``log_int_fixed``; each product of scaled values is
-    shifted right by P.  Each requested t_N becomes an mpc once, at the end.
-    """
     state = state or NestedPass(cutoffs[-1])
+    state.check((z, tuple(exps), kvec), cutoffs)
     if state.running is None:
-        P = mp.mp.prec + _guard_bits(exps, kvec, state.top)
-        state.running = (P + -P % 64, [0] * len(z), [0] * len(z))
-    P, re, im = state.running
+        P = mp.mp.prec + _guard_bits(z, exps, kvec, state.top)
+        P += -P % 64
+        state.running = (P, [0] * len(z), [0] * len(z), [(1 << P, 0)] * len(z))
+    P, re, im, powers = state.running
+    levels = []
+    for zj, k, a in zip(z, kvec, exps):
+        if isinstance(zj, RotationNumber):
+            levels.append((_fixed_power_table(zj.fraction, P), zj.order, None, k, a))
+        else:  # the scaled weight; its powers run in ``powers``
+            levels.append((None, None, _fixed_pair(mp.mpc(zj), P), k, a))
     top = cutoffs[-1]
     last = len(z) - 1
-    levels = [(_fixed_power_table(zj.fraction, P), zj.order, k, a)
-              for zj, k, a in zip(z, kvec, exps)]
     kmax = max(kvec)
     lpow = [1 << P] * (kmax + 1)
+    need_mp_log = not all(isinstance(a, int) for a in exps)
     want = set(cutoffs)
     hits = {}
     for n in range(state.n, top + 1):
@@ -501,13 +447,24 @@ def _fixed_pass(z, exps, kvec, cutoffs, state=None) -> dict:
             log_n = log_int_fixed(n, P)
             for k in range(1, kmax + 1):
                 lpow[k] = log_n if k == 1 else (lpow[k - 1] * log_n) >> P
+        if need_mp_log:
+            mp_log_n = mp.log(n)
         # ascending j: running[j + 1] still excludes n_{j+1} = n
-        for j, (table, q, k, a) in enumerate(levels):
-            c, s = table[n % q]
+        for j, (table, q, w, k, a) in enumerate(levels):
+            if table is not None:
+                c, s = table[n % q]
+            else:
+                x, y = powers[j]
+                c = (x * w[0] - y * w[1]) >> P
+                s = (x * w[1] + y * w[0]) >> P
+                powers[j] = (c, s)
             if k:
                 c = (c * lpow[k]) >> P
                 s = (s * lpow[k]) >> P
-            if a > 0:
+            if not isinstance(a, int):
+                x, y = _fixed_pair(mp.exp(-a * mp_log_n), P)
+                c, s = (c * x - s * y) >> P, (c * y + s * x) >> P
+            elif a > 0:
                 d = n ** a
                 c //= d
                 s //= d
@@ -527,45 +484,75 @@ def _fixed_pass(z, exps, kvec, cutoffs, state=None) -> dict:
             for N, (x, y) in hits.items()}
 
 
-def _mpmath_pass(z, exps, kvec, cutoffs, state=None) -> dict:
-    """The forward pass in mpmath numbers at the working precision."""
-    r = len(z)
-    tables = [zj.power_values() if isinstance(zj, RotationNumber) else None
-              for zj in z]
-    gen = [None if isinstance(zj, RotationNumber) else mp.mpc(zj) for zj in z]
-    state = state or NestedPass(cutoffs[-1])
-    if state.running is None:
-        state.running = ([mp.mpc(0)] * r + [mp.mpc(1)], [mp.mpc(1)] * r)
-    running, gen_pows = state.running
-    need_log = any(kvec) or not all(isinstance(e, int) for e in exps)
-    want = set(cutoffs)
-    top = cutoffs[-1]
-    out = {}
-    for n in range(state.n, top + 1):
-        if n in want:
-            out[n] = running[0]
-        if n == top:
-            break
-        nf = mp.mpf(n)
-        log_n = mp.log(n) if need_log else None
-        # ascending j: running[j + 1] still excludes n_{j+1} = n
-        for j in range(r):
-            table = tables[j]
-            if table is not None:
-                zp = table[n % len(table)]
-            else:
-                gen_pows[j] *= gen[j]
-                zp = gen_pows[j]
-            e = exps[j]
-            if isinstance(e, int):
-                w = zp * nf ** (-e)
-            else:
-                w = zp * mp.exp(-e * log_n)
-            if kvec[j]:
-                w *= log_n ** kvec[j]
-            running[j] += w if j == r - 1 else w * running[j + 1]
-    state.n, state.terms = top, state.terms + top - state.n
-    return out
+class NestedPass:
+    """One resumable ``nested_sums`` pass for one (z, s, k), at the working
+    precision of its making, up to cutoff ``top``; it stands at t_n and has
+    summed ``terms`` terms.  A cutoff below n or above top, another input or
+    another precision raises ValueError.  The pass fixes P from
+    ``_guard_bits`` at top, so its bound holds at every cutoff it can reach.
+    """
+
+    def __init__(self, top: int):
+        self.top, self.prec = int(top), mp.mp.prec
+        self.n, self.terms, self.key, self.running = 1, 0, None, None
+
+    def check(self, key, cutoffs):
+        self.key = self.key or key
+        if (key, mp.mp.prec) != (self.key, self.prec) \
+                or not self.n <= cutoffs[0] <= cutoffs[-1] <= self.top:
+            raise ValueError(f"a pass standing at {self.n} of {self.top} at {self.prec} "
+                             f"bits cannot go to {cutoffs[0]}..{cutoffs[-1]} at "
+                             f"{mp.mp.prec} bits or on another input")
+
+
+def _guard_bits(z, exps, kvec, top) -> int:
+    """Guard bits g such that the fixed-point pass to cutoff N = top, run
+    with P >= prec + g fractional bits, errs by at most 2^-(prec+8) when
+    every exponent is integral.
+
+    Error accounting in units u = 2^-P (truncations are floors, < 1 u).
+    With lb = bit_length(N) >= log n for every n < N, weight j is bounded by
+    M_j = N^max(0, ceil(-Re s_j)) lb^k_j >= 1.  Its table entries err by
+    < 1 u, log n by < 2 u, the power (log n)^k by < 3k lb^(k-1) u, and a
+    non-integral n^-s_j by < 1 u in its conversion to fixed point and 1 u
+    when it is multiplied in (beyond mpmath's own rounding of it, which no
+    guard removes), so the scaled weight errs by less than 8 (1 + K) M_j u,
+    K = max k_j.  The running product of a complex weight, |z_j| <= 1, errs
+    by < 4 u more at each of its N rounded steps, so that weight errs by
+    less than 8 (1 + K) N M_j u.  The running sums obey
+    |running[j]| <= N^(r-j) prod_{i>=j} M_i, and each step adds |w_j| times
+    the error of running[j+1], the weight error times |running[j+1]|, and
+    one truncation.  Over N steps and r levels, by induction from the
+    innermost level, every t_N errs by less than
+
+        B u,   B = (r + 1) (8K + 10) N^(r + c) prod_j M_j,
+
+    c the number of complex weights, the factor r + 1 (rather than r)
+    absorbing the products of two errors.  g = bit_length(B) + 8 then gives
+    B u <= 2^-(prec+8), 2^19 N times below the 2^(11-prec) N that
+    ``_rounding_slack(2N, ...)`` certifies.
+    """
+    r = len(exps)
+    lb = max(1, top.bit_length())
+    bound = (r + 1) * (8 * max(kvec) + 10) * top ** r
+    for zj, a, k in zip(z, exps, kvec):
+        bound *= top ** max(0, int(mp.ceil(-mp.re(a)))) * lb ** k
+        if not isinstance(zj, RotationNumber):
+            bound *= top
+    return bound.bit_length() + 8
+
+
+def _fixed_pair(w, P: int) -> tuple:
+    """(re, im) of the mpc w, scaled by 2^P and floored."""
+    return to_fixed(w.real._mpf_, P), to_fixed(w.imag._mpf_, P)
+
+
+@lru_cache(maxsize=4096)
+def _fixed_power_table(frac: Fraction, P: int) -> tuple:
+    """((cos, sin) of 2 pi frac a, scaled by 2^P and floored) for a < q."""
+    with mp.workprec(P + 10):
+        values = RotationNumber(frac).power_values()
+    return tuple(_fixed_pair(v, P) for v in values)
 
 
 def char_partial_sums(xi: RotationNumber, l: int, m: int, cutoffs):

@@ -4,8 +4,10 @@ Nothing here goes through the library's expansion machinery: the zeta
 routine is a standalone classical-formula evaluation with hard-coded
 Bernoulli numbers, the tail-coefficient oracle comes from a geometric
 operator series, and the sequence limits use plain window averaging with
-Aitken extrapolation over raw partial sums.  ``primitive_roots`` is the
-shared Hypothesis strategy for roots of unity of high order.
+Aitken extrapolation over raw partial sums.  ``_mpmath_pass`` is the
+nested partial-sum loop in mpmath numbers, the reference for the package's
+fixed-point kernel.  ``primitive_roots`` is the shared Hypothesis strategy
+for roots of unity of high order.
 """
 
 from fractions import Fraction
@@ -13,6 +15,9 @@ import math
 
 from hypothesis import strategies as st
 import mpmath as mp
+
+from mplreg.rootsofunity import RotationNumber
+from mplreg.summation import NestedPass
 
 # B_2, B_4, ..., B_16
 _EVEN_BERNOULLI = [
@@ -89,8 +94,47 @@ def averaged_limit(sums_fn, period: int, start: int = 512, rungs: int = 8):
 
 def primitive_roots(max_order: int):
     """Strategy for e^{2 pi i p/q}, 2 <= q <= max_order, any unit p mod q."""
-    from mplreg.rootsofunity import RotationNumber
-
     return st.integers(2, max_order).flatmap(
         lambda q: st.sampled_from([p for p in range(1, q) if math.gcd(p, q) == 1])
         .map(lambda p: RotationNumber(p, q)))
+
+
+def _mpmath_pass(z, exps, kvec, cutoffs, state=None) -> dict:
+    """The forward pass in mpmath numbers at the working precision."""
+    r = len(z)
+    tables = [zj.power_values() if isinstance(zj, RotationNumber) else None
+              for zj in z]
+    gen = [None if isinstance(zj, RotationNumber) else mp.mpc(zj) for zj in z]
+    state = state or NestedPass(cutoffs[-1])
+    if state.running is None:
+        state.running = ([mp.mpc(0)] * r + [mp.mpc(1)], [mp.mpc(1)] * r)
+    running, gen_pows = state.running
+    need_log = any(kvec) or not all(isinstance(e, int) for e in exps)
+    want = set(cutoffs)
+    top = cutoffs[-1]
+    out = {}
+    for n in range(state.n, top + 1):
+        if n in want:
+            out[n] = running[0]
+        if n == top:
+            break
+        nf = mp.mpf(n)
+        log_n = mp.log(n) if need_log else None
+        # ascending j: running[j + 1] still excludes n_{j+1} = n
+        for j in range(r):
+            table = tables[j]
+            if table is not None:
+                zp = table[n % len(table)]
+            else:
+                gen_pows[j] *= gen[j]
+                zp = gen_pows[j]
+            e = exps[j]
+            if isinstance(e, int):
+                w = zp * nf ** (-e)
+            else:
+                w = zp * mp.exp(-e * log_n)
+            if kvec[j]:
+                w *= log_n ** kvec[j]
+            running[j] += w if j == r - 1 else w * running[j + 1]
+    state.n, state.terms = top, state.terms + top - state.n
+    return out

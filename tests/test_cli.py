@@ -194,6 +194,8 @@ class TestUsageErrors:
         ["table", "-z", "-1", "-a", "1..2", "--format", "json"],  # CSV only
         ["reg", "-z", "-1", "-a", "0", "--format", "csv"],
         ["domain", "-z", "1,-1", "--order", "0"],         # not a domain option
+        ["eval", "-z", "-1", "-s", "0.5", "--ceiling", "10"],  # below 1st rung
+        ["verify", "--trials", "0"],                      # checks nothing
     ])
     def test_usage_error_is_json_with_exit_1(self, runner, args):
         res = invoke(runner, args)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mplreg.asymptotics import DepthSpec, depth_expansion
 from mplreg.errors import DomainError, NonConvergenceError
+import mplreg.polylog as polylog_mod
 from mplreg.polylog import (
     EvalReport,
     PartialSumSpec,
@@ -98,6 +99,18 @@ class TestEvalConvergent:
         with pytest.raises(NonConvergenceError):
             eval_convergent(Z("-1"), [mp.mpf("0.1")], tol=mp.mpf("1e-30"),
                             ceiling=2000)
+
+    @pytest.mark.parametrize("tol,ceiling", [(0, 20000), (-1, 20000),
+                                             ("1e-12", 10), ("1e-12", 63)])
+    def test_hopeless_ladder_raises_before_summing(self, tol, ceiling,
+                                                   monkeypatch):
+        # a tol <= 0 can never be met, and at z = 1/4 the first rung is 64
+        def no_sums(*args):
+            raise AssertionError("a term was summed")
+
+        monkeypatch.setattr(polylog_mod, "_nested_sums", no_sums)
+        with pytest.raises(ValueError):
+            eval_convergent(Z("1/4"), [mp.mpf("0.4")], tol=tol, ceiling=ceiling)
 
     def test_oscillation_period_is_the_full_lcm(self):
         assert _oscillation_period(Z("1/5,1/7,1/13")) == 455

@@ -17,7 +17,7 @@ from mplreg.summation import (
     term_sum_expansion,
 )
 
-from oracles import geometric_tail_coeffs, primitive_roots
+from oracles import _mpmath_pass, geometric_tail_coeffs, primitive_roots
 
 
 def feval(f: ScaleFunction, a: int):
@@ -290,58 +290,71 @@ class TestNestedSums:
             assert abs(got[N] - want) <= mp.mpf(2) ** -110 * (1 + size)
 
 
-# factors the integer pass takes: root-of-unity weights of order <= 12,
-# integer exponents, log powers 0..2
-fixed_factors = st.tuples(rotation_weights, st.integers(-2, 3), st.integers(0, 2))
-
-
-def _fixed_against_mpmath_loop(z, a, kvec, cutoffs, prec):
-    """nested_sums at prec, which must take the integer pass, against the
-    mpmath loop at prec + 64; |t_N - ref| <= 2^(10-prec) N (1 + |ref|)."""
+def _against_mpmath_loop(z, s, kvec, cutoffs, prec):
+    """nested_sums at prec against the mpmath loop at prec + 64:
+    |t_N - ref| <= 2^(10-prec) N (1 + |ref|)."""
     with mp.workprec(prec + 64):
-        ref = summod._mpmath_pass(tuple(z), list(a), tuple(kvec), sorted(cutoffs))
-
-    def no_mpmath(*args):
-        raise AssertionError("the integer pass was not taken")
-
-    with pytest.MonkeyPatch.context() as patch, mp.workprec(prec):
-        patch.setattr(summod, "_mpmath_pass", no_mpmath)
-        got = nested_sums(z, a, kvec, cutoffs)
+        exps = [summod._exponent(e) for e in s]
+        ref = _mpmath_pass(tuple(z), exps, tuple(kvec), sorted(cutoffs))
+    with mp.workprec(prec):
+        got = nested_sums(z, s, kvec, cutoffs)
         assert set(got) == set(cutoffs)
         for N in cutoffs:
             bound = mp.mpf(2) ** (10 - prec) * N * (1 + abs(ref[N]))
             assert abs(got[N] - ref[N]) <= bound
 
 
+# three unit-modulus weights that are no roots of unity
+UNIT_WEIGHTS = [mp.expj(1), mp.expj(mp.sqrt(2)), mp.expj(mp.mpf(-1) / 2)]
+ROOTS = [RotationNumber(1, 3), RotationNumber(1, 4), RotationNumber(2, 5)]
+
+
 class TestFixedPass:
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(fixed_factors, min_size=1, max_size=3),
+    @given(st.lists(factors, min_size=1, max_size=3),
            st.sets(st.integers(1, 3000), min_size=1, max_size=2),
            st.sampled_from([128, 256]))
     def test_against_mpmath_loop(self, spec, cutoffs, prec):
+        # every weight source: root-of-unity tables and complex running
+        # products, integral and complex exponents, log powers
         z = [w for w, _, _ in spec]
-        a = [e for _, e, _ in spec]
+        s = [e for _, e, _ in spec]
         kvec = [k for _, _, k in spec]
-        _fixed_against_mpmath_loop(z, a, kvec, cutoffs, prec)
+        _against_mpmath_loop(z, s, kvec, cutoffs, prec)
 
     @pytest.mark.parametrize("prec", [128, 256])
-    @pytest.mark.parametrize("a", [(-2, -2, -2), (3, -2, -2)])
-    def test_large_magnitudes(self, a, prec):
-        # the guard is 140 and 112 bits here.  At (-2, -2, -2) it covers
-        # |t_N| ~ 5e25; at (3, -2, -2) the inner sums reach ~2e16 while
-        # |t_N| ~ 5e4, and with P = prec + 8 the error exceeded the bound
-        # a thousandfold
-        z = [RotationNumber(1, 3), RotationNumber(1, 4), RotationNumber(2, 5)]
-        _fixed_against_mpmath_loop(z, a, [0, 0, 0], {8000, 16000}, prec)
+    @pytest.mark.parametrize("z,a", [
+        (ROOTS, (-2, -2, -2)),
+        (ROOTS, (3, -2, -2)),
+        (ROOTS, (3, mp.mpc(-2, 0.5), mp.mpc(-2, 0.5))),
+        (UNIT_WEIGHTS, (3, -2, -2)),
+    ], ids=["a0", "a1", "a2", "a3"])
+    def test_large_magnitudes(self, z, a, prec):
+        # the guard is 140 and 112 bits at a0 and a1.  At (-2, -2, -2) it
+        # covers |t_N| ~ 5e25; at (3, -2, -2) the inner sums reach ~2e16
+        # while |t_N| ~ 5e4, and with P = prec + 8 the error exceeded the
+        # bound a thousandfold.  a2 takes those magnitudes through complex
+        # exponents, a3 through the running products of complex weights
+        _against_mpmath_loop(z, a, [0, 0, 0], {8000, 16000}, prec)
 
-    def test_complex_input_takes_the_mpmath_loop(self, monkeypatch):
-        def no_fixed(*args):
-            raise AssertionError("complex input reached the integer pass")
-
-        monkeypatch.setattr(summod, "_fixed_pass", no_fixed)
-        nested_sums([MINUS_ONE], [mp.mpc(2, 1)], [0], [10])
-        nested_sums([mp.mpc(0, 1)], [2], [0], [10])
-        nested_sums([MINUS_ONE], [mp.mpf("1.5")], [0], [10])
+    @pytest.mark.parametrize("prec", [87, 101])
+    def test_running_product_meets_the_guard(self, prec):
+        # with integral exponents each t_N errs by at most 2^-(prec+8)
+        # before its final rounding.  w ~ e^(2 pi i/(N-1)) turns once over
+        # the pass, so the errors of its running product add up coherently
+        # while t_N ~ 0 keeps the final rounding below them.  At prec = 87,
+        # P = prec + g is a multiple of 64, so rounding P up leaves the guard
+        # no slack (error/bound 0.004); at 101 a guard without the running
+        # product's factor N gives P = 128 and errs 58 times the bound
+        N = 2 ** 14
+        with mp.workprec(prec):
+            w = mp.expjpi(mp.mpf(2) / (N - 1))
+            got = nested_sums([w], [0], [0], [N])[N]
+        with mp.workprec(prec + 200):
+            want = w * (w ** (N - 1) - 1) / (w - 1)
+            bound = (mp.mpf(2) ** -(prec + 8)
+                     + mp.mpf(2) ** -prec * (abs(want.real) + abs(want.imag)))
+            assert abs(got - want) <= bound
 
 
 class TestNestedPass:
@@ -350,9 +363,8 @@ class TestNestedPass:
            st.lists(st.integers(1, 2000), min_size=1, max_size=8, unique=True),
            st.integers(0, 3000), st.sampled_from([128, 256]), st.data())
     def test_resumed_equals_one_shot(self, spec, cutoffs, extra, prec, data):
-        # successive calls on one state against one call over every cutoff:
-        # the mpmath loop is bit for bit the same; the integer pass takes P
-        # from the state's top cutoff, so it is held to the TestFixedPass bound
+        # successive calls on one state against one call over every cutoff
+        # on a state of the same top, hence the same P: bit for bit the same
         z = [w for w, _, _ in spec]
         s = [e for _, e, _ in spec]
         kvec = [k for _, _, k in spec]
@@ -360,22 +372,15 @@ class TestNestedPass:
         cuts = sorted(data.draw(st.sets(st.integers(1, len(cutoffs) - 1),
                                         max_size=3))) if len(cutoffs) > 1 else []
         chunks = [cutoffs[i:j] for i, j in zip([0] + cuts, cuts + [len(cutoffs)])]
-        fixed = all(isinstance(w, RotationNumber) for w in z) \
-            and all(isinstance(summod._exponent(e), int) for e in s)
         with mp.workprec(prec):
-            ref = nested_sums(z, s, kvec, cutoffs)
-            state = summod.NestedPass(cutoffs[-1] + extra)
+            top = cutoffs[-1] + extra
+            ref = nested_sums(z, s, kvec, cutoffs, summod.NestedPass(top))
+            state = summod.NestedPass(top)
             got = {}
             for chunk in chunks:
                 got.update(nested_sums(z, s, kvec, chunk, state))
-            assert set(got) == set(cutoffs)
+            assert got == ref
             assert state.terms == cutoffs[-1] - 1
-            for N in cutoffs:
-                if fixed:
-                    bound = mp.mpf(2) ** (10 - prec) * N * (1 + abs(ref[N]))
-                    assert abs(got[N] - ref[N]) <= bound
-                else:
-                    assert got[N] == ref[N]
 
     @pytest.mark.parametrize("z,s", [([RotationNumber(1, 3)], [1]),
                                      ([mp.mpc("0.6", "0.8")], [mp.mpf("0.5")])])
