@@ -179,8 +179,8 @@ def domain(ztext, stext, prec, out, fmt):
 @prec_option
 @order_option
 @click.option("--tol", default=None,
-              help="tolerance of the convergent route (default 1e-12), or of "
-                   "constant matching at integer points of V_r(z) (default "
+              help="tolerance of the convergent route at -s (default 1e-12), "
+                   "or of constant matching at an integer point -a (default "
                    "max(1e-25, 2^(20-prec)))")
 @click.option("--ceiling", type=int, default=polylog.DEFAULT_CUTOFF_CEILING,
               help="cutoff ceiling of the convergent route (default 10^7)")
@@ -188,18 +188,15 @@ def domain(ztext, stext, prec, out, fmt):
 @format_option
 @_json_errors
 def cmd_eval(ztext, stext, atext, prec, order, tol, ceiling, out, fmt):
-    """Evaluate the nested series, dispatching to the regularised route at
-    integer points of V_r(z) and to direct convergent evaluation otherwise."""
+    """Evaluate the nested series: by the regularised route at an integer
+    point -a of V_r(z), by the convergent route at a point -s of U_r(z)."""
     tol = None if tol is None else _positive_tol(tol)
     z = _parse_z(ztext)
     if (stext is None) == (atext is None):
         raise ValueError("give exactly one of -s or -a")
     if atext is not None:
         a = _parse_ints(atext, "-a")
-        if contains("Vrz", z, a):
-            report = polylog.eval_integer_point(z, a, A=order, tol=tol)
-        else:
-            report = polylog.eval_convergent(z, a, tol=tol, ceiling=ceiling)
+        report = polylog.eval_integer_point(z, a, A=order, tol=tol)
     else:
         s = ComplexPoint.parse(stext)
         report = polylog.eval_convergent(z, s, tol=tol, ceiling=ceiling)

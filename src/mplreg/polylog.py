@@ -7,8 +7,8 @@ is handled four ways:
   (general complex weights |z_i| <= 1, complex exponents) from the one
   kernel ``summation.nested_sums``;
 * ``eval_convergent``    -- limit inside the conditional-convergence domain
-  U_r(z), by period averaging and adaptive extrapolation across a doubling
-  ladder of period multiples, read off one resumed kernel pass;
+  U_r(z), by period averaging and Richardson extrapolation on the tail
+  exponents z and s fix, across a ladder read off one resumed kernel pass;
 * ``eval_integer_point`` -- regularised evaluation at integer points of
   V_r(z) through the asymptotic-expansion driver;
 * ``verify_translation`` -- numerical check of the translation identities
@@ -25,7 +25,8 @@ import mpmath as mp
 
 from .asymptotics import DepthSpec, depth_expansion, fmt_real
 from .errors import DomainError, NonConvergenceError, TruncationError
-from .rootsofunity import RotationNumber, ZVector, _coords, contains
+from .rootsofunity import (RotationNumber, ZVector, _coords, contains,
+                           index_set_and_count, rotation_product)
 from .summation import NestedPass, _rounding_slack, nested_sums
 
 __all__ = [
@@ -132,19 +133,34 @@ def _domain_flags(z: ZVector, s) -> dict:
     return {kind: contains(kind, z, s) for kind in ("Ur", "Urz", "Vrz")}
 
 
+def _tail_exponents(z: ZVector, s, count: int) -> list:
+    """The first ``count`` exponents e of the N^-e terms of a period-averaged
+    t_N on period multiples, by real part and with multiplicity.  Chain i
+    (levels i, ..., 1) starts at S_i - Q_i(z), S_i = s_1 + ... + s_i, plus one
+    when the average cancels its character z_1...z_i != 1, and steps by
+    integers; a repeated exponent removes the log term where two chains meet.
+    Inside U_r(z), a subset of V_r(z), every Re e > 0."""
+    coords = _coords(s)
+    bases = [sum(coords[:i]) - index_set_and_count(z, i)[1]
+             + (0 if rotation_product(z, 1, i).is_one() else 1)
+             for i in range(1, z.r + 1)]
+    return sorted((b + k for b in bases for k in range(count)),
+                  key=lambda e: e.real)[:count]
+
+
 def eval_convergent(z: ZVector, s, tol=None, *,
                     ceiling=DEFAULT_CUTOFF_CEILING) -> EvalReport:
     """Evaluate inside U_r(z) by doubling the cutoff until the increments of
     the accelerated cutoff sequence pass the tolerance twice in a row.
 
     Acceleration averages t_N over one full oscillation period (killing the
-    leading character terms) and Richardson-extrapolates across the doubling
-    ladder of period multiples from ``CONVERGENT_START`` up (off them an
-    averaged rung keeps xi^N-phased terms that Richardson cannot remove); it
-    uses nothing but raw partial sums.  Every rung is read off one resumed
-    kernel pass, so each term is summed once; ``diagnostics["terms"]``
-    counts them.  A tol <= 0 or a ceiling below the first rung raises
-    ValueError before any term is summed.
+    leading character terms) and Richardson-extrapolates, with the exponents
+    of ``_tail_exponents``, across the doubling ladder of period multiples
+    from ``CONVERGENT_START`` up (off them an averaged rung keeps xi^N-phased
+    terms that Richardson cannot remove); it uses nothing but raw partial
+    sums.  Every rung is read off one resumed kernel pass, so each term is
+    summed once; ``diagnostics["terms"]`` counts them.  A tol <= 0 or a
+    ceiling below the first rung raises ValueError before any term is summed.
     """
     flags = _domain_flags(z, s)
     if not flags["Urz"]:
@@ -158,31 +174,18 @@ def eval_convergent(z: ZVector, s, tol=None, *,
     if ceiling < n:
         raise ValueError(f"ceiling {ceiling} is below the first rung {n}")
 
-    table = []  # ragged extrapolation table, one row per doubling
+    weights = [mp.power(2, e)
+               for e in _tail_exponents(z, s, (ceiling // n).bit_length())]
+    row = []  # last row of the Richardson table, one column per exponent
     values = []
     kernel = NestedPass(ceiling + period)
     small_streak = 0
     while n <= ceiling:
         window = _nested_sums(z, s, range(n, n + period), kernel)
-        rung = sum(window.values()) / period
-        # iterated extrapolation along the doubling ladder; each column's
-        # decay ratio is estimated from the data, so fractional tail
-        # exponents are handled as well as integer ones
-        row = [rung]
-        i = 1
-        while len(table) >= 2 and len(table[-1]) >= i and len(table[-2]) >= i:
-            t2, t1, t0 = table[-2][i - 1], table[-1][i - 1], row[i - 1]
-            d1, d2 = t1 - t2, t0 - t1
-            if d2 == 0:
-                row.append(t0)
-                i += 1
-                continue
-            rho = d1 / d2
-            if not mp.isfinite(abs(rho)) or abs(rho) < mp.mpf("1.3"):
-                break
-            row.append(t0 + d2 / (rho - 1))
-            i += 1
-        table.append(row)
+        # column j+1 removes the N^-e_j term of column j across one doubling
+        prev, row = row, [sum(window.values()) / period]
+        for w, t in zip(weights, prev):
+            row.append((w * row[-1] - t) / (w - 1))
         values.append(row[-1])
         if len(values) >= 2:
             increment = abs(values[-1] - values[-2])

@@ -235,7 +235,7 @@ def parse_complex(text: str) -> mp.mpc:
                 break
         else:
             re_part, im_part = "0", body
-        if im_part in ("+", "-"):
+        if im_part in ("", "+", "-"):
             im_part += "1"
         return mp.mpc(mp.mpf(re_part), mp.mpf(im_part))
     return mp.mpc(mp.mpf(text))

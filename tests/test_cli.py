@@ -66,6 +66,13 @@ class TestEval:
         res = invoke(runner, ["eval", "-z", "1", "-s", "0.5"])
         assert res.exit_code == 2
         assert "error" in json.loads(res.output)
+        # an integer point outside V_r(z) goes to the regularised route,
+        # which names V_r(z)
+        res = invoke(runner, ["eval", "-z", "1", "-a", "1"])
+        assert res.exit_code == 2
+        error = json.loads(res.output)["error"]
+        assert error["type"] == "DomainError"
+        assert "V_r(z)" in error["message"]
 
     def test_tol_reaches_integer_points(self, runner):
         # an explicit --tol goes to constant matching; 1e-40 is below the

@@ -12,6 +12,7 @@ from mplreg.polylog import (
     EvalReport,
     PartialSumSpec,
     _oscillation_period,
+    _tail_exponents,
     brute_partial_sum,
     eval_convergent,
     eval_integer_point,
@@ -132,13 +133,33 @@ class TestConvergentRoute:
     def convergent(self, z, s):
         return eval_convergent(z, s, tol=self.TOL, ceiling=self.CEILING)
 
+    # at (-1,1) and (1/3,1), a = (1,1), two chains of tail exponents meet and
+    # the partial sums carry a log N term
     @pytest.mark.parametrize("ztext,a", [("1/29", (1,)), ("1/3,2/3", (1, 1)),
-                                         ("1/7,1/11", (1, 1))])
+                                         ("1/7,1/11", (1, 1)), ("-1,1", (1, 1)),
+                                         ("1/3,1", (1, 1))])
     def test_agrees_with_regularised_route(self, ztext, a):
         conv = self.convergent(Z(ztext), list(a))
         reg = eval_integer_point(Z(ztext), a)
         assert abs(conv.value - reg.value) <= (conv.abs_error_estimate
                                                + reg.abs_error_estimate)
+
+    def test_stuffle_at_a_slow_tail(self):
+        # Li_s(-1) Li_t(-1) = Li_{s,t}(-1,-1) + Li_{t,s}(-1,-1) + zeta(s+t):
+        # at s + t = 1.3 the averaged partial sums decay only like N^-0.3
+        s, t = mp.mpf("0.7"), mp.mpf("0.6")
+        st = self.convergent(Z("-1,-1"), [s, t])
+        ts = self.convergent(Z("-1,-1"), [t, s])
+        with mp.workprec(mp.mp.prec + 64):
+            want = mp.polylog(s, -1) * mp.polylog(t, -1) - mp.zeta(s + t)
+        assert abs(st.value + ts.value - want) <= (st.abs_error_estimate
+                                                   + ts.abs_error_estimate)
+
+    def test_tail_exponents(self):
+        got = _tail_exponents(Z("-1,-1"), [mp.mpf("0.7"), mp.mpf("0.6")], 5)
+        want = ["0.3", "1.3", "1.7", "2.3", "2.7"]
+        assert all(abs(e - mp.mpf(w)) < mp.mpf("1e-30") for e, w in zip(got, want))
+        assert len(got) == 5
 
     def check_against_mp_polylog(self, xi, s):
         rep = self.convergent(ZVector([xi]), [s])

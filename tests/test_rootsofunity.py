@@ -206,6 +206,8 @@ class TestParsing:
         assert parse_complex("-2-3i") == mp.mpc(-2, -3)
         assert parse_complex("1e-2+1e-3i") == mp.mpc(mp.mpf("1e-2"), mp.mpf("1e-3"))
         assert parse_complex("-i") == mp.mpc(0, -1)
+        assert parse_complex("i") == mp.mpc(0, 1)
+        assert parse_complex("j") == mp.mpc(0, 1)
 
     def test_complex_point(self):
         p = ComplexPoint.parse("2,-1")
