@@ -29,6 +29,7 @@ import mpmath as mp
 from . import summation
 from .errors import PrecisionError
 from .rootsofunity import ONE, RotationNumber, ZVector, index_set_and_count
+from .scalefun import ScaleFunction
 
 __all__ = [
     "Character",
@@ -161,8 +162,11 @@ class DepthSpec:
     kvec: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "kvec", tuple(int(x) for x in self.kvec))
+        for name in ("a", "kvec"):
+            given = tuple(getattr(self, name))
+            if any(x != int(x) for x in given):
+                raise ValueError(f"{name} must hold integers, got {given}")
+            object.__setattr__(self, name, tuple(int(x) for x in given))
         if not (len(self.z) == len(self.a) == len(self.kvec)):
             raise ValueError("z, a and kvec must have equal length")
         if any(k < 0 for k in self.kvec):
@@ -241,15 +245,16 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
 
     a_int = summation.internal_precision(a_out, tol_eff)
     parts_total: dict = {}
-    tail_total: dict = {}
+    tail_terms = []
     max_log = 0
     for (xi, l, m), c in e.items():
         max_log = max(max_log, l)
         parts, tail = summation._term_nparts(xi, l, m, a_int)
-        for (l2, m2), v in parts.items():
+        for l2, m2, v in parts.terms():
             key = (xi, l2, m2)
             parts_total[key] = parts_total.get(key, mp.mpc(0)) + c * v
-        summation.merge_tail(tail_total, tail, abs(c))
+        size = abs(c)
+        tail_terms += [(l2, m2, amp * size) for l2, m2, amp in tail.terms()]
 
     # uncertainty already carried by e's coefficients, imaged at a cutoff;
     # grows when the expansion has growing terms (negative decay indices)
@@ -266,7 +271,7 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
     c2, residual, _ = summation.run_matching(
         sums_fn,
         lambda n: _eval_parts_by_char(parts_total, n),
-        tail_total, tol_eff,
+        ScaleFunction(tail_terms), tol_eff,
         # an exact e carries no uncertainty: the predicted residual alone
         # picks the cutoff, and one that cannot reach tol fails at once
         prop_fn=None if exact else prop)

@@ -206,10 +206,9 @@ def eval_convergent(z: ZVector, s, tol=None, *,
 def eval_integer_point(z: ZVector, a, A: int = 6, tol=None) -> EvalReport:
     """Regularised evaluation at an integer point of V_r(z); by the depth
     driver this equals the limit of the partial sums there."""
-    a = tuple(int(x) for x in a)
     flags = _domain_flags(z, a)
     if not flags["Vrz"]:
-        raise DomainError(f"integer point {a} is outside V_r(z) for z = {z}")
+        raise DomainError(f"integer point {tuple(a)} is outside V_r(z) for z = {z}")
     spec = DepthSpec(z, a, (0,) * len(a))
     expansion = depth_expansion(spec, A, tol=tol)
     value = expansion.regularised_value()
@@ -221,7 +220,7 @@ def eval_integer_point(z: ZVector, a, A: int = 6, tol=None) -> EvalReport:
 def stieltjes_constant(z: ZVector, a, kvec, A: int = 6, tol=None):
     """Regularised value of the log-weighted nested series at an integer
     point a (convergence not required)."""
-    spec = DepthSpec(z, tuple(int(x) for x in a), tuple(int(k) for k in kvec))
+    spec = DepthSpec(z, a, kvec)
     return depth_expansion(spec, A, tol=tol).regularised_value()
 
 

@@ -2,15 +2,16 @@
 
 This is the function class every summation engine consumes: it is closed
 under differentiation, has elementary antiderivatives, its absolute tails
-integrate in closed form, and f(n + t0) re-expands into the same class.
-Coefficients are complex numbers at the ambient mpmath precision; the term
-indices (l, m) are exact integers.
+integrate in closed form into the same class, and f(n + t0) re-expands into
+it through its Taylor series.  It is the package's one representation of such
+a sum: the symbolic n-parts of a partial sum and the remainder tails that
+bound them are ScaleFunctions too.  Coefficients are complex numbers at the
+ambient mpmath precision; the term indices (l, m) are exact integers.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from fractions import Fraction
 
 import mpmath as mp
@@ -33,20 +34,16 @@ class ScaleFunction:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms=()):
+        """From (l, m, coeff) triples; equal (l, m) merge in the given order."""
         merged = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key_or_triple in items:
-                if len(key_or_triple) == 2:
-                    (l, m), c = key_or_triple
-                else:
-                    l, m, c = key_or_triple
-                if l < 0:
-                    raise ValueError("log power l must be >= 0")
+        for l, m, c in terms:
+            key = (int(l), int(m))
+            if key != (l, m) or l < 0:
+                raise ValueError(f"need integers l >= 0 and m, got l = {l}, m = {m}")
+            if not isinstance(c, mp.mpc):
                 c = _as_mpc(c)
-                key = (int(l), int(m))
-                merged[key] = merged.get(key, mp.mpc(0)) + c
+            merged[key] = merged[key] + c if key in merged else c
         self._terms = {k: c for k, c in merged.items() if c != 0}
 
     @classmethod
@@ -57,10 +54,9 @@ class ScaleFunction:
     def zero(cls) -> "ScaleFunction":
         return cls()
 
-    def terms(self):
-        """Iterate (l, m, coeff) sorted by (m, l)."""
-        for (l, m) in sorted(self._terms, key=lambda k: (k[1], k[0])):
-            yield l, m, self._terms[(l, m)]
+    def terms(self) -> list:
+        """The (l, m, coeff) triples, in the order they were first collected."""
+        return [(l, m, c) for (l, m), c in self._terms.items()]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -70,8 +66,7 @@ class ScaleFunction:
         return min((m for (_, m) in self._terms), default=None)
 
     def __add__(self, other: "ScaleFunction") -> "ScaleFunction":
-        items = list(self._terms.items()) + list(other._terms.items())
-        return ScaleFunction(items)
+        return ScaleFunction(self.terms() + other.terms())
 
     def __sub__(self, other: "ScaleFunction") -> "ScaleFunction":
         return self + other.scaled(-1)
@@ -122,23 +117,21 @@ class ScaleFunction:
         return self._value_at(t)
 
     def abs_tail(self):
-        """Pseudo-terms {(l', m'): amp} with  int_a^inf |f| <= sum amp
-        (log a)^l' a^(-m')  for a >= 1, or None if some term has m <= 1.
+        """A ScaleFunction P with  int_a^inf |f| <= P(a)  for a >= 1, all its
+        coefficients real and positive, or None if some term has m <= 1.
 
         Each term contributes |c| * int_a^inf (log t)^l t^(-m) dt in the closed
         form  a^{1-m} * sum_{i<=l} (l!/(l-i)!) (log a)^{l-i}/(m-1)^{i+1}.
         """
-        out = {}
+        out = []
         for (l, m), c in self._terms.items():
             if m <= 1:
                 return None
             fall = 1
             for i in range(l + 1):
-                key = (l - i, m - 1)
-                amp = abs(c) * fall / mp.mpf(m - 1) ** (i + 1)
-                out[key] = out.get(key, mp.mpf(0)) + amp
+                out.append((l - i, m - 1, abs(c) * fall / mp.mpf(m - 1) ** (i + 1)))
                 fall *= l - i
-        return out
+        return ScaleFunction(out)
 
     def abs_tail_bound(self, a):
         """Upper bound for int_a^inf |f|, a >= 2: ``abs_tail`` at a, +inf if
@@ -146,70 +139,23 @@ class ScaleFunction:
         if not a >= 2:
             raise ValueError(f"abs_tail_bound requires a >= 2, got {a}")
         tail = self.abs_tail()
-        if tail is None:
-            return mp.inf
-        a = mp.mpf(a)
-        log_a = mp.log(a)
-        return sum((amp * log_a ** l * a ** (-m) for (l, m), amp in tail.items()),
-                   mp.mpf(0))
+        return mp.inf if tail is None else tail._value_at(a).real
 
     def shift_expand(self, t0: int, order: int):
         """Expand f(n + t0) in the scale of n, valid up to O(n^-(order+1) * logs).
 
         Returns (g, order + 1) with g a ScaleFunction in n whose terms all have
-        decay <= order.  t0 = 0 returns f unchanged.  Uses the binomial series
-        for (n + t0)^(-m) and the logarithm series for log(n + t0).
+        decay <= order.  t0 = 0 returns f unchanged.  g is the Taylor series
+        sum_j t0^j/j! f^(j)(n); the decay of f^(j) is that of f plus j, so
+        j runs up to order - min_decay.
         """
         if t0 < 0:
             raise ValueError("shift_expand needs t0 >= 0")
-        if t0 == 0:
+        if t0 == 0 or self.is_zero():
             return self, order + 1
-        out = []
-        for (l, m), c in self._terms.items():
-            depth = order - m
-            if depth < 0:
-                continue
-            for l2, d, coef in _shifted_basis_term(l, m, t0, depth):
-                out.append((l2, m + d, c * coef.numerator / coef.denominator))
+        out, g = [], self
+        for j in range(order - self.min_decay() + 1):
+            term = g.scaled(Fraction(t0 ** j, math.factorial(j)))
+            out += [t for t in term.terms() if t[1] <= order]
+            g = g.differentiate()
         return ScaleFunction(out), order + 1
-
-
-def _poly_mul(p, q, depth):
-    res = [Fraction(0)] * (depth + 1)
-    for i, pi in enumerate(p):
-        if not pi:
-            continue
-        for j, qj in enumerate(q):
-            if i + j > depth:
-                break
-            if qj:
-                res[i + j] += pi * qj
-    return res
-
-
-@lru_cache(maxsize=4096)
-def _shifted_basis_term(l: int, m: int, t0: int, depth: int):
-    """Rational expansion data for (log(n+t0))^l (n+t0)^(-m): tuples
-    (l', d, coeff) meaning coeff * (log n)^l' * n^-(m+d), d <= depth."""
-    # (1 + t0 x)^(-m) in x = 1/n
-    pow_part = [Fraction(1)]
-    for d in range(1, depth + 1):
-        coef = Fraction(1)
-        for i in range(d):
-            coef *= Fraction(-m - i, i + 1)
-        pow_part.append(coef * t0 ** d)
-    # log(1 + t0 x)
-    log_part = [Fraction(0)] + [
-        Fraction((-1) ** (d + 1) * t0 ** d, d) for d in range(1, depth + 1)
-    ]
-    g_pow = [[Fraction(1)] + [Fraction(0)] * depth]
-    for _ in range(l):
-        g_pow.append(_poly_mul(g_pow[-1], log_part, depth))
-    out = []
-    for j in range(l + 1):
-        comb = math.comb(l, j)
-        prod = _poly_mul(g_pow[j], pow_part, depth)
-        for d, coef in enumerate(prod):
-            if coef:
-                out.append((l - j, d, comb * coef))
-    return tuple(out)

@@ -19,7 +19,7 @@ antiderivative when xi = 1 plus h = sum_{j<=J} c_j f^(j), c_j the Taylor
 coefficients of 1/(xi e^t - 1) less its pole, J = max(1, A + 2 - m), in
 O(A^2) whatever the order of xi, with remainder
 K (|f^(J+1)|(n) + int_n^inf |f^(J+1)|), K = [xi = 1]/(J + 2)! +
-sum_j |c_j| / (J - j + 1)!, once the pseudo-terms of f^(J+1) decrease on
+sum_j |c_j| / (J - j + 1)!, once the absolute terms of f^(J+1) decrease on
 [n, inf).  The constant is matched against exact partial sums at a cutoff
 pair (N, 2N).
 
@@ -239,34 +239,11 @@ def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
 # symbolic n-dependent parts of single-term partial sums
 # ---------------------------------------------------------------------------
 #
-# _term_nparts(xi, l, m, A) returns (parts, tail) with
-#   parts: dict (l', m') -> coefficient, complete to decay A, so that
-#       sum_{a<n} xi^a (log a)^l a^(-m)
-#           = const + chi(n) * sum parts[(l',m')] (log n)^l' n^(-m') + eps(n),
+# _term_nparts(xi, l, m, A) returns (parts, tail), two ScaleFunctions in n:
+#   parts, complete to decay A, so that
+#       sum_{a<n} xi^a (log a)^l a^(-m) = const + chi(n) * parts(n) + eps(n),
 #   chi(n) = xi^n (the constant sequence when xi = 1), and
-#   tail: pseudo-terms {(l', m'): amp} bounding |eps(n)| <= sum amp (log n)^l' n^(-m').
-
-
-def add_tail(tail: dict, l: int, m: int, amp):
-    key = (l, m)
-    tail[key] = tail.get(key, mp.mpf(0)) + amp
-
-
-def merge_tail(tail: dict, other: dict, scale=1):
-    for (l, m), amp in other.items():
-        add_tail(tail, l, m, amp * scale)
-
-
-def _add_scale(parts, tail, g: ScaleFunction, coef, a_max):
-    for l2, m2, c in g.terms():
-        c = c * coef
-        if c == 0:
-            continue
-        if m2 <= a_max:
-            key = (l2, m2)
-            parts[key] = parts.get(key, mp.mpc(0)) + c
-        else:
-            add_tail(tail, l2, m2, abs(c))
+#   tail, real and positive coefficients, bounding |eps(n)| <= tail(n).
 
 
 def _geometric_coeffs(xi: RotationNumber, J: int) -> list:
@@ -320,8 +297,8 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
         K = [xi = 1]/(J + 2)! + sum_j |c_j| / (J - j + 1)!,
 
     and eps(n) sums these defects over a >= n.  With P the sum of the
-    absolute pseudo-terms of f^(J+1), |eps(n)| <= K (P(n) + int_n^inf P)
-    as soon as every pseudo-term (log x)^l' x^(-m') is decreasing on
+    absolute terms of f^(J+1), |eps(n)| <= K (P(n) + int_n^inf P)
+    as soon as every term (log x)^l' x^(-m') of P is decreasing on
     [n, inf), i.e. n >= e^(l'/m').  Since l' <= l and m' = m + J + 1, raising
     J to (m + J + 1) log(MATCH_START) >= l makes that hold at every
     matching cutoff.
@@ -329,42 +306,32 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     with mp.workprec(prec):
         J = max(1, a_max + 2 - m, math.ceil(l / math.log(MATCH_START)) - m - 1)
         coeffs = _geometric_coeffs(xi, J)
-        parts: dict = {}
-        tail: dict = {}
         g = ScaleFunction.term(l, m)
         K = sum(abs(c) / math.factorial(J - j + 1) for j, c in enumerate(coeffs))
+        h = []  # the terms of h, scale by scale
         if xi.is_one():
-            _add_scale(parts, tail, g.antiderivative(), 1, a_max)
+            h += g.antiderivative().terms()
             K += mp.mpf(1) / math.factorial(J + 2)
         for c in coeffs:
-            _add_scale(parts, tail, g, c, a_max)
+            if c != 0:
+                h += [(l2, m2, c2 * c) for l2, m2, c2 in g.terms()]
             g = g.differentiate()
+        parts = ScaleFunction([t for t in h if t[1] <= a_max])
         # g = f^(J+1): the pointwise term and the integral of the remainder bound
-        for l2, m2, c in g.terms():
-            add_tail(tail, l2, m2, K * abs(c))
-        merge_tail(tail, g.abs_tail(), K)
+        tail = ScaleFunction([(l2, m2, abs(c)) for l2, m2, c in h if m2 > a_max]
+                             + [(l2, m2, K * abs(c)) for l2, m2, c in g.terms()]
+                             + [(l2, m2, amp * K) for l2, m2, amp in g.abs_tail().terms()])
         return parts, tail
 
 
-def eval_nparts(parts, xi: RotationNumber, n):
-    """chi(n) * sum parts[(l,m)] (log n)^l n^(-m) at an integer cutoff n."""
-    nf = mp.mpf(n)
-    log_n = mp.log(nf)
-    acc = mp.mpc(0)
-    for (l2, m2), c in parts.items():
-        acc += c * log_n ** l2 * nf ** (-m2)
-    if not xi.is_one():
-        acc *= xi.power_values()[n % xi.order]
-    return acc
+def eval_nparts(parts: ScaleFunction, xi: RotationNumber, n):
+    """chi(n) * parts(n) at an integer cutoff n."""
+    acc = parts._value_at(n)
+    return acc if xi.is_one() else acc * xi.power_values()[n % xi.order]
 
 
-def eval_tail(tail: dict, n):
-    nf = mp.mpf(n)
-    log_n = mp.log(nf)
-    acc = mp.mpf(0)
-    for (l2, m2), amp in tail.items():
-        acc += amp * log_n ** l2 * nf ** (-m2)
-    return acc
+def eval_tail(tail: ScaleFunction, n):
+    return tail._value_at(n).real
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +564,7 @@ def internal_precision(A: int, tol) -> int:
     return max(A, needed)
 
 
-def choose_cutoff(tail, tol, start=MATCH_START, prop_fn=None):
+def choose_cutoff(tail: ScaleFunction, tol, prop_fn=None):
     """Matching cutoff: the smallest ladder point whose predicted residual
     (dropped-term tail plus the image of carried input uncertainty) clears
     tol/4, else the ladder point minimising that prediction.
@@ -607,7 +574,7 @@ def choose_cutoff(tail, tol, start=MATCH_START, prop_fn=None):
     tail alone would ruin the matched constant.
     """
     best_n, best_score = None, None
-    n = start
+    n = MATCH_START
     while n <= MATCH_CEILING:
         score = eval_tail(tail, n)
         if prop_fn is not None:
@@ -624,7 +591,7 @@ def choose_cutoff(tail, tol, start=MATCH_START, prop_fn=None):
     return best_n
 
 
-def run_matching(sums_fn, approx_fn, tail, tol_eff, prop_fn=None):
+def run_matching(sums_fn, approx_fn, tail: ScaleFunction, tol_eff, prop_fn=None):
     """Extract a constant by matching an expansion against true partial sums.
 
     Starts at the cutoff suggested by the predicted residual bound and keeps

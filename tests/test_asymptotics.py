@@ -13,7 +13,9 @@ from mplreg.asymptotics import (
     partial_sum,
 )
 from mplreg.errors import PrecisionError
+from mplreg.polylog import eval_integer_point, stieltjes_constant
 from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber, ZVector
+from mplreg.scalefun import ScaleFunction
 
 I_4 = RotationNumber(1, 4)
 
@@ -174,6 +176,19 @@ class TestDepthExpansion:
             DepthSpec(ZVector.parse("-1,1"), (0,), (0, 0))
         with pytest.raises(ValueError):
             DepthSpec(ZVector.parse("-1"), (0,), (-1,))
+
+    # a non-integral index is an error, not a value at its integer part
+    @pytest.mark.parametrize("call", [
+        lambda: eval_integer_point(ZVector.parse("-1"), (2.5,)),
+        lambda: stieltjes_constant(ZVector.parse("-1"), (1,), (0.7,)),
+        lambda: DepthSpec(ZVector.parse("1,-1"), (2, -1.5), (0, 0)),
+        lambda: ScaleFunction([(0, 1.5, 1)]),
+        lambda: ScaleFunction([(0.5, 2, 1)]),
+    ], ids=["eval_integer_point-a", "stieltjes_constant-k", "DepthSpec-a",
+            "ScaleFunction-m", "ScaleFunction-l"])
+    def test_non_integral_index_is_rejected(self, call):
+        with pytest.raises(ValueError, match="integer"):
+            call()
 
     def test_random_specs_order_bound_and_residual(self):
         rng = random.Random(2024)

@@ -191,6 +191,27 @@ class TestEulerPoly:
         assert "error" in json.loads(res.output)
 
 
+class TestTextFormat:
+    # every command that offers --format text, with the lines its value sits on
+    @pytest.mark.parametrize("args,lines", [
+        (["domain", "-z", "1,-1", "-s", "2,-1"],
+         ["s = 2,-1: Ur=out, Urz=out, Vrz=in", "singular hyperplane candidates:"]),
+        (["eval", "-z", "1,-1", "-a", "2,-1"], ["value = ", "method = regularised"]),
+        (["eval", "-z", "-1", "-s", "0.5", "--tol", "1e-10"],
+         ["value = ", "method = convergent"]),
+        (["reg", "-z", "-1", "-a", "0"], ["regularised value = "]),
+        (["verify", "--trials", "2", "--tol", "1e-10"], ["6/6 passed"]),
+        (["euler-poly", "3", "2"], ["(1/3)*x^0 + (-2)*x^1 + (1)*x^2"]),
+    ], ids=["domain", "eval-a", "eval-s", "reg", "verify", "euler-poly"])
+    def test_text_output(self, runner, args, lines):
+        res = invoke(runner, args + ["--format", "text"])
+        assert res.exit_code == 0
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(res.output)
+        for line in lines:
+            assert line in res.output
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("args", [
         ["reg", "-z", "-1", "-a", "0", "--bogus", "1"],   # unknown option

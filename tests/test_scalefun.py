@@ -165,7 +165,8 @@ class TestShiftExpand:
             (0, 0, mp.mpc(4)),
         ]
 
-    @pytest.mark.parametrize("l,m,t0,order", [(0, 1, 1, 4), (1, 0, 2, 5), (2, 2, 3, 6), (1, -1, 1, 4)])
+    @pytest.mark.parametrize("l,m,t0,order", [(0, 1, 1, 4), (1, 0, 2, 5), (2, 2, 3, 6), (1, -1, 1, 4),
+                                              (3, 0, 4, 7), (2, -2, 5, 6)])
     def test_residual_decay(self, l, m, t0, order):
         f = ScaleFunction.term(l, m)
         g, err_order = f.shift_expand(t0, order)
