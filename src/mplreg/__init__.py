@@ -9,12 +9,10 @@ coefficients, and regularised evaluation of nested character sums
 
 from .asymptotics import (
     AsymptoticExpansion,
-    Character,
     DepthSpec,
     depth_expansion,
     order_lower_bound,
     partial_sum,
-    regularised_value,
 )
 from .errors import (
     DomainError,
@@ -24,13 +22,11 @@ from .errors import (
     TruncationError,
 )
 from .eulerpoly import (
-    InnerProductCoeff,
     RationalPolynomial,
     bernoulli_number,
     bernoulli_polynomial,
     gen_euler_polynomial,
     inner_product,
-    periodic_gen_euler_eval,
 )
 from .polylog import (
     EvalReport,
@@ -66,17 +62,15 @@ from .summation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticExpansion", "Character", "ComplexPoint", "DepthSpec",
-    "DomainError", "EvalReport", "Hyperplane", "InnerProductCoeff",
-    "MplregError", "NonConvergenceError", "PartialSumSpec", "PrecisionError",
-    "RationalPolynomial", "RotationNumber", "ScaleFunction",
-    "SummationBreakdown", "TermSumResult", "TranslationReport",
+    "AsymptoticExpansion", "ComplexPoint", "DepthSpec", "DomainError",
+    "EvalReport", "Hyperplane", "MplregError", "NonConvergenceError",
+    "PartialSumSpec", "PrecisionError", "RationalPolynomial", "RotationNumber",
+    "ScaleFunction", "SummationBreakdown", "TermSumResult", "TranslationReport",
     "TruncationError", "ZVector", "bernoulli_number", "bernoulli_polynomial",
     "brute_partial_sum", "contains", "depth_expansion", "euler_maclaurin",
     "eval_convergent", "eval_integer_point", "first_nontrivial_prefix",
     "gen_euler_boole", "gen_euler_polynomial", "index_set_and_count",
-    "inner_product", "order_lower_bound", "partial_sum",
-    "periodic_gen_euler_eval", "pochhammer", "regularised_value",
+    "inner_product", "order_lower_bound", "partial_sum", "pochhammer",
     "rotation_product", "singular_hyperplanes", "stieltjes_constant",
     "term_sum_expansion", "verify_translation",
 ]

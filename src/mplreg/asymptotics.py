@@ -2,16 +2,16 @@
 
 An expansion approximates a sequence u_n by
 
-    u_n  =  sum over (xi, l, m) of  c * xi^n * (log n)^l * n^(-m)  +  o(n^-A),
+    u_n  =  sum over characters xi of  xi^n * S_xi(n)  +  o(n^-A),
 
-with finitely many terms, every stored m <= A, and coefficients indexed by
-the exact character value xi in Q/Z (each finite-group character appears
-once, so indexing by value deduplicates the exponent bookkeeping).
+each S_xi a ScaleFunction, a finite sum of c * (log n)^l * n^(-m) with every
+stored m <= A.  Characters are indexed by their exact value xi in Q/Z, so
+each appears once; the regularised value is the constant term of S_1.
 
 ``partial_sum`` maps the expansion of u_n to the expansion of
-v_n = sum_{m<n} u_m by routing every stored term through the summation
-engines' block structure; ``depth_expansion`` iterates this together with a
-pointwise multiplication to expand nested sums
+v_n = sum_{m<n} u_m through the symbolic n-parts of each stored term;
+``depth_expansion`` iterates this together with a pointwise multiplication
+to expand nested sums
 
     sum_{n > n_1 > ... > n_r > 0}  prod_i  z_i^{n_i} (log n_i)^{k_i} n_i^{-a_i}.
 
@@ -32,18 +32,13 @@ from .rootsofunity import ONE, RotationNumber, ZVector, index_set_and_count
 from .scalefun import ScaleFunction
 
 __all__ = [
-    "Character",
     "AsymptoticExpansion",
     "DepthSpec",
     "partial_sum",
     "depth_expansion",
-    "regularised_value",
     "order_lower_bound",
     "nested_char_partial_sums",
 ]
-
-# a character of the coefficient algebra is just an exact root of unity
-Character = RotationNumber
 
 LOG_POWER_CAP = 64
 
@@ -58,63 +53,65 @@ def parse_real(text: str):
 
 
 class AsymptoticExpansion:
-    """Finite map (character, log power, decay power) -> complex coefficient,
-    plus the precision order A (error o(n^-A)) and a diagnostic bound on the
-    residual left by constant matching."""
+    """Finite map character xi -> ScaleFunction S_xi, so that u_n is
+    sum xi^n S_xi(n), plus the precision order A (error o(n^-A)) and a
+    diagnostic bound on the residual left by constant matching.  The terms
+    read as (xi, l, m) -> coefficient of xi^n (log n)^l n^(-m)."""
 
-    __slots__ = ("_coeffs", "precision", "residual_bound")
+    __slots__ = ("_parts", "precision", "residual_bound")
 
-    def __init__(self, coeffs=None, precision: int = 0, residual_bound=None):
-        clean = {}
-        for (xi, l, m), c in (coeffs or {}).items():
-            if not isinstance(xi, RotationNumber):
-                raise TypeError("expansion keys must use RotationNumber characters")
-            if l > LOG_POWER_CAP:
-                raise PrecisionError(f"log power {l} exceeds cap {LOG_POWER_CAP}")
-            c = mp.mpc(c)
-            if c != 0 and m <= precision:
-                clean[(xi, int(l), int(m))] = c
-        self._coeffs = clean
+    def __init__(self, parts=None, precision: int = 0, residual_bound=None):
         self.precision = int(precision)
+        self._parts = {}
+        for xi, f in (parts or {}).items():
+            if not isinstance(xi, RotationNumber):
+                raise TypeError("expansion keys must be RotationNumber characters")
+            terms = f.terms()
+            l_max = max((l for l, _, _ in terms), default=0)
+            if l_max > LOG_POWER_CAP:
+                raise PrecisionError(f"log power {l_max} exceeds cap {LOG_POWER_CAP}")
+            f = ScaleFunction([t for t in terms if t[1] <= self.precision])
+            if not f.is_zero():
+                self._parts[xi] = f
         self.residual_bound = mp.mpf(residual_bound if residual_bound is not None else 0)
 
     @classmethod
     def constant_one(cls, precision: int) -> "AsymptoticExpansion":
-        return cls({(ONE, 0, 0): mp.mpc(1)}, precision=precision)
+        return cls({ONE: ScaleFunction.term(0, 0)}, precision=precision)
 
     def items(self):
-        return sorted(self._coeffs.items(),
+        """((xi, l, m), coefficient) pairs, sorted by (m, l, xi)."""
+        return sorted((((xi, l, m), c) for xi, f in self._parts.items()
+                       for l, m, c in f.terms()),
                       key=lambda kv: (kv[0][2], kv[0][1], kv[0][0].fraction))
 
     def __len__(self):
-        return len(self._coeffs)
+        return sum(len(f.terms()) for f in self._parts.values())
 
     def is_empty(self) -> bool:
-        return not self._coeffs
+        return not self._parts
 
     def coefficient(self, xi: RotationNumber, l: int, m: int):
-        return self._coeffs.get((xi, l, m), mp.mpc(0))
+        f = self._parts.get(xi)
+        return mp.mpc(0) if f is None else f.coefficient(l, m)
 
     def regularised_value(self):
         """The coefficient of the constant basis element (xi=1, l=0, m=0)."""
-        return self._coeffs.get((ONE, 0, 0), mp.mpc(0))
+        return self.coefficient(ONE, 0, 0)
 
     def order(self):
         """Smallest stored decay power; +inf for the empty expansion."""
-        if not self._coeffs:
-            return mp.inf
-        return min(m for (_, _, m) in self._coeffs)
+        return min((f.min_decay() for f in self._parts.values()), default=mp.inf)
 
     def evaluate(self, n: int):
-        return _eval_parts_by_char(self._coeffs, int(n))
+        return _eval_parts_by_char(self._parts, int(n))
 
     def add(self, other: "AsymptoticExpansion") -> "AsymptoticExpansion":
-        precision = min(self.precision, other.precision)
-        coeffs = dict(self._coeffs)
-        for key, c in other._coeffs.items():
-            coeffs[key] = coeffs.get(key, mp.mpc(0)) + c
+        parts = dict(self._parts)
+        for xi, f in other._parts.items():
+            parts[xi] = parts[xi] + f if xi in parts else f
         return AsymptoticExpansion(
-            coeffs, precision,
+            parts, min(self.precision, other.precision),
             residual_bound=self.residual_bound + other.residual_bound)
 
     def __add__(self, other):
@@ -123,11 +120,10 @@ class AsymptoticExpansion:
     def multiply_monomial(self, xi0: RotationNumber, l0: int, m0: int
                           ) -> "AsymptoticExpansion":
         """Pointwise product with xi0^n (log n)^l0 n^(-m0)."""
-        coeffs = {}
-        for (xi, l, m), c in self._coeffs.items():
-            coeffs[(xi * xi0, l + l0, m + m0)] = c
-        return AsymptoticExpansion(coeffs, self.precision + m0,
-                                   residual_bound=self.residual_bound)
+        mono = ScaleFunction.term(l0, m0)
+        return AsymptoticExpansion(
+            {xi * xi0: f * mono for xi, f in self._parts.items()},
+            self.precision + m0, residual_bound=self.residual_bound)
 
     def to_json_obj(self) -> dict:
         terms = [
@@ -140,11 +136,13 @@ class AsymptoticExpansion:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AsymptoticExpansion":
-        coeffs = {}
+        terms = {}
         for t in obj["terms"]:
-            key = (RotationNumber.parse(t["xi"]), int(t["l"]), int(t["m"]))
-            coeffs[key] = mp.mpc(parse_real(t["re"]), parse_real(t["im"]))
-        return cls(coeffs, int(obj["precision"]),
+            terms.setdefault(RotationNumber.parse(t["xi"]), []).append(
+                (int(t["l"]), int(t["m"]),
+                 mp.mpc(parse_real(t["re"]), parse_real(t["im"]))))
+        return cls({xi: ScaleFunction(ts) for xi, ts in terms.items()},
+                   int(obj["precision"]),
                    residual_bound=parse_real(obj.get("residual_bound", "0")))
 
     def __repr__(self):
@@ -244,17 +242,17 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
         raise ValueError("sums_fn must be a callable cutoffs -> {N: value}")
 
     a_int = summation.internal_precision(a_out, tol_eff)
-    parts_total: dict = {}
+    # the n-parts of every term, collected per character; one ScaleFunction
+    # per character merges them in the order of e.items()
+    parts_terms: dict = {}
     tail_terms = []
     max_log = 0
     for (xi, l, m), c in e.items():
         max_log = max(max_log, l)
         parts, tail = summation._term_nparts(xi, l, m, a_int)
-        for l2, m2, v in parts.terms():
-            key = (xi, l2, m2)
-            parts_total[key] = parts_total.get(key, mp.mpc(0)) + c * v
-        size = abs(c)
-        tail_terms += [(l2, m2, amp * size) for l2, m2, amp in tail.terms()]
+        parts_terms.setdefault(xi, []).extend(parts.scaled(c).terms())
+        tail_terms += tail.scaled(abs(c)).terms()
+    by_char = {xi: ScaleFunction(ts) for xi, ts in parts_terms.items()}
 
     # uncertainty already carried by e's coefficients, imaged at a cutoff;
     # grows when the expansion has growing terms (negative decay indices)
@@ -270,27 +268,20 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
 
     c2, residual, _ = summation.run_matching(
         sums_fn,
-        lambda n: _eval_parts_by_char(parts_total, n),
+        lambda n: _eval_parts_by_char(by_char, n),
         ScaleFunction(tail_terms), tol_eff,
         # an exact e carries no uncertainty: the predicted residual alone
         # picks the cutoff, and one that cannot reach tol fails at once
         prop_fn=None if exact else prop)
 
-    coeffs = {k: v for k, v in parts_total.items() if k[2] <= a_out}
-    key00 = (ONE, 0, 0)
-    coeffs[key00] = coeffs.get(key00, mp.mpc(0)) + c2
-    return AsymptoticExpansion(coeffs, precision=a_out, residual_bound=residual)
+    by_char[ONE] = by_char.get(ONE, ScaleFunction()) + ScaleFunction.term(0, 0, c2)
+    return AsymptoticExpansion(by_char, precision=a_out, residual_bound=residual)
 
 
 def _eval_parts_by_char(parts: dict, n: int):
-    nf = mp.mpf(n)
-    log_n = mp.log(nf)
-    chars = {xi for (xi, _, _) in parts}
-    powers = {xi: xi.power_values()[n % xi.order] for xi in chars}
-    acc = mp.mpc(0)
-    for (xi, l, m), c in parts.items():
-        acc += c * powers[xi] * log_n ** l * nf ** (-m)
-    return acc
+    """sum over characters xi of xi^n * parts[xi](n)."""
+    return sum((summation.eval_nparts(f, xi, n) for xi, f in parts.items()),
+               mp.mpc(0))
 
 
 def inner_expansion_order(a_i: int) -> int:
@@ -336,7 +327,3 @@ def depth_expansion(spec: DepthSpec, A: int, tol=None) -> AsymptoticExpansion:
                            carried_growth=growth)
 
     return build(0, A)
-
-
-def regularised_value(e: AsymptoticExpansion):
-    return e.regularised_value()

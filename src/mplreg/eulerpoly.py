@@ -14,7 +14,6 @@ here is exact rational arithmetic on big integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 
@@ -24,7 +23,6 @@ from .rootsofunity import RotationNumber
 
 __all__ = [
     "RationalPolynomial",
-    "InnerProductCoeff",
     "bernoulli_number",
     "bernoulli_polynomial",
     "bernoulli_sup_bound",
@@ -33,7 +31,6 @@ __all__ = [
     "gen_euler_at_zero",
     "gen_euler_at_one",
     "sup_bound",
-    "periodic_gen_euler_eval",
     "inner_product",
 ]
 
@@ -201,15 +198,6 @@ def _require_primitive(k: int, zeta: RotationNumber):
         raise ValueError(f"{zeta} is not a primitive {k}-th root of unity")
 
 
-def periodic_gen_euler_eval(k: int, zeta: RotationNumber, n: int, x):
-    """The quasi-periodic extension: zeta^(-floor(x)) * E_{k,n}(x - floor(x))."""
-    _require_primitive(k, zeta)
-    x = mp.mpf(x)
-    m = int(mp.floor(x))
-    phase = (zeta ** (-m)).value()
-    return phase * gen_euler_polynomial(k, n)(x - m)
-
-
 def inner_product(k: int, zeta: RotationNumber, i: int, j: int):
     """<v_{i,j}, w_{i,j}> = sum_{a=i..j} zeta^(i+j-a) * (a/k - 1).
 
@@ -226,17 +214,3 @@ def inner_product(k: int, zeta: RotationNumber, i: int, j: int):
         total += powers[(i + j - a) % k] * w.numerator / w.denominator
     return total
 
-
-@dataclass(frozen=True)
-class InnerProductCoeff:
-    """One boundary coefficient <v_{i,j}, w_{i,j}> of the twisted summation formula."""
-
-    k: int
-    zeta: RotationNumber
-    i: int
-    j: int
-    value: object
-
-    @classmethod
-    def compute(cls, k: int, zeta: RotationNumber, i: int, j: int) -> "InnerProductCoeff":
-        return cls(k=k, zeta=zeta, i=i, j=j, value=inner_product(k, zeta, i, j))

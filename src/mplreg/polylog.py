@@ -207,9 +207,9 @@ def eval_integer_point(z: ZVector, a, A: int = 6, tol=None) -> EvalReport:
     """Regularised evaluation at an integer point of V_r(z); by the depth
     driver this equals the limit of the partial sums there."""
     flags = _domain_flags(z, a)
+    spec = DepthSpec(z, a, (0,) * len(a))
     if not flags["Vrz"]:
         raise DomainError(f"integer point {tuple(a)} is outside V_r(z) for z = {z}")
-    spec = DepthSpec(z, a, (0,) * len(a))
     expansion = depth_expansion(spec, A, tol=tol)
     value = expansion.regularised_value()
     return EvalReport(value, expansion.residual_bound, "regularised", flags,

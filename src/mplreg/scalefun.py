@@ -61,6 +61,9 @@ class ScaleFunction:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def coefficient(self, l: int, m: int):
+        return self._terms.get((l, m), mp.mpc(0))
+
     def min_decay(self):
         """Smallest decay index m present, or None for the zero function."""
         return min((m for (_, m) in self._terms), default=None)
@@ -74,6 +77,12 @@ class ScaleFunction:
     def scaled(self, c) -> "ScaleFunction":
         c = _as_mpc(c)
         return ScaleFunction([(l, m, coeff * c) for (l, m), coeff in self._terms.items()])
+
+    def __mul__(self, other: "ScaleFunction") -> "ScaleFunction":
+        """Pointwise product; log and decay indices add."""
+        return ScaleFunction([(l1 + l2, m1 + m2, c1 * c2)
+                              for (l1, m1), c1 in self._terms.items()
+                              for (l2, m2), c2 in other._terms.items()])
 
     def times_power(self, e: int) -> "ScaleFunction":
         """Multiply by t^e (shifts every decay index m to m - e)."""

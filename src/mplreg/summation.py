@@ -327,7 +327,7 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
 def eval_nparts(parts: ScaleFunction, xi: RotationNumber, n):
     """chi(n) * parts(n) at an integer cutoff n."""
     acc = parts._value_at(n)
-    return acc if xi.is_one() else acc * xi.power_values()[n % xi.order]
+    return acc if xi.is_one() else acc * (xi ** n).value()
 
 
 def eval_tail(tail: ScaleFunction, n):
@@ -631,7 +631,7 @@ def term_sum_expansion(xi: RotationNumber, l: int, m: int, A: int,
     """
     from .asymptotics import AsymptoticExpansion, partial_sum
 
-    monomial = AsymptoticExpansion({(xi, l, m): 1}, precision=max(A, m))
+    monomial = AsymptoticExpansion({xi: ScaleFunction.term(l, m)}, precision=max(A, m))
     expansion = partial_sum(monomial, precision=A, tol=tol)
     return TermSumResult(constant=expansion.regularised_value(),
                          expansion=expansion,

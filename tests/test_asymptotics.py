@@ -21,7 +21,12 @@ I_4 = RotationNumber(1, 4)
 
 
 def exp_of(coeffs, precision):
-    return AsymptoticExpansion(coeffs, precision=precision)
+    """An expansion from a {(xi, l, m): coefficient} dict."""
+    by_char = {}
+    for (xi, l, m), c in coeffs.items():
+        by_char.setdefault(xi, []).append((l, m, c))
+    return AsymptoticExpansion({xi: ScaleFunction(t) for xi, t in by_char.items()},
+                               precision=precision)
 
 
 class TestAlgebra:
@@ -60,6 +65,19 @@ class TestAlgebra:
         out = e.multiply_monomial(I_4, 1, -1)
         assert out.coefficient(I_4, 2, 0) == 2
         assert out.precision == 2
+
+    def test_multiply_matches_pointwise_product_at_high_order(self):
+        # 1/7 * 1/13 = 20/91: a product character of order 91
+        xi0 = RotationNumber(1, 13)
+        e = exp_of({(RotationNumber(1, 7), 1, 2): mp.mpc(2, -1),
+                    (RotationNumber(1, 7), 0, 0): mp.mpc(3),
+                    (ONE, 2, 1): mp.mpc(-1, 5)}, 4)
+        out = e.multiply_monomial(xi0, 1, 3)
+        assert out.coefficient(RotationNumber(20, 91), 2, 5) == mp.mpc(2, -1)
+        for n in (91, 1000, 12345):
+            mono = xi0.value() ** n * mp.log(n) * mp.mpf(n) ** -3
+            want = e.evaluate(n) * mono
+            assert abs(out.evaluate(n) - want) <= mp.mpf(2) ** -100 * abs(want)
 
     def test_order(self):
         assert exp_of({}, 3).order() == mp.inf
@@ -180,12 +198,15 @@ class TestDepthExpansion:
     # a non-integral index is an error, not a value at its integer part
     @pytest.mark.parametrize("call", [
         lambda: eval_integer_point(ZVector.parse("-1"), (2.5,)),
+        # outside V_r(z) too: the index is checked before the domain
+        lambda: eval_integer_point(ZVector.parse("1"), (0.5,)),
         lambda: stieltjes_constant(ZVector.parse("-1"), (1,), (0.7,)),
         lambda: DepthSpec(ZVector.parse("1,-1"), (2, -1.5), (0, 0)),
         lambda: ScaleFunction([(0, 1.5, 1)]),
         lambda: ScaleFunction([(0.5, 2, 1)]),
-    ], ids=["eval_integer_point-a", "stieltjes_constant-k", "DepthSpec-a",
-            "ScaleFunction-m", "ScaleFunction-l"])
+    ], ids=["eval_integer_point-a", "eval_integer_point-a-outside",
+            "stieltjes_constant-k", "DepthSpec-a", "ScaleFunction-m",
+            "ScaleFunction-l"])
     def test_non_integral_index_is_rejected(self, call):
         with pytest.raises(ValueError, match="integer"):
             call()

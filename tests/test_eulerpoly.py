@@ -11,7 +11,6 @@ import mpmath as mp
 import pytest
 
 from mplreg.eulerpoly import (
-    InnerProductCoeff,
     RationalPolynomial,
     bernoulli_number,
     bernoulli_polynomial,
@@ -20,7 +19,6 @@ from mplreg.eulerpoly import (
     gen_euler_at_zero,
     gen_euler_polynomial,
     inner_product,
-    periodic_gen_euler_eval,
     power_sum,
     sup_bound,
 )
@@ -142,30 +140,6 @@ class TestGenEuler:
         assert power_sum(3, 2) == 5
 
 
-class TestPeriodicEval:
-    def test_fundamental_interval(self):
-        zeta = RotationNumber(1, 3)
-        for x in (0, mp.mpf("0.25"), mp.mpf("0.99")):
-            got = periodic_gen_euler_eval(3, zeta, 2, x)
-            want = gen_euler_polynomial(3, 2)(mp.mpf(x))
-            assert abs(got - want) == 0
-
-    def test_half_integer_flip(self):
-        assert periodic_gen_euler_eval(2, MINUS_ONE, 0, mp.mpf("1.5")) == -1
-
-    def test_full_period_is_identity(self):
-        zeta = RotationNumber(1, 3)
-        assert abs(periodic_gen_euler_eval(3, zeta, 0, mp.mpf("3.25")) - 1) < mp.mpf("1e-36")
-        for x in (mp.mpf("0.3"), mp.mpf("1.7"), mp.mpf("-0.4")):
-            a = periodic_gen_euler_eval(3, zeta, 1, x)
-            b = periodic_gen_euler_eval(3, zeta, 1, x + 3)
-            assert abs(a - b) < mp.mpf("1e-36")
-
-    def test_rejects_non_primitive(self):
-        with pytest.raises(ValueError):
-            periodic_gen_euler_eval(4, MINUS_ONE, 0, mp.mpf("0.5"))
-
-
 class TestSupBound:
     def test_examples(self):
         assert sup_bound(5, 0) == 1
@@ -203,14 +177,6 @@ class TestInnerProduct:
             inner_product(3, RotationNumber(1, 3), 1, 3)
         with pytest.raises(ValueError):
             inner_product(4, RotationNumber(1, 3), 1, 2)
-
-    def test_dataclass_matches_definition(self):
-        zeta = RotationNumber(1, 4)
-        rec = InnerProductCoeff.compute(4, zeta, 2, 3)
-        direct = sum(
-            (zeta ** (2 + 3 - a)).value() * (mp.mpf(a) / 4 - 1) for a in (2, 3)
-        )
-        assert abs(rec.value - direct) < mp.mpf("1e-36")
 
 
 class TestGenEulerBoundaryValues:

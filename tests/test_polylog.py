@@ -219,6 +219,9 @@ class TestEvalIntegerPoint:
     def test_outside_domain(self):
         with pytest.raises(DomainError):
             eval_integer_point(Z("1,-1"), (1, 0))
+        # a point of the wrong length is a DomainError, not DepthSpec's ValueError
+        with pytest.raises(DomainError, match="point has 1 coordinates, z has depth 2"):
+            eval_integer_point(Z("1,1"), (1,))
 
     def test_oracle_agreement_random_convergent_points(self):
         rng = random.Random(5)

@@ -96,6 +96,32 @@ class TestEvaluate:
             single(0, 1).evaluate(0.5)
 
 
+class TestProduct:
+    @settings(max_examples=40)
+    @given(scale_functions, scale_functions, st.floats(1.01, 1e6))
+    def test_pointwise(self, f, g, t):
+        t = mp.mpf(t)
+
+        def size(h):  # sum of the absolute terms: the scale of rounding
+            return 1 + sum(abs(c) * mp.log(t) ** l * t ** -m for l, m, c in h.terms())
+
+        want = f.evaluate(t) * g.evaluate(t)
+        assert abs((f * g).evaluate(t) - want) <= mp.mpf(2) ** -110 * size(f) * size(g)
+
+    @given(scale_functions)
+    def test_identity(self, f):
+        assert (f * single(0, 0)).terms() == f.terms()
+        assert (single(0, 0) * f).terms() == f.terms()
+
+    @given(scale_functions, st.integers(-3, 3))
+    def test_agrees_with_times_power(self, f, e):
+        assert (f * single(0, -e)).terms() == f.times_power(e).terms()
+
+    def test_indices_add(self):
+        got = ScaleFunction([(1, 2, 3), (0, 0, 1)]) * ScaleFunction([(2, -1, 2)])
+        assert got.terms() == [(3, 1, mp.mpc(6)), (2, -1, mp.mpc(2))]
+
+
 class TestAbsTailBound:
     def test_exact_power_tail(self):
         assert abs(single(0, 2).abs_tail_bound(10) - mp.mpf("0.1")) < mp.mpf("1e-35")

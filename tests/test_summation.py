@@ -236,20 +236,29 @@ class TestTwistedTail:
     @given(st.one_of(st.just(ONE), primitive_roots(60)), st.integers(0, 2),
            st.integers(-2, 3), st.sampled_from([128, 256]))
     def test_tail_bounds_the_remainder_of_brute_sums(self, xi, l, m, prec):
-        # S(n) - xi^n h(n) is the constant plus the remainder, so its drift
-        # between N and 2N must sit within tail(N) + tail(2N) and rounding;
-        # with a_max = 3 the remainder is far above rounding, so an emptied
-        # tail fails here, at xi = 1 (Euler-Maclaurin) as at every other xi
+        # c(N) = S(N) - xi^N h(N) is the constant plus the remainder eps(N),
+        # so it must sit within tail(N) and rounding of the constant, taken
+        # here at prec + 64.  The terms of h at decays 4 and 5 go to the
+        # tail at full size and dominate it, which hides K; kept (they are
+        # the parts at a_max = 5 past decay 3, the same J), the remainder
+        # must sit within the rest of the tail, K (P(N) + int_N^inf P)
         N = 1000
+        with mp.workprec(prec + 64):
+            ref = summod.term_sum_expansion(xi, l, m, 3)
+            c_ref = ref.constant
+            if xi.is_one():  # the regularised value holds h's constant term
+                c_ref -= summod._nparts_at(xi, l, m, 3, prec + 64)[0].coefficient(0, 0)
         with mp.workprec(prec):
             parts, tail = summod._nparts_at(xi, l, m, 3, prec)
-            sums = nested_sums((xi,), (m,), (l,), (N, 2 * N))
-            approx = {n: summod.eval_nparts(parts, xi, n) for n in (N, 2 * N)}
-            drift = abs((sums[N] - approx[N]) - (sums[2 * N] - approx[2 * N]))
-            bound = (summod.eval_tail(tail, N) + summod.eval_tail(tail, 2 * N)
-                     + summod._rounding_slack(2 * N, [*sums.values(),
-                                                      *approx.values()]))
-            assert drift <= bound
+            h, _ = summod._nparts_at(xi, l, m, 5, prec)
+            dropped = ScaleFunction([(l2, m2, abs(c)) for l2, m2, c in h.terms() if m2 > 3])
+            total = nested_sums((xi,), (m,), (l,), (N,))[N]
+            for approx, bound in (
+                    (summod.eval_nparts(parts, xi, N), summod.eval_tail(tail, N)),
+                    (summod.eval_nparts(h, xi, N),
+                     summod.eval_tail(tail, N) - summod.eval_tail(dropped, N))):
+                slack = ref.match_residual + summod._rounding_slack(N, [total, approx])
+                assert abs(total - approx - c_ref) <= bound + slack
 
 
 # one factor of the nested sum: (weight, exponent, log power)
