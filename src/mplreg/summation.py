@@ -30,9 +30,11 @@ forward pass, for every input, on Python integers scaled by 2^P,
 P = prec + g, with the guard g taken from an a-priori bound on the
 accumulated truncations.  Roots of unity come from exact power tables,
 complex weights from running products, integral exponents from exact
-division or multiplication, and non-integral ones from one mpmath power per
-term.  When every exponent is an integer, each t_N errs by at most
-2^-(prec+8) before its final rounding.
+division or multiplication, and non-integral ones from a table of n^-s
+built multiplicatively: mpmath computes only primes, a composite is one
+fixed-point product of stored values, and past ``SIEVE_CAP`` stored values
+a term divides out stored primes until its cofactor is stored.  For every
+input each t_N errs by at most 2^-(prec+8) before its final rounding.
 """
 
 from __future__ import annotations
@@ -368,14 +370,19 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     * (log n)^k from ``log_int_fixed``;
     * n^-a, a integral, by an exact division by n^a (a > 0) or an exact
       multiply by n^|a| (a <= 0);
-    * n^-s, s not integral, as exp(-s log n) in mpmath at prec, converted to
-      fixed point once and multiplied in as a complex pair.
+    * n^-s, s not integral, from a table of scaled complex pairs kept on the
+      pass state and grown in n order to the cutoff reached.  A prime's
+      entry is exp(-s log p) in mpmath with guard bits, floored once; a
+      composite n = p m, p its smallest prime factor, is one fixed-point
+      product of stored entries.  The table stores at most ``SIEVE_CAP``
+      values; past them n splits into stored primes and a cofactor that is
+      stored or, when none of them splits it, computed like a prime
+      (``_split``).
 
     Each product of scaled values is shifted right by P; each requested t_N
-    becomes an mpc once, at the end.  When every exponent is integral, each
-    t_N errs by at most 2^-(prec+8) before that final rounding.  The weight
-    of a non-integral exponent also carries mpmath's rounding at prec, which
-    ``_rounding_slack`` covers.
+    becomes an mpc once, at the end.  For every input each t_N errs by at
+    most 2^-(prec+8) before that final rounding, and a resumed pass gives the
+    same bits as a one-shot pass.
 
     A ``NestedPass`` as ``state`` resumes the pass where that state stands,
     so a ladder of calls on one state sums each term once; without one the
@@ -390,19 +397,23 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     if state.running is None:
         P = mp.mp.prec + _guard_bits(z, exps, kvec, state.top)
         P += -P % 64
-        state.running = (P, [0] * len(z), [0] * len(z), [(1 << P, 0)] * len(z))
-    P, re, im, powers = state.running
+        # per level, the stored n^-s_j (index n) of a non-integral exponent
+        sieves = [None if isinstance(a, int) else [None, (1 << P, 0)] for a in exps]
+        state.running = (P, [0] * len(z), [0] * len(z), [(1 << P, 0)] * len(z),
+                         sieves, [])
+    P, re, im, powers, sieves, primes = state.running
     levels = []
-    for zj, k, a in zip(z, kvec, exps):
+    for zj, k, a, sieve in zip(z, kvec, exps, sieves):
         if isinstance(zj, RotationNumber):
-            levels.append((_fixed_power_table(zj.fraction, P), zj.order, None, k, a))
+            levels.append((_fixed_power_table(zj.fraction, P), zj.order, None, k, a, sieve))
         else:  # the scaled weight; its powers run in ``powers``
-            levels.append((None, None, _fixed_pair(mp.mpc(zj), P), k, a))
+            levels.append((None, None, _fixed_pair(mp.mpc(zj), P), k, a, sieve))
     top = cutoffs[-1]
     last = len(z) - 1
     kmax = max(kvec)
     lpow = [1 << P] * (kmax + 1)
-    need_mp_log = not all(isinstance(a, int) for a in exps)
+    sieved = any(sieve is not None for sieve in sieves)
+    cap = SIEVE_CAP
     want = set(cutoffs)
     hits = {}
     for n in range(state.n, top + 1):
@@ -414,10 +425,10 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
             log_n = log_int_fixed(n, P)
             for k in range(1, kmax + 1):
                 lpow[k] = log_n if k == 1 else (lpow[k - 1] * log_n) >> P
-        if need_mp_log:
-            mp_log_n = mp.log(n)
+        if sieved and n > 1:
+            factors = _split(n, primes, cap)
         # ascending j: running[j + 1] still excludes n_{j+1} = n
-        for j, (table, q, w, k, a) in enumerate(levels):
+        for j, (table, q, w, k, a, sieve) in enumerate(levels):
             if table is not None:
                 c, s = table[n % q]
             else:
@@ -428,8 +439,13 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
             if k:
                 c = (c * lpow[k]) >> P
                 s = (s * lpow[k]) >> P
-            if not isinstance(a, int):
-                x, y = _fixed_pair(mp.exp(-a * mp_log_n), P)
+            if sieve is not None:
+                if n < len(sieve):
+                    x, y = sieve[n]
+                else:
+                    x, y = _sieve_entry(sieve, factors, a, P)
+                    if n <= cap:
+                        sieve.append((x, y))
                 c, s = (c * x - s * y) >> P, (c * y + s * x) >> P
             elif a > 0:
                 d = n ** a
@@ -451,11 +467,55 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
             for N, (x, y) in hits.items()}
 
 
+# the most n^-s values a pass stores per exponent, 144-256 bytes each at
+# P = 192-512 (a list slot, a tuple and two ints); a value past them is a
+# product of stored ones, and mpmath's only for a cofactor none of them splits
+SIEVE_CAP = 2 ** 14
+
+
+def _split(n: int, primes: list, cap: int) -> list:
+    """n > 1 as factors whose product is n, every one but the last a stored
+    prime; ``primes`` lists the primes up to min(n - 1, cap) and gains n when
+    n <= cap is prime.  Up to the cap: [p, n/p], p the smallest prime factor,
+    or [n] for a prime.  Past it, the smallest stored primes come out until
+    the cofactor is stored (<= cap); a cofactor left past the cap is a prime
+    or has no stored prime factor."""
+    m, out = n, []
+    for p in primes:
+        if p * p > m:
+            break
+        while m % p == 0:
+            out.append(p)
+            m //= p
+            if n <= cap or m <= cap:
+                return out + [m]
+    if n <= cap:
+        primes.append(n)
+    return out + [m]
+
+
+def _sieve_entry(sieve: list, factors: list, s, P: int) -> tuple:
+    """n^-s scaled by 2^P, n the product of ``factors``: stored values
+    multiplied in fixed point, and a factor f past the stored ones as
+    exp(-s log f) in mpmath, floored once.  Its guard bits cover the rounding
+    of s log f, |s log f| < 2^(mag(s) + bit_length(bit_length(f)))."""
+    x, y = 1 << P, 0
+    for f in factors:
+        if f < len(sieve):
+            u, v = sieve[f]
+        else:
+            with mp.workprec(P + 10 + max(0, mp.mag(s)) + f.bit_length().bit_length()):
+                u, v = _fixed_pair(mp.exp(-s * mp.log(f)), P)
+        x, y = (x * u - y * v) >> P, (x * v + y * u) >> P
+    return x, y
+
+
 class NestedPass:
     """One resumable ``nested_sums`` pass for one (z, s, k), at the working
-    precision of its making, up to cutoff ``top``; it stands at t_n and has
-    summed ``terms`` terms.  A cutoff below n or above top, another input or
-    another precision raises ValueError.  The pass fixes P from
+    precision of its making, up to cutoff ``top``; it stands at t_n, has
+    summed ``terms`` terms and keeps the n^-s tables of its non-integral
+    exponents.  A cutoff below n or above top, another input or another
+    precision raises ValueError.  The pass fixes P from
     ``_guard_bits`` at top, so its bound holds at every cutoff it can reach.
     """
 
@@ -474,36 +534,40 @@ class NestedPass:
 
 def _guard_bits(z, exps, kvec, top) -> int:
     """Guard bits g such that the fixed-point pass to cutoff N = top, run
-    with P >= prec + g fractional bits, errs by at most 2^-(prec+8) when
-    every exponent is integral.
+    with P >= prec + g fractional bits, errs by at most 2^-(prec+8).
 
     Error accounting in units u = 2^-P (truncations are floors, < 1 u).
     With lb = bit_length(N) >= log n for every n < N, weight j is bounded by
     M_j = N^max(0, ceil(-Re s_j)) lb^k_j >= 1.  Its table entries err by
-    < 1 u, log n by < 2 u, the power (log n)^k by < 3k lb^(k-1) u, and a
-    non-integral n^-s_j by < 1 u in its conversion to fixed point and 1 u
-    when it is multiplied in (beyond mpmath's own rounding of it, which no
-    guard removes), so the scaled weight errs by less than 8 (1 + K) M_j u,
-    K = max k_j.  The running product of a complex weight, |z_j| <= 1, errs
-    by < 4 u more at each of its N rounded steps, so that weight errs by
-    less than 8 (1 + K) N M_j u.  The running sums obey
-    |running[j]| <= N^(r-j) prod_{i>=j} M_i, and each step adds |w_j| times
-    the error of running[j+1], the weight error times |running[j+1]|, and
-    one truncation.  Over N steps and r levels, by induction from the
-    innermost level, every t_N errs by less than
+    < 1 u, log n by < 2 u and the power (log n)^k by < 3k lb^(k-1) u.  A
+    non-integral n^-s_j is a product of Omega(n) <= log2 n < lb stored
+    factors: each one errs by < 1 u in its floor and by 2^-8 |f^-s_j| u in
+    mpmath's rounding at P plus guard bits, each product of two errs by
+    |x| err(y) + |y| err(x) + 2 u, so by induction on Omega(n) the table
+    entry errs by < 3 lb n^max(0, -Re s_j) u <= 3 lb M_j u, and by 1 u more
+    when it is multiplied in.  So the scaled weight errs by less than
+    8 (1 + K) M_j u, K = max k_j, times lb when s_j is not integral.  The
+    running product of a complex weight, |z_j| <= 1, errs by < 4 u more at
+    each of its N rounded steps, so that weight errs N times as much.  The
+    running sums obey |running[j]| <= N^(r-j) prod_{i>=j} M_i, and each step
+    adds |w_j| times the error of running[j+1], the weight error times
+    |running[j+1]|, and one truncation.  Over N steps and r levels, by
+    induction from the innermost level, every t_N errs by less than
 
-        B u,   B = (r + 1) (8K + 10) N^(r + c) prod_j M_j,
+        B u,   B = (r + 1) (8K + 10) N^(r + c) lb^d prod_j M_j,
 
-    c the number of complex weights, the factor r + 1 (rather than r)
-    absorbing the products of two errors.  g = bit_length(B) + 8 then gives
-    B u <= 2^-(prec+8), 2^19 N times below the 2^(11-prec) N that
-    ``_rounding_slack(2N, ...)`` certifies.
+    c the number of complex weights and d of non-integral exponents, the
+    factor r + 1 (rather than r) absorbing the products of two errors.
+    g = bit_length(B) + 8 then gives B u <= 2^-(prec+8), 2^19 N times below
+    the 2^(11-prec) N that ``_rounding_slack(2N, ...)`` certifies.
     """
     r = len(exps)
     lb = max(1, top.bit_length())
     bound = (r + 1) * (8 * max(kvec) + 10) * top ** r
     for zj, a, k in zip(z, exps, kvec):
         bound *= top ** max(0, int(mp.ceil(-mp.re(a)))) * lb ** k
+        if not isinstance(a, int):
+            bound *= lb
         if not isinstance(zj, RotationNumber):
             bound *= top
     return bound.bit_length() + 8

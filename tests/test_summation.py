@@ -365,6 +365,58 @@ class TestFixedPass:
                      + mp.mpf(2) ** -prec * (abs(want.real) + abs(want.imag)))
             assert abs(got - want) <= bound
 
+    @pytest.mark.parametrize("z,s,N,prec", [
+        (z, s, 20000, prec)
+        for z, s in [([RotationNumber(1, 4)], [mp.mpc("0.4", "0.5")]),
+                     ([MINUS_ONE, MINUS_ONE], [mp.mpf("0.7"), mp.mpf("0.6")]),
+                     ([mp.mpc("0.3", "0.9")], [mp.mpc("-1.5", "2")])]
+        for prec in (128, 256)
+    ] + [
+        (ROOTS[:2], [mp.mpc(4.5, 0.5), mp.mpc(-3.5, 1)], 4000, prec)
+        for prec in (147, 211)
+    ], ids=["root-128", "root-256", "depth2-128", "depth2-256", "weight-128",
+            "weight-256", "growing-147", "growing-211"])
+    def test_non_integral_exponents_meet_the_guard(self, z, s, N, prec):
+        # n^-s from the table of products of stored prime powers: each t_N
+        # errs by at most 2^-(prec+8) before its final rounding, as with
+        # integral exponents.  One mpmath power per term at prec erred by
+        # 4.9 and 33-52 units of 2^-prec (1 + |t_N|) at "root" and "weight".
+        # At "growing" the inner sums grow like n^4.5 and the outer weight
+        # damps them back to |t_N| ~ 0.013, so only the guard's N^ceil(-Re s)
+        # factor keeps their errors below the bound: at these precisions a
+        # guard without it rounds P up to no spare bit and errs 294 times
+        # 2^-(prec+8)
+        with mp.workprec(prec + 64):
+            exps = [summod._exponent(e) for e in s]
+            want = _mpmath_pass(tuple(z), exps, (0,) * len(z), [N])[N]
+        with mp.workprec(prec):
+            got = nested_sums(z, s, [0] * len(z), [N])[N]
+        with mp.workprec(prec + 64):
+            bound = (mp.mpf(2) ** -(prec + 8)
+                     + mp.mpf(2) ** -prec * (abs(want.real) + abs(want.imag)))
+            assert abs(got - want) <= bound
+
+    def test_sieve_cap_crossing(self, monkeypatch):
+        # past the cap a value is a product of stored primes and a cofactor
+        # that is stored or computed afresh; at cap 64 the pass to 5,000
+        # meets both, and the cofactor 67^2 has no stored prime factor
+        monkeypatch.setattr(summod, "SIEVE_CAP", 64)
+        z = [RotationNumber(1, 3), mp.mpc("0.6", "0.8"), ROOTS[1]]
+        s = [mp.mpc("0.4", "0.5"), mp.mpc("-0.5", "2"), 2]
+        kvec = [1, 0, 0]
+        _against_mpmath_loop(z, s, kvec, {63, 64, 65, 4489, 5000}, 128)
+        with mp.workprec(128):
+            ref = nested_sums(z, s, kvec, [10, 64, 65, 66, 4490, 5000],
+                              summod.NestedPass(5000))
+            state = summod.NestedPass(5000)
+            got = {}
+            for chunk in ([10, 64], [65], [66, 4490], [5000]):
+                got.update(nested_sums(z, s, kvec, chunk, state))
+                sieves = state.running[4]
+                assert sieves[2] is None
+                assert max(len(sieves[0]), len(sieves[1])) <= 64 + 1
+            assert got == ref
+
 
 class TestNestedPass:
     @settings(max_examples=40, deadline=None)
