@@ -273,9 +273,10 @@ def _summation_suite(rng: random.Random, trials: int, tol):
         num = rng.choice([x for x in range(1, k) if mp.libmp.gcd(x, k) == 1])
         zeta = RotationNumber(num, k)
         n = max(n, k)
-        brute_em = sum((f._value_at(i) for i in range(1, n)), mp.mpc(0))
+        values = [row[0] for row in ScaleFunction._grid([f], range(1, n))]
+        brute_em = sum(values, mp.mpc(0))
         table = zeta.power_values()
-        brute_gb = sum((table[i % k] * f._value_at(i) for i in range(1, n)),
+        brute_gb = sum((table[i % k] * v for i, v in enumerate(values, 1)),
                        mp.mpc(0))
         res_em = euler_maclaurin(f, n, m)
         res_gb = gen_euler_boole(f, k, zeta, n, m)

@@ -13,7 +13,7 @@ is handled four ways:
   V_r(z) through the asymptotic-expansion driver;
 * ``verify_translation`` -- numerical check of the translation identities
   that tie a tail at shifted arguments to a Pochhammer-weighted series of
-  tails.
+  tails, every tail of the series read off the terms of one kernel pass.
 """
 
 from __future__ import annotations
@@ -235,8 +235,12 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     """Residual of the translation identity at (z, s) with cutoffs M > N >= 2.
 
     Depth 1 uses the plain identity in s_1; higher depth uses the combined
-    form with the shift delta_1.  The Pochhammer series on the right is
-    truncated once terms fall below tol/100, but only after the index has
+    form with the shift delta_1.  One kernel pass at (shift, s_2, ...), read
+    at every cutoff N..M, gives the terms w(n) = t_{n+1} - t_n: the tail at
+    shift + k is sum_{N<=n<M} w(n) n^-k, the (z_1 - 1) tail sum w(n) n.  The
+    merged tail takes one more pass and the two heads another, so a call
+    makes at most 3 passes, 1 at depth 1.  The Pochhammer series on the right
+    is truncated once terms fall below tol/100, but only after the index has
     cleared the initial Pochhammer growth (k > 2|s_1| + 4).
     """
     if not M > N >= 2:
@@ -251,38 +255,26 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     def zval(entry):
         return entry.value() if isinstance(entry, RotationNumber) else mp.mpc(entry)
 
-    def tail(zs, ss, MM, NN):
-        return brute_partial_sum(PartialSumSpec(zs, ss, NN, MM))
-
-    def head(zs, ss, NN):
-        return brute_partial_sum(PartialSumSpec(zs, ss, NN))
-
     z1 = zval(entries[0])
     if r == 1:
         shift = svals[0]
-        lhs = ((z1 - 1) * tail(entries, [shift - 1], M, N)
-               + z1 ** N / mp.mpf(N - 1) ** (shift - 1)
+        lhs = (z1 ** N / mp.mpf(N - 1) ** (shift - 1)
                - z1 ** M / mp.mpf(M - 1) ** (shift - 1))
-
-        def rhs_term(k):
-            return tail(entries, [shift + k], M, N)
     else:
-        d1 = _delta(entries[0])
-        shift = svals[0] + d1
+        shift = svals[0] + _delta(entries[0])
         if isinstance(entries[0], RotationNumber) and isinstance(entries[1], RotationNumber):
             z12 = entries[0] * entries[1]
         else:
             z12 = zval(entries[0]) * zval(entries[1])
         merged = [z12] + entries[2:]
         merged_s = [shift + svals[1] - 1] + svals[2:]
-        rest, rest_s = entries[1:], svals[1:]
-        lhs = (z1 * tail(merged, merged_s, M - 1, N)
-               + (z1 - 1) * tail(entries, [shift - 1] + svals[1:], M, N)
-               + z1 ** N / mp.mpf(N - 1) ** (shift - 1) * head(rest, rest_s, N)
-               - z1 ** M / mp.mpf(M - 1) ** (shift - 1) * head(rest, rest_s, M - 1))
-
-        def rhs_term(k):
-            return tail(entries, [shift + k] + svals[1:], M, N)
+        heads = _nested_sums(entries[1:], svals[1:], (N, M - 1))
+        lhs = (z1 * brute_partial_sum(PartialSumSpec(merged, merged_s, N, M - 1))
+               + z1 ** N / mp.mpf(N - 1) ** (shift - 1) * heads[N]
+               - z1 ** M / mp.mpf(M - 1) ** (shift - 1) * heads[M - 1])
+    sums = _nested_sums(entries, [shift] + svals[1:], range(N, M + 1))
+    terms = [sums[n + 1] - sums[n] for n in range(N, M)]  # w(n) n^-k, k = 0
+    lhs += (z1 - 1) * sum((w * n for n, w in enumerate(terms, N)), mp.mpc(0))
 
     rhs = mp.mpc(0)
     size_gate = 2 * abs(svals[0]) + 4
@@ -290,8 +282,9 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     prev_size = mp.inf
     growth_streak = 0
     k = 0
+    coef = shift - 1  # (shift - 1)_(k+1) / (k+1)!
     while True:
-        term = pochhammer(shift - 1, k + 1) / mp.factorial(k + 1) * rhs_term(k)
+        term = coef * sum(terms, mp.mpc(0))
         rhs += term
         size = abs(term)
         if k > size_gate:
@@ -304,5 +297,7 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
                     f"(|term| = {mp.nstr(size, 5)})")
         prev_size = size
         k += 1
+        coef *= (shift - 1 + k) / (k + 1)
+        terms = [w / n for n, w in enumerate(terms, N)]
     return TranslationReport(residual=abs(lhs - rhs), lhs=lhs, rhs=rhs,
                              terms_used=k + 1)

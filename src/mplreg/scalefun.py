@@ -110,14 +110,32 @@ class ScaleFunction:
                 factor = factor * (-j) / (1 - m)
         return ScaleFunction(out)
 
+    @staticmethod
+    def _grid(functions, points) -> list:
+        """[[f(t) for f in functions] for t in points], every t >= 1: one log
+        per point, and each (log t)^l and t^-m once per point, shared by
+        every function that has the term."""
+        rows = []
+        for t in points:
+            t = mp.mpf(t)
+            log_t = mp.log(t)
+            logs, pows = {}, {}
+            row = []
+            for f in functions:
+                total = mp.mpc(0)
+                for (l, m), c in f._terms.items():
+                    if l not in logs:
+                        logs[l] = log_t ** l
+                    if m not in pows:
+                        pows[m] = t ** (-m)
+                    total += c * logs[l] * pows[m]
+                row.append(total)
+            rows.append(row)
+        return rows
+
     def _value_at(self, t):
-        """Value at t >= 1 (used by the engines, which touch t = 1)."""
-        t = mp.mpf(t)
-        log_t = mp.log(t)
-        total = mp.mpc(0)
-        for (l, m), c in self._terms.items():
-            total += c * log_t ** l * t ** (-m)
-        return total
+        """Value at t >= 1 (the engines touch t = 1); ``_grid`` at one point."""
+        return ScaleFunction._grid([self], [t])[0][0]
 
     def evaluate(self, t):
         """Value at a point t > 1."""

@@ -6,12 +6,17 @@ Two finite-cutoff engines reproduce sums over scale functions exactly:
 * ``gen_euler_boole``   for  sum_{a<n} zeta^a f(a),  zeta a primitive k-th
   root of unity,
 
-with every remainder integral evaluated per unit interval in closed form
-(periodic polynomial times scale function).  For k >= 3 the quasi-periodic
-polynomial jumps at the integers, so the textbook integration-by-parts chain
-picks up correction sums proportional to  zeta*E_{k,j}(1) - E_{k,j}(0);
-that coefficient vanishes identically at k = 2, which recovers the classical
-alternating formula.  The engines carry these corrections and are exact.
+with the remainder integral in closed form on every unit interval
+(periodic polynomial times scale function).  Each engine evaluates the
+antiderivatives A_e of x^e f^(m) once at each integer of its range, in one
+table (one log per point, each power shared), and the x^e coefficient of
+the polynomial shifted onto [i, i+1) is a polynomial in i formed once per
+call; the remainder is then sum_i sum_e p_e(i) (A_e(i+1) - A_e(i)).  For
+k >= 3 the quasi-periodic polynomial jumps at the integers, so the textbook
+integration-by-parts chain picks up correction sums proportional to
+zeta*E_{k,j}(1) - E_{k,j}(0), read off the same table; that coefficient
+vanishes identically at k = 2, which recovers the classical alternating
+formula.  The engines carry these corrections and are exact.
 
 ``term_sum_expansion`` expands  sum_{a<n} xi^a (log a)^l a^(-m)  with
 symbolic n-dependent coefficients from one series for every xi: the
@@ -96,15 +101,30 @@ class TermSumResult:
 # ---------------------------------------------------------------------------
 
 
-def _poly_times_scale_integral(poly_coeffs, antis, a: int, b: int):
-    """int_a^b p(x) g(x) dx for an exact-rational polynomial p, given the
-    antiderivatives ``antis[e]`` of x^e g(x), built once per engine call."""
-    total = mp.mpc(0)
-    for c, anti in zip(poly_coeffs, antis):
-        if c == 0:
-            continue
-        total += _mpq(c) * (anti._value_at(b) - anti._value_at(a))
-    return total
+def _unit_integrals(poly, a: int, shifts, rows) -> list:
+    """int_i^(i+1) poly(a x + b) g(x) dx for consecutive integers i, i + 1,
+    rows[0], rows[1], ... holding the values at i of the antiderivatives of
+    x^e g(x), e = 0..deg poly, and ``shifts`` the b of each interval.  The
+    x^e coefficient of poly(a x + b) is sum_d c_d C(d, e) a^e b^(d-e), a
+    polynomial in b put over one denominator per e once per call; every
+    antiderivative is read off the rows, so each is evaluated once per point.
+    """
+    coeffs = []  # per e: numerators in b, highest power first; the denominator
+    for e in range(poly.degree + 1):
+        qs = [c * math.comb(d, e) * a ** e for d, c in enumerate(poly.coeffs) if d >= e]
+        den = math.lcm(*(q.denominator for q in qs))
+        coeffs.append(([q.numerator * (den // q.denominator) for q in qs[::-1]], den))
+    out = []
+    for b, below, above in zip(shifts, rows, rows[1:]):
+        total = mp.mpc(0)
+        for (nums, den), low, high in zip(coeffs, below, above):
+            c = 0
+            for q in nums:
+                c = c * b + q
+            if c:
+                total += _mpq(Fraction(c, den)) * (high - low)
+        out.append(total)
+    return out
 
 
 def _rounding_slack(n, magnitudes):
@@ -131,10 +151,9 @@ def euler_maclaurin(f: ScaleFunction, n: int, m: int) -> SummationBreakdown:
     # g is now f^(m)
     bpoly = eulerpoly.bernoulli_polynomial(m)
     antis = [g.times_power(e).antiderivative() for e in range(bpoly.degree + 1)]
-    remainder = mp.mpc(0)
-    for i in range(1, n):
-        shifted = bpoly.compose_affine(1, -i)  # B_m(t - i) on [i, i+1)
-        remainder += _poly_times_scale_integral(shifted.coeffs, antis, i, i + 1)
+    rows = ScaleFunction._grid(antis, range(1, n + 1))
+    # B_m(x - i) on [i, i+1), i = 1..n-1
+    remainder = sum(_unit_integrals(bpoly, 1, range(-1, -n, -1), rows), mp.mpc(0))
     remainder *= mp.mpf((-1) ** (m + 1)) / math.factorial(m)
     total = integral + boundary + remainder
     # the remainder integral is evaluated exactly, so the identity error is
@@ -192,7 +211,7 @@ def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
 
     vw = eulerpoly.inner_product(k, zeta, 1, k - 1)
     blk_bound = mp.mpc(0)
-    blk_corr = mp.mpc(0)
+    corrections = []  # (f^(j), 1/j!, coefficient) of each non-vanishing correction
     for j in range(1, m):
         e1 = eulerpoly.gen_euler_at_one(k, j)
         e0 = eulerpoly.gen_euler_at_zero(k, j)
@@ -201,21 +220,27 @@ def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
                             - _mpq(e0) * zpow(n) * derivs[j]._value_at(n))
         corr_coef = zpow(1) * _mpq(e1) - _mpq(e0)
         if corr_coef != 0:
-            twisted = sum((zpow(a) * derivs[j]._value_at(a) for a in range(k, n)),
-                          mp.mpc(0))
-            blk_corr += fac * corr_coef * twisted
+            corrections.append((derivs[j], fac, corr_coef))
     blk_bound *= vw
-    blk_corr *= vw
 
+    # one table at k-1..n: the antiderivatives of x^e f^(m), then the f^(j)
+    # of the correction sums
     epoly = eulerpoly.gen_euler_polynomial(k, m - 1)
     antis = [derivs[m].times_power(e).antiderivative()
              for e in range(epoly.degree + 1)]
-    remainder = mp.mpc(0)
-    for i in range(k - 1, n):
-        # on (i, i+1) the periodic factor is zeta^(i+1) * E_{k,m-1}(1+i-x)
-        shifted = epoly.compose_affine(-1, 1 + i)
-        remainder += zpow(i + 1) * _poly_times_scale_integral(
-            shifted.coeffs, antis, i, i + 1)
+    rows = ScaleFunction._grid(antis + [d for d, _, _ in corrections],
+                               range(k - 1, n + 1))
+    blk_corr = mp.mpc(0)
+    for col, (_, fac, corr_coef) in enumerate(corrections, len(antis)):
+        twisted = sum((zpow(a) * rows[a - k + 1][col] for a in range(k, n)),
+                      mp.mpc(0))
+        blk_corr += fac * corr_coef * twisted
+    blk_corr *= vw
+
+    # on (i, i+1) the periodic factor is zeta^(i+1) * E_{k,m-1}(1+i-x)
+    integrals = _unit_integrals(epoly, -1, range(k, n + 1), rows)
+    remainder = sum((zpow(i + 1) * v for i, v in enumerate(integrals, k - 1)),
+                    mp.mpc(0))
     remainder *= vw / math.factorial(m - 1)
 
     total = blk_head + blk_lower + blk_upper + blk_bound + blk_corr + remainder

@@ -6,8 +6,13 @@ Bernoulli numbers, the tail-coefficient oracle comes from a geometric
 operator series, and the sequence limits use plain window averaging with
 Aitken extrapolation over raw partial sums.  ``_mpmath_pass`` is the
 nested partial-sum loop in mpmath numbers, the reference for the package's
-fixed-point kernel.  ``primitive_roots`` is the shared Hypothesis strategy
-for roots of unity of high order.
+fixed-point kernel.  ``em_remainder`` and ``geb_blocks`` rebuild the
+engines' remainder and correction blocks interval by interval and point by
+point, the reference for their tables of antiderivative values;
+``per_term_translation`` sums each tail of the translation series in a
+pass of its own, the reference for the one-pass ``verify_translation``.
+``primitive_roots`` is the shared Hypothesis strategy for roots of unity of
+high order.
 """
 
 from fractions import Fraction
@@ -16,7 +21,10 @@ import math
 from hypothesis import strategies as st
 import mpmath as mp
 
-from mplreg.rootsofunity import RotationNumber
+from mplreg import eulerpoly
+from mplreg.polylog import (PartialSumSpec, TranslationReport, brute_partial_sum,
+                            pochhammer)
+from mplreg.rootsofunity import RotationNumber, ZVector
 from mplreg.summation import NestedPass
 
 # B_2, B_4, ..., B_16
@@ -138,3 +146,131 @@ def _mpmath_pass(z, exps, kvec, cutoffs, state=None) -> dict:
             running[j] += w if j == r - 1 else w * running[j + 1]
     state.n, state.terms = top, state.terms + top - state.n
     return out
+
+
+def _mpq(q: Fraction):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def point_value(f, t):
+    """f(t), t >= 1, straight from its terms with a log of its own."""
+    t = mp.mpf(t)
+    log_t = mp.log(t)
+    total = mp.mpc(0)
+    for l, m, c in f.terms():
+        total += c * log_t ** l * t ** (-m)
+    return total
+
+
+def _poly_times_scale_integral(poly_coeffs, antis, a: int, b: int):
+    """int_a^b p(x) g(x) dx for an exact-rational polynomial p, given the
+    antiderivatives ``antis[e]`` of x^e g(x)."""
+    total = mp.mpc(0)
+    for c, anti in zip(poly_coeffs, antis):
+        if c == 0:
+            continue
+        total += _mpq(c) * (point_value(anti, b) - point_value(anti, a))
+    return total
+
+
+def em_remainder(f, n: int, m: int):
+    """The remainder_integral block of ``euler_maclaurin(f, n, m)``: B_m(x - i)
+    composed exactly on each [i, i+1) and integrated against f^(m) through
+    its antiderivatives at both ends of the interval."""
+    g = f
+    for _ in range(m):
+        g = g.differentiate()
+    bpoly = eulerpoly.bernoulli_polynomial(m)
+    antis = [g.times_power(e).antiderivative() for e in range(bpoly.degree + 1)]
+    remainder = mp.mpc(0)
+    for i in range(1, n):
+        shifted = bpoly.compose_affine(1, -i)
+        remainder += _poly_times_scale_integral(shifted.coeffs, antis, i, i + 1)
+    remainder *= mp.mpf((-1) ** (m + 1)) / math.factorial(m)
+    return remainder
+
+
+def geb_blocks(f, k: int, zeta: RotationNumber, n: int, m: int):
+    """(step_corrections, remainder_integral) of ``gen_euler_boole``: each
+    twisted sum of f^(j) point by point, and E_{k,m-1}(1 + i - x) composed
+    exactly on each (i, i+1) as in ``em_remainder``."""
+    zp = zeta.power_values()
+    derivs = [f]
+    for _ in range(m):
+        derivs.append(derivs[-1].differentiate())
+    vw = eulerpoly.inner_product(k, zeta, 1, k - 1)
+    corr = mp.mpc(0)
+    for j in range(1, m):
+        e1 = eulerpoly.gen_euler_at_one(k, j)
+        e0 = eulerpoly.gen_euler_at_zero(k, j)
+        coef = zp[1 % k] * _mpq(e1) - _mpq(e0)
+        if coef != 0:
+            twisted = sum((zp[a % k] * point_value(derivs[j], a) for a in range(k, n)),
+                          mp.mpc(0))
+            corr += mp.mpf(1) / math.factorial(j) * coef * twisted
+    corr *= vw
+    epoly = eulerpoly.gen_euler_polynomial(k, m - 1)
+    antis = [derivs[m].times_power(e).antiderivative()
+             for e in range(epoly.degree + 1)]
+    remainder = mp.mpc(0)
+    for i in range(k - 1, n):
+        shifted = epoly.compose_affine(-1, 1 + i)
+        remainder += zp[(i + 1) % k] * _poly_times_scale_integral(
+            shifted.coeffs, antis, i, i + 1)
+    remainder *= vw / math.factorial(m - 1)
+    return corr, remainder
+
+
+def per_term_translation(z, s, M: int, N: int, tol) -> TranslationReport:
+    """``verify_translation`` with every tail of the identity summed in a
+    kernel pass of its own: one per Pochhammer term, one for the (z_1 - 1)
+    tail and one for each head; the same truncation rule."""
+    entries = list(z.entries) if isinstance(z, ZVector) else list(z)
+    svals = [mp.mpc(c) for c in s]
+    r = len(entries)
+
+    def zval(entry):
+        return entry.value() if isinstance(entry, RotationNumber) else mp.mpc(entry)
+
+    def tail(zs, ss, MM, NN):
+        return brute_partial_sum(PartialSumSpec(zs, ss, NN, MM))
+
+    def head(zs, ss, NN):
+        return brute_partial_sum(PartialSumSpec(zs, ss, NN))
+
+    z1 = zval(entries[0])
+    if r == 1:
+        shift = svals[0]
+        lhs = ((z1 - 1) * tail(entries, [shift - 1], M, N)
+               + z1 ** N / mp.mpf(N - 1) ** (shift - 1)
+               - z1 ** M / mp.mpf(M - 1) ** (shift - 1))
+    else:
+        e1 = entries[0]
+        if isinstance(e1, RotationNumber):
+            is_one = e1.is_one()
+        else:
+            is_one = abs(z1 - 1) <= mp.mpf("1e-12")
+        shift = svals[0] + (0 if is_one else 1)
+        if isinstance(e1, RotationNumber) and isinstance(entries[1], RotationNumber):
+            z12 = e1 * entries[1]
+        else:
+            z12 = z1 * zval(entries[1])
+        merged = [z12] + entries[2:]
+        merged_s = [shift + svals[1] - 1] + svals[2:]
+        rest, rest_s = entries[1:], svals[1:]
+        lhs = (z1 * tail(merged, merged_s, M - 1, N)
+               + (z1 - 1) * tail(entries, [shift - 1] + svals[1:], M, N)
+               + z1 ** N / mp.mpf(N - 1) ** (shift - 1) * head(rest, rest_s, N)
+               - z1 ** M / mp.mpf(M - 1) ** (shift - 1) * head(rest, rest_s, M - 1))
+    rhs = mp.mpc(0)
+    size_gate = 2 * abs(svals[0]) + 4
+    k = 0
+    while True:
+        term = (pochhammer(shift - 1, k + 1) / mp.factorial(k + 1)
+                * tail(entries, [shift + k] + svals[1:], M, N))
+        rhs += term
+        if k > size_gate and abs(term) < tol / 100:
+            break
+        k += 1
+    return TranslationReport(residual=abs(lhs - rhs), lhs=lhs, rhs=rhs,
+                             terms_used=k + 1)

@@ -23,7 +23,7 @@ from mplreg.polylog import (
 from mplreg.rootsofunity import RotationNumber, ZVector
 from mplreg.summation import nested_sums
 
-from oracles import averaged_limit, em_zeta, primitive_roots
+from oracles import averaged_limit, em_zeta, per_term_translation, primitive_roots
 
 Z = ZVector.parse
 
@@ -331,6 +331,39 @@ class TestTranslation:
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
             verify_translation(Z("-1"), [2], 10, 10)
+
+    # (z, s, M, N, tol, long): ``long`` cases sum more than 14 Pochhammer terms
+    ONE_PASS_CASES = [
+        (Z("-1"), [mp.mpc(1.5, 0.5)], 40, 10, "1e-22", False),
+        (Z("1/3"), [mp.mpc(0.8, -0.6)], 50, 12, "1e-30", True),
+        (Z("1,-1"), [2, -1], 60, 20, "1e-20", False),
+        ([mp.mpc("0.8", "0.2"), mp.mpc("-0.5", "0.1")],
+         [mp.mpc(1.2, 0.4), mp.mpc(0.6)], 40, 12, "1e-18", False),
+        (Z("1/4,-1,1/3"), [mp.mpc(1.5), mp.mpc(1, 0.5), mp.mpc(0.8)], 50, 12,
+         "1e-30", True),
+    ]
+
+    @pytest.mark.parametrize("prec", [128, 256])
+    @pytest.mark.parametrize("z, s, M, N, tol, long", ONE_PASS_CASES)
+    def test_one_pass_against_per_term_tails(self, monkeypatch, z, s, M, N, tol,
+                                             long, prec):
+        with mp.workprec(prec):
+            tol = mp.mpf(tol)
+            ref = per_term_translation(z, s, M, N, tol)
+            passes = []
+
+            def counting(*args, **kwargs):
+                passes.append(args)
+                return nested_sums(*args, **kwargs)
+
+            monkeypatch.setattr(polylog_mod, "nested_sums", counting)
+            rep = verify_translation(z, s, M, N, tol=tol)
+            assert len(passes) <= (1 if len(s) == 1 else 3)
+            assert rep.terms_used == ref.terms_used
+            assert not long or rep.terms_used > 14
+            bound = mp.mpf(2) ** (10 - prec) * M * (1 + abs(ref.lhs))
+            assert abs(rep.lhs - ref.lhs) <= bound
+            assert abs(rep.rhs - ref.rhs) <= bound
 
 
 class TestTailDecay:

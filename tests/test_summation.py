@@ -17,7 +17,8 @@ from mplreg.summation import (
     term_sum_expansion,
 )
 
-from oracles import _mpmath_pass, geometric_tail_coeffs, primitive_roots
+from oracles import (_mpmath_pass, em_remainder, geb_blocks, geometric_tail_coeffs,
+                     point_value, primitive_roots)
 
 
 def feval(f: ScaleFunction, a: int):
@@ -135,6 +136,38 @@ class TestGenEulerBoole:
             res_em = euler_maclaurin(f, n, m)
             err_em = abs(res_em.total - brute_plain(f, n))
             assert err_em <= res_em.remainder_estimate
+
+
+class TestEngineTables:
+    """Both engines read every antiderivative and every f^(j) of the
+    correction sums off one table of values at the integers; the blocks they
+    feed are bit-identical to the per-interval, per-point reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(terms=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
+                                    st.floats(-2, 2), st.floats(-1, 1)),
+                          min_size=1, max_size=3),
+           zeta=primitive_roots(6), n=st.integers(8, 60), m=st.integers(2, 6), prec=st.sampled_from([128, 256]))
+    def test_blocks_match_per_interval_reference(self, terms, zeta, n, m, prec):
+        k = zeta.order
+        with mp.workprec(prec):
+            f = ScaleFunction([(l, mm, mp.mpc(re, im)) for l, mm, re, im in terms])
+            assert [row[0] for row in ScaleFunction._grid([f], range(1, 4))] \
+                == [point_value(f, t) for t in range(1, 4)]
+
+            em = euler_maclaurin(f, n, m)
+            blocks = dict(em.boundary_terms)
+            remainder = em_remainder(f, n, m)
+            assert blocks["remainder_integral"] == remainder
+            assert em.total == blocks["integral"] + blocks["derivative_boundary"] + remainder
+
+            gb = gen_euler_boole(f, k, zeta, n, m)
+            blocks = dict(gb.boundary_terms)
+            corr, remainder = geb_blocks(f, k, zeta, n, m)
+            assert blocks["step_corrections"] == corr
+            assert blocks["remainder_integral"] == remainder
+            assert gb.total == (blocks["head"] + blocks["lower_steps"] + blocks["upper_steps"]
+                                + blocks["derivative_boundary"] + corr + remainder)
 
 
 class TestTermSumExpansion:
