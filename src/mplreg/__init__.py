@@ -19,7 +19,6 @@ from .errors import (
     MplregError,
     NonConvergenceError,
     PrecisionError,
-    TruncationError,
 )
 from .eulerpoly import (
     RationalPolynomial,
@@ -66,7 +65,7 @@ __all__ = [
     "EvalReport", "Hyperplane", "MplregError", "NonConvergenceError",
     "PartialSumSpec", "PrecisionError", "RationalPolynomial", "RotationNumber",
     "ScaleFunction", "SummationBreakdown", "TermSumResult", "TranslationReport",
-    "TruncationError", "ZVector", "bernoulli_number", "bernoulli_polynomial",
+    "ZVector", "bernoulli_number", "bernoulli_polynomial",
     "brute_partial_sum", "contains", "depth_expansion", "euler_maclaurin",
     "eval_convergent", "eval_integer_point", "first_nontrivial_prefix",
     "gen_euler_boole", "gen_euler_polynomial", "index_set_and_count",

@@ -2,7 +2,7 @@
 
 Each class maps to a distinct CLI exit code so that callers can tell apart
 "the point is outside the admissible domain", "the partial sums never
-settled" and "the constant-matching step lost precision".
+settled" and "the tolerance is out of reach of the working precision".
 """
 
 
@@ -24,11 +24,8 @@ class NonConvergenceError(MplregError):
     exit_code = 3
 
 
-class TruncationError(NonConvergenceError):
-    """A series truncation rule failed (terms stopped decreasing)."""
-
-
 class PrecisionError(MplregError):
-    """Constant matching failed its double-cutoff stability check; exit code 4."""
+    """A tolerance below the precision floor 2^(20 - prec), or a constant
+    match that failed its double-cutoff stability check; exit code 4."""
 
     exit_code = 4

@@ -5,9 +5,10 @@ discrete weight on {0, ..., k-1}: the unique polynomials with
 
     (1/k) * (E_{k,n}(x) + E_{k,n}(x+1) + ... + E_{k,n}(x+k-1)) = x^n.
 
-They are built from that averaging property by an exact O(n^2) recurrence;
-the generating series k e^{xt} / (1 + e^t + ... + e^{(k-1)t}) is demoted to
-a test oracle.  k = 2 recovers the classical Euler polynomials.  Everything
+They and the Bernoulli polynomials (the uniform weight on [0, 1]:
+int_x^(x+1) B_n = x^n) come from that averaging property by one exact
+recurrence in the weight's moments; the generating series are demoted to
+test oracles.  k = 2 recovers the classical Euler polynomials.  Everything
 here is exact rational arithmetic on big integers.
 """
 
@@ -124,28 +125,31 @@ class RationalPolynomial:
         return f"RationalPolynomial({list(self._coeffs)!r})"
 
 
+def _strodt(n: int, moment, lower) -> RationalPolynomial:
+    """P_n = x^n - sum_{m<n} C(n, m) mu_(n-m) P_m, with mu_d = moment(d) the
+    d-th moment of the weight and P_m = lower(m): the polynomial whose
+    average over the weight's shifts, sum_m C(n, m) mu_(n-m) P_m, is x^n."""
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    for m in range(n):
+        c = math.comb(n, m) * moment(n - m)
+        for i, pc in enumerate(lower(m).coeffs):
+            coeffs[i] -= c * pc
+    return RationalPolynomial(coeffs)
+
+
 @lru_cache(maxsize=4096)
 def bernoulli_number(j: int) -> Fraction:
     """Exact B_j with the B_1 = -1/2 convention (so B_j = B_j(0))."""
-    if j < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    if j == 0:
-        return Fraction(1)
-    if j >= 3 and j % 2 == 1:
-        return Fraction(0)
-    total = Fraction(0)
-    for i in range(j):
-        total += math.comb(j + 1, i) * bernoulli_number(i)
-    return -total / (j + 1)
+    return bernoulli_polynomial(j).coeff(0)
 
 
 @lru_cache(maxsize=4096)
 def bernoulli_polynomial(j: int) -> RationalPolynomial:
-    """B_j(x) = sum_i binom(j, i) B_i x^(j-i)."""
-    coeffs = [Fraction(0)] * (j + 1)
-    for i in range(j + 1):
-        coeffs[j - i] = math.comb(j, i) * bernoulli_number(i)
-    return RationalPolynomial(coeffs)
+    """B_j(x), the Strodt polynomial of the uniform weight on [0, 1]
+    (int_x^(x+1) B_j = x^j, moments mu_d = 1/(d+1))."""
+    if j < 0:
+        raise ValueError("Bernoulli index must be >= 0")
+    return _strodt(j, lambda d: Fraction(1, d + 1), bernoulli_polynomial)
 
 
 def bernoulli_sup_bound(j: int) -> Fraction:
@@ -163,21 +167,14 @@ def power_sum(k: int, d: int) -> int:
 
 @lru_cache(maxsize=4096)
 def gen_euler_polynomial(k: int, n: int) -> RationalPolynomial:
-    """E_{k,n}(x), from the averaging recurrence
-
-        E_{k,n}(x) = x^n - (1/k) sum_{m<n} binom(n, m) S_k(n-m) E_{k,m}(x).
-    """
+    """E_{k,n}(x), the Strodt polynomial of the uniform weight on
+    {0, ..., k-1} (moments mu_d = S_k(d)/k)."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if n < 0:
         raise ValueError("polynomial index must be >= 0")
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    poly = RationalPolynomial(coeffs)
-    for m in range(n):
-        c = Fraction(math.comb(n, m) * power_sum(k, n - m), k)
-        poly = poly - gen_euler_polynomial(k, m) * c
-    return poly
+    return _strodt(n, lambda d: Fraction(power_sum(k, d), k),
+                   lambda m: gen_euler_polynomial(k, m))
 
 
 def gen_euler_at_zero(k: int, n: int) -> Fraction:

@@ -13,7 +13,8 @@ is handled four ways:
   V_r(z) through the asymptotic-expansion driver;
 * ``verify_translation`` -- numerical check of the translation identities
   that tie a tail at shifted arguments to a Pochhammer-weighted series of
-  tails, every tail of the series read off the terms of one kernel pass.
+  tails, every tail of the series read off the terms of one kernel pass and
+  the series cut where a derived bound puts what it drops below tol/100.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .asymptotics import DepthSpec, depth_expansion, fmt_real
-from .errors import DomainError, NonConvergenceError, TruncationError
+from .errors import DomainError, NonConvergenceError
 from .rootsofunity import (RotationNumber, ZVector, _coords, contains,
                            index_set_and_count, rotation_product)
-from .summation import NestedPass, _rounding_slack, nested_sums
+from .summation import NestedPass, _rounding_slack, nested_sums, resolve_tol
 
 __all__ = [
     "PartialSumSpec",
@@ -225,10 +226,11 @@ def stieltjes_constant(z: ZVector, a, kvec, A: int = 6, tol=None):
 
 
 def _delta(entry) -> int:
-    """delta_i = 1 iff z_i != 1; exact for RotationNumber inputs."""
+    """delta_i = 1 iff z_i != 1, exactly, for a RotationNumber or a complex
+    weight."""
     if isinstance(entry, RotationNumber):
         return 0 if entry.is_one() else 1
-    return 1 if abs(mp.mpc(entry) - 1) > mp.mpf("1e-12") else 0
+    return 0 if mp.mpc(entry) == 1 else 1
 
 
 def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
@@ -237,15 +239,22 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     Depth 1 uses the plain identity in s_1; higher depth uses the combined
     form with the shift delta_1.  One kernel pass at (shift, s_2, ...), read
     at every cutoff N..M, gives the terms w(n) = t_{n+1} - t_n: the tail at
-    shift + k is sum_{N<=n<M} w(n) n^-k, the (z_1 - 1) tail sum w(n) n.  The
-    merged tail takes one more pass and the two heads another, so a call
-    makes at most 3 passes, 1 at depth 1.  The Pochhammer series on the right
-    is truncated once terms fall below tol/100, but only after the index has
-    cleared the initial Pochhammer growth (k > 2|s_1| + 4).
+    shift + k is T_k = sum_{N<=n<M} w(n) n^-k, the (z_1 - 1) tail
+    sum w(n) n.  The merged tail takes one more pass and the two heads
+    another, so a call makes at most 3 passes, 1 at depth 1.
+
+    The series sum_k (shift - 1)_(k+1)/(k+1)! T_k stops at the first k with
+    rho = max(1, (a + k + 2)/(k + 3))/N < 1 and W b_(k+1) N^-(k+1)/(1 - rho)
+    below tol/100, where W = sum |w(n)|, a = |shift - 1| and
+    b_k = (a)_(k+1)/(k+1)!.  Since |T_j| <= W N^-j, |(shift - 1)_(j+1)| <=
+    (a)_(j+1) and b_(j+1)/b_j <= rho N for j > k, that bounds every term it
+    drops; rho tends to 1/N, so the loop ends, and a residual below tol
+    proves the identity to within tol + tol/100.  A tol below the precision
+    floor (``summation.resolve_tol``) raises PrecisionError before any pass.
     """
     if not M > N >= 2:
         raise ValueError("need M > N >= 2")
-    tol = mp.mpf(DEFAULT_EVAL_TOL if tol is None else tol)
+    tol = resolve_tol(DEFAULT_EVAL_TOL if tol is None else tol)
     entries = list(z.entries) if isinstance(z, ZVector) else list(z)
     svals = [mp.mpc(c) for c in _coords(s)]
     r = len(entries)
@@ -266,38 +275,29 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
             z12 = entries[0] * entries[1]
         else:
             z12 = zval(entries[0]) * zval(entries[1])
-        merged = [z12] + entries[2:]
-        merged_s = [shift + svals[1] - 1] + svals[2:]
+        merged = _nested_sums([z12] + entries[2:], [shift + svals[1] - 1] + svals[2:],
+                              (N, M - 1))
         heads = _nested_sums(entries[1:], svals[1:], (N, M - 1))
-        lhs = (z1 * brute_partial_sum(PartialSumSpec(merged, merged_s, N, M - 1))
+        lhs = (z1 * (merged[M - 1] - merged[N])
                + z1 ** N / mp.mpf(N - 1) ** (shift - 1) * heads[N]
                - z1 ** M / mp.mpf(M - 1) ** (shift - 1) * heads[M - 1])
     sums = _nested_sums(entries, [shift] + svals[1:], range(N, M + 1))
     terms = [sums[n + 1] - sums[n] for n in range(N, M)]  # w(n) n^-k, k = 0
     lhs += (z1 - 1) * sum((w * n for n, w in enumerate(terms, N)), mp.mpc(0))
 
-    rhs = mp.mpc(0)
-    size_gate = 2 * abs(svals[0]) + 4
-    k_cap = int(size_gate) + 300
-    prev_size = mp.inf
-    growth_streak = 0
-    k = 0
+    a = abs(shift - 1)
     coef = shift - 1  # (shift - 1)_(k+1) / (k+1)!
+    dropped = sum(abs(w) for w in terms) * a * (a + 1) / (2 * N)  # W b_(k+1) N^-(k+1)
+    rhs = mp.mpc(0)
+    k = 0
     while True:
-        term = coef * sum(terms, mp.mpc(0))
-        rhs += term
-        size = abs(term)
-        if k > size_gate:
-            if size < tol / 100:
-                break
-            growth_streak = growth_streak + 1 if size > prev_size else 0
-            if growth_streak >= 5 or k >= k_cap:
-                raise TruncationError(
-                    f"translation series terms stopped decreasing at k = {k} "
-                    f"(|term| = {mp.nstr(size, 5)})")
-        prev_size = size
+        rhs += coef * sum(terms, mp.mpc(0))
+        rho = max(1, (a + k + 2) / (k + 3)) / N
+        if rho < 1 and dropped / (1 - rho) < tol / 100:
+            break
         k += 1
         coef *= (shift - 1 + k) / (k + 1)
+        dropped *= (a + k + 1) / ((k + 2) * N)
         terms = [w / n for n, w in enumerate(terms, N)]
     return TranslationReport(residual=abs(lhs - rhs), lhs=lhs, rhs=rhs,
                              terms_used=k + 1)

@@ -139,18 +139,19 @@ def euler_maclaurin(f: ScaleFunction, n: int, m: int) -> SummationBreakdown:
     integral evaluated exactly per unit interval."""
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    anti = f.antiderivative()
-    integral = anti._value_at(n) - anti._value_at(1)
+    derivs = [f]
+    for _ in range(m):
+        derivs.append(derivs[-1].differentiate())
+    # F and f^(j-1), j = 1..m, at both ends
+    low, high = ScaleFunction._grid([f.antiderivative()] + derivs[:m], (1, n))
+    integral = high[0] - low[0]
     boundary = mp.mpc(0)
-    g = f
     for j in range(1, m + 1):
         bj = eulerpoly.bernoulli_number(j)
         if bj:
-            boundary += _mpq(bj / math.factorial(j)) * (g._value_at(n) - g._value_at(1))
-        g = g.differentiate()
-    # g is now f^(m)
+            boundary += _mpq(bj / math.factorial(j)) * (high[j] - low[j])
     bpoly = eulerpoly.bernoulli_polynomial(m)
-    antis = [g.times_power(e).antiderivative() for e in range(bpoly.degree + 1)]
+    antis = [derivs[m].times_power(e).antiderivative() for e in range(bpoly.degree + 1)]
     rows = ScaleFunction._grid(antis, range(1, n + 1))
     # B_m(x - i) on [i, i+1), i = 1..n-1
     remainder = sum(_unit_integrals(bpoly, 1, range(-1, -n, -1), rows), mp.mpc(0))
@@ -161,7 +162,7 @@ def euler_maclaurin(f: ScaleFunction, n: int, m: int) -> SummationBreakdown:
     # beyond n (infinite when f^(m) is not integrable there), which is what
     # shrinks as the derivative order grows
     estimate = (_mpq(eulerpoly.bernoulli_sup_bound(m)) / math.factorial(m)
-                * g.abs_tail_bound(max(n, 2))
+                * derivs[m].abs_tail_bound(max(n, 2))
                 + _rounding_slack(n, [integral, boundary, remainder]))
     return SummationBreakdown(
         total=total,
@@ -196,17 +197,20 @@ def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
     for _ in range(m):
         derivs.append(derivs[-1].differentiate())
 
-    head = sum((f._value_at(t) * sum(zpow(a) for a in range(1, t + 1))
+    # f and f^(j), j < m, at the end points 1..k-1 and n..n+k-2
+    points = [*range(1, k), *range(n, n + k - 1)]
+    ends = dict(zip(points, ScaleFunction._grid(derivs[:m], points)))
+    head = sum((ends[t][0] * sum(zpow(a) for a in range(1, t + 1))
                 for t in range(1, k)), mp.mpc(0))
-    tail = sum((f._value_at(n + t) * sum(zpow(a) for a in range(t + 1, k))
+    tail = sum((ends[n + t][0] * sum(zpow(a) for a in range(t + 1, k))
                 for t in range(0, k - 1)), mp.mpc(0))
     blk_head = (head + zpow(n) * tail) / k
 
     blk_lower = sum((eulerpoly.inner_product(k, zeta, 1, i)
-                     * (f._value_at(i + 1) - f._value_at(i))
+                     * (ends[i + 1][0] - ends[i][0])
                      for i in range(1, k - 1)), mp.mpc(0))
     blk_upper = zpow(n) * sum((eulerpoly.inner_product(k, zeta, i, k - 1)
-                               * (f._value_at(i + n - 1) - f._value_at(i + n - 2))
+                               * (ends[i + n - 1][0] - ends[i + n - 2][0])
                                for i in range(2, k)), mp.mpc(0))
 
     vw = eulerpoly.inner_product(k, zeta, 1, k - 1)
@@ -216,8 +220,8 @@ def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
         e1 = eulerpoly.gen_euler_at_one(k, j)
         e0 = eulerpoly.gen_euler_at_zero(k, j)
         fac = mp.mpf(1) / math.factorial(j)
-        blk_bound += fac * (_mpq(e1) * zpow(k) * derivs[j]._value_at(k - 1)
-                            - _mpq(e0) * zpow(n) * derivs[j]._value_at(n))
+        blk_bound += fac * (_mpq(e1) * zpow(k) * ends[k - 1][j]
+                            - _mpq(e0) * zpow(n) * ends[n][j])
         corr_coef = zpow(1) * _mpq(e1) - _mpq(e0)
         if corr_coef != 0:
             corrections.append((derivs[j], fac, corr_coef))

@@ -10,7 +10,9 @@ fixed-point kernel.  ``em_remainder`` and ``geb_blocks`` rebuild the
 engines' remainder and correction blocks interval by interval and point by
 point, the reference for their tables of antiderivative values;
 ``per_term_translation`` sums each tail of the translation series in a
-pass of its own, the reference for the one-pass ``verify_translation``.
+pass of its own, the reference for the one-pass ``verify_translation``;
+``series_reference`` sums its series on past the stop, the reference for
+the derived bound of the terms the stop drops.
 ``primitive_roots`` is the shared Hypothesis strategy for roots of unity of
 high order.
 """
@@ -22,10 +24,10 @@ from hypothesis import strategies as st
 import mpmath as mp
 
 from mplreg import eulerpoly
-from mplreg.polylog import (PartialSumSpec, TranslationReport, brute_partial_sum,
-                            pochhammer)
+from mplreg.polylog import (PartialSumSpec, TranslationReport, _delta,
+                            brute_partial_sum, pochhammer)
 from mplreg.rootsofunity import RotationNumber, ZVector
-from mplreg.summation import NestedPass
+from mplreg.summation import NestedPass, nested_sums
 
 # B_2, B_4, ..., B_16
 _EVEN_BERNOULLI = [
@@ -224,7 +226,9 @@ def geb_blocks(f, k: int, zeta: RotationNumber, n: int, m: int):
 def per_term_translation(z, s, M: int, N: int, tol) -> TranslationReport:
     """``verify_translation`` with every tail of the identity summed in a
     kernel pass of its own: one per Pochhammer term, one for the (z_1 - 1)
-    tail and one for each head; the same truncation rule."""
+    tail, one for each head and one for each term w(n) of the bound
+    W = sum |w(n)|; the same stop rule, with the coefficients and their
+    bounds b_k as Pochhammer symbols."""
     entries = list(z.entries) if isinstance(z, ZVector) else list(z)
     svals = [mp.mpc(c) for c in s]
     r = len(entries)
@@ -246,10 +250,7 @@ def per_term_translation(z, s, M: int, N: int, tol) -> TranslationReport:
                - z1 ** M / mp.mpf(M - 1) ** (shift - 1))
     else:
         e1 = entries[0]
-        if isinstance(e1, RotationNumber):
-            is_one = e1.is_one()
-        else:
-            is_one = abs(z1 - 1) <= mp.mpf("1e-12")
+        is_one = e1.is_one() if isinstance(e1, RotationNumber) else z1 == 1
         shift = svals[0] + (0 if is_one else 1)
         if isinstance(e1, RotationNumber) and isinstance(entries[1], RotationNumber):
             z12 = e1 * entries[1]
@@ -262,15 +263,44 @@ def per_term_translation(z, s, M: int, N: int, tol) -> TranslationReport:
                + (z1 - 1) * tail(entries, [shift - 1] + svals[1:], M, N)
                + z1 ** N / mp.mpf(N - 1) ** (shift - 1) * head(rest, rest_s, N)
                - z1 ** M / mp.mpf(M - 1) ** (shift - 1) * head(rest, rest_s, M - 1))
+    W = sum(abs(tail(entries, [shift] + svals[1:], n + 1, n)) for n in range(N, M))
+    a = abs(shift - 1)
     rhs = mp.mpc(0)
-    size_gate = 2 * abs(svals[0]) + 4
     k = 0
     while True:
         term = (pochhammer(shift - 1, k + 1) / mp.factorial(k + 1)
                 * tail(entries, [shift + k] + svals[1:], M, N))
         rhs += term
-        if k > size_gate and abs(term) < tol / 100:
+        rho = max(1, (a + k + 2) / (k + 3)) / N
+        if rho < 1 and (W * pochhammer(a, k + 2).real / mp.factorial(k + 2)
+                        / mp.mpf(N) ** (k + 1) / (1 - rho)) < tol / 100:
             break
         k += 1
     return TranslationReport(residual=abs(lhs - rhs), lhs=lhs, rhs=rhs,
                              terms_used=k + 1)
+
+
+def series_reference(z, s, M: int, N: int, bound):
+    """The right side of the translation identity at (z, s), summed on until
+    the derived bound of the terms it drops is below ``bound``; the terms
+    w(n) come from the same kernel pass as in ``verify_translation``, each
+    coefficient and its bound b_k are Pochhammer symbols, and each tail
+    T_k = sum w(n) n^-k takes its powers of n afresh."""
+    entries = list(z.entries) if isinstance(z, ZVector) else list(z)
+    svals = [mp.mpc(c) for c in s]
+    shift = svals[0] + (_delta(entries[0]) if len(entries) > 1 else 0)
+    sums = nested_sums(entries, [shift] + svals[1:], (0,) * len(entries),
+                       range(N, M + 1))
+    w = [sums[n + 1] - sums[n] for n in range(N, M)]
+    W = sum(abs(v) for v in w)
+    a = abs(shift - 1)
+    total = mp.mpc(0)
+    k = 0
+    while True:
+        T = sum((v * mp.mpf(n) ** -k for n, v in enumerate(w, N)), mp.mpc(0))
+        total += pochhammer(shift - 1, k + 1) / mp.factorial(k + 1) * T
+        rho = max(1, (a + k + 2) / (k + 3)) / N
+        if rho < 1 and (W * pochhammer(a, k + 2).real / mp.factorial(k + 2)
+                        / mp.mpf(N) ** (k + 1) / (1 - rho)) < bound:
+            return total
+        k += 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mplreg.asymptotics import DepthSpec, depth_expansion
-from mplreg.errors import DomainError, NonConvergenceError
+from mplreg.errors import DomainError, NonConvergenceError, PrecisionError
 import mplreg.polylog as polylog_mod
 from mplreg.polylog import (
     EvalReport,
@@ -23,7 +23,8 @@ from mplreg.polylog import (
 from mplreg.rootsofunity import RotationNumber, ZVector
 from mplreg.summation import nested_sums
 
-from oracles import averaged_limit, em_zeta, per_term_translation, primitive_roots
+from oracles import (averaged_limit, em_zeta, per_term_translation, primitive_roots,
+                     series_reference)
 
 Z = ZVector.parse
 
@@ -331,6 +332,47 @@ class TestTranslation:
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
             verify_translation(Z("-1"), [2], 10, 10)
+
+    def test_unreachable_tolerance_fails_before_summing(self, monkeypatch):
+        def no_sums(*args):
+            raise AssertionError("summed although the tolerance is unreachable")
+
+        monkeypatch.setattr(polylog_mod, "nested_sums", no_sums)
+        # the floor at 128 bits is 2^-108, about 3.1e-33
+        with pytest.raises(PrecisionError, match="precision floor"):
+            verify_translation(Z("1/3"), [mp.mpc(0.8, -0.6)], 50, 12,
+                               tol=mp.mpf("1e-40"))
+
+    def test_one_term_tail_at_depth_two(self):
+        # M = N + 1 leaves the merged tail t_{M-1,N} empty
+        rep = verify_translation(Z("1/2,1/3"), [2, 2], 3, 2, tol=mp.mpf("1e-20"))
+        assert rep.residual < mp.mpf("1e-20")
+
+    # the entries of z: 1 (delta_1 = 0), roots of order <= 12 and one
+    # complex weight of modulus < 1
+    WEIGHTS = st.one_of(st.just(RotationNumber(0, 1)), primitive_roots(12),
+                        st.just(mp.mpc("0.6", "0.3")))
+
+    @settings(max_examples=30, deadline=None)
+    @given(z=st.lists(WEIGHTS, min_size=1, max_size=3),
+           re_s1=st.floats(0.2, 20), im_s1=st.floats(-2, 2),
+           rest=st.lists(st.tuples(st.floats(0.2, 3), st.floats(-1, 1)),
+                         min_size=2, max_size=2),
+           N=st.sampled_from([2, 3, 12]), span=st.integers(1, 40),
+           digits=st.integers(8, 30), prec=st.sampled_from([128, 256]))
+    def test_derived_stop_bounds_the_dropped_terms(self, z, re_s1, im_s1, rest,
+                                                   N, span, digits, prec):
+        # at Re s_1 up to 20 the coefficients grow before they decay; the
+        # series summed on until its bound is below tol 1e-10 differs from
+        # the stopped one by at most tol/100 plus rounding
+        M = N + span
+        with mp.workprec(prec):
+            tol = mp.mpf(10) ** (-digits * prec // 128)
+            s = [mp.mpc(re_s1, im_s1)] + [mp.mpc(re, im) for re, im in rest[:len(z) - 1]]
+            rep = verify_translation(z, s, M, N, tol=tol)
+            ref = series_reference(z, s, M, N, tol * mp.mpf("1e-10"))
+            bound = tol / 100 + mp.mpf(2) ** (10 - prec) * M * (1 + abs(rep.lhs))
+            assert abs(rep.rhs - ref) <= bound
 
     # (z, s, M, N, tol, long): ``long`` cases sum more than 14 Pochhammer terms
     ONE_PASS_CASES = [
