@@ -16,8 +16,8 @@ to expand nested sums
     sum_{n > n_1 > ... > n_r > 0}  prod_i  z_i^{n_i} (log n_i)^{k_i} n_i^{-a_i}.
 
 Constants are extracted by numeric matching against exact partial sums at a
-doubling cutoff pair, certified by a stability check; the partial sums come
-from the one kernel ``summation.nested_sums``.
+doubling cutoff pair, certified by a stability check; every level's partial
+sums are the suffix sums of one pass of the kernel ``summation.nested_sums``.
 """
 
 from __future__ import annotations
@@ -202,9 +202,10 @@ def order_lower_bound(spec: DepthSpec) -> int:
     return best
 
 
-def nested_char_partial_sums(z: ZVector, a, kvec, cutoffs) -> dict:
-    """{N: sum_{N>n_1>...>n_r>0} prod z_i^{n_i} (log n_i)^{k_i} n_i^{-a_i}}."""
-    return summation.nested_sums(z, a, kvec, cutoffs)
+def nested_char_partial_sums(z: ZVector, a, kvec, cutoffs, state=None) -> dict:
+    """{N: sum_{N>n_1>...>n_r>0} prod z_i^{n_i} (log n_i)^{k_i} n_i^{-a_i}},
+    resuming ``state`` (a ``summation.NestedPass``) when one is given."""
+    return summation.nested_sums(z, a, kvec, cutoffs, state)
 
 
 def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
@@ -302,10 +303,17 @@ def depth_expansion(spec: DepthSpec, A: int, tol=None) -> AsymptoticExpansion:
     matched against exact nested partial sums of the same suffix series.
     The inner suffix is kept to the internal precision of matching: terms
     it dropped would sit in neither the outer level's tail nor its residual.
+    Every level reads those sums off one kernel pass over the full (z, a, k),
+    resumed up to the largest cutoff any level asks for, so a call sums r
+    terms per n once instead of r + (r - 1) + ... + 1 per matching attempt.
     """
     if A < 0:
         raise ValueError(f"expansion precision must be >= 0, got {A}")
     tol_eff = summation.resolve_tol(tol)
+    # every cutoff run_matching can ask for: MATCH_START 2^k up to 2 MATCH_CEILING
+    ladder = [summation.MATCH_START << k for k in range(
+        (summation.MATCH_CEILING // summation.MATCH_START).bit_length() + 1)]
+    kernel = summation.NestedPass(ladder[-1])
 
     def build(i: int, a_i: int) -> AsymptoticExpansion:
         if i == spec.r:
@@ -313,11 +321,14 @@ def depth_expansion(spec: DepthSpec, A: int, tol=None) -> AsymptoticExpansion:
         inner = build(i + 1, summation.internal_precision(
             a_i + inner_expansion_order(spec.a[i]), tol_eff))
         prod = inner.multiply_monomial(spec.z[i], spec.kvec[i], spec.a[i])
-        suffix = spec.z.suffix(i)
 
         def true_sums(cutoffs):
-            return nested_char_partial_sums(
-                suffix, spec.a[i:], spec.kvec[i:], cutoffs)
+            # level i reads running[i] off the one pass, which records every
+            # level at each ladder point it crosses
+            points = {*cutoffs, *(n for n in ladder if n <= max(cutoffs))} - kernel.hits.keys()
+            if points:
+                nested_char_partial_sums(spec.z, spec.a, spec.kvec, points, kernel)
+            return {n: kernel.suffix_sum(n, i) for n in cutoffs}
 
         # inner uncertainty rides the head monomial; summing it gains one
         # power of n only on the trivial character

@@ -298,15 +298,16 @@ def _summation_suite(rng: random.Random, trials: int, tol):
 @click.option("--trials", type=click.IntRange(min=1), default=10)
 @click.option("--seed", type=int, default=0)
 @prec_option
-@click.option("--tol", default=polylog.DEFAULT_EVAL_TOL, show_default=True,
-              help="tolerance for reported residuals")
+@click.option("--tol", default=None,
+              help="residual tolerance (default max(1e-12, 100 * 2^(20-prec)))")
 @out_option
 @format_option
 @_json_errors
 def cmd_verify(suite, trials, seed, prec, tol, out, fmt):
     """Run the translation-identity and summation-engine verification suites;
     exits nonzero if any residual exceeds the tolerance."""
-    tol = _positive_tol(tol)
+    tol = (max(mp.mpf(polylog.DEFAULT_EVAL_TOL), 100 * mp.mpf(2) ** (20 - mp.mp.prec))
+           if tol is None else _positive_tol(tol))
     rng = random.Random(seed)
     results, failures = [], []
     if suite in ("translation", "all"):

@@ -240,8 +240,9 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     form with the shift delta_1.  One kernel pass at (shift, s_2, ...), read
     at every cutoff N..M, gives the terms w(n) = t_{n+1} - t_n: the tail at
     shift + k is T_k = sum_{N<=n<M} w(n) n^-k, the (z_1 - 1) tail
-    sum w(n) n.  The merged tail takes one more pass and the two heads
-    another, so a call makes at most 3 passes, 1 at depth 1.
+    sum w(n) n; at depth >= 2 the two heads at N and M - 1 are the suffix
+    sums of its level 1 there.  The merged tail takes one more pass, so a
+    call makes at most 2 passes, 1 at depth 1.
 
     The series sum_k (shift - 1)_(k+1)/(k+1)! T_k stops at the first k with
     rho = max(1, (a + k + 2)/(k + 3))/N < 1 and W b_(k+1) N^-(k+1)/(1 - rho)
@@ -265,23 +266,21 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
         return entry.value() if isinstance(entry, RotationNumber) else mp.mpc(entry)
 
     z1 = zval(entries[0])
-    if r == 1:
-        shift = svals[0]
-        lhs = (z1 ** N / mp.mpf(N - 1) ** (shift - 1)
-               - z1 ** M / mp.mpf(M - 1) ** (shift - 1))
-    else:
-        shift = svals[0] + _delta(entries[0])
+    shift = svals[0] + (_delta(entries[0]) if r > 1 else 0)
+    kernel = NestedPass(M)
+    sums = _nested_sums(entries, [shift] + svals[1:], range(N, M + 1), kernel)
+    # the heads t_N and t_(M-1) of (z_2.., s_2..) are that pass's level-1 sums
+    heads = [kernel.suffix_sum(n, 1) if r > 1 else 1 for n in (N, M - 1)]
+    lhs = (z1 ** N / mp.mpf(N - 1) ** (shift - 1) * heads[0]
+           - z1 ** M / mp.mpf(M - 1) ** (shift - 1) * heads[1])
+    if r > 1:
         if isinstance(entries[0], RotationNumber) and isinstance(entries[1], RotationNumber):
             z12 = entries[0] * entries[1]
         else:
             z12 = zval(entries[0]) * zval(entries[1])
         merged = _nested_sums([z12] + entries[2:], [shift + svals[1] - 1] + svals[2:],
                               (N, M - 1))
-        heads = _nested_sums(entries[1:], svals[1:], (N, M - 1))
-        lhs = (z1 * (merged[M - 1] - merged[N])
-               + z1 ** N / mp.mpf(N - 1) ** (shift - 1) * heads[N]
-               - z1 ** M / mp.mpf(M - 1) ** (shift - 1) * heads[M - 1])
-    sums = _nested_sums(entries, [shift] + svals[1:], range(N, M + 1))
+        lhs += z1 * (merged[M - 1] - merged[N])
     terms = [sums[n + 1] - sums[n] for n in range(N, M)]  # w(n) n^-k, k = 0
     lhs += (z1 - 1) * sum((w * n for n, w in enumerate(terms, N)), mp.mpc(0))
 

@@ -178,10 +178,6 @@ class ZVector:
     def __hash__(self):
         return hash(self._entries)
 
-    def suffix(self, i: int) -> "ZVector":
-        """The tail (z_{i+1}, ..., z_r), 0-based slice start."""
-        return ZVector(self._entries[i:])
-
     def values(self) -> list:
         return [z.value() for z in self._entries]
 

@@ -44,7 +44,7 @@ class ScaleFunction:
             if not isinstance(c, mp.mpc):
                 c = _as_mpc(c)
             merged[key] = merged[key] + c if key in merged else c
-        self._terms = {k: c for k, c in merged.items() if c != 0}
+        self._terms = {k: c for k, c in merged.items() if c}
 
     @classmethod
     def term(cls, l: int, m: int, coeff=1) -> "ScaleFunction":

@@ -29,10 +29,11 @@ sum_j |c_j| / (J - j + 1)!, once the absolute terms of f^(J+1) decrease on
 pair (N, 2N).
 
 ``nested_sums`` is the package's one partial-sum kernel: every exact
-truncated nested sum t_N (the matching oracle of the depth driver, the
-convergent route and the translation checks) comes out of its single
-forward pass, for every input, on Python integers scaled by 2^P,
-P = prec + g, with the guard g taken from an a-priori bound on the
+truncated nested sum t_N (the matching oracle of every level of the depth
+driver, the convergent route and the translation checks) comes out of its
+single forward pass, which also keeps the suffix sum of every level at each
+requested cutoff.  It runs, for every input, on Python integers scaled by
+2^P, P = prec + g, with the guard g taken from an a-priori bound on the
 accumulated truncations.  Roots of unity come from exact power tables,
 complex weights from running products, integral exponents from exact
 division or multiplication, and non-integral ones from a table of n^-s
@@ -223,7 +224,7 @@ def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
         blk_bound += fac * (_mpq(e1) * zpow(k) * ends[k - 1][j]
                             - _mpq(e0) * zpow(n) * ends[n][j])
         corr_coef = zpow(1) * _mpq(e1) - _mpq(e0)
-        if corr_coef != 0:
+        if corr_coef:
             corrections.append((derivs[j], fac, corr_coef))
     blk_bound *= vw
 
@@ -277,22 +278,35 @@ def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
 #   tail, real and positive coefficients, bounding |eps(n)| <= tail(n).
 
 
-def _geometric_coeffs(xi: RotationNumber, J: int) -> list:
-    """Taylor coefficients c_0..c_J of G(t) = 1/(xi e^t - 1) less its pole.
+@lru_cache(maxsize=4096)
+def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
+    """Taylor coefficients c_0..c_J of G(t) = 1/(xi e^t - 1) less its pole,
+    at ``prec`` bits.  No c_j depends on J, so this entry is the (xi, J - 1)
+    entry plus c_J.
 
     At xi = 1 the pole is 1/t and c_j = B_{j+1}/(j+1)! exactly.  Otherwise
     (xi e^t - 1) G(t) = 1 order by order gives c_0 = 1/(xi - 1) and
     c_n = -xi/(xi - 1) * sum_{i<n} c_i/(n - i)!."""
-    if xi.is_one():
-        return [_mpq(eulerpoly.bernoulli_number(j + 1) / math.factorial(j + 1))
-                for j in range(J + 1)]
-    xi_value = xi.value()
-    coeffs = [1 / (xi_value - 1)]
-    factor = -xi_value / (xi_value - 1)
-    for n in range(1, J + 1):
-        coeffs.append(factor * sum(c / math.factorial(n - i)
-                                   for i, c in enumerate(coeffs)))
-    return coeffs
+    if J > 256:  # fill the entry 256 below first: a cold call recurses <= 256 deep
+        _geometric_coeffs(xi, J - 256, prec)
+    head = _geometric_coeffs(xi, J - 1, prec) if J else ()
+    with mp.workprec(prec):
+        if xi.is_one():
+            c = _mpq(eulerpoly.bernoulli_number(J + 1) / math.factorial(J + 1))
+        elif J == 0:
+            c = 1 / (xi.value() - 1)
+        else:
+            c = _geometric_factor(xi, prec) * sum(
+                ci / math.factorial(J - i) for i, ci in enumerate(head))
+    return head + (c,)
+
+
+@lru_cache(maxsize=4096)
+def _geometric_factor(xi: RotationNumber, prec: int):
+    """-xi/(xi - 1) at ``prec`` bits, once per character."""
+    with mp.workprec(prec):
+        xi_value = xi.value()
+        return -xi_value / (xi_value - 1)
 
 
 def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
@@ -303,7 +317,8 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 # every memo in the package is an lru_cache of this size, keyed on explicit
 # arguments only; here it holds the 658 (xi, l, m, a_max, prec) keys that
 # one process running two rounds (seed 101) of every reg-sweep and
-# reg-high-order benchmark template reaches, with room to spare
+# reg-high-order benchmark template reaches, and ``_geometric_coeffs`` the
+# 1,054 (xi, J, prec) keys of their 68 (xi, prec), with room to spare
 @lru_cache(maxsize=4096)
 def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     """n-dependent part of sum_{a<n} xi^a (log a)^l a^(-m), every xi.
@@ -318,7 +333,8 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     is the antiderivative and this is Euler-Maclaurin).  All coefficients
     attach to the character xi: the terms of h with decay m' <= a_max are
     the parts, the others go to the tail pointwise.  The cost is O(J^2)
-    whatever the order of xi.
+    whatever the order of xi, the c_j memoised once per (xi, prec) for
+    every (l, m).
 
     The remainder is derived, not estimated.  Taylor's theorem on F(a + 1)
     to order J + 2 and on each f^(j)(a + 1), j <= J, with
@@ -336,7 +352,7 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     """
     with mp.workprec(prec):
         J = max(1, a_max + 2 - m, math.ceil(l / math.log(MATCH_START)) - m - 1)
-        coeffs = _geometric_coeffs(xi, J)
+        coeffs = _geometric_coeffs(xi, J, prec)
         g = ScaleFunction.term(l, m)
         K = sum(abs(c) / math.factorial(J - j + 1) for j, c in enumerate(coeffs))
         h = []  # the terms of h, scale by scale
@@ -344,7 +360,7 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
             h += g.antiderivative().terms()
             K += mp.mpf(1) / math.factorial(J + 2)
         for c in coeffs:
-            if c != 0:
+            if c:
                 h += [(l2, m2, c2 * c) for l2, m2, c2 in g.terms()]
             g = g.differentiate()
         parts = ScaleFunction([t for t in h if t[1] <= a_max])
@@ -415,7 +431,9 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
 
     A ``NestedPass`` as ``state`` resumes the pass where that state stands,
     so a ladder of calls on one state sums each term once; without one the
-    pass runs one-shot from n = 1.
+    pass runs one-shot from n = 1.  The state also keeps running[j] at each
+    requested cutoff N, t_N of the suffix series (z_j.., s_j.., k_j..) within
+    the same bound (``NestedPass.suffix_sum``).
     """
     z = tuple(z)
     exps = [_exponent(s_j) for s_j in s]
@@ -444,10 +462,10 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     sieved = any(sieve is not None for sieve in sieves)
     cap = SIEVE_CAP
     want = set(cutoffs)
-    hits = {}
+    hits = state.hits
     for n in range(state.n, top + 1):
         if n in want:
-            hits[n] = (re[0], im[0])
+            hits[n] = (re[:], im[:])
         if n == top:
             break
         if kmax:
@@ -492,8 +510,7 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
                 re[j] += (c * x - s * y) >> P
                 im[j] += (c * y + s * x) >> P
     state.n, state.terms = top, state.terms + top - state.n
-    return {N: mp.mpc(mp.mpf((x, -P)), mp.mpf((y, -P)))
-            for N, (x, y) in hits.items()}
+    return {N: state.suffix_sum(N) for N in cutoffs}
 
 
 # the most n^-s values a pass stores per exponent, 144-256 bytes each at
@@ -542,15 +559,22 @@ def _sieve_entry(sieve: list, factors: list, s, P: int) -> tuple:
 class NestedPass:
     """One resumable ``nested_sums`` pass for one (z, s, k), at the working
     precision of its making, up to cutoff ``top``; it stands at t_n, has
-    summed ``terms`` terms and keeps the n^-s tables of its non-integral
-    exponents.  A cutoff below n or above top, another input or another
-    precision raises ValueError.  The pass fixes P from
+    summed ``terms`` terms, keeps the n^-s tables of its non-integral
+    exponents and, in ``hits``, the scaled running sums of every level at
+    each cutoff any call asked for.  A cutoff below n or above top, another
+    input or another precision raises ValueError.  The pass fixes P from
     ``_guard_bits`` at top, so its bound holds at every cutoff it can reach.
     """
 
     def __init__(self, top: int):
         self.top, self.prec = int(top), mp.mp.prec
-        self.n, self.terms, self.key, self.running = 1, 0, None, None
+        self.n, self.terms, self.key, self.running, self.hits = 1, 0, None, None, {}
+
+    def suffix_sum(self, N: int, j: int = 0):
+        """t_N of the suffix series (z_j.., s_j.., k_j..), read off
+        running[j] at a cutoff N some call asked for."""
+        P, (re, im) = self.running[0], self.hits[N]
+        return mp.mpc(mp.mpf((re[j], -P)), mp.mpf((im[j], -P)))
 
     def check(self, key, cutoffs):
         self.key = self.key or key
@@ -586,7 +610,8 @@ def _guard_bits(z, exps, kvec, top) -> int:
         B u,   B = (r + 1) (8K + 10) N^(r + c) lb^d prod_j M_j,
 
     c the number of complex weights and d of non-integral exponents, the
-    factor r + 1 (rather than r) absorbing the products of two errors.
+    factor r + 1 (rather than r) absorbing the products of two errors; every
+    M_i >= 1, so the running[j] that the induction reaches err less.
     g = bit_length(B) + 8 then gives B u <= 2^-(prec+8), 2^19 N times below
     the 2^(11-prec) N that ``_rounding_slack(2N, ...)`` certifies.
     """

@@ -226,7 +226,8 @@ def geb_blocks(f, k: int, zeta: RotationNumber, n: int, m: int):
 def per_term_translation(z, s, M: int, N: int, tol) -> TranslationReport:
     """``verify_translation`` with every tail of the identity summed in a
     kernel pass of its own: one per Pochhammer term, one for the (z_1 - 1)
-    tail, one for each head and one for each term w(n) of the bound
+    tail, one for the merged tail, one for each head and one for each term
+    w(n) of the bound
     W = sum |w(n)|; the same stop rule, with the coefficients and their
     bounds b_k as Pochhammer symbols."""
     entries = list(z.entries) if isinstance(z, ZVector) else list(z)
@@ -259,7 +260,9 @@ def per_term_translation(z, s, M: int, N: int, tol) -> TranslationReport:
         merged = [z12] + entries[2:]
         merged_s = [shift + svals[1] - 1] + svals[2:]
         rest, rest_s = entries[1:], svals[1:]
-        lhs = (z1 * tail(merged, merged_s, M - 1, N)
+        # read off a pass, since the merged tail t_{M-1,N} is empty at M = N + 1
+        sums = nested_sums(merged, merged_s, (0,) * len(merged), (N, M - 1))
+        lhs = (z1 * (sums[M - 1] - sums[N])
                + (z1 - 1) * tail(entries, [shift - 1] + svals[1:], M, N)
                + z1 ** N / mp.mpf(N - 1) ** (shift - 1) * head(rest, rest_s, N)
                - z1 ** M / mp.mpf(M - 1) ** (shift - 1) * head(rest, rest_s, M - 1))

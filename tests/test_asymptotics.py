@@ -16,6 +16,7 @@ from mplreg.errors import PrecisionError
 from mplreg.polylog import eval_integer_point, stieltjes_constant
 from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber, ZVector
 from mplreg.scalefun import ScaleFunction
+import mplreg.summation as summod
 
 I_4 = RotationNumber(1, 4)
 
@@ -224,6 +225,26 @@ class TestDepthExpansion:
                 resid = abs(sums[n] - e.evaluate(n))
                 ceiling = mp.mpf(n) ** (-A) * mp.log(n) ** (sum(spec.kvec) + A + 2)
                 assert resid <= ceiling
+
+    @pytest.mark.parametrize("ztext, a, kvec", [
+        ("-1", (0,), (0,)),
+        ("1,-1", (2, -2), (0, 0)),
+        ("1/3,1,-1", (1, 2, -1), (0, 1, 0)),
+    ])
+    def test_one_kernel_pass_per_call(self, monkeypatch, ztext, a, kvec):
+        # every level matches against the suffix sums of one pass over the
+        # full series; a call without a state would be a pass of its own
+        states = []
+        kernel = summod.nested_sums
+
+        def counting(z, s, k, cutoffs, state=None):
+            states.append(state)
+            return kernel(z, s, k, cutoffs, state)
+
+        monkeypatch.setattr(summod, "nested_sums", counting)
+        depth_expansion(DepthSpec(ZVector.parse(ztext), a, kvec), 4)
+        assert None not in states
+        assert len({id(state) for state in states}) == 1
 
     def test_convergent_spec_has_no_growing_terms(self):
         # strict inequalities A_[1,i] > Q_[1,i]: only the constant sits at m <= 0

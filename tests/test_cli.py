@@ -151,6 +151,15 @@ class TestVerify:
         assert obj["failures"] == 0
         assert obj["trials"] == 6
 
+    def test_default_tolerance_follows_the_precision(self, runner):
+        # a fixed 1e-12 would hand the translation series 1e-14, below the
+        # precision floor 2^-33 at 53 bits
+        res = invoke(runner, ["verify", "--prec", "53", "--trials", "3"])
+        assert res.exit_code == 0, res.output
+        obj = json.loads(res.output)
+        assert obj["failures"] == 0
+        assert mp.almosteq(mp.mpf(obj["tol"]), 100 * mp.mpf(2) ** -33, 1e-15)
+
     def test_summation_suite_passes(self, runner):
         res = invoke(runner, ["verify", "--suite", "summation",
                               "--trials", "4", "--tol", "1e-18"])

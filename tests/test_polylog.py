@@ -383,6 +383,8 @@ class TestTranslation:
          [mp.mpc(1.2, 0.4), mp.mpc(0.6)], 40, 12, "1e-18", False),
         (Z("1/4,-1,1/3"), [mp.mpc(1.5), mp.mpc(1, 0.5), mp.mpc(0.8)], 50, 12,
          "1e-30", True),
+        # M = N + 1: the merged tail is empty
+        (Z("1/2,1/3"), [2, 2], 3, 2, "1e-20", False),
     ]
 
     @pytest.mark.parametrize("prec", [128, 256])
@@ -400,7 +402,7 @@ class TestTranslation:
 
             monkeypatch.setattr(polylog_mod, "nested_sums", counting)
             rep = verify_translation(z, s, M, N, tol=tol)
-            assert len(passes) <= (1 if len(s) == 1 else 3)
+            assert len(passes) <= (1 if len(s) == 1 else 2)
             assert rep.terms_used == ref.terms_used
             assert not long or rep.terms_used > 14
             bound = mp.mpf(2) ** (10 - prec) * M * (1 + abs(ref.lhs))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import mpmath as mp
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mplreg import eulerpoly
 from mplreg.errors import PrecisionError
 from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber
 from mplreg.scalefun import ScaleFunction
@@ -452,6 +454,32 @@ class TestFixedPass:
 
 
 class TestNestedPass:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.just(ONE), primitive_roots(12)),
+                              st.integers(-1, 3), st.integers(0, 2)),
+                    min_size=1, max_size=3),
+           st.sets(st.integers(1, 3000), min_size=1, max_size=3),
+           st.sampled_from([128, 256]))
+    def test_every_level_meets_the_guard(self, spec, cutoffs, prec):
+        # the suffix sum of every level, read off one pass made for the depth
+        # driver's top, against the mpmath loop over that suffix series at
+        # 64 bits past the pass's P >= prec: each errs by at most
+        # 2^-(prec+8) before its final rounding
+        z, a, kvec = (tuple(col) for col in zip(*spec))
+        cutoffs = sorted(cutoffs)
+        with mp.workprec(prec):
+            state = summod.NestedPass(2 * summod.MATCH_CEILING)
+            top = nested_sums(z, a, kvec, cutoffs, state)
+            got = {(N, j): state.suffix_sum(N, j) for N in cutoffs for j in range(len(z))}
+        assert all(top[N] == got[N, 0] for N in cutoffs)
+        for j in range(len(z)):
+            with mp.workprec(state.running[0] + 64):
+                ref = _mpmath_pass(z[j:], a[j:], kvec[j:], cutoffs)
+                for N in cutoffs:
+                    bound = (mp.mpf(2) ** -(prec + 8) + mp.mpf(2) ** -prec
+                             * (abs(ref[N].real) + abs(ref[N].imag)))
+                    assert abs(got[N, j] - ref[N]) <= bound
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(factors, min_size=1, max_size=3),
            st.lists(st.integers(1, 2000), min_size=1, max_size=8, unique=True),
@@ -492,3 +520,37 @@ class TestNestedPass:
             nested_sums(z, [2], [0], [300], state)
         assert nested_sums(z, s, [0], [300], state)[300] \
             == nested_sums(z, s, [0], [300])[300]
+
+
+def _plain_geometric_coeffs(xi, J):
+    """c_0..c_J of 1/(xi e^t - 1) less its pole by the recurrence of
+    ``summation._geometric_coeffs``, from c_0 on every call."""
+    if xi.is_one():
+        return [summod._mpq(eulerpoly.bernoulli_number(j + 1) / math.factorial(j + 1))
+                for j in range(J + 1)]
+    xi_value = xi.value()
+    coeffs = [1 / (xi_value - 1)]
+    factor = -xi_value / (xi_value - 1)
+    for n in range(1, J + 1):
+        coeffs.append(factor * sum(c / math.factorial(n - i)
+                                   for i, c in enumerate(coeffs)))
+    return coeffs
+
+
+class TestGeometricCoeffs:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.just(ONE), primitive_roots(60)), st.integers(0, 40),
+           st.sampled_from([128, 256]))
+    def test_memo_is_bit_identical(self, xi, J, prec):
+        # every entry extends a shorter one of the same (xi, prec)
+        got = summod._geometric_coeffs(xi, J, prec)
+        with mp.workprec(prec):
+            assert list(got) == _plain_geometric_coeffs(xi, J)
+
+    def test_precision_is_part_of_the_key(self):
+        xi = RotationNumber(5, 17)
+        low = summod._geometric_coeffs(xi, 20, 128)
+        high = summod._geometric_coeffs(xi, 20, 256)
+        with mp.workprec(256):
+            assert list(high) == _plain_geometric_coeffs(xi, 20)
+        assert high != low
