@@ -37,9 +37,10 @@ requested cutoff.  It runs, for every input, on Python integers scaled by
 accumulated truncations.  Roots of unity come from exact power tables,
 complex weights from running products, integral exponents from exact
 division or multiplication, and non-integral ones from a table of n^-s
-built multiplicatively: mpmath computes only primes, a composite is one
-fixed-point product of stored values, and past ``SIEVE_CAP`` stored values
-a term divides out stored primes until its cofactor is stored.  For every
+built multiplicatively: a prime is exp(-s log p) in integer fixed point
+(Brent & Zimmermann, "Modern Computer Arithmetic", ch. 4), a composite one
+fixed-point product of stored values, and past ``SIEVE_CAP`` stored values a
+term divides out stored primes until its cofactor is stored.  For every
 input each t_N errs by at most 2^-(prec+8) before its final rounding.
 """
 
@@ -51,7 +52,8 @@ from functools import lru_cache
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import log_int_fixed, to_fixed
+from mpmath.libmp import from_int, ln2_fixed, log_int_fixed, mpf_log, pi_fixed, to_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase
 
 from . import eulerpoly
 from .errors import PrecisionError
@@ -278,35 +280,33 @@ def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
 #   tail, real and positive coefficients, bounding |eps(n)| <= tail(n).
 
 
-@lru_cache(maxsize=4096)
 def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
     """Taylor coefficients c_0..c_J of G(t) = 1/(xi e^t - 1) less its pole,
-    at ``prec`` bits.  No c_j depends on J, so this entry is the (xi, J - 1)
-    entry plus c_J.
+    at ``prec`` bits.  No c_j depends on J, so one list per (xi, prec) is
+    extended as far as any call asks.
 
     At xi = 1 the pole is 1/t and c_j = B_{j+1}/(j+1)! exactly.  Otherwise
     (xi e^t - 1) G(t) = 1 order by order gives c_0 = 1/(xi - 1) and
     c_n = -xi/(xi - 1) * sum_{i<n} c_i/(n - i)!."""
-    if J > 256:  # fill the entry 256 below first: a cold call recurses <= 256 deep
-        _geometric_coeffs(xi, J - 256, prec)
-    head = _geometric_coeffs(xi, J - 1, prec) if J else ()
+    factor, coeffs = _geometric_list(xi, prec)
     with mp.workprec(prec):
-        if xi.is_one():
-            c = _mpq(eulerpoly.bernoulli_number(J + 1) / math.factorial(J + 1))
-        elif J == 0:
-            c = 1 / (xi.value() - 1)
-        else:
-            c = _geometric_factor(xi, prec) * sum(
-                ci / math.factorial(J - i) for i, ci in enumerate(head))
-    return head + (c,)
+        for n in range(len(coeffs), J + 1):
+            if xi.is_one():
+                coeffs.append(_mpq(eulerpoly.bernoulli_number(n + 1) / math.factorial(n + 1)))
+            else:
+                coeffs.append(factor * sum(ci / math.factorial(n - i)
+                                           for i, ci in enumerate(coeffs)))
+    return tuple(coeffs[:J + 1])
 
 
 @lru_cache(maxsize=4096)
-def _geometric_factor(xi: RotationNumber, prec: int):
-    """-xi/(xi - 1) at ``prec`` bits, once per character."""
+def _geometric_list(xi: RotationNumber, prec: int) -> tuple:
+    """The memo of ``_geometric_coeffs``: -xi/(xi - 1) and [c_0, c_1, ...]."""
     with mp.workprec(prec):
+        if xi.is_one():
+            return None, []
         xi_value = xi.value()
-        return -xi_value / (xi_value - 1)
+        return -xi_value / (xi_value - 1), [1 / (xi_value - 1)]
 
 
 def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
@@ -317,8 +317,8 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 # every memo in the package is an lru_cache of this size, keyed on explicit
 # arguments only; here it holds the 658 (xi, l, m, a_max, prec) keys that
 # one process running two rounds (seed 101) of every reg-sweep and
-# reg-high-order benchmark template reaches, and ``_geometric_coeffs`` the
-# 1,054 (xi, J, prec) keys of their 68 (xi, prec), with room to spare
+# reg-high-order benchmark template reaches, and ``_geometric_list`` the
+# 68 (xi, prec) of their 1,054 (xi, J, prec), with room to spare
 @lru_cache(maxsize=4096)
 def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     """n-dependent part of sum_{a<n} xi^a (log a)^l a^(-m), every xi.
@@ -417,12 +417,12 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
       multiply by n^|a| (a <= 0);
     * n^-s, s not integral, from a table of scaled complex pairs kept on the
       pass state and grown in n order to the cutoff reached.  A prime's
-      entry is exp(-s log p) in mpmath with guard bits, floored once; a
-      composite n = p m, p its smallest prime factor, is one fixed-point
-      product of stored entries.  The table stores at most ``SIEVE_CAP``
-      values; past them n splits into stored primes and a cofactor that is
-      stored or, when none of them splits it, computed like a prime
-      (``_split``).
+      entry is exp(-s log p) in integer fixed point, floored once
+      (``_power_entry``); a composite n = p m, p its smallest prime factor,
+      is one fixed-point product of stored entries.  The table stores at
+      most ``SIEVE_CAP`` values; past them n splits into stored primes and
+      a cofactor that is stored or, when none of them splits it, computed
+      like a prime (``_split``).
 
     Each product of scaled values is shifted right by P; each requested t_N
     becomes an mpc once, at the end.  For every input each t_N errs by at
@@ -444,8 +444,10 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     if state.running is None:
         P = mp.mp.prec + _guard_bits(z, exps, kvec, state.top)
         P += -P % 64
-        # per level, the stored n^-s_j (index n) of a non-integral exponent
-        sieves = [None if isinstance(a, int) else [None, (1 << P, 0)] for a in exps]
+        # per level, the stored n^-s_j (index n) of a non-integral exponent,
+        # and at index 0 the constants of its entries (``_fixed_exponent``)
+        sieves = [None if isinstance(a, int) else [_fixed_exponent(a, P, state.top), (1 << P, 0)]
+                  for a in exps]
         state.running = (P, [0] * len(z), [0] * len(z), [(1 << P, 0)] * len(z),
                          sieves, [])
     P, re, im, powers, sieves, primes = state.running
@@ -490,7 +492,7 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
                 if n < len(sieve):
                     x, y = sieve[n]
                 else:
-                    x, y = _sieve_entry(sieve, factors, a, P)
+                    x, y = _sieve_entry(sieve, factors, P)
                     if n <= cap:
                         sieve.append((x, y))
                 c, s = (c * x - s * y) >> P, (c * y + s * x) >> P
@@ -515,7 +517,8 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
 
 # the most n^-s values a pass stores per exponent, 144-256 bytes each at
 # P = 192-512 (a list slot, a tuple and two ints); a value past them is a
-# product of stored ones, and mpmath's only for a cofactor none of them splits
+# product of stored ones and, for a cofactor none of them splits, one
+# ``_power_entry`` recomputed at each multiple
 SIEVE_CAP = 2 ** 14
 
 
@@ -540,20 +543,33 @@ def _split(n: int, primes: list, cap: int) -> list:
     return out + [m]
 
 
-def _sieve_entry(sieve: list, factors: list, s, P: int) -> tuple:
-    """n^-s scaled by 2^P, n the product of ``factors``: stored values
-    multiplied in fixed point, and a factor f past the stored ones as
-    exp(-s log f) in mpmath, floored once.  Its guard bits cover the rounding
-    of s log f, |s log f| < 2^(mag(s) + bit_length(bit_length(f)))."""
-    x, y = 1 << P, 0
+def _sieve_entry(sieve: list, factors: list, P: int) -> tuple:
+    """n^-s scaled by 2^P, n the product of ``factors``: their stored or
+    ``_power_entry`` values multiplied in fixed point, from the first on."""
+    x = None
     for f in factors:
-        if f < len(sieve):
-            u, v = sieve[f]
-        else:
-            with mp.workprec(P + 10 + max(0, mp.mag(s)) + f.bit_length().bit_length()):
-                u, v = _fixed_pair(mp.exp(-s * mp.log(f)), P)
-        x, y = (x * u - y * v) >> P, (x * v + y * u) >> P
+        u, v = sieve[f] if f < len(sieve) else _power_entry(f, sieve[0], P)
+        x, y = (u, v) if x is None else ((x * u - y * v) >> P, (x * v + y * u) >> P)
     return x, y
+
+
+def _fixed_exponent(s, P: int, top: int) -> tuple:
+    """(wp, -Re s, -Im s, ln 2, pi/2), the last four scaled by 2^wp and
+    floored: what every n^-s entry of a pass to ``top`` shares."""
+    wp = P + 13 + max(0, mp.mag(s)) + top.bit_length().bit_length()  # ``_guard_bits``
+    return (wp, *_fixed_pair(-s, wp), ln2_fixed(wp), pi_fixed(wp - 1))
+
+
+def _power_entry(f: int, fixed: tuple, P: int) -> tuple:
+    """f^-s scaled by 2^P and floored, in integer fixed point at the wp of
+    ``fixed``: e^t 2^n (cos y, sin y), -s log f = x + iy and x = n ln 2 + t,
+    2^n joining the final shift (error bound in ``_guard_bits``)."""
+    wp, re_s, im_s, ln2, pi2 = fixed
+    L = to_fixed(mpf_log(from_int(f), wp + f.bit_length()), wp)
+    n, t = divmod((re_s * L) >> wp, ln2)
+    c, s = cos_sin_fixed((im_s * L) >> wp, wp, pi2)
+    e, shift = exp_basecase(t, wp) << max(0, n + P - 2 * wp), max(0, 2 * wp - P - n)
+    return (e * c) >> shift, (e * s) >> shift
 
 
 class NestedPass:
@@ -594,8 +610,8 @@ def _guard_bits(z, exps, kvec, top) -> int:
     M_j = N^max(0, ceil(-Re s_j)) lb^k_j >= 1.  Its table entries err by
     < 1 u, log n by < 2 u and the power (log n)^k by < 3k lb^(k-1) u.  A
     non-integral n^-s_j is a product of Omega(n) <= log2 n < lb stored
-    factors: each one errs by < 1 u in its floor and by 2^-8 |f^-s_j| u in
-    mpmath's rounding at P plus guard bits, each product of two errs by
+    factors: each one errs by < 1 u in its floor and by 2^-8 |f^-s_j| u
+    before it (below), each product of two errs by
     |x| err(y) + |y| err(x) + 2 u, so by induction on Omega(n) the table
     entry errs by < 3 lb n^max(0, -Re s_j) u <= 3 lb M_j u, and by 1 u more
     when it is multiplied in.  So the scaled weight errs by less than
@@ -614,6 +630,15 @@ def _guard_bits(z, exps, kvec, top) -> int:
     M_i >= 1, so the running[j] that the induction reaches err less.
     g = bit_length(B) + 8 then gives B u <= 2^-(prec+8), 2^19 N times below
     the 2^(11-prec) N that ``_rounding_slack(2N, ...)`` certifies.
+
+    A factor f^-s_j (``_power_entry``) is computed at wp = P + g' bits,
+    g' = 13 + max(0, mag(s_j)) + bit_length(lb).  In ulps 2^-wp relative to
+    |f^-s_j|, x + iy = -s_j log f errs by < 1.5 |s_j| + log f + 1 in each part
+    (log f by < 1.5, s_j by < 1), the reductions by ln 2 and pi/2 add
+    < 1.45 |s_j| log f + 1 and < 0.64 |s_j| log f + 1, and the base cases of
+    exp and cos/sin < 32 each (17 at most, measured at wp <= 700): in all
+    < 3 |s_j| + 2 log f + 2.09 |s_j| log f + 68 < 21 m b < 2^(g'-8), with
+    m = 2^max(0, mag(s_j)) and b = 2^bit_length(lb) >= 4, b > 1.44 log f.
     """
     r = len(exps)
     lb = max(1, top.bit_length())

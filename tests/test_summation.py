@@ -1,6 +1,8 @@
+import collections
 import itertools
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -522,6 +524,56 @@ class TestNestedPass:
             == nested_sums(z, s, [0], [300])[300]
 
 
+class TestPowerEntry:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.integers(2, 64), st.integers(2, 2 ** 18 - 15)),
+           st.floats(-6, 30), st.floats(-1e4, 1e4), st.sampled_from([53, 128, 256, 512]),
+           st.integers(8, 120), st.data())
+    def test_within_the_allowance_of_the_guard(self, f0, re_s, im_s, prec, guard, data):
+        # primes and cofactors past the cap, f0..f0+15, in integer fixed
+        # point against mp.power at 64 bits past P: each part errs by < 1 u
+        # in its floor and 2^-8 |f^-s| u before it, the allowance that
+        # ``_guard_bits`` charges
+        top = data.draw(st.integers(f0 + 16, 2 ** 18 + 1))
+        P = prec + guard
+        P += -P % 64
+        with mp.workprec(prec):
+            s = mp.mpc(re_s, im_s)
+        fixed = summod._fixed_exponent(s, P, top)
+        for f in range(f0, f0 + 16):
+            got = summod._power_entry(f, fixed, P)
+            with mp.workprec(P + 64):
+                want = mp.power(f, -s)
+                # compared without rounding: |f^-s| 2^P may be far below 1 u
+                allowance = mp.fadd(1, mp.ldexp(abs(want), -8), exact=True)
+                for part, scaled in zip((want.real, want.imag), got):
+                    assert abs(mp.fsub(mp.ldexp(part, P), scaled, exact=True)) < allowance
+
+    def test_sieved_pass_calls_no_mpmath_exp_or_log(self, monkeypatch):
+        # every n^-s of a pass, past the cap too, comes from integer fixed
+        # point: mp.exp and mp.log are never called
+        monkeypatch.setattr(summod, "SIEVE_CAP", 64)
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(mp, "exp", counted("exp", mp.exp))
+        monkeypatch.setattr(mp, "log", counted("log", mp.log))
+        entries, power_entry = [], summod._power_entry
+        monkeypatch.setattr(summod, "_power_entry",
+                            lambda f, *rest: entries.append(f) or power_entry(f, *rest))
+        z = [RotationNumber(1, 3), mp.mpc("0.6", "0.8")]
+        s = [mp.mpc("0.4", "0.5"), mp.mpc("-0.5", "2")]
+        with mp.workprec(128):
+            nested_sums(z, s, [1, 0], [5000])
+        assert max(entries) > 64  # a cofactor past the cap
+        assert calls["exp"] == calls["log"] == 0
+
+
 def _plain_geometric_coeffs(xi, J):
     """c_0..c_J of 1/(xi e^t - 1) less its pole by the recurrence of
     ``summation._geometric_coeffs``, from c_0 on every call."""
@@ -554,3 +606,19 @@ class TestGeometricCoeffs:
         with mp.workprec(256):
             assert list(high) == _plain_geometric_coeffs(xi, 20)
         assert high != low
+
+    def test_cold_call_needs_no_recursion(self):
+        # one list per (xi, prec) is extended by a loop: a cold call at
+        # J = 300 runs with the recursion limit 50 frames above this one
+        xi, prec, J = RotationNumber(3, 101), 97, 300
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            got = summod._geometric_coeffs(xi, J, prec)
+        finally:
+            sys.setrecursionlimit(limit)
+        with mp.workprec(prec):
+            assert list(got) == _plain_geometric_coeffs(xi, J)
