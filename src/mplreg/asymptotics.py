@@ -180,14 +180,9 @@ class DepthSpec:
             raise IndexError(f"need 1 <= i <= j <= {self.r}")
         return sum(self.a[i - 1:j])
 
-    def product_indicator(self, i: int, j: int) -> int:
-        """q_[i,j] = 1 iff z_i * ... * z_j = 1."""
-        from .rootsofunity import rotation_product
-
-        return 1 if rotation_product(self.z, i, j).is_one() else 0
-
     def suffix_count(self, i: int, j: int) -> int:
-        """Q_[i,j] = q_[i,j] + ... + q_[j,j]; zero when j < i."""
+        """Q_[i,j] = q_[i,j] + ... + q_[j,j], q_[t,j] = 1 iff z_t * ... * z_j = 1;
+        zero when j < i."""
         if j < i:
             return 0
         members, _ = index_set_and_count(self.z, j)

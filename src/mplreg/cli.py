@@ -273,7 +273,9 @@ def _summation_suite(rng: random.Random, trials: int, tol):
         num = rng.choice([x for x in range(1, k) if mp.libmp.gcd(x, k) == 1])
         zeta = RotationNumber(num, k)
         n = max(n, k)
-        values = [row[0] for row in ScaleFunction._grid([f], range(1, n))]
+        # term by term in mpmath, independent of the evaluator the engines use
+        values = [mp.fsum(c * mp.log(i) ** l * mp.mpf(i) ** -e for l, e, c in terms)
+                  for i in range(1, n)]
         brute_em = sum(values, mp.mpc(0))
         table = zeta.power_values()
         brute_gb = sum((table[i % k] * v for i, v in enumerate(values, 1)),

@@ -242,7 +242,9 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     shift + k is T_k = sum_{N<=n<M} w(n) n^-k, the (z_1 - 1) tail
     sum w(n) n; at depth >= 2 the two heads at N and M - 1 are the suffix
     sums of its level 1 there.  The merged tail takes one more pass, so a
-    call makes at most 2 passes, 1 at depth 1.
+    call makes at most 2 passes, 1 at depth 1.  The series runs on the
+    pass's 2^P-scaled integers (``NestedPass.raw_sum``), flooring each term
+    over n per step (< 1/(1 - 1/N) units 2^-P of error), each T_k one mpc.
 
     The series sum_k (shift - 1)_(k+1)/(k+1)! T_k stops at the first k with
     rho = max(1, (a + k + 2)/(k + 3))/N < 1 and W b_(k+1) N^-(k+1)/(1 - rho)
@@ -268,7 +270,7 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     z1 = zval(entries[0])
     shift = svals[0] + (_delta(entries[0]) if r > 1 else 0)
     kernel = NestedPass(M)
-    sums = _nested_sums(entries, [shift] + svals[1:], range(N, M + 1), kernel)
+    _nested_sums(entries, [shift] + svals[1:], range(N, M + 1), kernel)
     # the heads t_N and t_(M-1) of (z_2.., s_2..) are that pass's level-1 sums
     heads = [kernel.suffix_sum(n, 1) if r > 1 else 1 for n in (N, M - 1)]
     lhs = (z1 ** N / mp.mpf(N - 1) ** (shift - 1) * heads[0]
@@ -281,22 +283,31 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
         merged = _nested_sums([z12] + entries[2:], [shift + svals[1] - 1] + svals[2:],
                               (N, M - 1))
         lhs += z1 * (merged[M - 1] - merged[N])
-    terms = [sums[n + 1] - sums[n] for n in range(N, M)]  # w(n) n^-k, k = 0
-    lhs += (z1 - 1) * sum((w * n for n, w in enumerate(terms, N)), mp.mpc(0))
+    # w(n) n^-k, k = 0: the exact differences of the pass's sums, scaled by 2^P
+    raw = [kernel.raw_sum(n) for n in range(N, M + 1)]
+    P = raw[0][2]
+    terms = [(x1 - x0, y1 - y0) for (x0, y0, _), (x1, y1, _) in zip(raw, raw[1:])]
+
+    def value(re, im):
+        return mp.mpc(mp.mpf((re, -P)), mp.mpf((im, -P)))
+
+    lhs += (z1 - 1) * value(sum(x * n for n, (x, _) in enumerate(terms, N)),
+                            sum(y * n for n, (_, y) in enumerate(terms, N)))
 
     a = abs(shift - 1)
     coef = shift - 1  # (shift - 1)_(k+1) / (k+1)!
-    dropped = sum(abs(w) for w in terms) * a * (a + 1) / (2 * N)  # W b_(k+1) N^-(k+1)
+    W = mp.mpf((sum(math.isqrt(x * x + y * y) + 1 for x, y in terms), -P))  # >= sum |w(n)|
+    dropped = W * a * (a + 1) / (2 * N)  # W b_(k+1) N^-(k+1)
     rhs = mp.mpc(0)
     k = 0
     while True:
-        rhs += coef * sum(terms, mp.mpc(0))
+        rhs += coef * value(sum(x for x, _ in terms), sum(y for _, y in terms))
         rho = max(1, (a + k + 2) / (k + 3)) / N
         if rho < 1 and dropped / (1 - rho) < tol / 100:
             break
         k += 1
         coef *= (shift - 1 + k) / (k + 1)
         dropped *= (a + k + 1) / ((k + 2) * N)
-        terms = [w / n for n, w in enumerate(terms, N)]
+        terms = [(x // n, y // n) for n, (x, y) in enumerate(terms, N)]
     return TranslationReport(residual=abs(lhs - rhs), lhs=lhs, rhs=rhs,
                              terms_used=k + 1)

@@ -1,7 +1,7 @@
 """Exact arithmetic on roots of unity and convergence-domain combinatorics.
 
 A root of unity e^{2*pi*i*p/q} is stored as the reduced fraction p/q mod 1,
-so that products, inverses and equality with 1 are exact.  On top of that
+so that products, powers and equality with 1 are exact.  On top of that
 sit the combinatorial quantities attached to a tuple z = (z_1, ..., z_r):
 the first index q(z) whose prefix product differs from 1, the index sets
 I_j(z) and counts Q_j(z) built from the products z_i * ... * z_j, and the
@@ -97,9 +97,6 @@ class RotationNumber:
 
     def __mul__(self, other: "RotationNumber") -> "RotationNumber":
         return RotationNumber(self._frac + other._frac)
-
-    def inverse(self) -> "RotationNumber":
-        return RotationNumber(-self._frac)
 
     def __pow__(self, exponent: int) -> "RotationNumber":
         return RotationNumber(self._frac * exponent)

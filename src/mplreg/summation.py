@@ -9,9 +9,10 @@ Two finite-cutoff engines reproduce sums over scale functions exactly:
 with the remainder integral in closed form on every unit interval
 (periodic polynomial times scale function).  Each engine evaluates the
 antiderivatives A_e of x^e f^(m) once at each integer of its range, in one
-table (one log per point, each power shared), and the x^e coefficient of
-the polynomial shifted onto [i, i+1) is a polynomial in i formed once per
-call; the remainder is then sum_i sum_e p_e(i) (A_e(i+1) - A_e(i)).  For
+``ScaleFunction._grid`` table, and the x^e coefficient of the polynomial
+shifted onto [i, i+1) is a polynomial in i over one denominator, formed
+once per call; the remainder is then sum_i sum_e p_e(i) (A_e(i+1) - A_e(i)),
+each unit integral an exact integer sum rounded once.  For
 k >= 3 the quasi-periodic polynomial jumps at the integers, so the textbook
 integration-by-parts chain picks up correction sums proportional to
 zeta*E_{k,j}(1) - E_{k,j}(0), read off the same table; that coefficient
@@ -48,11 +49,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_int, ln2_fixed, log_int_fixed, mpf_log, pi_fixed, to_fixed
+from mpmath.libmp import (from_int, from_man_exp, ln2_fixed, log_int_fixed, mpf_div, mpf_log,
+                          pi_fixed, round_nearest, to_fixed)
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase
 
 from . import eulerpoly
@@ -108,25 +110,29 @@ def _unit_integrals(poly, a: int, shifts, rows) -> list:
     """int_i^(i+1) poly(a x + b) g(x) dx for consecutive integers i, i + 1,
     rows[0], rows[1], ... holding the values at i of the antiderivatives of
     x^e g(x), e = 0..deg poly, and ``shifts`` the b of each interval.  The
-    x^e coefficient of poly(a x + b) is sum_d c_d C(d, e) a^e b^(d-e), a
-    polynomial in b put over one denominator per e once per call; every
-    antiderivative is read off the rows, so each is evaluated once per point.
+    x^e coefficient of poly(a x + b) is sum_d c_d C(d, e) a^e b^(d-e) =
+    num_e(b) / D, one D for every e, num_e by Horner from its highest power.
+    Per interval and part the integral is sum_e num_e(b) (A_e(i+1) - A_e(i)),
+    exact on the rows' mantissas, over D, correctly rounded once.
     """
-    coeffs = []  # per e: numerators in b, highest power first; the denominator
-    for e in range(poly.degree + 1):
-        qs = [c * math.comb(d, e) * a ** e for d, c in enumerate(poly.coeffs) if d >= e]
-        den = math.lcm(*(q.denominator for q in qs))
-        coeffs.append(([q.numerator * (den // q.denominator) for q in qs[::-1]], den))
+    qs = [[c * math.comb(d, e) * a ** e for d, c in enumerate(poly.coeffs) if d >= e]
+          for e in range(poly.degree + 1)]
+    den = math.lcm(*(q.denominator for row in qs for q in row))
+    coeffs = [[q.numerator * (den // q.denominator) for q in row[::-1]] for row in qs]
+    # per row, per e: the signed (mantissa, exponent) of each part
+    rows = [[tuple((-man if sign else man, exp) for sign, man, exp, _ in v._mpc_)
+             for v in row[:len(coeffs)]] for row in rows]
     out = []
     for b, below, above in zip(shifts, rows, rows[1:]):
-        total = mp.mpc(0)
-        for (nums, den), low, high in zip(coeffs, below, above):
-            c = 0
-            for q in nums:
-                c = c * b + q
-            if c:
-                total += _mpq(Fraction(c, den)) * (high - low)
-        out.append(total)
+        nums = [reduce(lambda c, q: c * b + q, row, 0) for row in coeffs]
+        parts = []
+        for i in (0, 1):
+            values = [(c * man, exp) for c, low, high in zip(nums, below, above) if c
+                      for man, exp in (high[i], (-low[i][0], low[i][1])) if man]
+            e = min([exp for _, exp in values], default=0)
+            total = from_man_exp(sum([man << exp - e for man, exp in values]), e)
+            parts.append(mpf_div(total, from_int(den), mp.mp.prec, round_nearest))
+        out.append(mp.make_mpc(tuple(parts)))
     return out
 
 
@@ -154,8 +160,11 @@ def euler_maclaurin(f: ScaleFunction, n: int, m: int) -> SummationBreakdown:
         if bj:
             boundary += _mpq(bj / math.factorial(j)) * (high[j] - low[j])
     bpoly = eulerpoly.bernoulli_polynomial(m)
-    antis = [derivs[m].times_power(e).antiderivative() for e in range(bpoly.degree + 1)]
-    rows = ScaleFunction._grid(antis, range(1, n + 1))
+    # sum_e p_e(i) A_e cancels by up to n^(deg + 1): the antiderivatives and
+    # their table carry that many more bits
+    with mp.workprec(mp.mp.prec + (bpoly.degree + 1) * n.bit_length()):
+        antis = [derivs[m].times_power(e).antiderivative() for e in range(bpoly.degree + 1)]
+        rows = ScaleFunction._grid(antis, range(1, n + 1))
     # B_m(x - i) on [i, i+1), i = 1..n-1
     remainder = sum(_unit_integrals(bpoly, 1, range(-1, -n, -1), rows), mp.mpc(0))
     remainder *= mp.mpf((-1) ** (m + 1)) / math.factorial(m)
@@ -230,13 +239,12 @@ def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
             corrections.append((derivs[j], fac, corr_coef))
     blk_bound *= vw
 
-    # one table at k-1..n: the antiderivatives of x^e f^(m), then the f^(j)
-    # of the correction sums
+    # one table at k-1..n, with the extra bits of ``euler_maclaurin``: the
+    # antiderivatives of x^e f^(m), then the f^(j) of the correction sums
     epoly = eulerpoly.gen_euler_polynomial(k, m - 1)
-    antis = [derivs[m].times_power(e).antiderivative()
-             for e in range(epoly.degree + 1)]
-    rows = ScaleFunction._grid(antis + [d for d, _, _ in corrections],
-                               range(k - 1, n + 1))
+    with mp.workprec(mp.mp.prec + (epoly.degree + 1) * n.bit_length()):
+        antis = [derivs[m].times_power(e).antiderivative() for e in range(epoly.degree + 1)]
+        rows = ScaleFunction._grid(antis + [d for d, _, _ in corrections], range(k - 1, n + 1))
     blk_corr = mp.mpc(0)
     for col, (_, fac, corr_coef) in enumerate(corrections, len(antis)):
         twisted = sum((zpow(a) * rows[a - k + 1][col] for a in range(k, n)),
@@ -586,11 +594,17 @@ class NestedPass:
         self.top, self.prec = int(top), mp.mp.prec
         self.n, self.terms, self.key, self.running, self.hits = 1, 0, None, None, {}
 
+    def raw_sum(self, N: int, j: int = 0) -> tuple:
+        """(re, im, P): t_N of the suffix series (z_j.., s_j.., k_j..) as the
+        pass's integers re + i im scaled by 2^P, read off running[j] at a
+        cutoff N some call asked for."""
+        re, im = self.hits[N]
+        return re[j], im[j], self.running[0]
+
     def suffix_sum(self, N: int, j: int = 0):
-        """t_N of the suffix series (z_j.., s_j.., k_j..), read off
-        running[j] at a cutoff N some call asked for."""
-        P, (re, im) = self.running[0], self.hits[N]
-        return mp.mpc(mp.mpf((re[j], -P)), mp.mpf((im[j], -P)))
+        """``raw_sum`` rounded to an mpc."""
+        re, im, P = self.raw_sum(N, j)
+        return mp.mpc(mp.mpf((re, -P)), mp.mpf((im, -P)))
 
     def check(self, key, cutoffs):
         self.key = self.key or key

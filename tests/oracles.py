@@ -6,9 +6,13 @@ Bernoulli numbers, the tail-coefficient oracle comes from a geometric
 operator series, and the sequence limits use plain window averaging with
 Aitken extrapolation over raw partial sums.  ``_mpmath_pass`` is the
 nested partial-sum loop in mpmath numbers, the reference for the package's
-fixed-point kernel.  ``em_remainder`` and ``geb_blocks`` rebuild the
-engines' remainder and correction blocks interval by interval and point by
-point, the reference for their tables of antiderivative values;
+fixed-point kernel.  ``point_value`` sums the terms of a ScaleFunction in
+mpmath at 100 bits above the working precision, the reference for its
+integer evaluator.  ``em_remainder`` and ``geb_blocks`` rebuild the
+engines' remainder and correction blocks interval by interval, from values
+that evaluator gives one point at a time, each unit integral the exact
+rational one of those values rounded once: the reference for the engines'
+tables of antiderivative values;
 ``per_term_translation`` sums each tail of the translation series in a
 pass of its own, the reference for the one-pass ``verify_translation``;
 ``series_reference`` sums its series on past the stop, the reference for
@@ -22,6 +26,7 @@ import math
 
 from hypothesis import strategies as st
 import mpmath as mp
+from mpmath.libmp import from_rational, round_nearest
 
 from mplreg import eulerpoly
 from mplreg.polylog import (PartialSumSpec, TranslationReport, _delta,
@@ -155,24 +160,49 @@ def _mpq(q: Fraction):
 
 
 def point_value(f, t):
-    """f(t), t >= 1, straight from its terms with a log of its own."""
-    t = mp.mpf(t)
-    log_t = mp.log(t)
-    total = mp.mpc(0)
-    for l, m, c in f.terms():
-        total += c * log_t ** l * t ** (-m)
-    return total
+    """f(t), t >= 1 an mpf or int, straight from its terms with a log of its
+    own at 100 bits above the working precision, and for each part (real,
+    imaginary) the bound that ``ScaleFunction._grid`` derives for its error:
+    2^-prec |part of f(t)| + 2^-(prec+8) S, S the sum of the absolute values
+    of that part of the terms.  Returns (f(t), (bound of re, bound of im))."""
+    prec = mp.mp.prec
+    with mp.workprec(prec + 100):
+        t = mp.mpf(t)
+        terms = [c * mp.log(t) ** l * t ** -m for l, m, c in f.terms()]
+        value = mp.mpc(mp.fsum(v.real for v in terms), mp.fsum(v.imag for v in terms))
+        bounds = tuple(mp.mpf(2) ** -prec * abs(total)
+                       + mp.mpf(2) ** -(prec + 8) * mp.fsum(abs(p) for p in parts)
+                       for total, parts in ((value.real, [v.real for v in terms]),
+                                            (value.imag, [v.imag for v in terms])))
+    return value, bounds
 
 
-def _poly_times_scale_integral(poly_coeffs, antis, a: int, b: int):
+def _exact(v) -> Fraction:
+    sign, man, exp, _ = v._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def _table_prec(poly, n: int) -> int:
+    """The precision of an engine's antiderivative table for ``poly`` to n:
+    (deg + 1) bit_length(n) bits above the working precision."""
+    return mp.mp.prec + (poly.degree + 1) * n.bit_length()
+
+
+def _poly_times_scale_integral(poly_coeffs, antis, a: int, b: int, wp: int):
     """int_a^b p(x) g(x) dx for an exact-rational polynomial p, given the
-    antiderivatives ``antis[e]`` of x^e g(x)."""
-    total = mp.mpc(0)
-    for c, anti in zip(poly_coeffs, antis):
-        if c == 0:
-            continue
-        total += _mpq(c) * (point_value(anti, b) - point_value(anti, a))
-    return total
+    antiderivatives ``antis[e]`` of x^e g(x): per part the exact rational
+    sum of p_e (A_e(b) - A_e(a)) over the values ``_value_at`` gives at
+    ``wp`` bits, rounded once to the working precision."""
+    with mp.workprec(wp):
+        values = [(c, anti._value_at(a), anti._value_at(b))
+                  for c, anti in zip(poly_coeffs, antis) if c]
+    parts = []
+    for part in ("real", "imag"):
+        exact = sum((c * (_exact(getattr(high, part)) - _exact(getattr(low, part)))
+                     for c, low, high in values), Fraction(0))
+        parts.append(mp.make_mpf(from_rational(exact.numerator, exact.denominator,
+                                               mp.mp.prec, round_nearest)))
+    return mp.mpc(*parts)
 
 
 def em_remainder(f, n: int, m: int):
@@ -183,11 +213,13 @@ def em_remainder(f, n: int, m: int):
     for _ in range(m):
         g = g.differentiate()
     bpoly = eulerpoly.bernoulli_polynomial(m)
-    antis = [g.times_power(e).antiderivative() for e in range(bpoly.degree + 1)]
+    wp = _table_prec(bpoly, n)
+    with mp.workprec(wp):
+        antis = [g.times_power(e).antiderivative() for e in range(bpoly.degree + 1)]
     remainder = mp.mpc(0)
     for i in range(1, n):
         shifted = bpoly.compose_affine(1, -i)
-        remainder += _poly_times_scale_integral(shifted.coeffs, antis, i, i + 1)
+        remainder += _poly_times_scale_integral(shifted.coeffs, antis, i, i + 1, wp)
     remainder *= mp.mpf((-1) ** (m + 1)) / math.factorial(m)
     return remainder
 
@@ -201,24 +233,26 @@ def geb_blocks(f, k: int, zeta: RotationNumber, n: int, m: int):
     for _ in range(m):
         derivs.append(derivs[-1].differentiate())
     vw = eulerpoly.inner_product(k, zeta, 1, k - 1)
+    epoly = eulerpoly.gen_euler_polynomial(k, m - 1)
+    wp = _table_prec(epoly, n)
     corr = mp.mpc(0)
     for j in range(1, m):
         e1 = eulerpoly.gen_euler_at_one(k, j)
         e0 = eulerpoly.gen_euler_at_zero(k, j)
         coef = zp[1 % k] * _mpq(e1) - _mpq(e0)
         if coef != 0:
-            twisted = sum((zp[a % k] * point_value(derivs[j], a) for a in range(k, n)),
-                          mp.mpc(0))
+            with mp.workprec(wp):
+                values = [derivs[j]._value_at(a) for a in range(k, n)]
+            twisted = sum((zp[a % k] * v for a, v in enumerate(values, k)), mp.mpc(0))
             corr += mp.mpf(1) / math.factorial(j) * coef * twisted
     corr *= vw
-    epoly = eulerpoly.gen_euler_polynomial(k, m - 1)
-    antis = [derivs[m].times_power(e).antiderivative()
-             for e in range(epoly.degree + 1)]
+    with mp.workprec(wp):
+        antis = [derivs[m].times_power(e).antiderivative() for e in range(epoly.degree + 1)]
     remainder = mp.mpc(0)
     for i in range(k - 1, n):
         shifted = epoly.compose_affine(-1, 1 + i)
         remainder += zp[(i + 1) % k] * _poly_times_scale_integral(
-            shifted.coeffs, antis, i, i + 1)
+            shifted.coeffs, antis, i, i + 1, wp)
     remainder *= vw / math.factorial(m - 1)
     return corr, remainder
 
@@ -307,3 +341,46 @@ def series_reference(z, s, M: int, N: int, bound):
                         / mp.mpf(N) ** (k + 1) / (1 - rho)) < bound:
             return total
         k += 1
+
+
+def translation_series(z, s, M: int, N: int, tol):
+    """The right side of the translation identity at (z, s) as an mpc series
+    at 64 bits above the working precision: the terms w(n) are the exact
+    differences of the same kernel pass as in ``verify_translation``, each
+    T_k = sum w(n) / n^k is summed in mpc, and the series stops by the same
+    rule.  Returns (rhs, terms_used, bound), ``bound`` the rounding that
+    ``verify_translation``'s integer series may add to its rhs: at each k
+    |coef_k| times (M - N) sqrt 2 2^-P / (1 - 1/N) for its floored terms
+    (each errs by < 1/(1 - 1/N) units of 2^-P in each part) and
+    2^(3-prec) (k + 3) |T_k| for rounding T_k and coef_k, plus
+    2^(1-prec) per step of the running sum."""
+    entries = list(z.entries) if isinstance(z, ZVector) else list(z)
+    svals = [mp.mpc(c) for c in s]
+    shift = svals[0] + (_delta(entries[0]) if len(entries) > 1 else 0)
+    state = NestedPass(M)
+    nested_sums(entries, [shift] + svals[1:], (0,) * len(entries), range(N, M + 1), state)
+    raw = [state.raw_sum(n) for n in range(N, M + 1)]
+    P = raw[0][2]
+    prec = mp.mp.prec
+    with mp.workprec(prec + 64):
+        w = [mp.mpc(mp.mpf((x1 - x0, -P)), mp.mpf((y1 - y0, -P)))
+             for (x0, y0, _), (x1, y1, _) in zip(raw, raw[1:])]
+        floors = mp.sqrt(2) * (M - N) * mp.mpf(2) ** -P / (1 - mp.mpf(1) / N)
+        a = abs(shift - 1)
+        coef = shift - 1
+        dropped = sum(abs(v) for v in w) * a * (a + 1) / (2 * N)
+        rhs, bound, mass = mp.mpc(0), mp.mpf(0), mp.mpf(0)
+        k = 0
+        while True:
+            T = sum(w, mp.mpc(0))
+            rhs += coef * T
+            bound += abs(coef) * (floors + mp.mpf(2) ** (3 - prec) * (k + 3) * abs(T))
+            mass += abs(coef * T)
+            rho = max(1, (a + k + 2) / (k + 3)) / N
+            if rho < 1 and dropped / (1 - rho) < tol / 100:
+                break
+            k += 1
+            coef *= (shift - 1 + k) / (k + 1)
+            dropped *= (a + k + 1) / ((k + 2) * N)
+            w = [v / n for n, v in enumerate(w, N)]
+        return rhs, k + 1, bound + mp.mpf(2) ** (1 - prec) * (k + 1) * mass

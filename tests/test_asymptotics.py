@@ -14,7 +14,7 @@ from mplreg.asymptotics import (
 )
 from mplreg.errors import PrecisionError
 from mplreg.polylog import eval_integer_point, stieltjes_constant
-from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber, ZVector
+from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber, ZVector, rotation_product
 from mplreg.scalefun import ScaleFunction
 import mplreg.summation as summod
 
@@ -266,9 +266,9 @@ class TestDerivedAccessors:
     def test_product_counts(self):
         # z = (1, -1): q_[1,2] = q_[2,2] = 0, so Q_[1,2] = 0 while Q_[1,1] = 1
         spec = DepthSpec(ZVector.parse("1,-1"), (0, 0), (0, 0))
-        assert spec.product_indicator(1, 1) == 1
-        assert spec.product_indicator(1, 2) == 0
-        assert spec.product_indicator(2, 2) == 0
+        assert rotation_product(spec.z, 1, 1).is_one()
+        assert not rotation_product(spec.z, 1, 2).is_one()
+        assert not rotation_product(spec.z, 2, 2).is_one()
         assert spec.suffix_count(1, 2) == 0
         assert spec.suffix_count(1, 1) == 1
         assert spec.suffix_count(2, 1) == 0
@@ -277,7 +277,8 @@ class TestDerivedAccessors:
         spec = DepthSpec(ZVector.parse("1/2,1/2,1/3,2/3"), (0,) * 4, (0,) * 4)
         for j in range(1, 5):
             for i in range(1, j + 1):
-                direct = sum(spec.product_indicator(t, j) for t in range(i, j + 1))
+                direct = sum(rotation_product(spec.z, t, j).is_one()
+                             for t in range(i, j + 1))
                 assert spec.suffix_count(i, j) == direct
 
 

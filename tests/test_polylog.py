@@ -24,7 +24,7 @@ from mplreg.rootsofunity import RotationNumber, ZVector
 from mplreg.summation import nested_sums
 
 from oracles import (averaged_limit, em_zeta, per_term_translation, primitive_roots,
-                     series_reference)
+                     series_reference, translation_series)
 
 Z = ZVector.parse
 
@@ -408,6 +408,29 @@ class TestTranslation:
             bound = mp.mpf(2) ** (10 - prec) * M * (1 + abs(ref.lhs))
             assert abs(rep.lhs - ref.lhs) <= bound
             assert abs(rep.rhs - ref.rhs) <= bound
+
+
+class TestTranslationSeries:
+    @pytest.mark.parametrize("prec", [53, 128, 256])
+    def test_integer_series_against_mpc_reference(self, prec):
+        # the translation trials of ``mplreg verify`` (depth 1-3, complex s,
+        # M = 50, N = 12, its default tol) at seeds 0-2: the series on the
+        # pass's integers agrees with an mpc series at 64 more bits within
+        # its rounding bound and stops after the same number of terms
+        with mp.workprec(prec):
+            tol = max(mp.mpf("1e-12"), 100 * mp.mpf(2) ** (20 - prec)) / 100
+            for seed in range(3):
+                rng = random.Random(seed)
+                for trial in range(9):
+                    r = 1 + trial % 3
+                    dens = [rng.choice([2, 3, 4, 5, 6]) for _ in range(r)]
+                    z = ZVector([RotationNumber(rng.randrange(d), d) for d in dens])
+                    s = [mp.mpc(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0))
+                         for _ in range(r)]
+                    rep = verify_translation(z, s, 50, 12, tol=tol)
+                    rhs, terms_used, bound = translation_series(z, s, 50, 12, tol)
+                    assert rep.terms_used == terms_used
+                    assert abs(rep.rhs - rhs) <= bound
 
 
 class TestTailDecay:

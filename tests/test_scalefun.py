@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mplreg.scalefun import ScaleFunction
+from oracles import point_value
 
 # coefficients from a small exact set keeps the algebra checks crisp
 coeffs = st.sampled_from([1, -1, 2, mp.mpf("0.5"), mp.mpc(1, 1), -3])
@@ -94,6 +95,36 @@ class TestEvaluate:
             single(0, 1).evaluate(1)
         with pytest.raises(ValueError):
             single(0, 1).evaluate(0.5)
+
+    # (l, m, decimal exponent, re, im) of each term: coefficients from
+    # 1e-40 to 1e10, so that terms of very different size cancel
+    GRID_TERMS = st.lists(st.tuples(st.integers(0, 4), st.integers(-7, 9),
+                                    st.integers(-40, 10), st.floats(-1, 1), st.floats(-1, 1)),
+                          min_size=1, max_size=8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(terms=GRID_TERMS, more=GRID_TERMS,
+           prec=st.sampled_from([53, 64, 113, 128, 200, 256, 512]),
+           points=st.lists(st.one_of(st.integers(1, 3000),
+                                     st.sampled_from(["e", 2.5, 1000.25])),
+                           min_size=1, max_size=4))
+    def test_grid_meets_its_error_bound(self, terms, more, prec, points):
+        # each part errs by at most 2^-prec |part of f(t)| + 2^-(prec+8) S,
+        # S the sum of the absolute values of that part of the terms; two
+        # functions per call share the powers of t, and evaluate gives the
+        # same bits one function at a time
+        with mp.workprec(prec):
+            functions = [ScaleFunction([(l, m, mp.mpc(re, im) * mp.mpf(10) ** d)
+                                        for l, m, d, re, im in ts]) for ts in (terms, more)]
+            points = [+mp.e if t == "e" else mp.mpf(t) for t in [1] + points]
+            rows = ScaleFunction._grid(functions, points)
+            for t, row in zip(points, rows):
+                for f, value in zip(functions, row):
+                    ref, (bound_re, bound_im) = point_value(f, t)
+                    assert abs(value.real - ref.real) <= bound_re
+                    assert abs(value.imag - ref.imag) <= bound_im
+                    if t > 1:
+                        assert f.evaluate(t) == value
 
 
 class TestProduct:

@@ -145,7 +145,9 @@ class TestGenEulerBoole:
 class TestEngineTables:
     """Both engines read every antiderivative and every f^(j) of the
     correction sums off one table of values at the integers; the blocks they
-    feed are bit-identical to the per-interval, per-point reference."""
+    feed are bit-identical to the per-interval reference that evaluates one
+    point at a time, and the table rows meet the evaluator's error bound
+    against mpmath's terms at 100 more bits."""
 
     @settings(max_examples=25, deadline=None)
     @given(terms=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
@@ -156,8 +158,10 @@ class TestEngineTables:
         k = zeta.order
         with mp.workprec(prec):
             f = ScaleFunction([(l, mm, mp.mpc(re, im)) for l, mm, re, im in terms])
-            assert [row[0] for row in ScaleFunction._grid([f], range(1, 4))] \
-                == [point_value(f, t) for t in range(1, 4)]
+            for t, (value,) in enumerate(ScaleFunction._grid([f], range(1, 4)), 1):
+                ref, bounds = point_value(f, t)
+                assert abs(value.real - ref.real) <= bounds[0]
+                assert abs(value.imag - ref.imag) <= bounds[1]
 
             em = euler_maclaurin(f, n, m)
             blocks = dict(em.boundary_terms)
