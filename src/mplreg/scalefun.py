@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, fzero, log_int_fixed, round_nearest
+from mpmath.libmp import from_man_exp, log_int_fixed, round_nearest
 
 __all__ = ["ScaleFunction"]
 

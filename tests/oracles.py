@@ -16,7 +16,9 @@ tables of antiderivative values;
 ``per_term_translation`` sums each tail of the translation series in a
 pass of its own, the reference for the one-pass ``verify_translation``;
 ``series_reference`` sums its series on past the stop, the reference for
-the derived bound of the terms the stop drops.
+the derived bound of the terms the stop drops; ``translation_series`` sums
+it in mpc at 64 more bits off the same pass, the reference for the series
+on that pass's integers.
 ``primitive_roots`` is the shared Hypothesis strategy for roots of unity of
 high order.
 """
