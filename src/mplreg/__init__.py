@@ -29,7 +29,6 @@ from .eulerpoly import (
 )
 from .polylog import (
     EvalReport,
-    PartialSumSpec,
     TranslationReport,
     brute_partial_sum,
     eval_convergent,
@@ -52,7 +51,6 @@ from .rootsofunity import (
 from .scalefun import ScaleFunction
 from .summation import (
     SummationBreakdown,
-    TermSumResult,
     euler_maclaurin,
     gen_euler_boole,
     term_sum_expansion,
@@ -63,10 +61,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticExpansion", "ComplexPoint", "DepthSpec", "DomainError",
     "EvalReport", "Hyperplane", "MplregError", "NonConvergenceError",
-    "PartialSumSpec", "PrecisionError", "RationalPolynomial", "RotationNumber",
-    "ScaleFunction", "SummationBreakdown", "TermSumResult", "TranslationReport",
-    "ZVector", "bernoulli_number", "bernoulli_polynomial",
-    "brute_partial_sum", "contains", "depth_expansion", "euler_maclaurin",
+    "PrecisionError", "RationalPolynomial", "RotationNumber", "ScaleFunction",
+    "SummationBreakdown", "TranslationReport", "ZVector", "bernoulli_number",
+    "bernoulli_polynomial", "brute_partial_sum", "contains", "depth_expansion", "euler_maclaurin",
     "eval_convergent", "eval_integer_point", "first_nontrivial_prefix",
     "gen_euler_boole", "gen_euler_polynomial", "index_set_and_count",
     "inner_product", "order_lower_bound", "partial_sum", "pochhammer",

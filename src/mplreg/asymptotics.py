@@ -48,10 +48,6 @@ def fmt_real(x) -> str:
     return mp.nstr(mp.mpf(x), mp.mp.dps + 5)
 
 
-def parse_real(text: str):
-    return mp.mpf(text)
-
-
 class AsymptoticExpansion:
     """Finite map character xi -> ScaleFunction S_xi, so that u_n is
     sum xi^n S_xi(n), plus the precision order A (error o(n^-A)) and a
@@ -133,17 +129,6 @@ class AsymptoticExpansion:
         ]
         return {"terms": terms, "precision": self.precision,
                 "residual_bound": fmt_real(self.residual_bound)}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "AsymptoticExpansion":
-        terms = {}
-        for t in obj["terms"]:
-            terms.setdefault(RotationNumber.parse(t["xi"]), []).append(
-                (int(t["l"]), int(t["m"]),
-                 mp.mpc(parse_real(t["re"]), parse_real(t["im"]))))
-        return cls({xi: ScaleFunction(ts) for xi, ts in terms.items()},
-                   int(obj["precision"]),
-                   residual_bound=parse_real(obj.get("residual_bound", "0")))
 
     def __repr__(self):
         inner = ", ".join(

@@ -11,6 +11,7 @@ precision is left as it was.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -52,19 +53,27 @@ format_option = click.option("--format", "fmt", type=click.Choice(["json", "text
                              default="json", show_default=True, help="output format")
 
 
-def _emit(payload: str, out):
+def _write(payload: str, out):
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
+
+
+def _emit(payload: str, out):
+    _write(payload, out)
     click.echo(payload)
 
 
 def _fail(exc, out=None):
     """Print ``exc`` as a JSON error object and exit with its code
-    (``MplregError.exit_code``, 1 for any other exception)."""
+    (``MplregError.exit_code``, 1 for any other exception).  The object goes
+    to stdout first and then, as far as it can, to ``out``: the failure may
+    be that ``out`` cannot be written."""
     code = exc.exit_code if isinstance(exc, MplregError) else 1
-    _emit(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-          out)
+    payload = json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
+    click.echo(payload)
+    with contextlib.suppress(OSError):
+        _write(payload, out)
     sys.exit(code)
 
 
@@ -242,7 +251,6 @@ def cmd_reg(ztext, atext, ktext, prec, order, out, fmt):
 
 
 def _translation_suite(rng: random.Random, trials: int, tol):
-    failures = []
     results = []
     for trial in range(trials):
         r = 1 + trial % 3
@@ -251,16 +259,13 @@ def _translation_suite(rng: random.Random, trials: int, tol):
         s = [mp.mpc(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0))
              for _ in range(r)]
         rep = polylog.verify_translation(z, s, M=50, N=12, tol=tol / 100)
-        ok = rep.residual < tol
         results.append({"suite": "translation", "depth": r, "z": str(z),
-                        "residual": fmt_real(rep.residual), "pass": bool(ok)})
-        if not ok:
-            failures.append(results[-1])
-    return results, failures
+                        "residual": fmt_real(rep.residual),
+                        "pass": bool(rep.residual < tol)})
+    return results
 
 
 def _summation_suite(rng: random.Random, trials: int, tol):
-    failures = []
     results = []
     for trial in range(trials):
         terms = [(rng.randint(0, 2), rng.randint(0, 3),
@@ -285,13 +290,10 @@ def _summation_suite(rng: random.Random, trials: int, tol):
         for label, res, brute in (("euler_maclaurin", res_em, brute_em),
                                   ("gen_euler_boole", res_gb, brute_gb)):
             err = abs(res.total - brute)
-            ok = err <= res.remainder_estimate and err < tol
             results.append({"suite": "summation", "engine": label, "k": k,
                             "n": n, "m": m, "residual": fmt_real(err),
-                            "pass": bool(ok)})
-            if not ok:
-                failures.append(results[-1])
-    return results, failures
+                            "pass": bool(err <= res.remainder_estimate and err < tol)})
+    return results
 
 
 @main.command("verify")
@@ -311,15 +313,12 @@ def cmd_verify(suite, trials, seed, prec, tol, out, fmt):
     tol = (max(mp.mpf(polylog.DEFAULT_EVAL_TOL), 100 * mp.mpf(2) ** (20 - mp.mp.prec))
            if tol is None else _positive_tol(tol))
     rng = random.Random(seed)
-    results, failures = [], []
+    results = []
     if suite in ("translation", "all"):
-        res, bad = _translation_suite(rng, trials, tol)
-        results += res
-        failures += bad
+        results += _translation_suite(rng, trials, tol)
     if suite in ("summation", "all"):
-        res, bad = _summation_suite(rng, trials, tol)
-        results += res
-        failures += bad
+        results += _summation_suite(rng, trials, tol)
+    failures = [r for r in results if not r["pass"]]
     payload = {"trials": len(results), "failures": len(failures),
                "tol": fmt_real(tol), "results": results}
     if fmt == "text":

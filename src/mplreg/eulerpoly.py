@@ -1,13 +1,14 @@
 """Exact Bernoulli and generalised Euler polynomial machinery.
 
-The generalised Euler polynomials are the Strodt polynomials of the uniform
-discrete weight on {0, ..., k-1}: the unique polynomials with
+The Bernoulli polynomials (int_x^(x+1) B_n = x^n) come from one exact
+recurrence, memoised.  The generalised Euler polynomials, the unique
+polynomials with
 
-    (1/k) * (E_{k,n}(x) + E_{k,n}(x+1) + ... + E_{k,n}(x+k-1)) = x^n.
+    (1/k) * (E_{k,n}(x) + E_{k,n}(x+1) + ... + E_{k,n}(x+k-1)) = x^n,
 
-They and the Bernoulli polynomials (the uniform weight on [0, 1]:
-int_x^(x+1) B_n = x^n) come from that averaging property by one exact
-recurrence in the weight's moments; the generating series are demoted to
+are differences of scaled Bernoulli polynomials,
+E_{k,n}(x) = k^(n+1)/(n+1) (B_{n+1}((x+1)/k) - B_{n+1}(x/k)), whose
+average over the k shifts telescopes to x^n.  The generating series are
 test oracles.  k = 2 recovers the classical Euler polynomials.  Everything
 here is exact rational arithmetic on big integers.
 """
@@ -125,18 +126,6 @@ class RationalPolynomial:
         return f"RationalPolynomial({list(self._coeffs)!r})"
 
 
-def _strodt(n: int, moment, lower) -> RationalPolynomial:
-    """P_n = x^n - sum_{m<n} C(n, m) mu_(n-m) P_m, with mu_d = moment(d) the
-    d-th moment of the weight and P_m = lower(m): the polynomial whose
-    average over the weight's shifts, sum_m C(n, m) mu_(n-m) P_m, is x^n."""
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    for m in range(n):
-        c = math.comb(n, m) * moment(n - m)
-        for i, pc in enumerate(lower(m).coeffs):
-            coeffs[i] -= c * pc
-    return RationalPolynomial(coeffs)
-
-
 @lru_cache(maxsize=4096)
 def bernoulli_number(j: int) -> Fraction:
     """Exact B_j with the B_1 = -1/2 convention (so B_j = B_j(0))."""
@@ -145,11 +134,17 @@ def bernoulli_number(j: int) -> Fraction:
 
 @lru_cache(maxsize=4096)
 def bernoulli_polynomial(j: int) -> RationalPolynomial:
-    """B_j(x), the Strodt polynomial of the uniform weight on [0, 1]
-    (int_x^(x+1) B_j = x^j, moments mu_d = 1/(d+1))."""
+    """B_j(x), the polynomial with int_x^(x+1) B_j = x^j.  Since
+    int_x^(x+1) t^j dt = sum_{m<=j} C(j, m)/(j-m+1) x^m, that is
+    B_j = x^j - sum_{m<j} C(j, m)/(j-m+1) B_m."""
     if j < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    return _strodt(j, lambda d: Fraction(1, d + 1), bernoulli_polynomial)
+    coeffs = [Fraction(0)] * j + [Fraction(1)]
+    for m in range(j):
+        c = Fraction(math.comb(j, m), j - m + 1)
+        for i, pc in enumerate(bernoulli_polynomial(m).coeffs):
+            coeffs[i] -= c * pc
+    return RationalPolynomial(coeffs)
 
 
 def bernoulli_sup_bound(j: int) -> Fraction:
@@ -167,14 +162,13 @@ def power_sum(k: int, d: int) -> int:
 
 @lru_cache(maxsize=4096)
 def gen_euler_polynomial(k: int, n: int) -> RationalPolynomial:
-    """E_{k,n}(x), the Strodt polynomial of the uniform weight on
-    {0, ..., k-1} (moments mu_d = S_k(d)/k)."""
+    """E_{k,n}(x) = k^(n+1)/(n+1) (B_{n+1}((x+1)/k) - B_{n+1}(x/k))."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if n < 0:
         raise ValueError("polynomial index must be >= 0")
-    return _strodt(n, lambda d: Fraction(power_sum(k, d), k),
-                   lambda m: gen_euler_polynomial(k, m))
+    b, a = bernoulli_polynomial(n + 1), Fraction(1, k)
+    return (b.compose_affine(a, a) - b.compose_affine(a, 0)) * Fraction(k ** (n + 1), n + 1)
 
 
 def gen_euler_at_zero(k: int, n: int) -> Fraction:

@@ -3,9 +3,9 @@
 The nested series  sum_{n_1 > ... > n_r > 0}  prod_i z_i^{n_i} n_i^{-s_i}
 is handled four ways:
 
-* ``brute_partial_sum``  -- exact truncated sums t_N and tails t_{M,N}
-  (general complex weights |z_i| <= 1, complex exponents) from the one
-  kernel ``summation.nested_sums``;
+* ``brute_partial_sum(z, s, N, M=None)`` -- exact truncated sums t_N and
+  tails t_{M,N} (general complex weights |z_i| <= 1, complex exponents)
+  from the one kernel ``summation.nested_sums``;
 * ``eval_convergent``    -- limit inside the conditional-convergence domain
   U_r(z), by period averaging and Richardson extrapolation on the tail
   exponents z and s fix, across a ladder read off one resumed kernel pass;
@@ -31,7 +31,6 @@ from .rootsofunity import (RotationNumber, ZVector, _coords, contains,
 from .summation import NestedPass, _rounding_slack, nested_sums, resolve_tol
 
 __all__ = [
-    "PartialSumSpec",
     "EvalReport",
     "TranslationReport",
     "pochhammer",
@@ -56,17 +55,6 @@ def pochhammer(s, count: int):
     for i in range(count):
         acc *= s + i
     return acc
-
-
-@dataclass
-class PartialSumSpec:
-    """A truncated nested sum: weights z, exponents s, cutoff N, optional M > N
-    selecting the tail t_{M,N} instead of t_N."""
-
-    z: object
-    s: object
-    N: int
-    M: int = None
 
 
 @dataclass
@@ -107,27 +95,25 @@ def _nested_sums(z, s, cutoffs, state=None) -> dict:
     return nested_sums(z, svals, (0,) * r, cutoffs, state)
 
 
-def brute_partial_sum(spec: PartialSumSpec):
-    """t_N, or the tail t_{M,N} = t_M - t_N when spec.M is set."""
-    if spec.N < 0:
+def brute_partial_sum(z, s, N: int, M: int = None):
+    """t_N of the nested sum with weights z and exponents s, or the tail
+    t_{M,N} = t_M - t_N when M > N is given."""
+    if N < 0:
         raise ValueError("cutoff must be >= 0")
-    if spec.M is None:
-        if spec.N <= 1:
+    if M is None:
+        if N <= 1:
             return mp.mpc(0)
-        return _nested_sums(spec.z, spec.s, (spec.N,))[spec.N]
-    if spec.M <= spec.N:
+        return _nested_sums(z, s, (N,))[N]
+    if M <= N:
         raise ValueError("need M > N for a tail")
-    sums = _nested_sums(spec.z, spec.s, (max(spec.N, 1), spec.M))
-    return sums[spec.M] - sums[max(spec.N, 1)]
+    sums = _nested_sums(z, s, (max(N, 1), M))
+    return sums[M] - sums[max(N, 1)]
 
 
 def _oscillation_period(z: ZVector) -> int:
     """lcm of the orders of the z_i: averaging t_N over this many consecutive
     cutoffs cancels every oscillatory character of the expansion."""
-    period = 1
-    for zi in z:
-        period = period * zi.order // math.gcd(period, zi.order)
-    return period
+    return math.lcm(*(zi.order for zi in z))
 
 
 def _domain_flags(z: ZVector, s) -> dict:

@@ -19,15 +19,16 @@ zeta*E_{k,j}(1) - E_{k,j}(0), read off the same table; that coefficient
 vanishes identically at k = 2, which recovers the classical alternating
 formula.  The engines carry these corrections and are exact.
 
-``term_sum_expansion`` expands  sum_{a<n} xi^a (log a)^l a^(-m)  with
-symbolic n-dependent coefficients from one series for every xi: the
-antiderivative when xi = 1 plus h = sum_{j<=J} c_j f^(j), c_j the Taylor
-coefficients of 1/(xi e^t - 1) less its pole, J = max(1, A + 2 - m), in
-O(A^2) whatever the order of xi, with remainder
-K (|f^(J+1)|(n) + int_n^inf |f^(J+1)|), K = [xi = 1]/(J + 2)! +
-sum_j |c_j| / (J - j + 1)!, once the absolute terms of f^(J+1) decrease on
-[n, inf).  The constant is matched against exact partial sums at a cutoff
-pair (N, 2N).
+``term_sum_expansion`` returns the ``AsymptoticExpansion`` of
+sum_{a<n} xi^a (log a)^l a^(-m), with symbolic n-dependent coefficients
+from one series for every xi: the antiderivative when xi = 1 plus
+h = sum_{j<=J} c_j f^(j), c_j the Taylor coefficients of 1/(xi e^t - 1)
+less its pole, J = max(1, A + 2 - m), in O(A^2) whatever the order of xi,
+with remainder K (|f^(J+1)|(n) + int_n^inf |f^(J+1)|),
+K = [xi = 1]/(J + 2)! + sum_j |c_j| / (J - j + 1)!, once the absolute
+terms of f^(J+1) decrease on [n, inf).  The constant, its regularised
+value, is matched against exact partial sums at a cutoff pair (N, 2N),
+within its ``residual_bound``.
 
 ``nested_sums`` is the package's one partial-sum kernel: every exact
 truncated nested sum t_N (the matching oracle of every level of the depth
@@ -64,7 +65,6 @@ from .scalefun import ScaleFunction
 
 __all__ = [
     "SummationBreakdown",
-    "TermSumResult",
     "euler_maclaurin",
     "gen_euler_boole",
     "term_sum_expansion",
@@ -89,16 +89,6 @@ class SummationBreakdown:
     boundary_terms: list
     remainder_estimate: object
     order_used: int
-
-
-@dataclass
-class TermSumResult:
-    """Expansion of a single-term partial sum: constant + n-dependent part."""
-
-    constant: object
-    expansion: object  # AsymptoticExpansion
-    precision: int
-    match_residual: object
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +184,7 @@ def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
     inner products <v,w>, the derivative boundary at orders < m, the jump
     corrections (zero when k = 2), and the order-m remainder integral.
     """
-    if k < 2 or zeta.order != k:
-        raise ValueError(f"{zeta} is not a primitive {k}-th root of unity")
+    eulerpoly._require_primitive(k, zeta)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if m < 1:
@@ -295,15 +284,19 @@ def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
 
     At xi = 1 the pole is 1/t and c_j = B_{j+1}/(j+1)! exactly.  Otherwise
     (xi e^t - 1) G(t) = 1 order by order gives c_0 = 1/(xi - 1) and
-    c_n = -xi/(xi - 1) * sum_{i<n} c_i/(n - i)!."""
+    c_n = -xi/(xi - 1) * sum_{i<n} c_i/(n - i)!.  At xi = e^(i theta),
+    G(t) = (coth((t + i theta)/2) - 1)/2 with coth odd and its Taylor
+    coefficients real, so c_n (n >= 1) is real for odd n and imaginary for
+    even n (zero at xi = -1): each keeps only that part, leaving no rounding
+    where the other part vanishes."""
     factor, coeffs = _geometric_list(xi, prec)
     with mp.workprec(prec):
         for n in range(len(coeffs), J + 1):
             if xi.is_one():
                 coeffs.append(_mpq(eulerpoly.bernoulli_number(n + 1) / math.factorial(n + 1)))
             else:
-                coeffs.append(factor * sum(ci / math.factorial(n - i)
-                                           for i, ci in enumerate(coeffs)))
+                c = factor * sum(ci / math.factorial(n - i) for i, ci in enumerate(coeffs))
+                coeffs.append(mp.mpc(c.real) if n % 2 else mp.mpc(0, c.imag))
     return tuple(coeffs[:J + 1])
 
 
@@ -777,20 +770,17 @@ def run_matching(sums_fn, approx_fn, tail: ScaleFunction, tol_eff, prop_fn=None)
                 f"{mp.nstr(drift, 5)} at N = {n // 2}")
 
 
-def term_sum_expansion(xi: RotationNumber, l: int, m: int, A: int,
-                       tol=None) -> TermSumResult:
-    """Expansion of  v_n = sum_{a<n} xi^a (log a)^l a^(-m)  to precision A.
+def term_sum_expansion(xi: RotationNumber, l: int, m: int, A: int, tol=None):
+    """The ``AsymptoticExpansion`` of  v_n = sum_{a<n} xi^a (log a)^l a^(-m)
+    to precision A.
 
     This is ``asymptotics.partial_sum`` on the monomial: the n-dependent
     coefficients and their remainder bound are symbolic (``_term_nparts``);
-    the constant is matched numerically against exact partial sums at a
-    cutoff pair (N, 2N) and certified by the double-cutoff stability check.
+    the constant, its ``regularised_value()``, is matched numerically against
+    exact partial sums at a cutoff pair (N, 2N) and certified, within its
+    ``residual_bound``, by the double-cutoff stability check.
     """
     from .asymptotics import AsymptoticExpansion, partial_sum
 
     monomial = AsymptoticExpansion({xi: ScaleFunction.term(l, m)}, precision=max(A, m))
-    expansion = partial_sum(monomial, precision=A, tol=tol)
-    return TermSumResult(constant=expansion.regularised_value(),
-                         expansion=expansion,
-                         precision=A,
-                         match_residual=expansion.residual_bound)
+    return partial_sum(monomial, precision=A, tol=tol)

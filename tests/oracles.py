@@ -19,6 +19,9 @@ pass of its own, the reference for the one-pass ``verify_translation``;
 the derived bound of the terms the stop drops; ``translation_series`` sums
 it in mpc at 64 more bits off the same pass, the reference for the series
 on that pass's integers.
+``geometric_closed_form`` gives the Taylor coefficients of 1/(xi e^t - 1)
+from exact Bernoulli values, the reference for the recurrence of
+``summation._geometric_coeffs``.
 ``primitive_roots`` is the shared Hypothesis strategy for roots of unity of
 high order.
 """
@@ -31,8 +34,7 @@ import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest
 
 from mplreg import eulerpoly
-from mplreg.polylog import (PartialSumSpec, TranslationReport, _delta,
-                            brute_partial_sum, pochhammer)
+from mplreg.polylog import TranslationReport, _delta, brute_partial_sum, pochhammer
 from mplreg.rootsofunity import RotationNumber, ZVector
 from mplreg.summation import NestedPass, nested_sums
 
@@ -83,6 +85,23 @@ def geometric_tail_coeffs(xi_value, l: int, m: int, depth: int):
         h = h + g.scaled(coeffs[j])
         g = g.differentiate()
     return {(l2, m2): c for l2, m2, c in h.terms() if m2 <= depth}
+
+
+def geometric_closed_form(xi: RotationNumber, J: int) -> list:
+    """c_0..c_J of 1/(xi e^t - 1) less its pole, at 1,024 bits:
+    1/(xi e^t - 1) = sum_{a<k} xi^a e^(at)/(e^(kt) - 1), k the order of xi,
+    and the generating series of the B_n(a/k) give
+    c_j = k^j/(j+1)! sum_{a<k} xi^a B_{j+1}(a/k) (B_{j+1}/(j+1)! at xi = 1),
+    each B_{j+1}(a/k) an exact Fraction rounded once."""
+    k = xi.order
+    with mp.workprec(1024):
+        powers = xi.power_values()
+        out = []
+        for j in range(J + 1):
+            bern = eulerpoly.bernoulli_polynomial(j + 1)
+            total = mp.fsum(p * _mpq(bern(Fraction(a, k))) for a, p in enumerate(powers))
+            out.append(total * mp.mpf(k) ** j / math.factorial(j + 1))
+    return out
 
 
 def averaged_limit(sums_fn, period: int, start: int = 512, rungs: int = 8):
@@ -274,10 +293,10 @@ def per_term_translation(z, s, M: int, N: int, tol) -> TranslationReport:
         return entry.value() if isinstance(entry, RotationNumber) else mp.mpc(entry)
 
     def tail(zs, ss, MM, NN):
-        return brute_partial_sum(PartialSumSpec(zs, ss, NN, MM))
+        return brute_partial_sum(zs, ss, NN, MM)
 
     def head(zs, ss, NN):
-        return brute_partial_sum(PartialSumSpec(zs, ss, NN))
+        return brute_partial_sum(zs, ss, NN)
 
     z1 = zval(entries[0])
     if r == 1:

@@ -15,7 +15,6 @@ import pytest
 from mplreg.asymptotics import DepthSpec, depth_expansion, order_lower_bound
 from mplreg.eulerpoly import gen_euler_polynomial, inner_product
 from mplreg.polylog import (
-    PartialSumSpec,
     brute_partial_sum,
     eval_convergent,
     eval_integer_point,
@@ -175,7 +174,7 @@ def test_criterion_11_tail_decay_slope():
     z, s = Z("-1,1"), [mp.mpf("1.2"), mp.mpf("0.1")]
     points = []
     for N in (10**2, 10**3, 10**4):
-        tail = brute_partial_sum(PartialSumSpec(z, s, N, 2 * N))
+        tail = brute_partial_sum(z, s, N, 2 * N)
         points.append((mp.log(N), mp.log(abs(tail))))
     # least-squares slope through the three points
     xs, ys = zip(*points)

@@ -122,6 +122,14 @@ class TestErrorPath:
         assert isinstance(info.value.__cause__, KeyboardInterrupt)
         assert "error" not in capsys.readouterr().out
 
+    def test_unwritable_out_keeps_stdout_json(self, runner, tmp_path):
+        # the failure is writing --out itself: stdout still carries exactly
+        # one JSON error object, and the command exits 1
+        res = invoke(runner, ["euler-poly", "3", "2", "--out",
+                              str(tmp_path / "missing" / "x.json")])
+        assert res.exit_code == 1
+        assert json.loads(res.output)["error"]["type"] == "FileNotFoundError"
+
 
 class TestReg:
     def test_log_alternating(self, runner):
@@ -133,13 +141,14 @@ class TestReg:
         assert obj["expansion"]["precision"] == 6
 
     def test_expansion_roundtrip_bit_for_bit(self, runner):
-        from mplreg.asymptotics import AsymptoticExpansion
+        from mplreg.asymptotics import fmt_real
 
         res = invoke(runner, ["reg", "-z", "1,-1", "-a", "2,-2"])
         obj = json.loads(res.output)
-        back = AsymptoticExpansion.from_json_obj(obj["expansion"])
-        again = back.to_json_obj()
-        assert again["terms"] == obj["expansion"]["terms"]
+        assert obj["expansion"]["terms"]
+        for t in obj["expansion"]["terms"]:
+            for part in ("re", "im"):
+                assert fmt_real(mp.mpf(t[part])) == t[part]
 
 
 class TestVerify:

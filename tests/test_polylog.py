@@ -10,7 +10,6 @@ from mplreg.errors import DomainError, NonConvergenceError, PrecisionError
 import mplreg.polylog as polylog_mod
 from mplreg.polylog import (
     EvalReport,
-    PartialSumSpec,
     _oscillation_period,
     _tail_exponents,
     brute_partial_sum,
@@ -42,27 +41,27 @@ class TestPochhammer:
 
 class TestBrutePartialSum:
     def test_depth_one(self):
-        got = brute_partial_sum(PartialSumSpec(Z("1"), [2], 3))
+        got = brute_partial_sum(Z("1"), [2], 3)
         assert got == mp.mpf("1.25")
 
     def test_depth_two_enumeration(self):
-        got = brute_partial_sum(PartialSumSpec(Z("1,-1"), [2, 0], 4))
+        got = brute_partial_sum(Z("1,-1"), [2, 0], 4)
         assert abs(got + mp.mpf("0.25")) < mp.mpf("1e-35")
 
     def test_zero_below_depth(self):
         for n in (0, 1, 2):
-            assert brute_partial_sum(PartialSumSpec(Z("1,-1"), [2, 0], n)) == 0
+            assert brute_partial_sum(Z("1,-1"), [2, 0], n) == 0
 
     def test_tail_is_difference(self):
         z, s = Z("1,-1"), [2, -1]
-        t_n = brute_partial_sum(PartialSumSpec(z, s, 20))
-        t_m = brute_partial_sum(PartialSumSpec(z, s, 50))
-        tail = brute_partial_sum(PartialSumSpec(z, s, 20, 50))
+        t_n = brute_partial_sum(z, s, 20)
+        t_m = brute_partial_sum(z, s, 50)
+        tail = brute_partial_sum(z, s, 20, 50)
         assert abs(tail - (t_m - t_n)) < mp.mpf("1e-30")
 
     def test_general_complex_weights(self):
         w = mp.mpc("0.6", "0.3")
-        got = brute_partial_sum(PartialSumSpec([w], [mp.mpc(1.5, -1)], 6))
+        got = brute_partial_sum([w], [mp.mpc(1.5, -1)], 6)
         want = sum(w ** n / mp.mpf(n) ** mp.mpc(1.5, -1) for n in range(1, 6))
         assert abs(got - want) < mp.mpf("1e-35")
 
@@ -438,7 +437,7 @@ class TestTailDecay:
         z, s = Z("-1,1"), [mp.mpf("1.2"), mp.mpf("0.1")]
         worst = []
         for N in (10**2, 10**3, 10**4):
-            tails = [abs(brute_partial_sum(PartialSumSpec(z, s, N, M)))
+            tails = [abs(brute_partial_sum(z, s, N, M))
                      for M in (2 * N, 4 * N)]
             worst.append(max(tails))
         assert worst[0] > worst[1] > worst[2]
