@@ -28,7 +28,7 @@ from .asymptotics import DepthSpec, depth_expansion, fmt_real
 from .errors import DomainError, NonConvergenceError
 from .rootsofunity import (RotationNumber, ZVector, _coords, contains,
                            index_set_and_count, rotation_product)
-from .summation import NestedPass, _rounding_slack, nested_sums, resolve_tol
+from .summation import NestedPass, _rounding_slack, _scaled_mpc, nested_sums, resolve_tol
 
 __all__ = [
     "EvalReport",
@@ -229,8 +229,9 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     sum w(n) n; at depth >= 2 the two heads at N and M - 1 are the suffix
     sums of its level 1 there.  The merged tail takes one more pass, so a
     call makes at most 2 passes, 1 at depth 1.  The series runs on the
-    pass's 2^P-scaled integers (``NestedPass.raw_sum``), flooring each term
-    over n per step (< 1/(1 - 1/N) units 2^-P of error), each T_k one mpc.
+    pass's 2^P-scaled integers (``NestedPass.raw_sum``) shifted E bits
+    left, flooring each term over n per step (< 1/(1 - 1/N) units 2^-(P+E)
+    of error), each T_k one mpc.
 
     The series sum_k (shift - 1)_(k+1)/(k+1)! T_k stops at the first k with
     rho = max(1, (a + k + 2)/(k + 3))/N < 1 and W b_(k+1) N^-(k+1)/(1 - rho)
@@ -238,7 +239,10 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     b_k = (a)_(k+1)/(k+1)!.  Since |T_j| <= W N^-j, |(shift - 1)_(j+1)| <=
     (a)_(j+1) and b_(j+1)/b_j <= rho N for j > k, that bounds every term it
     drops; rho tends to 1/N, so the loop ends, and a residual below tol
-    proves the identity to within tol + tol/100.  A tol below the precision
+    proves the identity to within tol + tol/100.  That k is found before
+    the series runs, and E = max(0, mag(max_(j<=k) b_j)), so a coefficient's
+    growth (b_k reaches 2^80 at s_1 = 20, N = 2) does not magnify the floors
+    of its T_k past 2^-P.  A tol below the precision
     floor (``summation.resolve_tol``) raises PrecisionError before any pass.
     """
     if not M > N >= 2:
@@ -274,26 +278,33 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     P = raw[0][2]
     terms = [(x1 - x0, y1 - y0) for (x0, y0, _), (x1, y1, _) in zip(raw, raw[1:])]
 
-    def value(re, im):
-        return mp.mpc(mp.mpf((re, -P)), mp.mpf((im, -P)))
-
-    lhs += (z1 - 1) * value(sum(x * n for n, (x, _) in enumerate(terms, N)),
-                            sum(y * n for n, (_, y) in enumerate(terms, N)))
+    lhs += (z1 - 1) * _scaled_mpc(sum(x * n for n, (x, _) in enumerate(terms, N)),
+                                  sum(y * n for n, (_, y) in enumerate(terms, N)), P)
 
     a = abs(shift - 1)
-    coef = shift - 1  # (shift - 1)_(k+1) / (k+1)!
     W = mp.mpf((sum(math.isqrt(x * x + y * y) + 1 for x, y in terms), -P))  # >= sum |w(n)|
     dropped = W * a * (a + 1) / (2 * N)  # W b_(k+1) N^-(k+1)
-    rhs = mp.mpc(0)
+    b = b_max = a  # b_k and its largest value so far
     k = 0
     while True:
-        rhs += coef * value(sum(x for x, _ in terms), sum(y for _, y in terms))
         rho = max(1, (a + k + 2) / (k + 3)) / N
         if rho < 1 and dropped / (1 - rho) < tol / 100:
             break
         k += 1
-        coef *= (shift - 1 + k) / (k + 1)
+        b *= (a + k) / (k + 1)
+        b_max = max(b_max, b)
         dropped *= (a + k + 1) / ((k + 2) * N)
-        terms = [(x // n, y // n) for n, (x, y) in enumerate(terms, N)]
+    # |coef_j| <= b_j magnifies the floors of T_j: E more bits take them
+    # below 2^-P again
+    E = max(0, mp.mag(b_max))
+    P += E
+    terms = [(x << E, y << E) for x, y in terms]
+    coef = shift - 1  # (shift - 1)_(j+1) / (j+1)!
+    rhs = mp.mpc(0)
+    for j in range(k + 1):
+        if j:
+            coef *= (shift - 1 + j) / (j + 1)
+            terms = [(x // n, y // n) for n, (x, y) in enumerate(terms, N)]
+        rhs += coef * _scaled_mpc(sum(x for x, _ in terms), sum(y for _, y in terms), P)
     return TranslationReport(residual=abs(lhs - rhs), lhs=lhs, rhs=rhs,
                              terms_used=k + 1)

@@ -23,7 +23,8 @@ formula.  The engines carry these corrections and are exact.
 sum_{a<n} xi^a (log a)^l a^(-m), with symbolic n-dependent coefficients
 from one series for every xi: the antiderivative when xi = 1 plus
 h = sum_{j<=J} c_j f^(j), c_j the Taylor coefficients of 1/(xi e^t - 1)
-less its pole, J = max(1, A + 2 - m), in O(A^2) whatever the order of xi,
+less its pole (from their recurrence on scaled Python integers),
+J = max(1, A + 2 - m), in O(A^2) whatever the order of xi,
 with remainder K (|f^(J+1)|(n) + int_n^inf |f^(J+1)|),
 K = [xi = 1]/(J + 2)! + sum_j |c_j| / (J - j + 1)!, once the absolute
 terms of f^(J+1) decrease on [n, inf).  The constant, its regularised
@@ -36,10 +37,12 @@ driver, the convergent route and the translation checks) comes out of its
 single forward pass, which also keeps the suffix sum of every level at each
 requested cutoff.  It runs, for every input, on Python integers scaled by
 2^P, P = prec + g, with the guard g taken from an a-priori bound on the
-accumulated truncations.  Roots of unity come from exact power tables,
-complex weights from running products, integral exponents from exact
-division or multiplication, and non-integral ones from a table of n^-s
-built multiplicatively: a prime is exp(-s log p) in integer fixed point
+accumulated truncations.  Roots of unity come from power tables of
+fixed-point products of one value of xi, complex weights from running
+products, log n from one table per P (a prime's logarithm once per process,
+a composite's the exact sum of two stored ones), integral exponents from
+exact division or multiplication, and non-integral ones from a table of
+n^-s built multiplicatively: a prime is exp(-s log p) in integer fixed point
 (Brent & Zimmermann, "Modern Computer Arithmetic", ch. 4), a composite one
 fixed-point product of stored values, and past ``SIEVE_CAP`` stored values a
 term divides out stored primes until its cofactor is stored.  For every
@@ -54,8 +57,8 @@ from functools import lru_cache, reduce
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import (from_int, from_man_exp, ln2_fixed, log_int_fixed, mpf_div, mpf_log,
-                          pi_fixed, round_nearest, to_fixed)
+from mpmath.libmp import (from_int, from_man_exp, from_rational, ln2_fixed, log_int_fixed,
+                          mpf_div, mpf_log, pi_fixed, round_nearest, to_fixed)
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase
 
 from . import eulerpoly
@@ -284,30 +287,52 @@ def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
 
     At xi = 1 the pole is 1/t and c_j = B_{j+1}/(j+1)! exactly.  Otherwise
     (xi e^t - 1) G(t) = 1 order by order gives c_0 = 1/(xi - 1) and
-    c_n = -xi/(xi - 1) * sum_{i<n} c_i/(n - i)!.  At xi = e^(i theta),
-    G(t) = (coth((t + i theta)/2) - 1)/2 with coth odd and its Taylor
-    coefficients real, so c_n (n >= 1) is real for odd n and imaginary for
-    even n (zero at xi = -1): each keeps only that part, leaving no rounding
-    where the other part vanishes."""
-    factor, coeffs = _geometric_list(xi, prec)
+    c_n = -xi/(xi - 1) * sum_{i<n} c_i/(n - i)!, run on complex pairs of
+    integers d_n = c_n 2^(r n) 2^(prec+32), r = max(0, ceil(log2(2 pi/k))),
+    k the order of xi: |c_n| ~ 2 (k/2 pi)^(n+1), so the scale 2^(r n) keeps
+    the relative bits of the coefficients of small orders as they decay.
+    Then d_n = -xi/(xi - 1) * floor(sum_{i<n} d_i w_i / n!), with the exact
+    weights w_i = n!/(n - i)! 2^(r (n-i)), and each c_n is rounded to prec
+    once.  At xi = e^(i theta), G(t) = (coth((t + i theta)/2) - 1)/2 with
+    coth odd and its Taylor coefficients real, so c_n (n >= 1) is real for
+    odd n and imaginary for even n (zero at xi = -1): each keeps only that
+    part, leaving no rounding where the other part vanishes."""
+    factor, r, scaled, coeffs = _geometric_list(xi, prec)
     with mp.workprec(prec):
         for n in range(len(coeffs), J + 1):
             if xi.is_one():
-                coeffs.append(_mpq(eulerpoly.bernoulli_number(n + 1) / math.factorial(n + 1)))
+                b = eulerpoly.bernoulli_number(n + 1) / math.factorial(n + 1)
+                coeffs.append(mp.make_mpf(from_rational(b.numerator, b.denominator, prec,
+                                                        round_nearest)))
+                continue
+            x = y = 0
+            w = 1 << r * n
+            for i, (u, v) in enumerate(scaled):
+                x += u * w
+                y += v * w
+                w = (w >> r) * (n - i)
+            fac = math.factorial(n)
+            x, y = x // fac, y // fac
+            if n % 2:
+                scaled.append(((x * factor[0] - y * factor[1]) >> prec + 32, 0))
             else:
-                c = factor * sum(ci / math.factorial(n - i) for i, ci in enumerate(coeffs))
-                coeffs.append(mp.mpc(c.real) if n % 2 else mp.mpc(0, c.imag))
+                scaled.append((0, (x * factor[1] + y * factor[0]) >> prec + 32))
+            coeffs.append(_scaled_mpc(*scaled[n], prec + 32 + r * n))
     return tuple(coeffs[:J + 1])
 
 
 @lru_cache(maxsize=4096)
 def _geometric_list(xi: RotationNumber, prec: int) -> tuple:
-    """The memo of ``_geometric_coeffs``: -xi/(xi - 1) and [c_0, c_1, ...]."""
+    """The memo of ``_geometric_coeffs``: -xi/(xi - 1) scaled by 2^(prec+32),
+    r, the scaled pairs d_0, d_1, ... and [c_0, c_1, ...]."""
+    if xi.is_one():
+        return None, 0, [], []
+    with mp.workprec(prec + 64):
+        v = xi.value()
+        factor, c0 = _fixed_pair(-v / (v - 1), prec + 32), _fixed_pair(1 / (v - 1), prec + 32)
     with mp.workprec(prec):
-        if xi.is_one():
-            return None, []
-        xi_value = xi.value()
-        return -xi_value / (xi_value - 1), [1 / (xi_value - 1)]
+        return (factor, max(0, math.ceil(math.log2(2 * math.pi / xi.order))), [c0],
+                [_scaled_mpc(*c0, prec + 32)])
 
 
 def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
@@ -316,10 +341,11 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 
 
 # every memo in the package is an lru_cache of this size, keyed on explicit
-# arguments only; here it holds the 658 (xi, l, m, a_max, prec) keys that
+# arguments only; here it holds the 640 (xi, l, m, a_max, prec) keys that
 # one process running two rounds (seed 101) of every reg-sweep and
-# reg-high-order benchmark template reaches, and ``_geometric_list`` the
-# 68 (xi, prec) of their 1,054 (xi, J, prec), with room to spare
+# reg-high-order benchmark template reaches, ``_geometric_list`` their 70
+# (xi, prec), ``_fixed_power_table`` 80 (xi, P) and ``_log_table`` 4 P, each
+# table of 2,001 entries (a table stops at SIEVE_CAP + 1), with room to spare
 @lru_cache(maxsize=4096)
 def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     """n-dependent part of sum_{a<n} xi^a (log a)^l a^(-m), every xi.
@@ -411,9 +437,11 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     being the working precision and g from ``_guard_bits``.  Each weight is
     a product of scaled factors:
 
-    * z_j^n from the memoised integer cos/sin table of a RotationNumber, or
-      from a fixed-point running product of a complex z_j;
-    * (log n)^k from ``log_int_fixed``;
+    * z_j^n from the memoised integer cos/sin table of a RotationNumber
+      (``_fixed_power_table``), or from a fixed-point running product of a
+      complex z_j;
+    * (log n)^k from the log table of P (``_logs``) up to ``SIEVE_CAP``,
+      from ``log_int_fixed`` past it;
     * n^-a, a integral, by an exact division by n^a (a > 0) or an exact
       multiply by n^|a| (a <= 0);
     * n^-s, s not integral, from a table of scaled complex pairs kept on the
@@ -464,6 +492,8 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     lpow = [1 << P] * (kmax + 1)
     sieved = any(sieve is not None for sieve in sieves)
     cap = SIEVE_CAP
+    logs = _logs(P, top) if kmax else ()
+    stored = len(logs)
     want = set(cutoffs)
     hits = state.hits
     for n in range(state.n, top + 1):
@@ -472,7 +502,7 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
         if n == top:
             break
         if kmax:
-            log_n = log_int_fixed(n, P)
+            log_n = logs[n] >> 64 if n < stored else log_int_fixed(n, P)
             for k in range(1, kmax + 1):
                 lpow[k] = log_n if k == 1 else (lpow[k - 1] * log_n) >> P
         if sieved and n > 1:
@@ -523,6 +553,27 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
 SIEVE_CAP = 2 ** 14
 
 
+@lru_cache(maxsize=4096)
+def _log_table(P: int) -> tuple:
+    """The memo of ``_logs``: [floor(log n 2^(P+64))] from n = 0 (a 0 there)
+    and the primes below its length."""
+    return [0, 0], []
+
+
+def _logs(P: int, top: int) -> list:
+    """``_log_table(P)`` extended in place to n = min(top, ``SIEVE_CAP``): a
+    prime's entry is one mpmath logarithm, floored, a composite n = p m
+    (``_split``) the exact sum of the entries of p and m, so log n errs by
+    < 1.02 Omega(n) units 2^-(P+64)."""
+    logs, primes = _log_table(P)
+    wp = P + 64
+    for n in range(len(logs), min(top, SIEVE_CAP) + 1):
+        f = _split(n, primes, SIEVE_CAP)
+        logs.append(logs[f[0]] + logs[f[1]] if len(f) > 1
+                    else to_fixed(mpf_log(from_int(n), wp + 10), wp))
+    return logs
+
+
 def _split(n: int, primes: list, cap: int) -> list:
     """n > 1 as factors whose product is n, every one but the last a stored
     prime; ``primes`` lists the primes up to min(n - 1, cap) and gains n when
@@ -566,7 +617,10 @@ def _power_entry(f: int, fixed: tuple, P: int) -> tuple:
     ``fixed``: e^t 2^n (cos y, sin y), -s log f = x + iy and x = n ln 2 + t,
     2^n joining the final shift (error bound in ``_guard_bits``)."""
     wp, re_s, im_s, ln2, pi2 = fixed
-    L = to_fixed(mpf_log(from_int(f), wp + f.bit_length()), wp)
+    if f <= SIEVE_CAP and wp <= P + 58:
+        L = _logs(P, f)[f] >> P + 64 - wp
+    else:
+        L = to_fixed(mpf_log(from_int(f), wp + f.bit_length()), wp)
     n, t = divmod((re_s * L) >> wp, ln2)
     c, s = cos_sin_fixed((im_s * L) >> wp, wp, pi2)
     e, shift = exp_basecase(t, wp) << max(0, n + P - 2 * wp), max(0, 2 * wp - P - n)
@@ -596,8 +650,7 @@ class NestedPass:
 
     def suffix_sum(self, N: int, j: int = 0):
         """``raw_sum`` rounded to an mpc."""
-        re, im, P = self.raw_sum(N, j)
-        return mp.mpc(mp.mpf((re, -P)), mp.mpf((im, -P)))
+        return _scaled_mpc(*self.raw_sum(N, j))
 
     def check(self, key, cutoffs):
         self.key = self.key or key
@@ -614,8 +667,14 @@ def _guard_bits(z, exps, kvec, top) -> int:
 
     Error accounting in units u = 2^-P (truncations are floors, < 1 u).
     With lb = bit_length(N) >= log n for every n < N, weight j is bounded by
-    M_j = N^max(0, ceil(-Re s_j)) lb^k_j >= 1.  Its table entries err by
-    < 1 u, log n by < 2 u and the power (log n)^k by < 3k lb^(k-1) u.  A
+    M_j = N^max(0, ceil(-Re s_j)) lb^k_j >= 1.  Its root-of-unity entries
+    err by < 1 + 2^-18 u: xi at W = P + 20 + bit_length(q) bits errs by
+    < 1 + 2^-10 units 2^-W in each part, each of the a < q products adds
+    < 2 sqrt 2 units 2^-W more, and the floor to P adds < 1 u.  log n errs by
+    < 1 + 1.02 Omega(n) 2^-64 u (< 2 u from ``log_int_fixed`` past the log
+    table): each prime's entry by < 1 + 2^-6 units 2^-(P+64), a sum of
+    Omega(n) of them by Omega(n) times that, and the shift by 64 bits
+    floors once more.  The power (log n)^k errs by < 3k lb^(k-1) u.  A
     non-integral n^-s_j is a product of Omega(n) <= log2 n < lb stored
     factors: each one errs by < 1 u in its floor and by 2^-8 |f^-s_j| u
     before it (below), each product of two errs by
@@ -639,7 +698,11 @@ def _guard_bits(z, exps, kvec, top) -> int:
     the 2^(11-prec) N that ``_rounding_slack(2N, ...)`` certifies.
 
     A factor f^-s_j (``_power_entry``) is computed at wp = P + g' bits,
-    g' = 13 + max(0, mag(s_j)) + bit_length(lb).  In ulps 2^-wp relative to
+    g' = 13 + max(0, mag(s_j)) + bit_length(lb).  Its log f is the log
+    table's entry shifted down to wp when f <= ``SIEVE_CAP`` and
+    wp <= P + 58, erring by < 1 + 1.02 Omega(f) 2^-6 < 1.25 ulp
+    (Omega(f) <= 14), else a fresh logarithm floored at wp, < 1.3 ulp.
+    In ulps 2^-wp relative to
     |f^-s_j|, x + iy = -s_j log f errs by < 1.5 |s_j| + log f + 1 in each part
     (log f by < 1.5, s_j by < 1), the reductions by ln 2 and pi/2 add
     < 1.45 |s_j| log f + 1 and < 0.64 |s_j| log f + 1, and the base cases of
@@ -664,12 +727,25 @@ def _fixed_pair(w, P: int) -> tuple:
     return to_fixed(w.real._mpf_, P), to_fixed(w.imag._mpf_, P)
 
 
+def _scaled_mpc(x: int, y: int, P: int):
+    """The mpc (x + i y) 2^-P at the working precision."""
+    return mp.mpc(mp.mpf((x, -P)), mp.mpf((y, -P)))
+
+
 @lru_cache(maxsize=4096)
 def _fixed_power_table(frac: Fraction, P: int) -> tuple:
-    """((cos, sin) of 2 pi frac a, scaled by 2^P and floored) for a < q."""
-    with mp.workprec(P + 10):
-        values = RotationNumber(frac).power_values()
-    return tuple(_fixed_pair(v, P) for v in values)
+    """((cos, sin) of 2 pi frac a, scaled by 2^P and floored) for a < q: xi
+    once at W = P + 20 + bit_length(q) bits, xi^a by fixed-point products at
+    W, each floored to P (error bound in ``_guard_bits``)."""
+    q = frac.denominator
+    W = P + 20 + q.bit_length()
+    with mp.workprec(W + 10):
+        c, s = _fixed_pair(RotationNumber(frac).value(), W)
+    x, y, out = 1 << W, 0, []
+    for _ in range(q):
+        out.append((x >> W - P, y >> W - P))
+        x, y = (x * c - y * s) >> W, (x * s + y * c) >> W
+    return tuple(out)
 
 
 def char_partial_sums(xi: RotationNumber, l: int, m: int, cutoffs):

@@ -2,7 +2,7 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mplreg.asymptotics import DepthSpec, depth_expansion
@@ -353,6 +353,8 @@ class TestTranslation:
                         st.just(mp.mpc("0.6", "0.3")))
 
     @settings(max_examples=30, deadline=None)
+    @example(z=[mp.mpc("0.6", "0.3")], re_s1=20.0, im_s1=0.0, rest=[(0.2, 0.0)] * 2,
+             N=2, span=5, digits=30, prec=128)
     @given(z=st.lists(WEIGHTS, min_size=1, max_size=3),
            re_s1=st.floats(0.2, 20), im_s1=st.floats(-2, 2),
            rest=st.lists(st.tuples(st.floats(0.2, 3), st.floats(-1, 1)),
@@ -363,7 +365,9 @@ class TestTranslation:
                                                    N, span, digits, prec):
         # at Re s_1 up to 20 the coefficients grow before they decay; the
         # series summed on until its bound is below tol 1e-10 differs from
-        # the stopped one by at most tol/100 plus rounding
+        # the stopped one by at most tol/100 plus rounding.  At the example
+        # the coefficients reach 2^80 over 169 terms: with the floors of
+        # T_k at 2^-P the rhs erred by 3.4e-32 against a bound of 1.0e-32
         M = N + span
         with mp.workprec(prec):
             tol = mp.mpf(10) ** (-digits * prec // 128)

@@ -3,13 +3,13 @@ import itertools
 import math
 import random
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mplreg import eulerpoly
 from mplreg.errors import PrecisionError
 from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber
 from mplreg.scalefun import ScaleFunction
@@ -466,11 +466,14 @@ class TestNestedPass:
                     min_size=1, max_size=3),
            st.sets(st.integers(1, 3000), min_size=1, max_size=3),
            st.sampled_from([128, 256]))
+    @example(spec=[(RotationNumber(2, 7), 1, 2), (ONE, 2, 1)],
+             cutoffs={16000, summod.SIEVE_CAP + 3000}, prec=128)
     def test_every_level_meets_the_guard(self, spec, cutoffs, prec):
         # the suffix sum of every level, read off one pass made for the depth
         # driver's top, against the mpmath loop over that suffix series at
         # 64 bits past the pass's P >= prec: each errs by at most
-        # 2^-(prec+8) before its final rounding
+        # 2^-(prec+8) before its final rounding.  The example's logarithms
+        # come from the log table and, past ``SIEVE_CAP``, afresh
         z, a, kvec = (tuple(col) for col in zip(*spec))
         cutoffs = sorted(cutoffs)
         with mp.workprec(prec):
@@ -578,19 +581,41 @@ class TestPowerEntry:
         assert calls["exp"] == calls["log"] == 0
 
 
-def _plain_geometric_coeffs(xi, J):
-    """c_0..c_J of 1/(xi e^t - 1) less its pole by the recurrence of
-    ``summation._geometric_coeffs``, from c_0 on every call."""
-    if xi.is_one():
-        return [summod._mpq(eulerpoly.bernoulli_number(j + 1) / math.factorial(j + 1))
-                for j in range(J + 1)]
-    xi_value = xi.value()
-    coeffs = [1 / (xi_value - 1)]
-    factor = -xi_value / (xi_value - 1)
-    for n in range(1, J + 1):
-        c = factor * sum(ci / math.factorial(n - i) for i, ci in enumerate(coeffs))
-        coeffs.append(mp.mpc(c.real) if n % 2 else mp.mpc(0, c.imag))
-    return coeffs
+class TestKernelTables:
+    @pytest.mark.parametrize("P", [64, 192, 320, 576])
+    def test_logs_within_two_units(self, P):
+        # log n scaled by 2^P as the kernel reads it: the table entry shifted
+        # down 64 bits up to the cap, a fresh logarithm past it
+        top = summod.SIEVE_CAP + 4096
+        logs = summod._logs(P, top)
+        assert len(logs) == summod.SIEVE_CAP + 1
+        with mp.workprec(P + 64):
+            for n in range(2, top + 1):
+                got = logs[n] >> 64 if n < len(logs) else summod.log_int_fixed(n, P)
+                assert abs(got - mp.ldexp(mp.log(n), P)) < 2
+
+    @pytest.mark.parametrize("P", [64, 192])
+    def test_power_entries_within_their_bound(self, P):
+        # xi^a by fixed-point products, floored: < 1 + 2^-18 units 2^-P,
+        # for orders q <= 128 (numerators 1, q - 1 and the first coprime
+        # one from q/2)
+        for q in range(1, 129):
+            middle = next(p for p in range(q // 2, q) if math.gcd(p, q) == 1)
+            for p in {1 % q, middle, q - 1}:
+                table = summod._fixed_power_table(Fraction(p, q), P)
+                assert len(table) == q
+                with mp.workprec(P + 64):
+                    bound = 1 + mp.mpf(2) ** -18
+                    for a, (x, y) in enumerate(table):
+                        want = mp.expjpi(mp.mpf(2 * p * a) / q)
+                        assert abs(x - mp.ldexp(want.real, P)) < bound
+                        assert abs(y - mp.ldexp(want.imag, P)) < bound
+
+
+def _cold_geometric_coeffs(xi, J, prec):
+    """``summation._geometric_coeffs`` computed from c_0 on an empty memo."""
+    summod._geometric_list.cache_clear()
+    return summod._geometric_coeffs(xi, J, prec)
 
 
 class TestGeometricCoeffs:
@@ -599,18 +624,19 @@ class TestGeometricCoeffs:
            st.sampled_from([128, 256]))
     def test_memo_is_bit_identical(self, xi, J, prec):
         # every entry extends a shorter one of the same (xi, prec)
+        summod._geometric_coeffs(xi, J // 2, prec)
         got = summod._geometric_coeffs(xi, J, prec)
-        with mp.workprec(prec):
-            assert list(got) == _plain_geometric_coeffs(xi, J)
+        assert got == _cold_geometric_coeffs(xi, J, prec)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(st.just(ONE), primitive_roots(91)), st.integers(0, 30),
+    @given(st.one_of(st.just(ONE), primitive_roots(91)), st.integers(0, 60),
            st.sampled_from([128, 256]))
     def test_against_closed_form(self, xi, J, prec):
         # s_j = 2 zeta(j+1) (k/2 pi)^(j+1) bounds |c_j| for j >= 1 (the
-        # Fourier bound on B_(j+1)), s_0 = k; 2^12 units of 2^-prec s_j is a
-        # regression guard over the measured worst of 367 units (order 55,
-        # j = 30, 256 bits), not a derived bound
+        # Fourier bound on B_(j+1)), s_0 = k; the integer recurrence keeps
+        # each c_j within 2 units of 2^-prec s_j (measured worst 0.93 units:
+        # order 2, j = 45, 256 bits, over orders 2-7, 12, 55 and 91 to
+        # j = 120); the mpc recurrence it replaced erred by up to 367
         got = summod._geometric_coeffs(xi, J, prec)
         ref = geometric_closed_form(xi, J)
         k = xi.order
@@ -622,20 +648,24 @@ class TestGeometricCoeffs:
                     zero = "imag" if j % 2 else "real"
                     assert getattr(c, zero) == 0
                     assert abs(getattr(want, zero)) < mp.mpf(2) ** -1000 * s_j
-                assert abs(c - want) <= mp.mpf(2) ** (12 - prec) * s_j
+                assert abs(c - want) <= mp.mpf(2) ** (1 - prec) * s_j
 
     def test_precision_is_part_of_the_key(self):
         xi = RotationNumber(5, 17)
         low = summod._geometric_coeffs(xi, 20, 128)
         high = summod._geometric_coeffs(xi, 20, 256)
-        with mp.workprec(256):
-            assert list(high) == _plain_geometric_coeffs(xi, 20)
+        assert high == _cold_geometric_coeffs(xi, 20, 256)
         assert high != low
 
     def test_cold_call_needs_no_recursion(self):
         # one list per (xi, prec) is extended by a loop: a cold call at
-        # J = 300 runs with the recursion limit 50 frames above this one
+        # J = 300 runs with the recursion limit 50 frames above this one,
+        # and a memo extended in steps gives the same list
         xi, prec, J = RotationNumber(3, 101), 97, 300
+        for step in (100, 200):
+            summod._geometric_coeffs(xi, step, prec)
+        stepped = summod._geometric_coeffs(xi, J, prec)
+        summod._geometric_list.cache_clear()
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
@@ -645,5 +675,4 @@ class TestGeometricCoeffs:
             got = summod._geometric_coeffs(xi, J, prec)
         finally:
             sys.setrecursionlimit(limit)
-        with mp.workprec(prec):
-            assert list(got) == _plain_geometric_coeffs(xi, J)
+        assert got == stepped
