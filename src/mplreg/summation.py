@@ -37,7 +37,9 @@ driver, the convergent route and the translation checks) comes out of its
 single forward pass, which also keeps the suffix sum of every level at each
 requested cutoff.  It runs, for every input, on Python integers scaled by
 2^P, P = prec + g, with the guard g taken from an a-priori bound on the
-accumulated truncations.  Roots of unity come from power tables of
+accumulated truncations, as list arithmetic over blocks of at most
+``BLOCK_CAP`` n, with the outer level of a root z_1 of order q summed in q
+residue classes of n.  Roots of unity come from power tables of
 fixed-point products of one value of xi, complex weights from running
 products, log n from one table per P (a prime's logarithm once per process,
 a composite's the exact sum of two stored ones), integral exponents from
@@ -52,9 +54,12 @@ input each t_N errs by at most 2^-(prec+8) before its final rounding.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import add, floordiv, mul, rshift, sub
 
 import mpmath as mp
 from mpmath.libmp import (from_int, from_man_exp, from_rational, ln2_fixed, log_int_fixed,
@@ -80,7 +85,8 @@ DEFAULT_MATCH_TOL = "1e-25"
 
 
 def _mpq(q: Fraction):
-    return mp.mpf(q.numerator) / q.denominator
+    """q correctly rounded to the working precision."""
+    return mp.make_mpf(from_rational(q.numerator, q.denominator, mp.mp.prec, round_nearest))
 
 
 @dataclass
@@ -301,9 +307,7 @@ def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
     with mp.workprec(prec):
         for n in range(len(coeffs), J + 1):
             if xi.is_one():
-                b = eulerpoly.bernoulli_number(n + 1) / math.factorial(n + 1)
-                coeffs.append(mp.make_mpf(from_rational(b.numerator, b.denominator, prec,
-                                                        round_nearest)))
+                coeffs.append(_mpq(eulerpoly.bernoulli_number(n + 1) / math.factorial(n + 1)))
                 continue
             x = y = 0
             w = 1 << r * n
@@ -426,41 +430,55 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
 
     Each z_j is a RotationNumber (read off its exact power table) or a
     complex weight with |z_j| <= 1 (powers by running products); each s_j is
-    an integer or complex.  One forward pass: running[j] (0-based) is the sum
-    of the last r - j factors over n > n_{j+1} > ... > n_r > 0, so
-    running[0] = t_n, and the step at n adds the weight
-    w_j(n) = z_j^n (log n)^{k_j} n^{-s_j} times running[j + 1]; the
-    innermost running[r] = 1 is never multiplied.  Cost O(max(cutoffs) * r).
+    an integer or complex.  One forward pass: level j (0-based) sums the
+    last r - j factors over n > n_{j+1} > ... > n_r > 0, so level 0 gives
+    t_n, and at n level j adds the weight w_j(n) = z_j^n (log n)^{k_j}
+    n^{-s_j} times level j + 1 as it stood before n; the innermost level
+    sums its weights alone.  Cost O(max(cutoffs) * r).
 
     The pass runs on Python integers scaled by 2^P, P = prec + g rounded up
     to a multiple of 64 so that nearby cutoffs share the power tables, prec
-    being the working precision and g from ``_guard_bits``.  Each weight is
-    a product of scaled factors:
+    being the working precision and g from ``_guard_bits``.  It takes the n
+    of a block [n0, n1) of at most ``BLOCK_CAP`` terms together, level by
+    level from the innermost: each factor of the weights is a list over the
+    block, each product of two lists one ``map``, each product of scaled
+    values shifted right by P, and the running sums one ``accumulate`` from
+    the sum before the block.  The factors:
 
-    * z_j^n from the memoised integer cos/sin table of a RotationNumber
-      (``_fixed_power_table``), or from a fixed-point running product of a
-      complex z_j;
+    * z_j^n, a slice of the memoised integer cos/sin table of a
+      RotationNumber (``_fixed_power_table``), or the fixed-point running
+      products of a complex z_j;
     * (log n)^k from the log table of P (``_logs``) up to ``SIEVE_CAP``,
       from ``log_int_fixed`` past it;
     * n^-a, a integral, by an exact division by n^a (a > 0) or an exact
       multiply by n^|a| (a <= 0);
     * n^-s, s not integral, from a table of scaled complex pairs kept on the
-      pass state and grown in n order to the cutoff reached.  A prime's
+      pass state and grown block by block to the cutoff reached.  A prime's
       entry is exp(-s log p) in integer fixed point, floored once
       (``_power_entry``); a composite n = p m, p its smallest prime factor,
-      is one fixed-point product of stored entries.  The table stores at
-      most ``SIEVE_CAP`` values; past them n splits into stored primes and
-      a cofactor that is stored or, when none of them splits it, computed
-      like a prime (``_split``).
+      is one fixed-point product of stored entries, each stored as it is
+      made.  The table stores at most ``SIEVE_CAP`` values; past them n
+      splits into stored primes and a cofactor that is stored or, when none
+      of them splits it, computed like a prime (``_split``).
 
-    Each product of scaled values is shifted right by P; each requested t_N
-    becomes an mpc once, at the end.  For every input each t_N errs by at
-    most 2^-(prec+8) before that final rounding, and a resumed pass gives the
-    same bits as a one-shot pass.
+    No level reads level 0, so when z_1 is a RotationNumber of order q, level
+    0 keeps q sums R_c instead, one per residue class c of n mod q, and adds
+    each term without its z_1^n: level 1 before n times (log n)^k_1
+    n^-s_1 (at depth 1, (log n)^k_1 n^-s_1 alone).  A cutoff N reads
+    t_N = sum_c z_1^c R_c(N), one floor per part, at a cost of O(q)
+    products.  A complex z_1 keeps its running product.
+
+    Every level j >= 1 and every n^-s entry get the same bits as a pass one
+    n at a time with the same floors (``oracles.fixed_point_pass`` in the
+    tests).  Each requested t_N becomes an mpc once, at the end.  For every
+    input each t_N errs by at most 2^-(prec+8) before that final rounding,
+    and a resumed pass gives the same bits as a one-shot pass.  Besides its
+    tables a call holds one block's lists at a time, which ``BLOCK_CAP``
+    bounds.
 
     A ``NestedPass`` as ``state`` resumes the pass where that state stands,
     so a ladder of calls on one state sums each term once; without one the
-    pass runs one-shot from n = 1.  The state also keeps running[j] at each
+    pass runs one-shot from n = 1.  The state also keeps level j at each
     requested cutoff N, t_N of the suffix series (z_j.., s_j.., k_j..) within
     the same bound (``NestedPass.suffix_sum``).
     """
@@ -470,87 +488,150 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     cutoffs = sorted(set(int(N) for N in cutoffs))
     state = state or NestedPass(cutoffs[-1])
     state.check((z, tuple(exps), kvec), cutoffs)
-    if state.running is None:
-        P = mp.mp.prec + _guard_bits(z, exps, kvec, state.top)
-        P += -P % 64
-        # per level, the stored n^-s_j (index n) of a non-integral exponent,
-        # and at index 0 the constants of its entries (``_fixed_exponent``)
-        sieves = [None if isinstance(a, int) else [_fixed_exponent(a, P, state.top), (1 << P, 0)]
-                  for a in exps]
-        state.running = (P, [0] * len(z), [0] * len(z), [(1 << P, 0)] * len(z),
-                         sieves, [])
-    P, re, im, powers, sieves, primes = state.running
-    levels = []
-    for zj, k, a, sieve in zip(z, kvec, exps, sieves):
-        if isinstance(zj, RotationNumber):
-            levels.append((_fixed_power_table(zj.fraction, P), zj.order, None, k, a, sieve))
-        else:  # the scaled weight; its powers run in ``powers``
-            levels.append((None, None, _fixed_pair(mp.mpc(zj), P), k, a, sieve))
+    if state.P is None:
+        state._start(z, exps, kvec)
+    P = state.P
     top = cutoffs[-1]
-    last = len(z) - 1
+    # per level: the order of z_j and the cos and sin of z_j^n, tiled to
+    # cover any block of this call, or None and the scaled z_j
+    span = min(BLOCK_CAP, top - state.n)
+    levels = []
+    for zj in z:
+        if isinstance(zj, RotationNumber):
+            table = _fixed_power_table(zj.fraction, P)
+            reps = span // zj.order + 2
+            levels.append((zj.order, [c for c, _ in table] * reps, [s for _, s in table] * reps))
+        else:
+            levels.append((None, *_fixed_pair(mp.mpc(zj), P)))
     kmax = max(kvec)
-    lpow = [1 << P] * (kmax + 1)
-    sieved = any(sieve is not None for sieve in sieves)
-    cap = SIEVE_CAP
     logs = _logs(P, top) if kmax else ()
-    stored = len(logs)
-    want = set(cutoffs)
-    hits = state.hits
-    for n in range(state.n, top + 1):
-        if n in want:
-            hits[n] = (re[:], im[:])
-        if n == top:
-            break
+    n0 = state.n
+    while n0 < top:
+        n1 = min(top, n0 + BLOCK_CAP)
+        # the (log n)^k, k = 1..kmax, over the block
+        lp = [None]
         if kmax:
-            log_n = logs[n] >> 64 if n < stored else log_int_fixed(n, P)
-            for k in range(1, kmax + 1):
-                lpow[k] = log_n if k == 1 else (lpow[k - 1] * log_n) >> P
-        if sieved and n > 1:
-            factors = _split(n, primes, cap)
-        # ascending j: running[j + 1] still excludes n_{j+1} = n
-        for j, (table, q, w, k, a, sieve) in enumerate(levels):
-            if table is not None:
-                c, s = table[n % q]
-            else:
-                x, y = powers[j]
-                c = (x * w[0] - y * w[1]) >> P
-                s = (x * w[1] + y * w[0]) >> P
-                powers[j] = (c, s)
-            if k:
-                c = (c * lpow[k]) >> P
-                s = (s * lpow[k]) >> P
-            if sieve is not None:
-                if n < len(sieve):
-                    x, y = sieve[n]
-                else:
-                    x, y = _sieve_entry(sieve, factors, P)
-                    if n <= cap:
-                        sieve.append((x, y))
-                c, s = (c * x - s * y) >> P, (c * y + s * x) >> P
-            elif a > 0:
-                d = n ** a
-                c //= d
-                s //= d
-            elif a < 0:
-                d = n ** -a
-                c *= d
-                s *= d
-            if j == last:
-                re[j] += c
-                im[j] += s
-            else:
-                x, y = re[j + 1], im[j + 1]
-                re[j] += (c * x - s * y) >> P
-                im[j] += (c * y + s * x) >> P
+            lp.append(list(map(rshift, logs[n0:n1], repeat(64)))
+                      + [log_int_fixed(n, P) for n in range(max(n0, len(logs)), n1)])
+        for _ in range(1, kmax):
+            lp.append(list(map(rshift, map(mul, lp[-1], lp[1]), repeat(P))))
+        marks = cutoffs[bisect_left(cutoffs, n0):bisect_left(cutoffs, n1)]
+        _block(state, levels, kvec, exps, lp, range(n0, n1), marks)
+        n0 = n1
+    state._record(top, state.level_re, state.level_im)
     state.n, state.terms = top, state.terms + top - state.n
     return {N: state.suffix_sum(N) for N in cutoffs}
 
 
-# the most n^-s values a pass stores per exponent, 144-256 bytes each at
-# P = 192-512 (a list slot, a tuple and two ints); a value past them is a
+def _block(state, levels, kvec, exps, lp, ns, marks):
+    """Advances ``state`` over the n of the range ``ns``, recording every
+    level at each cutoff in ``marks``, from the innermost level out; each
+    level's list of sums before each n of the block and after its last is
+    what the level outside it reads."""
+    P, L, n0 = state.P, len(ns), ns.start
+    entries = _table_block(state, ns)
+    sums = [None] * len(levels)
+    inner = None
+    for j in reversed(range(state.residues is not None, len(levels))):
+        q, u, v = levels[j]
+        if q:
+            C, S = u[n0 % q:n0 % q + L], v[n0 % q:n0 % q + L]
+        else:
+            pw = list(accumulate(repeat(None, L), lambda x, _: (
+                (x[0] * u - x[1] * v) >> P, (x[0] * v + x[1] * u) >> P),
+                initial=state.powers[j]))
+            state.powers[j] = pw[-1]
+            C, S = [x for x, _ in pw[1:]], [y for _, y in pw[1:]]
+        C, S = _weigh(C, S, kvec[j], exps[j], entries[j], lp, ns, P)
+        if inner is not None:
+            C, S = _times(C, S, *inner, P)
+        inner = (list(accumulate(C, initial=state.level_re[j])),
+                 list(accumulate(S, initial=state.level_im[j])))
+        state.level_re[j], state.level_im[j] = inner[0][-1], inner[1][-1]
+        sums[j] = inner
+    if state.residues is None:
+        for N in marks:
+            state._record(N, [re[N - n0] for re, _ in sums], [im[N - n0] for _, im in sums])
+        return
+    # level 0 per residue class of n mod q
+    if inner is None:
+        C, S = [1 << P] * L, [0] * L
+    else:
+        C, S = inner[0][:L], inner[1][:L]
+    C, S = _weigh(C, S, kvec[0], exps[0], entries[0], lp, ns, P)
+    q = levels[0][0]
+    done = 0
+    for i in [N - n0 for N in marks] + [L]:
+        for part, R in zip((C, S), state.residues):
+            for m in range(done, min(i, done + q)):
+                R[(n0 + m) % q] += sum(part[m:i:q])
+        done = i
+        if i < L:
+            state._record(n0 + i, [0] + [re[i] for re, _ in sums[1:]],
+                         [0] + [im[i] for _, im in sums[1:]])
+
+
+def _weigh(C, S, k, a, entries, lp, ns, P):
+    """The block's lists C + i S times (log n)^k n^-a, each product floored
+    as one term of the pass."""
+    if k:
+        C = list(map(rshift, map(mul, C, lp[k]), repeat(P)))
+        S = list(map(rshift, map(mul, S, lp[k]), repeat(P)))
+    if entries is not None:
+        return _times(C, S, *entries, P)
+    if a:
+        d = ns if abs(a) == 1 else list(map(pow, ns, repeat(abs(a))))
+        op = floordiv if a > 0 else mul
+        C, S = list(map(op, C, d)), list(map(op, S, d))
+    return C, S
+
+
+def _times(C, S, X, Y, P):
+    """(C + i S)(X + i Y) over two lists of scaled values, each part floored;
+    the longer list is cut to the shorter."""
+    return (list(map(rshift, map(sub, map(mul, C, X), map(mul, S, Y)), repeat(P))),
+            list(map(rshift, map(add, map(mul, C, Y), map(mul, S, X)), repeat(P))))
+
+
+def _table_block(state, ns) -> list:
+    """Per level, the (re, im) lists of n^-s over the block ``ns`` when s is
+    not integral, else None; below ``SIEVE_CAP`` each entry joins its table
+    as it is made, so a later composite of the block finds its factors."""
+    tables = state.tables
+    if not any(tables):
+        return tables
+    P, cap = state.P, SIEVE_CAP
+    stored = len(next(filter(None, tables))[1])
+    factors = [_split(n, state.primes, cap) if n >= stored else None for n in ns]
+    out = []
+    for table in tables:
+        if table is None:
+            out.append(None)
+            continue
+        _, X, Y = table
+        xs, ys = X[ns.start:ns.stop], Y[ns.start:ns.stop]
+        for n, f in zip(ns, factors):
+            if f is not None:
+                x, y = _sieve_entry(table, f, P)
+                if n <= cap:
+                    X.append(x)
+                    Y.append(y)
+                xs.append(x)
+                ys.append(y)
+        out.append((xs, ys))
+    return out
+
+
+# the most n^-s values a pass stores per exponent, 120-208 bytes each at
+# P = 192-512 (two list slots and two ints); a value past them is a
 # product of stored ones and, for a cofactor none of them splits, one
 # ``_power_entry`` recomputed at each multiple
 SIEVE_CAP = 2 ** 14
+# the most n a pass takes in one block: every list of a block holds one
+# P-bit integer per n, 60-100 bytes at P = 192-512, and a block keeps two
+# per level (the level sums it records) and a few more in flight (the
+# factors of the level in hand, the logs and the n^-s entries)
+BLOCK_CAP = 1024
 
 
 @lru_cache(maxsize=4096)
@@ -595,12 +676,13 @@ def _split(n: int, primes: list, cap: int) -> list:
     return out + [m]
 
 
-def _sieve_entry(sieve: list, factors: list, P: int) -> tuple:
+def _sieve_entry(table: tuple, factors: list, P: int) -> tuple:
     """n^-s scaled by 2^P, n the product of ``factors``: their stored or
     ``_power_entry`` values multiplied in fixed point, from the first on."""
+    fixed, X, Y = table
     x = None
     for f in factors:
-        u, v = sieve[f] if f < len(sieve) else _power_entry(f, sieve[0], P)
+        u, v = (X[f], Y[f]) if f < len(X) else _power_entry(f, fixed, P)
         x, y = (u, v) if x is None else ((x * u - y * v) >> P, (x * v + y * u) >> P)
     return x, y
 
@@ -639,14 +721,47 @@ class NestedPass:
 
     def __init__(self, top: int):
         self.top, self.prec = int(top), mp.mp.prec
-        self.n, self.terms, self.key, self.running, self.hits = 1, 0, None, None, {}
+        self.n, self.terms, self.key, self.hits = 1, 0, None, {}
+        # set by ``_start`` on the first call: the fractional bits P; per
+        # level its scaled sum (re, im) and the running product of a complex
+        # weight; the q sums (re, im) of level 0 per residue class and the
+        # cos and sin of z_1^c, c < q, when z_1 has order q, else None; per
+        # level the n^-s table of a non-integral exponent
+        # (``_fixed_exponent``'s constants and the re and im lists, index n
+        # from 1), else None; and the primes the tables have met
+        self.P = self.level_re = self.level_im = self.powers = None
+        self.residues = self.root = self.tables = self.primes = None
+
+    def _start(self, z, exps, kvec):
+        P = mp.mp.prec + _guard_bits(z, exps, kvec, self.top)
+        self.P = P = P + -P % 64
+        r = len(z)
+        self.level_re, self.level_im, self.powers = [0] * r, [0] * r, [(1 << P, 0)] * r
+        if isinstance(z[0], RotationNumber):
+            self.residues = [0] * z[0].order, [0] * z[0].order
+            table = _fixed_power_table(z[0].fraction, P)
+            self.root = [c for c, _ in table], [s for _, s in table]
+        self.tables = [None if isinstance(a, int) else
+                       (_fixed_exponent(a, P, self.top), [0, 1 << P], [0, 0]) for a in exps]
+        self.primes = []
+
+    def _record(self, N: int, re: list, im: list):
+        """Keeps the sums of every level at cutoff N, level 0 read off the
+        residue sums when the pass keeps them: sum_c z_1^c R_c >> P."""
+        re, im = list(re), list(im)
+        if self.residues is not None:
+            (R, I), (cos, sin) = self.residues, self.root
+            x = sum(map(mul, cos, R)) - sum(map(mul, sin, I))
+            y = sum(map(mul, sin, R)) + sum(map(mul, cos, I))
+            re[0], im[0] = x >> self.P, y >> self.P
+        self.hits[N] = (re, im)
 
     def raw_sum(self, N: int, j: int = 0) -> tuple:
         """(re, im, P): t_N of the suffix series (z_j.., s_j.., k_j..) as the
-        pass's integers re + i im scaled by 2^P, read off running[j] at a
+        pass's integers re + i im scaled by 2^P, read off level j at a
         cutoff N some call asked for."""
         re, im = self.hits[N]
-        return re[j], im[j], self.running[0]
+        return re[j], im[j], self.P
 
     def suffix_sum(self, N: int, j: int = 0):
         """``raw_sum`` rounded to an mpc."""
@@ -684,7 +799,7 @@ def _guard_bits(z, exps, kvec, top) -> int:
     8 (1 + K) M_j u, K = max k_j, times lb when s_j is not integral.  The
     running product of a complex weight, |z_j| <= 1, errs by < 4 u more at
     each of its N rounded steps, so that weight errs N times as much.  The
-    running sums obey |running[j]| <= N^(r-j) prod_{i>=j} M_i, and each step
+    level sums obey |running[j]| <= N^(r-j) prod_{i>=j} M_i, and each step
     adds |w_j| times the error of running[j+1], the weight error times
     |running[j+1]|, and one truncation.  Over N steps and r levels, by
     induction from the innermost level, every t_N errs by less than
@@ -694,6 +809,19 @@ def _guard_bits(z, exps, kvec, top) -> int:
     c the number of complex weights and d of non-integral exponents, the
     factor r + 1 (rather than r) absorbing the products of two errors; every
     M_i >= 1, so the running[j] that the induction reaches err less.
+
+    Level 0 of a root z_1 of order q is summed per residue class instead:
+    each term running[1] (log n)^k_1 n^-s_1 takes the floors of a weighted
+    term without z_1^n's entry, so it errs by no more than the term of the
+    per-n product, less that entry's error, and it is added exactly into one
+    of the sums R_c.  A cutoff forms sum_c z_1^c R_c, one floor per part.
+    The entries z_1^c err by < 1 + 2^-18 u in each part, so each part errs by
+    < sqrt 2 (1 + 2^-18) sum_c |R_c| u + 1 u, and sum_c |R_c| is at most the
+    sum of |running[1]| M_1 over n < N (running[1] = 1 at depth 1), so
+    <= N^r prod_j M_j.  The per-n product
+    charged each term the same entry error times |running[1]|, so the
+    residue sums trade N terms' entry errors for one product's: B stands.
+
     g = bit_length(B) + 8 then gives B u <= 2^-(prec+8), 2^19 N times below
     the 2^(11-prec) N that ``_rounding_slack(2N, ...)`` certifies.
 

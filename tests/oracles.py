@@ -6,9 +6,11 @@ Bernoulli numbers, the tail-coefficient oracle comes from a geometric
 operator series, and the sequence limits use plain window averaging with
 Aitken extrapolation over raw partial sums.  ``_mpmath_pass`` is the
 nested partial-sum loop in mpmath numbers, the reference for the package's
-fixed-point kernel.  ``point_value`` sums the terms of a ScaleFunction in
-mpmath at 100 bits above the working precision, the reference for its
-integer evaluator.  ``em_remainder`` and ``geb_blocks`` rebuild the
+fixed-point kernel; ``fixed_point_pass`` is that kernel one n at a time
+with the same floors, the reference for its blocks: the same bits on every
+level but the outermost and in every n^-s entry.  ``point_value`` sums the
+terms of a ScaleFunction in mpmath at 100 bits above the working
+precision, the reference for its integer evaluator.  ``em_remainder`` and ``geb_blocks`` rebuild the
 engines' remainder and correction blocks interval by interval, from values
 that evaluator gives one point at a time, each unit integral the exact
 rational one of those values rounded once: the reference for the engines'
@@ -36,6 +38,7 @@ from mpmath.libmp import from_rational, round_nearest
 from mplreg import eulerpoly
 from mplreg.polylog import TranslationReport, _delta, brute_partial_sum, pochhammer
 from mplreg.rootsofunity import RotationNumber, ZVector
+import mplreg.summation as summod
 from mplreg.summation import NestedPass, nested_sums
 
 # B_2, B_4, ..., B_16
@@ -135,21 +138,18 @@ def primitive_roots(max_order: int):
         .map(lambda p: RotationNumber(p, q)))
 
 
-def _mpmath_pass(z, exps, kvec, cutoffs, state=None) -> dict:
+def _mpmath_pass(z, exps, kvec, cutoffs) -> dict:
     """The forward pass in mpmath numbers at the working precision."""
     r = len(z)
     tables = [zj.power_values() if isinstance(zj, RotationNumber) else None
               for zj in z]
     gen = [None if isinstance(zj, RotationNumber) else mp.mpc(zj) for zj in z]
-    state = state or NestedPass(cutoffs[-1])
-    if state.running is None:
-        state.running = ([mp.mpc(0)] * r + [mp.mpc(1)], [mp.mpc(1)] * r)
-    running, gen_pows = state.running
+    running, gen_pows = [mp.mpc(0)] * r + [mp.mpc(1)], [mp.mpc(1)] * r
     need_log = any(kvec) or not all(isinstance(e, int) for e in exps)
     want = set(cutoffs)
     top = cutoffs[-1]
     out = {}
-    for n in range(state.n, top + 1):
+    for n in range(1, top + 1):
         if n in want:
             out[n] = running[0]
         if n == top:
@@ -172,12 +172,91 @@ def _mpmath_pass(z, exps, kvec, cutoffs, state=None) -> dict:
             if kvec[j]:
                 w *= log_n ** kvec[j]
             running[j] += w if j == r - 1 else w * running[j + 1]
-    state.n, state.terms = top, state.terms + top - state.n
     return out
 
 
+def fixed_point_pass(z, s, kvec, cutoffs, top: int):
+    """The kernel's fixed-point pass one n at a time, one-shot from n = 1 for
+    a ``NestedPass(top)``: (P, {N: (re, im)} with the scaled sum of every
+    level at each cutoff, the n^-s tables).  Every weight is
+    z_j^n (log n)^k_j n^-s_j with the floors of ``nested_sums``, and each
+    level adds its weight times the level inside it.  The n^-s tables hold
+    at index n the (re, im) of n^-s_j, from n = 1 up to ``SIEVE_CAP``."""
+    z = tuple(z)
+    exps = [summod._exponent(s_j) for s_j in s]
+    P = mp.mp.prec + summod._guard_bits(z, exps, kvec, top)
+    P += -P % 64
+    cap = summod.SIEVE_CAP
+    tables = [None if isinstance(a, int) else [None, (1 << P, 0)] for a in exps]
+    fixed = [None if isinstance(a, int) else summod._fixed_exponent(a, P, top) for a in exps]
+    primes = []
+    levels = []
+    for zj in z:
+        if isinstance(zj, RotationNumber):
+            levels.append((summod._fixed_power_table(zj.fraction, P), zj.order, None))
+        else:
+            levels.append((None, None, summod._fixed_pair(mp.mpc(zj), P)))
+    r = len(z)
+    re, im, powers = [0] * r, [0] * r, [(1 << P, 0)] * r
+    kmax = max(kvec)
+    lpow = [1 << P] * (kmax + 1)
+    last = cutoffs[-1]
+    logs = summod._logs(P, last) if kmax else ()
+    want, hits = set(cutoffs), {}
+    for n in range(1, last + 1):
+        if n in want:
+            hits[n] = (re[:], im[:])
+        if n == last:
+            break
+        if kmax:
+            log_n = logs[n] >> 64 if n < len(logs) else summod.log_int_fixed(n, P)
+            for k in range(1, kmax + 1):
+                lpow[k] = log_n if k == 1 else (lpow[k - 1] * log_n) >> P
+        if any(tables) and n > 1:
+            factors = summod._split(n, primes, cap)
+        for j, ((table, q, w), k, a) in enumerate(zip(levels, kvec, exps)):
+            if table is not None:
+                c, s_ = table[n % q]
+            else:
+                x, y = powers[j]
+                c = (x * w[0] - y * w[1]) >> P
+                s_ = (x * w[1] + y * w[0]) >> P
+                powers[j] = (c, s_)
+            if k:
+                c = (c * lpow[k]) >> P
+                s_ = (s_ * lpow[k]) >> P
+            if tables[j] is not None:
+                sieve = tables[j]
+                if n < len(sieve):
+                    x, y = sieve[n]
+                else:
+                    x = None
+                    for f in factors:
+                        u, v = (sieve[f] if f < len(sieve)
+                                else summod._power_entry(f, fixed[j], P))
+                        x, y = (u, v) if x is None else ((x * u - y * v) >> P,
+                                                         (x * v + y * u) >> P)
+                    if n <= cap:
+                        sieve.append((x, y))
+                c, s_ = (c * x - s_ * y) >> P, (c * y + s_ * x) >> P
+            elif a > 0:
+                c //= n ** a
+                s_ //= n ** a
+            elif a < 0:
+                c *= n ** -a
+                s_ *= n ** -a
+            if j == r - 1:
+                re[j] += c
+                im[j] += s_
+            else:
+                x, y = re[j + 1], im[j + 1]
+                re[j] += (c * x - s_ * y) >> P
+                im[j] += (c * y + s_ * x) >> P
+    return P, hits, tables
+
+
 def _mpq(q: Fraction):
-    return mp.mpf(q.numerator) / q.denominator
+    return mp.make_mpf(from_rational(q.numerator, q.denominator, mp.mp.prec, round_nearest))
 
 
 def point_value(f, t):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mplreg import eulerpoly
 from mplreg.errors import PrecisionError
 from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber
 from mplreg.scalefun import ScaleFunction
@@ -21,8 +22,8 @@ from mplreg.summation import (
     term_sum_expansion,
 )
 
-from oracles import (_mpmath_pass, em_remainder, geb_blocks, geometric_closed_form,
-                     geometric_tail_coeffs, point_value, primitive_roots)
+from oracles import (_mpmath_pass, em_remainder, fixed_point_pass, geb_blocks,
+                     geometric_closed_form, geometric_tail_coeffs, point_value, primitive_roots)
 
 
 def feval(f: ScaleFunction, a: int):
@@ -302,6 +303,36 @@ class TestTwistedTail:
                 assert abs(total - approx - c_ref) <= bound + slack
 
 
+class TestMpq:
+    @pytest.mark.parametrize("prec", [53, 128, 256])
+    def test_correctly_rounded(self, prec):
+        # the engines' rational constants: B_j/j! and E_{k,j}(0), E_{k,j}(1),
+        # each within half a unit of the last place of its binade.  Rounding
+        # the numerator first and then dividing missed that at 28, 21 and 5
+        # of them at 53, 128 and 256 bits (B_j/j! first at j = 42, 68, 102).
+        # E_{k,j}(x) = k^(j+1)/(j+1) (B_{j+1}((x+1)/k) - B_{j+1}(x/k)) at
+        # x = 0, 1 gives the same Fractions as ``gen_euler_at_zero``/``_one``
+        # without composing the polynomials
+        values = [eulerpoly.bernoulli_number(j) / math.factorial(j) for j in range(121)]
+        for k in range(2, 8):
+            for j in range(61):
+                b, c = eulerpoly.bernoulli_polynomial(j + 1), Fraction(k ** (j + 1), j + 1)
+                values += [c * (b(Fraction(x + 1, k)) - b(Fraction(x, k))) for x in (0, 1)]
+        assert values[121:123] == [eulerpoly.gen_euler_at_zero(2, 0),
+                                   eulerpoly.gen_euler_at_one(2, 0)]
+        with mp.workprec(prec):
+            for q in values:
+                sign, man, exp, _ = summod._mpq(q)._mpf_
+                got = Fraction(-man if sign else man) * Fraction(2) ** exp
+                if q == 0:
+                    assert got == 0
+                    continue
+                e = abs(q.numerator).bit_length() - q.denominator.bit_length()
+                if abs(q) < Fraction(2) ** e:
+                    e -= 1
+                assert abs(got - q) <= Fraction(2) ** (e - prec), q
+
+
 # one factor of the nested sum: (weight, exponent, log power)
 rotation_weights = st.builds(RotationNumber, st.integers(0, 11), st.integers(1, 12))
 complex_weights = st.builds(
@@ -453,9 +484,9 @@ class TestFixedPass:
             got = {}
             for chunk in ([10, 64], [65], [66, 4490], [5000]):
                 got.update(nested_sums(z, s, kvec, chunk, state))
-                sieves = state.running[4]
-                assert sieves[2] is None
-                assert max(len(sieves[0]), len(sieves[1])) <= 64 + 1
+                tables = state.tables
+                assert tables[2] is None
+                assert max(len(tables[0][1]), len(tables[1][1])) <= 64 + 1
             assert got == ref
 
 
@@ -482,7 +513,7 @@ class TestNestedPass:
             got = {(N, j): state.suffix_sum(N, j) for N in cutoffs for j in range(len(z))}
         assert all(top[N] == got[N, 0] for N in cutoffs)
         for j in range(len(z)):
-            with mp.workprec(state.running[0] + 64):
+            with mp.workprec(state.P + 64):
                 ref = _mpmath_pass(z[j:], a[j:], kvec[j:], cutoffs)
                 for N in cutoffs:
                     bound = (mp.mpf(2) ** -(prec + 8) + mp.mpf(2) ** -prec
@@ -529,6 +560,46 @@ class TestNestedPass:
             nested_sums(z, [2], [0], [300], state)
         assert nested_sums(z, s, [0], [300], state)[300] \
             == nested_sums(z, s, [0], [300])[300]
+
+
+class TestBlockedPass:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(factors, min_size=1, max_size=3),
+           st.sets(st.integers(1, 2600), min_size=1, max_size=3),
+           st.integers(1, 2500), st.sets(st.integers(0, 90), max_size=4),
+           st.booleans(), st.sampled_from([128, 256]))
+    @example(spec=[(RotationNumber(1, 7), mp.mpc("0.4", "0.5"), 2),
+                   (mp.mpc("0.6", "0.8"), 2, 1), (RotationNumber(2, 5), -1, 0)],
+             cutoffs={1024, 1025, 2049}, base=1000, offsets={0, 3, 24, 25},
+             small_cap=True, prec=128)
+    def test_against_the_pass_one_n_at_a_time(self, spec, cutoffs, base, offsets,
+                                               small_cap, prec):
+        # every level j >= 1 and every n^-s table bit for bit as the per-n
+        # pass with the same floors; level 0, summed per residue class of a
+        # root z_1, within 2^-(prec+8) of it.  The cutoffs put several hits
+        # in one block and the passes cross blocks of ``BLOCK_CAP``; with a
+        # cap of 64 the n^-s tables stop early, inside the first block
+        z = [w for w, _, _ in spec]
+        s = [e for _, e, _ in spec]
+        kvec = [k for _, _, k in spec]
+        cutoffs = sorted(cutoffs | {base + d for d in offsets})
+        with pytest.MonkeyPatch.context() as patch, mp.workprec(prec):
+            if small_cap:
+                patch.setattr(summod, "SIEVE_CAP", 64)
+            state = summod.NestedPass(cutoffs[-1])
+            nested_sums(z, s, kvec, cutoffs, state)
+            P, hits, tables = fixed_point_pass(z, s, kvec, cutoffs, cutoffs[-1])
+        assert state.P == P
+        for N in cutoffs:
+            for j in range(1, len(z)):
+                assert state.raw_sum(N, j)[:2] == (hits[N][0][j], hits[N][1][j])
+            x, y, _ = state.raw_sum(N)
+            dx, dy = x - hits[N][0][0], y - hits[N][1][0]
+            assert dx * dx + dy * dy <= 4 ** (P - prec - 8)
+        for got, ref in zip(state.tables, tables):
+            assert (got is None) == (ref is None)
+            if got is not None:
+                assert list(zip(got[1], got[2]))[1:] == ref[1:]
 
 
 class TestPowerEntry:
