@@ -223,16 +223,19 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
         raise ValueError("sums_fn must be a callable cutoffs -> {N: value}")
 
     a_int = summation.internal_precision(a_out, tol_eff)
-    # the n-parts of every term, collected per character; one ScaleFunction
-    # per character merges them in the order of e.items()
+    # c times the n-parts of every term, collected per character, and |c|
+    # times its tail in one list; one ScaleFunction per character and one
+    # tail merge them in the order of e.items()
     parts_terms: dict = {}
     tail_terms = []
     max_log = 0
     for (xi, l, m), c in e.items():
         max_log = max(max_log, l)
         parts, tail = summation._term_nparts(xi, l, m, a_int)
-        parts_terms.setdefault(xi, []).extend(parts.scaled(c).terms())
-        tail_terms += tail.scaled(abs(c)).terms()
+        c = mp.mpc(c)
+        size = abs(c)
+        parts_terms.setdefault(xi, []).extend((l2, m2, p * c) for l2, m2, p in parts.terms())
+        tail_terms += [(l2, m2, t * size) for l2, m2, t in tail.terms()]
     by_char = {xi: ScaleFunction(ts) for xi, ts in parts_terms.items()}
 
     # uncertainty already carried by e's coefficients, imaged at a cutoff;

@@ -160,23 +160,33 @@ def power_sum(k: int, d: int) -> int:
     return sum(j ** d for j in range(1, k))
 
 
-@lru_cache(maxsize=4096)
-def gen_euler_polynomial(k: int, n: int) -> RationalPolynomial:
-    """E_{k,n}(x) = k^(n+1)/(n+1) (B_{n+1}((x+1)/k) - B_{n+1}(x/k))."""
+def _gen_euler_parts(k: int, n: int) -> tuple:
+    """B_{n+1} and k^(n+1)/(n+1), after checking k >= 2 and n >= 0."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if n < 0:
         raise ValueError("polynomial index must be >= 0")
-    b, a = bernoulli_polynomial(n + 1), Fraction(1, k)
-    return (b.compose_affine(a, a) - b.compose_affine(a, 0)) * Fraction(k ** (n + 1), n + 1)
+    return bernoulli_polynomial(n + 1), Fraction(k ** (n + 1), n + 1)
+
+
+@lru_cache(maxsize=4096)
+def gen_euler_polynomial(k: int, n: int) -> RationalPolynomial:
+    """E_{k,n}(x) = k^(n+1)/(n+1) (B_{n+1}((x+1)/k) - B_{n+1}(x/k))."""
+    b, scale = _gen_euler_parts(k, n)
+    a = Fraction(1, k)
+    return (b.compose_affine(a, a) - b.compose_affine(a, 0)) * scale
 
 
 def gen_euler_at_zero(k: int, n: int) -> Fraction:
-    return gen_euler_polynomial(k, n).coeff(0)
+    """E_{k,n}(0) = k^(n+1)/(n+1) (B_{n+1}(1/k) - B_{n+1}(0)), by Horner."""
+    b, scale = _gen_euler_parts(k, n)
+    return scale * (b(Fraction(1, k)) - b.coeff(0))
 
 
 def gen_euler_at_one(k: int, n: int) -> Fraction:
-    return gen_euler_polynomial(k, n)(Fraction(1))
+    """E_{k,n}(1) = k^(n+1)/(n+1) (B_{n+1}(2/k) - B_{n+1}(1/k)), by Horner."""
+    b, scale = _gen_euler_parts(k, n)
+    return scale * (b(Fraction(2, k)) - b(Fraction(1, k)))
 
 
 def sup_bound(k: int, n: int) -> Fraction:

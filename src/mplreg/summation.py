@@ -23,13 +23,15 @@ formula.  The engines carry these corrections and are exact.
 sum_{a<n} xi^a (log a)^l a^(-m), with symbolic n-dependent coefficients
 from one series for every xi: the antiderivative when xi = 1 plus
 h = sum_{j<=J} c_j f^(j), c_j the Taylor coefficients of 1/(xi e^t - 1)
-less its pole (from their recurrence on scaled Python integers),
-J = max(1, A + 2 - m), in O(A^2) whatever the order of xi,
-with remainder K (|f^(J+1)|(n) + int_n^inf |f^(J+1)|),
-K = [xi = 1]/(J + 2)! + sum_j |c_j| / (J - j + 1)!, once the absolute
-terms of f^(J+1) decrease on [n, inf).  The constant, its regularised
-value, is matched against exact partial sums at a cutoff pair (N, 2N),
-within its ``residual_bound``.
+less its pole (from their recurrence on scaled Python integers, O(J^2) once
+per (xi, prec)), J = max(1, A + 2 - m), and the f^(j) of f = (log x)^l
+x^-m read off one memoised table of exact integer derivative rows that
+every xi and precision share, so a term costs O(J l) roundings whatever the
+order of xi; the remainder is K (|f^(J+1)|(n) + int_n^inf |f^(J+1)|),
+K = [xi = 1]/(J + 2)! + sum_j |c_j| / (J - j + 1)! memoised per
+(xi, J, prec), once the absolute terms of f^(J+1) decrease on [n, inf).
+The constant, its regularised value, is matched against exact partial sums
+at a cutoff pair (N, 2N), within its ``residual_bound``.
 
 ``nested_sums`` is the package's one partial-sum kernel: every exact
 truncated nested sum t_N (the matching oracle of every level of the depth
@@ -347,8 +349,10 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 # every memo in the package is an lru_cache of this size, keyed on explicit
 # arguments only; here it holds the 640 (xi, l, m, a_max, prec) keys that
 # one process running two rounds (seed 101) of every reg-sweep and
-# reg-high-order benchmark template reaches, ``_geometric_list`` their 70
-# (xi, prec), ``_fixed_power_table`` 80 (xi, P) and ``_log_table`` 4 P, each
+# reg-high-order benchmark template reaches, ``_derivative_rows`` their 59
+# (l, m, J), ``_remainder_factor`` 444 (xi, J, prec), ``_geometric_list`` 70
+# (xi, prec), ``_char_value`` 48 (xi^N, prec), ``_matching_order`` 2
+# (tol, prec), ``_fixed_power_table`` 80 (xi, P) and ``_log_table`` 4 P, each
 # table of 2,001 entries (a table stops at SIEVE_CAP + 1), with room to spare
 @lru_cache(maxsize=4096)
 def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
@@ -363,9 +367,12 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     revisited", Amer. Math. Monthly 116, 2009; at xi = 1 the pole 1/t of G
     is the antiderivative and this is Euler-Maclaurin).  All coefficients
     attach to the character xi: the terms of h with decay m' <= a_max are
-    the parts, the others go to the tail pointwise.  The cost is O(J^2)
-    whatever the order of xi, the c_j memoised once per (xi, prec) for
-    every (l, m).
+    the parts, the others go to the tail pointwise.  The derivatives
+    f^(j) = x^-(m+j) sum_i d_{j,i} (log x)^i are the exact integer rows of
+    ``_derivative_rows``, shared by every xi and precision, so each term
+    c_j d_{j,i} of h is rounded once.  The cost is O(J l) products whatever
+    the order of xi, the c_j memoised once per (xi, prec) and K below once
+    per (xi, J, prec) for every (l, m).
 
     The remainder is derived, not estimated.  Taylor's theorem on F(a + 1)
     to order J + 2 and on each f^(j)(a + 1), j <= J, with
@@ -375,37 +382,65 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
         K = [xi = 1]/(J + 2)! + sum_j |c_j| / (J - j + 1)!,
 
     and eps(n) sums these defects over a >= n.  With P the sum of the
-    absolute terms of f^(J+1), |eps(n)| <= K (P(n) + int_n^inf P)
+    absolute terms of f^(J+1) (row J + 1), |eps(n)| <= K (P(n) + int_n^inf P)
     as soon as every term (log x)^l' x^(-m') of P is decreasing on
     [n, inf), i.e. n >= e^(l'/m').  Since l' <= l and m' = m + J + 1, raising
     J to (m + J + 1) log(MATCH_START) >= l makes that hold at every
     matching cutoff.
     """
+    J = max(1, a_max + 2 - m, math.ceil(l / math.log(MATCH_START)) - m - 1)
+    rows = _derivative_rows(l, m, J)
     with mp.workprec(prec):
-        J = max(1, a_max + 2 - m, math.ceil(l / math.log(MATCH_START)) - m - 1)
-        coeffs = _geometric_coeffs(xi, J, prec)
-        g = ScaleFunction.term(l, m)
-        K = sum(abs(c) / math.factorial(J - j + 1) for j, c in enumerate(coeffs))
-        h = []  # the terms of h, scale by scale
-        if xi.is_one():
-            h += g.antiderivative().terms()
-            K += mp.mpf(1) / math.factorial(J + 2)
-        for c in coeffs:
+        h = ScaleFunction.term(l, m).antiderivative().terms() if xi.is_one() else []
+        for j, c in enumerate(_geometric_coeffs(xi, J, prec)):
             if c:
-                h += [(l2, m2, c2 * c) for l2, m2, c2 in g.terms()]
-            g = g.differentiate()
+                h += [(i, m + j, c * d) for i, d in enumerate(rows[j]) if d]
+        K = _remainder_factor(xi, J, prec)
+        last = [(i, m + J + 1, d) for i, d in enumerate(rows[J + 1]) if d]
         parts = ScaleFunction([t for t in h if t[1] <= a_max])
-        # g = f^(J+1): the pointwise term and the integral of the remainder bound
+        # the pointwise term and the integral of the remainder bound
         tail = ScaleFunction([(l2, m2, abs(c)) for l2, m2, c in h if m2 > a_max]
-                             + [(l2, m2, K * abs(c)) for l2, m2, c in g.terms()]
-                             + [(l2, m2, amp * K) for l2, m2, amp in g.abs_tail().terms()])
+                             + [(l2, m2, K * abs(d)) for l2, m2, d in last]
+                             + [(l2, m2, amp * K) for l2, m2, amp
+                                in ScaleFunction(last).abs_tail().terms()])
         return parts, tail
+
+
+@lru_cache(maxsize=4096)
+def _derivative_rows(l: int, m: int, J: int) -> tuple:
+    """Rows d_0..d_(J+1) of integers with f^(j) = x^-(m+j) sum_i d_{j,i}
+    (log x)^i, i <= l, for f = (log x)^l x^-m, from
+    d/dx (log x)^i x^-mu = (i (log x)^(i-1) - mu (log x)^i) x^-(mu+1)."""
+    rows = [(0,) * l + (1,)]
+    for mu in range(m, m + J + 1):
+        row = rows[-1] + (0,)
+        rows.append(tuple((i + 1) * row[i + 1] - mu * row[i] for i in range(l + 1)))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=4096)
+def _remainder_factor(xi: RotationNumber, J: int, prec: int):
+    """K = [xi = 1]/(J + 2)! + sum_{j<=J} |c_j| / (J - j + 1)! of the
+    remainder bound of ``_nparts_at``, at ``prec`` bits."""
+    with mp.workprec(prec):
+        K = sum(abs(c) / math.factorial(J - j + 1)
+                for j, c in enumerate(_geometric_coeffs(xi, J, prec)))
+        if xi.is_one():
+            K += mp.mpf(1) / math.factorial(J + 2)
+        return K
 
 
 def eval_nparts(parts: ScaleFunction, xi: RotationNumber, n):
     """chi(n) * parts(n) at an integer cutoff n."""
     acc = parts._value_at(n)
-    return acc if xi.is_one() else acc * (xi ** n).value()
+    return acc if xi.is_one() else acc * _char_value(xi ** n, mp.mp.prec)
+
+
+@lru_cache(maxsize=4096)
+def _char_value(xi: RotationNumber, prec: int):
+    """The value of xi at ``prec`` bits, for ``eval_nparts``."""
+    with mp.workprec(prec):
+        return xi.value()
 
 
 def eval_tail(tail: ScaleFunction, n):
@@ -466,7 +501,11 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     each term without its z_1^n: level 1 before n times (log n)^k_1
     n^-s_1 (at depth 1, (log n)^k_1 n^-s_1 alone).  A cutoff N reads
     t_N = sum_c z_1^c R_c(N), one floor per part, at a cost of O(q)
-    products.  A complex z_1 keeps its running product.
+    products; a cutoff fewer than q terms past an earlier one of the same
+    block adds those terms, each times its z_1^n, to that cutoff's unfloored
+    sum instead, the same integers at four products per term, so a window
+    of q consecutive cutoffs costs O(q), not O(q^2).  A complex z_1 keeps
+    its running product.
 
     Every level j >= 1 and every n^-s entry get the same bits as a pass one
     n at a time with the same floors (``oracles.fixed_point_pass`` in the
@@ -559,16 +598,26 @@ def _block(state, levels, kvec, exps, lp, ns, marks):
     else:
         C, S = inner[0][:L], inner[1][:L]
     C, S = _weigh(C, S, kvec[0], exps[0], entries[0], lp, ns, P)
-    q = levels[0][0]
-    done = 0
+    q, cos, sin = levels[0]
+    done, level0 = 0, None
     for i in [N - n0 for N in marks] + [L]:
         for part, R in zip((C, S), state.residues):
             for m in range(done, min(i, done + q)):
                 R[(n0 + m) % q] += sum(part[m:i:q])
+        if i == L:
+            break
+        if level0 is not None and i - done < q:
+            # fewer than q terms since the last mark: add them to its exact
+            # level 0 with their z_1^n, the same integers as a full read
+            c, s = cos[n0 % q + done:n0 % q + i], sin[n0 % q + done:n0 % q + i]
+            x, y = level0
+            level0 = (x + sum(map(mul, c, C[done:i])) - sum(map(mul, s, S[done:i])),
+                      y + sum(map(mul, s, C[done:i])) + sum(map(mul, c, S[done:i])))
+        else:
+            level0 = state._residue_sum()
         done = i
-        if i < L:
-            state._record(n0 + i, [0] + [re[i] for re, _ in sums[1:]],
-                         [0] + [im[i] for _, im in sums[1:]])
+        state._record(n0 + i, [0] + [re[i] for re, _ in sums[1:]],
+                      [0] + [im[i] for _, im in sums[1:]], level0)
 
 
 def _weigh(C, S, k, a, entries, lp, ns, P):
@@ -745,14 +794,19 @@ class NestedPass:
                        (_fixed_exponent(a, P, self.top), [0, 1 << P], [0, 0]) for a in exps]
         self.primes = []
 
-    def _record(self, N: int, re: list, im: list):
-        """Keeps the sums of every level at cutoff N, level 0 read off the
-        residue sums when the pass keeps them: sum_c z_1^c R_c >> P."""
+    def _residue_sum(self) -> tuple:
+        """sum_c z_1^c R_c, not yet shifted: level 0 of the residue sums as
+        they stand, O(q) products."""
+        (R, I), (cos, sin) = self.residues, self.root
+        return (sum(map(mul, cos, R)) - sum(map(mul, sin, I)),
+                sum(map(mul, sin, R)) + sum(map(mul, cos, I)))
+
+    def _record(self, N: int, re: list, im: list, level0=None):
+        """Keeps the sums of every level at cutoff N; when the pass keeps
+        residue sums, level 0 is ``level0`` (or ``_residue_sum()``) >> P."""
         re, im = list(re), list(im)
         if self.residues is not None:
-            (R, I), (cos, sin) = self.residues, self.root
-            x = sum(map(mul, cos, R)) - sum(map(mul, sin, I))
-            y = sum(map(mul, sin, R)) + sum(map(mul, cos, I))
+            x, y = level0 or self._residue_sum()
             re[0], im[0] = x >> self.P, y >> self.P
         self.hits[N] = (re, im)
 
@@ -914,8 +968,14 @@ def internal_precision(A: int, tol) -> int:
     constant errs by about the remainder at 2N and a character of order q
     gains only ~2 pi N/(q j) per order (with 2, z = 1/19, a = 1 erred by
     1.4e-30 at tol = 1e-25)."""
-    needed = int(mp.ceil(-mp.log(tol) / mp.log(MATCH_START))) + 4
-    return max(A, needed)
+    return max(A, _matching_order(tol, mp.mp.prec))
+
+
+@lru_cache(maxsize=4096)
+def _matching_order(tol, prec: int) -> int:
+    """The order ``internal_precision`` needs for tol, at ``prec`` bits."""
+    with mp.workprec(prec):
+        return int(mp.ceil(-mp.log(tol) / mp.log(MATCH_START))) + 4
 
 
 def choose_cutoff(tail: ScaleFunction, tol, prop_fn=None):

@@ -24,6 +24,8 @@ on that pass's integers.
 ``geometric_closed_form`` gives the Taylor coefficients of 1/(xi e^t - 1)
 from exact Bernoulli values, the reference for the recurrence of
 ``summation._geometric_coeffs``.
+``nparts_chain`` builds the n-parts of one term by repeated
+differentiation, the reference for ``summation._nparts_at``.
 ``primitive_roots`` is the shared Hypothesis strategy for roots of unity of
 high order.
 """
@@ -105,6 +107,33 @@ def geometric_closed_form(xi: RotationNumber, J: int) -> list:
             total = mp.fsum(p * _mpq(bern(Fraction(a, k))) for a, p in enumerate(powers))
             out.append(total * mp.mpf(k) ** j / math.factorial(j + 1))
     return out
+
+
+def nparts_chain(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
+    """(parts, tail) of ``summation._nparts_at`` by a chain of
+    ``ScaleFunction.differentiate`` calls on mpc coefficients, K summed for
+    every (l, m): the reference for its integer derivative rows and memoised
+    K, whose terms and bounds it must match bit for bit."""
+    from mplreg.scalefun import ScaleFunction
+
+    with mp.workprec(prec):
+        J = max(1, a_max + 2 - m, math.ceil(l / math.log(summod.MATCH_START)) - m - 1)
+        coeffs = summod._geometric_coeffs(xi, J, prec)
+        g = ScaleFunction.term(l, m)
+        K = sum(abs(c) / math.factorial(J - j + 1) for j, c in enumerate(coeffs))
+        h = []
+        if xi.is_one():
+            h += g.antiderivative().terms()
+            K += mp.mpf(1) / math.factorial(J + 2)
+        for c in coeffs:
+            if c:
+                h += [(l2, m2, c2 * c) for l2, m2, c2 in g.terms()]
+            g = g.differentiate()
+        parts = ScaleFunction([t for t in h if t[1] <= a_max])
+        tail = ScaleFunction([(l2, m2, abs(c)) for l2, m2, c in h if m2 > a_max]
+                             + [(l2, m2, K * abs(c)) for l2, m2, c in g.terms()]
+                             + [(l2, m2, amp * K) for l2, m2, amp in g.abs_tail().terms()])
+        return parts, tail
 
 
 def averaged_limit(sums_fn, period: int, start: int = 512, rungs: int = 8):

@@ -186,6 +186,20 @@ class TestGenEulerBoundaryValues:
             assert gen_euler_at_one(2, n) == -gen_euler_at_zero(2, n)
         assert gen_euler_at_one(3, 1) != -gen_euler_at_zero(3, 1)
 
+    def test_equal_the_polynomial_at_zero_and_one(self):
+        for k in range(2, 8):
+            for n in range(31):
+                poly = gen_euler_polynomial(k, n)
+                assert gen_euler_at_zero(k, n) == poly(Fraction(0))
+                assert gen_euler_at_one(k, n) == poly(Fraction(1))
+
+    def test_boundary_values_validate_their_indices(self):
+        for fn in (gen_euler_at_zero, gen_euler_at_one):
+            with pytest.raises(ValueError):
+                fn(1, 2)
+            with pytest.raises(ValueError):
+                fn(3, -1)
+
 
 class TestMemoConcurrency:
     def test_concurrent_access_is_deterministic(self):

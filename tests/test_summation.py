@@ -23,7 +23,8 @@ from mplreg.summation import (
 )
 
 from oracles import (_mpmath_pass, em_remainder, fixed_point_pass, geb_blocks,
-                     geometric_closed_form, geometric_tail_coeffs, point_value, primitive_roots)
+                     geometric_closed_form, geometric_tail_coeffs, nparts_chain, point_value,
+                     primitive_roots)
 
 
 def feval(f: ScaleFunction, a: int):
@@ -747,3 +748,71 @@ class TestGeometricCoeffs:
         finally:
             sys.setrecursionlimit(limit)
         assert got == stepped
+
+
+def _bits(f: ScaleFunction) -> list:
+    """The terms of f with the exact bits of each coefficient, in order."""
+    return [(l, m, c._mpc_) for l, m, c in f.terms()]
+
+
+class TestNparts:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.just(ONE), primitive_roots(60)), st.integers(0, 3),
+           st.integers(-2, 3), st.integers(0, 15), st.sampled_from([53, 128, 256]),
+           st.booleans())
+    @example(xi=ONE, l=3, m=1, a_max=15, prec=53, cold=True)
+    def test_bit_identical_to_the_differentiation_chain(self, xi, l, m, a_max, prec, cold):
+        # parts and tail from the integer derivative rows and the memoised K,
+        # with those memos cold or warm, term for term and bit for bit as
+        # the chain of ScaleFunction derivatives on mpc coefficients; the
+        # example has rows of 54 bits, exact at 53 as even integers
+        if cold:
+            summod._derivative_rows.cache_clear()
+            summod._remainder_factor.cache_clear()
+        want = [_bits(f) for f in nparts_chain(xi, l, m, a_max, prec)]
+        for _ in range(2):  # the second call finds the rows and K warm
+            summod._nparts_at.cache_clear()
+            got = summod._nparts_at(xi, l, m, a_max, prec)
+            assert [_bits(f) for f in got] == want
+
+    def test_rows_are_the_derivatives(self):
+        # f = (log x)^2 x^-1: f' = (2 log x - (log x)^2) x^-2,
+        # f'' = (2 - 6 log x + 2 (log x)^2) x^-3
+        assert summod._derivative_rows(2, 1, 1) == ((0, 0, 1), (0, 2, -1), (2, -6, 2))
+
+
+class TestResidueReads:
+    @pytest.mark.parametrize("z, s", [
+        ((RotationNumber(1, 1009),), (1,)),
+        ((RotationNumber(2, 1031), RotationNumber(1, 3)), (mp.mpf("1.5"), 2)),
+    ], ids=["depth1", "depth2"])
+    def test_windows_read_level0_once_per_block(self, z, s, monkeypatch):
+        # a period-long window of cutoffs, as the convergent ladder asks for:
+        # level 0 is read in full off the q residue sums only at a block's
+        # first cutoff and at the top, the other cutoffs add the terms since
+        # the one before; each window spans two blocks (the first crosses
+        # 2,049, the second, resumed at 2,509, crosses 3,533), so three full
+        # reads where a pass reading every cutoff in full makes q; every
+        # level bit for bit as that pass
+        q = z[0].order
+        windows = [range(1500, 1500 + q), range(3000, 3000 + q)]
+        full_reads = []
+        residue_sum = summod.NestedPass._residue_sum
+        record = summod.NestedPass._record
+        monkeypatch.setattr(summod.NestedPass, "_residue_sum",
+                            lambda self: full_reads.append(self.n) or residue_sum(self))
+        with mp.workprec(128):
+            state = summod.NestedPass(windows[-1][-1])
+            counts = []
+            for w in windows:
+                nested_sums(z, s, [0] * len(z), w, state)
+                counts.append(len(full_reads) - sum(counts))
+            monkeypatch.setattr(summod.NestedPass, "_record",
+                                lambda self, N, re, im, level0=None: record(self, N, re, im))
+            ref = summod.NestedPass(windows[-1][-1])
+            for w in windows:
+                nested_sums(z, s, [0] * len(z), w, ref)
+        assert counts == [3, 3]
+        for N in [*windows[0], *windows[1]]:
+            for j in range(len(z)):
+                assert state.raw_sum(N, j) == ref.raw_sum(N, j)
