@@ -293,9 +293,9 @@ def depth_expansion(spec: DepthSpec, A: int, tol=None) -> AsymptoticExpansion:
     if A < 0:
         raise ValueError(f"expansion precision must be >= 0, got {A}")
     tol_eff = summation.resolve_tol(tol)
-    # every cutoff run_matching can ask for: MATCH_START 2^k up to 2 MATCH_CEILING
-    ladder = [summation.MATCH_START << k for k in range(
-        (summation.MATCH_CEILING // summation.MATCH_START).bit_length() + 1)]
+    # every cutoff run_matching can ask for: N and 2N of each ladder point
+    ladder = summation._matching_ladder()
+    ladder.append(2 * ladder[-1])
     kernel = summation.NestedPass(ladder[-1])
 
     def build(i: int, a_i: int) -> AsymptoticExpansion:

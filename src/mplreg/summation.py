@@ -304,7 +304,20 @@ def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
     once.  At xi = e^(i theta), G(t) = (coth((t + i theta)/2) - 1)/2 with
     coth odd and its Taylor coefficients real, so c_n (n >= 1) is real for
     odd n and imaginary for even n (zero at xi = -1): each keeps only that
-    part, leaving no rounding where the other part vanishes."""
+    part, leaving no rounding where the other part vanishes.
+
+    The growth: 1/(xi e^t - 1) = sum_{a<k} xi^a e^(a t)/(e^(k t) - 1) gives
+    c_j = k^j/(j+1)! sum_{a<k} xi^a B_{j+1}(a/k) (at xi = 1, k = 1, the
+    pole is the B_0 term), and the Fourier series of B_n gives
+    sup_[0,1] |B_n| <= 2 zeta(n) n!/(2 pi)^n for n >= 2, so for j >= 1
+
+        |c_j| <= k^(j+1) sup_[0,1] |B_{j+1}|/(j+1)! <= 2 zeta(j+1) (k/2 pi)^(j+1).
+
+    With |f^(j)(N)| ~ j! N^-(m+j), the terms c_j f^(j)(N) of the n-parts
+    therefore decrease while j <~ 2 pi N/k.  That is why matching may start
+    at N = MATCH_START = 250: the default tol's J <= 19 keeps the terms
+    decreasing there for orders k <= 80, and ``choose_cutoff`` moves a
+    higher order to a larger N through the tail it predicts."""
     factor, r, scaled, coeffs = _geometric_list(xi, prec)
     with mp.workprec(prec):
         for n in range(len(coeffs), J + 1):
@@ -347,13 +360,14 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 
 
 # every memo in the package is an lru_cache of this size, keyed on explicit
-# arguments only; here it holds the 640 (xi, l, m, a_max, prec) keys that
+# arguments only; here it holds the 712 (xi, l, m, a_max, prec) keys that
 # one process running two rounds (seed 101) of every reg-sweep and
-# reg-high-order benchmark template reaches, ``_derivative_rows`` their 59
-# (l, m, J), ``_remainder_factor`` 444 (xi, J, prec), ``_geometric_list`` 70
-# (xi, prec), ``_char_value`` 48 (xi^N, prec), ``_matching_order`` 2
+# reg-high-order benchmark template reaches, ``_derivative_rows`` their 65
+# (l, m, J), ``_remainder_factor`` 500 (xi, J, prec), ``_geometric_list`` 70
+# (xi, prec), ``_char_value`` 56 (xi^N, prec), ``_matching_order`` 2
 # (tol, prec), ``_fixed_power_table`` 80 (xi, P) and ``_log_table`` 4 P, each
-# table of 2,001 entries (a table stops at SIEVE_CAP + 1), with room to spare
+# table of 1,001 or 2,001 entries (a table stops at SIEVE_CAP + 1), with room
+# to spare
 @lru_cache(maxsize=4096)
 def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     """n-dependent part of sum_{a<n} xi^a (log a)^l a^(-m), every xi.
@@ -385,8 +399,8 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     absolute terms of f^(J+1) (row J + 1), |eps(n)| <= K (P(n) + int_n^inf P)
     as soon as every term (log x)^l' x^(-m') of P is decreasing on
     [n, inf), i.e. n >= e^(l'/m').  Since l' <= l and m' = m + J + 1, raising
-    J to (m + J + 1) log(MATCH_START) >= l makes that hold at every
-    matching cutoff.
+    J until (m + J + 1) log(MATCH_START) >= l, that is m + J + 1 >= l/5.52
+    at MATCH_START = 250, makes that hold at every matching cutoff.
     """
     J = max(1, a_max + 2 - m, math.ceil(l / math.log(MATCH_START)) - m - 1)
     rows = _derivative_rows(l, m, J)
@@ -939,8 +953,16 @@ def char_partial_sums(xi: RotationNumber, l: int, m: int, cutoffs):
 # the public expansion operation
 # ---------------------------------------------------------------------------
 
-MATCH_START = 1000
-MATCH_CEILING = 2 ** 10 * MATCH_START
+# the first and the largest first cutoff of constant matching; the ceiling
+# fixes the guard bits of the depth driver's one pass, sized at 2 MATCH_CEILING
+MATCH_START = 250
+MATCH_CEILING = 2 ** 12 * MATCH_START
+
+
+def _matching_ladder() -> list:
+    """The cutoffs N at which ``run_matching`` can match at (N, 2N):
+    MATCH_START 2^k up to MATCH_CEILING, read from the module at each call."""
+    return [MATCH_START << k for k in range((MATCH_CEILING // MATCH_START).bit_length())]
 
 
 def resolve_tol(tol):
@@ -963,11 +985,13 @@ def resolve_tol(tol):
 
 
 def internal_precision(A: int, tol) -> int:
-    """Expansion completeness needed so matching at N ~ 1000 reaches tol:
-    the count of n^-(A+1) <= tol at N = MATCH_START plus 4, since the
-    constant errs by about the remainder at 2N and a character of order q
-    gains only ~2 pi N/(q j) per order (with 2, z = 1/19, a = 1 erred by
-    1.4e-30 at tol = 1e-25)."""
+    """Expansion completeness needed so matching from N = MATCH_START
+    reaches tol: the count of n^-(A+1) <= tol at N = MATCH_START plus 4
+    (15 at tol = 1e-25), since the constant errs by about the remainder at
+    2N and a character of order q gains only ~2 pi N/(q j) per order (at
+    128 bits and tol = 1e-25, z = 1/19, a = 1 errs by 9.8e-34; with 2 in
+    place of 4 by 1.2e-34, and z = 1/37 by 1.4e-30, the worst of 26 orders
+    <= 127)."""
     return max(A, _matching_order(tol, mp.mp.prec))
 
 
@@ -988,8 +1012,7 @@ def choose_cutoff(tail: ScaleFunction, tol, prop_fn=None):
     tail alone would ruin the matched constant.
     """
     best_n, best_score = None, None
-    n = MATCH_START
-    while n <= MATCH_CEILING:
+    for n in _matching_ladder():
         score = eval_tail(tail, n)
         if prop_fn is not None:
             score += prop_fn(n)
@@ -997,7 +1020,6 @@ def choose_cutoff(tail: ScaleFunction, tol, prop_fn=None):
             return n
         if best_score is None or score < best_score:
             best_n, best_score = n, score
-        n *= 2
     if prop_fn is None:
         raise PrecisionError(
             f"predicted matching residual stays above {mp.nstr(tol, 5)} "
@@ -1013,8 +1035,8 @@ def run_matching(sums_fn, approx_fn, tail: ScaleFunction, tol_eff, prop_fn=None)
     grows with ``prop_fn``, the image of any uncertainty already carried by
     the input coefficients.  Returns (constant, certified residual, cutoff).
     """
-    n = choose_cutoff(tail, tol_eff, prop_fn=prop_fn)
-    while True:
+    ladder = _matching_ladder()
+    for n in ladder[ladder.index(choose_cutoff(tail, tol_eff, prop_fn=prop_fn)):]:
         sums = sums_fn((n, 2 * n))
         approx2 = approx_fn(2 * n)
         c1 = sums[n] - approx_fn(n)
@@ -1027,11 +1049,9 @@ def run_matching(sums_fn, approx_fn, tail: ScaleFunction, tol_eff, prop_fn=None)
             residual = (max(drift, eval_tail(tail, 2 * n)) + prop
                         + _rounding_slack(2 * n, [sums[2 * n], approx2]))
             return c2, residual, n
-        n *= 2
-        if n > MATCH_CEILING:
-            raise PrecisionError(
-                f"constant matching unstable: |c(N) - c(2N)| = "
-                f"{mp.nstr(drift, 5)} at N = {n // 2}")
+    raise PrecisionError(
+        f"constant matching unstable: |c(N) - c(2N)| = "
+        f"{mp.nstr(drift, 5)} at N = {n}")
 
 
 def term_sum_expansion(xi: RotationNumber, l: int, m: int, A: int, tol=None):

@@ -247,6 +247,22 @@ class TestDepthExpansion:
         assert None not in states
         assert len({id(state) for state in states}) == 1
 
+    @pytest.mark.parametrize("prec", [128, 256])
+    def test_matching_settles_at_the_first_rung(self, monkeypatch, prec):
+        # at the default tol both levels match at (MATCH_START, 2 MATCH_START)
+        # = (250, 500): the one kernel pass sums 500 terms and no more
+        reached = []
+        kernel = summod.nested_sums
+
+        def recording(z, s, k, cutoffs, state=None):
+            reached.append(max(cutoffs))
+            return kernel(z, s, k, cutoffs, state)
+
+        monkeypatch.setattr(summod, "nested_sums", recording)
+        with mp.workprec(prec):
+            eval_integer_point(ZVector.parse("1/3,1/4"), (2, 1))
+        assert max(reached) == 500
+
     def test_convergent_spec_has_no_growing_terms(self):
         # strict inequalities A_[1,i] > Q_[1,i]: only the constant sits at m <= 0
         spec = DepthSpec(ZVector.parse("1,-1"), (2, -1), (0, 0))

@@ -284,8 +284,8 @@ class TestTwistedTail:
         # here at prec + 64.  The terms of h at decays 4 and 5 go to the
         # tail at full size and dominate it, which hides K; kept (they are
         # the parts at a_max = 5 past decay 3, the same J), the remainder
-        # must sit within the rest of the tail, K (P(N) + int_N^inf P)
-        N = 1000
+        # must sit within the rest of the tail, K (P(N) + int_N^inf P).
+        # Both from the first matching cutoff, MATCH_START, and at N = 1000
         with mp.workprec(prec + 64):
             ref = summod.term_sum_expansion(xi, l, m, 3)
             c_ref = ref.regularised_value()
@@ -295,13 +295,14 @@ class TestTwistedTail:
             parts, tail = summod._nparts_at(xi, l, m, 3, prec)
             h, _ = summod._nparts_at(xi, l, m, 5, prec)
             dropped = ScaleFunction([(l2, m2, abs(c)) for l2, m2, c in h.terms() if m2 > 3])
-            total = nested_sums((xi,), (m,), (l,), (N,))[N]
-            for approx, bound in (
-                    (summod.eval_nparts(parts, xi, N), summod.eval_tail(tail, N)),
-                    (summod.eval_nparts(h, xi, N),
-                     summod.eval_tail(tail, N) - summod.eval_tail(dropped, N))):
-                slack = ref.residual_bound + summod._rounding_slack(N, [total, approx])
-                assert abs(total - approx - c_ref) <= bound + slack
+            totals = nested_sums((xi,), (m,), (l,), (summod.MATCH_START, 1000))
+            for N, total in totals.items():
+                for approx, bound in (
+                        (summod.eval_nparts(parts, xi, N), summod.eval_tail(tail, N)),
+                        (summod.eval_nparts(h, xi, N),
+                         summod.eval_tail(tail, N) - summod.eval_tail(dropped, N))):
+                    slack = ref.residual_bound + summod._rounding_slack(N, [total, approx])
+                    assert abs(total - approx - c_ref) <= bound + slack, N
 
 
 class TestMpq:
@@ -721,6 +722,23 @@ class TestGeometricCoeffs:
                     assert getattr(c, zero) == 0
                     assert abs(getattr(want, zero)) < mp.mpf(2) ** -1000 * s_j
                 assert abs(c - want) <= mp.mpf(2) ** (1 - prec) * s_j
+
+    @settings(max_examples=60, deadline=None)
+    @given(primitive_roots(91), st.integers(1, 30), st.sampled_from([128, 256]))
+    def test_growth_bound(self, xi, j, prec):
+        # the bound of the docstring, through the closed form: |c_j| <=
+        # k^j/(j+1)! sum_{a<k} |B_{j+1}(a/k)| <= k^(j+1) sup|B_{j+1}|/(j+1)!
+        # <= 2 zeta(j+1) (k/2 pi)^(j+1) = s_j, with c_j within 2 units of
+        # 2^-prec s_j (``test_against_closed_form``)
+        k = xi.order
+        c = summod._geometric_coeffs(xi, j, prec)[j]
+        bern = eulerpoly.bernoulli_polynomial(j + 1)
+        average = Fraction(k ** j, math.factorial(j + 1)) * sum(
+            abs(bern(Fraction(a, k))) for a in range(k))
+        with mp.workprec(prec + 64):
+            s_j = 2 * mp.zeta(j + 1) * (k / (2 * mp.pi)) ** (j + 1)
+            assert abs(c) <= summod._mpq(average) + mp.mpf(2) ** (1 - prec) * s_j
+            assert summod._mpq(average) <= s_j
 
     def test_precision_is_part_of_the_key(self):
         xi = RotationNumber(5, 17)
