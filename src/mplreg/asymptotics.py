@@ -208,7 +208,7 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
     but can be far too conservative.
     """
     a_out = e.precision if precision is None else int(precision)
-    tol_eff = summation.resolve_tol(tol)
+    tol_eff = summation.resolve_tol(tol, summation.DEFAULT_MATCH_TOL)
     exact = sums_fn is None
     if exact:
         terms = e.items()
@@ -290,9 +290,9 @@ def depth_expansion(spec: DepthSpec, A: int, tol=None) -> AsymptoticExpansion:
     resumed up to the largest cutoff any level asks for, so a call sums r
     terms per n once instead of r + (r - 1) + ... + 1 per matching attempt.
     """
+    tol_eff = summation.resolve_tol(tol, summation.DEFAULT_MATCH_TOL)
     if A < 0:
         raise ValueError(f"expansion precision must be >= 0, got {A}")
-    tol_eff = summation.resolve_tol(tol)
     # every cutoff run_matching can ask for: N and 2N of each ladder point
     ladder = summation._matching_ladder()
     ladder.append(2 * ladder[-1])

@@ -37,7 +37,7 @@ from .rootsofunity import (
     singular_hyperplanes,
 )
 from .scalefun import ScaleFunction
-from .summation import euler_maclaurin, gen_euler_boole
+from .summation import euler_maclaurin, gen_euler_boole, resolve_tol
 
 CSV_COLUMNS = ["z", "a", "k", "method", "re", "im", "abs_err",
                "precision_bits", "order"]
@@ -91,13 +91,6 @@ def _json_errors(command):
             _fail(exc, kwargs.get("out"))
 
     return wrapper
-
-
-def _positive_tol(text):
-    tol = mp.mpf(text)
-    if not tol > 0:
-        raise ValueError("tolerance must be > 0")
-    return tol
 
 
 def _parse_z(text: str) -> ZVector:
@@ -188,9 +181,8 @@ def domain(ztext, stext, prec, out, fmt):
 @prec_option
 @order_option
 @click.option("--tol", default=None,
-              help="tolerance of the convergent route at -s (default 1e-12), "
-                   "or of constant matching at an integer point -a (default "
-                   "max(1e-25, 2^(20-prec)))")
+              help="tolerance, > 0 and >= 2^(20-prec) (default 1e-12 at -s, "
+                   "1e-25 at -a, each raised to that floor)")
 @click.option("--ceiling", type=int, default=polylog.DEFAULT_CUTOFF_CEILING,
               help="cutoff ceiling of the convergent route (default 10^7)")
 @out_option
@@ -199,7 +191,6 @@ def domain(ztext, stext, prec, out, fmt):
 def cmd_eval(ztext, stext, atext, prec, order, tol, ceiling, out, fmt):
     """Evaluate the nested series: by the regularised route at an integer
     point -a of V_r(z), by the convergent route at a point -s of U_r(z)."""
-    tol = None if tol is None else _positive_tol(tol)
     z = _parse_z(ztext)
     if (stext is None) == (atext is None):
         raise ValueError("give exactly one of -s or -a")
@@ -303,15 +294,16 @@ def _summation_suite(rng: random.Random, trials: int, tol):
 @click.option("--seed", type=int, default=0)
 @prec_option
 @click.option("--tol", default=None,
-              help="residual tolerance (default max(1e-12, 100 * 2^(20-prec)))")
+              help="residual tolerance, > 0 and >= 100 * 2^(20-prec), as each "
+                   "identity is checked to tol/100 (default 1e-12 raised to "
+                   "that floor)")
 @out_option
 @format_option
 @_json_errors
 def cmd_verify(suite, trials, seed, prec, tol, out, fmt):
     """Run the translation-identity and summation-engine verification suites;
     exits nonzero if any residual exceeds the tolerance."""
-    tol = (max(mp.mpf(polylog.DEFAULT_EVAL_TOL), 100 * mp.mpf(2) ** (20 - mp.mp.prec))
-           if tol is None else _positive_tol(tol))
+    tol = resolve_tol(tol, polylog.DEFAULT_EVAL_TOL, headroom=100)
     rng = random.Random(seed)
     results = []
     if suite in ("translation", "all"):

@@ -146,18 +146,16 @@ def eval_convergent(z: ZVector, s, tol=None, *,
     from ``CONVERGENT_START`` up (off them an averaged rung keeps xi^N-phased
     terms that Richardson cannot remove); it uses nothing but raw partial
     sums.  Every rung is read off one resumed kernel pass, so each term is
-    summed once; ``diagnostics["terms"]`` counts them.  A tol <= 0 or a
-    ceiling below the first rung raises ValueError before any term is summed.
+    summed once; ``diagnostics["terms"]`` counts them.  The tolerance is
+    read by ``summation.resolve_tol`` (default ``DEFAULT_EVAL_TOL``), and it
+    and a ceiling below the first rung are checked before any term is summed.
     """
     flags = _domain_flags(z, s)
     if not flags["Urz"]:
         raise DomainError(f"point {_coords(s)} is outside U_r(z) for z = {z}")
-    tol = mp.mpf(DEFAULT_EVAL_TOL if tol is None else tol)
+    tol = resolve_tol(tol, DEFAULT_EVAL_TOL)
     period = _oscillation_period(z)
     n = -(-CONVERGENT_START // period) * period
-    # no ladder can settle below a non-positive tol or start above the ceiling
-    if not tol > 0:
-        raise ValueError(f"tolerance must be > 0, got {mp.nstr(tol, 5)}")
     if ceiling < n:
         raise ValueError(f"ceiling {ceiling} is below the first rung {n}")
 
@@ -242,17 +240,18 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     proves the identity to within tol + tol/100.  That k is found before
     the series runs, and E = max(0, mag(max_(j<=k) b_j)), so a coefficient's
     growth (b_k reaches 2^80 at s_1 = 20, N = 2) does not magnify the floors
-    of its T_k past 2^-P.  A tol below the precision
-    floor (``summation.resolve_tol``) raises PrecisionError before any pass.
+    of its T_k past 2^-P.  The shape of (z, s), then the tolerance
+    (``summation.resolve_tol``, default ``DEFAULT_EVAL_TOL``), then the
+    cutoffs are checked before any pass.
     """
-    if not M > N >= 2:
-        raise ValueError("need M > N >= 2")
-    tol = resolve_tol(DEFAULT_EVAL_TOL if tol is None else tol)
     entries = list(z.entries) if isinstance(z, ZVector) else list(z)
     svals = [mp.mpc(c) for c in _coords(s)]
     r = len(entries)
     if len(svals) != r:
         raise DomainError("z and s must have equal length")
+    tol = resolve_tol(tol, DEFAULT_EVAL_TOL)
+    if not M > N >= 2:
+        raise ValueError("need M > N >= 2")
 
     def zval(entry):
         return entry.value() if isinstance(entry, RotationNumber) else mp.mpc(entry)

@@ -175,9 +175,6 @@ class ZVector:
     def __hash__(self):
         return hash(self._entries)
 
-    def values(self) -> list:
-        return [z.value() for z in self._entries]
-
     def __str__(self) -> str:
         return ",".join(str(z) for z in self._entries)
 

@@ -99,7 +99,6 @@ class SummationBreakdown:
     total: object
     boundary_terms: list
     remainder_estimate: object
-    order_used: int
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +182,6 @@ def euler_maclaurin(f: ScaleFunction, n: int, m: int) -> SummationBreakdown:
                         ("derivative_boundary", boundary),
                         ("remainder_integral", remainder)],
         remainder_estimate=estimate,
-        order_used=m,
     )
 
 
@@ -273,7 +271,6 @@ def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
                         ("step_corrections", blk_corr),
                         ("remainder_integral", remainder)],
         remainder_estimate=estimate,
-        order_used=m,
     )
 
 
@@ -965,22 +962,26 @@ def _matching_ladder() -> list:
     return [MATCH_START << k for k in range((MATCH_CEILING // MATCH_START).bit_length())]
 
 
-def resolve_tol(tol):
-    """Effective matching tolerance.
+def resolve_tol(tol, default, headroom=1):
+    """The one reading of a tolerance, before any term is summed.
 
-    The default adapts to the working precision (it cannot beat rounding);
-    an explicit tolerance is taken verbatim, and one below the precision
-    floor 2^(20-prec) fails at once with PrecisionError rather than being
-    silently loosened or left to matching noise to reject.
+    The floor is 2^(20-prec) (a tolerance cannot beat rounding) times
+    ``headroom``, for a caller that sums to tol/headroom.  No tolerance
+    gives ``default`` (``DEFAULT_MATCH_TOL`` or ``polylog.DEFAULT_EVAL_TOL``)
+    raised to the floor; a given one is taken verbatim, and raises
+    ValueError if it is <= 0 and PrecisionError if it is below the floor.
     """
-    floor = mp.mpf(2) ** (20 - mp.mp.prec)
+    floor = headroom * mp.mpf(2) ** (20 - mp.mp.prec)
     if tol is None:
-        return max(mp.mpf(DEFAULT_MATCH_TOL), floor)
+        return max(mp.mpf(default), floor)
     tol = mp.mpf(tol)
+    if not tol > 0:
+        raise ValueError(f"tolerance must be > 0, got {mp.nstr(tol, 5)}")
     if tol < floor:
+        scale = "" if headroom == 1 else f"{headroom} * "
         raise PrecisionError(
             f"tolerance {mp.nstr(tol, 5)} is below the precision floor "
-            f"2^{20 - mp.mp.prec} at {mp.mp.prec} bits")
+            f"{scale}2^{20 - mp.mp.prec} at {mp.mp.prec} bits")
     return tol
 
 

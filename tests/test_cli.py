@@ -73,6 +73,10 @@ class TestEval:
         error = json.loads(res.output)["error"]
         assert error["type"] == "DomainError"
         assert "V_r(z)" in error["message"]
+        # the domain is checked before the tolerance
+        res = invoke(runner, ["eval", "-z", "1", "-s", "0.5", "--tol", "1e-40"])
+        assert res.exit_code == 2
+        assert json.loads(res.output)["error"]["type"] == "DomainError"
 
     def test_tol_reaches_integer_points(self, runner):
         # an explicit --tol goes to constant matching; 1e-40 is below the
@@ -81,6 +85,21 @@ class TestEval:
                               "--tol", "1e-40", "--prec", "128"])
         assert res.exit_code == 4
         assert json.loads(res.output)["error"]["type"] == "PrecisionError"
+
+    def test_tol_below_the_floor_fails_before_summing(self, runner, monkeypatch):
+        # the convergent route reads --tol by the same rule: exit 4 at once
+        # rather than summing to the ceiling
+        import mplreg.polylog as polylog_mod
+
+        def no_sums(*args):
+            raise AssertionError("a term was summed")
+
+        monkeypatch.setattr(polylog_mod, "nested_sums", no_sums)
+        res = invoke(runner, ["eval", "-z", "-1", "-s", "0.5", "--tol", "1e-40"])
+        assert res.exit_code == 4
+        error = json.loads(res.output)["error"]
+        assert error["type"] == "PrecisionError"
+        assert "1.0e-40" in error["message"]
 
     def test_nonconvergence_exit_code(self, runner):
         # hopeless tolerance with a tiny ceiling: failure class 3
@@ -169,6 +188,16 @@ class TestVerify:
         assert obj["failures"] == 0
         assert mp.almosteq(mp.mpf(obj["tol"]), 100 * mp.mpf(2) ** -33, 1e-15)
 
+    def test_tol_error_names_the_given_tolerance(self, runner):
+        # each identity is checked to tol/100, so the floor is 100 * 2^-108
+        # at 128 bits; the message names the tolerance given, not tol/100
+        res = invoke(runner, ["verify", "--suite", "translation", "--trials", "2",
+                              "--tol", "1e-31"])
+        assert res.exit_code == 4
+        error = json.loads(res.output)["error"]
+        assert error["type"] == "PrecisionError"
+        assert "1.0e-31" in error["message"]
+
     def test_summation_suite_passes(self, runner):
         res = invoke(runner, ["verify", "--suite", "summation",
                               "--trials", "4", "--tol", "1e-18"])
@@ -242,6 +271,9 @@ class TestUsageErrors:
         ["domain", "-z", "1,-1", "--order", "0"],         # not a domain option
         ["eval", "-z", "-1", "-s", "0.5", "--ceiling", "10"],  # below 1st rung
         ["verify", "--trials", "0"],                      # checks nothing
+        ["eval", "-z", "-1", "-s", "0.5", "--tol", "0"],  # tol <= 0, each route
+        ["eval", "-z", "1,-1", "-a", "2,-1", "--tol", "0"],
+        ["verify", "--trials", "1", "--tol", "0"],
     ])
     def test_usage_error_is_json_with_exit_1(self, runner, args):
         res = invoke(runner, args)

@@ -20,6 +20,7 @@ from mplreg.polylog import (
     verify_translation,
 )
 from mplreg.rootsofunity import RotationNumber, ZVector
+import mplreg.summation as summod
 from mplreg.summation import nested_sums
 
 from oracles import (averaged_limit, em_zeta, per_term_translation, primitive_roots,
@@ -179,12 +180,15 @@ class TestConvergentRoute:
         self.check_against_mp_polylog(xi, mp.mpf(s))
 
     def test_estimate_carries_rounding(self):
-        # at 53 bits the extrapolated increments (4.8e-15 here) fall below
-        # the actual error (1.2e-14); the rounding slack of the sums up to
-        # the last cutoff reached keeps the estimate honest
+        # a point whose extrapolated increments once fell below its error at
+        # 53 bits, run at that precision's floor 2^-33: the ladder stops at
+        # cutoff 4,608 with 4 times the last increment at 3.1e-13, and the
+        # rounding slack of the sums up to the last cutoff reached (8.7e-10)
+        # dominates an estimate that must stay above the error (2.6e-16)
         xi, s = RotationNumber(11, 18), mp.mpf(0.6518809305976807)
         with mp.workprec(53):
-            rep = self.convergent(ZVector([xi]), [s])
+            rep = eval_convergent(ZVector([xi]), [s], tol=mp.mpf(2) ** -33,
+                                  ceiling=self.CEILING)
         with mp.workprec(128):
             err = abs(rep.value - mp.polylog(s, xi.value()))
         assert err <= rep.abs_error_estimate
@@ -332,6 +336,15 @@ class TestTranslation:
         with pytest.raises(ValueError):
             verify_translation(Z("-1"), [2], 10, 10)
 
+    def test_shape_is_checked_before_the_tolerance(self):
+        # shape (exit 2), then tolerance (4), then cutoffs (1)
+        with pytest.raises(DomainError):
+            verify_translation(Z("1/3,1/3"), [mp.mpc(0.8)], 50, 12,
+                               tol=mp.mpf("1e-40"))
+        with pytest.raises(PrecisionError):
+            verify_translation(Z("1/3"), [mp.mpc(0.8)], 10, 10,
+                               tol=mp.mpf("1e-40"))
+
     def test_unreachable_tolerance_fails_before_summing(self, monkeypatch):
         def no_sums(*args):
             raise AssertionError("summed although the tolerance is unreachable")
@@ -411,6 +424,36 @@ class TestTranslation:
             bound = mp.mpf(2) ** (10 - prec) * M * (1 + abs(ref.lhs))
             assert abs(rep.lhs - ref.lhs) <= bound
             assert abs(rep.rhs - ref.rhs) <= bound
+
+
+class TestToleranceRule:
+    # every route reads its tolerance through summation.resolve_tol: the
+    # floor at 128 bits is 2^-108
+    ROUTES = {
+        "convergent": lambda tol: eval_convergent(Z("-1"), [mp.mpf("0.5")], tol=tol),
+        "translation": lambda tol: verify_translation(Z("1/3"), [mp.mpc(0.8, -0.6)],
+                                                      50, 12, tol=tol),
+        "integer": lambda tol: eval_integer_point(Z("1,-1"), (2, -1), tol=tol),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("tol,error", [(0, ValueError), (-1, ValueError),
+                                           (mp.mpf(2) ** -109, PrecisionError)],
+                             ids=["zero", "negative", "half-floor"])
+    def test_rejected_before_summing(self, monkeypatch, route, tol, error):
+        def no_sums(*args):
+            raise AssertionError("a term was summed")
+
+        monkeypatch.setattr(summod, "nested_sums", no_sums)
+        monkeypatch.setattr(polylog_mod, "nested_sums", no_sums)
+        with mp.workprec(128), pytest.raises(error):
+            self.ROUTES[route](tol)
+
+    @pytest.mark.parametrize("route", ["convergent", "translation"])
+    def test_default_below_the_floor_is_raised_to_it(self, route):
+        # at 53 bits the floor 2^-33 lies above the default 1e-12
+        with mp.workprec(53):
+            self.ROUTES[route](None)
 
 
 class TestTranslationSeries:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mplreg import eulerpoly
 from mplreg.errors import PrecisionError
+from mplreg.polylog import DEFAULT_EVAL_TOL
 from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber
 from mplreg.scalefun import ScaleFunction
 import mplreg.summation as summod
@@ -271,7 +272,37 @@ class TestTermSumExpansion:
         with pytest.raises(PrecisionError, match="precision floor"):
             term_sum_expansion(MINUS_ONE, 1, 0, 8, tol=mp.mpf("1e-40"))
         # the floor at 128 bits is 2^-108; a tolerance just above it passes
-        assert summod.resolve_tol(mp.mpf(2) ** -107) == mp.mpf(2) ** -107
+        assert (summod.resolve_tol(mp.mpf(2) ** -107, summod.DEFAULT_MATCH_TOL)
+                == mp.mpf(2) ** -107)
+
+
+class TestResolveTol:
+    # 59 bits is the last precision whose floor 2^(20-prec) lies above the
+    # convergent default 1e-12, 60 the first below it
+    @pytest.mark.parametrize("prec", [53, 59, 60, 128, 256, 512])
+    @pytest.mark.parametrize("default", [summod.DEFAULT_MATCH_TOL, DEFAULT_EVAL_TOL])
+    def test_default_floor_and_errors(self, prec, default):
+        with mp.workprec(prec):
+            floor = mp.mpf(2) ** (20 - prec)
+            assert summod.resolve_tol(None, default) == max(mp.mpf(default), floor)
+            assert summod.resolve_tol(floor, default) == floor
+            for bad in (0, -1):
+                with pytest.raises(ValueError, match="must be > 0"):
+                    summod.resolve_tol(bad, default)
+            with pytest.raises(PrecisionError, match="precision floor"):
+                summod.resolve_tol(floor / 2, default)
+
+    @pytest.mark.parametrize("prec", [53, 128])
+    def test_headroom_raises_the_floor(self, prec):
+        # a caller that sums to tol/100 needs 100 times the floor, and the
+        # error names the tolerance it was given
+        with mp.workprec(prec):
+            floor = 100 * mp.mpf(2) ** (20 - prec)
+            assert (summod.resolve_tol(None, DEFAULT_EVAL_TOL, headroom=100)
+                    == max(mp.mpf(DEFAULT_EVAL_TOL), floor))
+            assert summod.resolve_tol(floor, DEFAULT_EVAL_TOL, headroom=100) == floor
+            with pytest.raises(PrecisionError, match=mp.nstr(floor / 2, 5)):
+                summod.resolve_tol(floor / 2, DEFAULT_EVAL_TOL, headroom=100)
 
 
 class TestTwistedTail:
