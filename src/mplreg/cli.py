@@ -249,7 +249,7 @@ def _translation_suite(rng: random.Random, trials: int, tol):
         z = ZVector([RotationNumber(rng.randrange(d), d) for d in dens])
         s = [mp.mpc(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0))
              for _ in range(r)]
-        rep = polylog.verify_translation(z, s, M=50, N=12, tol=tol / 100)
+        rep = polylog.verify_translation(z, s, M=50, N=12, tol=tol)
         results.append({"suite": "translation", "depth": r, "z": str(z),
                         "residual": fmt_real(rep.residual),
                         "pass": bool(rep.residual < tol)})
@@ -294,16 +294,15 @@ def _summation_suite(rng: random.Random, trials: int, tol):
 @click.option("--seed", type=int, default=0)
 @prec_option
 @click.option("--tol", default=None,
-              help="residual tolerance, > 0 and >= 100 * 2^(20-prec), as each "
-                   "identity is checked to tol/100 (default 1e-12 raised to "
-                   "that floor)")
+              help="residual tolerance, > 0 and >= 2^(20-prec) (default "
+                   "1e-12 raised to that floor)")
 @out_option
 @format_option
 @_json_errors
 def cmd_verify(suite, trials, seed, prec, tol, out, fmt):
     """Run the translation-identity and summation-engine verification suites;
     exits nonzero if any residual exceeds the tolerance."""
-    tol = resolve_tol(tol, polylog.DEFAULT_EVAL_TOL, headroom=100)
+    tol = resolve_tol(tol, polylog.DEFAULT_EVAL_TOL)
     rng = random.Random(seed)
     results = []
     if suite in ("translation", "all"):

@@ -7,7 +7,9 @@ is handled four ways:
   tails t_{M,N} (general complex weights |z_i| <= 1, complex exponents)
   from the one kernel ``summation.nested_sums``;
 * ``eval_convergent``    -- limit inside the conditional-convergence domain
-  U_r(z), by period averaging and Richardson extrapolation on the tail
+  U_r(z): at depth 1, t_N at one cutoff less the operator series of its
+  tail (generalised Euler-Boole), cutoff and order fixed by a derived bound;
+  at depth >= 2, period averaging and Richardson extrapolation on the tail
   exponents z and s fix, across a ladder read off one resumed kernel pass;
 * ``eval_integer_point`` -- regularised evaluation at integer points of
   V_r(z) through the asymptotic-expansion driver;
@@ -19,6 +21,7 @@ is handled four ways:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +31,8 @@ from .asymptotics import DepthSpec, depth_expansion, fmt_real
 from .errors import DomainError, NonConvergenceError
 from .rootsofunity import (RotationNumber, ZVector, _coords, contains,
                            index_set_and_count, rotation_product)
-from .summation import NestedPass, _rounding_slack, _scaled_mpc, nested_sums, resolve_tol
+from .summation import (NestedPass, _geometric_coeffs, _remainder_factor, _rounding_slack,
+                        _scaled_mpc, nested_sums, resolve_tol)
 
 __all__ = [
     "EvalReport",
@@ -43,7 +47,7 @@ __all__ = [
 
 DEFAULT_EVAL_TOL = "1e-12"
 DEFAULT_CUTOFF_CEILING = 10**7
-CONVERGENT_START = 64  # first rung of the convergent ladder, before rounding up
+CONVERGENT_START = 64  # first cutoff of the convergent route (the ladder's, rounded up)
 
 
 def pochhammer(s, count: int):
@@ -137,23 +141,87 @@ def _tail_exponents(z: ZVector, s, count: int) -> list:
 
 def eval_convergent(z: ZVector, s, tol=None, *,
                     ceiling=DEFAULT_CUTOFF_CEILING) -> EvalReport:
-    """Evaluate inside U_r(z) by doubling the cutoff until the increments of
-    the accelerated cutoff sequence pass the tolerance twice in a row.
+    """Evaluate inside U_r(z): at depth 1 by the operator series of the tail
+    at one cutoff, at depth >= 2 by the doubling ladder (``_ladder``).
 
-    Acceleration averages t_N over one full oscillation period (killing the
-    leading character terms) and Richardson-extrapolates, with the exponents
-    of ``_tail_exponents``, across the doubling ladder of period multiples
-    from ``CONVERGENT_START`` up (off them an averaged rung keeps xi^N-phased
-    terms that Richardson cannot remove); it uses nothing but raw partial
-    sums.  Every rung is read off one resumed kernel pass, so each term is
-    summed once; ``diagnostics["terms"]`` counts them.  The tolerance is
-    read by ``summation.resolve_tol`` (default ``DEFAULT_EVAL_TOL``), and it
-    and a ceiling below the first rung are checked before any term is summed.
+    At depth 1, f = x^-s has f^(j) = (-1)^j (s)_j x^(-s-j), and the identity
+    of ``summation._nparts_at`` (Euler-Maclaurin at xi = 1) gives
+    Li_s(xi) = t_N - xi^N h(N) - eps(N), h = [xi = 1] x^(1-s)/(1 - s) +
+    sum_{j<=J} c_j f^(j), |eps(N)| <= K |(s)_(J+1)| N^(-Re s-J-1)
+    (1 + N/(Re s + J)), as Re s > 0 on U_1(z).  N runs over
+    ``CONVERGENT_START`` 2^i, each with the smallest J whose bound is
+    <= tol/4 (``_series_order``); the bound falls while J <~ 2 pi |x| N, |x|
+    the distance of xi's rotation number to the nearest integer.  So N and J
+    are fixed before any term is summed, an N past the ceiling raises
+    NonConvergenceError naming it, and t_N comes from one kernel pass to N;
+    the tolerance (``summation.resolve_tol``, default ``DEFAULT_EVAL_TOL``)
+    and a ceiling below ``CONVERGENT_START`` are checked before that.
+
+    The estimate is the bound plus the rounding charge 2^(2-prec) (1 + M),
+    M = |t_N| + |N^(1-s)/(1 - s)| + sum_j (|c_j| + e_j) |(s)_j| N^(-Re s-j),
+    e_j = 3 (2 pi |x|)^-(j+1) (0 at xi = 1): t_N errs by 2^-(prec+8) in the
+    kernel and 2^-prec |t_N| in its rounding, each c_j by 2^(1-prec) e_j
+    (``_geometric_coeffs``), the 2j + 5 roundings of the j-th term of
+    xi^N h(N), at prec + 12 + bit_length(J) bits, by < 2^-(prec+7) of its
+    size, and t_N - xi^N h(N) by 2^-prec M: < 2^(1-prec) (1 + M) in all.
     """
     flags = _domain_flags(z, s)
     if not flags["Urz"]:
         raise DomainError(f"point {_coords(s)} is outside U_r(z) for z = {z}")
     tol = resolve_tol(tol, DEFAULT_EVAL_TOL)
+    if z.r > 1:
+        return _ladder(z, s, tol, ceiling)
+    if ceiling < CONVERGENT_START:
+        raise ValueError(f"ceiling {ceiling} is below the first cutoff {CONVERGENT_START}")
+    xi, s = z[0], _coords(s)[0]
+    N = CONVERGENT_START
+    while (found := _series_order(xi, s, N, tol)) is None:
+        N *= 2
+    if N > ceiling:
+        raise NonConvergenceError(f"the operator series reaches {mp.nstr(tol, 5)} "
+                                  f"at cutoff {N}, past the ceiling {ceiling}")
+    (J, bound), prec = found, mp.mp.prec
+    t_N = _nested_sums(z, [s], (N,))[N]
+    with mp.workprec(prec + 12 + J.bit_length()):
+        near = min(xi.fraction, 1 - xi.fraction)
+        rate = near.denominator / (2 * mp.pi * near.numerator) if near else 0
+        power, poch, env = mp.mpf(N) ** -s, mp.mpc(1), 3 * rate
+        h = power * N / (1 - s) if xi.is_one() else mp.mpc(0)
+        mass = abs(t_N) + abs(h)
+        for j, c in enumerate(_geometric_coeffs(xi, J, prec)):
+            h += c * poch * power
+            mass += (abs(c) + env) * abs(poch * power)
+            poch, power, env = -poch * (s + j), power / N, env * rate
+        tail = (xi ** N).value() * h
+    return EvalReport(t_N - tail, bound + mp.mpf(2) ** (2 - prec) * (1 + mass),
+                      "convergent", flags, {"cutoff": N, "order": J, "terms": N - 1})
+
+
+def _series_order(xi: RotationNumber, s, N: int, tol):
+    """(J, bound), the smallest J whose bound of ``eval_convergent`` at N is
+    <= tol/4, or None once it is no smaller than the two before it."""
+    sigma = s.real
+    poch, power = abs(s), mp.mpf(N) ** (-sigma - 1)  # |(s)_(J+1)|, N^(-Re s-J-1)
+    last = (mp.inf, mp.inf)
+    for J in itertools.count():
+        bound = (_remainder_factor(xi, J, mp.mp.prec) * poch * power
+                 * (1 + N / (sigma + J)))
+        if bound <= tol / 4:
+            return J, bound
+        if bound >= max(last):
+            return None
+        last = (last[1], bound)
+        poch, power = poch * abs(s + J + 1), power / N
+
+
+def _ladder(z: ZVector, s, tol, ceiling) -> EvalReport:
+    """The convergent value at depth >= 2 (and the depth-1 reference of the
+    tests): t_N averaged over one oscillation period and Richardson-
+    extrapolated, with the exponents of ``_tail_exponents``, across period
+    multiples from ``CONVERGENT_START`` up (off them xi^N-phased terms stay),
+    doubling until two increments pass tol/2.  One resumed kernel pass gives
+    every rung (``diagnostics["terms"]``); a ceiling below the first rung
+    raises ValueError before it starts."""
     period = _oscillation_period(z)
     n = -(-CONVERGENT_START // period) * period
     if ceiling < n:
@@ -179,7 +247,7 @@ def eval_convergent(z: ZVector, s, tol=None, *,
                 # the ladder cannot see rounding common to its rungs; the
                 # kernel's sums carry it up to the last cutoff reached
                 estimate = 4 * increment + _rounding_slack(kernel.n, [values[-1]])
-                return EvalReport(values[-1], estimate, "convergent", flags,
+                return EvalReport(values[-1], estimate, "convergent", _domain_flags(z, s),
                                   {"cutoff": n, "rungs": len(values),
                                    "period": period, "terms": kernel.terms})
         n *= 2

@@ -293,9 +293,11 @@ def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
     At xi = 1 the pole is 1/t and c_j = B_{j+1}/(j+1)! exactly.  Otherwise
     (xi e^t - 1) G(t) = 1 order by order gives c_0 = 1/(xi - 1) and
     c_n = -xi/(xi - 1) * sum_{i<n} c_i/(n - i)!, run on complex pairs of
-    integers d_n = c_n 2^(r n) 2^(prec+32), r = max(0, ceil(log2(2 pi/k))),
-    k the order of xi: |c_n| ~ 2 (k/2 pi)^(n+1), so the scale 2^(r n) keeps
-    the relative bits of the coefficients of small orders as they decay.
+    integers d_n = c_n 2^(r n) 2^(prec+32), r = max(0, ceil(log2(2 pi |x|))),
+    |x| <= 1/2 the distance of the rotation number x of xi to the nearest
+    integer: |c_n| ~ (2 pi |x|)^-(n+1) (below), so the scale 2^(r n) keeps
+    the relative bits of coefficients that decay, as they do for xi far
+    from 1 whatever its order.
     Then d_n = -xi/(xi - 1) * floor(sum_{i<n} d_i w_i / n!), with the exact
     weights w_i = n!/(n - i)! 2^(r (n-i)), and each c_n is rounded to prec
     once.  At xi = e^(i theta), G(t) = (coth((t + i theta)/2) - 1)/2 with
@@ -309,6 +311,12 @@ def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
     sup_[0,1] |B_n| <= 2 zeta(n) n!/(2 pi)^n for n >= 2, so for j >= 1
 
         |c_j| <= k^(j+1) sup_[0,1] |B_{j+1}|/(j+1)! <= 2 zeta(j+1) (k/2 pi)^(j+1).
+
+    Sharper for xi != 1: G has poles of residue 1 at t_m = 2 pi i (m - x),
+    so c_j = -sum_m t_m^-(j+1) (j >= 1); two lie at >= 2 pi |x|, the rest in
+    pairs at >= 2 pi k' >= 4 pi k' |x|, so |c_j| < 2 (1 + zeta(2)/4) (2 pi
+    |x|)^-(j+1) < 3 (2 pi |x|)^-(j+1) = e_j, and |c_0| = 1/(2 sin(pi |x|))
+    < e_0.  The recurrence keeps c_j within 2^-prec e_j (``TestGeometricCoeffs``).
 
     With |f^(j)(N)| ~ j! N^-(m+j), the terms c_j f^(j)(N) of the n-parts
     therefore decrease while j <~ 2 pi N/k.  That is why matching may start
@@ -346,8 +354,9 @@ def _geometric_list(xi: RotationNumber, prec: int) -> tuple:
     with mp.workprec(prec + 64):
         v = xi.value()
         factor, c0 = _fixed_pair(-v / (v - 1), prec + 32), _fixed_pair(1 / (v - 1), prec + 32)
+    near = min(xi.fraction, 1 - xi.fraction)  # |x|, the angle of xi over 2 pi
     with mp.workprec(prec):
-        return (factor, max(0, math.ceil(math.log2(2 * math.pi / xi.order))), [c0],
+        return (factor, max(0, math.ceil(math.log2(2 * math.pi * near))), [c0],
                 [_scaled_mpc(*c0, prec + 32)])
 
 
@@ -962,26 +971,25 @@ def _matching_ladder() -> list:
     return [MATCH_START << k for k in range((MATCH_CEILING // MATCH_START).bit_length())]
 
 
-def resolve_tol(tol, default, headroom=1):
+def resolve_tol(tol, default):
     """The one reading of a tolerance, before any term is summed.
 
-    The floor is 2^(20-prec) (a tolerance cannot beat rounding) times
-    ``headroom``, for a caller that sums to tol/headroom.  No tolerance
-    gives ``default`` (``DEFAULT_MATCH_TOL`` or ``polylog.DEFAULT_EVAL_TOL``)
-    raised to the floor; a given one is taken verbatim, and raises
-    ValueError if it is <= 0 and PrecisionError if it is below the floor.
+    The floor is 2^(20-prec): a tolerance cannot beat rounding.  No
+    tolerance gives ``default`` (``DEFAULT_MATCH_TOL`` or
+    ``polylog.DEFAULT_EVAL_TOL``) raised to the floor; a given one is taken
+    verbatim, and raises ValueError if it is <= 0 and PrecisionError if it
+    is below the floor.
     """
-    floor = headroom * mp.mpf(2) ** (20 - mp.mp.prec)
+    floor = mp.mpf(2) ** (20 - mp.mp.prec)
     if tol is None:
         return max(mp.mpf(default), floor)
     tol = mp.mpf(tol)
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {mp.nstr(tol, 5)}")
     if tol < floor:
-        scale = "" if headroom == 1 else f"{headroom} * "
         raise PrecisionError(
             f"tolerance {mp.nstr(tol, 5)} is below the precision floor "
-            f"{scale}2^{20 - mp.mp.prec} at {mp.mp.prec} bits")
+            f"2^{20 - mp.mp.prec} at {mp.mp.prec} bits")
     return tol
 
 

@@ -102,9 +102,14 @@ class TestEval:
         assert "1.0e-40" in error["message"]
 
     def test_nonconvergence_exit_code(self, runner):
-        # hopeless tolerance with a tiny ceiling: failure class 3
+        # the operator series settles -1 at s = 0.2 at cutoff 64, while order
+        # 4,001 needs cutoff 16,384, past the ceiling: failure class 3
         res = invoke(runner, ["eval", "-z", "-1", "-s", "0.2",
                               "--tol", "1e-30", "--ceiling", "1000"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["diagnostics"]["cutoff"] == 64
+        res = invoke(runner, ["eval", "-z", "1/4001", "-s", "1.5",
+                              "--tol", "1e-10", "--ceiling", "1000"])
         assert res.exit_code == 3
         assert json.loads(res.output)["error"]["type"] == "NonConvergenceError"
 
@@ -180,23 +185,21 @@ class TestVerify:
         assert obj["trials"] == 6
 
     def test_default_tolerance_follows_the_precision(self, runner):
-        # a fixed 1e-12 would hand the translation series 1e-14, below the
-        # precision floor 2^-33 at 53 bits
+        # a fixed 1e-12 would lie below the precision floor 2^-33 at 53 bits
         res = invoke(runner, ["verify", "--prec", "53", "--trials", "3"])
         assert res.exit_code == 0, res.output
         obj = json.loads(res.output)
         assert obj["failures"] == 0
-        assert mp.almosteq(mp.mpf(obj["tol"]), 100 * mp.mpf(2) ** -33, 1e-15)
+        assert mp.almosteq(mp.mpf(obj["tol"]), mp.mpf(2) ** -33, 1e-15)
 
     def test_tol_error_names_the_given_tolerance(self, runner):
-        # each identity is checked to tol/100, so the floor is 100 * 2^-108
-        # at 128 bits; the message names the tolerance given, not tol/100
+        # the floor is 2^-108 at 128 bits
         res = invoke(runner, ["verify", "--suite", "translation", "--trials", "2",
-                              "--tol", "1e-31"])
+                              "--tol", "1e-33"])
         assert res.exit_code == 4
         error = json.loads(res.output)["error"]
         assert error["type"] == "PrecisionError"
-        assert "1.0e-31" in error["message"]
+        assert "1.0e-33" in error["message"]
 
     def test_summation_suite_passes(self, runner):
         res = invoke(runner, ["verify", "--suite", "summation",

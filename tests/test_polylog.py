@@ -99,8 +99,7 @@ class TestEvalConvergent:
 
     def test_accelerated_ceiling_raises(self):
         with pytest.raises(NonConvergenceError):
-            eval_convergent(Z("-1"), [mp.mpf("0.1")], tol=mp.mpf("1e-30"),
-                            ceiling=2000)
+            polylog_mod._ladder(Z("-1"), [mp.mpf("0.1")], mp.mpf("1e-30"), 2000)
 
     @pytest.mark.parametrize("tol,ceiling", [(0, 20000), (-1, 20000),
                                              ("1e-12", 10), ("1e-12", 63)])
@@ -119,7 +118,7 @@ class TestEvalConvergent:
         assert _oscillation_period(Z("1,-1,1/3")) == 6
 
     def test_raw_mode_matches_contract(self):
-        # the one (accelerated) ladder keeps the contract at an absolutely
+        # the convergent route keeps the contract at an absolutely
         # convergent point: the value lies within its estimate
         rep = eval_convergent(Z("-1"), [2], tol=mp.mpf("1e-6"))
         want = -(1 - mp.mpf(2) ** -1) * em_zeta(2)  # -eta(2)
@@ -179,13 +178,12 @@ class TestConvergentRoute:
     def test_depth_one_sweep_against_mp_polylog(self, xi, s):
         self.check_against_mp_polylog(xi, mp.mpf(s))
 
+    # a point whose extrapolated increments once fell below its error at 53
+    # bits, run at that precision's floor 2^-33
+    ROUNDING_POINT = RotationNumber(11, 18), mp.mpf(0.6518809305976807)
+
     def test_estimate_carries_rounding(self):
-        # a point whose extrapolated increments once fell below its error at
-        # 53 bits, run at that precision's floor 2^-33: the ladder stops at
-        # cutoff 4,608 with 4 times the last increment at 3.1e-13, and the
-        # rounding slack of the sums up to the last cutoff reached (8.7e-10)
-        # dominates an estimate that must stay above the error (2.6e-16)
-        xi, s = RotationNumber(11, 18), mp.mpf(0.6518809305976807)
+        xi, s = self.ROUNDING_POINT
         with mp.workprec(53):
             rep = eval_convergent(ZVector([xi]), [s], tol=mp.mpf(2) ** -33,
                                   ceiling=self.CEILING)
@@ -193,12 +191,85 @@ class TestConvergentRoute:
             err = abs(rep.value - mp.polylog(s, xi.value()))
         assert err <= rep.abs_error_estimate
 
+    def test_ladder_estimate_carries_rounding(self):
+        # the ladder stops at cutoff 4,608 with 4 times the last increment
+        # at 3.1e-13, and the rounding slack of the sums up to the last
+        # cutoff reached (8.7e-10) dominates an estimate that must stay
+        # above the error (2.6e-16)
+        xi, s = self.ROUNDING_POINT
+        with mp.workprec(53):
+            rep = polylog_mod._ladder(ZVector([xi]), [s], mp.mpf(2) ** -33, self.CEILING)
+        with mp.workprec(128):
+            err = abs(rep.value - mp.polylog(s, xi.value()))
+        assert err <= rep.abs_error_estimate
+
     def test_ladder_is_one_pass(self):
         # every rung is a multiple of the period, and one pass sums each
         # n below the last cutoff reached (cutoff + period - 1) exactly once
-        d = self.convergent(Z("1/3"), [mp.mpf("0.5")]).diagnostics
+        d = polylog_mod._ladder(Z("1/3"), [mp.mpf("0.5")], self.TOL, self.CEILING).diagnostics
         assert d["cutoff"] % d["period"] == 0
         assert d["terms"] == d["cutoff"] + d["period"] - 2
+
+
+def hurwitz_polylog(xi: RotationNumber, s):
+    """Li_s(xi) = q^-s sum_{c=1..q} xi^c zeta(s, c/q), q the order of xi, by
+    mp.zeta (zeta(s) at xi = 1) at the working precision; mp.polylog takes
+    5-12 s per value at 576 bits, this 0.1-2.2 s for q <= 60."""
+    q, v = xi.order, xi.value()
+    return mp.mpf(q) ** -s * mp.fsum(v ** c * mp.zeta(s, mp.mpf(c) / q)
+                                     for c in range(1, q + 1))
+
+
+class TestOperatorSeriesRoute:
+    # depth 1: t_N at one cutoff less the operator series of its tail
+
+    @settings(max_examples=16, deadline=None)
+    @given(st.one_of(st.just(RotationNumber(0, 1)), primitive_roots(60)),
+           st.floats(0, 4, exclude_min=True), st.floats(-5, 5),
+           st.sampled_from([53, 128, 256, 512]), st.booleans())
+    @example(RotationNumber(0, 1), 1.25, 3.0, 512, False)
+    @example(RotationNumber(1, 60), 0.05, -5.0, 512, False)
+    @example(RotationNumber(1, 4), 0.4, 0.5, 256, True)
+    def test_against_closed_form(self, xi, re_s, im_s, prec, at_floor):
+        # re_s lies in (0, 4]; at xi = 1 it is mapped into (1, 4], away from
+        # the pole, where |zeta(s)| ~ 1/|s - 1| takes the digits a tol needs
+        if xi.is_one():
+            re_s = 1 + 3 * max(re_s, 0.25) / 4
+        s = mp.mpc(re_s, im_s)
+        with mp.workprec(prec):
+            tol = 4 * mp.mpf(2) ** (20 - prec) if at_floor else mp.mpf("1e-10")
+            tol = max(tol, mp.mpf(2) ** (20 - prec))
+            rep = eval_convergent(ZVector([xi]), [s], tol=tol)
+        with mp.workprec(prec + 64):
+            err = abs(rep.value - hurwitz_polylog(xi, s))
+        assert err <= rep.abs_error_estimate, (err, rep)
+        assert err <= tol, (err, rep)
+        assert set(rep.diagnostics) == {"cutoff", "order", "terms"}
+
+    @pytest.mark.parametrize("ztext,s", [("-1", "0.5"), ("-1", "0.3+1j"), ("1/4", "0.6"),
+                                         ("1/4", "0.4+0.5j"), ("1/3", "0.5"), ("1/6", "1"),
+                                         ("1/5", "0.7"), ("2/7", "1.5-2j")])
+    def test_agrees_with_the_ladder(self, ztext, s):
+        z, s, tol = Z(ztext), [mp.mpc(complex(s))], mp.mpf("1e-10")
+        rep = eval_convergent(z, s, tol=tol)
+        ref = polylog_mod._ladder(z, s, tol, 2 * 10**5)
+        assert abs(rep.value - ref.value) <= rep.abs_error_estimate + ref.abs_error_estimate
+
+    def test_high_order(self):
+        xi, s = RotationNumber(1, 10007), mp.mpf("1.5")
+        rep = eval_convergent(ZVector([xi]), [s], tol=mp.mpf("1e-10"))
+        with mp.workprec(mp.mp.prec + 64):
+            err = abs(rep.value - mp.polylog(s, xi.value()))
+        assert err <= rep.abs_error_estimate <= mp.mpf("1e-10")
+
+    def test_small_ceiling_raises_before_summing(self, monkeypatch):
+        # order 4,001 at tol 1e-10 needs cutoff 16,384
+        def no_sums(*args):
+            raise AssertionError("a term was summed")
+
+        monkeypatch.setattr(polylog_mod, "_nested_sums", no_sums)
+        with pytest.raises(NonConvergenceError, match="16384"):
+            eval_convergent(Z("1/4001"), [mp.mpf("1.5")], tol=mp.mpf("1e-10"), ceiling=10**4)
 
 
 class TestEvalIntegerPoint:
