@@ -7,10 +7,11 @@ is handled four ways:
   tails t_{M,N} (general complex weights |z_i| <= 1, complex exponents)
   from the one kernel ``summation.nested_sums``;
 * ``eval_convergent``    -- limit inside the conditional-convergence domain
-  U_r(z): at depth 1, t_N at one cutoff less the operator series of its
-  tail (generalised Euler-Boole), cutoff and order fixed by a derived bound;
-  at depth >= 2, period averaging and Richardson extrapolation on the tail
-  exponents z and s fix, across a ladder read off one resumed kernel pass;
+  U_r(z): at depth <= 2, t_N at one cutoff less the operator series of each
+  tail (generalised Euler-Boole), cutoff and orders fixed by derived bounds;
+  at depth >= 3 and at z_2 = s_2 = 1, period averaging and Richardson
+  extrapolation on the tail exponents z and s fix, across a ladder read off
+  one resumed kernel pass;
 * ``eval_integer_point`` -- regularised evaluation at integer points of
   V_r(z) through the asymptotic-expansion driver;
 * ``verify_translation`` -- numerical check of the translation identities
@@ -141,8 +142,8 @@ def _tail_exponents(z: ZVector, s, count: int) -> list:
 
 def eval_convergent(z: ZVector, s, tol=None, *,
                     ceiling=DEFAULT_CUTOFF_CEILING) -> EvalReport:
-    """Evaluate inside U_r(z): at depth 1 by the operator series of the tail
-    at one cutoff, at depth >= 2 by the doubling ladder (``_ladder``).
+    """Evaluate inside U_r(z): at depth <= 2 by the operator series of the
+    tails at one cutoff, at depth >= 3 by the doubling ladder (``_ladder``).
 
     At depth 1, f = x^-s has f^(j) = (-1)^j (s)_j x^(-s-j), and the identity
     of ``summation._nparts_at`` (Euler-Maclaurin at xi = 1) gives
@@ -164,62 +165,142 @@ def eval_convergent(z: ZVector, s, tol=None, *,
     (``_geometric_coeffs``), the 2j + 5 roundings of the j-th term of
     xi^N h(N), at prec + 12 + bit_length(J) bits, by < 2^-(prec+7) of its
     size, and t_N - xi^N h(N) by 2^-prec M: < 2^(1-prec) (1 + M) in all.
+
+    At depth 2 (``_depth_two_plan``), with T(xi, sigma) = sum_{n>=N} xi^n
+    n^-sigma = -xi^N h_sigma(N) - eps_sigma(N), the inner sum S2(n) =
+    sum_{m<n} z2^m m^-s2 is C2 + z2^n h2(n) + eps2(n) for n >= N,
+    |eps2(n)| <= B2(n), the bound above at (z2, s2, J2 >= 1, n), as
+    Re s2 + J2 > 0.  Summing z1^n n^-s1 S2(n) over n >= N gives
+
+        Li = t_N + C2 T(z1, s1) + [z2 = 1]/(1 - s2) T(z1, s1 + s2 - 1)
+             + sum_{j<=J2} c_j(z2) (-1)^j (s2)_j T(z1 z2, s1 + s2 + j) + E,
+
+    C2 = S2(N) - z2^N h2(N) - eps2(N), S2(N) level 1 of the pass, and
+    |E| <= sum_{n>=N} n^-Re s1 B2(n) <= N^-Re s1 (1 + N/(Re(s1+s2) + J2 - 1))
+    B2(N), first term plus integral.  Each tail converges on U_2(z)
+    (Re s1 > [z1 = 1], Re(s1+s2) > [z2 = 1] + [z1 z2 = 1]).  With W_k >=
+    |coefficient k| + its error (1 + |S2(N)| + M2 for C2, M2 the mass of
+    h2), b_k and M_k the bound and mass of tail k, the estimate is
+    B2(N) (|T(z1, s1)| + b_1 + E's factor) + sum_k W_k b_k plus
+    2^(2-prec) (1 + |t_N| + 2 sum_k W_k M_k): t_N errs as at depth 1, each
+    coefficient by 2^(1-prec) W_k (C2 with S2(N)'s kernel and rounding
+    errors) and each tail by 2^(1-prec) M_k, so each product by
+    < 2^(2-prec) W_k M_k, and the final sum by
+    2^-prec (|t_N| + sum_k W_k M_k).  z2 = 1 with s2 = 1 (log n in the
+    inner sum) and depth >= 3 stay on the ladder.
     """
     flags = _domain_flags(z, s)
     if not flags["Urz"]:
         raise DomainError(f"point {_coords(s)} is outside U_r(z) for z = {z}")
-    tol = resolve_tol(tol, DEFAULT_EVAL_TOL)
-    if z.r > 1:
+    tol, s = resolve_tol(tol, DEFAULT_EVAL_TOL), _coords(s)
+    if z.r > 2 or z.r == 2 and z[1].is_one() and s[1] == 1:
         return _ladder(z, s, tol, ceiling)
     if ceiling < CONVERGENT_START:
         raise ValueError(f"ceiling {ceiling} is below the first cutoff {CONVERGENT_START}")
-    xi, s = z[0], _coords(s)[0]
+    plan = _depth_two_plan if z.r == 2 else lambda z, s, N, tol: _series_order(z[0], s[0], N, tol)
     N = CONVERGENT_START
-    while (found := _series_order(xi, s, N, tol)) is None:
+    while (found := plan(z, s, N, tol)) is None:
         N *= 2
     if N > ceiling:
         raise NonConvergenceError(f"the operator series reaches {mp.nstr(tol, 5)} "
                                   f"at cutoff {N}, past the ceiling {ceiling}")
-    (J, bound), prec = found, mp.mp.prec
-    t_N = _nested_sums(z, [s], (N,))[N]
+    kernel, prec = NestedPass(N), mp.mp.prec
+    t_N = _nested_sums(z, s, (N,), kernel)[N]
+    if z.r == 1:
+        J, bound = found
+        rest, mass, _ = _operator_series(z[0], s[0], N, J, prec, t_N)
+    else:
+        J, bound, tail2, mass2, far, tails = found
+        S2 = kernel.suffix_sum(N, 1)
+        with mp.workprec(prec + 12 + J.bit_length()):
+            rest, mass = 0, abs(t_N)
+            for w, weight, xi, sigma, (order, b) in tails:
+                tail, m, _ = _operator_series(xi, sigma, N, order, prec)
+                if w is None:  # T(z1, s1): C2 is known now, and eps2(N) T(z1, s1) joins E
+                    w, weight = S2 - tail2, 1 + abs(S2) + mass2
+                    bound *= abs(tail) + b + far
+                rest += w * tail
+                bound += weight * b
+                mass += 2 * weight * m
+    return EvalReport(t_N - rest, bound + mp.mpf(2) ** (2 - prec) * (1 + mass), "convergent",
+                      flags, {"cutoff": N, "order": J, "terms": kernel.terms})
+
+
+def _series_order(xi: RotationNumber, s, N: int, tol, first: int = 0):
+    """(J, bound), the smallest J >= first whose bound of ``eval_convergent``
+    at N is <= tol/4, or None once it is no smaller than the two before it;
+    needs Re s + first > 0."""
+    sigma = s.real
+    poch, power = abs(s), mp.mpf(N) ** (-sigma - 1)  # |(s)_(J+1)|, N^(-Re s-J-1)
+    last = (mp.inf, mp.inf)
+    for J in itertools.count():
+        if J >= first:
+            bound = (_remainder_factor(xi, J, mp.mp.prec) * poch * power
+                     * (1 + N / (sigma + J)))
+            if bound <= tol / 4:
+                return J, bound
+            if bound >= max(last):
+                return None
+            last = (last[1], bound)
+        poch, power = poch * abs(s + J + 1), power / N
+
+
+def _operator_series(xi: RotationNumber, s, N: int, J: int, prec: int, head=0):
+    """(xi^N h(N), M, [(c_j (-1)^j (s)_j, (|c_j| + e_j) |(s)_j|)]) of
+    ``eval_convergent``'s depth-1 identity at order J, at prec + 12 +
+    bit_length(J) bits: sum_{n>=N} xi^n n^-s is -xi^N h(N) within its bound,
+    and M = |head| + |N^(1-s)/(1 - s)| + sum_j (|c_j| + e_j) |(s)_j|
+    N^(-Re s-j) is the mass of its rounding."""
     with mp.workprec(prec + 12 + J.bit_length()):
         near = min(xi.fraction, 1 - xi.fraction)
         rate = near.denominator / (2 * mp.pi * near.numerator) if near else 0
         power, poch, env = mp.mpf(N) ** -s, mp.mpc(1), 3 * rate
         h = power * N / (1 - s) if xi.is_one() else mp.mpc(0)
-        mass = abs(t_N) + abs(h)
+        mass, coeffs = abs(head) + abs(h), []
         for j, c in enumerate(_geometric_coeffs(xi, J, prec)):
             h += c * poch * power
             mass += (abs(c) + env) * abs(poch * power)
+            coeffs.append((c * poch, (abs(c) + env) * abs(poch)))
             poch, power, env = -poch * (s + j), power / N, env * rate
-        tail = (xi ** N).value() * h
-    return EvalReport(t_N - tail, bound + mp.mpf(2) ** (2 - prec) * (1 + mass),
-                      "convergent", flags, {"cutoff": N, "order": J, "terms": N - 1})
+        return (xi ** N).value() * h, mass, coeffs
 
 
-def _series_order(xi: RotationNumber, s, N: int, tol):
-    """(J, bound), the smallest J whose bound of ``eval_convergent`` at N is
-    <= tol/4, or None once it is no smaller than the two before it."""
-    sigma = s.real
-    poch, power = abs(s), mp.mpf(N) ** (-sigma - 1)  # |(s)_(J+1)|, N^(-Re s-J-1)
-    last = (mp.inf, mp.inf)
-    for J in itertools.count():
-        bound = (_remainder_factor(xi, J, mp.mp.prec) * poch * power
-                 * (1 + N / (sigma + J)))
-        if bound <= tol / 4:
-            return J, bound
-        if bound >= max(last):
-            return None
-        last = (last[1], bound)
-        poch, power = poch * abs(s + J + 1), power / N
+def _depth_two_plan(z: ZVector, s, N: int, tol):
+    """At depth 2 and cutoff N: None, or (J2, B2(N), z2^N h2(N), M2, E's
+    factor, and per tail (coefficient, W, xi, sigma, (J, b))), every order
+    from ``_series_order`` before any term is summed.  B2(N) times bounds of
+    |T(z1, s1)| (its series at J = 1: M + b) and of E's factor takes tol/8,
+    the tails' W b share the other tol/8; C2's W takes |S2(N)| <=
+    N^max(0, 1-Re s2) (1 + log N) here, and C2 itself is None."""
+    (z1, z2), (s1, s2), prec = z, s, mp.mp.prec
+    head = mp.mpf(N) ** -s1.real
+    lead = (_operator_series(z1, s1, N, 1, prec)[1] + head * (1 + N / (s1 + s2).real)
+            + _remainder_factor(z1, 1, prec) * abs(s1 * (s1 + 1)) * head / N ** 2
+            * (1 + N / (s1.real + 1)))
+    inner = _series_order(z2, s2, N, tol / (2 * lead), max(1, 1 + math.floor(-s2.real)))
+    if inner is None:
+        return None
+    J2, B2 = inner
+    tail2, mass2, coeffs = _operator_series(z2, s2, N, J2, prec)
+    tails = [(None, 1 + N ** max(0, 1 - s2.real) * (1 + mp.log(N)) + mass2, z1, s1)]
+    if z2.is_one():
+        tails.append((1 / (1 - s2), 1 / abs(1 - s2), z1, s1 + s2 - 1))
+    tails += [(w, W, z1 * z2, s1 + s2 + j) for j, (w, W) in enumerate(coeffs) if w]
+    orders = [_series_order(xi, sigma, N, tol / (2 * len(tails) * weight))
+              for _, weight, xi, sigma in tails]
+    if None in orders:
+        return None
+    far = head * (1 + N / ((s1 + s2).real + J2 - 1))
+    return J2, B2, tail2, mass2, far, [t + (o,) for t, o in zip(tails, orders)]
 
 
 def _ladder(z: ZVector, s, tol, ceiling) -> EvalReport:
-    """The convergent value at depth >= 2 (and the depth-1 reference of the
-    tests): t_N averaged over one oscillation period and Richardson-
-    extrapolated, with the exponents of ``_tail_exponents``, across period
-    multiples from ``CONVERGENT_START`` up (off them xi^N-phased terms stay),
-    doubling until two increments pass tol/2.  One resumed kernel pass gives
+    """The convergent value at depth >= 3 and at z2 = 1, s2 = 1 (and the
+    reference of the tests at depth <= 2): t_N averaged over one oscillation
+    period and Richardson-extrapolated, with the exponents of
+    ``_tail_exponents``, across period multiples from ``CONVERGENT_START`` up
+    (off them xi^N-phased terms stay), doubling until two increments pass
+    tol/2.  One resumed kernel pass gives
     every rung (``diagnostics["terms"]``); a ceiling below the first rung
     raises ValueError before it starts."""
     period = _oscillation_period(z)

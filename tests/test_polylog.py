@@ -2,7 +2,7 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mplreg.asymptotics import DepthSpec, depth_expansion
@@ -83,11 +83,10 @@ class TestEvalConvergent:
 
     def test_alternating_halfline(self):
         rep = eval_convergent(Z("-1"), [mp.mpf("0.5")], tol=mp.mpf("1e-10"))
-        # reference: window-averaged raw sums at N = 10^6
-        window = nested_sums(Z("-1"), [mp.mpf("0.5")], (0,),
-                             range(10**6, 10**6 + 2))
-        reference = sum(window.values()) / 2
-        assert abs(rep.value - reference) < mp.mpf("1e-8")
+        with mp.workprec(mp.mp.prec + 64):
+            err = abs(rep.value - mp.polylog(mp.mpf("0.5"), -1))
+        assert err < mp.mpf("1e-8")
+        assert err <= rep.abs_error_estimate
 
     def test_domain_gate(self):
         with pytest.raises(DomainError):
@@ -214,10 +213,25 @@ class TestConvergentRoute:
 def hurwitz_polylog(xi: RotationNumber, s):
     """Li_s(xi) = q^-s sum_{c=1..q} xi^c zeta(s, c/q), q the order of xi, by
     mp.zeta (zeta(s) at xi = 1) at the working precision; mp.polylog takes
-    5-12 s per value at 576 bits, this 0.1-2.2 s for q <= 60."""
-    q, v = xi.order, xi.value()
-    return mp.mpf(q) ** -s * mp.fsum(v ** c * mp.zeta(s, mp.mpf(c) / q)
-                                     for c in range(1, q + 1))
+    5-12 s per value at 576 bits, this 0.1-2.2 s for q <= 60.
+
+    At xi != 1 the poles 1/(s - 1) of the q terms cancel, as
+    sum_c xi^c = 0, and so do log2(q/|s - 1|) of their bits: next to s = 1
+    the sum runs with that many more.  Within 2^-(prec+64) of s = 1, s = 1
+    itself included, each zeta(s, a) - 1/(s - 1) is -psi(a), its value at
+    s = 1 (Gauss's digamma theorem then gives -log(1 - xi)), to within
+    |gamma_1(a)| |s - 1|, gamma_1 the first Stieltjes constant."""
+    q, prec = xi.order, mp.mp.prec
+    near = 0 if xi.is_one() else mp.inf if s == 1 else -mp.mag(s - 1)
+
+    def terms(f):
+        v = xi.value()
+        return mp.fsum(v ** c * f(mp.mpf(c) / q) for c in range(1, q + 1))
+
+    if near > prec + 64:
+        return -mp.mpf(q) ** -s * terms(mp.digamma)
+    with mp.workprec(prec + (near + q.bit_length() + 8 if near > 0 else 0)):
+        return mp.mpf(q) ** -s * terms(lambda a: mp.zeta(s, a))
 
 
 class TestOperatorSeriesRoute:
@@ -230,6 +244,8 @@ class TestOperatorSeriesRoute:
     @example(RotationNumber(0, 1), 1.25, 3.0, 512, False)
     @example(RotationNumber(1, 60), 0.05, -5.0, 512, False)
     @example(RotationNumber(1, 4), 0.4, 0.5, 256, True)
+    @example(RotationNumber(1, 3), 1.0, 0.0, 53, False)
+    @example(RotationNumber(1, 3), 1.0, 7.966623963182761e-249, 53, False)
     def test_against_closed_form(self, xi, re_s, im_s, prec, at_floor):
         # re_s lies in (0, 4]; at xi = 1 it is mapped into (1, 4], away from
         # the pole, where |zeta(s)| ~ 1/|s - 1| takes the digits a tol needs
@@ -246,14 +262,17 @@ class TestOperatorSeriesRoute:
         assert err <= tol, (err, rep)
         assert set(rep.diagnostics) == {"cutoff", "order", "terms"}
 
+    # with the depth-2 points of the benchmark's direct workload
     @pytest.mark.parametrize("ztext,s", [("-1", "0.5"), ("-1", "0.3+1j"), ("1/4", "0.6"),
                                          ("1/4", "0.4+0.5j"), ("1/3", "0.5"), ("1/6", "1"),
-                                         ("1/5", "0.7"), ("2/7", "1.5-2j")])
+                                         ("1/5", "0.7"), ("2/7", "1.5-2j"), ("-1,1", "1.5,0.5"),
+                                         ("-1,1/3", "1.5,1"), ("-1,-1", "0.7,0.6")])
     def test_agrees_with_the_ladder(self, ztext, s):
-        z, s, tol = Z(ztext), [mp.mpc(complex(s))], mp.mpf("1e-10")
+        z, s, tol = Z(ztext), [mp.mpc(complex(x)) for x in s.split(",")], mp.mpf("1e-10")
         rep = eval_convergent(z, s, tol=tol)
         ref = polylog_mod._ladder(z, s, tol, 2 * 10**5)
         assert abs(rep.value - ref.value) <= rep.abs_error_estimate + ref.abs_error_estimate
+        assert rep.diagnostics["cutoff"] <= 256
 
     def test_high_order(self):
         xi, s = RotationNumber(1, 10007), mp.mpf("1.5")
@@ -270,6 +289,50 @@ class TestOperatorSeriesRoute:
         monkeypatch.setattr(polylog_mod, "_nested_sums", no_sums)
         with pytest.raises(NonConvergenceError, match="16384"):
             eval_convergent(Z("1/4001"), [mp.mpf("1.5")], tol=mp.mpf("1e-10"), ceiling=10**4)
+
+
+ROOTS_TO_12 = st.one_of(st.just(RotationNumber(0, 1)), primitive_roots(12))
+
+
+class TestNestedSeriesRoute:
+    # depth 2: the operator series of the inner sum and of each outer tail
+
+    @settings(max_examples=20, deadline=None)
+    @given(ROOTS_TO_12, ROOTS_TO_12, st.floats(0.05, 3), st.floats(-3, 3),
+           st.floats(-1, 3), st.floats(-3, 3), st.sampled_from([128, 256]),
+           st.sampled_from(["1e-10", "1e-20"]))
+    @example(RotationNumber(1, 2), RotationNumber(1, 2), 0.7, 0.0, 0.6, 0.0, 256, "1e-60")
+    def test_stuffle(self, x, y, re_s, im_s, re_t, im_t, prec, tol):
+        # Li(x,y; s,t) + Li(y,x; t,s) = Li_s(x) Li_t(y) - Li_{s+t}(xy) on both
+        # U_2 domains, against the depth-1 values at prec + 64
+        with mp.workprec(prec):
+            s, t, tol = mp.mpc(re_s, im_s), mp.mpc(re_t, im_t), mp.mpf(tol)
+            xy, yx = ZVector([x, y]), ZVector([y, x])
+            assume(polylog_mod._domain_flags(xy, [s, t])["Urz"]
+                   and polylog_mod._domain_flags(yx, [t, s])["Urz"])
+            st_, ts = eval_convergent(xy, [s, t], tol=tol), eval_convergent(yx, [t, s], tol=tol)
+        with mp.workprec(prec + 64):
+            want = hurwitz_polylog(x, s) * hurwitz_polylog(y, t) - hurwitz_polylog(x * y, s + t)
+            err = abs(st_.value + ts.value - want)
+        assert err <= st_.abs_error_estimate + ts.abs_error_estimate, (err, st_, ts)
+        assert set(st_.diagnostics) == {"cutoff", "order", "terms"}
+
+    def test_small_ceiling_raises_before_summing(self, monkeypatch):
+        # the outer tail T(z1, s1) at order 4,001 needs cutoff 16,384, as at
+        # depth 1
+        def no_sums(*args):
+            raise AssertionError("a term was summed")
+
+        monkeypatch.setattr(polylog_mod, "_nested_sums", no_sums)
+        with pytest.raises(NonConvergenceError, match="16384"):
+            eval_convergent(Z("1/4001,1/3"), [mp.mpf("1.5"), mp.mpf("1")],
+                            tol=mp.mpf("1e-10"), ceiling=10**4)
+
+    @pytest.mark.parametrize("ztext", ["-1,1", "1/3,1"])
+    def test_inner_harmonic_stays_on_the_ladder(self, ztext):
+        # z2 = 1 with s2 = 1: the inner sum carries log n
+        d = eval_convergent(Z(ztext), [1, 1], tol=mp.mpf("1e-10")).diagnostics
+        assert {"rungs", "period"} <= set(d)
 
 
 class TestEvalIntegerPoint:
