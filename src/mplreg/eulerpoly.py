@@ -148,8 +148,13 @@ def bernoulli_polynomial(j: int) -> RationalPolynomial:
 
 
 def bernoulli_sup_bound(j: int) -> Fraction:
-    """Coefficient-sum upper bound for max |B_j(x)| on [0, 1]."""
-    return bernoulli_polynomial(j).coeff_abs_sum()
+    """An upper bound for max |B_j(x)| on [0, 1]: 1/(j + 1) for j < 2, else
+    the Fourier bound 2 zeta(j) j!/(2 pi)^j with pi > 3.1415926 and
+    zeta(j) <= 1 + 2^-j + int_2^inf x^-j dx = 1 + 2^-j (j + 1)/(j - 1)."""
+    if j < 2:
+        return Fraction(1, bernoulli_polynomial(j).degree + 1)
+    two_pi = Fraction(62831852, 10 ** 7)
+    return 2 * (1 + Fraction(j + 1, (j - 1) << j)) * math.factorial(j) / two_pi ** j
 
 
 @lru_cache(maxsize=4096)
@@ -177,12 +182,14 @@ def gen_euler_polynomial(k: int, n: int) -> RationalPolynomial:
     return (b.compose_affine(a, a) - b.compose_affine(a, 0)) * scale
 
 
+@lru_cache(maxsize=4096)
 def gen_euler_at_zero(k: int, n: int) -> Fraction:
     """E_{k,n}(0) = k^(n+1)/(n+1) (B_{n+1}(1/k) - B_{n+1}(0)), by Horner."""
     b, scale = _gen_euler_parts(k, n)
     return scale * (b(Fraction(1, k)) - b.coeff(0))
 
 
+@lru_cache(maxsize=4096)
 def gen_euler_at_one(k: int, n: int) -> Fraction:
     """E_{k,n}(1) = k^(n+1)/(n+1) (B_{n+1}(2/k) - B_{n+1}(1/k)), by Horner."""
     b, scale = _gen_euler_parts(k, n)
@@ -190,8 +197,10 @@ def gen_euler_at_one(k: int, n: int) -> Fraction:
 
 
 def sup_bound(k: int, n: int) -> Fraction:
-    """Coefficient-sum upper bound for max |E_{k,n}(x)| on [0, 1]."""
-    return gen_euler_polynomial(k, n).coeff_abs_sum()
+    """An upper bound for max |E_{k,n}(x)| on [0, 1]: its coefficient sum or,
+    as (x + 1)/k and x/k lie in [0, 1], 2 k^(n+1)/(n+1) sup|B_{n+1}|."""
+    return min(gen_euler_polynomial(k, n).coeff_abs_sum(),
+               2 * Fraction(k ** (n + 1), n + 1) * bernoulli_sup_bound(n + 1))
 
 
 def _require_primitive(k: int, zeta: RotationNumber):

@@ -6,18 +6,18 @@ Two finite-cutoff engines reproduce sums over scale functions exactly:
 * ``gen_euler_boole``   for  sum_{a<n} zeta^a f(a),  zeta a primitive k-th
   root of unity,
 
-with the remainder integral in closed form on every unit interval
-(periodic polynomial times scale function).  Each engine evaluates the
-antiderivatives A_e of x^e f^(m) once at each integer of its range, in one
-``ScaleFunction._grid`` table, and the x^e coefficient of the polynomial
-shifted onto [i, i+1) is a polynomial in i over one denominator, formed
-once per call; the remainder is then sum_i sum_e p_e(i) (A_e(i+1) - A_e(i)),
-each unit integral an exact integer sum rounded once.  For
-k >= 3 the quasi-periodic polynomial jumps at the integers, so the textbook
-integration-by-parts chain picks up correction sums proportional to
-zeta*E_{k,j}(1) - E_{k,j}(0), read off the same table; that coefficient
-vanishes identically at k = 2, which recovers the classical alternating
-formula.  The engines carry these corrections and are exact.
+with the remainder integral in closed form.  For k >= 3 the quasi-periodic
+polynomial jumps at the integers, so integration by parts picks up
+correction sums proportional to zeta E_{k,j}(1) - E_{k,j}(0), which
+vanishes identically at k = 2 (the classical alternating formula).  The
+remainder and the corrections come from one pass of exact integer moment
+sums over the integers of the range (``_moment_blocks``), f's complex
+coefficients entering only at the end, as exact products with them, and
+each block is rounded once; the remainder still comes from f^(m)'s
+antiderivatives, never from f's values.  The end blocks (at most 2k - 2
+points) come from ``ScaleFunction._grid``.  Every block's rounding is
+bounded (``_moment_blocks``, ``_breakdown``), and the bound is the rounding
+part of the engines' ``remainder_estimate``.
 
 ``term_sum_expansion`` returns the ``AsymptoticExpansion`` of
 sum_{a<n} xi^a (log a)^l a^(-m), with symbolic n-dependent coefficients
@@ -58,19 +58,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from collections import defaultdict
+from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, floordiv, mul, rshift, sub
 
 import mpmath as mp
-from mpmath.libmp import (from_int, from_man_exp, from_rational, ln2_fixed, log_int_fixed,
-                          mpf_div, mpf_log, pi_fixed, round_nearest, to_fixed)
+from mpmath.libmp import (from_int, from_rational, ln2_fixed, log_int_fixed, mpf_log, pi_fixed,
+                          round_ceiling, round_nearest, to_fixed, to_rational)
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase
 
 from . import eulerpoly
 from .errors import PrecisionError
-from .rootsofunity import RotationNumber
+from .rootsofunity import ONE, RotationNumber
 from .scalefun import ScaleFunction
 
 __all__ = [
@@ -86,15 +87,17 @@ __all__ = [
 DEFAULT_MATCH_TOL = "1e-25"
 
 
-def _mpq(q: Fraction):
-    """q correctly rounded to the working precision."""
-    return mp.make_mpf(from_rational(q.numerator, q.denominator, mp.mp.prec, round_nearest))
+def _mpq(q: Fraction, rnd=round_nearest):
+    """q correctly rounded (to nearest, or as ``rnd`` says) to the working
+    precision."""
+    return mp.make_mpf(from_rational(q.numerator, q.denominator, mp.mp.prec, rnd))
 
 
 @dataclass
 class SummationBreakdown:
     """An engine evaluation: the total, its labelled blocks, and an a-priori
-    bound on the remainder mass beyond the cutoff (plus rounding slack)."""
+    bound on the remainder mass beyond the cutoff plus the derived bound on
+    the rounding of the blocks and the total."""
 
     total: object
     boundary_terms: list
@@ -106,36 +109,6 @@ class SummationBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _unit_integrals(poly, a: int, shifts, rows) -> list:
-    """int_i^(i+1) poly(a x + b) g(x) dx for consecutive integers i, i + 1,
-    rows[0], rows[1], ... holding the values at i of the antiderivatives of
-    x^e g(x), e = 0..deg poly, and ``shifts`` the b of each interval.  The
-    x^e coefficient of poly(a x + b) is sum_d c_d C(d, e) a^e b^(d-e) =
-    num_e(b) / D, one D for every e, num_e by Horner from its highest power.
-    Per interval and part the integral is sum_e num_e(b) (A_e(i+1) - A_e(i)),
-    exact on the rows' mantissas, over D, correctly rounded once.
-    """
-    qs = [[c * math.comb(d, e) * a ** e for d, c in enumerate(poly.coeffs) if d >= e]
-          for e in range(poly.degree + 1)]
-    den = math.lcm(*(q.denominator for row in qs for q in row))
-    coeffs = [[q.numerator * (den // q.denominator) for q in row[::-1]] for row in qs]
-    # per row, per e: the signed (mantissa, exponent) of each part
-    rows = [[tuple((-man if sign else man, exp) for sign, man, exp, _ in v._mpc_)
-             for v in row[:len(coeffs)]] for row in rows]
-    out = []
-    for b, below, above in zip(shifts, rows, rows[1:]):
-        nums = [reduce(lambda c, q: c * b + q, row, 0) for row in coeffs]
-        parts = []
-        for i in (0, 1):
-            values = [(c * man, exp) for c, low, high in zip(nums, below, above) if c
-                      for man, exp in (high[i], (-low[i][0], low[i][1])) if man]
-            e = min([exp for _, exp in values], default=0)
-            total = from_man_exp(sum([man << exp - e for man, exp in values]), e)
-            parts.append(mpf_div(total, from_int(den), mp.mp.prec, round_nearest))
-        out.append(mp.make_mpc(tuple(parts)))
-    return out
-
-
 def _rounding_slack(n, magnitudes):
     amp = mp.mpf(1)
     for v in magnitudes:
@@ -143,46 +116,54 @@ def _rounding_slack(n, magnitudes):
     return mp.mpf(2) ** (10 - mp.mp.prec) * n * amp
 
 
+def _breakdown(f, k, m, n, weight, named_ends, moments, beyond):
+    """An engine's result: its blocks, their total, and as its remainder
+    estimate ``beyond`` (the remainder beyond n, which shrinks as m grows),
+    the moment blocks' bounds and this charge for the rest.  The end blocks
+    read at most U = 6k + 2m values h(t), h = F or f^(j), j < m, t <= T =
+    n + k, off ``_grid`` at wp = prec + 64, each times a weight of modulus
+    <= ``weight``, in sums of <= U terms.  With L = 1 + f's largest log power
+    + its number of terms, h's coefficients round <= 2m + 2L + 6 times (a
+    merge of equal indices once), so h(t) errs by < 2^-wp (2m + 2L + 6) Phi,
+    Phi = sum_terms |c| (l + |mu| + m + 1)^m (l + 1)! lb^(l+1) T^max(0,1-mu)
+    >= ``_grid``'s S_h(t), lb = bit_length(T): the rows of
+    ``_derivative_rows`` have sum_i |d_{j,i}| <= (l + |mu| + m)^j, and F's
+    coefficients sum to <= (l + 1)!.  The end blocks then err by < 2^-wp U
+    (U + 2m + 2L + 2k + 10) weight Phi <= 2^-wp 48 (k + m + L + 2)^2 weight
+    Phi, and rounding them to prec and adding all blocks into the total by
+    < 2^-prec len(blocks) sum |blocks|."""
+    blocks = [+v for _, v in named_ends] + [v for _, v, _ in moments]
+    top, L = n + k, max((l + 1 for l, _, _ in f.terms()), default=1) + len(f.terms())
+    phi = sum((abs(c.real) + abs(c.imag)) * (l + abs(mu) + m + 1) ** m * math.factorial(l + 1)
+              * top.bit_length() ** (l + 1) * top ** max(0, 1 - mu) for l, mu, c in f.terms())
+    charge = mp.ldexp(mp.ldexp(48 * (k + m + L + 2) ** 2 * _mpq(Fraction(weight)) * phi, -64)
+                      + len(blocks) * sum(abs(v.real) + abs(v.imag) for v in blocks), -mp.mp.prec)
+    return SummationBreakdown(
+        total=sum(blocks, mp.mpc(0)),
+        boundary_terms=list(zip([name for name, *_ in named_ends + moments], blocks)),
+        remainder_estimate=beyond + sum(bound for _, _, bound in moments) + charge)
+
+
 def euler_maclaurin(f: ScaleFunction, n: int, m: int) -> SummationBreakdown:
-    """sum_{a=1}^{n-1} f(a) via the classical formula with the remainder
-    integral evaluated exactly per unit interval."""
+    """sum_{a=1}^{n-1} f(a) via the classical formula: the remainder
+    (-1)^(m+1)/m! sum_{i<n} int_i^(i+1) B_m(x - i) f^(m)(x) dx is
+    sum_{1<t<n} (U - V)(t) + U(n) - V(1) over moment sums (``_moment_blocks``),
+    the integral and the derivative boundary come from ``_grid``."""
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    derivs = [f]
-    for _ in range(m):
-        derivs.append(derivs[-1].differentiate())
-    # F and f^(j-1), j = 1..m, at both ends
-    low, high = ScaleFunction._grid([f.antiderivative()] + derivs[:m], (1, n))
-    integral = high[0] - low[0]
-    boundary = mp.mpc(0)
-    for j in range(1, m + 1):
-        bj = eulerpoly.bernoulli_number(j)
-        if bj:
-            boundary += _mpq(bj / math.factorial(j)) * (high[j] - low[j])
-    bpoly = eulerpoly.bernoulli_polynomial(m)
-    # sum_e p_e(i) A_e cancels by up to n^(deg + 1): the antiderivatives and
-    # their table carry that many more bits
-    with mp.workprec(mp.mp.prec + (bpoly.degree + 1) * n.bit_length()):
-        antis = [derivs[m].times_power(e).antiderivative() for e in range(bpoly.degree + 1)]
-        rows = ScaleFunction._grid(antis, range(1, n + 1))
-    # B_m(x - i) on [i, i+1), i = 1..n-1
-    remainder = sum(_unit_integrals(bpoly, 1, range(-1, -n, -1), rows), mp.mpc(0))
-    remainder *= mp.mpf((-1) ** (m + 1)) / math.factorial(m)
-    total = integral + boundary + remainder
-    # the remainder integral is evaluated exactly, so the identity error is
-    # rounding; the reported estimate bounds the part of the remainder living
-    # beyond n (infinite when f^(m) is not integrable there), which is what
-    # shrinks as the derivative order grows
-    estimate = (_mpq(eulerpoly.bernoulli_sup_bound(m)) / math.factorial(m)
-                * derivs[m].abs_tail_bound(max(n, 2))
-                + _rounding_slack(n, [integral, boundary, remainder]))
-    return SummationBreakdown(
-        total=total,
-        boundary_terms=[("integral", integral),
-                        ("derivative_boundary", boundary),
-                        ("remainder_integral", remainder)],
-        remainder_estimate=estimate,
-    )
+    with mp.workprec(mp.mp.prec + 64):
+        derivs = list(accumulate(repeat(f, m + 1), lambda g, _: g.differentiate()))
+        # F and f^(j-1), j = 1..m, at both ends
+        low, high = ScaleFunction._grid([f.antiderivative()] + derivs[:m], (1, n))
+        boundary = mp.mpc(0)
+        for j in range(1, m + 1):
+            bj = eulerpoly.bernoulli_number(j) / math.factorial(j)
+            boundary += _mpq(bj) * (high[j] - low[j])
+    beyond = (_mpq(eulerpoly.bernoulli_sup_bound(m)) / math.factorial(m)
+              * derivs[m].abs_tail_bound(max(n, 2)))
+    return _breakdown(f, 1, m, n, 1, [("integral", high[0] - low[0]),
+                                      ("derivative_boundary", boundary)],
+                      _moment_blocks(f, 1, ONE, n, m), beyond)
 
 
 def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
@@ -190,88 +171,182 @@ def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
     """sum_{a=1}^{n-1} zeta^a f(a) from the twisted summation formula.
 
     Blocks: the head/tail averaging block, the step blocks weighted by the
-    inner products <v,w>, the derivative boundary at orders < m, the jump
-    corrections (zero when k = 2), and the order-m remainder integral.
+    inner products <v,w> and the derivative boundary at orders < m, from
+    ``_grid`` at the 2k - 2 end points; the step corrections (zero when
+    k = 2) and the order-m remainder integral <v,w>/(m-1)! sum_i zeta^(i+1)
+    int_i^(i+1) E_{k,m-1}(1 + i - x) f^(m)(x) dx, each a sum over k - 1 <= t
+    <= n of zeta^t times moment sums of its residue class (``_moment_blocks``).
     """
     eulerpoly._require_primitive(k, zeta)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if m < 1:
         raise ValueError("need m >= 1")
-    zp = zeta.power_values()
+    with mp.workprec(mp.mp.prec + 64):
+        zp = zeta.power_values()
 
-    def zpow(a):
-        return zp[a % k]
+        def zpow(a):
+            return zp[a % k]
 
-    derivs = [f]
-    for _ in range(m):
-        derivs.append(derivs[-1].differentiate())
+        derivs = list(accumulate(repeat(f, m + 1), lambda g, _: g.differentiate()))
+        # f and f^(j), j < m, at the end points 1..k-1 and n..n+k-2
+        points = [*range(1, k), *range(n, n + k - 1)]
+        ends = dict(zip(points, ScaleFunction._grid(derivs[:m], points)))
+        head = sum((ends[t][0] * sum(zpow(a) for a in range(1, t + 1))
+                    for t in range(1, k)), mp.mpc(0))
+        tail = sum((ends[n + t][0] * sum(zpow(a) for a in range(t + 1, k))
+                    for t in range(0, k - 1)), mp.mpc(0))
+        blk_head = (head + zpow(n) * tail) / k
+        blk_lower = sum((eulerpoly.inner_product(k, zeta, 1, i)
+                         * (ends[i + 1][0] - ends[i][0])
+                         for i in range(1, k - 1)), mp.mpc(0))
+        blk_upper = zpow(n) * sum((eulerpoly.inner_product(k, zeta, i, k - 1)
+                                   * (ends[i + n - 1][0] - ends[i + n - 2][0])
+                                   for i in range(2, k)), mp.mpc(0))
+        vw = eulerpoly.inner_product(k, zeta, 1, k - 1)
+        blk_bound, weight = mp.mpc(0), k  # |<v,w>| <= (k - 1)/2
+        for j in range(1, m):
+            e1, e0 = eulerpoly.gen_euler_at_one(k, j), eulerpoly.gen_euler_at_zero(k, j)
+            blk_bound += (_mpq(e1) * zpow(k) * ends[k - 1][j]
+                          - _mpq(e0) * zpow(n) * ends[n][j]) / math.factorial(j)
+            weight = max(weight, (k - 1) * (abs(e1) + abs(e0)) / (2 * math.factorial(j)))
+        blk_bound *= vw
+    beyond = (abs(vw) * _mpq(eulerpoly.sup_bound(k, m - 1))
+              / math.factorial(m - 1) * derivs[m].abs_tail_bound(max(n, 2)))
+    return _breakdown(f, k, m, n, weight,
+                      [("head", blk_head), ("lower_steps", blk_lower),
+                       ("upper_steps", blk_upper), ("derivative_boundary", blk_bound)],
+                      _moment_blocks(f, k, zeta, n, m), beyond)
 
-    # f and f^(j), j < m, at the end points 1..k-1 and n..n+k-2
-    points = [*range(1, k), *range(n, n + k - 1)]
-    ends = dict(zip(points, ScaleFunction._grid(derivs[:m], points)))
-    head = sum((ends[t][0] * sum(zpow(a) for a in range(1, t + 1))
-                for t in range(1, k)), mp.mpc(0))
-    tail = sum((ends[n + t][0] * sum(zpow(a) for a in range(t + 1, k))
-                for t in range(0, k - 1)), mp.mpc(0))
-    blk_head = (head + zpow(n) * tail) / k
 
-    blk_lower = sum((eulerpoly.inner_product(k, zeta, 1, i)
-                     * (ends[i + 1][0] - ends[i][0])
-                     for i in range(1, k - 1)), mp.mpc(0))
-    blk_upper = zpow(n) * sum((eulerpoly.inner_product(k, zeta, i, k - 1)
-                               * (ends[i + n - 1][0] - ends[i + n - 2][0])
-                               for i in range(2, k)), mp.mpc(0))
+def _moment_blocks(f: ScaleFunction, k: int, zeta: RotationNumber, n: int, m: int) -> list:
+    """[(name, value, bound)] of the remainder and, for k >= 2, the step
+    corrections of an engine; k = 1, zeta = 1 is Euler-Maclaurin.
 
-    vw = eulerpoly.inner_product(k, zeta, 1, k - 1)
-    blk_bound = mp.mpc(0)
-    corrections = []  # (f^(j), 1/j!, coefficient) of each non-vanishing correction
-    for j in range(1, m):
-        e1 = eulerpoly.gen_euler_at_one(k, j)
-        e0 = eulerpoly.gen_euler_at_zero(k, j)
-        fac = mp.mpf(1) / math.factorial(j)
-        blk_bound += fac * (_mpq(e1) * zpow(k) * ends[k - 1][j]
-                            - _mpq(e0) * zpow(n) * ends[n][j])
-        corr_coef = zpow(1) * _mpq(e1) - _mpq(e0)
-        if corr_coef:
-            corrections.append((derivs[j], fac, corr_coef))
-    blk_bound *= vw
+    The identity.  On [i, i+1), lo <= i < n (lo = max(1, k - 1)), the
+    periodic factor is Q(a (x - t) + c): B_m(x - i) is B_m with a = 1 and
+    (t, c) = (i+1, 1) or (i, 0), zeta^(i+1) E_{k,m-1}(1 + i - x) is E_{k,m-1}
+    with a = -1 and (t, c) = (i+1, 0) or (i, 1).  With A_e the antiderivative
+    of x^e f^(m), the unit integral is U(i+1) - V(i), U(t) = sum_e
+    [x^e]Q(a (x - t) + c_U) A_e(t) and V alike, and t^q (log t)^i t^-nu is
+    the basis value x_{i,nu-q}(t), so a term c (log x)^l x^-mu of f gives
+    U = c sum_key u_key x_key / den, V alike, u, v exact integers
+    (``_moment_weights``).  Summed over i, the remainder is sum_{lo<t<n}
+    (zeta^t U(t) - zeta^(t+1) V(t)) + zeta^n U(n) - zeta^(lo+1) V(lo), times
+    <v,w> = sum_p w_p zeta^p / k, w_p = -p, when k >= 2 (w = 1 at k = 1); the
+    corrections are such a sum without end terms.  One pass over
+    lo <= t <= n gives per key the exact sums of X(t) = floor(x(t) 2^P) in
+    each residue class of t mod k, and a block is sum_terms c sum_p zeta^p
+    Y_p / (den k 2^(2P)), Y_p integers, zeta^p scaled by 2^P, summed exactly
+    and rounded once per part.  The remainder cancels by up to n^(deg+1),
+    deg = deg Q, so P = prec + (deg + 1) bit_length(n) plus ``_grid``'s own 14 + L +
+    bit_length(#keys), L the largest log power, rounded up to 64.
 
-    # one table at k-1..n, with the extra bits of ``euler_maclaurin``: the
-    # antiderivatives of x^e f^(m), then the f^(j) of the correction sums
-    epoly = eulerpoly.gen_euler_polynomial(k, m - 1)
-    with mp.workprec(mp.mp.prec + (epoly.degree + 1) * n.bit_length()):
-        antis = [derivs[m].times_power(e).antiderivative() for e in range(epoly.degree + 1)]
-        rows = ScaleFunction._grid(antis + [d for d, _, _ in corrections], range(k - 1, n + 1))
-    blk_corr = mp.mpc(0)
-    for col, (_, fac, corr_coef) in enumerate(corrections, len(antis)):
-        twisted = sum((zpow(a) * rows[a - k + 1][col] for a in range(k, n)),
-                      mp.mpc(0))
-        blk_corr += fac * corr_coef * twisted
-    blk_corr *= vw
+    The bound: with lb = bit_length(n) and u = 2^-P, (log t)^l errs by
+    < 3l lb^(l-1) u (``_log_powers``), relatively by < 3l lb^(l-1) 1.45^l u
+    for t >= 2 (log 1 = 0 is exact), and a floor of t^-nu, nu > 0, adds < 1 u,
+    so the sums of a key over the N = n - lo + 1 points err by < E_key =
+    6l lb^l 2^l (sum X + N) u + N + 1 units u, the Y_p by < sum|w| sum_key
+    (|u| + |v|) E_key in all, each zeta^p by < 1.5 u, and the rounding by
+    2^-prec |value|: the bound is 2^-prec (|Re| + |Im|) + sum_terms (|Re c| +
+    |Im c|) (2 sum|w| sum_key (|u| + |v|) E_key 2^P + 2 sum_p |Y_p|) /
+    (den k 2^(2P)), rounded up."""
+    prec, lo = mp.mp.prec, max(1, k - 1)
+    ns, plans = range(lo, n + 1), [(c, _moment_weights(l, mu, m, k)) for l, mu, c in f.terms()]
+    keys = {key for _, blocks in plans for block in blocks for key in block[0]}
+    L, N, lb = max((l for l, _ in keys), default=0), len(ns), n.bit_length()
+    P = prec + (m + (k == 1)) * lb + 14 + L + len(keys).bit_length()
+    P += -P % 64
+    lp = _log_powers(_logs(P, n) if L else (), P, L, ns)
+    lp[0], moments = [1 << P] * N, {}
+    for l, nu in keys:
+        xs = _weigh(lp[l], [], 0, nu, None, lp, ns, P)[0]
+        moments[l, nu] = ([sum(xs[1 + (r - lo - 1) % k:-1:k]) for r in range(k)], xs[0], xs[-1],
+                          (6 * l * lb ** l * 2 ** l * (sum(xs) + N) >> P) + N + 1)
+    table, w = _fixed_power_table(zeta.fraction, P), [1] if k == 1 else [-p for p in range(k)]
+    out = []
+    for b, name in enumerate(("remainder_integral", "step_corrections")[:1 + (k > 1)]):
+        re = im = bound = Fraction(0)
+        for c, blocks in plans:
+            Z, err = [0] * k, 0
+            for key, u, v in zip(*blocks[b][:3]):
+                inner, first, last, key_err = moments[key]
+                for r, s in enumerate(inner):
+                    Z[r] += u * s
+                    Z[(r + 1) % k] -= v * s
+                if b == 0:  # the end terms of the remainder
+                    Z[n % k] += u * last
+                    Z[(lo + 1) % k] -= v * first
+                err += (abs(u) + abs(v)) * key_err
+            Y = [sum(w[q] * Z[p - q] for q in range(k)) for p in range(k)]
+            yc, ys = (sum(map(mul, Y, part)) for part in zip(*table))
+            cr, ci = (Fraction(*to_rational(x._mpf_)) for x in (c.real, c.imag))
+            scale = blocks[b][3] * len(w) << 2 * P
+            re, im = re + (cr * yc - ci * ys) / scale, im + (cr * ys + ci * yc) / scale
+            bound += (abs(cr) + abs(ci)) * ((sum(map(abs, w)) * err << P + 1)
+                                            + 2 * sum(map(abs, Y))) / scale
+        out.append((name, mp.mpc(_mpq(re), _mpq(im)),
+                    _mpq((abs(re) + abs(im)) / (1 << prec) + bound, round_ceiling)))
+    return out[::-1]
 
-    # on (i, i+1) the periodic factor is zeta^(i+1) * E_{k,m-1}(1+i-x)
-    integrals = _unit_integrals(epoly, -1, range(k, n + 1), rows)
-    remainder = sum((zpow(i + 1) * v for i, v in enumerate(integrals, k - 1)),
-                    mp.mpc(0))
-    remainder *= vw / math.factorial(m - 1)
 
-    total = blk_head + blk_lower + blk_upper + blk_bound + blk_corr + remainder
-    estimate = (abs(vw) * _mpq(eulerpoly.sup_bound(k, m - 1))
-                / math.factorial(m - 1) * derivs[m].abs_tail_bound(max(n, 2))
-                + _rounding_slack(
-                    n, [blk_head, blk_lower, blk_upper, blk_bound, blk_corr,
-                        remainder]))
-    return SummationBreakdown(
-        total=total,
-        boundary_terms=[("head", blk_head),
-                        ("lower_steps", blk_lower),
-                        ("upper_steps", blk_upper),
-                        ("derivative_boundary", blk_bound),
-                        ("step_corrections", blk_corr),
-                        ("remainder_integral", remainder)],
-        remainder_estimate=estimate,
-    )
+@lru_cache(maxsize=4096)
+def _moment_weights(l: int, mu: int, m: int, k: int) -> tuple:
+    """Per block of ``_moment_blocks`` for f = (log x)^l x^-mu: (keys, u, v,
+    den), integers.  With s = 1 - nu, int (log x)^i x^-nu dx is sum_{j<=i}
+    (-1)^(i-j) i!/j! s^(l-i+j) (log x)^j x^s / s^(l+1), or (l+1)!/(i+1)
+    (log x)^(i+1) / (l+1)! at s = 0 (``ScaleFunction.antiderivative``)."""
+    rows, (shifted, corr, dc) = _derivative_rows(l, mu, m - 1), _engine_table(m, k)
+    antis = []  # per e: the antiderivative of x^e f^(m), integers over da
+    for e in range(len(shifted[0])):
+        anti, s = defaultdict(int), 1 - mu - m + e
+        for i, r in enumerate(rows[m]):
+            for j in range(i + 1) if s else ():
+                anti[j, -s] += r * (-1) ** (i - j) * math.perm(i, i - j) * s ** (l - i + j)
+            if not s:
+                anti[i + 1, 0] += r * math.factorial(l + 1) // (i + 1)
+        antis.append((anti, s ** (l + 1) if s else math.factorial(l + 1)))
+    da = math.lcm(*(d for _, d in antis))
+    blocks = [(defaultdict(int), defaultdict(int), dc * da)]
+    for weights, table in zip(blocks[0], shifted):
+        for (anti, d), row in zip(antis, table):
+            for (j, nu), x in anti.items():
+                for q, c in enumerate(row):
+                    weights[j, nu - q] += c * x * (da // d)
+    if k > 1:  # u = -sum_j E_{k,j}(0) f^(j)/j!, v alike with E_{k,j}(1)
+        blocks.append((defaultdict(int), defaultdict(int), corr[-1]))
+        for (j, row), e0, e1 in zip(enumerate(rows[1:m], 1), *corr[:2]):
+            for i, r in enumerate(row):
+                blocks[1][0][i, mu + j] += e0 * r
+                blocks[1][1][i, mu + j] += e1 * r
+    out = []
+    for u, v, den in blocks:
+        keys = tuple(key for key in sorted(u.keys() | v.keys()) if u[key] or v[key])
+        out.append((keys, tuple(u[key] for key in keys), tuple(v[key] for key in keys), den))
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _engine_table(m: int, k: int) -> tuple:
+    """(shifted, corr, dc): per c of U and V the x^e t^q coefficients of
+    fac Q(a (x - t) + c), fac = (-1)^(m+1)/m! (k = 1) or 1/(m-1)!, as
+    integers over dc; and -E_{k,j}(0)/j!, -E_{k,j}(1)/j!, j = 1..m-1, as
+    integers over their common denominator (all zero at k = 2, the last
+    entry of ``corr``)."""
+    poly, a, fac, shifts = ((eulerpoly.bernoulli_polynomial(m), 1,
+                             Fraction((-1) ** (m + 1), math.factorial(m)), (1, 0)) if k == 1 else
+                            (eulerpoly.gen_euler_polynomial(k, m - 1), -1,
+                             Fraction(1, math.factorial(m - 1)), (0, 1)))
+    shifted = [[[fac * p * a ** (e + q) * math.comb(e + q, e) * (-1) ** q
+                 for q, p in enumerate(coeffs[e:])] for e in range(len(coeffs))]
+               for coeffs in ((poly.compose_affine(1, c) if c else poly).coeffs for c in shifts)]
+    dc = math.lcm(*(x.denominator for table in shifted for row in table for x in row))
+    ends = [[-Fraction(g(k, j)) / math.factorial(j) if k > 2 else Fraction(0)
+             for j in range(1, m)] if k > 1 else []
+            for g in (eulerpoly.gen_euler_at_zero, eulerpoly.gen_euler_at_one)]
+    de = math.lcm(*(x.denominator for row in ends for x in row))
+    return ([[[int(x * dc) for x in row] for row in table] for table in shifted],
+            [[int(x * de) for x in row] for row in ends] + [de], dc)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +448,8 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 # (xi, prec), ``_char_value`` 56 (xi^N, prec), ``_matching_order`` 2
 # (tol, prec), ``_fixed_power_table`` 80 (xi, P) and ``_log_table`` 4 P, each
 # table of 1,001 or 2,001 entries (a table stops at SIEVE_CAP + 1), with room
-# to spare
+# to spare; two rounds of ``direct`` (seed 5) reach 35 (l, mu, m, k) of
+# ``_moment_weights`` and 14 (m, k) of ``_engine_table``
 @lru_cache(maxsize=4096)
 def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     """n-dependent part of sum_{a<n} xi^a (log a)^l a^(-m), every xi.
@@ -567,13 +643,7 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     n0 = state.n
     while n0 < top:
         n1 = min(top, n0 + BLOCK_CAP)
-        # the (log n)^k, k = 1..kmax, over the block
-        lp = [None]
-        if kmax:
-            lp.append(list(map(rshift, logs[n0:n1], repeat(64)))
-                      + [log_int_fixed(n, P) for n in range(max(n0, len(logs)), n1)])
-        for _ in range(1, kmax):
-            lp.append(list(map(rshift, map(mul, lp[-1], lp[1]), repeat(P))))
+        lp = _log_powers(logs, P, kmax, range(n0, n1))
         marks = cutoffs[bisect_left(cutoffs, n0):bisect_left(cutoffs, n1)]
         _block(state, levels, kvec, exps, lp, range(n0, n1), marks)
         n0 = n1
@@ -638,6 +708,20 @@ def _block(state, levels, kvec, exps, lp, ns, marks):
         done = i
         state._record(n0 + i, [0] + [re[i] for re, _ in sums[1:]],
                       [0] + [im[i] for _, im in sums[1:]], level0)
+
+
+def _log_powers(logs, P: int, kmax: int, ns: range) -> list:
+    """[None, (log n)^1, ..., (log n)^kmax], each a list over the n of ``ns``
+    scaled by 2^P and floored: log n off the table ``logs`` of P (``_logs``),
+    ``log_int_fixed`` past it, and each power one fixed-point product.
+    (log n)^k errs by < 3k lb^(k-1) u (``_guard_bits``)."""
+    lp = [None]
+    if kmax:
+        lp.append(list(map(rshift, logs[ns.start:ns.stop], repeat(64)))
+                  + [log_int_fixed(n, P) for n in range(max(ns.start, len(logs)), ns.stop)])
+    for _ in range(1, kmax):
+        lp.append(list(map(rshift, map(mul, lp[-1], lp[1]), repeat(P))))
+    return lp
 
 
 def _weigh(C, S, k, a, entries, lp, ns, P):

@@ -13,8 +13,8 @@ terms of a ScaleFunction in mpmath at 100 bits above the working
 precision, the reference for its integer evaluator.  ``em_remainder`` and ``geb_blocks`` rebuild the
 engines' remainder and correction blocks interval by interval, from values
 that evaluator gives one point at a time, each unit integral the exact
-rational one of those values rounded once: the reference for the engines'
-tables of antiderivative values;
+rational one of those values rounded once: run 64 bits higher, the
+reference for the engines' moment sums;
 ``per_term_translation`` sums each tail of the translation series in a
 pass of its own, the reference for the one-pass ``verify_translation``;
 ``series_reference`` sums its series on past the stop, the reference for

@@ -95,6 +95,18 @@ class TestBernoulli:
         assert bernoulli_sup_bound(2) >= Fraction(1, 6)
         assert bernoulli_sup_bound(4) >= Fraction(1, 30)
 
+    def test_sup_bound_is_between_the_max_and_the_coefficient_sum(self):
+        # the Fourier bound 2 zeta(j) j!/(2 pi)^j with rational pi and zeta(j):
+        # above max |B_j| on a grid of 1,025 points, below the coefficient sum
+        # it replaces (12 times below at j = 2, about 290 times at j = 6)
+        for j in range(21):
+            poly = bernoulli_polynomial(j)
+            bound = bernoulli_sup_bound(j)
+            with mp.workprec(128):
+                worst = max(abs(poly(mp.mpf(i) / 1024)) for i in range(1025))
+                assert worst <= mp.mpf(bound.numerator) / bound.denominator
+                assert bound <= poly.coeff_abs_sum()
+
 
 class TestGenEuler:
     def test_constant(self):
@@ -142,12 +154,18 @@ class TestGenEuler:
 
 class TestSupBound:
     def test_examples(self):
+        # the coefficient sum at n = 0, the Bernoulli bound beyond it
         assert sup_bound(5, 0) == 1
-        assert sup_bound(2, 1) == Fraction(3, 2)
-        assert sup_bound(3, 2) == Fraction(10, 3)
+        assert sup_bound(2, 1) == 4 * bernoulli_sup_bound(2)
+        assert sup_bound(3, 2) == 18 * bernoulli_sup_bound(3)
+        for k in range(2, 7):
+            for n in range(12):
+                assert sup_bound(k, n) == min(
+                    gen_euler_polynomial(k, n).coeff_abs_sum(),
+                    2 * Fraction(k ** (n + 1), n + 1) * bernoulli_sup_bound(n + 1))
 
     def test_is_upper_bound_on_grid(self):
-        for k, n in ((2, 3), (3, 4), (4, 2)):
+        for k, n in ((2, 3), (3, 4), (4, 2), (5, 5), (2, 1), (3, 2), (6, 9)):
             bound = sup_bound(k, n)
             poly = gen_euler_polynomial(k, n)
             worst = max(abs(poly(mp.mpf(i) / 64)) for i in range(65))

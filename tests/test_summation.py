@@ -145,12 +145,26 @@ class TestGenEulerBoole:
             assert err_em <= res_em.remainder_estimate
 
 
+def abs_mass(f: ScaleFunction, orders, lo: int, n: int):
+    """sum over lo <= t <= n and j in ``orders`` of |f^(j)| term by term."""
+    total = mp.mpf(0)
+    for j in range(max(orders) + 1):
+        if j in orders:
+            total += mp.fsum(abs(c) * mp.log(t) ** l * mp.mpf(t) ** -mm
+                             for l, mm, c in f.terms() for t in range(lo, n + 1))
+        f = f.differentiate()
+    return total
+
+
 class TestEngineTables:
-    """Both engines read every antiderivative and every f^(j) of the
-    correction sums off one table of values at the integers; the blocks they
-    feed are bit-identical to the per-interval reference that evaluates one
-    point at a time, and the table rows meet the evaluator's error bound
-    against mpmath's terms at 100 more bits."""
+    """The remainder and correction blocks come from one pass of integer
+    moment sums, rounded once per block; they lie within their derived bound
+    of the per-interval reference (``oracles.em_remainder``,
+    ``oracles.geb_blocks``) run 64 bits higher, and that bound is at most
+    2^(1-prec) (|block| + S), S the absolute mass of f^(m) (the remainder) or
+    of f', ..., f^(m-1) (the corrections) over the integers of the pass.  The
+    end blocks' ``_grid`` rows meet the evaluator's error bound against
+    mpmath's terms at 100 more bits."""
 
     @settings(max_examples=25, deadline=None)
     @given(terms=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
@@ -167,18 +181,50 @@ class TestEngineTables:
                 assert abs(value.imag - ref.imag) <= bounds[1]
 
             em = euler_maclaurin(f, n, m)
-            blocks = dict(em.boundary_terms)
-            remainder = em_remainder(f, n, m)
-            assert blocks["remainder_integral"] == remainder
-            assert em.total == blocks["integral"] + blocks["derivative_boundary"] + remainder
-
             gb = gen_euler_boole(f, k, zeta, n, m)
-            blocks = dict(gb.boundary_terms)
-            corr, remainder = geb_blocks(f, k, zeta, n, m)
-            assert blocks["step_corrections"] == corr
-            assert blocks["remainder_integral"] == remainder
-            assert gb.total == (blocks["head"] + blocks["lower_steps"] + blocks["upper_steps"]
-                                + blocks["derivative_boundary"] + corr + remainder)
+            with mp.workprec(prec + 64):
+                refs = {"euler_maclaurin": {"remainder_integral": em_remainder(f, n, m)},
+                        "gen_euler_boole": dict(zip(("step_corrections", "remainder_integral"),
+                                                    geb_blocks(f, k, zeta, n, m)))}
+            for engine, res, kk, z, lo in (("euler_maclaurin", em, 1, ONE, 1),
+                                           ("gen_euler_boole", gb, k, zeta, k - 1)):
+                blocks = dict(res.boundary_terms)
+                assert res.total == sum(blocks.values(), mp.mpc(0))
+                moments = summod._moment_blocks(f, kk, z, n, m)
+                assert [name for name, _, _ in moments] == list(refs[engine])
+                for name, value, bound in moments:
+                    assert blocks[name] == value
+                    assert abs(value - refs[engine][name]) <= bound
+                    mass = abs_mass(f, {m} if name == "remainder_integral" else set(range(1, m)),
+                                    lo, n)
+                    assert bound <= mp.mpf(2) ** (1 - prec) * (abs(value) + mass)
+
+
+class TestEngineEstimates:
+    """Both engines against brute sums at 100 more bits, in verify's ranges
+    at 53 to 512 bits: the error is within ``remainder_estimate``, whose
+    rounding part is now derived.  The draws reach k = 2, where the
+    correction coefficient vanishes, and terms with m <= 0, which grow."""
+
+    @settings(max_examples=40, deadline=None)
+    @example(terms=[(0, -2, 1.5, -0.5), (1, 0, -1.0, 0.25)], zeta=MINUS_ONE, n=40, m=4, prec=53)
+    @example(terms=[(0, 0, -4.0, 0.0), (0, -2, 1.0, 0.0)], zeta=RotationNumber(1, 3), n=20,
+             m=3, prec=128)
+    @given(terms=st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 3),
+                                    st.floats(-2, 2), st.floats(-1, 1)),
+                          min_size=1, max_size=3),
+           zeta=primitive_roots(5), n=st.integers(8, 50), m=st.integers(2, 6),
+           prec=st.sampled_from([53, 128, 256, 512]))
+    def test_error_within_estimate(self, terms, zeta, n, m, prec):
+        k = zeta.order
+        n = max(n, k)
+        with mp.workprec(prec):
+            f = ScaleFunction([(l, mm, mp.mpc(re, im)) for l, mm, re, im in terms])
+            em = euler_maclaurin(f, n, m)
+            gb = gen_euler_boole(f, k, zeta, n, m)
+        with mp.workprec(prec + 100):
+            assert abs(em.total - brute_plain(f, n)) <= em.remainder_estimate
+            assert abs(gb.total - brute_twisted(f, zeta, n)) <= gb.remainder_estimate
 
 
 class TestTermSumExpansion:
