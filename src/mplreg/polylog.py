@@ -166,7 +166,7 @@ def eval_convergent(z: ZVector, s, tol=None, *,
     xi^N h(N), at prec + 12 + bit_length(J) bits, by < 2^-(prec+7) of its
     size, and t_N - xi^N h(N) by 2^-prec M: < 2^(1-prec) (1 + M) in all.
 
-    At depth 2 (``_depth_two_plan``), with T(xi, sigma) = sum_{n>=N} xi^n
+    At depth 2 (``_series_plan``), with T(xi, sigma) = sum_{n>=N} xi^n
     n^-sigma = -xi^N h_sigma(N) - eps_sigma(N), the inner sum S2(n) =
     sum_{m<n} z2^m m^-s2 is C2 + z2^n h2(n) + eps2(n) for n >= N,
     |eps2(n)| <= B2(n), the bound above at (z2, s2, J2 >= 1, n), as
@@ -197,31 +197,26 @@ def eval_convergent(z: ZVector, s, tol=None, *,
         return _ladder(z, s, tol, ceiling)
     if ceiling < CONVERGENT_START:
         raise ValueError(f"ceiling {ceiling} is below the first cutoff {CONVERGENT_START}")
-    plan = _depth_two_plan if z.r == 2 else lambda z, s, N, tol: _series_order(z[0], s[0], N, tol)
     N = CONVERGENT_START
-    while (found := plan(z, s, N, tol)) is None:
+    while (found := _series_plan(z, s, N, tol)) is None:
         N *= 2
     if N > ceiling:
         raise NonConvergenceError(f"the operator series reaches {mp.nstr(tol, 5)} "
                                   f"at cutoff {N}, past the ceiling {ceiling}")
     kernel, prec = NestedPass(N), mp.mp.prec
     t_N = _nested_sums(z, s, (N,), kernel)[N]
-    if z.r == 1:
-        J, bound = found
-        rest, mass, _ = _operator_series(z[0], s[0], N, J, prec, t_N)
-    else:
-        J, bound, tail2, mass2, far, tails = found
-        S2 = kernel.suffix_sum(N, 1)
-        with mp.workprec(prec + 12 + J.bit_length()):
-            rest, mass = 0, abs(t_N)
-            for w, weight, xi, sigma, (order, b) in tails:
-                tail, m, _ = _operator_series(xi, sigma, N, order, prec)
-                if w is None:  # T(z1, s1): C2 is known now, and eps2(N) T(z1, s1) joins E
-                    w, weight = S2 - tail2, 1 + abs(S2) + mass2
-                    bound *= abs(tail) + b + far
-                rest += w * tail
-                bound += weight * b
-                mass += 2 * weight * m
+    J, bound, tail2, mass2, far, tails = found
+    S2 = kernel.suffix_sum(N, 1) if z.r == 2 else None
+    with mp.workprec(prec + 12 + J.bit_length()):
+        rest, mass = 0, abs(t_N)
+        for w, weight, xi, sigma, (order, b) in tails:
+            tail, m, _ = _operator_series(xi, sigma, N, order, prec)
+            if w is None:  # T(z1, s1): C2 is known now, and eps2(N) T(z1, s1) joins E
+                w, weight = S2 - tail2, 1 + abs(S2) + mass2
+                bound *= abs(tail) + b + far
+            rest += w * tail
+            bound += weight * b
+            mass += z.r * weight * m  # depth 1's w = 1 is exact: only the tail errs
     return EvalReport(t_N - rest, bound + mp.mpf(2) ** (2 - prec) * (1 + mass), "convergent",
                       flags, {"cutoff": N, "order": J, "terms": kernel.terms})
 
@@ -245,18 +240,18 @@ def _series_order(xi: RotationNumber, s, N: int, tol, first: int = 0):
         poch, power = poch * abs(s + J + 1), power / N
 
 
-def _operator_series(xi: RotationNumber, s, N: int, J: int, prec: int, head=0):
+def _operator_series(xi: RotationNumber, s, N: int, J: int, prec: int):
     """(xi^N h(N), M, [(c_j (-1)^j (s)_j, (|c_j| + e_j) |(s)_j|)]) of
     ``eval_convergent``'s depth-1 identity at order J, at prec + 12 +
     bit_length(J) bits: sum_{n>=N} xi^n n^-s is -xi^N h(N) within its bound,
-    and M = |head| + |N^(1-s)/(1 - s)| + sum_j (|c_j| + e_j) |(s)_j|
-    N^(-Re s-j) is the mass of its rounding."""
+    and M = |N^(1-s)/(1 - s)| + sum_j (|c_j| + e_j) |(s)_j| N^(-Re s-j) is
+    the mass of its rounding."""
     with mp.workprec(prec + 12 + J.bit_length()):
         near = min(xi.fraction, 1 - xi.fraction)
         rate = near.denominator / (2 * mp.pi * near.numerator) if near else 0
         power, poch, env = mp.mpf(N) ** -s, mp.mpc(1), 3 * rate
         h = power * N / (1 - s) if xi.is_one() else mp.mpc(0)
-        mass, coeffs = abs(head) + abs(h), []
+        mass, coeffs = abs(h), []
         for j, c in enumerate(_geometric_coeffs(xi, J, prec)):
             h += c * poch * power
             mass += (abs(c) + env) * abs(poch * power)
@@ -265,13 +260,17 @@ def _operator_series(xi: RotationNumber, s, N: int, J: int, prec: int, head=0):
         return (xi ** N).value() * h, mass, coeffs
 
 
-def _depth_two_plan(z: ZVector, s, N: int, tol):
-    """At depth 2 and cutoff N: None, or (J2, B2(N), z2^N h2(N), M2, E's
-    factor, and per tail (coefficient, W, xi, sigma, (J, b))), every order
-    from ``_series_order`` before any term is summed.  B2(N) times bounds of
+def _series_plan(z: ZVector, s, N: int, tol):
+    """At cutoff N: None, or (J, B, z2^N h2(N), M2, E's factor, and per tail
+    (coefficient, W, xi, sigma, (J, b))), every order from ``_series_order``
+    before any term is summed.  Depth 1 is the one tail (1, 1, z1, s1), b <=
+    tol/4, B = 0.  At depth 2, J = J2, B = B2(N), and B2(N) times bounds of
     |T(z1, s1)| (its series at J = 1: M + b) and of E's factor takes tol/8,
     the tails' W b share the other tol/8; C2's W takes |S2(N)| <=
     N^max(0, 1-Re s2) (1 + log N) here, and C2 itself is None."""
+    if z.r == 1:
+        found = _series_order(z[0], s[0], N, tol)
+        return found and (found[0], 0, 0, 0, 0, [(1, 1, z[0], s[0], found)])
     (z1, z2), (s1, s2), prec = z, s, mp.mp.prec
     head = mp.mpf(N) ** -s1.real
     lead = (_operator_series(z1, s1, N, 1, prec)[1] + head * (1 + N / (s1 + s2).real)

@@ -10,14 +10,16 @@ with the remainder integral in closed form.  For k >= 3 the quasi-periodic
 polynomial jumps at the integers, so integration by parts picks up
 correction sums proportional to zeta E_{k,j}(1) - E_{k,j}(0), which
 vanishes identically at k = 2 (the classical alternating formula).  The
-remainder and the corrections come from one pass of exact integer moment
-sums over the integers of the range (``_moment_blocks``), f's complex
-coefficients entering only at the end, as exact products with them, and
-each block is rounded once; the remainder still comes from f^(m)'s
-antiderivatives, never from f's values.  The end blocks (at most 2k - 2
-points) come from ``ScaleFunction._grid``.  Every block's rounding is
-bounded (``_moment_blocks``, ``_breakdown``), and the bound is the rounding
-part of the engines' ``remainder_estimate``.
+remainder, the corrections and the blocks at the ends t = lo and t = n
+(the integral F(n) - F(1) and the derivative boundaries) come from one
+pass of exact integer moment sums over the integers of the range
+(``_moment_blocks``), f's complex coefficients entering only at the end,
+as exact products with them, and each block is rounded once; the
+remainder still comes from f^(m)'s antiderivatives, never from f's values.
+Only the twisted engine's head and step blocks read f itself, at 2k - 2
+points partly outside that range, through ``ScaleFunction._grid``.  Every
+block's rounding is bounded (``_moment_blocks``, ``_breakdown``), and the
+bound is the rounding part of the engines' ``remainder_estimate``.
 
 ``term_sum_expansion`` returns the ``AsymptoticExpansion`` of
 sum_{a<n} xi^a (log a)^l a^(-m), with symbolic n-dependent coefficients
@@ -116,27 +118,23 @@ def _rounding_slack(n, magnitudes):
     return mp.mpf(2) ** (10 - mp.mp.prec) * n * amp
 
 
-def _breakdown(f, k, m, n, weight, named_ends, moments, beyond):
+def _breakdown(f, k, n, named_ends, moments, beyond):
     """An engine's result: its blocks, their total, and as its remainder
-    estimate ``beyond`` (the remainder beyond n, which shrinks as m grows),
-    the moment blocks' bounds and this charge for the rest.  The end blocks
-    read at most U = 6k + 2m values h(t), h = F or f^(j), j < m, t <= T =
-    n + k, off ``_grid`` at wp = prec + 64, each times a weight of modulus
-    <= ``weight``, in sums of <= U terms.  With L = 1 + f's largest log power
-    + its number of terms, h's coefficients round <= 2m + 2L + 6 times (a
-    merge of equal indices once), so h(t) errs by < 2^-wp (2m + 2L + 6) Phi,
-    Phi = sum_terms |c| (l + |mu| + m + 1)^m (l + 1)! lb^(l+1) T^max(0,1-mu)
-    >= ``_grid``'s S_h(t), lb = bit_length(T): the rows of
-    ``_derivative_rows`` have sum_i |d_{j,i}| <= (l + |mu| + m)^j, and F's
-    coefficients sum to <= (l + 1)!.  The end blocks then err by < 2^-wp U
-    (U + 2m + 2L + 2k + 10) weight Phi <= 2^-wp 48 (k + m + L + 2)^2 weight
-    Phi, and rounding them to prec and adding all blocks into the total by
-    < 2^-prec len(blocks) sum |blocks|."""
+    estimate ``beyond`` (the remainder past n, which shrinks as m grows),
+    the moment blocks' bounds and this charge for the rest.  The twisted
+    engine's head and step blocks read U = 2k - 2 values f(t), t < T = n + k,
+    off ``_grid`` at wp = prec + 64, f's coefficients exact, so each errs by
+    < 2^(1-wp) Phi, Phi = sum_terms (|Re c| + |Im c|) lb^l T^max(0,-mu) >=
+    |f(t)| and ``_grid``'s S(t), lb = bit_length(T) > log T.  Each enters <= 2
+    products with a weight of modulus <= k (powers of zeta or <v_{i,j},
+    w_{i,j}>) erring by < 4k^2 2^-wp, in sums of <= 2U terms, so these blocks
+    err by < 2^(2-wp) U (U + 2k + 10) k Phi (0 at k = 1); rounding them to
+    prec and summing all blocks adds < 2^-prec len(blocks) sum |blocks|."""
     blocks = [+v for _, v in named_ends] + [v for _, v, _ in moments]
-    top, L = n + k, max((l + 1 for l, _, _ in f.terms()), default=1) + len(f.terms())
-    phi = sum((abs(c.real) + abs(c.imag)) * (l + abs(mu) + m + 1) ** m * math.factorial(l + 1)
-              * top.bit_length() ** (l + 1) * top ** max(0, 1 - mu) for l, mu, c in f.terms())
-    charge = mp.ldexp(mp.ldexp(48 * (k + m + L + 2) ** 2 * _mpq(Fraction(weight)) * phi, -64)
+    top, U = n + k, 2 * k - 2
+    phi = sum((abs(c.real) + abs(c.imag)) * top.bit_length() ** l * top ** max(0, -mu)
+              for l, mu, c in f.terms())
+    charge = mp.ldexp(mp.ldexp(U * (U + 2 * k + 10) * k * phi, -62)
                       + len(blocks) * sum(abs(v.real) + abs(v.imag) for v in blocks), -mp.mp.prec)
     return SummationBreakdown(
         total=sum(blocks, mp.mpc(0)),
@@ -144,84 +142,67 @@ def _breakdown(f, k, m, n, weight, named_ends, moments, beyond):
         remainder_estimate=beyond + sum(bound for _, _, bound in moments) + charge)
 
 
+def _beyond(f, m, n, factor):
+    """factor int_n^inf |f^(m)| (``ScaleFunction.abs_tail`` summed at n, f^(m)
+    off ``_derivative_rows``), +inf if f^(m) decays no faster than 1/x."""
+    tail = ScaleFunction([(i, mu + m, c * r) for l, mu, c in f.terms()
+                          for i, r in enumerate(_derivative_rows(l, mu, m - 1)[m])]).abs_tail()
+    if tail is None:
+        return mp.inf
+    log_n, n = mp.log(n), mp.mpf(n)
+    return factor * mp.fsum(c.real * log_n ** l * n ** -e for l, e, c in tail.terms())
+
+
 def euler_maclaurin(f: ScaleFunction, n: int, m: int) -> SummationBreakdown:
-    """sum_{a=1}^{n-1} f(a) via the classical formula: the remainder
-    (-1)^(m+1)/m! sum_{i<n} int_i^(i+1) B_m(x - i) f^(m)(x) dx is
-    sum_{1<t<n} (U - V)(t) + U(n) - V(1) over moment sums (``_moment_blocks``),
-    the integral and the derivative boundary come from ``_grid``."""
+    """sum_{a=1}^{n-1} f(a) via the classical formula: the integral
+    F(n) - F(1), F the antiderivative of f, the derivative boundary
+    sum_{j<=m} B_j/j! (f^(j-1)(n) - f^(j-1)(1)) and the remainder
+    (-1)^(m+1)/m! sum_{i<n} int_i^(i+1) B_m(x - i) f^(m)(x) dx, all three
+    from one pass of moment sums (``_moment_blocks``)."""
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    with mp.workprec(mp.mp.prec + 64):
-        derivs = list(accumulate(repeat(f, m + 1), lambda g, _: g.differentiate()))
-        # F and f^(j-1), j = 1..m, at both ends
-        low, high = ScaleFunction._grid([f.antiderivative()] + derivs[:m], (1, n))
-        boundary = mp.mpc(0)
-        for j in range(1, m + 1):
-            bj = eulerpoly.bernoulli_number(j) / math.factorial(j)
-            boundary += _mpq(bj) * (high[j] - low[j])
-    beyond = (_mpq(eulerpoly.bernoulli_sup_bound(m)) / math.factorial(m)
-              * derivs[m].abs_tail_bound(max(n, 2)))
-    return _breakdown(f, 1, m, n, 1, [("integral", high[0] - low[0]),
-                                      ("derivative_boundary", boundary)],
-                      _moment_blocks(f, 1, ONE, n, m), beyond)
+    beyond = _beyond(f, m, n, _mpq(eulerpoly.bernoulli_sup_bound(m)) / math.factorial(m))
+    return _breakdown(f, 1, n, [], _moment_blocks(f, 1, ONE, n, m), beyond)
 
 
 def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
                     n: int, m: int) -> SummationBreakdown:
     """sum_{a=1}^{n-1} zeta^a f(a) from the twisted summation formula.
 
-    Blocks: the head/tail averaging block, the step blocks weighted by the
-    inner products <v,w> and the derivative boundary at orders < m, from
-    ``_grid`` at the 2k - 2 end points; the step corrections (zero when
-    k = 2) and the order-m remainder integral <v,w>/(m-1)! sum_i zeta^(i+1)
-    int_i^(i+1) E_{k,m-1}(1 + i - x) f^(m)(x) dx, each a sum over k - 1 <= t
-    <= n of zeta^t times moment sums of its residue class (``_moment_blocks``).
-    """
+    The head/tail averaging block and the step blocks weighted by <v,w>
+    read f at the 2k - 2 end points 1..k-1 and n..n+k-2 (``_grid``), which
+    for k >= 3 lie past the moment pass's range k-1..n; the derivative
+    boundary at orders < m, the step corrections (exactly 0 at k = 2) and
+    the order-m remainder <v,w>/(m-1)! sum_i zeta^(i+1) int_i^(i+1)
+    E_{k,m-1}(1 + i - x) f^(m)(x) dx come from one pass of moment sums
+    (``_moment_blocks``)."""
     eulerpoly._require_primitive(k, zeta)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if m < 1:
         raise ValueError("need m >= 1")
     with mp.workprec(mp.mp.prec + 64):
-        zp = zeta.power_values()
-
-        def zpow(a):
-            return zp[a % k]
-
-        derivs = list(accumulate(repeat(f, m + 1), lambda g, _: g.differentiate()))
-        # f and f^(j), j < m, at the end points 1..k-1 and n..n+k-2
-        points = [*range(1, k), *range(n, n + k - 1)]
-        ends = dict(zip(points, ScaleFunction._grid(derivs[:m], points)))
-        head = sum((ends[t][0] * sum(zpow(a) for a in range(1, t + 1))
-                    for t in range(1, k)), mp.mpc(0))
-        tail = sum((ends[n + t][0] * sum(zpow(a) for a in range(t + 1, k))
-                    for t in range(0, k - 1)), mp.mpc(0))
-        blk_head = (head + zpow(n) * tail) / k
-        blk_lower = sum((eulerpoly.inner_product(k, zeta, 1, i)
-                         * (ends[i + 1][0] - ends[i][0])
+        zp, points = zeta.power_values(), [*range(1, k), *range(n, n + k - 1)]
+        ends = dict(zip(points, (v for v, in ScaleFunction._grid([f], points))))
+        head = sum((ends[t] * sum(zp[1:t + 1]) for t in range(1, k)), mp.mpc(0))
+        tail = sum((ends[n + t] * sum(zp[t + 1:]) for t in range(k - 1)), mp.mpc(0))
+        blk_head = (head + zp[n % k] * tail) / k
+        blk_lower = sum((eulerpoly.inner_product(k, zeta, 1, i) * (ends[i + 1] - ends[i])
                          for i in range(1, k - 1)), mp.mpc(0))
-        blk_upper = zpow(n) * sum((eulerpoly.inner_product(k, zeta, i, k - 1)
-                                   * (ends[i + n - 1][0] - ends[i + n - 2][0])
-                                   for i in range(2, k)), mp.mpc(0))
+        blk_upper = zp[n % k] * sum((eulerpoly.inner_product(k, zeta, i, k - 1)
+                                     * (ends[i + n - 1] - ends[i + n - 2])
+                                     for i in range(2, k)), mp.mpc(0))
         vw = eulerpoly.inner_product(k, zeta, 1, k - 1)
-        blk_bound, weight = mp.mpc(0), k  # |<v,w>| <= (k - 1)/2
-        for j in range(1, m):
-            e1, e0 = eulerpoly.gen_euler_at_one(k, j), eulerpoly.gen_euler_at_zero(k, j)
-            blk_bound += (_mpq(e1) * zpow(k) * ends[k - 1][j]
-                          - _mpq(e0) * zpow(n) * ends[n][j]) / math.factorial(j)
-            weight = max(weight, (k - 1) * (abs(e1) + abs(e0)) / (2 * math.factorial(j)))
-        blk_bound *= vw
-    beyond = (abs(vw) * _mpq(eulerpoly.sup_bound(k, m - 1))
-              / math.factorial(m - 1) * derivs[m].abs_tail_bound(max(n, 2)))
-    return _breakdown(f, k, m, n, weight,
-                      [("head", blk_head), ("lower_steps", blk_lower),
-                       ("upper_steps", blk_upper), ("derivative_boundary", blk_bound)],
+    beyond = _beyond(f, m, n, abs(vw) * _mpq(eulerpoly.sup_bound(k, m - 1))
+                     / math.factorial(m - 1))
+    return _breakdown(f, k, n, [("head", blk_head), ("lower_steps", blk_lower),
+                                ("upper_steps", blk_upper)],
                       _moment_blocks(f, k, zeta, n, m), beyond)
 
 
 def _moment_blocks(f: ScaleFunction, k: int, zeta: RotationNumber, n: int, m: int) -> list:
-    """[(name, value, bound)] of the remainder and, for k >= 2, the step
-    corrections of an engine; k = 1, zeta = 1 is Euler-Maclaurin.
+    """[(name, value, bound)] of an engine's blocks from one pass of moment
+    sums; k = 1, zeta = 1 is Euler-Maclaurin.
 
     The identity.  On [i, i+1), lo <= i < n (lo = max(1, k - 1)), the
     periodic factor is Q(a (x - t) + c): B_m(x - i) is B_m with a = 1 and
@@ -233,24 +214,31 @@ def _moment_blocks(f: ScaleFunction, k: int, zeta: RotationNumber, n: int, m: in
     U = c sum_key u_key x_key / den, V alike, u, v exact integers
     (``_moment_weights``).  Summed over i, the remainder is sum_{lo<t<n}
     (zeta^t U(t) - zeta^(t+1) V(t)) + zeta^n U(n) - zeta^(lo+1) V(lo), times
-    <v,w> = sum_p w_p zeta^p / k, w_p = -p, when k >= 2 (w = 1 at k = 1); the
-    corrections are such a sum without end terms.  One pass over
-    lo <= t <= n gives per key the exact sums of X(t) = floor(x(t) 2^P) in
-    each residue class of t mod k, and a block is sum_terms c sum_p zeta^p
-    Y_p / (den k 2^(2P)), Y_p integers, zeta^p scaled by 2^P, summed exactly
-    and rounded once per part.  The remainder cancels by up to n^(deg+1),
-    deg = deg Q, so P = prec + (deg + 1) bit_length(n) plus ``_grid``'s own 14 + L +
-    bit_length(#keys), L the largest log power, rounded up to 64.
+    <v,w> = sum_p w_p zeta^p / k, w_p = -p, when k >= 2 (w = 1 at k = 1).
+    The corrections are such a sum without end terms, u = -sum_{j<m}
+    E_{k,j}(0) f^(j)/j!, v alike with E_{k,j}(1): at k = 2, E_{2,j}(1) =
+    -E_{2,j}(0) makes v = -u, and the block cancels to exactly 0.  The end
+    blocks are the end terms alone: on those weights the derivative boundary
+    <v,w> sum_j (E_{k,j}(1) f^(j)(k-1) - zeta^n E_{k,j}(0) f^(j)(n))/j!, at
+    k = 1 F(n) - F(1) (u = v = F) and sum_{j<=m} B_j/j! (f^(j-1)(n) -
+    f^(j-1)(1)), exact at t = 1 as log 1 = 0.  One pass over lo <= t <= n
+    gives per key X(lo), X(n) and the exact sums of X(t) = floor(x(t) 2^P)
+    in each residue class of t mod k, and a block is sum_terms c sum_p
+    zeta^p Y_p / (den k 2^(2P)), Y_p integers, zeta^p scaled by 2^P, summed
+    exactly and rounded once per part.  The remainder cancels by up to
+    n^(deg+1), deg = deg Q, so P = prec + (deg + 1) bit_length(n) plus
+    ``_grid``'s own 14 + L + bit_length(#keys), L the largest log power,
+    rounded up to 64.
 
     The bound: with lb = bit_length(n) and u = 2^-P, (log t)^l errs by
     < 3l lb^(l-1) u (``_log_powers``), relatively by < 3l lb^(l-1) 1.45^l u
     for t >= 2 (log 1 = 0 is exact), and a floor of t^-nu, nu > 0, adds < 1 u,
-    so the sums of a key over the N = n - lo + 1 points err by < E_key =
-    6l lb^l 2^l (sum X + N) u + N + 1 units u, the Y_p by < sum|w| sum_key
-    (|u| + |v|) E_key in all, each zeta^p by < 1.5 u, and the rounding by
-    2^-prec |value|: the bound is 2^-prec (|Re| + |Im|) + sum_terms (|Re c| +
-    |Im c|) (2 sum|w| sum_key (|u| + |v|) E_key 2^P + 2 sum_p |Y_p|) /
-    (den k 2^(2P)), rounded up."""
+    so the sums of a key over the N = n - lo + 1 points, and any of its
+    values, err by < E_key = 6l lb^l 2^l (sum X + N) u + N + 1 units u, the
+    Y_p by < sum|w| sum_key (|u| + |v|) E_key in all, each zeta^p by < 1.5
+    u, and the rounding by 2^-prec |value|: the bound is 2^-prec (|Re| +
+    |Im|) + sum_terms (|Re c| + |Im c|) (2 sum|w| sum_key (|u| + |v|) E_key
+    2^P + 2 sum_p |Y_p|) / (den k 2^(2P)), rounded up."""
     prec, lo = mp.mp.prec, max(1, k - 1)
     ns, plans = range(lo, n + 1), [(c, _moment_weights(l, mu, m, k)) for l, mu, c in f.terms()]
     keys = {key for _, blocks in plans for block in blocks for key in block[0]}
@@ -264,17 +252,20 @@ def _moment_blocks(f: ScaleFunction, k: int, zeta: RotationNumber, n: int, m: in
         moments[l, nu] = ([sum(xs[1 + (r - lo - 1) % k:-1:k]) for r in range(k)], xs[0], xs[-1],
                           (6 * l * lb ** l * 2 ** l * (sum(xs) + N) >> P) + N + 1)
     table, w = _fixed_power_table(zeta.fraction, P), [1] if k == 1 else [-p for p in range(k)]
+    # (name, weight set, inner sums, end terms)
+    spec = ([("integral", 2, False, True), ("derivative_boundary", 1, False, True)] if k == 1
+            else [("derivative_boundary", 1, False, True), ("step_corrections", 1, True, False)])
     out = []
-    for b, name in enumerate(("remainder_integral", "step_corrections")[:1 + (k > 1)]):
+    for name, b, inner, ends in spec + [("remainder_integral", 0, True, True)]:
         re = im = bound = Fraction(0)
         for c, blocks in plans:
             Z, err = [0] * k, 0
             for key, u, v in zip(*blocks[b][:3]):
-                inner, first, last, key_err = moments[key]
-                for r, s in enumerate(inner):
+                sums, first, last, key_err = moments[key]
+                for r, s in enumerate(sums if inner else ()):
                     Z[r] += u * s
                     Z[(r + 1) % k] -= v * s
-                if b == 0:  # the end terms of the remainder
+                if ends:
                     Z[n % k] += u * last
                     Z[(lo + 1) % k] -= v * first
                 err += (abs(u) + abs(v)) * key_err
@@ -287,38 +278,44 @@ def _moment_blocks(f: ScaleFunction, k: int, zeta: RotationNumber, n: int, m: in
                                             + 2 * sum(map(abs, Y))) / scale
         out.append((name, mp.mpc(_mpq(re), _mpq(im)),
                     _mpq((abs(re) + abs(im)) / (1 << prec) + bound, round_ceiling)))
-    return out[::-1]
+    return out
+
+
+def _antiderivative(l: int, row: tuple, s: int) -> tuple:
+    """int x^(s-1) sum_{i<=l} row_i (log x)^i dx as ({key: integer}, den):
+    int (log x)^i x^(s-1) dx is sum_{j<=i} (-1)^(i-j) i!/j! s^(l-i+j) (log
+    x)^j x^s / s^(l+1), or (l+1)!/(i+1) (log x)^(i+1) / (l+1)! at s = 0."""
+    anti = defaultdict(int)
+    for i, r in enumerate(row):
+        for j in range(i + 1) if s else ():
+            anti[j, -s] += r * (-1) ** (i - j) * math.perm(i, i - j) * s ** (l - i + j)
+        if not s:
+            anti[i + 1, 0] += r * math.factorial(l + 1) // (i + 1)
+    return anti, s ** (l + 1) if s else math.factorial(l + 1)
 
 
 @lru_cache(maxsize=4096)
 def _moment_weights(l: int, mu: int, m: int, k: int) -> tuple:
-    """Per block of ``_moment_blocks`` for f = (log x)^l x^-mu: (keys, u, v,
-    den), integers.  With s = 1 - nu, int (log x)^i x^-nu dx is sum_{j<=i}
-    (-1)^(i-j) i!/j! s^(l-i+j) (log x)^j x^s / s^(l+1), or (l+1)!/(i+1)
-    (log x)^(i+1) / (l+1)! at s = 0 (``ScaleFunction.antiderivative``)."""
-    rows, (shifted, corr, dc) = _derivative_rows(l, mu, m - 1), _engine_table(m, k)
-    antis = []  # per e: the antiderivative of x^e f^(m), integers over da
-    for e in range(len(shifted[0])):
-        anti, s = defaultdict(int), 1 - mu - m + e
-        for i, r in enumerate(rows[m]):
-            for j in range(i + 1) if s else ():
-                anti[j, -s] += r * (-1) ** (i - j) * math.perm(i, i - j) * s ** (l - i + j)
-            if not s:
-                anti[i + 1, 0] += r * math.factorial(l + 1) // (i + 1)
-        antis.append((anti, s ** (l + 1) if s else math.factorial(l + 1)))
+    """The weight sets (keys, u, v, den), integers, of ``_moment_blocks`` for
+    f = (log x)^l x^-mu: the remainder's, from the antiderivatives of
+    x^e f^(m); u = sum_j e0_j f^(j), v = sum_j e1_j f^(j) (``_engine_table``);
+    at k = 1, u = v = F.  f^(j) is row j of ``_derivative_rows``."""
+    rows, (shifted, ends, de, dc) = _derivative_rows(l, mu, m - 1), _engine_table(m, k)
+    antis = [_antiderivative(l, rows[m], 1 - mu - m + e) for e in range(len(shifted[0]))]
     da = math.lcm(*(d for _, d in antis))
-    blocks = [(defaultdict(int), defaultdict(int), dc * da)]
+    blocks = [(defaultdict(int), defaultdict(int), d) for d in (dc * da, de)]
     for weights, table in zip(blocks[0], shifted):
         for (anti, d), row in zip(antis, table):
             for (j, nu), x in anti.items():
                 for q, c in enumerate(row):
                     weights[j, nu - q] += c * x * (da // d)
-    if k > 1:  # u = -sum_j E_{k,j}(0) f^(j)/j!, v alike with E_{k,j}(1)
-        blocks.append((defaultdict(int), defaultdict(int), corr[-1]))
-        for (j, row), e0, e1 in zip(enumerate(rows[1:m], 1), *corr[:2]):
-            for i, r in enumerate(row):
-                blocks[1][0][i, mu + j] += e0 * r
-                blocks[1][1][i, mu + j] += e1 * r
+    for j, e0, e1 in ends:
+        for i, r in enumerate(rows[j]):
+            blocks[1][0][i, mu + j] += e0 * r
+            blocks[1][1][i, mu + j] += e1 * r
+    if k == 1:
+        anti, d = _antiderivative(l, rows[0], 1 - mu)
+        blocks.append((anti, anti, d))
     out = []
     for u, v, den in blocks:
         keys = tuple(key for key in sorted(u.keys() | v.keys()) if u[key] or v[key])
@@ -328,11 +325,11 @@ def _moment_weights(l: int, mu: int, m: int, k: int) -> tuple:
 
 @lru_cache(maxsize=4096)
 def _engine_table(m: int, k: int) -> tuple:
-    """(shifted, corr, dc): per c of U and V the x^e t^q coefficients of
+    """(shifted, ends, de, dc): per c of U and V the x^e t^q coefficients of
     fac Q(a (x - t) + c), fac = (-1)^(m+1)/m! (k = 1) or 1/(m-1)!, as
-    integers over dc; and -E_{k,j}(0)/j!, -E_{k,j}(1)/j!, j = 1..m-1, as
-    integers over their common denominator (all zero at k = 2, the last
-    entry of ``corr``)."""
+    integers over dc; the end weights (j, e0_j, e1_j) of f^(j) over de:
+    B_(j+1)/(j+1)! twice, j < m, at k = 1, -E_{k,j}(0)/j! and -E_{k,j}(1)/j!,
+    1 <= j < m, at k >= 2 (e1 = -e0 at k = 2)."""
     poly, a, fac, shifts = ((eulerpoly.bernoulli_polynomial(m), 1,
                              Fraction((-1) ** (m + 1), math.factorial(m)), (1, 0)) if k == 1 else
                             (eulerpoly.gen_euler_polynomial(k, m - 1), -1,
@@ -341,12 +338,14 @@ def _engine_table(m: int, k: int) -> tuple:
                  for q, p in enumerate(coeffs[e:])] for e in range(len(coeffs))]
                for coeffs in ((poly.compose_affine(1, c) if c else poly).coeffs for c in shifts)]
     dc = math.lcm(*(x.denominator for table in shifted for row in table for x in row))
-    ends = [[-Fraction(g(k, j)) / math.factorial(j) if k > 2 else Fraction(0)
-             for j in range(1, m)] if k > 1 else []
-            for g in (eulerpoly.gen_euler_at_zero, eulerpoly.gen_euler_at_one)]
-    de = math.lcm(*(x.denominator for row in ends for x in row))
+    ends = ([(j, *[eulerpoly.bernoulli_number(j + 1) / math.factorial(j + 1)] * 2)
+             for j in range(m)] if k == 1 else
+            [(j, *(-Fraction(g(k, j)) / math.factorial(j)
+                   for g in (eulerpoly.gen_euler_at_zero, eulerpoly.gen_euler_at_one)))
+             for j in range(1, m)])
+    de = math.lcm(*(x.denominator for _, *row in ends for x in row))
     return ([[[int(x * dc) for x in row] for row in table] for table in shifted],
-            [[int(x * de) for x in row] for row in ends] + [de], dc)
+            tuple((j, int(e0 * de), int(e1 * de)) for j, e0, e1 in ends), de, dc)
 
 
 # ---------------------------------------------------------------------------

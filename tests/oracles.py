@@ -15,6 +15,9 @@ engines' remainder and correction blocks interval by interval, from values
 that evaluator gives one point at a time, each unit integral the exact
 rational one of those values rounded once: run 64 bits higher, the
 reference for the engines' moment sums;
+``end_blocks`` rebuilds the engines' end-only blocks (integral and
+derivative boundary) from ``point_value`` at the two ends, the reference
+for those blocks of the moment pass;
 ``per_term_translation`` sums each tail of the translation series in a
 pass of its own, the reference for the one-pass ``verify_translation``;
 ``series_reference`` sums its series on past the stop, the reference for
@@ -384,6 +387,33 @@ def geb_blocks(f, k: int, zeta: RotationNumber, n: int, m: int):
             shifted.coeffs, antis, i, i + 1, wp)
     remainder *= vw / math.factorial(m - 1)
     return corr, remainder
+
+
+def end_blocks(f, k: int, zeta: RotationNumber, n: int, m: int) -> dict:
+    """The engines' end-only blocks point by point, {engine: {name: value}}:
+    ``euler_maclaurin``'s integral F(n) - F(1) and derivative boundary
+    sum_{j<=m} B_j/j! (f^(j-1)(n) - f^(j-1)(1)), and ``gen_euler_boole``'s
+    derivative boundary <v,w> sum_{j<m} (E_{k,j}(1) f^(j)(k-1) - zeta^n
+    E_{k,j}(0) f^(j)(n))/j!, with F from ``ScaleFunction.antiderivative``,
+    f^(j) from ``differentiate`` and every value from ``point_value``."""
+    derivs = [f]
+    for _ in range(m):
+        derivs.append(derivs[-1].differentiate())
+
+    def at(g, t):
+        return point_value(g, t)[0]
+
+    anti = f.antiderivative()
+    em = mp.fsum(_mpq(eulerpoly.bernoulli_number(j) / math.factorial(j))
+                 * (at(derivs[j - 1], n) - at(derivs[j - 1], 1)) for j in range(1, m + 1))
+    zn = zeta.power_values()[n % k]
+    gb = mp.fsum((_mpq(eulerpoly.gen_euler_at_one(k, j)) * at(derivs[j], k - 1)
+                  - zn * _mpq(eulerpoly.gen_euler_at_zero(k, j)) * at(derivs[j], n))
+                 / math.factorial(j) for j in range(1, m))
+    return {"euler_maclaurin": {"integral": at(anti, n) - at(anti, 1),
+                                "derivative_boundary": em},
+            "gen_euler_boole": {"derivative_boundary": eulerpoly.inner_product(k, zeta, 1, k - 1)
+                                * gb}}
 
 
 def per_term_translation(z, s, M: int, N: int, tol) -> TranslationReport:

@@ -23,7 +23,7 @@ from mplreg.summation import (
     term_sum_expansion,
 )
 
-from oracles import (_mpmath_pass, em_remainder, fixed_point_pass, geb_blocks,
+from oracles import (_mpmath_pass, em_remainder, end_blocks, fixed_point_pass, geb_blocks,
                      geometric_closed_form, geometric_tail_coeffs, nparts_chain, point_value,
                      primitive_roots)
 
@@ -94,10 +94,18 @@ class TestGenEulerBoole:
         res = gen_euler_boole(f, 4, zeta, 40, 6)
         assert abs(res.total - brute_twisted(f, zeta, 40)) < mp.mpf("1e-25")
 
-    def test_corrections_vanish_at_k2(self):
-        f = ScaleFunction([(1, 2, 1), (0, 1, mp.mpc(0, 1))])
-        res = gen_euler_boole(f, 2, MINUS_ONE, 20, 6)
-        blocks = dict(res.boundary_terms)
+    @settings(max_examples=20, deadline=None)
+    @example(terms=[(1, 2, 1.0, 0.0), (0, 1, 0.0, 1.0)], n=20, m=6, prec=128)
+    @given(terms=st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 3),
+                                    st.floats(-2, 2), st.floats(-1, 1)),
+                          min_size=1, max_size=3),
+           n=st.integers(2, 60), m=st.integers(1, 6), prec=st.sampled_from([53, 128, 256]))
+    def test_corrections_vanish_at_k2(self, terms, n, m, prec):
+        """E_{2,j}(0) + E_{2,j}(1) = 0, so the integer pass cancels the
+        k = 2 corrections to an exact 0 without a special case."""
+        with mp.workprec(prec):
+            f = ScaleFunction([(l, mm, mp.mpc(re, im)) for l, mm, re, im in terms])
+            blocks = dict(gen_euler_boole(f, 2, MINUS_ONE, n, m).boundary_terms)
         assert blocks["step_corrections"] == 0
 
     def test_corrections_active_for_k3(self):
@@ -156,21 +164,27 @@ def abs_mass(f: ScaleFunction, orders, lo: int, n: int):
     return total
 
 
+ENGINE_DRAWS = dict(terms=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
+                                             st.floats(-2, 2), st.floats(-1, 1)),
+                                   min_size=1, max_size=3),
+                    zeta=primitive_roots(6), n=st.integers(8, 60), m=st.integers(2, 6),
+                    prec=st.sampled_from([128, 256]))
+
+
 class TestEngineTables:
-    """The remainder and correction blocks come from one pass of integer
-    moment sums, rounded once per block; they lie within their derived bound
-    of the per-interval reference (``oracles.em_remainder``,
-    ``oracles.geb_blocks``) run 64 bits higher, and that bound is at most
-    2^(1-prec) (|block| + S), S the absolute mass of f^(m) (the remainder) or
-    of f', ..., f^(m-1) (the corrections) over the integers of the pass.  The
-    end blocks' ``_grid`` rows meet the evaluator's error bound against
-    mpmath's terms at 100 more bits."""
+    """Every block but the head and step blocks comes from one pass of
+    integer moment sums, rounded once per block.  The remainder and the
+    corrections lie within their derived bound of the per-interval reference
+    (``oracles.em_remainder``, ``oracles.geb_blocks``) run 64 bits higher,
+    and that bound is at most 2^(1-prec) (|block| + S), S the absolute mass
+    of f^(m) (the remainder) or of f', ..., f^(m-1) (the corrections) over
+    the integers of the pass; the end-only blocks lie within theirs of the
+    per-point reference (``oracles.end_blocks``).  The head and step blocks'
+    ``_grid`` rows meet the evaluator's error bound against mpmath's terms
+    at 100 more bits."""
 
     @settings(max_examples=25, deadline=None)
-    @given(terms=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
-                                    st.floats(-2, 2), st.floats(-1, 1)),
-                          min_size=1, max_size=3),
-           zeta=primitive_roots(6), n=st.integers(8, 60), m=st.integers(2, 6), prec=st.sampled_from([128, 256]))
+    @given(**ENGINE_DRAWS)
     def test_blocks_match_per_interval_reference(self, terms, zeta, n, m, prec):
         k = zeta.order
         with mp.workprec(prec):
@@ -191,13 +205,54 @@ class TestEngineTables:
                 blocks = dict(res.boundary_terms)
                 assert res.total == sum(blocks.values(), mp.mpc(0))
                 moments = summod._moment_blocks(f, kk, z, n, m)
-                assert [name for name, _, _ in moments] == list(refs[engine])
+                assert set(refs[engine]) <= {name for name, _, _ in moments}
                 for name, value, bound in moments:
                     assert blocks[name] == value
+                    if name not in refs[engine]:  # an end-only block, checked per point
+                        continue
                     assert abs(value - refs[engine][name]) <= bound
                     mass = abs_mass(f, {m} if name == "remainder_integral" else set(range(1, m)),
                                     lo, n)
                     assert bound <= mp.mpf(2) ** (1 - prec) * (abs(value) + mass)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**ENGINE_DRAWS)
+    def test_end_blocks_match_per_point_reference(self, terms, zeta, n, m, prec):
+        k = zeta.order
+        with mp.workprec(prec):
+            f = ScaleFunction([(l, mm, mp.mpc(re, im)) for l, mm, re, im in terms])
+            got = {"euler_maclaurin": summod._moment_blocks(f, 1, ONE, n, m),
+                   "gen_euler_boole": summod._moment_blocks(f, k, zeta, n, m)}
+            with mp.workprec(prec + 64):
+                refs = end_blocks(f, k, zeta, n, m)
+            for engine, ref in refs.items():
+                moments = {name: (value, bound) for name, value, bound in got[engine]}
+                for name, want in ref.items():
+                    value, bound = moments[name]
+                    assert abs(value - want) <= bound, (engine, name)
+
+    def test_engines_read_no_derivative_values(self, monkeypatch):
+        """Euler-Maclaurin calls neither ``_grid`` nor ``differentiate``;
+        the twisted engine never differentiates and makes one ``_grid`` call,
+        for f alone at its 2k - 2 head and step points."""
+        def refuse(*args):
+            raise AssertionError("the engines read f^(j) and F off the moment pass")
+
+        grid, calls = ScaleFunction._grid, []
+
+        def spy(functions, points):
+            calls.append((list(functions), list(points)))
+            return grid(functions, points)
+
+        f = ScaleFunction([(1, 2, 1), (0, -1, mp.mpc(0.5, -1)), (2, 0, 0.25)])
+        monkeypatch.setattr(ScaleFunction, "differentiate", refuse)
+        monkeypatch.setattr(ScaleFunction, "_grid", staticmethod(refuse))
+        assert euler_maclaurin(f, 30, 4).remainder_estimate < mp.inf
+        monkeypatch.setattr(ScaleFunction, "_grid", staticmethod(spy))
+        for zeta in (MINUS_ONE, RotationNumber(1, 3), RotationNumber(3, 5)):
+            k, calls[:] = zeta.order, []
+            assert gen_euler_boole(f, k, zeta, 30, 4).remainder_estimate < mp.inf
+            assert calls == [([f], [*range(1, k), *range(30, 30 + k - 1)])]
 
 
 class TestEngineEstimates:
