@@ -4,9 +4,10 @@ An expansion approximates a sequence u_n by
 
     u_n  =  sum over characters xi of  xi^n * S_xi(n)  +  o(n^-A),
 
-each S_xi a ScaleFunction, a finite sum of c * (log n)^l * n^(-m) with every
-stored m <= A.  Characters are indexed by their exact value xi in Q/Z, so
-each appears once; the regularised value is the constant term of S_1.
+each S_xi a finite sum of c * (log n)^l * n^(-m) with every stored m <= A,
+each c a Gaussian integer (re, im) at the expansion's one scale 2^W.
+Characters are indexed by their exact value xi in Q/Z, so each appears
+once; the regularised value is the constant term of S_1.
 
 ``partial_sum`` maps the expansion of u_n to the expansion of
 v_n = sum_{m<n} u_m through the symbolic n-parts of each stored term;
@@ -17,11 +18,14 @@ to expand nested sums
 
 Constants are extracted by numeric matching against exact partial sums at a
 doubling cutoff pair, certified by a stability check; every level's partial
-sums are the suffix sums of one pass of the kernel ``summation.nested_sums``.
+sums are the suffix sums of one pass of the kernel ``summation.nested_sums``,
+whose scale 2^P is the expansions' 2^W.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -29,7 +33,6 @@ import mpmath as mp
 from . import summation
 from .errors import PrecisionError
 from .rootsofunity import ONE, RotationNumber, ZVector, index_set_and_count
-from .scalefun import ScaleFunction
 
 __all__ = [
     "AsymptoticExpansion",
@@ -49,47 +52,63 @@ def fmt_real(x) -> str:
 
 
 class AsymptoticExpansion:
-    """Finite map character xi -> ScaleFunction S_xi, so that u_n is
-    sum xi^n S_xi(n), plus the precision order A (error o(n^-A)) and a
-    diagnostic bound on the residual left by constant matching.  The terms
-    read as (xi, l, m) -> coefficient of xi^n (log n)^l n^(-m)."""
+    """Finite map character xi -> S_xi, so that u_n is sum xi^n S_xi(n),
+    plus the precision order A (error o(n^-A)) and a diagnostic bound on
+    the residual left by constant matching.  The terms, (xi, l, m) ->
+    coefficient of xi^n (log n)^l n^(-m), are kept as {xi: {(l, m): (re,
+    im)}} at 2^-``scale``; a coefficient becomes an mpc, rounded once, only
+    where a public reader reads it: ``items``, ``coefficient`` and
+    ``to_json_obj`` at the working precision of the making, ``evaluate`` at
+    that of its call."""
 
-    __slots__ = ("_parts", "precision", "residual_bound")
+    __slots__ = ("_parts", "scale", "_prec", "precision", "residual_bound")
 
-    def __init__(self, parts=None, precision: int = 0, residual_bound=None):
-        self.precision = int(precision)
+    def __init__(self, parts=None, precision: int = 0, residual_bound=None,
+                 scale=None, prec=0):
+        """From {xi: ScaleFunction}, each coefficient floored at 2^W, W the
+        scale of a kernel pass over the most growing term to the matching
+        ceiling (``summation.pass_scale``); with ``scale``, from {xi: {(l, m):
+        (re, im)}} at 2^-scale, read at ``prec`` bits (0: the working one)."""
+        if scale is None:
+            parts = {xi: f.terms() for xi, f in (parts or {}).items()}
+            keys = [(l, m) for terms in parts.values() for l, m, _ in terms]
+            scale = summation.pass_scale((ONE,), (min([0] + [m for _, m in keys]),),
+                                         (max([0] + [l for l, _ in keys]),),
+                                         2 * summation.MATCH_CEILING)
+            parts = {xi: {(l, m): summation._fixed_pair(c, scale) for l, m, c in terms}
+                     for xi, terms in parts.items()}
+        self.precision, self.scale, self._prec = int(precision), scale, prec or mp.mp.prec
         self._parts = {}
-        for xi, f in (parts or {}).items():
+        for xi, terms in parts.items():
             if not isinstance(xi, RotationNumber):
                 raise TypeError("expansion keys must be RotationNumber characters")
-            terms = f.terms()
-            l_max = max((l for l, _, _ in terms), default=0)
+            l_max = max((l for l, _ in terms), default=0)
             if l_max > LOG_POWER_CAP:
                 raise PrecisionError(f"log power {l_max} exceeds cap {LOG_POWER_CAP}")
-            f = ScaleFunction([t for t in terms if t[1] <= self.precision])
-            if not f.is_zero():
-                self._parts[xi] = f
+            kept = {key: c for key, c in terms.items() if key[1] <= self.precision and any(c)}
+            if kept:
+                self._parts[xi] = kept
         self.residual_bound = mp.mpf(residual_bound if residual_bound is not None else 0)
 
     @classmethod
-    def constant_one(cls, precision: int) -> "AsymptoticExpansion":
-        return cls({ONE: ScaleFunction.term(0, 0)}, precision=precision)
+    def constant_one(cls, precision: int, scale: int) -> "AsymptoticExpansion":
+        return cls({ONE: {(0, 0): (1 << scale, 0)}}, precision, scale=scale)
 
     def items(self):
         """((xi, l, m), coefficient) pairs, sorted by (m, l, xi)."""
-        return sorted((((xi, l, m), c) for xi, f in self._parts.items()
-                       for l, m, c in f.terms()),
+        return sorted((((xi, l, m), summation._scaled_mpc(*c, self.scale, self._prec))
+                       for xi, terms in self._parts.items() for (l, m), c in terms.items()),
                       key=lambda kv: (kv[0][2], kv[0][1], kv[0][0].fraction))
 
     def __len__(self):
-        return sum(len(f.terms()) for f in self._parts.values())
+        return sum(map(len, self._parts.values()))
 
     def is_empty(self) -> bool:
         return not self._parts
 
     def coefficient(self, xi: RotationNumber, l: int, m: int):
-        f = self._parts.get(xi)
-        return mp.mpc(0) if f is None else f.coefficient(l, m)
+        c = self._parts.get(xi, {}).get((l, m))
+        return mp.mpc(0) if c is None else summation._scaled_mpc(*c, self.scale, self._prec)
 
     def regularised_value(self):
         """The coefficient of the constant basis element (xi=1, l=0, m=0)."""
@@ -97,29 +116,33 @@ class AsymptoticExpansion:
 
     def order(self):
         """Smallest stored decay power; +inf for the empty expansion."""
-        return min((f.min_decay() for f in self._parts.values()), default=mp.inf)
+        return min((m for terms in self._parts.values() for _, m in terms), default=mp.inf)
 
     def evaluate(self, n: int):
-        return _eval_parts_by_char(self._parts, int(n))
+        return _eval_parts_by_char(self._parts, self.scale, int(n))
 
     def add(self, other: "AsymptoticExpansion") -> "AsymptoticExpansion":
-        parts = dict(self._parts)
-        for xi, f in other._parts.items():
-            parts[xi] = parts[xi] + f if xi in parts else f
-        return AsymptoticExpansion(
-            parts, min(self.precision, other.precision),
-            residual_bound=self.residual_bound + other.residual_bound)
+        W, parts = max(self.scale, other.scale), {}
+        for e in (self, other):
+            for xi, terms in e._parts.items():
+                acc = parts.setdefault(xi, {})
+                for key, (re, im) in terms.items():
+                    x, y = acc.get(key, (0, 0))
+                    acc[key] = (x + (re << W - e.scale), y + (im << W - e.scale))
+        return AsymptoticExpansion(parts, min(self.precision, other.precision),
+                                   self.residual_bound + other.residual_bound, W,
+                                   max(self._prec, other._prec))
 
     def __add__(self, other):
         return self.add(other)
 
     def multiply_monomial(self, xi0: RotationNumber, l0: int, m0: int
                           ) -> "AsymptoticExpansion":
-        """Pointwise product with xi0^n (log n)^l0 n^(-m0)."""
-        mono = ScaleFunction.term(l0, m0)
+        """Pointwise product with xi0^n (log n)^l0 n^(-m0): the keys move."""
         return AsymptoticExpansion(
-            {xi * xi0: f * mono for xi, f in self._parts.items()},
-            self.precision + m0, residual_bound=self.residual_bound)
+            {xi * xi0: {(l + l0, m + m0): c for (l, m), c in terms.items()}
+             for xi, terms in self._parts.items()},
+            self.precision + m0, self.residual_bound, self.scale, self._prec)
 
     def to_json_obj(self) -> dict:
         terms = [
@@ -222,21 +245,23 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
     elif not callable(sums_fn):
         raise ValueError("sums_fn must be a callable cutoffs -> {N: value}")
 
-    a_int = summation.internal_precision(a_out, tol_eff)
-    # c times the n-parts of every term, collected per character, and |c|
-    # times its tail in one list; one ScaleFunction per character and one
-    # tail merge them in the order of e.items()
-    parts_terms: dict = {}
-    tail_terms = []
-    max_log = 0
-    for (xi, l, m), c in e.items():
-        max_log = max(max_log, l)
-        parts, tail = summation._term_nparts(xi, l, m, a_int)
-        c = mp.mpc(c)
-        size = abs(c)
-        parts_terms.setdefault(xi, []).extend((l2, m2, p * c) for l2, m2, p in parts.terms())
-        tail_terms += [(l2, m2, t * size) for l2, m2, t in tail.terms()]
-    by_char = {xi: ScaleFunction(ts) for xi, ts in parts_terms.items()}
+    a_int, W = summation.internal_precision(a_out, tol_eff), e.scale
+    # c times the n-parts (at 2^V) of every term, collected per character,
+    # and |c| times its tail, rounded up, all at e's scale 2^W: each product
+    # one floor (one ceiling in the tail), each sum exact
+    by_char, tail, max_log = {}, defaultdict(int), 0
+    for xi, coeffs in e._parts.items():
+        acc = by_char.setdefault(xi, {})
+        for (l, m), (cr, ci) in coeffs.items():
+            max_log = max(max_log, l)
+            parts, rest = summation._term_nparts(xi, l, m, a_int)
+            V = parts.W
+            for key, (pr, pi) in parts.terms.items():
+                x, y = acc.get(key, (0, 0))
+                acc[key] = (x + (cr * pr - ci * pi >> V), y + (cr * pi + ci * pr >> V))
+            size = math.isqrt(cr * cr + ci * ci) + 1
+            for key, t in rest.terms.items():
+                tail[key] += (size * t >> V) + 1
 
     # uncertainty already carried by e's coefficients, imaged at a cutoff;
     # grows when the expansion has growing terms (negative decay indices)
@@ -252,20 +277,22 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
 
     c2, residual, _ = summation.run_matching(
         sums_fn,
-        lambda n: _eval_parts_by_char(by_char, n),
-        ScaleFunction(tail_terms), tol_eff,
+        lambda n: _eval_parts_by_char(by_char, W, n),
+        summation.Scaled(dict(tail), W), tol_eff,
         # an exact e carries no uncertainty: the predicted residual alone
         # picks the cutoff, and one that cannot reach tol fails at once
         prop_fn=None if exact else prop)
 
-    by_char[ONE] = by_char.get(ONE, ScaleFunction()) + ScaleFunction.term(0, 0, c2)
-    return AsymptoticExpansion(by_char, precision=a_out, residual_bound=residual)
+    one = by_char.setdefault(ONE, {})
+    (x, y), (cr, ci) = one.get((0, 0), (0, 0)), summation._fixed_pair(c2, W)
+    one[0, 0] = (x + cr, y + ci)
+    return AsymptoticExpansion(by_char, a_out, residual, W)
 
 
-def _eval_parts_by_char(parts: dict, n: int):
-    """sum over characters xi of xi^n * parts[xi](n)."""
-    return sum((summation.eval_nparts(f, xi, n) for xi, f in parts.items()),
-               mp.mpc(0))
+def _eval_parts_by_char(parts: dict, W: int, n: int):
+    """sum over characters xi of xi^n * parts[xi](n), the parts Gaussian
+    integers at 2^W, rounded once (``summation._read_chars``)."""
+    return summation._read_chars(parts, W, n)
 
 
 def inner_expansion_order(a_i: int) -> int:
@@ -297,10 +324,12 @@ def depth_expansion(spec: DepthSpec, A: int, tol=None) -> AsymptoticExpansion:
     ladder = summation._matching_ladder()
     ladder.append(2 * ladder[-1])
     kernel = summation.NestedPass(ladder[-1])
+    # the expansions' scale is the pass's, so the reads share its tables
+    W = summation.pass_scale(spec.z, spec.a, spec.kvec, ladder[-1])
 
     def build(i: int, a_i: int) -> AsymptoticExpansion:
         if i == spec.r:
-            return AsymptoticExpansion.constant_one(a_i)
+            return AsymptoticExpansion.constant_one(a_i, W)
         inner = build(i + 1, summation.internal_precision(
             a_i + inner_expansion_order(spec.a[i]), tol_eff))
         prod = inner.multiply_monomial(spec.z[i], spec.kvec[i], spec.a[i])

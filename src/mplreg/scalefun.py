@@ -3,10 +3,9 @@
 This is the function class every summation engine consumes: it is closed
 under differentiation, has elementary antiderivatives, its absolute tails
 integrate in closed form into the same class, and f(n + t0) re-expands into
-it through its Taylor series.  It is the package's one representation of such
-a sum: the symbolic n-parts of a partial sum and the remainder tails that
-bound them are ScaleFunctions too.  Coefficients are mpc numbers, the term
+it through its Taylor series.  Coefficients are mpc numbers, the term
 indices (l, m) exact integers, and ``_grid`` evaluates on Python integers.
+(The expansion algebra keeps its n-parts as integers: ``summation.Scaled``.)
 """
 
 from __future__ import annotations

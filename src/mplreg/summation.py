@@ -1,4 +1,4 @@
-"""Summation engines and single-term partial-sum expansions.
+"""Summation engines, single-term partial-sum expansions and the kernel.
 
 Two finite-cutoff engines reproduce sums over scale functions exactly:
 
@@ -6,55 +6,28 @@ Two finite-cutoff engines reproduce sums over scale functions exactly:
 * ``gen_euler_boole``   for  sum_{a<n} zeta^a f(a),  zeta a primitive k-th
   root of unity,
 
-with the remainder integral in closed form.  For k >= 3 the quasi-periodic
-polynomial jumps at the integers, so integration by parts picks up
-correction sums proportional to zeta E_{k,j}(1) - E_{k,j}(0), which
-vanishes identically at k = 2 (the classical alternating formula).  The
-remainder, the corrections and the blocks at the ends t = lo and t = n
-(the integral F(n) - F(1) and the derivative boundaries) come from one
-pass of exact integer moment sums over the integers of the range
-(``_moment_blocks``), f's complex coefficients entering only at the end,
-as exact products with them, and each block is rounded once; the
-remainder still comes from f^(m)'s antiderivatives, never from f's values.
-Only the twisted engine's head and step blocks read f itself, at 2k - 2
-points partly outside that range, through ``ScaleFunction._grid``.  Every
-block's rounding is bounded (``_moment_blocks``, ``_breakdown``), and the
-bound is the rounding part of the engines' ``remainder_estimate``.
+with the remainder integral in closed form (for k >= 3 with correction
+sums proportional to zeta E_{k,j}(1) - E_{k,j}(0), 0 at k = 2).  Every block
+but the twisted engine's head and step blocks (f at 2k - 2 points, through
+``ScaleFunction._grid``) comes from one pass of exact integer moment sums
+(``_moment_blocks``), rounded once within a derived bound that joins the
+engines' ``remainder_estimate``.
 
 ``term_sum_expansion`` returns the ``AsymptoticExpansion`` of
-sum_{a<n} xi^a (log a)^l a^(-m), with symbolic n-dependent coefficients
-from one series for every xi: the antiderivative when xi = 1 plus
-h = sum_{j<=J} c_j f^(j), c_j the Taylor coefficients of 1/(xi e^t - 1)
-less its pole (from their recurrence on scaled Python integers, O(J^2) once
-per (xi, prec)), J = max(1, A + 2 - m), and the f^(j) of f = (log x)^l
-x^-m read off one memoised table of exact integer derivative rows that
-every xi and precision share, so a term costs O(J l) roundings whatever the
-order of xi; the remainder is K (|f^(J+1)|(n) + int_n^inf |f^(J+1)|),
-K = [xi = 1]/(J + 2)! + sum_j |c_j| / (J - j + 1)! memoised per
-(xi, J, prec), once the absolute terms of f^(J+1) decrease on [n, inf).
-The constant, its regularised value, is matched against exact partial sums
-at a cutoff pair (N, 2N), within its ``residual_bound``.
+sum_{a<n} xi^a (log a)^l a^(-m): its n-parts and their remainder bound
+(``_nparts_at``) are ``Scaled`` sums, Gaussian integers at one scale 2^V,
+each part floored once within a derived bound and each tail coefficient
+rounded up, read at a cutoff on integers (``_read``) through the kernel's
+tables and rounded once; the constant, its regularised value, is matched
+against exact partial sums at a cutoff pair (N, 2N), within its
+``residual_bound``.
 
 ``nested_sums`` is the package's one partial-sum kernel: every exact
 truncated nested sum t_N (the matching oracle of every level of the depth
 driver, the convergent route and the translation checks) comes out of its
-single forward pass, which also keeps the suffix sum of every level at each
-requested cutoff.  It runs, for every input, on Python integers scaled by
-2^P, P = prec + g, with the guard g taken from an a-priori bound on the
-accumulated truncations, as list arithmetic over blocks of at most
-``BLOCK_CAP`` n, with the outer level of a root z_1 of order q summed in q
-residue classes of n.  Roots of unity come from power tables of
-fixed-point products of one value of xi, complex weights from running
-products, log n from one table per P (a prime's logarithm once per process,
-a composite's the exact sum of two stored ones), integral exponents from
-exact division or multiplication, and non-integral ones from a table of
-n^-s built multiplicatively: a prime is exp(-s log p) in integer fixed point
-(Brent & Zimmermann, "Modern Computer Arithmetic", ch. 4), a composite one
-fixed-point product of stored values, and past ``SIEVE_CAP`` stored values a
-term divides out stored primes until its cofactor is stored.  For every
-input each t_N errs by at most 2^-(prec+8) before its final rounding.
+single forward pass on Python integers scaled by 2^P (``pass_scale``), and
+each t_N errs by at most 2^-(prec+8) before its final rounding.
 """
-
 from __future__ import annotations
 
 import math
@@ -65,10 +38,11 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, floordiv, mul, rshift, sub
+from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (from_int, from_rational, ln2_fixed, log_int_fixed, mpf_log, pi_fixed,
-                          round_ceiling, round_nearest, to_fixed, to_rational)
+from mpmath.libmp import (from_int, from_man_exp, from_rational, ln2_fixed, log_int_fixed,
+                          mpf_log, pi_fixed, round_ceiling, round_nearest, to_fixed)
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase
 
 from . import eulerpoly
@@ -255,10 +229,16 @@ def _moment_blocks(f: ScaleFunction, k: int, zeta: RotationNumber, n: int, m: in
     # (name, weight set, inner sums, end terms)
     spec = ([("integral", 2, False, True), ("derivative_boundary", 1, False, True)] if k == 1
             else [("derivative_boundary", 1, False, True), ("step_corrections", 1, True, False)])
+    # f's coefficients as integers times 2^e0, one e0 for all, so that each
+    # block sums unreduced numerators over one denominator
+    mans = [[(-man if sign else man, exp) for sign, man, exp, _ in c._mpc_] for c, _ in plans]
+    e0 = min([exp for parts in mans for man, exp in parts if man], default=0)
+    mans = [[man << exp - e0 if man else 0 for man, exp in parts] for parts in mans]
     out = []
     for name, b, inner, ends in spec + [("remainder_integral", 0, True, True)]:
-        re = im = bound = Fraction(0)
-        for c, blocks in plans:
+        re = im = bound = 0
+        den = math.lcm(*(blocks[b][3] for _, blocks in plans))
+        for (_, blocks), (cr, ci) in zip(plans, mans):
             Z, err = [0] * k, 0
             for key, u, v in zip(*blocks[b][:3]):
                 sums, first, last, key_err = moments[key]
@@ -271,13 +251,16 @@ def _moment_blocks(f: ScaleFunction, k: int, zeta: RotationNumber, n: int, m: in
                 err += (abs(u) + abs(v)) * key_err
             Y = [sum(w[q] * Z[p - q] for q in range(k)) for p in range(k)]
             yc, ys = (sum(map(mul, Y, part)) for part in zip(*table))
-            cr, ci = (Fraction(*to_rational(x._mpf_)) for x in (c.real, c.imag))
-            scale = blocks[b][3] * len(w) << 2 * P
-            re, im = re + (cr * yc - ci * ys) / scale, im + (cr * ys + ci * yc) / scale
+            q = den // blocks[b][3]
+            re, im = re + (cr * yc - ci * ys) * q, im + (cr * ys + ci * yc) * q
             bound += (abs(cr) + abs(ci)) * ((sum(map(abs, w)) * err << P + 1)
-                                            + 2 * sum(map(abs, Y))) / scale
-        out.append((name, mp.mpc(_mpq(re), _mpq(im)),
-                    _mpq((abs(re) + abs(im)) / (1 << prec) + bound, round_ceiling)))
+                                            + 2 * sum(map(abs, Y))) * q
+        # the block is 2^e0 re / scale, each value rounded once
+        num, scale = max(e0, 0), (den * len(w) << 2 * P) << max(-e0, 0)
+        out.append((name, mp.mpc(*(mp.make_mpf(from_rational(x << num, scale, prec, round_nearest))
+                                   for x in (re, im))),
+                    mp.make_mpf(from_rational(abs(re) + abs(im) + (bound << prec) << num,
+                                              scale << prec, prec, round_ceiling))))
     return out
 
 
@@ -352,11 +335,17 @@ def _engine_table(m: int, k: int) -> tuple:
 # symbolic n-dependent parts of single-term partial sums
 # ---------------------------------------------------------------------------
 #
-# _term_nparts(xi, l, m, A) returns (parts, tail), two ScaleFunctions in n:
-#   parts, complete to decay A, so that
-#       sum_{a<n} xi^a (log a)^l a^(-m) = const + chi(n) * parts(n) + eps(n),
-#   chi(n) = xi^n (the constant sequence when xi = 1), and
-#   tail, real and positive coefficients, bounding |eps(n)| <= tail(n).
+# _term_nparts(xi, l, m, A) returns (parts, tail), two ``Scaled`` sums in n,
+# parts complete to decay A and tail(n) >= |eps(n)|, so that
+#     sum_{a<n} xi^a (log a)^l a^(-m) = const + xi^n parts(n) + eps(n).
+
+
+class Scaled(NamedTuple):
+    """sum_{(l, m)} C_{l,m} 2^-W (log n)^l n^-m, each C a Gaussian integer
+    (re, im) in the n-parts, an integer >= 0 in their tails."""
+
+    terms: dict
+    W: int
 
 
 def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
@@ -369,15 +358,13 @@ def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
     c_n = -xi/(xi - 1) * sum_{i<n} c_i/(n - i)!, run on complex pairs of
     integers d_n = c_n 2^(r n) 2^(prec+32), r = max(0, ceil(log2(2 pi |x|))),
     |x| <= 1/2 the distance of the rotation number x of xi to the nearest
-    integer: |c_n| ~ (2 pi |x|)^-(n+1) (below), so the scale 2^(r n) keeps
-    the relative bits of coefficients that decay, as they do for xi far
-    from 1 whatever its order.
-    Then d_n = -xi/(xi - 1) * floor(sum_{i<n} d_i w_i / n!), with the exact
-    weights w_i = n!/(n - i)! 2^(r (n-i)), and each c_n is rounded to prec
-    once.  At xi = e^(i theta), G(t) = (coth((t + i theta)/2) - 1)/2 with
-    coth odd and its Taylor coefficients real, so c_n (n >= 1) is real for
-    odd n and imaginary for even n (zero at xi = -1): each keeps only that
-    part, leaving no rounding where the other part vanishes.
+    integer, so that the scale keeps the relative bits of coefficients that
+    decay as |c_n| ~ (2 pi |x|)^-(n+1) (below): d_n = -xi/(xi - 1) *
+    floor(sum_{i<n} d_i w_i / n!), w_i = n!/(n - i)! 2^(r (n-i)) exact, and
+    each c_n is rounded to prec once.  At xi = e^(i theta), G(t) =
+    (coth((t + i theta)/2) - 1)/2 with coth odd, so c_n (n >= 1) is real for
+    odd n and imaginary for even n (zero at xi = -1), and keeps that part
+    alone: no rounding where the other part vanishes.
 
     The growth: 1/(xi e^t - 1) = sum_{a<k} xi^a e^(a t)/(e^(k t) - 1) gives
     c_j = k^j/(j+1)! sum_{a<k} xi^a B_{j+1}(a/k) (at xi = 1, k = 1, the
@@ -390,18 +377,19 @@ def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
     so c_j = -sum_m t_m^-(j+1) (j >= 1); two lie at >= 2 pi |x|, the rest in
     pairs at >= 2 pi k' >= 4 pi k' |x|, so |c_j| < 2 (1 + zeta(2)/4) (2 pi
     |x|)^-(j+1) < 3 (2 pi |x|)^-(j+1) = e_j, and |c_0| = 1/(2 sin(pi |x|))
-    < e_0.  The recurrence keeps c_j within 2^-prec e_j (``TestGeometricCoeffs``).
-
-    With |f^(j)(N)| ~ j! N^-(m+j), the terms c_j f^(j)(N) of the n-parts
-    therefore decrease while j <~ 2 pi N/k.  That is why matching may start
-    at N = MATCH_START = 250: the default tol's J <= 19 keeps the terms
-    decreasing there for orders k <= 80, and ``choose_cutoff`` moves a
-    higher order to a larger N through the tail it predicts."""
+    < e_0.  The pairs d_n keep c_n within 2^-(prec+16) e_n, the rounded c_n
+    within 2^(1-prec) e_n (``TestGeometricCoeffs``).  With |f^(j)(N)| ~ j!
+    N^-(m+j), the terms c_j f^(j)(N) of the n-parts decrease while j <~ 2 pi
+    N/k: at N = MATCH_START = 250 the default tol's J <= 19 keeps them
+    decreasing for orders k <= 80, and ``choose_cutoff`` moves a higher
+    order to a larger N through the tail it predicts."""
     factor, r, scaled, coeffs = _geometric_list(xi, prec)
     with mp.workprec(prec):
         for n in range(len(coeffs), J + 1):
             if xi.is_one():
-                coeffs.append(_mpq(eulerpoly.bernoulli_number(n + 1) / math.factorial(n + 1)))
+                c = eulerpoly.bernoulli_number(n + 1) / math.factorial(n + 1)
+                scaled.append(((c.numerator << prec + 32 + 3 * n) // c.denominator, 0))
+                coeffs.append(_mpq(c))
                 continue
             x = y = 0
             w = 1 << r * n
@@ -422,9 +410,10 @@ def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
 @lru_cache(maxsize=4096)
 def _geometric_list(xi: RotationNumber, prec: int) -> tuple:
     """The memo of ``_geometric_coeffs``: -xi/(xi - 1) scaled by 2^(prec+32),
-    r, the scaled pairs d_0, d_1, ... and [c_0, c_1, ...]."""
+    r, the scaled pairs d_0, d_1, ... and [c_0, c_1, ...]; at xi = 1, r = 3
+    (|c_j| ~ 2 (2 pi)^-(j+1)) and d_j the floor of c_j 2^(r j) 2^(prec+32)."""
     if xi.is_one():
-        return None, 0, [], []
+        return None, 3, [], []
     with mp.workprec(prec + 64):
         v = xi.value()
         factor, c0 = _fixed_pair(-v / (v - 1), prec + 32), _fixed_pair(1 / (v - 1), prec + 32)
@@ -432,6 +421,28 @@ def _geometric_list(xi: RotationNumber, prec: int) -> tuple:
     with mp.workprec(prec):
         return (factor, max(0, math.ceil(math.log2(2 * math.pi * near))), [c0],
                 [_scaled_mpc(*c0, prec + 32)])
+
+
+def _coefficient_bounds(xi: RotationNumber, J: int, prec: int) -> list:
+    """[(u_j, v_j, S_j, A_j)] for j <= J: the scaled pair u_j + i v_j of
+    c_j 2^S_j, S_j = prec + 32 + r j, that ``_geometric_list`` keeps, and an
+    integer A_j >= |c_j| 2^S_j.  At xi = 1 the pairs are floors of the exact
+    real c_j, within E_j = 1 unit, and A_j = |u_j| + 1; else they carry
+    prec + 32 bits and err by < E_j = 2^-(prec+16) e_j 2^S_j, e_j = 3 (2 pi
+    |x|)^-(j+1) as in ``_geometric_coeffs`` (``TestGeometricCoeffs`` pins
+    it; measured below 2^-(prec+27) e_j), and A_j = isqrt(u_j^2 + v_j^2) +
+    1 + E_j, E_j rounded up with 1/pi <= 106/333."""
+    _geometric_coeffs(xi, J, prec)
+    _, r, scaled, _ = _geometric_list(xi, prec)
+    near = min(xi.fraction, 1 - xi.fraction)
+    # a/b >= 1/(2 pi |x|); x = 3 a^(j+1) and y = b^(j+1) give E_j = x 2^(16+rj)/y
+    a, b = (53 * near.denominator, 333 * near.numerator) if near else (0, 1)
+    out, x, y = [], 3 * a, b
+    for j, (u, v) in enumerate(scaled[:J + 1]):
+        E = -(-(x << 16 + r * j) // y)
+        out.append((u, v, prec + 32 + r * j, math.isqrt(u * u + v * v) + 1 + E))
+        x, y = x * a, y * b
+    return out
 
 
 def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
@@ -442,16 +453,17 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 # every memo in the package is an lru_cache of this size, keyed on explicit
 # arguments only; here it holds the 712 (xi, l, m, a_max, prec) keys that
 # one process running two rounds (seed 101) of every reg-sweep and
-# reg-high-order benchmark template reaches, ``_derivative_rows`` their 65
-# (l, m, J), ``_remainder_factor`` 500 (xi, J, prec), ``_geometric_list`` 70
-# (xi, prec), ``_char_value`` 56 (xi^N, prec), ``_matching_order`` 2
-# (tol, prec), ``_fixed_power_table`` 80 (xi, P) and ``_log_table`` 4 P, each
-# table of 1,001 or 2,001 entries (a table stops at SIEVE_CAP + 1), with room
-# to spare; two rounds of ``direct`` (seed 5) reach 35 (l, mu, m, k) of
-# ``_moment_weights`` and 14 (m, k) of ``_engine_table``
+# reg-high-order benchmark template reaches (872 hits), ``_derivative_rows``
+# their 65 (l, m, J), ``_remainder_factor`` 500 (xi, J, prec),
+# ``_geometric_list`` 70 (xi, prec), ``_matching_order`` 2 (tol, prec),
+# ``_fixed_power_table`` 88 (xi, P) and ``_log_table`` 4 P, tables of 2,001
+# entries or, grown by the tail reads of ``choose_cutoff``, SIEVE_CAP + 1,
+# with room to spare; two rounds of ``direct`` (seed 5) reach 35
+# (l, mu, m, k) of ``_moment_weights`` and 14 (m, k) of ``_engine_table``
 @lru_cache(maxsize=4096)
 def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
-    """n-dependent part of sum_{a<n} xi^a (log a)^l a^(-m), every xi.
+    """n-dependent part of sum_{a<n} xi^a (log a)^l a^(-m), every xi, as
+    ``Scaled`` sums at 2^V, V = prec + 64 rounded up to a multiple of 64.
 
     With f = (log x)^l x^(-m), F its antiderivative and
     h = [xi = 1] F + sum_{j<=J} c_j f^(j), c_j the Taylor coefficients of
@@ -460,14 +472,13 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     sum_{a<n} xi^a f(a) = C + xi^n h(n) + eps(n)  (the generalised
     Euler-Boole formula of Borwein, Calkin & Manna, "Euler-Boole summation
     revisited", Amer. Math. Monthly 116, 2009; at xi = 1 the pole 1/t of G
-    is the antiderivative and this is Euler-Maclaurin).  All coefficients
-    attach to the character xi: the terms of h with decay m' <= a_max are
-    the parts, the others go to the tail pointwise.  The derivatives
-    f^(j) = x^-(m+j) sum_i d_{j,i} (log x)^i are the exact integer rows of
-    ``_derivative_rows``, shared by every xi and precision, so each term
-    c_j d_{j,i} of h is rounded once.  The cost is O(J l) products whatever
-    the order of xi, the c_j memoised once per (xi, prec) and K below once
-    per (xi, J, prec) for every (l, m).
+    is the antiderivative and this is Euler-Maclaurin).  The terms of h with
+    decay m' <= a_max are the parts, the others go to the tail pointwise.
+    With f^(j) = x^-(m+j) sum_i d_{j,i} (log x)^i, d the exact rows of
+    ``_derivative_rows``, each term c_j d_{j,i} of h, the only one at its
+    (i, m + j), is (u_j d_{j,i}, v_j d_{j,i}) floored once from 2^S_j to
+    2^V, (u_j, v_j) the pair of ``_coefficient_bounds``: within E_j |d_{j,i}|
+    2^(V - S_j) + 1 units 2^-V in each part (F's exact terms within 1 unit).
 
     The remainder is derived, not estimated.  Taylor's theorem on F(a + 1)
     to order J + 2 and on each f^(j)(a + 1), j <= J, with
@@ -481,24 +492,43 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     as soon as every term (log x)^l' x^(-m') of P is decreasing on
     [n, inf), i.e. n >= e^(l'/m').  Since l' <= l and m' = m + J + 1, raising
     J until (m + J + 1) log(MATCH_START) >= l, that is m + J + 1 >= l/5.52
-    at MATCH_START = 250, makes that hold at every matching cutoff.
+    at MATCH_START = 250, makes that hold at every matching cutoff.  The
+    tail's coefficients are rounded up from upper bounds: A_j |d_{j,i}|
+    2^-S_j for a term of h past a_max (|re| + 1 units for F's), and K
+    (``_remainder_factor``) times the terms of P and of int_n^inf P, sum_{t<=i}
+    i!/(i-t)! (log n)^(i-t) n^(1-mu)/(mu-1)^(t+1) per term (log x)^i x^-mu.
     """
     J = max(1, a_max + 2 - m, math.ceil(l / math.log(MATCH_START)) - m - 1)
     rows = _derivative_rows(l, m, J)
-    with mp.workprec(prec):
-        h = ScaleFunction.term(l, m).antiderivative().terms() if xi.is_one() else []
-        for j, c in enumerate(_geometric_coeffs(xi, J, prec)):
-            if c:
-                h += [(i, m + j, c * d) for i, d in enumerate(rows[j]) if d]
-        K = _remainder_factor(xi, J, prec)
-        last = [(i, m + J + 1, d) for i, d in enumerate(rows[J + 1]) if d]
-        parts = ScaleFunction([t for t in h if t[1] <= a_max])
+    V = prec + 64 + -prec % 64
+    h = {}  # (i, decay) -> ((re, im), bound of |coefficient|), at 2^V
+    anti, den = _antiderivative(l, rows[0], 1 - m) if xi.is_one() else ({}, 1)
+    for key, x in anti.items():
+        x = (x << V) // den
+        if x:
+            h[key] = ((x, 0), abs(x) + 1)
+    for j, (u, v, S, A) in enumerate(_coefficient_bounds(xi, J, prec)):
+        for i, d in enumerate(rows[j]) if u or v else ():
+            if d:
+                h[i, m + j] = ((_shift(u * d, V - S), _shift(v * d, V - S)),
+                               -_shift(-A * abs(d), V - S))
+    tail = defaultdict(int, {key: b for key, (_, b) in h.items() if key[1] > a_max})
+    _, man, exp, _ = _remainder_factor(xi, J, prec)._mpf_
+    K, mu = -_shift(-man, exp + V), m + J + 1
+    for i, d in enumerate(rows[J + 1]):
         # the pointwise term and the integral of the remainder bound
-        tail = ScaleFunction([(l2, m2, abs(c)) for l2, m2, c in h if m2 > a_max]
-                             + [(l2, m2, K * abs(d)) for l2, m2, d in last]
-                             + [(l2, m2, amp * K) for l2, m2, amp
-                                in ScaleFunction(last).abs_tail().terms()])
-        return parts, tail
+        tail[i, mu] += K * abs(d)
+        fall = 1
+        for t in range(i + 1) if d else ():
+            tail[i - t, mu - 1] -= -K * abs(d) * fall // (mu - 1) ** (t + 1)
+            fall *= i - t
+    return (Scaled({key: c for key, (c, _) in h.items() if key[1] <= a_max}, V),
+            Scaled({key: t for key, t in tail.items() if t}, V))
+
+
+def _shift(x: int, s: int) -> int:
+    """x 2^s, floored when s < 0."""
+    return x << s if s >= 0 else x >> -s
 
 
 @lru_cache(maxsize=4096)
@@ -516,30 +546,66 @@ def _derivative_rows(l: int, m: int, J: int) -> tuple:
 @lru_cache(maxsize=4096)
 def _remainder_factor(xi: RotationNumber, J: int, prec: int):
     """K = [xi = 1]/(J + 2)! + sum_{j<=J} |c_j| / (J - j + 1)! of the
-    remainder bound of ``_nparts_at``, at ``prec`` bits."""
-    with mp.workprec(prec):
-        K = sum(abs(c) / math.factorial(J - j + 1)
-                for j, c in enumerate(_geometric_coeffs(xi, J, prec)))
-        if xi.is_one():
-            K += mp.mpf(1) / math.factorial(J + 2)
-        return K
+    remainder bound of ``_nparts_at``, rounded up at ``prec`` bits from the
+    sum with |c_j| <= A_j 2^-S_j (``_coefficient_bounds``): an upper bound,
+    above K by sum_j (A_j 2^-S_j - |c_j|)/(J - j + 1)! and the rounding, in
+    all < 2^(1-prec) K for xi = 1 and roots of order <= 60, J <= 30
+    (``TestRemainderFactor`` allows 2^(8-prec) K)."""
+    bounds = _coefficient_bounds(xi, J, prec)
+    top, fac = bounds[-1][2], math.factorial(J + 2)
+    num = sum((A << top - S) * (fac // math.factorial(J - j + 1))
+              for j, (_, _, S, A) in enumerate(bounds)) + (xi.is_one() << top)
+    return mp.make_mpf(from_rational(num, fac << top, prec, round_ceiling))
 
 
-def eval_nparts(parts: ScaleFunction, xi: RotationNumber, n):
-    """chi(n) * parts(n) at an integer cutoff n."""
-    acc = parts._value_at(n)
-    return acc if xi.is_one() else acc * _char_value(xi ** n, mp.mp.prec)
+def _read(terms: dict, W: int, n: int, up: bool = False) -> tuple:
+    """sum C (log n)^l n^-m over the ``terms`` of a ``Scaled`` at 2^W, at
+    an integer n >= 2, as integers (re, im) scaled by 2^(2W): (log n)^l off
+    the kernel's log table of W (``_logs``, ``_log_powers``), within
+    3 l lb^(l-1) units 2^-W, lb = bit_length(n), each C n^-m an exact
+    multiply (m <= 0) or a floor division, the products and the sum exact.
+    So the read errs by < 2^-W sum_terms (lb^l + 3 l lb^(l-1) |C 2^-W n^-m|).
+    With ``up``, each C >= 0 is an integer, each division rounds up and
+    (log n)^l is raised by 3 l lb^(l-1) + 1 units: an upper bound."""
+    L, lb = max((l for l, _ in terms), default=0), n.bit_length()
+    X = [1 << W] + [x for x, in _log_powers(_logs(W, n) if L else (), W, L, range(n, n + 1))[1:]]
+    if up:
+        X = [x + 3 * l * lb ** (l - 1) + 1 if l else x for l, x in enumerate(X)]
+    re = im = 0
+    for (l, m), c in terms.items():
+        d = n ** abs(m)
+        if up:
+            re += (-(-c // d) if m > 0 else c * d) * X[l]
+        elif m > 0:
+            re, im = re + c[0] // d * X[l], im + c[1] // d * X[l]
+        else:
+            re, im = re + c[0] * d * X[l], im + c[1] * d * X[l]
+    return re, im
 
 
-@lru_cache(maxsize=4096)
-def _char_value(xi: RotationNumber, prec: int):
-    """The value of xi at ``prec`` bits, for ``eval_nparts``."""
-    with mp.workprec(prec):
-        return xi.value()
+def _read_chars(parts: dict, W: int, n: int):
+    """sum over characters xi of xi^n times ``_read`` of parts[xi] at n,
+    rounded once: xi^n off ``_fixed_power_table`` at W, within 1 + 2^-18
+    units 2^-W in each part, the products and the sum exact.  So it errs by
+    < 2^-prec |value| + 2^-W sum_xi (the bound of ``_read`` + 3 |xi^n
+    parts[xi](n)|)."""
+    re = im = 0
+    for xi, terms in parts.items():
+        x, y = _read(terms, W, n)
+        c, s = _fixed_power_table(xi.fraction, W)[n % xi.order]
+        re, im = re + x * c - y * s, im + x * s + y * c
+    return _scaled_mpc(re, im, 3 * W)
 
 
-def eval_tail(tail: ScaleFunction, n):
-    return tail._value_at(n).real
+def eval_nparts(parts: Scaled, xi: RotationNumber, n):
+    """chi(n) * parts(n) at an integer cutoff n (``_read_chars``)."""
+    return _read_chars({xi: parts.terms}, parts.W, int(n))
+
+
+def eval_tail(tail: Scaled, n):
+    """An upper bound of tail(n) at an integer cutoff n, rounded up."""
+    re, _ = _read(tail.terms, tail.W, int(n), up=True)
+    return mp.make_mpf(from_man_exp(re, -2 * tail.W, mp.mp.prec, round_ceiling))
 
 
 # ---------------------------------------------------------------------------
@@ -566,30 +632,20 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     n^{-s_j} times level j + 1 as it stood before n; the innermost level
     sums its weights alone.  Cost O(max(cutoffs) * r).
 
-    The pass runs on Python integers scaled by 2^P, P = prec + g rounded up
-    to a multiple of 64 so that nearby cutoffs share the power tables, prec
-    being the working precision and g from ``_guard_bits``.  It takes the n
-    of a block [n0, n1) of at most ``BLOCK_CAP`` terms together, level by
-    level from the innermost: each factor of the weights is a list over the
-    block, each product of two lists one ``map``, each product of scaled
-    values shifted right by P, and the running sums one ``accumulate`` from
-    the sum before the block.  The factors:
-
-    * z_j^n, a slice of the memoised integer cos/sin table of a
-      RotationNumber (``_fixed_power_table``), or the fixed-point running
-      products of a complex z_j;
-    * (log n)^k from the log table of P (``_logs``) up to ``SIEVE_CAP``,
-      from ``log_int_fixed`` past it;
-    * n^-a, a integral, by an exact division by n^a (a > 0) or an exact
-      multiply by n^|a| (a <= 0);
-    * n^-s, s not integral, from a table of scaled complex pairs kept on the
-      pass state and grown block by block to the cutoff reached.  A prime's
-      entry is exp(-s log p) in integer fixed point, floored once
-      (``_power_entry``); a composite n = p m, p its smallest prime factor,
-      is one fixed-point product of stored entries, each stored as it is
-      made.  The table stores at most ``SIEVE_CAP`` values; past them n
-      splits into stored primes and a cofactor that is stored or, when none
-      of them splits it, computed like a prime (``_split``).
+    The pass runs on Python integers scaled by 2^P (``pass_scale``: prec
+    plus the guard of ``_guard_bits``, rounded up to a multiple of 64 so
+    that nearby cutoffs share the tables).  It takes the n of a block
+    [n0, n1) of at most ``BLOCK_CAP`` terms together, level by level from
+    the innermost: each factor of the weights is a list over the block
+    (z_j^n off ``_fixed_power_table`` or running products, (log n)^k off
+    ``_logs``, n^-a exact, n^-s off the table of ``_table_block``), each
+    product of two lists one ``map``, each product of scaled values
+    shifted right by P, and the running sums one ``accumulate`` from the
+    sum before the block.  A prime's n^-s is exp(-s log p) in integer fixed
+    point (``_power_entry``; Brent & Zimmermann, "Modern Computer
+    Arithmetic", ch. 4), a composite one product of stored entries, and
+    past ``SIEVE_CAP`` stored values n splits into stored primes and a
+    cofactor (``_split``).
 
     No level reads level 0, so when z_1 is a RotationNumber of order q, level
     0 keeps q sums R_c instead, one per residue class c of n mod q, and adds
@@ -603,18 +659,16 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     its running product.
 
     Every level j >= 1 and every n^-s entry get the same bits as a pass one
-    n at a time with the same floors (``oracles.fixed_point_pass`` in the
-    tests).  Each requested t_N becomes an mpc once, at the end.  For every
-    input each t_N errs by at most 2^-(prec+8) before that final rounding,
-    and a resumed pass gives the same bits as a one-shot pass.  Besides its
-    tables a call holds one block's lists at a time, which ``BLOCK_CAP``
-    bounds.
+    n at a time with the same floors (``oracles.fixed_point_pass``).  Each
+    t_N errs by at most 2^-(prec+8) before its one final rounding to an
+    mpc, and a resumed pass gives the same bits as a one-shot pass.  A call
+    holds, besides its tables, one block's lists at a time (``BLOCK_CAP``).
 
     A ``NestedPass`` as ``state`` resumes the pass where that state stands,
     so a ladder of calls on one state sums each term once; without one the
     pass runs one-shot from n = 1.  The state also keeps level j at each
-    requested cutoff N, t_N of the suffix series (z_j.., s_j.., k_j..) within
-    the same bound (``NestedPass.suffix_sum``).
+    requested cutoff N, t_N of the suffix series (z_j.., s_j.., k_j..)
+    within the same bound (``NestedPass.suffix_sum``).
     """
     z = tuple(z)
     exps = [_exponent(s_j) for s_j in s]
@@ -885,8 +939,7 @@ class NestedPass:
         self.residues = self.root = self.tables = self.primes = None
 
     def _start(self, z, exps, kvec):
-        P = mp.mp.prec + _guard_bits(z, exps, kvec, self.top)
-        self.P = P = P + -P % 64
+        self.P = P = pass_scale(z, exps, kvec, self.top)
         r = len(z)
         self.level_re, self.level_im, self.powers = [0] * r, [0] * r, [(1 << P, 0)] * r
         if isinstance(z[0], RotationNumber):
@@ -933,6 +986,13 @@ class NestedPass:
                              f"{mp.mp.prec} bits or on another input")
 
 
+def pass_scale(z, exps, kvec, top: int) -> int:
+    """The fractional bits P of a pass over (z, exps, kvec) to cutoff
+    ``top``: prec + ``_guard_bits``, rounded up to a multiple of 64."""
+    P = mp.mp.prec + _guard_bits(z, exps, kvec, top)
+    return P + -P % 64
+
+
 def _guard_bits(z, exps, kvec, top) -> int:
     """Guard bits g such that the fixed-point pass to cutoff N = top, run
     with P >= prec + g fractional bits, errs by at most 2^-(prec+8).
@@ -975,9 +1035,9 @@ def _guard_bits(z, exps, kvec, top) -> int:
     The entries z_1^c err by < 1 + 2^-18 u in each part, so each part errs by
     < sqrt 2 (1 + 2^-18) sum_c |R_c| u + 1 u, and sum_c |R_c| is at most the
     sum of |running[1]| M_1 over n < N (running[1] = 1 at depth 1), so
-    <= N^r prod_j M_j.  The per-n product
-    charged each term the same entry error times |running[1]|, so the
-    residue sums trade N terms' entry errors for one product's: B stands.
+    <= N^r prod_j M_j.  The per-n product charged each term the same entry
+    error times |running[1]|, so the residue sums trade N terms' entry
+    errors for one product's: B stands.
 
     g = bit_length(B) + 8 then gives B u <= 2^-(prec+8), 2^19 N times below
     the 2^(11-prec) N that ``_rounding_slack(2N, ...)`` certifies.
@@ -986,9 +1046,9 @@ def _guard_bits(z, exps, kvec, top) -> int:
     g' = 13 + max(0, mag(s_j)) + bit_length(lb).  Its log f is the log
     table's entry shifted down to wp when f <= ``SIEVE_CAP`` and
     wp <= P + 58, erring by < 1 + 1.02 Omega(f) 2^-6 < 1.25 ulp
-    (Omega(f) <= 14), else a fresh logarithm floored at wp, < 1.3 ulp.
-    In ulps 2^-wp relative to
-    |f^-s_j|, x + iy = -s_j log f errs by < 1.5 |s_j| + log f + 1 in each part
+    (Omega(f) <= 14), else a fresh logarithm floored at wp, < 1.3 ulp.  In
+    ulps 2^-wp relative to |f^-s_j|, x + iy = -s_j log f errs by
+    < 1.5 |s_j| + log f + 1 in each part
     (log f by < 1.5, s_j by < 1), the reductions by ln 2 and pi/2 add
     < 1.45 |s_j| log f + 1 and < 0.64 |s_j| log f + 1, and the base cases of
     exp and cos/sin < 32 each (17 at most, measured at wp <= 700): in all
@@ -1012,9 +1072,12 @@ def _fixed_pair(w, P: int) -> tuple:
     return to_fixed(w.real._mpf_, P), to_fixed(w.imag._mpf_, P)
 
 
-def _scaled_mpc(x: int, y: int, P: int):
-    """The mpc (x + i y) 2^-P at the working precision."""
-    return mp.mpc(mp.mpf((x, -P)), mp.mpf((y, -P)))
+def _scaled_mpc(x: int, y: int, P: int, prec: int = 0):
+    """The mpc (x + i y) 2^-P rounded to ``prec`` bits, by default to the
+    working precision."""
+    prec = prec or mp.mp.prec
+    return mp.make_mpc((from_man_exp(x, -P, prec, round_nearest),
+                        from_man_exp(y, -P, prec, round_nearest)))
 
 
 @lru_cache(maxsize=4096)
@@ -1078,12 +1141,11 @@ def resolve_tol(tol, default):
 
 def internal_precision(A: int, tol) -> int:
     """Expansion completeness needed so matching from N = MATCH_START
-    reaches tol: the count of n^-(A+1) <= tol at N = MATCH_START plus 4
-    (15 at tol = 1e-25), since the constant errs by about the remainder at
-    2N and a character of order q gains only ~2 pi N/(q j) per order (at
-    128 bits and tol = 1e-25, z = 1/19, a = 1 errs by 9.8e-34; with 2 in
-    place of 4 by 1.2e-34, and z = 1/37 by 1.4e-30, the worst of 26 orders
-    <= 127)."""
+    reaches tol: the count of n^-(A+1) <= tol at N = MATCH_START plus 4 (15
+    at tol = 1e-25), since the constant errs by about the remainder at 2N
+    and a character of order q gains only ~2 pi N/(q j) per order (at 128
+    bits and tol = 1e-25, z = 1/19, a = 1 errs by 9.8e-34; with 2 in place
+    of 4 by 1.2e-34, and z = 1/37 by 1.4e-30, the worst of 26 orders <= 127)."""
     return max(A, _matching_order(tol, mp.mp.prec))
 
 
@@ -1094,7 +1156,7 @@ def _matching_order(tol, prec: int) -> int:
         return int(mp.ceil(-mp.log(tol) / mp.log(MATCH_START))) + 4
 
 
-def choose_cutoff(tail: ScaleFunction, tol, prop_fn=None):
+def choose_cutoff(tail: Scaled, tol, prop_fn=None):
     """Matching cutoff: the smallest ladder point whose predicted residual
     (dropped-term tail plus the image of carried input uncertainty) clears
     tol/4, else the ladder point minimising that prediction.
@@ -1119,7 +1181,7 @@ def choose_cutoff(tail: ScaleFunction, tol, prop_fn=None):
     return best_n
 
 
-def run_matching(sums_fn, approx_fn, tail: ScaleFunction, tol_eff, prop_fn=None):
+def run_matching(sums_fn, approx_fn, tail: Scaled, tol_eff, prop_fn=None):
     """Extract a constant by matching an expansion against true partial sums.
 
     Starts at the cutoff suggested by the predicted residual bound and keeps

@@ -28,7 +28,8 @@ on that pass's integers.
 from exact Bernoulli values, the reference for the recurrence of
 ``summation._geometric_coeffs``.
 ``nparts_chain`` builds the n-parts of one term by repeated
-differentiation, the reference for ``summation._nparts_at``.
+differentiation on mpc coefficients, the reference for the scaled integers
+of ``summation._nparts_at``.
 ``primitive_roots`` is the shared Hypothesis strategy for roots of unity of
 high order.
 """
@@ -115,8 +116,8 @@ def geometric_closed_form(xi: RotationNumber, J: int) -> list:
 def nparts_chain(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     """(parts, tail) of ``summation._nparts_at`` by a chain of
     ``ScaleFunction.differentiate`` calls on mpc coefficients, K summed for
-    every (l, m): the reference for its integer derivative rows and memoised
-    K, whose terms and bounds it must match bit for bit."""
+    every (l, m): the reference, run 64 bits higher, for its scaled integers
+    (parts within the bound its docstring derives, tails at or above)."""
     from mplreg.scalefun import ScaleFunction
 
     with mp.workprec(prec):

@@ -378,6 +378,39 @@ class TestEvalIntegerPoint:
                 lambda cs: nested_sums(z, a, (0,) * len(a), cs), period)
             assert abs(rep.value - limit) < mp.mpf("1e-8"), (z, a, rng)
 
+    @pytest.mark.parametrize("ztext, a", [
+        ("1/7,2/7", (2, 1)), ("1/3", (1,)), ("-1,1/6", (3, 1)), ("1", (2,))])
+    def test_results_do_not_depend_on_the_memos(self, ztext, a):
+        # the same value and estimate, bit for bit, with every lru memo of
+        # summation cleared, warm, and after the same call at 256 bits and
+        # at the conjugate root: no memo keyed on a scale or a precision
+        # leaks into another
+        z = Z(ztext)
+
+        def bits():
+            rep = eval_integer_point(z, a)
+            return rep.value._mpc_, rep.abs_error_estimate._mpf_
+
+        for memo in vars(summod).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+        cold, warm = bits(), bits()
+        with mp.workprec(256):
+            eval_integer_point(z, a)
+        eval_integer_point(ZVector([RotationNumber(-z[i].fraction) for i in range(z.r)]), a)
+        assert cold == warm == bits()
+
+    def test_regularised_route_at_512_bits(self):
+        # (1/7, 2/7), a = (2, 1) at 512 bits and tol 1e-90 lies within its
+        # estimate (about 2e-101) of the same call at 1,024 bits and tol
+        # 1e-200; the two agree to about 1e-125
+        z = Z("1/7,2/7")
+        with mp.workprec(512):
+            lo = eval_integer_point(z, (2, 1), tol=mp.mpf("1e-90"))
+        with mp.workprec(1024):
+            hi = eval_integer_point(z, (2, 1), tol=mp.mpf("1e-200"))
+            assert abs(lo.value - hi.value) <= lo.abs_error_estimate
+
 
 class TestHighOrderRoutes:
     @settings(max_examples=30, deadline=None)

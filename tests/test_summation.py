@@ -419,11 +419,13 @@ class TestTwistedTail:
             ref = summod.term_sum_expansion(xi, l, m, 3)
             c_ref = ref.regularised_value()
             if xi.is_one():  # the regularised value holds h's constant term
-                c_ref -= summod._nparts_at(xi, l, m, 3, prec + 64)[0].coefficient(0, 0)
+                h0 = summod._nparts_at(xi, l, m, 3, prec + 64)[0]
+                c_ref -= summod._scaled_mpc(*h0.terms.get((0, 0), (0, 0)), h0.W)
         with mp.workprec(prec):
             parts, tail = summod._nparts_at(xi, l, m, 3, prec)
             h, _ = summod._nparts_at(xi, l, m, 5, prec)
-            dropped = ScaleFunction([(l2, m2, abs(c)) for l2, m2, c in h.terms() if m2 > 3])
+            dropped = summod.Scaled({key: math.isqrt(x * x + y * y)
+                                     for key, (x, y) in h.terms.items() if key[1] > 3}, h.W)
             totals = nested_sums((xi,), (m,), (l,), (summod.MATCH_START, 1000))
             for N, total in totals.items():
                 for approx, bound in (
@@ -866,6 +868,21 @@ class TestGeometricCoeffs:
                     assert abs(getattr(want, zero)) < mp.mpf(2) ** -1000 * s_j
                 assert abs(c - want) <= mp.mpf(2) ** (1 - prec) * e_j
 
+    @settings(max_examples=40, deadline=None)
+    @given(primitive_roots(91), st.integers(0, 40), st.sampled_from([53, 128, 256]))
+    def test_scaled_pairs_within_their_bound(self, xi, J, prec):
+        # the pairs u_j + i v_j ~ c_j 2^S_j, S_j = prec + 32 + r j, that the
+        # n-parts and K read (``_coefficient_bounds``) err by less than
+        # E_j = 2^-(prec+16) e_j 2^S_j, e_j = 3 (2 pi |x|)^-(j+1) (measured
+        # below 2^-(prec+27) e_j over orders 2-60 and 91, j <= 40)
+        ref = geometric_closed_form(xi, J)
+        with mp.workprec(1024):
+            for j, (u, v, S, A) in enumerate(summod._coefficient_bounds(xi, J, prec)):
+                got = mp.mpc(u, v) / mp.mpf(2) ** S
+                e = mp.mpf(2) ** -(prec + 16) * 3 * _pole_rate(xi) ** (j + 1)
+                assert abs(got - ref[j]) < e
+                assert abs(ref[j]) <= A / mp.mpf(2) ** S
+
     @settings(max_examples=60, deadline=None)
     @given(primitive_roots(91), st.integers(1, 30), st.sampled_from([128, 256]))
     def test_growth_bound(self, xi, j, prec):
@@ -914,9 +931,18 @@ class TestGeometricCoeffs:
         assert got == stepped
 
 
-def _bits(f: ScaleFunction) -> list:
-    """The terms of f with the exact bits of each coefficient, in order."""
-    return [(l, m, c._mpc_) for l, m, c in f.terms()]
+def _order_J(l, m, a_max):
+    """The J of ``summation._nparts_at``."""
+    return max(1, a_max + 2 - m, math.ceil(l / math.log(summod.MATCH_START)) - m - 1)
+
+
+def _true_K(xi, J):
+    """K = [xi = 1]/(J+2)! + sum_j |c_j|/(J-j+1)! from the closed form, at
+    1,024 bits."""
+    ref = geometric_closed_form(xi, J)
+    with mp.workprec(1024):
+        K = mp.fsum(abs(c) / math.factorial(J - j + 1) for j, c in enumerate(ref))
+        return K + (mp.mpf(1) / math.factorial(J + 2) if xi.is_one() else 0)
 
 
 class TestNparts:
@@ -925,24 +951,105 @@ class TestNparts:
            st.integers(-2, 3), st.integers(0, 15), st.sampled_from([53, 128, 256]),
            st.booleans())
     @example(xi=ONE, l=3, m=1, a_max=15, prec=53, cold=True)
-    def test_bit_identical_to_the_differentiation_chain(self, xi, l, m, a_max, prec, cold):
-        # parts and tail from the integer derivative rows and the memoised K,
-        # with those memos cold or warm, term for term and bit for bit as
-        # the chain of ScaleFunction derivatives on mpc coefficients; the
-        # example has rows of 54 bits, exact at 53 as even integers
+    def test_within_the_derived_bound_of_the_differentiation_chain(
+            self, xi, l, m, a_max, prec, cold):
+        # parts and tail from the integer derivative rows, the scaled pairs
+        # and the memoised K, with those memos cold or warm (the same bits
+        # both times), against the chain of ScaleFunction derivatives on mpc
+        # coefficients at prec + 64: the same keys; each part within the
+        # bound of ``_nparts_at``, E_j |d_{j,i}| 2^(V-S_j) + 1 units 2^-V
+        # (E_j = 1 at xi = 1, else E_j 2^-S_j = 2^-(prec+16) e_j), plus the
+        # chain's own error, 2^-(prec+62) e_j |d_{j,i}| by its c_j and
+        # 2^-(prec+63) |c| by its roundings; each tail coefficient at or
+        # above the chain's and within a relative 2^(4-prec) and 4 units
+        # 2^-V of it
         if cold:
             summod._derivative_rows.cache_clear()
             summod._remainder_factor.cache_clear()
-        want = [_bits(f) for f in nparts_chain(xi, l, m, a_max, prec)]
-        for _ in range(2):  # the second call finds the rows and K warm
-            summod._nparts_at.cache_clear()
-            got = summod._nparts_at(xi, l, m, a_max, prec)
-            assert [_bits(f) for f in got] == want
+        ref_parts, ref_tail = nparts_chain(xi, l, m, a_max, prec + 64)
+        summod._nparts_at.cache_clear()
+        parts, tail = summod._nparts_at(xi, l, m, a_max, prec)
+        summod._nparts_at.cache_clear()
+        assert summod._nparts_at(xi, l, m, a_max, prec) == (parts, tail)
+        assert parts.W == tail.W
+        J = _order_J(l, m, a_max)
+        rows, pairs = summod._derivative_rows(l, m, J), summod._coefficient_bounds(xi, J, prec)
+        with mp.workprec(prec + 128):
+            unit = mp.mpf(2) ** -parts.W
+            assert parts.terms.keys() == {(i, mu) for i, mu, _ in ref_parts.terms()}
+            for i, mu, want in ref_parts.terms():
+                re, im = parts.terms[i, mu]
+                bound = unit + mp.mpf(2) ** -(prec + 63) * abs(want)
+                if mu >= m and xi.is_one():
+                    bound += abs(rows[mu - m][i]) / mp.mpf(2) ** pairs[mu - m][2]
+                elif mu >= m:
+                    bound += ((mp.mpf(2) ** -(prec + 16) + mp.mpf(2) ** -(prec + 62))
+                              * 3 * _pole_rate(xi) ** (mu - m + 1) * abs(rows[mu - m][i]))
+                assert abs(re * unit - want.real) <= bound
+                assert abs(im * unit - want.imag) <= bound
+            assert tail.terms.keys() == {(i, mu) for i, mu, _ in ref_tail.terms()}
+            for i, mu, want in ref_tail.terms():
+                got = tail.terms[i, mu] * unit
+                assert want.real * (1 - mp.mpf(2) ** -(prec + 60)) <= got
+                assert got <= want.real * (1 + mp.mpf(2) ** (4 - prec)) + 4 * unit
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.just(ONE), primitive_roots(60)), st.integers(0, 3),
+           st.integers(-2, 3), st.integers(0, 15), st.sampled_from([53, 128, 256]))
+    def test_tail_holds_the_pointwise_term(self, xi, l, m, a_max, prec):
+        # only the pointwise term K |f^(J+1)|(n) lies at decay m + J + 1: each
+        # of its coefficients is at least K |d_{J+1,i}|, K from the closed form
+        J = _order_J(l, m, a_max)
+        _, tail = summod._nparts_at(xi, l, m, a_max, prec)
+        K = _true_K(xi, J)
+        with mp.workprec(1024):
+            for i, d in enumerate(summod._derivative_rows(l, m, J)[J + 1]):
+                got = mp.mpf(tail.terms.get((i, m + J + 1), 0)) / mp.mpf(2) ** tail.W
+                assert got >= K * abs(d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.just(ONE), primitive_roots(60)), st.integers(0, 3),
+           st.integers(-2, 3), st.integers(0, 15), st.sampled_from([53, 128, 256]),
+           st.sampled_from([2, 3, 250, 1000, 4097, 20000, 2 ** 21 + 1]))
+    def test_reads_within_their_bound(self, xi, l, m, a_max, prec, n):
+        # eval_nparts within 2^-prec |value| plus 2^-W (the bound of
+        # ``_read`` + 3 |parts(n)|) of the exact value of its integers, and
+        # eval_tail at or above the exact value of the tail's integers and
+        # within a relative 2^(2-prec) of it plus the rounding up of
+        # ``_read``, < 2^-W sum_terms (2 lb^l + (3 l lb^(l-1) + 2) c_t)
+        parts, tail = summod._nparts_at(xi, l, m, a_max, prec)
+        with mp.workprec(prec):
+            got, up = summod.eval_nparts(parts, xi, n), summod.eval_tail(tail, n)
+        with mp.workprec(prec + 2 * parts.W):
+            unit, lb, x, inv = mp.mpf(2) ** -parts.W, n.bit_length(), mp.log(n), mp.mpf(1) / n
+            terms = [(i, mu, mp.mpc(*c) * unit) for (i, mu), c in parts.terms.items()]
+            want = xi.value() ** n * mp.fsum(c * x ** i * inv ** mu for i, mu, c in terms)
+            read = mp.fsum(lb ** i + 3 * i * lb ** max(0, i - 1) * abs(c) * inv ** mu
+                           for i, mu, c in terms)
+            bound = mp.mpf(2) ** -prec * abs(want) + unit * (read + 3 * abs(want))
+            assert abs(got - want) <= bound
+            terms = [(i, c * unit * inv ** mu) for (i, mu), c in tail.terms.items()]
+            exact = mp.fsum(c * x ** i for i, c in terms)
+            read = mp.fsum(2 * lb ** i + (3 * i * lb ** max(0, i - 1) + 2) * c for i, c in terms)
+            assert exact <= up <= exact * (1 + mp.mpf(2) ** (2 - prec)) + unit * read
 
     def test_rows_are_the_derivatives(self):
         # f = (log x)^2 x^-1: f' = (2 log x - (log x)^2) x^-2,
         # f'' = (2 - 6 log x + 2 (log x)^2) x^-3
         assert summod._derivative_rows(2, 1, 1) == ((0, 0, 1), (0, 2, -1), (2, -6, 2))
+
+
+class TestRemainderFactor:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.just(ONE), primitive_roots(60)), st.integers(0, 30),
+           st.sampled_from([53, 128, 256]))
+    def test_bounds_the_closed_form(self, xi, J, prec):
+        # K from the scaled pairs (the exact c_j at xi = 1), rounded up: at
+        # or above [xi = 1]/(J+2)! + sum_j |c_j|/(J-j+1)!, the c_j of the
+        # closed form, and within a relative 2^(8-prec) of it
+        K, want = summod._remainder_factor(xi, J, prec), _true_K(xi, J)
+        with mp.workprec(1024):
+            assert want <= K <= want * (1 + mp.mpf(2) ** (8 - prec))
 
 
 class TestResidueReads:
