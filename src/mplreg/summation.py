@@ -1,4 +1,4 @@
-"""Summation engines, single-term partial-sum expansions and the kernel.
+"""Summation engines and single-term partial-sum expansions.
 
 Two finite-cutoff engines reproduce sums over scale functions exactly:
 
@@ -6,28 +6,60 @@ Two finite-cutoff engines reproduce sums over scale functions exactly:
 * ``gen_euler_boole``   for  sum_{a<n} zeta^a f(a),  zeta a primitive k-th
   root of unity,
 
-with the remainder integral in closed form (for k >= 3 with correction
-sums proportional to zeta E_{k,j}(1) - E_{k,j}(0), 0 at k = 2).  Every block
-but the twisted engine's head and step blocks (f at 2k - 2 points, through
-``ScaleFunction._grid``) comes from one pass of exact integer moment sums
-(``_moment_blocks``), rounded once within a derived bound that joins the
-engines' ``remainder_estimate``.
+with the remainder integral in closed form.  For k >= 3 the quasi-periodic
+polynomial jumps at the integers, so integration by parts picks up
+correction sums proportional to zeta E_{k,j}(1) - E_{k,j}(0), which
+vanishes identically at k = 2 (the classical alternating formula).  The
+remainder, the corrections and the blocks at the ends t = lo and t = n
+(the integral F(n) - F(1) and the derivative boundaries) come from one
+pass of exact integer moment sums over the integers of the range
+(``_moment_blocks``), f's complex coefficients entering only at the end,
+as exact products with them, and each block is rounded once; the
+remainder still comes from f^(m)'s antiderivatives, never from f's values.
+Only the twisted engine's head and step blocks read f itself, at 2k - 2
+points partly outside that range, through ``ScaleFunction._grid``.  Every
+block's rounding is bounded (``_moment_blocks``, ``_breakdown``), and the
+bound is the rounding part of the engines' ``remainder_estimate``.
 
 ``term_sum_expansion`` returns the ``AsymptoticExpansion`` of
-sum_{a<n} xi^a (log a)^l a^(-m): its n-parts and their remainder bound
-(``_nparts_at``) are ``Scaled`` sums, Gaussian integers at one scale 2^V,
-each part floored once within a derived bound and each tail coefficient
-rounded up, read at a cutoff on integers (``_read``) through the kernel's
-tables and rounded once; the constant, its regularised value, is matched
-against exact partial sums at a cutoff pair (N, 2N), within its
-``residual_bound``.
+sum_{a<n} xi^a (log a)^l a^(-m), with symbolic n-dependent coefficients
+from one series for every xi: the antiderivative when xi = 1 plus
+h = sum_{j<=J} c_j f^(j), c_j the Taylor coefficients of 1/(xi e^t - 1)
+less its pole (from their recurrence on scaled Python integers, O(J^2) once
+per (xi, prec)), J = max(1, A + 2 - m), and the f^(j) of f = (log x)^l
+x^-m read off one memoised table of exact integer derivative rows that
+every xi and precision share, so a term costs O(J l) integer products
+whatever the order of xi; the remainder is K (|f^(J+1)|(n) + int_n^inf
+|f^(J+1)|), K = [xi = 1]/(J + 2)! + sum_j |c_j| / (J - j + 1)! memoised per
+(xi, J, prec), once the absolute terms of f^(J+1) decrease on [n, inf).
+The n-parts and this bound are ``Scaled`` sums, Gaussian integers at one
+scale 2^V (``_nparts_at``): each part c_j d_{j,i} is floored once from
+the scaled pairs of the c_j within a bound derived there, and each tail
+coefficient is rounded up.  They are read at a cutoff on integers
+(``_read``, ``_read_chars``) through the kernel's log code, each value
+rounded once.  The constant, its regularised value, is matched against
+exact partial sums at a cutoff pair (N, 2N), within its ``residual_bound``.
 
 ``nested_sums`` is the package's one partial-sum kernel: every exact
 truncated nested sum t_N (the matching oracle of every level of the depth
 driver, the convergent route and the translation checks) comes out of its
-single forward pass on Python integers scaled by 2^P (``pass_scale``), and
-each t_N errs by at most 2^-(prec+8) before its final rounding.
+single forward pass, which also keeps the suffix sum of every level at each
+requested cutoff.  It runs, for every input, on Python integers scaled by
+2^P, P = prec + g, with the guard g taken from an a-priori bound on the
+accumulated truncations (``pass_scale``), as list arithmetic over blocks of
+at most ``BLOCK_CAP`` n, with the outer level of a root z_1 of order q
+summed in q residue classes of n.  Roots of unity come from power tables of
+fixed-point products of one value of xi, complex weights from running
+products, log n from one table per P (a prime's logarithm once per process,
+a composite's the exact sum of two stored ones), integral exponents from
+exact division or multiplication, and non-integral ones from a table of
+n^-s built multiplicatively: a prime is exp(-s log p) in integer fixed point
+(Brent & Zimmermann, "Modern Computer Arithmetic", ch. 4), a composite one
+fixed-point product of stored values, and past ``SIEVE_CAP`` stored values a
+term divides out stored primes until its cofactor is stored.  For every
+input each t_N errs by at most 2^-(prec+8) before its final rounding.
 """
+
 from __future__ import annotations
 
 import math
@@ -358,13 +390,15 @@ def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
     c_n = -xi/(xi - 1) * sum_{i<n} c_i/(n - i)!, run on complex pairs of
     integers d_n = c_n 2^(r n) 2^(prec+32), r = max(0, ceil(log2(2 pi |x|))),
     |x| <= 1/2 the distance of the rotation number x of xi to the nearest
-    integer, so that the scale keeps the relative bits of coefficients that
-    decay as |c_n| ~ (2 pi |x|)^-(n+1) (below): d_n = -xi/(xi - 1) *
-    floor(sum_{i<n} d_i w_i / n!), w_i = n!/(n - i)! 2^(r (n-i)) exact, and
-    each c_n is rounded to prec once.  At xi = e^(i theta), G(t) =
-    (coth((t + i theta)/2) - 1)/2 with coth odd, so c_n (n >= 1) is real for
-    odd n and imaginary for even n (zero at xi = -1), and keeps that part
-    alone: no rounding where the other part vanishes.
+    integer: |c_n| ~ (2 pi |x|)^-(n+1) (below), so the scale 2^(r n) keeps
+    the relative bits of coefficients that decay, as they do for xi far
+    from 1 whatever its order.
+    Then d_n = -xi/(xi - 1) * floor(sum_{i<n} d_i w_i / n!), with the exact
+    weights w_i = n!/(n - i)! 2^(r (n-i)), and each c_n is rounded to prec
+    once.  At xi = e^(i theta), G(t) = (coth((t + i theta)/2) - 1)/2 with
+    coth odd and its Taylor coefficients real, so c_n (n >= 1) is real for
+    odd n and imaginary for even n (zero at xi = -1): each keeps only that
+    part, leaving no rounding where the other part vanishes.
 
     The growth: 1/(xi e^t - 1) = sum_{a<k} xi^a e^(a t)/(e^(k t) - 1) gives
     c_j = k^j/(j+1)! sum_{a<k} xi^a B_{j+1}(a/k) (at xi = 1, k = 1, the
@@ -378,11 +412,13 @@ def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
     pairs at >= 2 pi k' >= 4 pi k' |x|, so |c_j| < 2 (1 + zeta(2)/4) (2 pi
     |x|)^-(j+1) < 3 (2 pi |x|)^-(j+1) = e_j, and |c_0| = 1/(2 sin(pi |x|))
     < e_0.  The pairs d_n keep c_n within 2^-(prec+16) e_n, the rounded c_n
-    within 2^(1-prec) e_n (``TestGeometricCoeffs``).  With |f^(j)(N)| ~ j!
-    N^-(m+j), the terms c_j f^(j)(N) of the n-parts decrease while j <~ 2 pi
-    N/k: at N = MATCH_START = 250 the default tol's J <= 19 keeps them
-    decreasing for orders k <= 80, and ``choose_cutoff`` moves a higher
-    order to a larger N through the tail it predicts."""
+    within 2^(1-prec) e_n (``TestGeometricCoeffs``).
+
+    With |f^(j)(N)| ~ j! N^-(m+j), the terms c_j f^(j)(N) of the n-parts
+    therefore decrease while j <~ 2 pi N/k.  That is why matching may start
+    at N = MATCH_START = 250: the default tol's J <= 19 keeps the terms
+    decreasing there for orders k <= 80, and ``choose_cutoff`` moves a
+    higher order to a larger N through the tail it predicts."""
     factor, r, scaled, coeffs = _geometric_list(xi, prec)
     with mp.workprec(prec):
         for n in range(len(coeffs), J + 1):
@@ -456,9 +492,9 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 # reg-high-order benchmark template reaches (872 hits), ``_derivative_rows``
 # their 65 (l, m, J), ``_remainder_factor`` 500 (xi, J, prec),
 # ``_geometric_list`` 70 (xi, prec), ``_matching_order`` 2 (tol, prec),
-# ``_fixed_power_table`` 88 (xi, P) and ``_log_table`` 4 P, tables of 2,001
-# entries or, grown by the tail reads of ``choose_cutoff``, SIEVE_CAP + 1,
-# with room to spare; two rounds of ``direct`` (seed 5) reach 35
+# ``_char_pair`` 66 (xi^n, W), ``_fixed_power_table`` 80 (xi, P) and
+# ``_log_table`` 4 P, each table of 1,001 or 2,001 entries (a table stops at
+# SIEVE_CAP + 1), with room to spare; two rounds of ``direct`` (seed 5) reach 35
 # (l, mu, m, k) of ``_moment_weights`` and 14 (m, k) of ``_engine_table``
 @lru_cache(maxsize=4096)
 def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
@@ -472,13 +508,17 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     sum_{a<n} xi^a f(a) = C + xi^n h(n) + eps(n)  (the generalised
     Euler-Boole formula of Borwein, Calkin & Manna, "Euler-Boole summation
     revisited", Amer. Math. Monthly 116, 2009; at xi = 1 the pole 1/t of G
-    is the antiderivative and this is Euler-Maclaurin).  The terms of h with
-    decay m' <= a_max are the parts, the others go to the tail pointwise.
-    With f^(j) = x^-(m+j) sum_i d_{j,i} (log x)^i, d the exact rows of
-    ``_derivative_rows``, each term c_j d_{j,i} of h, the only one at its
-    (i, m + j), is (u_j d_{j,i}, v_j d_{j,i}) floored once from 2^S_j to
-    2^V, (u_j, v_j) the pair of ``_coefficient_bounds``: within E_j |d_{j,i}|
-    2^(V - S_j) + 1 units 2^-V in each part (F's exact terms within 1 unit).
+    is the antiderivative and this is Euler-Maclaurin).  All coefficients
+    attach to the character xi: the terms of h with decay m' <= a_max are
+    the parts, the others go to the tail pointwise.  The derivatives
+    f^(j) = x^-(m+j) sum_i d_{j,i} (log x)^i are the exact integer rows of
+    ``_derivative_rows``, shared by every xi and precision, so each term
+    c_j d_{j,i} of h, the only one at its (i, m + j), is rounded once: it is
+    (u_j d_{j,i}, v_j d_{j,i}) floored from 2^S_j to 2^V, (u_j, v_j) the
+    pair of ``_coefficient_bounds``, within E_j |d_{j,i}| 2^(V - S_j) + 1
+    units 2^-V in each part (F's exact terms within 1 unit).  The cost is
+    O(J l) integer products whatever the order of xi, the c_j memoised once
+    per (xi, prec) and K below once per (xi, J, prec) for every (l, m).
 
     The remainder is derived, not estimated.  Taylor's theorem on F(a + 1)
     to order J + 2 and on each f^(j)(a + 1), j <= J, with
@@ -560,15 +600,18 @@ def _remainder_factor(xi: RotationNumber, J: int, prec: int):
 
 def _read(terms: dict, W: int, n: int, up: bool = False) -> tuple:
     """sum C (log n)^l n^-m over the ``terms`` of a ``Scaled`` at 2^W, at
-    an integer n >= 2, as integers (re, im) scaled by 2^(2W): (log n)^l off
-    the kernel's log table of W (``_logs``, ``_log_powers``), within
-    3 l lb^(l-1) units 2^-W, lb = bit_length(n), each C n^-m an exact
-    multiply (m <= 0) or a floor division, the products and the sum exact.
-    So the read errs by < 2^-W sum_terms (lb^l + 3 l lb^(l-1) |C 2^-W n^-m|).
-    With ``up``, each C >= 0 is an integer, each division rounds up and
-    (log n)^l is raised by 3 l lb^(l-1) + 1 units: an upper bound."""
+    an integer n >= 2, as integers (re, im) scaled by 2^(2W): log n as the
+    kernel reads it (``_log_at``), each power one fixed-point product as in
+    ``_log_powers``, so (log n)^l errs by < 3 l lb^(l-1) units 2^-W,
+    lb = bit_length(n); each C n^-m an exact multiply (m <= 0) or a floor
+    division, the products and the sum exact.  So the read errs by
+    < 2^-W sum_terms (lb^l + 3 l lb^(l-1) |C 2^-W n^-m|).  With ``up``,
+    each C >= 0 is an integer, each division rounds up and (log n)^l is
+    raised by 3 l lb^(l-1) + 1 units: an upper bound."""
     L, lb = max((l for l, _ in terms), default=0), n.bit_length()
-    X = [1 << W] + [x for x, in _log_powers(_logs(W, n) if L else (), W, L, range(n, n + 1))[1:]]
+    X, x = [1 << W], _log_at(n, W) if L else 0
+    for _ in range(L):
+        X.append(X[-1] * x >> W)
     if up:
         X = [x + 3 * l * lb ** (l - 1) + 1 if l else x for l, x in enumerate(X)]
     re = im = 0
@@ -585,16 +628,43 @@ def _read(terms: dict, W: int, n: int, up: bool = False) -> tuple:
 
 def _read_chars(parts: dict, W: int, n: int):
     """sum over characters xi of xi^n times ``_read`` of parts[xi] at n,
-    rounded once: xi^n off ``_fixed_power_table`` at W, within 1 + 2^-18
-    units 2^-W in each part, the products and the sum exact.  So it errs by
+    rounded once: xi^n off ``_char_pair`` at W, within 1 + 2^-16 units 2^-W
+    in each part, the products and the sum exact.  So it errs by
     < 2^-prec |value| + 2^-W sum_xi (the bound of ``_read`` + 3 |xi^n
     parts[xi](n)|)."""
     re = im = 0
     for xi, terms in parts.items():
         x, y = _read(terms, W, n)
-        c, s = _fixed_power_table(xi.fraction, W)[n % xi.order]
+        c, s = _char_pair(xi ** n, W)
         re, im = re + x * c - y * s, im + x * s + y * c
     return _scaled_mpc(re, im, 3 * W)
+
+
+@lru_cache(maxsize=4096)
+def _char_pair(xi: RotationNumber, W: int) -> tuple:
+    """xi scaled by 2^W and floored, from its value at W + 20 bits: one
+    pair per value xi^n read, so no table of all powers of a character of
+    high order (the product of two roots) is ever built."""
+    with mp.workprec(W + 20):
+        return _fixed_pair(xi.value(), W)
+
+
+def _log_at(n: int, W: int) -> int:
+    """floor(log n 2^W) as the kernel's pass at 2^W reads it, without
+    growing its log table: the table's entry shifted down when the table
+    holds n, else the same integer, the exact sum of the entries of n's
+    prime factors (``_logs``); past ``SIEVE_CAP``, ``log_int_fixed``."""
+    if n > SIEVE_CAP:
+        return log_int_fixed(n, W)
+    logs, wp, x, p = _log_table(W)[0], W + 64, 0, 2
+    if n < len(logs):
+        return logs[n] >> 64
+    while n > 1:
+        while n % p:
+            p += 1
+        n //= p
+        x += logs[p] if p < len(logs) else to_fixed(mpf_log(from_int(p), wp + 10), wp)
+    return x >> 64
 
 
 def eval_nparts(parts: Scaled, xi: RotationNumber, n):
@@ -632,20 +702,30 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     n^{-s_j} times level j + 1 as it stood before n; the innermost level
     sums its weights alone.  Cost O(max(cutoffs) * r).
 
-    The pass runs on Python integers scaled by 2^P (``pass_scale``: prec
-    plus the guard of ``_guard_bits``, rounded up to a multiple of 64 so
-    that nearby cutoffs share the tables).  It takes the n of a block
-    [n0, n1) of at most ``BLOCK_CAP`` terms together, level by level from
-    the innermost: each factor of the weights is a list over the block
-    (z_j^n off ``_fixed_power_table`` or running products, (log n)^k off
-    ``_logs``, n^-a exact, n^-s off the table of ``_table_block``), each
-    product of two lists one ``map``, each product of scaled values
-    shifted right by P, and the running sums one ``accumulate`` from the
-    sum before the block.  A prime's n^-s is exp(-s log p) in integer fixed
-    point (``_power_entry``; Brent & Zimmermann, "Modern Computer
-    Arithmetic", ch. 4), a composite one product of stored entries, and
-    past ``SIEVE_CAP`` stored values n splits into stored primes and a
-    cofactor (``_split``).
+    The pass runs on Python integers scaled by 2^P, P = prec + g rounded up
+    to a multiple of 64 so that nearby cutoffs share the power tables, prec
+    being the working precision and g from ``_guard_bits``.  It takes the n
+    of a block [n0, n1) of at most ``BLOCK_CAP`` terms together, level by
+    level from the innermost: each factor of the weights is a list over the
+    block, each product of two lists one ``map``, each product of scaled
+    values shifted right by P, and the running sums one ``accumulate`` from
+    the sum before the block.  The factors:
+
+    * z_j^n, a slice of the memoised integer cos/sin table of a
+      RotationNumber (``_fixed_power_table``), or the fixed-point running
+      products of a complex z_j;
+    * (log n)^k from the log table of P (``_logs``) up to ``SIEVE_CAP``,
+      from ``log_int_fixed`` past it;
+    * n^-a, a integral, by an exact division by n^a (a > 0) or an exact
+      multiply by n^|a| (a <= 0);
+    * n^-s, s not integral, from a table of scaled complex pairs kept on the
+      pass state and grown block by block to the cutoff reached.  A prime's
+      entry is exp(-s log p) in integer fixed point, floored once
+      (``_power_entry``); a composite n = p m, p its smallest prime factor,
+      is one fixed-point product of stored entries, each stored as it is
+      made.  The table stores at most ``SIEVE_CAP`` values; past them n
+      splits into stored primes and a cofactor that is stored or, when none
+      of them splits it, computed like a prime (``_split``).
 
     No level reads level 0, so when z_1 is a RotationNumber of order q, level
     0 keeps q sums R_c instead, one per residue class c of n mod q, and adds
@@ -659,16 +739,18 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     its running product.
 
     Every level j >= 1 and every n^-s entry get the same bits as a pass one
-    n at a time with the same floors (``oracles.fixed_point_pass``).  Each
-    t_N errs by at most 2^-(prec+8) before its one final rounding to an
-    mpc, and a resumed pass gives the same bits as a one-shot pass.  A call
-    holds, besides its tables, one block's lists at a time (``BLOCK_CAP``).
+    n at a time with the same floors (``oracles.fixed_point_pass`` in the
+    tests).  Each requested t_N becomes an mpc once, at the end.  For every
+    input each t_N errs by at most 2^-(prec+8) before that final rounding,
+    and a resumed pass gives the same bits as a one-shot pass.  Besides its
+    tables a call holds one block's lists at a time, which ``BLOCK_CAP``
+    bounds.
 
     A ``NestedPass`` as ``state`` resumes the pass where that state stands,
     so a ladder of calls on one state sums each term once; without one the
     pass runs one-shot from n = 1.  The state also keeps level j at each
-    requested cutoff N, t_N of the suffix series (z_j.., s_j.., k_j..)
-    within the same bound (``NestedPass.suffix_sum``).
+    requested cutoff N, t_N of the suffix series (z_j.., s_j.., k_j..) within
+    the same bound (``NestedPass.suffix_sum``).
     """
     z = tuple(z)
     exps = [_exponent(s_j) for s_j in s]
@@ -1035,9 +1117,9 @@ def _guard_bits(z, exps, kvec, top) -> int:
     The entries z_1^c err by < 1 + 2^-18 u in each part, so each part errs by
     < sqrt 2 (1 + 2^-18) sum_c |R_c| u + 1 u, and sum_c |R_c| is at most the
     sum of |running[1]| M_1 over n < N (running[1] = 1 at depth 1), so
-    <= N^r prod_j M_j.  The per-n product charged each term the same entry
-    error times |running[1]|, so the residue sums trade N terms' entry
-    errors for one product's: B stands.
+    <= N^r prod_j M_j.  The per-n product
+    charged each term the same entry error times |running[1]|, so the
+    residue sums trade N terms' entry errors for one product's: B stands.
 
     g = bit_length(B) + 8 then gives B u <= 2^-(prec+8), 2^19 N times below
     the 2^(11-prec) N that ``_rounding_slack(2N, ...)`` certifies.
@@ -1046,9 +1128,9 @@ def _guard_bits(z, exps, kvec, top) -> int:
     g' = 13 + max(0, mag(s_j)) + bit_length(lb).  Its log f is the log
     table's entry shifted down to wp when f <= ``SIEVE_CAP`` and
     wp <= P + 58, erring by < 1 + 1.02 Omega(f) 2^-6 < 1.25 ulp
-    (Omega(f) <= 14), else a fresh logarithm floored at wp, < 1.3 ulp.  In
-    ulps 2^-wp relative to |f^-s_j|, x + iy = -s_j log f errs by
-    < 1.5 |s_j| + log f + 1 in each part
+    (Omega(f) <= 14), else a fresh logarithm floored at wp, < 1.3 ulp.
+    In ulps 2^-wp relative to
+    |f^-s_j|, x + iy = -s_j log f errs by < 1.5 |s_j| + log f + 1 in each part
     (log f by < 1.5, s_j by < 1), the reductions by ln 2 and pi/2 add
     < 1.45 |s_j| log f + 1 and < 0.64 |s_j| log f + 1, and the base cases of
     exp and cos/sin < 32 each (17 at most, measured at wp <= 700): in all
@@ -1141,11 +1223,12 @@ def resolve_tol(tol, default):
 
 def internal_precision(A: int, tol) -> int:
     """Expansion completeness needed so matching from N = MATCH_START
-    reaches tol: the count of n^-(A+1) <= tol at N = MATCH_START plus 4 (15
-    at tol = 1e-25), since the constant errs by about the remainder at 2N
-    and a character of order q gains only ~2 pi N/(q j) per order (at 128
-    bits and tol = 1e-25, z = 1/19, a = 1 errs by 9.8e-34; with 2 in place
-    of 4 by 1.2e-34, and z = 1/37 by 1.4e-30, the worst of 26 orders <= 127)."""
+    reaches tol: the count of n^-(A+1) <= tol at N = MATCH_START plus 4
+    (15 at tol = 1e-25), since the constant errs by about the remainder at
+    2N and a character of order q gains only ~2 pi N/(q j) per order (at
+    128 bits and tol = 1e-25, z = 1/19, a = 1 errs by 9.8e-34; with 2 in
+    place of 4 by 1.2e-34, and z = 1/37 by 1.4e-30, the worst of 26 orders
+    <= 127)."""
     return max(A, _matching_order(tol, mp.mp.prec))
 
 

@@ -400,6 +400,20 @@ class TestEvalIntegerPoint:
         eval_integer_point(ZVector([RotationNumber(-z[i].fraction) for i in range(z.r)]), a)
         assert cold == warm == bits()
 
+    def test_reads_build_no_power_table_of_a_product_character(self, monkeypatch):
+        # the depth driver reads the character z_1 z_2, of order
+        # lcm(101, 103) = 10,403, at the matching cutoffs one value xi^n at a
+        # time: the only power tables built are the kernel's, one per root
+        orders, table = [], summod._fixed_power_table
+
+        def spy(frac, P):
+            orders.append(frac.denominator)
+            return table(frac, P)
+
+        monkeypatch.setattr(summod, "_fixed_power_table", spy)
+        eval_integer_point(Z("1/101,1/103"), (1, 1))
+        assert set(orders) == {101, 103}
+
     def test_regularised_route_at_512_bits(self):
         # (1/7, 2/7), a = (2, 1) at 512 bits and tol 1e-90 lies within its
         # estimate (about 2e-101) of the same call at 1,024 bits and tol

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import log_int_fixed
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -1032,6 +1033,20 @@ class TestNparts:
             exact = mp.fsum(c * x ** i for i, c in terms)
             read = mp.fsum(2 * lb ** i + (3 * i * lb ** max(0, i - 1) + 2) * c for i, c in terms)
             assert exact <= up <= exact * (1 + mp.mpf(2) ** (2 - prec)) + unit * read
+
+    def test_log_reads_match_the_table_and_leave_it(self):
+        # a read's log n is the kernel's table entry bit for bit, whether or
+        # not the table of its scale holds n yet, and reading it grows no
+        # table; past SIEVE_CAP it is log_int_fixed's, as in the kernel
+        W, ns = 1856, [2, 250, 1000, 4001, 4096, 7919]
+        logs = summod._log_table(W)[0]
+        size = len(logs)
+        cold = [summod._log_at(n, W) for n in ns]
+        assert len(logs) == size
+        table = summod._logs(W, max(ns))
+        assert cold == [table[n] >> 64 for n in ns] == [summod._log_at(n, W) for n in ns]
+        n = summod.SIEVE_CAP + 1
+        assert summod._log_at(n, W) == log_int_fixed(n, W)
 
     def test_rows_are_the_derivatives(self):
         # f = (log x)^2 x^-1: f' = (2 log x - (log x)^2) x^-2,
