@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import from_rational, mpf_cos_sin_pi, round_nearest
 
 from .errors import DomainError
 
@@ -44,10 +45,10 @@ class RotationNumber:
     """A root of unity e^{2*pi*i*p/q}, stored as the reduced rational p/q mod 1.
 
     The group law is multiplication of the complex values, i.e. addition of
-    the fractions mod 1.  Instances are immutable and hashable.
+    the fractions mod 1.  Instances are immutable and hashed once.
     """
 
-    __slots__ = ("_frac",)
+    __slots__ = ("_frac", "_hash")
 
     def __init__(self, numerator, denominator=1):
         if isinstance(numerator, float) or isinstance(denominator, float):
@@ -58,6 +59,7 @@ class RotationNumber:
             frac = Fraction(numerator, denominator)
         frac -= frac // 1  # reduce mod 1 into [0, 1)
         object.__setattr__(self, "_frac", frac)
+        object.__setattr__(self, "_hash", hash((frac.numerator, frac.denominator)))
 
     @classmethod
     def parse(cls, text: str) -> "RotationNumber":
@@ -102,10 +104,11 @@ class RotationNumber:
         return RotationNumber(self._frac * exponent)
 
     def value(self) -> mp.mpc:
-        """The complex value at the current working precision."""
-        t = 2 * self._frac
-        return mp.mpc(mp.cospi(mp.mpf(t.numerator) / t.denominator),
-                      mp.sinpi(mp.mpf(t.numerator) / t.denominator))
+        """The complex value at the working precision, one cos/sin of pi 2p/q
+        (2p/q at prec + 20 + bit_length(q) bits; exact at 1, -1 and +-i)."""
+        prec, q = mp.mp.prec, self._frac.denominator
+        x = from_rational(2 * self._frac.numerator, q, prec + 20 + q.bit_length(), round_nearest)
+        return mp.make_mpc(mpf_cos_sin_pi(x, prec, round_nearest))
 
     def power_values(self) -> tuple:
         """(zeta^0, ..., zeta^(q-1)) at the current precision (zeta^n cycles)."""
@@ -115,7 +118,7 @@ class RotationNumber:
         return isinstance(other, RotationNumber) and self._frac == other._frac
 
     def __hash__(self):
-        return hash(self._frac)
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self._frac.numerator}/{self._frac.denominator}"

@@ -50,8 +50,9 @@ accumulated truncations (``pass_scale``), as list arithmetic over blocks of
 at most ``BLOCK_CAP`` n, with the outer level of a root z_1 of order q
 summed in q residue classes of n.  Roots of unity come from power tables of
 fixed-point products of one value of xi, complex weights from running
-products, log n from one table per P (a prime's logarithm once per process,
-a composite's the exact sum of two stored ones), integral exponents from
+products, log n from one table per P on integers (a prime's entry that of
+p - 1 plus one atanh series, a composite's the exact sum of two stored
+ones), integral exponents from
 exact division or multiplication, and non-integral ones from a table of
 n^-s built multiplicatively: a prime is exp(-s log p) in integer fixed point
 (Brent & Zimmermann, "Modern Computer Arithmetic", ch. 4), a composite one
@@ -74,7 +75,8 @@ from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import (from_int, from_man_exp, from_rational, ln2_fixed, log_int_fixed,
-                          mpf_log, pi_fixed, round_ceiling, round_nearest, to_fixed)
+                          mpf_cos_sin_pi, mpf_div, mpf_log, pi_fixed, round_ceiling,
+                          round_nearest, to_fixed)
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase
 
 from . import eulerpoly
@@ -382,8 +384,9 @@ class Scaled(NamedTuple):
 
 def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
     """Taylor coefficients c_0..c_J of G(t) = 1/(xi e^t - 1) less its pole,
-    at ``prec`` bits.  No c_j depends on J, so one list per (xi, prec) is
-    extended as far as any call asks.
+    at ``prec`` bits, each rounded once from its scaled pair when first
+    read (``_coefficient_bounds`` runs the recurrence below).  No c_j depends
+    on J, so one list per (xi, prec) is extended as far as any call asks.
 
     At xi = 1 the pole is 1/t and c_j = B_{j+1}/(j+1)! exactly.  Otherwise
     (xi e^t - 1) G(t) = 1 order by order gives c_0 = 1/(xi - 1) and
@@ -394,11 +397,11 @@ def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
     the relative bits of coefficients that decay, as they do for xi far
     from 1 whatever its order.
     Then d_n = -xi/(xi - 1) * floor(sum_{i<n} d_i w_i / n!), with the exact
-    weights w_i = n!/(n - i)! 2^(r (n-i)), and each c_n is rounded to prec
-    once.  At xi = e^(i theta), G(t) = (coth((t + i theta)/2) - 1)/2 with
-    coth odd and its Taylor coefficients real, so c_n (n >= 1) is real for
-    odd n and imaginary for even n (zero at xi = -1): each keeps only that
-    part, leaving no rounding where the other part vanishes.
+    weights w_i = n!/(n - i)! 2^(r (n-i)).  At xi = e^(i theta),
+    G(t) = (coth((t + i theta)/2) - 1)/2 with coth odd and its Taylor
+    coefficients real, so c_n (n >= 1) is real for odd n and imaginary for
+    even n (zero at xi = -1): each keeps only that part, leaving no rounding
+    where the other part vanishes.
 
     The growth: 1/(xi e^t - 1) = sum_{a<k} xi^a e^(a t)/(e^(k t) - 1) gives
     c_j = k^j/(j+1)! sum_{a<k} xi^a B_{j+1}(a/k) (at xi = 1, k = 1, the
@@ -419,66 +422,60 @@ def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
     at N = MATCH_START = 250: the default tol's J <= 19 keeps the terms
     decreasing there for orders k <= 80, and ``choose_cutoff`` moves a
     higher order to a larger N through the tail it predicts."""
-    factor, r, scaled, coeffs = _geometric_list(xi, prec)
+    bounds, coeffs = _coefficient_bounds(xi, J, prec), _geometric_list(xi, prec)[-1]
     with mp.workprec(prec):
         for n in range(len(coeffs), J + 1):
-            if xi.is_one():
-                c = eulerpoly.bernoulli_number(n + 1) / math.factorial(n + 1)
-                scaled.append(((c.numerator << prec + 32 + 3 * n) // c.denominator, 0))
-                coeffs.append(_mpq(c))
-                continue
-            x = y = 0
-            w = 1 << r * n
-            for i, (u, v) in enumerate(scaled):
-                x += u * w
-                y += v * w
-                w = (w >> r) * (n - i)
-            fac = math.factorial(n)
-            x, y = x // fac, y // fac
-            if n % 2:
-                scaled.append(((x * factor[0] - y * factor[1]) >> prec + 32, 0))
-            else:
-                scaled.append((0, (x * factor[1] + y * factor[0]) >> prec + 32))
-            coeffs.append(_scaled_mpc(*scaled[n], prec + 32 + r * n))
+            coeffs.append(_mpq(eulerpoly.bernoulli_number(n + 1) / math.factorial(n + 1))
+                          if xi.is_one() else _scaled_mpc(*bounds[n][:3], prec))
     return tuple(coeffs[:J + 1])
 
 
 @lru_cache(maxsize=4096)
 def _geometric_list(xi: RotationNumber, prec: int) -> tuple:
-    """The memo of ``_geometric_coeffs``: -xi/(xi - 1) scaled by 2^(prec+32),
-    r, the scaled pairs d_0, d_1, ... and [c_0, c_1, ...]; at xi = 1, r = 3
-    (|c_j| ~ 2 (2 pi)^-(j+1)) and d_j the floor of c_j 2^(r j) 2^(prec+32)."""
-    if xi.is_one():
-        return None, 3, [], []
-    with mp.workprec(prec + 64):
-        v = xi.value()
-        factor, c0 = _fixed_pair(-v / (v - 1), prec + 32), _fixed_pair(1 / (v - 1), prec + 32)
-    near = min(xi.fraction, 1 - xi.fraction)  # |x|, the angle of xi over 2 pi
-    with mp.workprec(prec):
-        return (factor, max(0, math.ceil(math.log2(2 * math.pi * near))), [c0],
-                [_scaled_mpc(*c0, prec + 32)])
+    """The memo of ``_coefficient_bounds`` and ``_geometric_coeffs``:
+    -xi/(xi - 1) = -1/2 + i cot(pi x)/2 at xi = e^(2 pi i x) scaled by
+    2^(prec+32), floored from one cos/sin at prec + 64 bits; r; (a, b) with
+    a/b >= 1/(2 pi |x|) (1/pi <= 106/333); [(u_j, v_j, S_j, A_j)]; [c_j].
+    At xi = 1, r = 3 (|c_j| ~ 2 (2 pi)^-(j+1)) and a = 0."""
+    near, wp = min(xi.fraction, 1 - xi.fraction), prec + 64  # |x|
+    if not near:
+        return None, 3, (0, 1), [], []
+    cot = mpf_div(*mpf_cos_sin_pi(from_rational(xi.numerator, xi.denominator, wp), wp), wp)
+    return ((-1 << prec + 31, to_fixed(cot, prec + 31)),
+            max(0, math.ceil(math.log2(2 * math.pi * near))),
+            (53 * near.denominator, 333 * near.numerator), [], [])
 
 
 def _coefficient_bounds(xi: RotationNumber, J: int, prec: int) -> list:
-    """[(u_j, v_j, S_j, A_j)] for j <= J: the scaled pair u_j + i v_j of
-    c_j 2^S_j, S_j = prec + 32 + r j, that ``_geometric_list`` keeps, and an
-    integer A_j >= |c_j| 2^S_j.  At xi = 1 the pairs are floors of the exact
-    real c_j, within E_j = 1 unit, and A_j = |u_j| + 1; else they carry
-    prec + 32 bits and err by < E_j = 2^-(prec+16) e_j 2^S_j, e_j = 3 (2 pi
-    |x|)^-(j+1) as in ``_geometric_coeffs`` (``TestGeometricCoeffs`` pins
-    it; measured below 2^-(prec+27) e_j), and A_j = isqrt(u_j^2 + v_j^2) +
-    1 + E_j, E_j rounded up with 1/pi <= 106/333."""
-    _geometric_coeffs(xi, J, prec)
-    _, r, scaled, _ = _geometric_list(xi, prec)
-    near = min(xi.fraction, 1 - xi.fraction)
-    # a/b >= 1/(2 pi |x|); x = 3 a^(j+1) and y = b^(j+1) give E_j = x 2^(16+rj)/y
-    a, b = (53 * near.denominator, 333 * near.numerator) if near else (0, 1)
-    out, x, y = [], 3 * a, b
-    for j, (u, v) in enumerate(scaled[:J + 1]):
-        E = -(-(x << 16 + r * j) // y)
-        out.append((u, v, prec + 32 + r * j, math.isqrt(u * u + v * v) + 1 + E))
-        x, y = x * a, y * b
-    return out
+    """[(u_j, v_j, S_j, A_j)] for j <= J, one list per (xi, prec) extended as
+    far as any call asks: u_j + i v_j the scaled pair of c_j 2^S_j,
+    S_j = prec + 32 + r j, and A_j >= |c_j| 2^S_j an integer.  At xi = 1 the
+    pairs are floors of the exact real c_j, within E_j = 1 unit, and
+    A_j = |u_j| + 1; else they run the recurrence of ``_geometric_coeffs``
+    from c_0 = -1/2 - i cot(pi x)/2, carry prec + 32 bits and err by < E_j =
+    2^-(prec+16) e_j 2^S_j, e_j = 3 (2 pi |x|)^-(j+1) (``TestGeometricCoeffs``;
+    measured below 2^-(prec+27) e_j), and A_j = isqrt(u_j^2 + v_j^2) + 1 +
+    E_j, E_j <= 3 a^(j+1) 2^(16+rj)/b^(j+1) rounded up."""
+    factor, r, (a, b), out, _ = _geometric_list(xi, prec)
+    for n in range(len(out), J + 1):
+        if xi.is_one():
+            c = eulerpoly.bernoulli_number(n + 1) / math.factorial(n + 1)
+            u, v = (c.numerator << prec + 32 + 3 * n) // c.denominator, 0
+        elif n == 0:
+            u, v = factor[0], -factor[1]
+        else:
+            x, y, w = 0, 0, 1 << r * n
+            for i, (p, q, _, _) in enumerate(out):
+                x += p * w
+                y += q * w
+                w = (w >> r) * (n - i)
+            fac = math.factorial(n)
+            x, y = x // fac, y // fac
+            u, v = (((x * factor[0] - y * factor[1]) >> prec + 32, 0) if n % 2
+                    else (0, (x * factor[1] + y * factor[0]) >> prec + 32))
+        E = -(-(3 * a ** (n + 1) << 16 + r * n) // b ** (n + 1))
+        out.append((u, v, prec + 32 + r * n, math.isqrt(u * u + v * v) + 1 + E))
+    return out[:J + 1]
 
 
 def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
@@ -491,8 +488,9 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 # one process running two rounds (seed 101) of every reg-sweep and
 # reg-high-order benchmark template reaches (872 hits), ``_derivative_rows``
 # their 65 (l, m, J), ``_remainder_factor`` 500 (xi, J, prec),
-# ``_geometric_list`` 70 (xi, prec), ``_matching_order`` 2 (tol, prec),
-# ``_char_pair`` 66 (xi^n, W), ``_fixed_power_table`` 80 (xi, P) and
+# ``_geometric_list`` 70 (xi, prec) with 13-20 coefficient bounds each,
+# ``_matching_order`` and ``_default_tol`` 2 each, ``_char_pair`` 66 (xi^n,
+# W), ``_fixed_power_table`` 80 (xi, P) and
 # ``_log_table`` 4 P, each table of 1,001 or 2,001 entries (a table stops at
 # SIEVE_CAP + 1), with room to spare; two rounds of ``direct`` (seed 5) reach 35
 # (l, mu, m, k) of ``_moment_weights`` and 14 (m, k) of ``_engine_table``
@@ -650,21 +648,26 @@ def _char_pair(xi: RotationNumber, W: int) -> tuple:
 
 
 def _log_at(n: int, W: int) -> int:
-    """floor(log n 2^W) as the kernel's pass at 2^W reads it, without
-    growing its log table: the table's entry shifted down when the table
-    holds n, else the same integer, the exact sum of the entries of n's
-    prime factors (``_logs``); past ``SIEVE_CAP``, ``log_int_fixed``."""
+    """floor(log n 2^W) as the kernel's pass at 2^W reads it: its log table's
+    entry shifted down, the same integer (``_log_sum``) when the table does
+    not hold n, which grows no table; past ``SIEVE_CAP``, ``log_int_fixed``."""
     if n > SIEVE_CAP:
         return log_int_fixed(n, W)
-    logs, wp, x, p = _log_table(W)[0], W + 64, 0, 2
+    return _log_sum(n, _log_table(W)[0], W + 64) >> 64
+
+
+def _log_sum(n: int, logs: list, wp: int) -> int:
+    """The entry of n in ``logs``, or the exact sum of the entries of its
+    prime factors, each prime p past the end made as ``_logs`` makes it."""
     if n < len(logs):
-        return logs[n] >> 64
+        return logs[n]
+    x, p = 0, 2
     while n > 1:
         while n % p:
-            p += 1
+            p = p + 1 if p * p <= n else n
         n //= p
-        x += logs[p] if p < len(logs) else to_fixed(mpf_log(from_int(p), wp + 10), wp)
-    return x >> 64
+        x += logs[p] if p < len(logs) else _log_sum(p - 1, logs, wp) + _log_step(p, wp)
+    return x
 
 
 def eval_nparts(parts: Scaled, xi: RotationNumber, n):
@@ -715,7 +718,8 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
       RotationNumber (``_fixed_power_table``), or the fixed-point running
       products of a complex z_j;
     * (log n)^k from the log table of P (``_logs``) up to ``SIEVE_CAP``,
-      from ``log_int_fixed`` past it;
+      made on integers from itself (a prime p from p - 1), from
+      ``log_int_fixed`` past it;
     * n^-a, a integral, by an exact division by n^a (a > 0) or an exact
       multiply by n^|a| (a <= 0);
     * n^-s, s not integral, from a table of scaled complex pairs kept on the
@@ -931,16 +935,32 @@ def _log_table(P: int) -> tuple:
 
 def _logs(P: int, top: int) -> list:
     """``_log_table(P)`` extended in place to n = min(top, ``SIEVE_CAP``): a
-    prime's entry is one mpmath logarithm, floored, a composite n = p m
-    (``_split``) the exact sum of the entries of p and m, so log n errs by
-    < 1.02 Omega(n) units 2^-(P+64)."""
+    composite n = p m (``_split``) is the exact sum of the entries of p and
+    m, a prime p that of p - 1 plus 2 atanh(1/(2p - 1)) (``_log_step``, low
+    by < delta = 1 + 2^-5 units 2^-(P+64)).  An entry so sums one step per
+    node of the tree of p - 1 factorisations (Pratt, SIAM J. Comput. 4,
+    1975): steps(p) = 1 + steps(p - 1) and steps(ab) = steps(a) + steps(b)
+    give steps(n) <= 2 log2 n - Omega(n) (p - 1 has two prime factors for
+    p >= 5), so it errs by < (2 log2 n - 1) delta units."""
     logs, primes = _log_table(P)
-    wp = P + 64
     for n in range(len(logs), min(top, SIEVE_CAP) + 1):
         f = _split(n, primes, SIEVE_CAP)
-        logs.append(logs[f[0]] + logs[f[1]] if len(f) > 1
-                    else to_fixed(mpf_log(from_int(n), wp + 10), wp))
+        logs.append(logs[f[0]] + logs[f[1]] if len(f) > 1 else logs[n - 1] + _log_step(n, P + 64))
     return logs
+
+
+def _log_step(p: int, wp: int) -> int:
+    """log p - log(p - 1) = 2 atanh(1/m), m = 2p - 1, scaled by 2^wp: its
+    series sum_j 2/((2j + 1) m^(2j+1)) at W = wp + g bits, g = bit_length(wp)
+    + 5 ("Modern Computer Arithmetic", ch. 4), each power floored from the
+    last within 9/8 units 2^-W and each term within 2, errs in its
+    J <= (W + 1)/3 + 1 terms and tail by < 1.375 J + 2 < 2^(g-5) units."""
+    g, m = wp.bit_length() + 5, 2 * p - 1
+    x, k, total = (1 << wp + g + 1) // m, 1, 0
+    while x:
+        total += x // k
+        x, k = x // (m * m), k + 2
+    return total >> g
 
 
 def _split(n: int, primes: list, cap: int) -> list:
@@ -1085,10 +1105,10 @@ def _guard_bits(z, exps, kvec, top) -> int:
     err by < 1 + 2^-18 u: xi at W = P + 20 + bit_length(q) bits errs by
     < 1 + 2^-10 units 2^-W in each part, each of the a < q products adds
     < 2 sqrt 2 units 2^-W more, and the floor to P adds < 1 u.  log n errs by
-    < 1 + 1.02 Omega(n) 2^-64 u (< 2 u from ``log_int_fixed`` past the log
-    table): each prime's entry by < 1 + 2^-6 units 2^-(P+64), a sum of
-    Omega(n) of them by Omega(n) times that, and the shift by 64 bits
-    floors once more.  The power (log n)^k errs by < 3k lb^(k-1) u.  A
+    < 1 + 2^-59 u (< 2 u from ``log_int_fixed`` past the log table): the
+    entry by < (2 log2 n - 1)(1 + 2^-5) < 28 units 2^-(P+64) for
+    n <= ``SIEVE_CAP`` (``_logs``), and the shift by 64 bits floors once
+    more.  The power (log n)^k errs by < 3k lb^(k-1) u.  A
     non-integral n^-s_j is a product of Omega(n) <= log2 n < lb stored
     factors: each one errs by < 1 u in its floor and by 2^-8 |f^-s_j| u
     before it (below), each product of two errs by
@@ -1127,8 +1147,9 @@ def _guard_bits(z, exps, kvec, top) -> int:
     A factor f^-s_j (``_power_entry``) is computed at wp = P + g' bits,
     g' = 13 + max(0, mag(s_j)) + bit_length(lb).  Its log f is the log
     table's entry shifted down to wp when f <= ``SIEVE_CAP`` and
-    wp <= P + 58, erring by < 1 + 1.02 Omega(f) 2^-6 < 1.25 ulp
-    (Omega(f) <= 14), else a fresh logarithm floored at wp, < 1.3 ulp.
+    wp <= P + 58, erring by < 1 + 28 2^-6 < 1.44 ulp (the entry by < 28
+    units 2^-(P+64), above), else a fresh logarithm floored at wp,
+    < 1.3 ulp.
     In ulps 2^-wp relative to
     |f^-s_j|, x + iy = -s_j log f errs by < 1.5 |s_j| + log f + 1 in each part
     (log f by < 1.5, s_j by < 1), the reductions by ln 2 and pi/2 add
@@ -1208,10 +1229,9 @@ def resolve_tol(tol, default):
     verbatim, and raises ValueError if it is <= 0 and PrecisionError if it
     is below the floor.
     """
-    floor = mp.mpf(2) ** (20 - mp.mp.prec)
     if tol is None:
-        return max(mp.mpf(default), floor)
-    tol = mp.mpf(tol)
+        return _default_tol(default, mp.mp.prec)
+    floor, tol = mp.ldexp(1, 20 - mp.mp.prec), mp.mpf(tol)
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {mp.nstr(tol, 5)}")
     if tol < floor:
@@ -1219,6 +1239,13 @@ def resolve_tol(tol, default):
             f"tolerance {mp.nstr(tol, 5)} is below the precision floor "
             f"2^{20 - mp.mp.prec} at {mp.mp.prec} bits")
     return tol
+
+
+@lru_cache(maxsize=4096)
+def _default_tol(default, prec: int):
+    """``default`` at ``prec`` bits raised to the floor of ``resolve_tol``."""
+    with mp.workprec(prec):
+        return max(mp.mpf(default), mp.ldexp(1, 20 - prec))
 
 
 def internal_precision(A: int, tol) -> int:

@@ -382,18 +382,22 @@ class TestEvalIntegerPoint:
         ("1/7,2/7", (2, 1)), ("1/3", (1,)), ("-1,1/6", (3, 1)), ("1", (2,))])
     def test_results_do_not_depend_on_the_memos(self, ztext, a):
         # the same value and estimate, bit for bit, with every lru memo of
-        # summation cleared, warm, and after the same call at 256 bits and
-        # at the conjugate root: no memo keyed on a scale or a precision
-        # leaks into another
+        # summation cleared (the coefficient bounds with ``_geometric_list``,
+        # the log tables, the default tolerances among them), warm, and after
+        # the same call at 256 bits and at the conjugate root: no memo keyed
+        # on a scale or a precision leaks into another
         z = Z(ztext)
 
         def bits():
             rep = eval_integer_point(z, a)
             return rep.value._mpc_, rep.abs_error_estimate._mpf_
 
-        for memo in vars(summod).values():
+        cleared = set()
+        for name, memo in vars(summod).items():
             if hasattr(memo, "cache_clear"):
                 memo.cache_clear()
+                cleared.add(name)
+        assert {"_geometric_list", "_log_table", "_default_tol"} <= cleared
         cold, warm = bits(), bits()
         with mp.workprec(256):
             eval_integer_point(z, a)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mplreg import summation as summod
 from mplreg.errors import DomainError
 from mplreg.rootsofunity import (
     MINUS_ONE,
@@ -53,10 +54,38 @@ class TestRotationNumber:
             RotationNumber(0.5)
 
     def test_value(self):
-        assert MINUS_ONE.value() == -1
-        assert ONE.value() == 1
-        zeta = RotationNumber(1, 4).value()
-        assert abs(zeta - mp.mpc(0, 1)) == 0
+        for prec in (53, 128, 1024):
+            with mp.workprec(prec):
+                assert MINUS_ONE.value() == -1
+                assert ONE.value() == 1
+                assert RotationNumber(1, 4).value() == mp.mpc(0, 1)
+                assert RotationNumber(3, 4).value() == mp.mpc(0, -1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60).flatmap(lambda q: st.tuples(st.integers(0, q - 1), st.just(q))),
+           st.sampled_from([53, 128, 256, 512, 1024]))
+    def test_value_within_one_ulp(self, pq, prec):
+        # one cos/sin of pi 2p/q: each part within 1 ulp of cospi and sinpi
+        # at prec + 64
+        p, q = pq
+        with mp.workprec(prec):
+            got = RotationNumber(p, q).value()
+        with mp.workprec(prec + 64):
+            t = mp.mpf(2 * p) / q
+            for part, want in ((got.real, mp.cospi(t)), (got.imag, mp.sinpi(t))):
+                ulp = mp.ldexp(1, mp.frexp(want)[1] - prec) if want else 0
+                assert abs(part - want) <= ulp
+
+    def test_equal_roots_share_one_hash_and_one_memo_entry(self):
+        # 1/3 built as 1/3, 4/3 and the Fraction -2/3: one hash, and one
+        # entry of an lru memo keyed on roots
+        roots = [RotationNumber(1, 3), RotationNumber(4, 3), RotationNumber(Fraction(-2, 3))]
+        assert len({hash(r) for r in roots}) == 1 and len(set(roots)) == 1
+        summod._geometric_list.cache_clear()
+        entries = [summod._geometric_list(r, 128) for r in roots]
+        info = summod._geometric_list.cache_info()
+        assert (info.currsize, info.hits) == (1, 2)
+        assert entries[0] is entries[1] is entries[2]
 
     def test_order(self):
         assert RotationNumber(2, 6).order == 3

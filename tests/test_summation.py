@@ -799,6 +799,18 @@ class TestKernelTables:
                 got = logs[n] >> 64 if n < len(logs) else summod.log_int_fixed(n, P)
                 assert abs(got - mp.ldexp(mp.log(n), P)) < 2
 
+    @pytest.mark.parametrize("P", [64, 192, 448, 1152])
+    def test_log_entries_within_their_derived_bound(self, P):
+        # every entry up to the cap, a prime's made from p - 1's by one atanh
+        # series on integers, lies below log n 2^(P+64) by less than
+        # (2 log2 n - 1)(1 + 2^-5) units (``_logs``; measured at most 0.88
+        # of it)
+        logs = summod._logs(P, summod.SIEVE_CAP)
+        with mp.workprec(P + 128):
+            for n in range(2, len(logs)):
+                miss = mp.ldexp(mp.log(n), P + 64) - logs[n]
+                assert 0 <= miss < (2 * math.log2(n) - 1) * (1 + 2 ** -5)
+
     @pytest.mark.parametrize("P", [64, 192])
     def test_power_entries_within_their_bound(self, P):
         # xi^a by fixed-point products, floored: < 1 + 2^-18 units 2^-P,
@@ -903,6 +915,21 @@ class TestGeometricCoeffs:
             # the bound from the poles, which ``polylog.eval_convergent``
             # charges for the rounding of c_j
             assert abs(c) <= 3 * _pole_rate(xi) ** (j + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.just(ONE), primitive_roots(60)), st.integers(0, 40),
+           st.sampled_from([53, 128, 256, 512]))
+    def test_bounds_grown_in_steps_are_bit_identical(self, xi, J, prec):
+        # the coefficient bounds grown to J/3, then J/3 more by a read of the
+        # c_j, then to J, equal a cold build to J, and so do the c_j read
+        # last (filled from the pairs the bounds hold)
+        summod._geometric_list.cache_clear()
+        summod._coefficient_bounds(xi, J // 3, prec)
+        summod._geometric_coeffs(xi, 2 * J // 3, prec)
+        grown = summod._coefficient_bounds(xi, J, prec), summod._geometric_coeffs(xi, J, prec)
+        summod._geometric_list.cache_clear()
+        cold = summod._coefficient_bounds(xi, J, prec)
+        assert grown == (cold, _cold_geometric_coeffs(xi, J, prec))
 
     def test_precision_is_part_of_the_key(self):
         xi = RotationNumber(5, 17)
@@ -1047,6 +1074,22 @@ class TestNparts:
         assert cold == [table[n] >> 64 for n in ns] == [summod._log_at(n, W) for n in ns]
         n = summod.SIEVE_CAP + 1
         assert summod._log_at(n, W) == log_int_fixed(n, W)
+
+    def test_log_reads_at_the_end_of_long_chains(self):
+        # primes whose p - 1 factorisations chain far down (the Cunningham
+        # chain 89, 179, ..., 2879, each 2p + 1 of the last, and 11,807
+        # through 5,903, 2,951 and 59), read while the table of their scale
+        # stops at 64: the same integers as the entries it makes later, and
+        # no growth of the table
+        summod._log_table.cache_clear()
+        W, ps = 1152, [89, 179, 359, 719, 1439, 2879, 11807]
+        short = list(summod._logs(W, 64))
+        cold = [summod._log_at(p, W) for p in ps]
+        sums = [summod._log_sum(p, short, W + 64) for p in ps]
+        assert len(summod._log_table(W)[0]) == len(short) == 65
+        table = summod._logs(W, max(ps))
+        assert sums == [table[p] for p in ps]
+        assert cold == [table[p] >> 64 for p in ps]
 
     def test_rows_are_the_derivatives(self):
         # f = (log x)^2 x^-1: f' = (2 log x - (log x)^2) x^-2,
