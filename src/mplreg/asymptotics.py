@@ -29,6 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import mpf_neg, to_fixed
 
 from . import summation
 from .errors import PrecisionError
@@ -217,11 +218,12 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
 
     The n-dependent coefficients come from each stored term's symbolic
     n-parts; the constant is matched once, at a cutoff pair (N, 2N), against
-    exact partial sums of u given by ``sums_fn`` (``cutoffs -> {N: value}``),
-    which also absorbs the constant of the part of u that e does not
-    represent.  Without ``sums_fn``, e is taken to represent u exactly (its
-    ``residual_bound`` is not carried) and the oracle is
-    sum c * ``summation.char_partial_sums`` over e's terms.
+    exact partial sums of u given by ``sums_fn`` (``cutoffs -> {N: value}``,
+    a number or a raw sum of ``summation.NestedPass.raw_sum``), which also
+    absorbs the constant of the part of u that e does not represent.
+    Without ``sums_fn``, e is taken to represent u exactly (its
+    ``residual_bound`` is not carried) and the oracle is sum c *
+    ``summation.char_partial_sums`` over e's terms, on integers.
 
     ``carried_growth = (exponent, log_power)`` tells the matcher how the
     uncertainty carried in e's coefficients (``residual_bound``) is imaged
@@ -232,20 +234,24 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
     """
     a_out = e.precision if precision is None else int(precision)
     tol_eff = summation.resolve_tol(tol, summation.DEFAULT_MATCH_TOL)
+    a_int, W = summation.internal_precision(a_out, tol_eff), e.scale
     exact = sums_fn is None
     if exact:
-        terms = e.items()
-
         def sums_fn(cutoffs):
-            total = dict.fromkeys(cutoffs, mp.mpc(0))
-            for (xi, l, m), c in terms:
-                for n, v in summation.char_partial_sums(xi, l, m, cutoffs).items():
-                    total[n] += c * v
-            return total
+            # c at 2^W times t_N at 2^P, each product shifted to 2^(3W)
+            total = dict.fromkeys(cutoffs, (0, 0))
+            for xi, coeffs in e._parts.items():
+                for (l, m), (cr, ci) in coeffs.items():
+                    state = summation.NestedPass(max(cutoffs))
+                    summation.char_partial_sums(xi, l, m, cutoffs, state)
+                    for n, (x, y) in total.items():
+                        re, im, P = state.raw_sum(n)
+                        total[n] = (x + summation._shift(cr * re - ci * im, 2 * W - P),
+                                    y + summation._shift(cr * im + ci * re, 2 * W - P))
+            return {n: (x, y, 3 * W) for n, (x, y) in total.items()}
     elif not callable(sums_fn):
         raise ValueError("sums_fn must be a callable cutoffs -> {N: value}")
 
-    a_int, W = summation.internal_precision(a_out, tol_eff), e.scale
     # c times the n-parts (at 2^V) of every term, collected per character,
     # and |c| times its tail, rounded up, all at e's scale 2^W: each product
     # one floor (one ceiling in the tail), each sum exact
@@ -271,13 +277,19 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
         growth_exp = -min(0, e.order()) if not e.is_empty() else 0
         growth_log = max_log
 
+    # residual_bound (1 + log n)^growth_log n^growth_exp, rounded up in units
+    # 2^-3W, log n raised past ``_log_at``'s error (< 2 units 2^-W)
+    carried = -to_fixed(mpf_neg(e.residual_bound._mpf_), 3 * W)
+
     def prop(n):
-        return (e.residual_bound
-                * (1 + mp.log(n)) ** growth_log * mp.mpf(n) ** growth_exp)
+        x, log1 = carried * n ** growth_exp, summation._log_at(n, W) + (1 << W) + 2
+        for _ in range(growth_log):
+            x = -(-x * log1 >> W)
+        return x
 
     c2, residual, _ = summation.run_matching(
         sums_fn,
-        lambda n: _eval_parts_by_char(by_char, W, n),
+        lambda n: summation._read_chars(by_char, W, n),
         summation.Scaled(dict(tail), W), tol_eff,
         # an exact e carries no uncertainty: the predicted residual alone
         # picks the cutoff, and one that cannot reach tol fails at once
@@ -292,7 +304,7 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
 def _eval_parts_by_char(parts: dict, W: int, n: int):
     """sum over characters xi of xi^n * parts[xi](n), the parts Gaussian
     integers at 2^W, rounded once (``summation._read_chars``)."""
-    return summation._read_chars(parts, W, n)
+    return summation._scaled_mpc(*summation._read_chars(parts, W, n), 3 * W)
 
 
 def inner_expansion_order(a_i: int) -> int:
@@ -340,7 +352,7 @@ def depth_expansion(spec: DepthSpec, A: int, tol=None) -> AsymptoticExpansion:
             points = {*cutoffs, *(n for n in ladder if n <= max(cutoffs))} - kernel.hits.keys()
             if points:
                 nested_char_partial_sums(spec.z, spec.a, spec.kvec, points, kernel)
-            return {n: kernel.suffix_sum(n, i) for n in cutoffs}
+            return {n: kernel.raw_sum(n, i) for n in cutoffs}
 
         # inner uncertainty rides the head monomial; summing it gains one
         # power of n only on the trivial character

@@ -196,6 +196,7 @@ def gen_euler_at_one(k: int, n: int) -> Fraction:
     return scale * (b(Fraction(2, k)) - b(Fraction(1, k)))
 
 
+@lru_cache(maxsize=4096)
 def sup_bound(k: int, n: int) -> Fraction:
     """An upper bound for max |E_{k,n}(x)| on [0, 1]: its coefficient sum or,
     as (x + 1)/k and x/k lie in [0, 1], 2 k^(n+1)/(n+1) sup|B_{n+1}|."""

@@ -30,7 +30,7 @@ import mpmath as mp
 
 from .asymptotics import DepthSpec, depth_expansion, fmt_real
 from .errors import DomainError, NonConvergenceError
-from .rootsofunity import (RotationNumber, ZVector, _coords, contains,
+from .rootsofunity import (RotationNumber, ZVector, _coords, _domain_flags,
                            index_set_and_count, rotation_product)
 from .summation import (NestedPass, _geometric_coeffs, _remainder_factor, _rounding_slack,
                         _scaled_mpc, nested_sums, resolve_tol)
@@ -119,10 +119,6 @@ def _oscillation_period(z: ZVector) -> int:
     """lcm of the orders of the z_i: averaging t_N over this many consecutive
     cutoffs cancels every oscillatory character of the expansion."""
     return math.lcm(*(zi.order for zi in z))
-
-
-def _domain_flags(z: ZVector, s) -> dict:
-    return {kind: contains(kind, z, s) for kind in ("Ur", "Urz", "Vrz")}
 
 
 def _tail_exponents(z: ZVector, s, count: int) -> list:

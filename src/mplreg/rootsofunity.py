@@ -17,9 +17,12 @@ continuation.  Membership tests are strict (all three sets are open).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import mul
 
 import mpmath as mp
 from mpmath.libmp import from_rational, mpf_cos_sin_pi, round_nearest
@@ -45,21 +48,21 @@ class RotationNumber:
     """A root of unity e^{2*pi*i*p/q}, stored as the reduced rational p/q mod 1.
 
     The group law is multiplication of the complex values, i.e. addition of
-    the fractions mod 1.  Instances are immutable and hashed once.
+    the fractions mod 1.  Instances are immutable and hashed once; p and q
+    are ints, and a ``Fraction`` is made only when ``fraction`` is read.
     """
 
-    __slots__ = ("_frac", "_hash")
+    __slots__ = ("_p", "_q", "_hash")
 
     def __init__(self, numerator, denominator=1):
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("rotation numbers are exact: pass ints or a Fraction")
-        if isinstance(numerator, Fraction) and denominator == 1:
-            frac = numerator
-        else:
+        if not (isinstance(numerator, int) and isinstance(denominator, int) and denominator):
             frac = Fraction(numerator, denominator)
-        frac -= frac // 1  # reduce mod 1 into [0, 1)
-        object.__setattr__(self, "_frac", frac)
-        object.__setattr__(self, "_hash", hash((frac.numerator, frac.denominator)))
+            numerator, denominator = frac.numerator, frac.denominator
+        g = math.gcd(numerator, denominator) * (-1 if denominator < 0 else 1)
+        self._p, self._q = numerator // g % (denominator // g), denominator // g
+        self._hash = hash((self._p, self._q))
 
     @classmethod
     def parse(cls, text: str) -> "RotationNumber":
@@ -79,59 +82,58 @@ class RotationNumber:
 
     @property
     def numerator(self) -> int:
-        return self._frac.numerator
+        return self._p
 
     @property
     def denominator(self) -> int:
-        return self._frac.denominator
+        return self._q
 
     @property
     def fraction(self) -> Fraction:
-        return self._frac
+        return Fraction(self._p, self._q)
 
     @property
     def order(self) -> int:
         """Multiplicative order; equals the reduced denominator."""
-        return self._frac.denominator
+        return self._q
 
     def is_one(self) -> bool:
-        return self._frac == 0
+        return not self._p
 
     def __mul__(self, other: "RotationNumber") -> "RotationNumber":
-        return RotationNumber(self._frac + other._frac)
+        return RotationNumber(self._p * other._q + other._p * self._q, self._q * other._q)
 
     def __pow__(self, exponent: int) -> "RotationNumber":
-        return RotationNumber(self._frac * exponent)
+        return RotationNumber(self._p * exponent, self._q)
 
     def value(self) -> mp.mpc:
         """The complex value at the working precision, one cos/sin of pi 2p/q
         (2p/q at prec + 20 + bit_length(q) bits; exact at 1, -1 and +-i)."""
-        prec, q = mp.mp.prec, self._frac.denominator
-        x = from_rational(2 * self._frac.numerator, q, prec + 20 + q.bit_length(), round_nearest)
+        prec, q = mp.mp.prec, self._q
+        x = from_rational(2 * self._p, q, prec + 20 + q.bit_length(), round_nearest)
         return mp.make_mpc(mpf_cos_sin_pi(x, prec, round_nearest))
 
     def power_values(self) -> tuple:
         """(zeta^0, ..., zeta^(q-1)) at the current precision (zeta^n cycles)."""
-        return _power_values(self._frac, mp.mp.prec)
+        return _power_values(self, mp.mp.prec)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RotationNumber) and self._frac == other._frac
+        return isinstance(other, RotationNumber) and self._p == other._p and self._q == other._q
 
     def __hash__(self):
         return self._hash
 
     def __str__(self) -> str:
-        return f"{self._frac.numerator}/{self._frac.denominator}"
+        return f"{self._p}/{self._q}"
 
     def __repr__(self) -> str:
-        return f"RotationNumber({self._frac.numerator}, {self._frac.denominator})"
+        return f"RotationNumber({self._p}, {self._q})"
 
 
 @lru_cache(maxsize=4096)
-def _power_values(frac: Fraction, prec: int) -> tuple:
+def _power_values(xi: RotationNumber, prec: int) -> tuple:
     with mp.workprec(prec):
-        return tuple(RotationNumber(frac * a).value()
-                     for a in range(frac.denominator))
+        return tuple((xi ** a).value() for a in range(xi.order))
 
 
 ONE = RotationNumber(0, 1)
@@ -246,57 +248,48 @@ def rotation_product(z: ZVector, i: int, j: int) -> RotationNumber:
     """Exact product z_i * ... * z_j in Q/Z; indices are 1-based, i <= j."""
     if not (1 <= i <= j <= z.r):
         raise IndexError(f"need 1 <= i <= j <= {z.r}, got i={i}, j={j}")
-    frac = Fraction(0)
-    for t in range(i - 1, j):
-        frac += z[t].fraction
-    return RotationNumber(frac)
+    return reduce(mul, z.entries[i - 1:j], ONE)
 
 
 def first_nontrivial_prefix(z: ZVector) -> int:
     """Smallest i with z_1 * ... * z_i != 1, or r + 1 when every prefix is 1."""
-    frac = Fraction(0)
-    for i, zi in enumerate(z, start=1):
-        frac += zi.fraction
-        if frac % 1 != 0:
-            return i
-    return z.r + 1
+    return next((i for i, p in enumerate(accumulate(z, mul), 1) if not p.is_one()), z.r + 1)
 
 
 def index_set_and_count(z: ZVector, j: int):
     """I_j(z) = {i <= j : z_i * ... * z_j = 1} and Q_j(z) = |I_j(z)|."""
     if not (1 <= j <= z.r):
         raise IndexError(f"need 1 <= j <= {z.r}, got j={j}")
-    members = []
-    frac = Fraction(0)
     # walk i downward from j so each suffix product is one more factor
-    for i in range(j, 0, -1):
-        frac += z[i - 1].fraction
-        if frac % 1 == 0:
-            members.append(i)
-    members.reverse()
-    return tuple(members), len(members)
+    suffixes = accumulate(reversed(z.entries[:j]), mul)
+    members = tuple(reversed([j - t for t, p in enumerate(suffixes) if p.is_one()]))
+    return members, len(members)
+
+
+def _domain_flags(z: ZVector, s) -> dict:
+    """Strict membership of s in U_r ("Ur"), U_r(z) ("Urz") and V_r(z)
+    ("Vrz"), in one pass over the prefix products p_i = z_1 ... z_i,
+    p_0 = 1: Q_i(z) counts the t < i with p_t = p_i, and i < q(z) while
+    p_1 = ... = p_i = 1."""
+    coords = _coords(s)
+    if len(coords) != z.r:
+        raise DomainError(f"point has {len(coords)} coordinates, z has depth {z.r}")
+    flags, prefixes, running = dict.fromkeys(("Ur", "Urz", "Vrz"), True), [ONE], mp.mpf(0)
+    for i, (zi, c) in enumerate(zip(z, coords), start=1):
+        prefixes.append(prefixes[-1] * zi)
+        running += c.real
+        urz = i if all(p.is_one() for p in prefixes) else i - 1
+        for kind, bound in (("Ur", i), ("Urz", urz), ("Vrz", prefixes[:-1].count(prefixes[-1]))):
+            flags[kind] = flags[kind] and running > bound
+    return flags
 
 
 def contains(domain_kind: str, z: ZVector, s) -> bool:
     """Strict membership of s in U_r ("Ur"), U_r(z) ("Urz") or V_r(z) ("Vrz")."""
-    coords = _coords(s)
-    if len(coords) != z.r:
-        raise DomainError(f"point has {len(coords)} coordinates, z has depth {z.r}")
-    if domain_kind not in ("Ur", "Urz", "Vrz"):
+    flags = _domain_flags(z, s)
+    if domain_kind not in flags:
         raise ValueError(f"unknown domain kind {domain_kind!r}")
-    q = first_nontrivial_prefix(z)
-    running = mp.mpf(0)
-    for i, c in enumerate(coords, start=1):
-        running += c.real
-        if domain_kind == "Ur":
-            bound = i
-        elif domain_kind == "Urz":
-            bound = i if i < q else i - 1
-        else:
-            bound = index_set_and_count(z, i)[1]
-        if not running > bound:
-            return False
-    return True
+    return flags[domain_kind]
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,12 @@ The n-parts and this bound are ``Scaled`` sums, Gaussian integers at one
 scale 2^V (``_nparts_at``): each part c_j d_{j,i} is floored once from
 the scaled pairs of the c_j within a bound derived there, and each tail
 coefficient is rounded up.  They are read at a cutoff on integers
-(``_read``, ``_read_chars``) through the kernel's log code, each value
-rounded once.  The constant, its regularised value, is matched against
-exact partial sums at a cutoff pair (N, 2N), within its ``residual_bound``.
+(``_read``, each log power's terms one Horner sum in 1/n floored once;
+``_read_chars``) through the kernel's log code.  The constant, its
+regularised value, is matched against exact partial sums at a cutoff pair
+(N, 2N), within its ``residual_bound``, on integers at 2^(3W)
+(``run_matching``: the pass's raw sums, the unrounded reads, a squared
+drift test, one mpc and one mpf rounded per match).
 
 ``nested_sums`` is the package's one partial-sum kernel: every exact
 truncated nested sum t_N (the matching oracle of every level of the depth
@@ -58,7 +61,8 @@ n^-s built multiplicatively: a prime is exp(-s log p) in integer fixed point
 (Brent & Zimmermann, "Modern Computer Arithmetic", ch. 4), a composite one
 fixed-point product of stored values, and past ``SIEVE_CAP`` stored values a
 term divides out stored primes until its cofactor is stored.  For every
-input each t_N errs by at most 2^-(prec+8) before its final rounding.
+input each t_N errs by at most 2^-(prec+8) before its final rounding,
+made only when t_N is read; an exactly zero imaginary list is None.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from collections import defaultdict
+from collections import UserDict, defaultdict
 from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -256,10 +260,10 @@ def _moment_blocks(f: ScaleFunction, k: int, zeta: RotationNumber, n: int, m: in
     lp = _log_powers(_logs(P, n) if L else (), P, L, ns)
     lp[0], moments = [1 << P] * N, {}
     for l, nu in keys:
-        xs = _weigh(lp[l], [], 0, nu, None, lp, ns, P)[0]
+        xs = _weigh(lp[l], None, 0, nu, None, lp, ns, P)[0]
         moments[l, nu] = ([sum(xs[1 + (r - lo - 1) % k:-1:k]) for r in range(k)], xs[0], xs[-1],
                           (6 * l * lb ** l * 2 ** l * (sum(xs) + N) >> P) + N + 1)
-    table, w = _fixed_power_table(zeta.fraction, P), [1] if k == 1 else [-p for p in range(k)]
+    table, w = _fixed_power_table(zeta, P), [1] if k == 1 else [-p for p in range(k)]
     # (name, weight set, inner sums, end terms)
     spec = ([("integral", 2, False, True), ("derivative_boundary", 1, False, True)] if k == 1
             else [("derivative_boundary", 1, False, True), ("step_corrections", 1, True, False)])
@@ -490,10 +494,11 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 # their 65 (l, m, J), ``_remainder_factor`` 500 (xi, J, prec),
 # ``_geometric_list`` 70 (xi, prec) with 13-20 coefficient bounds each,
 # ``_matching_order`` and ``_default_tol`` 2 each, ``_char_pair`` 66 (xi^n,
-# W), ``_fixed_power_table`` 80 (xi, P) and
+# W), ``_log_at`` 34 (n, W), ``_fixed_power_table`` 80 (xi, P) and
 # ``_log_table`` 4 P, each table of 1,001 or 2,001 entries (a table stops at
 # SIEVE_CAP + 1), with room to spare; two rounds of ``direct`` (seed 5) reach 35
-# (l, mu, m, k) of ``_moment_weights`` and 14 (m, k) of ``_engine_table``
+# (l, mu, m, k) of ``_moment_weights``, 14 (m, k) of ``_engine_table`` and 9
+# (k, n) of ``eulerpoly.sup_bound``
 @lru_cache(maxsize=4096)
 def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     """n-dependent part of sum_{a<n} xi^a (log a)^l a^(-m), every xi, as
@@ -539,18 +544,21 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     J = max(1, a_max + 2 - m, math.ceil(l / math.log(MATCH_START)) - m - 1)
     rows = _derivative_rows(l, m, J)
     V = prec + 64 + -prec % 64
-    h = {}  # (i, decay) -> ((re, im), bound of |coefficient|), at 2^V
+    # (i, decay) -> (re, im) at 2^V, or a bound of |coefficient| past a_max
+    parts, tail = {}, defaultdict(int)
     anti, den = _antiderivative(l, rows[0], 1 - m) if xi.is_one() else ({}, 1)
     for key, x in anti.items():
         x = (x << V) // den
-        if x:
-            h[key] = ((x, 0), abs(x) + 1)
+        if x and key[1] <= a_max:
+            parts[key] = (x, 0)
+        elif x:
+            tail[key] = abs(x) + 1
     for j, (u, v, S, A) in enumerate(_coefficient_bounds(xi, J, prec)):
         for i, d in enumerate(rows[j]) if u or v else ():
-            if d:
-                h[i, m + j] = ((_shift(u * d, V - S), _shift(v * d, V - S)),
-                               -_shift(-A * abs(d), V - S))
-    tail = defaultdict(int, {key: b for key, (_, b) in h.items() if key[1] > a_max})
+            if d and m + j <= a_max:  # floor(x 2^(V-S)) is (x << V) >> S
+                parts[i, m + j] = ((u * d << V) >> S, (v * d << V) >> S)
+            elif d:
+                tail[i, m + j] = -((-A * abs(d) << V) >> S)
     _, man, exp, _ = _remainder_factor(xi, J, prec)._mpf_
     K, mu = -_shift(-man, exp + V), m + J + 1
     for i, d in enumerate(rows[J + 1]):
@@ -560,8 +568,7 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
         for t in range(i + 1) if d else ():
             tail[i - t, mu - 1] -= -K * abs(d) * fall // (mu - 1) ** (t + 1)
             fall *= i - t
-    return (Scaled({key: c for key, (c, _) in h.items() if key[1] <= a_max}, V),
-            Scaled({key: t for key, t in tail.items() if t}, V))
+    return Scaled(parts, V), Scaled({key: t for key, t in tail.items() if t}, V)
 
 
 def _shift(x: int, s: int) -> int:
@@ -601,41 +608,42 @@ def _read(terms: dict, W: int, n: int, up: bool = False) -> tuple:
     an integer n >= 2, as integers (re, im) scaled by 2^(2W): log n as the
     kernel reads it (``_log_at``), each power one fixed-point product as in
     ``_log_powers``, so (log n)^l errs by < 3 l lb^(l-1) units 2^-W,
-    lb = bit_length(n); each C n^-m an exact multiply (m <= 0) or a floor
-    division, the products and the sum exact.  So the read errs by
-    < 2^-W sum_terms (lb^l + 3 l lb^(l-1) |C 2^-W n^-m|).  With ``up``,
-    each C >= 0 is an integer, each division rounds up and (log n)^l is
+    lb = bit_length(n).  Per power l, S_l = sum_m C n^-m is Horner's sum in
+    1/n carried out exactly, sum_m C n^(M-m) over n^M, M = max(0, max m),
+    and floored once (as floored Horner steps would give, floor(floor(x/a)/b)
+    = floor(x/(ab))), within 1 unit 2^-W, then times (log n)^l.  So the
+    read errs by < 2^-W sum_l (lb^l + 3 l lb^(l-1) |S_l 2^-W|).  With
+    ``up``, each C >= 0 is an integer, each S_l rounds up and (log n)^l is
     raised by 3 l lb^(l-1) + 1 units: an upper bound."""
     L, lb = max((l for l, _ in terms), default=0), n.bit_length()
     X, x = [1 << W], _log_at(n, W) if L else 0
     for _ in range(L):
         X.append(X[-1] * x >> W)
-    if up:
-        X = [x + 3 * l * lb ** (l - 1) + 1 if l else x for l, x in enumerate(X)]
-    re = im = 0
+    M = max([0] + [m for _, m in terms])
+    d, rows = n ** M, defaultdict(lambda: [0, 0])
     for (l, m), c in terms.items():
-        d = n ** abs(m)
-        if up:
-            re += (-(-c // d) if m > 0 else c * d) * X[l]
-        elif m > 0:
-            re, im = re + c[0] // d * X[l], im + c[1] // d * X[l]
-        else:
-            re, im = re + c[0] * d * X[l], im + c[1] * d * X[l]
-    return re, im
+        u, v = (-c, 0) if up else c  # -S_l floored is S_l rounded up
+        row, w = rows[l], n ** (M - m)
+        row[0], row[1] = row[0] + u * w, row[1] + v * w
+    re = im = 0
+    for l, (x, y) in rows.items():
+        X_l = X[l] + (3 * l * lb ** (l - 1) + 1 if up and l else 0)
+        re, im = re + x // d * X_l, im + y // d * X_l
+    return (-re, 0) if up else (re, im)
 
 
-def _read_chars(parts: dict, W: int, n: int):
-    """sum over characters xi of xi^n times ``_read`` of parts[xi] at n,
-    rounded once: xi^n off ``_char_pair`` at W, within 1 + 2^-16 units 2^-W
-    in each part, the products and the sum exact.  So it errs by
-    < 2^-prec |value| + 2^-W sum_xi (the bound of ``_read`` + 3 |xi^n
-    parts[xi](n)|)."""
+def _read_chars(parts: dict, W: int, n: int) -> tuple:
+    """sum over characters xi of xi^n times ``_read`` of parts[xi] at n, as
+    unrounded integers (re, im) scaled by 2^(3W): xi^n off ``_char_pair``
+    at W, within 1 + 2^-16 units 2^-W in each part, the products and the
+    sum exact.  So it errs by < 2^-W sum_xi (the bound of ``_read`` + 3
+    |xi^n parts[xi](n)|)."""
     re = im = 0
     for xi, terms in parts.items():
         x, y = _read(terms, W, n)
         c, s = _char_pair(xi ** n, W)
         re, im = re + x * c - y * s, im + x * s + y * c
-    return _scaled_mpc(re, im, 3 * W)
+    return re, im
 
 
 @lru_cache(maxsize=4096)
@@ -647,6 +655,7 @@ def _char_pair(xi: RotationNumber, W: int) -> tuple:
         return _fixed_pair(xi.value(), W)
 
 
+@lru_cache(maxsize=4096)
 def _log_at(n: int, W: int) -> int:
     """floor(log n 2^W) as the kernel's pass at 2^W reads it: its log table's
     entry shifted down, the same integer (``_log_sum``) when the table does
@@ -671,8 +680,8 @@ def _log_sum(n: int, logs: list, wp: int) -> int:
 
 
 def eval_nparts(parts: Scaled, xi: RotationNumber, n):
-    """chi(n) * parts(n) at an integer cutoff n (``_read_chars``)."""
-    return _read_chars({xi: parts.terms}, parts.W, int(n))
+    """chi(n) * parts(n) at an integer cutoff n (``_read_chars``), rounded."""
+    return _scaled_mpc(*_read_chars({xi: parts.terms}, parts.W, int(n)), 3 * parts.W)
 
 
 def eval_tail(tail: Scaled, n):
@@ -688,6 +697,8 @@ def eval_tail(tail: Scaled, n):
 
 def _exponent(s):
     """An integral exponent as an int (exact powers n^-s), any other as mpc."""
+    if isinstance(s, int):
+        return s
     s = mp.mpc(s)
     if s.imag == 0 and s.real == int(s.real):
         return int(s.real)
@@ -766,15 +777,16 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
         state._start(z, exps, kvec)
     P = state.P
     top = cutoffs[-1]
-    # per level: the order of z_j and the cos and sin of z_j^n, tiled to
-    # cover any block of this call, or None and the scaled z_j
+    # per level: the order of z_j and the cos and sin of z_j^n (sin None at
+    # z_j = +-1), tiled to cover any block of this call, or None and z_j
     span = min(BLOCK_CAP, top - state.n)
     levels = []
     for zj in z:
         if isinstance(zj, RotationNumber):
-            table = _fixed_power_table(zj.fraction, P)
+            table = _fixed_power_table(zj, P)
             reps = span // zj.order + 2
-            levels.append((zj.order, [c for c, _ in table] * reps, [s for _, s in table] * reps))
+            levels.append((zj.order, [c for c, _ in table] * reps,
+                           [s for _, s in table] * reps if zj.order > 2 else None))
         else:
             levels.append((None, *_fixed_pair(mp.mpc(zj), P)))
     kmax = max(kvec)
@@ -788,14 +800,23 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
         n0 = n1
     state._record(top, state.level_re, state.level_im)
     state.n, state.terms = top, state.terms + top - state.n
-    return {N: state.suffix_sum(N) for N in cutoffs}
+    return _Reads({N: (*state.raw_sum(N), state.prec) for N in cutoffs})
+
+
+class _Reads(UserDict):
+    """{N: t_N} of ``nested_sums``, raw (re, im, P, prec), rounded when read."""
+
+    def __getitem__(self, N):
+        return _scaled_mpc(*self.data[N])
 
 
 def _block(state, levels, kvec, exps, lp, ns, marks):
     """Advances ``state`` over the n of the range ``ns``, recording every
     level at each cutoff in ``marks``, from the innermost level out; each
     level's list of sums before each n of the block and after its last is
-    what the level outside it reads."""
+    what the level outside it reads.  An exactly zero imaginary list (z_j =
+    +-1 and integral s_j over a real level, depth 1's level 0) is None, as
+    are its level's imaginary sums: the same bits, no arithmetic on 0."""
     P, L, n0 = state.P, len(ns), ns.start
     entries = _table_block(state, ns)
     sums = [None] * len(levels)
@@ -803,7 +824,7 @@ def _block(state, levels, kvec, exps, lp, ns, marks):
     for j in reversed(range(state.residues is not None, len(levels))):
         q, u, v = levels[j]
         if q:
-            C, S = u[n0 % q:n0 % q + L], v[n0 % q:n0 % q + L]
+            C, S = u[n0 % q:n0 % q + L], v and v[n0 % q:n0 % q + L]
         else:
             pw = list(accumulate(repeat(None, L), lambda x, _: (
                 (x[0] * u - x[1] * v) >> P, (x[0] * v + x[1] * u) >> P),
@@ -814,23 +835,26 @@ def _block(state, levels, kvec, exps, lp, ns, marks):
         if inner is not None:
             C, S = _times(C, S, *inner, P)
         inner = (list(accumulate(C, initial=state.level_re[j])),
-                 list(accumulate(S, initial=state.level_im[j])))
-        state.level_re[j], state.level_im[j] = inner[0][-1], inner[1][-1]
+                 S and list(accumulate(S, initial=state.level_im[j])))
+        state.level_re[j] = inner[0][-1]
+        if S:
+            state.level_im[j] = inner[1][-1]
         sums[j] = inner
     if state.residues is None:
         for N in marks:
-            state._record(N, [re[N - n0] for re, _ in sums], [im[N - n0] for _, im in sums])
+            state._record(N, [re[N - n0] for re, _ in sums],
+                          [im[N - n0] if im else 0 for _, im in sums])
         return
     # level 0 per residue class of n mod q
     if inner is None:
-        C, S = [1 << P] * L, [0] * L
+        C, S = [1 << P] * L, None
     else:
-        C, S = inner[0][:L], inner[1][:L]
+        C, S = inner[0][:L], inner[1] and inner[1][:L]
     C, S = _weigh(C, S, kvec[0], exps[0], entries[0], lp, ns, P)
     q, cos, sin = levels[0]
     done, level0 = 0, None
     for i in [N - n0 for N in marks] + [L]:
-        for part, R in zip((C, S), state.residues):
+        for part, R in zip((C, S) if S else (C,), state.residues):
             for m in range(done, min(i, done + q)):
                 R[(n0 + m) % q] += sum(part[m:i:q])
         if i == L:
@@ -838,15 +862,15 @@ def _block(state, levels, kvec, exps, lp, ns, marks):
         if level0 is not None and i - done < q:
             # fewer than q terms since the last mark: add them to its exact
             # level 0 with their z_1^n, the same integers as a full read
-            c, s = cos[n0 % q + done:n0 % q + i], sin[n0 % q + done:n0 % q + i]
-            x, y = level0
-            level0 = (x + sum(map(mul, c, C[done:i])) - sum(map(mul, s, S[done:i])),
-                      y + sum(map(mul, s, C[done:i])) + sum(map(mul, c, S[done:i])))
+            c, s = cos[n0 % q + done:n0 % q + i], sin[n0 % q + done:n0 % q + i] if sin else ()
+            x, y, Sd = *level0, S[done:i] if S else ()
+            level0 = (x + sum(map(mul, c, C[done:i])) - sum(map(mul, s, Sd)),
+                      y + sum(map(mul, s, C[done:i])) + sum(map(mul, c, Sd)))
         else:
             level0 = state._residue_sum()
         done = i
         state._record(n0 + i, [0] + [re[i] for re, _ in sums[1:]],
-                      [0] + [im[i] for _, im in sums[1:]], level0)
+                      [0] + [im[i] if im else 0 for _, im in sums[1:]], level0)
 
 
 def _log_powers(logs, P: int, kmax: int, ns: range) -> list:
@@ -859,28 +883,36 @@ def _log_powers(logs, P: int, kmax: int, ns: range) -> list:
         lp.append(list(map(rshift, logs[ns.start:ns.stop], repeat(64)))
                   + [log_int_fixed(n, P) for n in range(max(ns.start, len(logs)), ns.stop)])
     for _ in range(1, kmax):
-        lp.append(list(map(rshift, map(mul, lp[-1], lp[1]), repeat(P))))
+        lp.append(_product(lp[-1], lp[1], P))
     return lp
+
+
+def _product(A, B, P):
+    """The lists' scaled values multiplied pairwise, each product floored."""
+    return list(map(rshift, map(mul, A, B), repeat(P)))
 
 
 def _weigh(C, S, k, a, entries, lp, ns, P):
     """The block's lists C + i S times (log n)^k n^-a, each product floored
-    as one term of the pass."""
+    as one term of the pass; S None is an exactly zero imaginary list."""
     if k:
-        C = list(map(rshift, map(mul, C, lp[k]), repeat(P)))
-        S = list(map(rshift, map(mul, S, lp[k]), repeat(P)))
+        C, S = _product(C, lp[k], P), S and _product(S, lp[k], P)
     if entries is not None:
         return _times(C, S, *entries, P)
     if a:
         d = ns if abs(a) == 1 else list(map(pow, ns, repeat(abs(a))))
         op = floordiv if a > 0 else mul
-        C, S = list(map(op, C, d)), list(map(op, S, d))
+        C, S = list(map(op, C, d)), S and list(map(op, S, d))
     return C, S
 
 
 def _times(C, S, X, Y, P):
     """(C + i S)(X + i Y) over two lists of scaled values, each part floored;
-    the longer list is cut to the shorter."""
+    the longer list is cut to the shorter.  An imaginary list None is
+    exactly zero, and the product's is None when both are."""
+    if S is None or Y is None:
+        return _product(C, X, P), (None if S is Y else _product(S, X, P) if Y is None
+                                   else _product(C, Y, P))
     return (list(map(rshift, map(sub, map(mul, C, X), map(mul, S, Y)), repeat(P))),
             list(map(rshift, map(add, map(mul, C, Y), map(mul, S, X)), repeat(P))))
 
@@ -1046,7 +1078,7 @@ class NestedPass:
         self.level_re, self.level_im, self.powers = [0] * r, [0] * r, [(1 << P, 0)] * r
         if isinstance(z[0], RotationNumber):
             self.residues = [0] * z[0].order, [0] * z[0].order
-            table = _fixed_power_table(z[0].fraction, P)
+            table = _fixed_power_table(z[0], P)
             self.root = [c for c, _ in table], [s for _, s in table]
         self.tables = [None if isinstance(a, int) else
                        (_fixed_exponent(a, P, self.top), [0, 1 << P], [0, 0]) for a in exps]
@@ -1076,8 +1108,8 @@ class NestedPass:
         return re[j], im[j], self.P
 
     def suffix_sum(self, N: int, j: int = 0):
-        """``raw_sum`` rounded to an mpc."""
-        return _scaled_mpc(*self.raw_sum(N, j))
+        """``raw_sum`` rounded to an mpc at the precision of the pass."""
+        return _scaled_mpc(*self.raw_sum(N, j), self.prec)
 
     def check(self, key, cutoffs):
         self.key = self.key or key
@@ -1162,7 +1194,7 @@ def _guard_bits(z, exps, kvec, top) -> int:
     lb = max(1, top.bit_length())
     bound = (r + 1) * (8 * max(kvec) + 10) * top ** r
     for zj, a, k in zip(z, exps, kvec):
-        bound *= top ** max(0, int(mp.ceil(-mp.re(a)))) * lb ** k
+        bound *= top ** max(0, -a if isinstance(a, int) else int(mp.ceil(-mp.re(a)))) * lb ** k
         if not isinstance(a, int):
             bound *= lb
         if not isinstance(zj, RotationNumber):
@@ -1184,14 +1216,14 @@ def _scaled_mpc(x: int, y: int, P: int, prec: int = 0):
 
 
 @lru_cache(maxsize=4096)
-def _fixed_power_table(frac: Fraction, P: int) -> tuple:
-    """((cos, sin) of 2 pi frac a, scaled by 2^P and floored) for a < q: xi
-    once at W = P + 20 + bit_length(q) bits, xi^a by fixed-point products at
-    W, each floored to P (error bound in ``_guard_bits``)."""
-    q = frac.denominator
+def _fixed_power_table(xi: RotationNumber, P: int) -> tuple:
+    """((cos, sin) of xi^a, scaled by 2^P and floored) for a < q: xi once at
+    W = P + 20 + bit_length(q) bits, xi^a by fixed-point products at W, each
+    floored to P (error bound in ``_guard_bits``)."""
+    q = xi.order
     W = P + 20 + q.bit_length()
     with mp.workprec(W + 10):
-        c, s = _fixed_pair(RotationNumber(frac).value(), W)
+        c, s = _fixed_pair(xi.value(), W)
     x, y, out = 1 << W, 0, []
     for _ in range(q):
         out.append((x >> W - P, y >> W - P))
@@ -1199,9 +1231,9 @@ def _fixed_power_table(frac: Fraction, P: int) -> tuple:
     return tuple(out)
 
 
-def char_partial_sums(xi: RotationNumber, l: int, m: int, cutoffs):
+def char_partial_sums(xi: RotationNumber, l: int, m: int, cutoffs, state=None):
     """{N: sum_{a<N} xi^a (log a)^l a^(-m)} for each requested cutoff."""
-    return nested_sums((xi,), (m,), (l,), cutoffs)
+    return nested_sums((xi,), (m,), (l,), cutoffs, state)
 
 
 # ---------------------------------------------------------------------------
@@ -1269,18 +1301,18 @@ def _matching_order(tol, prec: int) -> int:
 def choose_cutoff(tail: Scaled, tol, prop_fn=None):
     """Matching cutoff: the smallest ladder point whose predicted residual
     (dropped-term tail plus the image of carried input uncertainty) clears
-    tol/4, else the ladder point minimising that prediction.
+    tol/4, else the ladder point minimising that prediction; on integers in
+    units 2^-3W, W = tail.W, the prediction rounded up and tol/4 down.
 
     The second clause matters for expansions with growing terms: carried
     uncertainty is amplified with the cutoff, so waiting for the decaying
     tail alone would ruin the matched constant.
     """
-    best_n, best_score = None, None
+    W, best_n, best_score = tail.W, None, None
+    limit = to_fixed(mp.mpf(tol)._mpf_, 3 * W) >> 2
     for n in _matching_ladder():
-        score = eval_tail(tail, n)
-        if prop_fn is not None:
-            score += prop_fn(n)
-        if score <= tol / 4:
+        score = (_read(tail.terms, W, n, up=True)[0] << W) + (prop_fn(n) if prop_fn else 0)
+        if score <= limit:
             return n
         if best_score is None or score < best_score:
             best_n, best_score = n, score
@@ -1298,24 +1330,40 @@ def run_matching(sums_fn, approx_fn, tail: Scaled, tol_eff, prop_fn=None):
     doubling while the double-cutoff stability check fails; the allowance
     grows with ``prop_fn``, the image of any uncertainty already carried by
     the input coefficients.  Returns (constant, certified residual, cutoff).
+
+    All on integers in units 2^-U, U = 3W, W = tail.W: t_N of ``sums_fn``
+    as raw sums (re, im, P), P <= U (``NestedPass.raw_sum``), shifted
+    exactly (a number is floored), the unrounded reads of ``approx_fn``
+    (``_read_chars``) and ``prop_fn``'s integer bound.  So c(N) = t_N -
+    approx(N) is exact, the drift test compares dx^2 + dy^2 with (10
+    floor(tol 2^U) + 16 prop)^2, and the residual max(drift, tail(2N)) +
+    prop + 2^(10-prec) 2N (1 + |t_2N| + |approx(2N)|) (``_rounding_slack``)
+    sums integers rounded up (isqrt + 1, ``_read`` up, a ceiling shift)
+    into one mpf rounded up; the constant is c(2N) floored to 2^W, exact.
     """
-    ladder = _matching_ladder()
+    W, prec, ladder = tail.W, mp.mp.prec, _matching_ladder()
+    U, allow = 3 * W, 10 * to_fixed(mp.mpf(tol_eff)._mpf_, 3 * W)
     for n in ladder[ladder.index(choose_cutoff(tail, tol_eff, prop_fn=prop_fn)):]:
         sums = sums_fn((n, 2 * n))
-        approx2 = approx_fn(2 * n)
-        c1 = sums[n] - approx_fn(n)
-        c2 = sums[2 * n] - approx2
-        drift = abs(c1 - c2)
-        prop = prop_fn(2 * n) if prop_fn is not None else mp.mpf(0)
-        if drift <= 10 * tol_eff + 16 * prop:
+        (x1, y1), (x2, y2) = (_fixed_pair(mp.mpc(t), U) if not isinstance(t, tuple)
+                              else (_shift(t[0], U - t[2]), _shift(t[1], U - t[2]))
+                              for t in (sums[n], sums[2 * n]))
+        (a1, b1), (a2, b2) = approx_fn(n), approx_fn(2 * n)
+        dx, dy = x1 - a1 - x2 + a2, y1 - b1 - y2 + b2
+        prop = prop_fn(2 * n) if prop_fn is not None else 0
+        if dx * dx + dy * dy <= (allow + 16 * prop) ** 2:
             # the drift cannot see rounding common to both cutoffs: the
             # 2N-term sum and the expansion each carry their own
-            residual = (max(drift, eval_tail(tail, 2 * n)) + prop
-                        + _rounding_slack(2 * n, [sums[2 * n], approx2]))
-            return c2, residual, n
-    raise PrecisionError(
-        f"constant matching unstable: |c(N) - c(2N)| = "
-        f"{mp.nstr(drift, 5)} at N = {n}")
+            mass = (1 << U) + math.isqrt(x2 * x2 + y2 * y2) + math.isqrt(a2 * a2 + b2 * b2) + 2
+            residual = (max(math.isqrt(dx * dx + dy * dy) + 1,
+                            _read(tail.terms, W, 2 * n, up=True)[0] << W)
+                        + prop - (-(2 * n * mass << 10) >> prec))
+            return (mp.make_mpc((from_man_exp(x2 - a2 >> 2 * W, -W),
+                                 from_man_exp(y2 - b2 >> 2 * W, -W))),
+                    mp.make_mpf(from_man_exp(residual, -U, prec, round_ceiling)), n)
+    drift = mp.make_mpf(from_man_exp(math.isqrt(dx * dx + dy * dy), -U, prec))
+    raise PrecisionError(f"constant matching unstable: |c(N) - c(2N)| = "
+                         f"{mp.nstr(drift, 5)} at N = {n}")
 
 
 def term_sum_expansion(xi: RotationNumber, l: int, m: int, A: int, tol=None):

@@ -30,6 +30,9 @@ from exact Bernoulli values, the reference for the recurrence of
 ``nparts_chain`` builds the n-parts of one term by repeated
 differentiation on mpc coefficients, the reference for the scaled integers
 of ``summation._nparts_at``.
+``mp_matching`` is the constant matcher in mpmath numbers, the reference
+for the integer ``summation.run_matching``.  ``domain_member`` tests one
+domain from its definition, the reference for the one-pass domain flags.
 ``primitive_roots`` is the shared Hypothesis strategy for roots of unity of
 high order.
 """
@@ -42,8 +45,10 @@ import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest
 
 from mplreg import eulerpoly
+from mplreg.errors import PrecisionError
 from mplreg.polylog import TranslationReport, _delta, brute_partial_sum, pochhammer
-from mplreg.rootsofunity import RotationNumber, ZVector
+from mplreg.rootsofunity import (RotationNumber, ZVector, _coords, first_nontrivial_prefix,
+                                 index_set_and_count)
 import mplreg.summation as summod
 from mplreg.summation import NestedPass, nested_sums
 
@@ -164,6 +169,57 @@ def averaged_limit(sums_fn, period: int, start: int = 512, rungs: int = 8):
     return table[-1][-1]
 
 
+def domain_member(domain_kind: str, z: ZVector, s) -> bool:
+    """Strict membership of s in U_r ("Ur"), U_r(z) ("Urz") or V_r(z)
+    ("Vrz") from the definitions: the running sums of Re s_i against i, the
+    bound moved down by one from q(z) on, or Q_i(z)."""
+    q = first_nontrivial_prefix(z)
+    running = mp.mpf(0)
+    for i, c in enumerate(_coords(s), start=1):
+        running += c.real
+        if domain_kind == "Ur":
+            bound = i
+        elif domain_kind == "Urz":
+            bound = i if i < q else i - 1
+        else:
+            bound = index_set_and_count(z, i)[1]
+        if not running > bound:
+            return False
+    return True
+
+
+def mp_matching(sums_fn, approx_fn, tail, tol, prop_fn=None, prec=None):
+    """``summation.run_matching`` with every step in mpmath numbers at the
+    working precision: the sums and the reads as mpc, and as mpf the tail's
+    upper bound (``eval_tail``), the carried image ``prop_fn(n)``, the drift
+    |c(N) - c(2N)| and the rounding charge of ``_rounding_slack``, taken at
+    ``prec`` bits (by default the working precision); the cutoff from the
+    same ladder and rules as ``choose_cutoff``.  Returns (constant,
+    residual, cutoff)."""
+    ladder = summod._matching_ladder()
+    best_n = best = start = None
+    for n in ladder:
+        score = summod.eval_tail(tail, n) + (prop_fn(n) if prop_fn else 0)
+        if score <= tol / 4:
+            start = n
+            break
+        if best is None or score < best:
+            best_n, best = n, score
+    if start is None and prop_fn is None:
+        raise PrecisionError("predicted matching residual stays above tol")
+    for n in ladder[ladder.index(start or best_n):]:
+        sums = sums_fn((n, 2 * n))
+        approx2 = approx_fn(2 * n)
+        c1, c2 = sums[n] - approx_fn(n), sums[2 * n] - approx2
+        drift = abs(c1 - c2)
+        prop = prop_fn(2 * n) if prop_fn is not None else mp.mpf(0)
+        if drift <= 10 * tol + 16 * prop:
+            residual = (max(drift, summod.eval_tail(tail, 2 * n)) + prop + mp.ldexp(
+                2 * n * (1 + abs(sums[2 * n]) + abs(approx2)), 10 - (prec or mp.mp.prec)))
+            return c2, residual, n
+    raise PrecisionError(f"constant matching unstable at N = {n}")
+
+
 def primitive_roots(max_order: int):
     """Strategy for e^{2 pi i p/q}, 2 <= q <= max_order, any unit p mod q."""
     return st.integers(2, max_order).flatmap(
@@ -226,7 +282,7 @@ def fixed_point_pass(z, s, kvec, cutoffs, top: int):
     levels = []
     for zj in z:
         if isinstance(zj, RotationNumber):
-            levels.append((summod._fixed_power_table(zj.fraction, P), zj.order, None))
+            levels.append((summod._fixed_power_table(zj, P), zj.order, None))
         else:
             levels.append((None, None, summod._fixed_pair(mp.mpc(zj), P)))
     r = len(z)

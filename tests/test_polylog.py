@@ -410,9 +410,9 @@ class TestEvalIntegerPoint:
         # time: the only power tables built are the kernel's, one per root
         orders, table = [], summod._fixed_power_table
 
-        def spy(frac, P):
-            orders.append(frac.denominator)
-            return table(frac, P)
+        def spy(xi, P):
+            orders.append(xi.order)
+            return table(xi, P)
 
         monkeypatch.setattr(summod, "_fixed_power_table", spy)
         eval_integer_point(Z("1/101,1/103"), (1, 1))

@@ -20,6 +20,9 @@ from mplreg.rootsofunity import (
     rotation_product,
     singular_hyperplanes,
 )
+from mplreg.rootsofunity import _domain_flags
+
+from oracles import domain_member
 
 rotations = st.builds(
     RotationNumber,
@@ -90,6 +93,33 @@ class TestRotationNumber:
     def test_order(self):
         assert RotationNumber(2, 6).order == 3
         assert ONE.order == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.tuples(st.integers(-90, 90), st.integers(-24, 24).filter(bool)),
+                     st.tuples(st.fractions(max_denominator=40), st.just(1)),
+                     st.tuples(st.fractions(max_denominator=12), st.integers(1, 5))),
+           st.tuples(st.integers(-90, 90), st.integers(1, 24)), st.integers(-40, 40))
+    def test_integer_pair_behaves_as_the_fraction(self, args, other, e):
+        # built from ints (negative, unreduced, a negative denominator),
+        # from a Fraction, or from a Fraction over an int: every operation
+        # as on the reduced Fraction mod 1 that the root stands for
+        frac = Fraction(*args) % 1
+        x, y = RotationNumber(*args), RotationNumber(*other)
+        fy = Fraction(*other) % 1
+        assert x.fraction == frac and isinstance(x.fraction, Fraction)
+        assert (x.numerator, x.denominator, x.order) == (frac.numerator, frac.denominator,
+                                                         frac.denominator)
+        assert x.is_one() == (frac == 0)
+        assert x == RotationNumber(frac) and hash(x) == hash((frac.numerator, frac.denominator))
+        assert (x == y) == (frac == fy) and (x * y).fraction == (frac + fy) % 1
+        assert (x ** e).fraction == frac * e % 1
+        assert str(x) == f"{frac.numerator}/{frac.denominator}"
+        assert repr(x) == f"RotationNumber({frac.numerator}, {frac.denominator})"
+        assert x != frac
+
+    def test_zero_denominator_raises_as_before(self):
+        with pytest.raises(ZeroDivisionError, match=r"Fraction\(1, 0\)"):
+            RotationNumber(1, 0)
 
     def test_power_values_memoised_per_precision(self):
         zeta = RotationNumber(2, 7)
@@ -191,6 +221,24 @@ class TestDomains:
             assert contains("Urz", z, s)
         if contains("Urz", z, s):
             assert contains("Vrz", z, s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 12).flatmap(
+        lambda q: st.builds(RotationNumber, st.integers(0, q - 1), st.just(q))),
+        min_size=1, max_size=4), st.data())
+    def test_one_pass_flags_equal_contains(self, entries, data):
+        # the one pass over the prefix products, and ``contains`` on it,
+        # against each domain tested from its definition, at integer points
+        # near the bounds and at complex ones
+        z = ZVector(entries)
+        coord = st.one_of(st.integers(-2, 4),
+                          st.builds(lambda re, im: mp.mpc(re, im),
+                                    st.floats(-2, 4).map(lambda x: round(x, 2)), st.floats(-3, 3)))
+        s = data.draw(st.lists(coord, min_size=z.r, max_size=z.r))
+        want = {kind: domain_member(kind, z, s) for kind in ("Ur", "Urz", "Vrz")}
+        assert _domain_flags(z, s) == want == {kind: contains(kind, z, s) for kind in want}
+        with pytest.raises(DomainError):
+            _domain_flags(z, s + [1])
 
     def test_v_equals_u_iff_all_ones(self):
         # sample a rational grid; V = U exactly for the all-ones vector

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mplreg import eulerpoly
+from mplreg.asymptotics import DepthSpec, depth_expansion
 from mplreg.errors import PrecisionError
 from mplreg.polylog import DEFAULT_EVAL_TOL
-from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber
+from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber, ZVector
 from mplreg.scalefun import ScaleFunction
 import mplreg.summation as summod
 from mplreg.summation import (
@@ -25,8 +26,8 @@ from mplreg.summation import (
 )
 
 from oracles import (_mpmath_pass, em_remainder, end_blocks, fixed_point_pass, geb_blocks,
-                     geometric_closed_form, geometric_tail_coeffs, nparts_chain, point_value,
-                     primitive_roots)
+                     geometric_closed_form, geometric_tail_coeffs, mp_matching, nparts_chain,
+                     point_value, primitive_roots)
 
 
 def feval(f: ScaleFunction, a: int):
@@ -819,7 +820,7 @@ class TestKernelTables:
         for q in range(1, 129):
             middle = next(p for p in range(q // 2, q) if math.gcd(p, q) == 1)
             for p in {1 % q, middle, q - 1}:
-                table = summod._fixed_power_table(Fraction(p, q), P)
+                table = summod._fixed_power_table(RotationNumber(p, q), P)
                 assert len(table) == q
                 with mp.workprec(P + 64):
                     bound = 1 + mp.mpf(2) ** -18
@@ -1068,9 +1069,11 @@ class TestNparts:
         W, ns = 1856, [2, 250, 1000, 4001, 4096, 7919]
         logs = summod._log_table(W)[0]
         size = len(logs)
+        summod._log_at.cache_clear()  # reads memoised before this test
         cold = [summod._log_at(n, W) for n in ns]
         assert len(logs) == size
         table = summod._logs(W, max(ns))
+        summod._log_at.cache_clear()
         assert cold == [table[n] >> 64 for n in ns] == [summod._log_at(n, W) for n in ns]
         n = summod.SIEVE_CAP + 1
         assert summod._log_at(n, W) == log_int_fixed(n, W)
@@ -1082,6 +1085,7 @@ class TestNparts:
         # stops at 64: the same integers as the entries it makes later, and
         # no growth of the table
         summod._log_table.cache_clear()
+        summod._log_at.cache_clear()
         W, ps = 1152, [89, 179, 359, 719, 1439, 2879, 11807]
         short = list(summod._logs(W, 64))
         cold = [summod._log_at(p, W) for p in ps]
@@ -1145,3 +1149,186 @@ class TestResidueReads:
         for N in [*windows[0], *windows[1]]:
             for j in range(len(z)):
                 assert state.raw_sum(N, j) == ref.raw_sum(N, j)
+
+
+class TestRunMatching:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.just(ONE), primitive_roots(60)),
+                              st.integers(-2, 3), st.integers(0, 2)), min_size=1, max_size=3),
+           st.sampled_from([53, 128, 256, 512]))
+    def test_against_the_mpmath_matcher(self, spec, prec):
+        # every level of the depth driver matched twice on the same inputs:
+        # on integers, and by the mpmath matcher of ``oracles.mp_matching``
+        # run 256 bits past the reads' scale 2^3W, so that only its rounding
+        # charge, taken at prec, tells it from exact arithmetic.  The same
+        # cutoff or the same failure, the constant within the floor to 2^W,
+        # and the residual at or above the mpmath one and within 1.01 times
+        # it.  The value lies within its residual of the one the mpmath
+        # matcher makes at prec + 64
+        z, a, kvec = (tuple(col) for col in zip(*spec))
+        real, levels = summod.run_matching, []
+
+        def mp_matcher(sums_fn, approx_fn, tail, tol, prop_fn=None):
+            U, at = 3 * tail.W, mp.mp.prec
+
+            def sums(cutoffs):  # the pass runs at its own precision
+                with mp.workprec(at):
+                    raw = sums_fn(cutoffs)
+                return {n: summod._scaled_mpc(*v) for n, v in raw.items()}
+
+            with mp.workprec(U + 256):
+                return mp_matching(sums, lambda n: summod._scaled_mpc(*approx_fn(n), U), tail,
+                                   tol, prop_fn and (lambda n: mp.ldexp(prop_fn(n), -U)), at)
+
+        def both(sums_fn, approx_fn, tail, tol, prop_fn=None):
+            args, out = (sums_fn, approx_fn, tail, tol, prop_fn), []
+            for match in (mp_matcher, real):
+                try:
+                    out.append(match(*args))
+                except PrecisionError as exc:
+                    out.append(exc)
+            levels.append((*out, args[2].W))
+            if isinstance(out[1], PrecisionError):
+                raise out[1]
+            return out[1]
+
+        d = DepthSpec(ZVector(z), a, kvec)
+        with pytest.MonkeyPatch.context() as patch, mp.workprec(prec):
+            patch.setattr(summod, "run_matching", both)
+            try:
+                got = depth_expansion(d, 2)
+            except PrecisionError:
+                got = None
+        assert levels
+        for want, have, W in levels:
+            assert isinstance(want, PrecisionError) == isinstance(have, PrecisionError)
+            if isinstance(want, PrecisionError):
+                continue
+            (c_o, r_o, n_o), (c, r, n) = want, have
+            assert n == n_o
+            with mp.workprec(3 * W + 256):
+                assert abs(c - c_o) <= mp.mpf(2) ** (1 - W)
+                assert r_o * (1 - mp.mpf(2) ** -prec) <= r <= mp.mpf("1.01") * r_o
+        if got is None:
+            return
+        with pytest.MonkeyPatch.context() as patch, mp.workprec(prec + 64):
+            patch.setattr(summod, "run_matching", mp_matcher)
+            ref = depth_expansion(d, 2).regularised_value()
+            assert abs(got.regularised_value() - ref) <= got.residual_bound
+
+
+class TestHornerRead:
+    @settings(max_examples=80, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(-2, 20)),
+                           st.tuples(st.integers(-2 ** 300, 2 ** 300),
+                                     st.integers(-2 ** 300, 2 ** 300)), min_size=1, max_size=30),
+           st.integers(2, 2 * summod.MATCH_CEILING), st.sampled_from([128, 256, 320, 576]))
+    def test_against_the_exact_sum(self, terms, n, W):
+        # per power l the exact Fraction sum S_l of C n^-m floored once, as
+        # Horner's floored steps in 1/n give it, then times the read's own
+        # (log n)^l, X_l: the same integers.  The upper read of the absolute
+        # values takes each S_l rounded up and the raised X_l
+        log_n = summod._log_at(n, W)
+        X = [1 << W]
+        for _ in range(3):
+            X.append(X[-1] * log_n >> W)
+        lb = n.bit_length()
+        S = collections.defaultdict(lambda: [Fraction(0), Fraction(0)])
+        for (l, m), c in terms.items():
+            for part in (0, 1):
+                S[l][part] += Fraction(c[part]) / Fraction(n) ** m
+        horner = {}
+        for l, parts in S.items():
+            horner[l] = []
+            for part, exact in enumerate(parts):
+                # the floored Horner steps, one division by n per decay
+                x = 0
+                for m in range(20, 0, -1):
+                    x = (x + terms.get((l, m), (0, 0))[part]) // n
+                x += sum(terms.get((l, -m), (0, 0))[part] * n ** m for m in range(3))
+                assert x == math.floor(exact)
+                horner[l].append(x)
+        assert summod._read(terms, W, n) == tuple(
+            sum(horner[l][part] * X[l] for l in horner) for part in (0, 1))
+        up_terms = {key: abs(x) for key, (x, _) in terms.items()}
+        raised = [x + (3 * l * lb ** (l - 1) + 1 if l else 0) for l, x in enumerate(X)]
+        U = collections.defaultdict(Fraction)
+        for (l, m), c in up_terms.items():
+            U[l] += Fraction(c) / Fraction(n) ** m
+        assert summod._read(up_terms, W, n, up=True) == (
+            sum(math.ceil(u) * raised[l] for l, u in U.items()), 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(-2, 20)),
+                           st.tuples(st.integers(-2 ** 300, 2 ** 300),
+                                     st.integers(-2 ** 300, 2 ** 300)), min_size=1, max_size=30),
+           st.integers(2, 2 * summod.MATCH_CEILING), st.sampled_from([128, 256, 320, 576]))
+    def test_within_the_derived_bound(self, terms, n, W):
+        # against the true log n: < 2^-W sum_l (lb^l + 3 l lb^(l-1) |S_l|),
+        # S_l the exact sum of power l's terms
+        lb = n.bit_length()
+        with mp.workprec(W + 450):
+            x, inv, unit = mp.log(n), mp.mpf(1) / n, mp.mpf(2) ** -W
+            S = collections.defaultdict(lambda: mp.mpc(0))
+            for (l, m), (re, im) in terms.items():
+                S[l] += mp.mpc(re, im) * unit * inv ** m
+            want = mp.fsum(v * x ** l for l, v in S.items())
+            bound = unit * mp.fsum(lb ** l + 3 * l * lb ** max(0, l - 1) * abs(v)
+                                   for l, v in S.items())
+            got = mp.mpc(*summod._read(terms, W, n)) * unit ** 2
+            assert abs(got.real - want.real) < bound
+            assert abs(got.imag - want.imag) < bound
+
+
+class TestZeroImaginaryLists:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([ONE, MINUS_ONE]), st.integers(-2, 3),
+                              st.integers(0, 2)), min_size=1, max_size=3),
+           st.sets(st.integers(2, 2600), min_size=1, max_size=3), st.sampled_from([128, 256]))
+    def test_plus_minus_one_against_the_pass_one_n_at_a_time(self, spec, cutoffs, prec):
+        # at z in {1, -1}^r every imaginary list and level sum is exactly 0,
+        # carried as None: every level j >= 1 bit for bit as the per-n pass
+        # with explicit zeros, and level 0 within 2^-(prec+8) of it, with an
+        # imaginary part of exactly 0
+        z, a, kvec = (list(col) for col in zip(*spec))
+        cutoffs = sorted(cutoffs | {1024, 1025})
+        with mp.workprec(prec):
+            state = summod.NestedPass(cutoffs[-1])
+            nested_sums(z, a, kvec, cutoffs, state)
+            P, hits, _ = fixed_point_pass(z, a, kvec, cutoffs, cutoffs[-1])
+        for N in cutoffs:
+            for j in range(1, len(z)):
+                assert state.raw_sum(N, j)[:2] == (hits[N][0][j], hits[N][1][j])
+            x, y, _ = state.raw_sum(N)
+            assert y == 0 == hits[N][1][0]
+            assert abs(x - hits[N][0][0]) <= 2 ** (P - prec - 8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.just(ONE), st.just(MINUS_ONE), primitive_roots(60)),
+           st.one_of(st.integers(-2, 3), st.builds(lambda re, im: mp.mpc(re, im),
+                                                   st.floats(-1, 3), st.floats(-1, 1))),
+           st.integers(0, 2), st.integers(1, 2500), st.sampled_from([128, 256]))
+    def test_depth_one_level_zero_against_residue_sums(self, xi, s, k, base, prec):
+        # depth 1: level 0's lists before z_1^n are real, carried as None.
+        # The residue sums rebuilt from the terms of the per-n pass at z = 1
+        # (the same P, floors and n^-s entries), R_c the sum of the terms of
+        # each class n = c mod q, and t_N = sum_c z^c R_c floored once: bit
+        # for bit the kernel's, at cutoffs that read level 0 in full and
+        # within q of each other
+        q = xi.order
+        cutoffs = sorted({base, base + 1, base + q // 2 + 1, base + 2 * q + 3, 2 * base + 7})
+        top = cutoffs[-1]
+        with mp.workprec(prec):
+            state = summod.NestedPass(top)
+            nested_sums((xi,), (s,), (k,), cutoffs, state)
+            P, hits, _ = fixed_point_pass((ONE,), (s,), (k,), range(1, top + 1), top)
+        assert state.P == P
+        table = summod._fixed_power_table(xi, P)
+        for N in cutoffs:
+            R, I = [0] * q, [0] * q
+            for m in range(1, N):
+                R[m % q] += hits[m + 1][0][0] - hits[m][0][0]
+                I[m % q] += hits[m + 1][1][0] - hits[m][1][0]
+            want = (sum(c * x - s_ * y for (c, s_), x, y in zip(table, R, I)) >> P,
+                    sum(s_ * x + c * y for (c, s_), x, y in zip(table, R, I)) >> P)
+            assert state.raw_sum(N)[:2] == want
