@@ -755,8 +755,8 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
 
     Every level j >= 1 and every n^-s entry get the same bits as a pass one
     n at a time with the same floors (``oracles.fixed_point_pass`` in the
-    tests).  Each requested t_N becomes an mpc once, at the end.  For every
-    input each t_N errs by at most 2^-(prec+8) before that final rounding,
+    tests).  Each requested t_N stays the raw sum at 2^P and becomes an mpc
+    when read (``_Reads``); it errs by at most 2^-(prec+8) before that rounding,
     and a resumed pass gives the same bits as a one-shot pass.  Besides its
     tables a call holds one block's lists at a time, which ``BLOCK_CAP``
     bounds.
