@@ -120,7 +120,8 @@ class AsymptoticExpansion:
         return min((m for terms in self._parts.values() for _, m in terms), default=mp.inf)
 
     def evaluate(self, n: int):
-        return _eval_parts_by_char(self._parts, self.scale, int(n))
+        return summation._scaled_mpc(*_eval_parts_by_char(self._parts, self.scale, int(n)),
+                                     3 * self.scale)
 
     def add(self, other: "AsymptoticExpansion") -> "AsymptoticExpansion":
         W, parts = max(self.scale, other.scale), {}
@@ -230,7 +231,8 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
     at a cutoff n, namely within residual_bound * (1+log n)^log_power *
     n^exponent.  The depth driver derives it from its head monomial; the
     default falls back to the worst stored decay index, which is correct
-    but can be far too conservative.
+    but can be far too conservative.  Both are ints, the log power >= 0, and
+    a carried ``residual_bound`` is finite and >= 0, else ValueError.
     """
     a_out = e.precision if precision is None else int(precision)
     tol_eff = summation.resolve_tol(tol, summation.DEFAULT_MATCH_TOL)
@@ -251,6 +253,8 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
             return {n: (x, y, 3 * W) for n, (x, y) in total.items()}
     elif not callable(sums_fn):
         raise ValueError("sums_fn must be a callable cutoffs -> {N: value}")
+    elif not (mp.isfinite(e.residual_bound) and e.residual_bound >= 0):
+        raise ValueError(f"residual_bound must be finite and >= 0: {e.residual_bound}")
 
     # c times the n-parts (at 2^V) of every term, collected per character,
     # and |c| times its tail, rounded up, all at e's scale 2^W: each product
@@ -277,19 +281,22 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
         growth_exp = -min(0, e.order()) if not e.is_empty() else 0
         growth_log = max_log
 
+    if not (isinstance(growth_exp, int) and isinstance(growth_log, int) and growth_log >= 0):
+        raise ValueError(f"carried_growth must be two ints, the second >= 0: {carried_growth}")
     # residual_bound (1 + log n)^growth_log n^growth_exp, rounded up in units
     # 2^-3W, log n raised past ``_log_at``'s error (< 2 units 2^-W)
     carried = -to_fixed(mpf_neg(e.residual_bound._mpf_), 3 * W)
 
     def prop(n):
-        x, log1 = carried * n ** growth_exp, summation._log_at(n, W) + (1 << W) + 2
+        x = carried * n ** growth_exp if growth_exp >= 0 else -(-carried // n ** -growth_exp)
+        log1 = summation._log_at(n, W) + (1 << W) + 2
         for _ in range(growth_log):
             x = -(-x * log1 >> W)
         return x
 
     c2, residual, _ = summation.run_matching(
         sums_fn,
-        lambda n: summation._read_chars(by_char, W, n),
+        lambda n: _eval_parts_by_char(by_char, W, n),
         summation.Scaled(dict(tail), W), tol_eff,
         # an exact e carries no uncertainty: the predicted residual alone
         # picks the cutoff, and one that cannot reach tol fails at once
@@ -301,10 +308,10 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
     return AsymptoticExpansion(by_char, a_out, residual, W)
 
 
-def _eval_parts_by_char(parts: dict, W: int, n: int):
+def _eval_parts_by_char(parts: dict, W: int, n: int) -> tuple:
     """sum over characters xi of xi^n * parts[xi](n), the parts Gaussian
-    integers at 2^W, rounded once (``summation._read_chars``)."""
-    return summation._scaled_mpc(*summation._read_chars(parts, W, n), 3 * W)
+    integers at 2^W, as unrounded integers at 2^(3W) (``summation._read_chars``)."""
+    return summation._read_chars(parts, W, n)
 
 
 def inner_expansion_order(a_i: int) -> int:

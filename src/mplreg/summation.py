@@ -62,7 +62,7 @@ n^-s built multiplicatively: a prime is exp(-s log p) in integer fixed point
 fixed-point product of stored values, and past ``SIEVE_CAP`` stored values a
 term divides out stored primes until its cofactor is stored.  For every
 input each t_N errs by at most 2^-(prec+8) before its final rounding,
-made only when t_N is read; an exactly zero imaginary list is None.
+made only when t_N is read.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def _moment_blocks(f: ScaleFunction, k: int, zeta: RotationNumber, n: int, m: in
     lp = _log_powers(_logs(P, n) if L else (), P, L, ns)
     lp[0], moments = [1 << P] * N, {}
     for l, nu in keys:
-        xs = _weigh(lp[l], None, 0, nu, None, lp, ns, P)[0]
+        xs = _weigh(lp[l], [], 0, nu, None, lp, ns, P)[0]
         moments[l, nu] = ([sum(xs[1 + (r - lo - 1) % k:-1:k]) for r in range(k)], xs[0], xs[-1],
                           (6 * l * lb ** l * 2 ** l * (sum(xs) + N) >> P) + N + 1)
     table, w = _fixed_power_table(zeta, P), [1] if k == 1 else [-p for p in range(k)]
@@ -777,16 +777,15 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
         state._start(z, exps, kvec)
     P = state.P
     top = cutoffs[-1]
-    # per level: the order of z_j and the cos and sin of z_j^n (sin None at
-    # z_j = +-1), tiled to cover any block of this call, or None and z_j
+    # per level: the order of z_j and the cos and sin of z_j^n, tiled to
+    # cover any block of this call, or None and the scaled z_j
     span = min(BLOCK_CAP, top - state.n)
     levels = []
     for zj in z:
         if isinstance(zj, RotationNumber):
             table = _fixed_power_table(zj, P)
             reps = span // zj.order + 2
-            levels.append((zj.order, [c for c, _ in table] * reps,
-                           [s for _, s in table] * reps if zj.order > 2 else None))
+            levels.append((zj.order, [c for c, _ in table] * reps, [s for _, s in table] * reps))
         else:
             levels.append((None, *_fixed_pair(mp.mpc(zj), P)))
     kmax = max(kvec)
@@ -814,9 +813,8 @@ def _block(state, levels, kvec, exps, lp, ns, marks):
     """Advances ``state`` over the n of the range ``ns``, recording every
     level at each cutoff in ``marks``, from the innermost level out; each
     level's list of sums before each n of the block and after its last is
-    what the level outside it reads.  An exactly zero imaginary list (z_j =
-    +-1 and integral s_j over a real level, depth 1's level 0) is None, as
-    are its level's imaginary sums: the same bits, no arithmetic on 0."""
+    what the level outside it reads.  Every list holds integers at 2^P, each
+    product floored as in the per-n pass (``_weigh``, ``_times``)."""
     P, L, n0 = state.P, len(ns), ns.start
     entries = _table_block(state, ns)
     sums = [None] * len(levels)
@@ -824,7 +822,7 @@ def _block(state, levels, kvec, exps, lp, ns, marks):
     for j in reversed(range(state.residues is not None, len(levels))):
         q, u, v = levels[j]
         if q:
-            C, S = u[n0 % q:n0 % q + L], v and v[n0 % q:n0 % q + L]
+            C, S = u[n0 % q:n0 % q + L], v[n0 % q:n0 % q + L]
         else:
             pw = list(accumulate(repeat(None, L), lambda x, _: (
                 (x[0] * u - x[1] * v) >> P, (x[0] * v + x[1] * u) >> P),
@@ -835,26 +833,23 @@ def _block(state, levels, kvec, exps, lp, ns, marks):
         if inner is not None:
             C, S = _times(C, S, *inner, P)
         inner = (list(accumulate(C, initial=state.level_re[j])),
-                 S and list(accumulate(S, initial=state.level_im[j])))
-        state.level_re[j] = inner[0][-1]
-        if S:
-            state.level_im[j] = inner[1][-1]
+                 list(accumulate(S, initial=state.level_im[j])))
+        state.level_re[j], state.level_im[j] = inner[0][-1], inner[1][-1]
         sums[j] = inner
     if state.residues is None:
         for N in marks:
-            state._record(N, [re[N - n0] for re, _ in sums],
-                          [im[N - n0] if im else 0 for _, im in sums])
+            state._record(N, [re[N - n0] for re, _ in sums], [im[N - n0] for _, im in sums])
         return
     # level 0 per residue class of n mod q
     if inner is None:
-        C, S = [1 << P] * L, None
+        C, S = [1 << P] * L, [0] * L
     else:
-        C, S = inner[0][:L], inner[1] and inner[1][:L]
+        C, S = inner[0][:L], inner[1][:L]
     C, S = _weigh(C, S, kvec[0], exps[0], entries[0], lp, ns, P)
     q, cos, sin = levels[0]
     done, level0 = 0, None
     for i in [N - n0 for N in marks] + [L]:
-        for part, R in zip((C, S) if S else (C,), state.residues):
+        for part, R in zip((C, S), state.residues):
             for m in range(done, min(i, done + q)):
                 R[(n0 + m) % q] += sum(part[m:i:q])
         if i == L:
@@ -862,15 +857,15 @@ def _block(state, levels, kvec, exps, lp, ns, marks):
         if level0 is not None and i - done < q:
             # fewer than q terms since the last mark: add them to its exact
             # level 0 with their z_1^n, the same integers as a full read
-            c, s = cos[n0 % q + done:n0 % q + i], sin[n0 % q + done:n0 % q + i] if sin else ()
-            x, y, Sd = *level0, S[done:i] if S else ()
-            level0 = (x + sum(map(mul, c, C[done:i])) - sum(map(mul, s, Sd)),
-                      y + sum(map(mul, s, C[done:i])) + sum(map(mul, c, Sd)))
+            c, s = cos[n0 % q + done:n0 % q + i], sin[n0 % q + done:n0 % q + i]
+            x, y = level0
+            level0 = (x + sum(map(mul, c, C[done:i])) - sum(map(mul, s, S[done:i])),
+                      y + sum(map(mul, s, C[done:i])) + sum(map(mul, c, S[done:i])))
         else:
             level0 = state._residue_sum()
         done = i
         state._record(n0 + i, [0] + [re[i] for re, _ in sums[1:]],
-                      [0] + [im[i] if im else 0 for _, im in sums[1:]], level0)
+                      [0] + [im[i] for _, im in sums[1:]], level0)
 
 
 def _log_powers(logs, P: int, kmax: int, ns: range) -> list:
@@ -883,36 +878,28 @@ def _log_powers(logs, P: int, kmax: int, ns: range) -> list:
         lp.append(list(map(rshift, logs[ns.start:ns.stop], repeat(64)))
                   + [log_int_fixed(n, P) for n in range(max(ns.start, len(logs)), ns.stop)])
     for _ in range(1, kmax):
-        lp.append(_product(lp[-1], lp[1], P))
+        lp.append(list(map(rshift, map(mul, lp[-1], lp[1]), repeat(P))))
     return lp
-
-
-def _product(A, B, P):
-    """The lists' scaled values multiplied pairwise, each product floored."""
-    return list(map(rshift, map(mul, A, B), repeat(P)))
 
 
 def _weigh(C, S, k, a, entries, lp, ns, P):
     """The block's lists C + i S times (log n)^k n^-a, each product floored
-    as one term of the pass; S None is an exactly zero imaginary list."""
+    as one term of the pass."""
     if k:
-        C, S = _product(C, lp[k], P), S and _product(S, lp[k], P)
+        C = list(map(rshift, map(mul, C, lp[k]), repeat(P)))
+        S = list(map(rshift, map(mul, S, lp[k]), repeat(P)))
     if entries is not None:
         return _times(C, S, *entries, P)
     if a:
         d = ns if abs(a) == 1 else list(map(pow, ns, repeat(abs(a))))
         op = floordiv if a > 0 else mul
-        C, S = list(map(op, C, d)), S and list(map(op, S, d))
+        C, S = list(map(op, C, d)), list(map(op, S, d))
     return C, S
 
 
 def _times(C, S, X, Y, P):
     """(C + i S)(X + i Y) over two lists of scaled values, each part floored;
-    the longer list is cut to the shorter.  An imaginary list None is
-    exactly zero, and the product's is None when both are."""
-    if S is None or Y is None:
-        return _product(C, X, P), (None if S is Y else _product(S, X, P) if Y is None
-                                   else _product(C, Y, P))
+    the longer list is cut to the shorter."""
     return (list(map(rshift, map(sub, map(mul, C, X), map(mul, S, Y)), repeat(P))),
             list(map(rshift, map(add, map(mul, C, Y), map(mul, S, X)), repeat(P))))
 

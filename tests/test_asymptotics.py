@@ -143,6 +143,45 @@ class TestPartialSum:
         with pytest.raises(ValueError):
             partial_sum(exp_of({}, 2), "bogus")
 
+    @pytest.mark.parametrize("bound", [mp.inf, mp.nan, mp.mpf(-1)])
+    def test_rejects_a_carried_bound_not_finite_and_nonnegative(self, bound):
+        # the carried image is an integer bound, which has no infinity: an
+        # infinite residual_bound would read as 0 and certify too little
+        e = exp_of({(MINUS_ONE, 0, 1): mp.mpc(1)}, 3)
+        e.residual_bound = bound
+        with pytest.raises(ValueError):
+            partial_sum(e, lambda cutoffs: summod.char_partial_sums(MINUS_ONE, 0, 1, cutoffs))
+
+    @pytest.mark.parametrize("growth", [(0.5, 1), (mp.mpf(1), 0), (1, -1), (1, 1.0)])
+    def test_rejects_a_carried_growth_not_of_ints(self, growth):
+        e = exp_of({(MINUS_ONE, 0, 1): mp.mpc(1)}, 3)
+        with pytest.raises(ValueError):
+            partial_sum(e, lambda cutoffs: summod.char_partial_sums(MINUS_ONE, 0, 1, cutoffs),
+                        carried_growth=growth)
+
+    @pytest.mark.parametrize("growth", [(-2, 0), (-1, 2), (0, 0), (0, 1), (2, 1)])
+    def test_carried_image_bounds_the_mpmath_one(self, growth, monkeypatch):
+        # prop(n) in units 2^-3W at or above residual_bound (1 + log n)^g n^e
+        # and within 2^-100 relative of it (plus a unit), also for e < 0
+        real, props = summod.run_matching, []
+
+        def spy(sums_fn, approx_fn, tail, tol, prop_fn=None):
+            props.append((prop_fn, tail.W))
+            return real(sums_fn, approx_fn, tail, tol, prop_fn)
+
+        monkeypatch.setattr(summod, "run_matching", spy)
+        e = exp_of({(MINUS_ONE, 0, 1): mp.mpc(1)}, 3)
+        e.residual_bound = mp.mpf("3.7e-30")
+        partial_sum(e, lambda cutoffs: summod.char_partial_sums(MINUS_ONE, 0, 1, cutoffs),
+                    carried_growth=growth)
+        (prop, W), = props
+        g_exp, g_log = growth
+        with mp.workprec(3 * W + 64):
+            for n in (2, 7, 250, 4096, 10 ** 6 + 3):
+                want = e.residual_bound * (1 + mp.log(n)) ** g_log * mp.mpf(n) ** g_exp
+                got = mp.ldexp(prop(n), -3 * W)
+                assert want <= got <= want * (1 + mp.mpf(2) ** -100) + mp.ldexp(1, -3 * W)
+
     def test_linearity_in_exact_mode(self):
         e1 = exp_of({(MINUS_ONE, 0, 1): mp.mpc(2)}, 4)
         e2 = exp_of({(ONE, 0, 2): mp.mpc(0, 3)}, 4)

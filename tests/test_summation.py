@@ -1286,10 +1286,9 @@ class TestZeroImaginaryLists:
                               st.integers(0, 2)), min_size=1, max_size=3),
            st.sets(st.integers(2, 2600), min_size=1, max_size=3), st.sampled_from([128, 256]))
     def test_plus_minus_one_against_the_pass_one_n_at_a_time(self, spec, cutoffs, prec):
-        # at z in {1, -1}^r every imaginary list and level sum is exactly 0,
-        # carried as None: every level j >= 1 bit for bit as the per-n pass
-        # with explicit zeros, and level 0 within 2^-(prec+8) of it, with an
-        # imaginary part of exactly 0
+        # at z in {1, -1}^r every imaginary list and level sum is exactly 0:
+        # every level j >= 1 bit for bit as the per-n pass, and level 0
+        # within 2^-(prec+8) of it, with an imaginary part of exactly 0
         z, a, kvec = (list(col) for col in zip(*spec))
         cutoffs = sorted(cutoffs | {1024, 1025})
         with mp.workprec(prec):
@@ -1309,9 +1308,9 @@ class TestZeroImaginaryLists:
                                                    st.floats(-1, 3), st.floats(-1, 1))),
            st.integers(0, 2), st.integers(1, 2500), st.sampled_from([128, 256]))
     def test_depth_one_level_zero_against_residue_sums(self, xi, s, k, base, prec):
-        # depth 1: level 0's lists before z_1^n are real, carried as None.
-        # The residue sums rebuilt from the terms of the per-n pass at z = 1
-        # (the same P, floors and n^-s entries), R_c the sum of the terms of
+        # depth 1: level 0's lists before z_1^n are real.  The residue sums
+        # rebuilt from the terms of the per-n pass at z = 1 (the same P,
+        # floors and n^-s entries), R_c the sum of the terms of
         # each class n = c mod q, and t_N = sum_c z^c R_c floored once: bit
         # for bit the kernel's, at cutoffs that read level 0 in full and
         # within q of each other
