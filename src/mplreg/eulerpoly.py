@@ -128,8 +128,13 @@ class RationalPolynomial:
 
 @lru_cache(maxsize=4096)
 def bernoulli_number(j: int) -> Fraction:
-    """Exact B_j with the B_1 = -1/2 convention (so B_j = B_j(0))."""
-    return bernoulli_polynomial(j).coeff(0)
+    """Exact B_j with the B_1 = -1/2 convention (so B_j = B_j(0)), from
+    sum_{i<=j} C(j+1, i) B_i = 0, the B_i read in increasing i."""
+    if j < 0:
+        raise ValueError("Bernoulli index must be >= 0")
+    if j == 0 or j > 1 and j % 2:
+        return Fraction(int(j == 0))
+    return -sum(math.comb(j + 1, i) * bernoulli_number(i) for i in range(j)) / (j + 1)
 
 
 @lru_cache(maxsize=4096)

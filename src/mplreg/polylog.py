@@ -17,7 +17,8 @@ is handled four ways:
 * ``verify_translation`` -- numerical check of the translation identities
   that tie a tail at shifted arguments to a Pochhammer-weighted series of
   tails, every tail of the series read off the terms of one kernel pass and
-  the series cut where a derived bound puts what it drops below tol/100.
+  the series cut where a derived bound puts what it drops below tol/100;
+  like the operator series, on Python integers, every bound rounded up.
 """
 
 from __future__ import annotations
@@ -32,8 +33,12 @@ from .asymptotics import DepthSpec, depth_expansion, fmt_real
 from .errors import DomainError, NonConvergenceError
 from .rootsofunity import (RotationNumber, ZVector, _coords, _domain_flags,
                            index_set_and_count, rotation_product)
-from .summation import (NestedPass, _geometric_coeffs, _remainder_factor, _rounding_slack,
-                        _scaled_mpc, nested_sums, resolve_tol)
+from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
+
+from .summation import (NestedPass, _char_pair, _coefficient_bounds, _fixed_exponent,
+                        _fixed_pair, _geometric_list, _mantissas, _power_float,
+                        _remainder_factor, _rounding_slack, _scaled_mpc, _shift, nested_sums,
+                        resolve_tol)
 
 __all__ = [
     "EvalReport",
@@ -155,12 +160,11 @@ def eval_convergent(z: ZVector, s, tol=None, *,
     and a ceiling below ``CONVERGENT_START`` are checked before that.
 
     The estimate is the bound plus the rounding charge 2^(2-prec) (1 + M),
-    M = |t_N| + |N^(1-s)/(1 - s)| + sum_j (|c_j| + e_j) |(s)_j| N^(-Re s-j),
-    e_j = 3 (2 pi |x|)^-(j+1) (0 at xi = 1): t_N errs by 2^-(prec+8) in the
-    kernel and 2^-prec |t_N| in its rounding, each c_j by 2^(1-prec) e_j
-    (``_geometric_coeffs``), the 2j + 5 roundings of the j-th term of
-    xi^N h(N), at prec + 12 + bit_length(J) bits, by < 2^-(prec+7) of its
-    size, and t_N - xi^N h(N) by 2^-prec M: < 2^(1-prec) (1 + M) in all.
+    M = |t_N| + |N^(1-s)/(1 - s)| + sum_j (|c_j| + e_j) |(s)_j| N^(-Re s-j)
+    rounded up, e_j = 3 (2 pi |x|)^-(j+1) (0 at xi = 1): t_N errs by
+    2^-(prec+8) in the kernel and 2^-prec |t_N| in its rounding, xi^N h(N)
+    on integers by < 2^-prec |h(N)| + 2^-(prec+14) M (``_operator_series``)
+    and t_N - xi^N h(N) by 2^-prec (|t_N| + |h(N)|): < 2^(1-prec) (1 + M).
 
     At depth 2 (``_series_plan``), with T(xi, sigma) = sum_{n>=N} xi^n
     n^-sigma = -xi^N h_sigma(N) - eps_sigma(N), the inner sum S2(n) =
@@ -217,43 +221,88 @@ def eval_convergent(z: ZVector, s, tol=None, *,
                       flags, {"cutoff": N, "order": J, "terms": kernel.terms})
 
 
+def _dyadic(s) -> tuple:
+    """(a, b, F), F >= 0, with s = (a + i b) 2^-F exactly."""
+    [(a, b)], e = _mantissas([mp.mpc(s)])
+    return a << max(e, 0), b << max(e, 0), max(-e, 0)
+
+
+def _normal(x: int, y: int, e: int, Q: int, d: int = 1) -> tuple:
+    """(x + i y) 2^e / d as (X + i Y) 2^E floored to Q bits, within sqrt 2 2^(1-Q)."""
+    k = Q + d.bit_length() - max(abs(x), abs(y)).bit_length()
+    return (_shift(x, k) // d, _shift(y, k) // d, e - k) if x or y else (0, 0, e)
+
+
+def _up(x: int, y: int, G: int) -> int:
+    """An integer >= (|x + i y| + 2) (1 + 2^-G)."""
+    m = math.isqrt(x * x + y * y) + 1
+    return m + (m >> G) + 2
+
+
 def _series_order(xi: RotationNumber, s, N: int, tol, first: int = 0):
     """(J, bound), the smallest J >= first whose bound of ``eval_convergent``
     at N is <= tol/4, or None once it is no smaller than the two before it;
-    needs Re s + first > 0."""
-    sigma = s.real
-    poch, power = abs(s), mp.mpf(N) ** (-sigma - 1)  # |(s)_(J+1)|, N^(-Re s-J-1)
-    last = (mp.inf, mp.inf)
+    needs Re s + first > 0.  On integers, the bound rounded up and tol/4
+    down at 2^(prec+64-mag(tol)): |(s)_(J+1)| N^(-Re s-J-1) one product of
+    prec + 32 bits rounded up per step, 1 + N/(Re s + J) an exact ratio."""
+    (a, b, F), prec = _dyadic(s), mp.mp.prec
+    Q, Z = prec + 32, prec + 64 - mp.mag(tol)
+    x, _, e = _power_float(N, _fixed_exponent(mp.mpf(s.real), Q, N))
+    g, e = _normal(-x - (x >> Q + 7) - 1, 0, e, Q)[::2]  # -N^-Re s, less its 2^-(Q+8)
+    limit, last = to_fixed(mp.mpf(tol)._mpf_, Z) >> 2, (math.inf, math.inf)
     for J in itertools.count():
+        c = a + (J << F)
+        g, e = _normal(g * (math.isqrt(c * c + b * b << 2 * Q) + 1), 0, e - F - Q, Q, N)[::2]
         if J >= first:
-            bound = (_remainder_factor(xi, J, mp.mp.prec) * poch * power
-                     * (1 + N / (sigma + J)))
-            if bound <= tol / 4:
-                return J, bound
+            _, man, exp, _ = _remainder_factor(xi, J, prec)._mpf_
+            bound = -(_shift(man * g * (c + (N << F)), exp + e + Z) // c)
+            if bound <= limit:
+                return J, mp.make_mpf(from_man_exp(bound, -Z, prec, round_ceiling))
             if bound >= max(last):
                 return None
             last = (last[1], bound)
-        poch, power = poch * abs(s + J + 1), power / N
 
 
-def _operator_series(xi: RotationNumber, s, N: int, J: int, prec: int):
+def _operator_series(xi: RotationNumber, s, N: int, J: int, prec: int,
+                     weights: bool = False):
     """(xi^N h(N), M, [(c_j (-1)^j (s)_j, (|c_j| + e_j) |(s)_j|)]) of
-    ``eval_convergent``'s depth-1 identity at order J, at prec + 12 +
-    bit_length(J) bits: sum_{n>=N} xi^n n^-s is -xi^N h(N) within its bound,
-    and M = |N^(1-s)/(1 - s)| + sum_j (|c_j| + e_j) |(s)_j| N^(-Re s-j) is
-    the mass of its rounding."""
-    with mp.workprec(prec + 12 + J.bit_length()):
-        near = min(xi.fraction, 1 - xi.fraction)
-        rate = near.denominator / (2 * mp.pi * near.numerator) if near else 0
-        power, poch, env = mp.mpf(N) ** -s, mp.mpc(1), 3 * rate
-        h = power * N / (1 - s) if xi.is_one() else mp.mpc(0)
-        mass, coeffs = abs(h), []
-        for j, c in enumerate(_geometric_coeffs(xi, J, prec)):
-            h += c * poch * power
-            mass += (abs(c) + env) * abs(poch * power)
-            coeffs.append((c * poch, (abs(c) + env) * abs(poch)))
-            poch, power, env = -poch * (s + j), power / N, env * rate
-        return (xi ** N).value() * h, mass, coeffs
+    ``eval_convergent``'s depth-1 identity at order J: sum_{n>=N} xi^n n^-s
+    is -xi^N h(N) within its bound, and M = |N^(1-s)/(1 - s)| +
+    sum_j (|c_j| + e_j) |(s)_j| N^(-Re s-j) is the mass of its rounding;
+    the list, the weights of depth 2's tails, is empty unless ``weights``.
+
+    On integers: t_j = (-1)^j (s)_j N^(-s-j) and p_j = (-1)^j (s)_j, of
+    Q = prec + 24 + bit_length(J) bits (``_normal``), step from N^-s and 1
+    by -(s + j)/N and -(s + j), s exact, within (j + 2) 2^(1.5-Q); c_j
+    within 2^-(prec+16) e_j (``_coefficient_bounds``).  h(N) sums floored
+    products at 2^H, 2^-H < 2^(2-Q) M, and xi^N h(N) (``_char_pair``) is
+    exact until rounded once: within 2^-prec |h(N)| + 2^-(prec+14) M.  M
+    and the weights are upper bounds rounded up, each c_j p_j exact until
+    rounded."""
+    Q, a, b, F = prec + 24 + J.bit_length(), *_dyadic(s)
+    _, _, (ea, eb), _ = _geometric_list(xi, prec)
+    t, p = _normal(*_power_float(N, _fixed_exponent(s, Q, N)), Q), (1 << Q, 0, -Q)
+    (x, y, e), c, H = t, (1 << F) - a, -t[2]  # N^(1-s)/(1 - s) = t_0 N 2^F/(c - i b)
+    h = [_shift(v * N, e + F + H) // (c * c + b * b) if xi.is_one() else 0
+         for v in (x * c - y * b, x * b + y * c)]
+    mass, coeffs, ea_j, den = _up(*h, prec + 20), [], 3 * ea, eb
+    for j, (u, v, S, A) in enumerate(_coefficient_bounds(xi, J, prec)):
+        # (|c_j| + e_j) 2^S <= num/den, e_j <= 3 (a'/b')^(j+1) = ea_j/den
+        num, (x, y, e), (px, py, pe) = A * den + (ea_j << S), t, p
+        h[0] += _shift(u * x - v * y, e - S + H)
+        h[1] += _shift(u * y + v * x, e - S + H)
+        mass -= _shift(-num * _up(x, y, prec + 20), e - S + H) // den
+        c = a + (j << F)
+        t = _normal(-(x * c - y * b), -(x * b + y * c), e - F, Q, N)
+        if weights:
+            W = -(-num * _up(px, py, prec + 20) // den)
+            coeffs.append((_scaled_mpc(u * px - v * py, u * py + v * px, S - pe, prec),
+                           mp.make_mpf(from_man_exp(W, pe - S, prec, round_ceiling))))
+            p = _normal(-(px * c - py * b), -(px * b + py * c), pe - F, Q)
+        ea_j, den = ea_j * ea, den * eb
+    cx, cy = _char_pair(xi ** N, Q)
+    return (_scaled_mpc(h[0] * cx - h[1] * cy, h[0] * cy + h[1] * cx, H + Q, prec),
+            mp.make_mpf(from_man_exp(mass, -H, prec, round_ceiling)), coeffs)
 
 
 def _series_plan(z: ZVector, s, N: int, tol):
@@ -276,7 +325,7 @@ def _series_plan(z: ZVector, s, N: int, tol):
     if inner is None:
         return None
     J2, B2 = inner
-    tail2, mass2, coeffs = _operator_series(z2, s2, N, J2, prec)
+    tail2, mass2, coeffs = _operator_series(z2, s2, N, J2, prec, weights=True)
     tails = [(None, 1 + N ** max(0, 1 - s2.real) * (1 + mp.log(N)) + mass2, z1, s1)]
     if z2.is_one():
         tails.append((1 / (1 - s2), 1 / abs(1 - s2), z1, s1 + s2 - 1))
@@ -370,23 +419,31 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     shift + k is T_k = sum_{N<=n<M} w(n) n^-k, the (z_1 - 1) tail
     sum w(n) n; at depth >= 2 the two heads at N and M - 1 are the suffix
     sums of its level 1 there.  The merged tail takes one more pass, so a
-    call makes at most 2 passes, 1 at depth 1.  The series runs on the
-    pass's 2^P-scaled integers (``NestedPass.raw_sum``) shifted E bits
-    left, flooring each term over n per step (< 1/(1 - 1/N) units 2^-(P+E)
-    of error), each T_k one mpc.
+    call makes at most 2 passes, 1 at depth 1.
 
-    The series sum_k (shift - 1)_(k+1)/(k+1)! T_k stops at the first k with
-    rho = max(1, (a + k + 2)/(k + 3))/N < 1 and W b_(k+1) N^-(k+1)/(1 - rho)
-    below tol/100, where W = sum |w(n)|, a = |shift - 1| and
-    b_k = (a)_(k+1)/(k+1)!.  Since |T_j| <= W N^-j, |(shift - 1)_(j+1)| <=
-    (a)_(j+1) and b_(j+1)/b_j <= rho N for j > k, that bounds every term it
-    drops; rho tends to 1/N, so the loop ends, and a residual below tol
-    proves the identity to within tol + tol/100.  That k is found before
-    the series runs, and E = max(0, mag(max_(j<=k) b_j)), so a coefficient's
-    growth (b_k reaches 2^80 at s_1 = 20, N = 2) does not magnify the floors
-    of its T_k past 2^-P.  The shape of (z, s), then the tolerance
-    (``summation.resolve_tol``, default ``DEFAULT_EVAL_TOL``), then the
-    cutoffs are checked before any pass.
+    All on the passes' integers at 2^P (``NestedPass.raw_sum``).  The left
+    side, the heads (z_1^n off ``_char_pair``, m^(1-shift) = m m^-shift off
+    the pass's table, ``NestedPass.power``), the merged tail and (z_1 - 1)
+    sum w(n) n, is one exact sum at 2^(3P) rounded once.  The series
+    sum_k (shift - 1)_(k+1)/(k+1)! T_k floors the terms, E bits up, over n
+    per step (< 1/(1 - 1/N) units 2^-(P+E) per part); its coefficients are
+    Gaussian integers at 2^C, C = P + E + 8, stepped from the exact shift -
+    1 = (a + i b) 2^-F with one floor per part, the j-th within sqrt 2
+    (j + 1) 2^(E-C), so rhs, their exact sum with the T_k rounded once,
+    moves by < sqrt 2 W 2^(E-C) sum_j (j + 1) N^-j <= 6 W 2^-(P+8).
+
+    The series stops at the first k with rho = max(1, (a + k + 2)/(k + 3))/N
+    < 1 and W b_(k+1) N^-(k+1)/(1 - rho) below tol/100, where W = sum
+    |w(n)|, a = |shift - 1| and b_k = (a)_(k+1)/(k+1)!.  Since |T_j| <= W
+    N^-j, |(shift - 1)_(j+1)| <= (a)_(j+1) and b_(j+1)/b_j <= rho N for j >
+    k, that bounds every term it drops; rho tends to 1/N, so the loop ends,
+    and a residual below tol proves the identity to within tol + tol/100.
+    The rule runs on integers rounded up, against tol/100 rounded down.
+    E = max(0, mag(max_(j<=k) b_j)), so a coefficient's growth (b_k reaches
+    2^80 at s_1 = 20, N = 2) does not magnify the floors of its T_k past
+    2^-P.  The shape of (z, s), then the tolerance (``summation.resolve_tol``,
+    default ``DEFAULT_EVAL_TOL``), then the cutoffs are checked before any
+    pass.
     """
     entries = list(z.entries) if isinstance(z, ZVector) else list(z)
     svals = [mp.mpc(c) for c in _coords(s)]
@@ -397,57 +454,72 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     if not M > N >= 2:
         raise ValueError("need M > N >= 2")
 
-    def zval(entry):
-        return entry.value() if isinstance(entry, RotationNumber) else mp.mpc(entry)
-
-    z1 = zval(entries[0])
     shift = svals[0] + (_delta(entries[0]) if r > 1 else 0)
     kernel = NestedPass(M)
     _nested_sums(entries, [shift] + svals[1:], range(N, M + 1), kernel)
-    # the heads t_N and t_(M-1) of (z_2.., s_2..) are that pass's level-1 sums
-    heads = [kernel.suffix_sum(n, 1) if r > 1 else 1 for n in (N, M - 1)]
-    lhs = (z1 ** N / mp.mpf(N - 1) ** (shift - 1) * heads[0]
-           - z1 ** M / mp.mpf(M - 1) ** (shift - 1) * heads[1])
+    z1, P = _root_pair(entries[0], 1, kernel.P), kernel.P
+    lx = ly = 0  # the heads z_1^n m^(1-shift) t_h of (z_2.., s_2..)
+    for sign, n, m, h in ((1, N, N - 1, N), (-1, M, M - 1, M - 1)):
+        x, y = _times(_root_pair(entries[0], n, P), kernel.power(m))
+        x, y = _times((x * m, y * m), kernel.raw_sum(h, 1)[:2] if r > 1 else (1 << P, 0))
+        lx, ly = lx + sign * x, ly + sign * y
     if r > 1:
-        if isinstance(entries[0], RotationNumber) and isinstance(entries[1], RotationNumber):
-            z12 = entries[0] * entries[1]
-        else:
-            z12 = zval(entries[0]) * zval(entries[1])
-        merged = _nested_sums([z12] + entries[2:], [shift + svals[1] - 1] + svals[2:],
-                              (N, M - 1))
-        lhs += z1 * (merged[M - 1] - merged[N])
-    # w(n) n^-k, k = 0: the exact differences of the pass's sums, scaled by 2^P
+        z12 = (entries[0] * entries[1] if all(isinstance(e, RotationNumber) for e in entries[:2])
+               else mp.fprod(mp.mpc(e.value() if isinstance(e, RotationNumber) else e)
+                             for e in entries[:2]))
+        merged = NestedPass(M - 1)
+        _nested_sums([z12] + entries[2:], [shift + svals[1] - 1] + svals[2:], (N, M - 1),
+                     merged)
+        (x1, y1, Pm), (x0, y0, _) = merged.raw_sum(M - 1), merged.raw_sum(N)
+        x, y = _times(z1, (x1 - x0, y1 - y0))
+        lx, ly = lx + _shift(x, 2 * P - Pm), ly + _shift(y, 2 * P - Pm)
+    # w(n) n^-k, k = 0: the exact differences of the pass's sums
     raw = [kernel.raw_sum(n) for n in range(N, M + 1)]
-    P = raw[0][2]
     terms = [(x1 - x0, y1 - y0) for (x0, y0, _), (x1, y1, _) in zip(raw, raw[1:])]
+    x, y = _times((z1[0] - (1 << P), z1[1]), (sum(x * n for n, (x, _) in enumerate(terms, N)),
+                                            sum(y * n for n, (_, y) in enumerate(terms, N))))
+    lhs = _scaled_mpc(lx + (x << P), ly + (y << P), 3 * P)
 
-    lhs += (z1 - 1) * _scaled_mpc(sum(x * n for n, (x, _) in enumerate(terms, N)),
-                                  sum(y * n for n, (_, y) in enumerate(terms, N)), P)
-
-    a = abs(shift - 1)
-    W = mp.mpf((sum(math.isqrt(x * x + y * y) + 1 for x, y in terms), -P))  # >= sum |w(n)|
-    dropped = W * a * (a + 1) / (2 * N)  # W b_(k+1) N^-(k+1)
-    b = b_max = a  # b_k and its largest value so far
-    k = 0
+    Z, (a, b, F) = mp.mp.prec + 64, _dyadic(shift - 1)
+    G, limit = F + Z, to_fixed(tol._mpf_, Z) // 100
+    a_up = math.isqrt(a * a + b * b << 2 * Z) + 1  # |shift - 1| 2^G, up
+    W = sum(math.isqrt(x * x + y * y) + 1 for x, y in terms)  # sum |w(n)| 2^P, up
+    dropped = -(_shift(-W * a_up * (a_up + (1 << G)), Z - P - 2 * G) // (2 * N))
+    k, b_k = 0, -_shift(-a_up, Z - G)
+    b_max = b_k
     while True:
-        rho = max(1, (a + k + 2) / (k + 3)) / N
-        if rho < 1 and dropped / (1 - rho) < tol / 100:
+        num, den = max(k + 3 << G, a_up + (k + 2 << G)), N * (k + 3) << G  # rho = num/den
+        if num < den and dropped * den < limit * (den - num):
             break
         k += 1
-        b *= (a + k) / (k + 1)
-        b_max = max(b_max, b)
-        dropped *= (a + k + 1) / ((k + 2) * N)
-    # |coef_j| <= b_j magnifies the floors of T_j: E more bits take them
-    # below 2^-P again
-    E = max(0, mp.mag(b_max))
-    P += E
-    terms = [(x << E, y << E) for x, y in terms]
-    coef = shift - 1  # (shift - 1)_(j+1) / (j+1)!
-    rhs = mp.mpc(0)
+        b_k = -(-b_k * (a_up + (k << G)) // (k + 1 << G))
+        b_max = max(b_max, b_k)
+        dropped = -(-dropped * (a_up + (k + 1 << G)) // ((k + 2) * N << G))
+    E = max(0, b_max.bit_length() - Z)
+    C, terms = P + E + 8, [(x << E, y << E) for x, y in terms]
+    cx, cy = _shift(a, C - F), _shift(b, C - F)  # (shift - 1)_(j+1)/(j+1)! at 2^C
+    rx = ry = 0
     for j in range(k + 1):
         if j:
-            coef *= (shift - 1 + j) / (j + 1)
+            c = a + (j << F)
+            cx, cy = ((cx * c - cy * b) // (j + 1 << F), (cx * b + cy * c) // (j + 1 << F))
             terms = [(x // n, y // n) for n, (x, y) in enumerate(terms, N)]
-        rhs += coef * _scaled_mpc(sum(x for x, _ in terms), sum(y for _, y in terms), P)
+        x, y = _times((cx, cy), (sum(x for x, _ in terms), sum(y for _, y in terms)))
+        rx, ry = rx + x, ry + y
+    rhs = _scaled_mpc(rx, ry, C + P + E)
     return TranslationReport(residual=abs(lhs - rhs), lhs=lhs, rhs=rhs,
                              terms_used=k + 1)
+
+
+def _times(u: tuple, v: tuple) -> tuple:
+    """The product of two Gaussian integers."""
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _root_pair(entry, n: int, P: int) -> tuple:
+    """entry^n scaled by 2^P and floored: ``_char_pair`` for a root of unity,
+    an mpc power at P + 20 bits for a complex weight."""
+    if isinstance(entry, RotationNumber):
+        return _char_pair(entry ** n, P)
+    with mp.workprec(P + 20):
+        return _fixed_pair(mp.mpc(entry) ** n, P)

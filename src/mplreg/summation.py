@@ -19,7 +19,8 @@ remainder still comes from f^(m)'s antiderivatives, never from f's values.
 Only the twisted engine's head and step blocks read f itself, at 2k - 2
 points partly outside that range, through ``ScaleFunction._grid``.  Every
 block's rounding is bounded (``_moment_blocks``, ``_breakdown``), and the
-bound is the rounding part of the engines' ``remainder_estimate``.
+bound is the rounding part of the engines' ``remainder_estimate``; the part
+past n is int_n^inf |f^(m)| bounded on integers and rounded up (``_beyond``).
 
 ``term_sum_expansion`` returns the ``AsymptoticExpansion`` of
 sum_{a<n} xi^a (log a)^l a^(-m), with symbolic n-dependent coefficients
@@ -155,14 +156,33 @@ def _breakdown(f, k, n, named_ends, moments, beyond):
 
 
 def _beyond(f, m, n, factor):
-    """factor int_n^inf |f^(m)| (``ScaleFunction.abs_tail`` summed at n, f^(m)
-    off ``_derivative_rows``), +inf if f^(m) decays no faster than 1/x."""
-    tail = ScaleFunction([(i, mu + m, c * r) for l, mu, c in f.terms()
-                          for i, r in enumerate(_derivative_rows(l, mu, m - 1)[m])]).abs_tail()
-    if tail is None:
-        return mp.inf
-    log_n, n = mp.log(n), mp.mpf(n)
-    return factor * mp.fsum(c.real * log_n ** l * n ** -e for l, e, c in tail.terms())
+    """factor int_n^inf |f^(m)| rounded up, +inf if f^(m) decays no faster
+    than 1/x: f^(m) off ``_derivative_rows`` on exact integers, each
+    modulus rounded up at 2^V into ``_tail_integral``, read up at n."""
+    mans, e0 = _mantissas([c for _, _, c in f.terms()])
+    terms = defaultdict(lambda: [0, 0])
+    for (l, mu, _), (x, y) in zip(f.terms(), mans):
+        for i, r in enumerate(_derivative_rows(l, mu, m - 1)[m]):
+            terms[i, mu + m][0] += x * r
+            terms[i, mu + m][1] += y * r
+    V, tail = mp.mp.prec + 64 + -mp.mp.prec % 64, defaultdict(int)
+    k = e0 + V  # |x + i y| 2^k rounded up
+    for (i, mu), (x, y) in terms.items():
+        if (x or y) and mu <= 1:
+            return mp.inf
+        if x or y:
+            up = math.isqrt(x * x + y * y << 2 * max(k, 0)) + 1
+            _tail_integral(tail, i, mu, -_shift(-up, min(k, 0)))
+    _, man, exp, _ = factor._mpf_
+    return mp.make_mpf(from_man_exp(man * _read(tail, V, n, up=True)[0], exp - 2 * V,
+                                    mp.mp.prec, round_ceiling))
+
+
+def _mantissas(coeffs) -> tuple:
+    """([(x, y)], e0): each mpc coefficient (x + i y) 2^e0, one e0 for all."""
+    mans = [[(-man if sign else man, exp) for sign, man, exp, _ in c._mpc_] for c in coeffs]
+    e0 = min([exp for parts in mans for man, exp in parts if man], default=0)
+    return [tuple(man << exp - e0 if man else 0 for man, exp in parts) for parts in mans], e0
 
 
 def euler_maclaurin(f: ScaleFunction, n: int, m: int) -> SummationBreakdown:
@@ -173,7 +193,8 @@ def euler_maclaurin(f: ScaleFunction, n: int, m: int) -> SummationBreakdown:
     from one pass of moment sums (``_moment_blocks``)."""
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    beyond = _beyond(f, m, n, _mpq(eulerpoly.bernoulli_sup_bound(m)) / math.factorial(m))
+    beyond = _beyond(f, m, n, _mpq(eulerpoly.bernoulli_sup_bound(m) / math.factorial(m),
+                                   round_ceiling))
     return _breakdown(f, 1, n, [], _moment_blocks(f, 1, ONE, n, m), beyond)
 
 
@@ -204,9 +225,10 @@ def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
         blk_upper = zp[n % k] * sum((eulerpoly.inner_product(k, zeta, i, k - 1)
                                      * (ends[i + n - 1] - ends[i + n - 2])
                                      for i in range(2, k)), mp.mpc(0))
-        vw = eulerpoly.inner_product(k, zeta, 1, k - 1)
-    beyond = _beyond(f, m, n, abs(vw) * _mpq(eulerpoly.sup_bound(k, m - 1))
-                     / math.factorial(m - 1))
+        vw = abs(eulerpoly.inner_product(k, zeta, 1, k - 1))
+    beyond = _beyond(f, m, n, mp.fmul(vw, _mpq(eulerpoly.sup_bound(k, m - 1)
+                                                    / math.factorial(m - 1), round_ceiling),
+                                      rounding="u"))
     return _breakdown(f, k, n, [("head", blk_head), ("lower_steps", blk_lower),
                                 ("upper_steps", blk_upper)],
                       _moment_blocks(f, k, zeta, n, m), beyond)
@@ -269,9 +291,7 @@ def _moment_blocks(f: ScaleFunction, k: int, zeta: RotationNumber, n: int, m: in
             else [("derivative_boundary", 1, False, True), ("step_corrections", 1, True, False)])
     # f's coefficients as integers times 2^e0, one e0 for all, so that each
     # block sums unreduced numerators over one denominator
-    mans = [[(-man if sign else man, exp) for sign, man, exp, _ in c._mpc_] for c, _ in plans]
-    e0 = min([exp for parts in mans for man, exp in parts if man], default=0)
-    mans = [[man << exp - e0 if man else 0 for man, exp in parts] for parts in mans]
+    mans, e0 = _mantissas([c for c, _ in plans])
     out = []
     for name, b, inner, ends in spec + [("remainder_integral", 0, True, True)]:
         re = im = bound = 0
@@ -386,81 +406,52 @@ class Scaled(NamedTuple):
     W: int
 
 
-def _geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
-    """Taylor coefficients c_0..c_J of G(t) = 1/(xi e^t - 1) less its pole,
-    at ``prec`` bits, each rounded once from its scaled pair when first
-    read (``_coefficient_bounds`` runs the recurrence below).  No c_j depends
-    on J, so one list per (xi, prec) is extended as far as any call asks.
-
-    At xi = 1 the pole is 1/t and c_j = B_{j+1}/(j+1)! exactly.  Otherwise
-    (xi e^t - 1) G(t) = 1 order by order gives c_0 = 1/(xi - 1) and
-    c_n = -xi/(xi - 1) * sum_{i<n} c_i/(n - i)!, run on complex pairs of
-    integers d_n = c_n 2^(r n) 2^(prec+32), r = max(0, ceil(log2(2 pi |x|))),
-    |x| <= 1/2 the distance of the rotation number x of xi to the nearest
-    integer: |c_n| ~ (2 pi |x|)^-(n+1) (below), so the scale 2^(r n) keeps
-    the relative bits of coefficients that decay, as they do for xi far
-    from 1 whatever its order.
-    Then d_n = -xi/(xi - 1) * floor(sum_{i<n} d_i w_i / n!), with the exact
-    weights w_i = n!/(n - i)! 2^(r (n-i)).  At xi = e^(i theta),
-    G(t) = (coth((t + i theta)/2) - 1)/2 with coth odd and its Taylor
-    coefficients real, so c_n (n >= 1) is real for odd n and imaginary for
-    even n (zero at xi = -1): each keeps only that part, leaving no rounding
-    where the other part vanishes.
-
-    The growth: 1/(xi e^t - 1) = sum_{a<k} xi^a e^(a t)/(e^(k t) - 1) gives
-    c_j = k^j/(j+1)! sum_{a<k} xi^a B_{j+1}(a/k) (at xi = 1, k = 1, the
-    pole is the B_0 term), and the Fourier series of B_n gives
-    sup_[0,1] |B_n| <= 2 zeta(n) n!/(2 pi)^n for n >= 2, so for j >= 1
-
-        |c_j| <= k^(j+1) sup_[0,1] |B_{j+1}|/(j+1)! <= 2 zeta(j+1) (k/2 pi)^(j+1).
-
-    Sharper for xi != 1: G has poles of residue 1 at t_m = 2 pi i (m - x),
-    so c_j = -sum_m t_m^-(j+1) (j >= 1); two lie at >= 2 pi |x|, the rest in
-    pairs at >= 2 pi k' >= 4 pi k' |x|, so |c_j| < 2 (1 + zeta(2)/4) (2 pi
-    |x|)^-(j+1) < 3 (2 pi |x|)^-(j+1) = e_j, and |c_0| = 1/(2 sin(pi |x|))
-    < e_0.  The pairs d_n keep c_n within 2^-(prec+16) e_n, the rounded c_n
-    within 2^(1-prec) e_n (``TestGeometricCoeffs``).
-
-    With |f^(j)(N)| ~ j! N^-(m+j), the terms c_j f^(j)(N) of the n-parts
-    therefore decrease while j <~ 2 pi N/k.  That is why matching may start
-    at N = MATCH_START = 250: the default tol's J <= 19 keeps the terms
-    decreasing there for orders k <= 80, and ``choose_cutoff`` moves a
-    higher order to a larger N through the tail it predicts."""
-    bounds, coeffs = _coefficient_bounds(xi, J, prec), _geometric_list(xi, prec)[-1]
-    with mp.workprec(prec):
-        for n in range(len(coeffs), J + 1):
-            coeffs.append(_mpq(eulerpoly.bernoulli_number(n + 1) / math.factorial(n + 1))
-                          if xi.is_one() else _scaled_mpc(*bounds[n][:3], prec))
-    return tuple(coeffs[:J + 1])
-
-
 @lru_cache(maxsize=4096)
 def _geometric_list(xi: RotationNumber, prec: int) -> tuple:
-    """The memo of ``_coefficient_bounds`` and ``_geometric_coeffs``:
-    -xi/(xi - 1) = -1/2 + i cot(pi x)/2 at xi = e^(2 pi i x) scaled by
-    2^(prec+32), floored from one cos/sin at prec + 64 bits; r; (a, b) with
-    a/b >= 1/(2 pi |x|) (1/pi <= 106/333); [(u_j, v_j, S_j, A_j)]; [c_j].
-    At xi = 1, r = 3 (|c_j| ~ 2 (2 pi)^-(j+1)) and a = 0."""
+    """The memo of ``_coefficient_bounds``: c_0 = -1/2 - i cot(pi x)/2 at
+    2^(prec+32) from one cos/sin at prec + 64 bits; r; (a, b), a/b >= 1/(2 pi
+    |x|) (1/(2 pi) <= 16551/103993 within 2^-32; a = 0 at xi = 1); the list."""
     near, wp = min(xi.fraction, 1 - xi.fraction), prec + 64  # |x|
     if not near:
-        return None, 3, (0, 1), [], []
+        return None, 3, (0, 1), []
     cot = mpf_div(*mpf_cos_sin_pi(from_rational(xi.numerator, xi.denominator, wp), wp), wp)
     return ((-1 << prec + 31, to_fixed(cot, prec + 31)),
             max(0, math.ceil(math.log2(2 * math.pi * near))),
-            (53 * near.denominator, 333 * near.numerator), [], [])
+            (16551 * near.denominator, 103993 * near.numerator), [])
 
 
 def _coefficient_bounds(xi: RotationNumber, J: int, prec: int) -> list:
-    """[(u_j, v_j, S_j, A_j)] for j <= J, one list per (xi, prec) extended as
-    far as any call asks: u_j + i v_j the scaled pair of c_j 2^S_j,
-    S_j = prec + 32 + r j, and A_j >= |c_j| 2^S_j an integer.  At xi = 1 the
-    pairs are floors of the exact real c_j, within E_j = 1 unit, and
-    A_j = |u_j| + 1; else they run the recurrence of ``_geometric_coeffs``
-    from c_0 = -1/2 - i cot(pi x)/2, carry prec + 32 bits and err by < E_j =
-    2^-(prec+16) e_j 2^S_j, e_j = 3 (2 pi |x|)^-(j+1) (``TestGeometricCoeffs``;
-    measured below 2^-(prec+27) e_j), and A_j = isqrt(u_j^2 + v_j^2) + 1 +
-    E_j, E_j <= 3 a^(j+1) 2^(16+rj)/b^(j+1) rounded up."""
-    factor, r, (a, b), out, _ = _geometric_list(xi, prec)
+    """[(u_j, v_j, S_j, A_j)], j <= J: u_j + i v_j the pair of c_j 2^S_j,
+    S_j = prec + 32 + r j, c_j the Taylor coefficients of G(t) = 1/(xi e^t -
+    1) less its pole, and A_j >= |c_j| 2^S_j; one list per (xi, prec),
+    extended as far as any call asks (no c_j depends on J).
+
+    At xi = 1 the pole is 1/t and c_j = B_{j+1}/(j+1)!: the pairs are its
+    floors and A_j = |u_j| + 1 (r = 3, |c_j| ~ 2 (2 pi)^-(j+1)).  Otherwise
+    (xi e^t - 1) G(t) = 1 gives c_0 = 1/(xi - 1) and c_n = -xi/(xi - 1)
+    sum_{i<n} c_i/(n - i)!, run on the pairs as d_n = -xi/(xi - 1)
+    floor(sum_{i<n} d_i w_i / n!), w_i = n!/(n - i)! 2^(r (n-i)) exact, r =
+    max(0, ceil(log2(2 pi |x|))), |x| <= 1/2 the distance of the rotation
+    number x of xi to the nearest integer: the scale 2^(r n) keeps the
+    relative bits of coefficients that decay (below).  At xi = e^(i theta),
+    G(t) = (coth((t + i theta)/2) - 1)/2 with coth odd, so c_n (n >= 1) is
+    real for odd n and imaginary for even n: each keeps only that part.
+
+    The growth: 1/(xi e^t - 1) = sum_{a<k} xi^a e^(a t)/(e^(k t) - 1) gives
+    c_j = k^j/(j+1)! sum_{a<k} xi^a B_{j+1}(a/k), and the Fourier series of
+    B_n, sup_[0,1] |B_n| <= 2 zeta(n) n!/(2 pi)^n (n >= 2), gives |c_j| <=
+    2 zeta(j+1) (k/2 pi)^(j+1) for j >= 1.  Sharper for xi != 1: G has poles
+    of residue 1 at t_m = 2 pi i (m - x), so c_j = -sum_m t_m^-(j+1); two
+    lie at >= 2 pi |x|, the rest in pairs at >= 4 pi k' |x|, so |c_j| <
+    2 (1 + zeta(2)/4) (2 pi |x|)^-(j+1) < e_j = 3 (2 pi |x|)^-(j+1) <=
+    3 (a/b)^(j+1), and |c_0| = 1/(2 sin(pi |x|)) < e_0.  The pairs err by
+    < E_j = 2^-(prec+16) e_j 2^S_j (``TestGeometricCoeffs``; measured below
+    2^-(prec+27) e_j), and A_j = isqrt(u_j^2 + v_j^2) + 1 + E_j rounded up.
+    So the terms c_j f^(j)(N) of the n-parts, |f^(j)(N)| ~ j! N^-(m+j),
+    decrease while j <~ 2 pi N/k: matching may start at MATCH_START = 250,
+    where the default tol's J <= 19 keeps them decreasing for orders k <=
+    80, and ``choose_cutoff`` moves a higher order to a larger N."""
+    factor, r, (a, b), out = _geometric_list(xi, prec)
     for n in range(len(out), J + 1):
         if xi.is_one():
             c = eulerpoly.bernoulli_number(n + 1) / math.factorial(n + 1)
@@ -506,7 +497,7 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
 
     With f = (log x)^l x^(-m), F its antiderivative and
     h = [xi = 1] F + sum_{j<=J} c_j f^(j), c_j the Taylor coefficients of
-    G(t) = 1/(xi e^t - 1) less its pole (``_geometric_coeffs``) and
+    G(t) = 1/(xi e^t - 1) less its pole (``_coefficient_bounds``) and
     J = max(1, a_max + 2 - m), telescoping gives
     sum_{a<n} xi^a f(a) = C + xi^n h(n) + eps(n)  (the generalised
     Euler-Boole formula of Borwein, Calkin & Manna, "Euler-Boole summation
@@ -564,11 +555,18 @@ def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     for i, d in enumerate(rows[J + 1]):
         # the pointwise term and the integral of the remainder bound
         tail[i, mu] += K * abs(d)
-        fall = 1
-        for t in range(i + 1) if d else ():
-            tail[i - t, mu - 1] -= -K * abs(d) * fall // (mu - 1) ** (t + 1)
-            fall *= i - t
+        if d:
+            _tail_integral(tail, i, mu, K * abs(d))
     return Scaled(parts, V), Scaled({key: t for key, t in tail.items() if t}, V)
+
+
+def _tail_integral(tail, i: int, mu: int, c: int):
+    """Adds c int_n^inf (log x)^i x^-mu dx, mu > 1, to the integer terms
+    ``tail``, each coefficient of its closed form rounded up."""
+    fall = 1
+    for t in range(i + 1):
+        tail[i - t, mu - 1] -= -c * fall // (mu - 1) ** (t + 1)
+        fall *= i - t
 
 
 def _shift(x: int, s: int) -> int:
@@ -1022,18 +1020,25 @@ def _fixed_exponent(s, P: int, top: int) -> tuple:
 
 
 def _power_entry(f: int, fixed: tuple, P: int) -> tuple:
-    """f^-s scaled by 2^P and floored, in integer fixed point at the wp of
-    ``fixed``: e^t 2^n (cos y, sin y), -s log f = x + iy and x = n ln 2 + t,
-    2^n joining the final shift (error bound in ``_guard_bits``)."""
+    """f^-s scaled by 2^P and floored, log f off the log table when f <=
+    ``SIEVE_CAP`` and wp <= P + 58."""
+    wp = fixed[0]
+    x, y, e = _power_float(f, fixed, _logs(P, f)[f] >> P + 64 - wp
+                           if f <= SIEVE_CAP and wp <= P + 58 else None)
+    return _shift(x, P + e), _shift(y, P + e)
+
+
+def _power_float(f: int, fixed: tuple, L: int = None) -> tuple:
+    """f^-s = (x + i y) 2^e at the wp of ``fixed``: e^t (cos y', sin y') and
+    2^n, -s log f = x' + iy', x' = n ln 2 + t, log f ``L`` at 2^wp or
+    floored afresh; within 2^-(P+8), P that of ``fixed`` (``_guard_bits``)."""
     wp, re_s, im_s, ln2, pi2 = fixed
-    if f <= SIEVE_CAP and wp <= P + 58:
-        L = _logs(P, f)[f] >> P + 64 - wp
-    else:
+    if L is None:
         L = to_fixed(mpf_log(from_int(f), wp + f.bit_length()), wp)
     n, t = divmod((re_s * L) >> wp, ln2)
     c, s = cos_sin_fixed((im_s * L) >> wp, wp, pi2)
-    e, shift = exp_basecase(t, wp) << max(0, n + P - 2 * wp), max(0, 2 * wp - P - n)
-    return (e * c) >> shift, (e * s) >> shift
+    e = exp_basecase(t, wp)
+    return e * c, e * s, n - 2 * wp
 
 
 class NestedPass:
@@ -1093,6 +1098,15 @@ class NestedPass:
         cutoff N some call asked for."""
         re, im = self.hits[N]
         return re[j], im[j], self.P
+
+    def power(self, n: int, j: int = 0) -> tuple:
+        """n^-s_j scaled by 2^P and floored: the table's entry (past them a
+        product of stored ones), exact but for the floor at integral s_j."""
+        a, table = self.key[1][j], self.tables[j]
+        if table is None:
+            return ((1 << self.P) // n ** a if a > 0 else n ** -a << self.P), 0
+        return ((table[1][n], table[2][n]) if n < len(table[1])
+                else _sieve_entry(table, _split(n, self.primes, SIEVE_CAP), self.P))
 
     def suffix_sum(self, N: int, j: int = 0):
         """``raw_sum`` rounded to an mpc at the precision of the pass."""

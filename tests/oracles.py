@@ -26,7 +26,10 @@ it in mpc at 64 more bits off the same pass, the reference for the series
 on that pass's integers.
 ``geometric_closed_form`` gives the Taylor coefficients of 1/(xi e^t - 1)
 from exact Bernoulli values, the reference for the recurrence of
-``summation._geometric_coeffs``.
+``summation._coefficient_bounds``; ``geometric_coeffs`` rounds that
+recurrence's pairs to mpc numbers, and ``mp_operator_series`` and
+``mp_series_order`` run ``polylog``'s operator series and its order rule
+on them in mpmath numbers, the references for their integer versions.
 ``nparts_chain`` builds the n-parts of one term by repeated
 differentiation on mpc coefficients, the reference for the scaled integers
 of ``summation._nparts_at``.
@@ -118,6 +121,60 @@ def geometric_closed_form(xi: RotationNumber, J: int) -> list:
     return out
 
 
+def geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
+    """c_0..c_J of 1/(xi e^t - 1) less its pole at ``prec`` bits, each
+    rounded once: B_{j+1}/(j+1)! at xi = 1, else the scaled pair of
+    ``summation._coefficient_bounds``.  The reference mpc coefficients of
+    ``mp_operator_series`` and ``nparts_chain``."""
+    bounds = summod._coefficient_bounds(xi, J, prec)
+    with mp.workprec(prec):
+        return tuple(_mpq(eulerpoly.bernoulli_number(j + 1) / math.factorial(j + 1))
+                     if xi.is_one() else summod._scaled_mpc(u, v, S, prec)
+                     for j, (u, v, S, _) in enumerate(bounds))
+
+
+def mp_operator_series(xi: RotationNumber, s, N: int, J: int, prec: int):
+    """``polylog._operator_series`` in mpc numbers at prec + 12 +
+    bit_length(J) bits, from the c_j of ``geometric_coeffs`` at ``prec``:
+    (xi^N h(N), M, [(c_j (-1)^j (s)_j, (|c_j| + e_j) |(s)_j|)]), e_j =
+    3 (2 pi |x|)^-(j+1) (0 at xi = 1); the reference for the integer
+    series."""
+    with mp.workprec(prec + 12 + J.bit_length()):
+        near = min(xi.fraction, 1 - xi.fraction)
+        rate = near.denominator / (2 * mp.pi * near.numerator) if near else 0
+        power, poch, env = mp.mpf(N) ** -s, mp.mpc(1), 3 * rate
+        h = power * N / (1 - s) if xi.is_one() else mp.mpc(0)
+        mass, coeffs = abs(h), []
+        for j, c in enumerate(geometric_coeffs(xi, J, prec)):
+            h += c * poch * power
+            mass += (abs(c) + env) * abs(poch * power)
+            coeffs.append((c * poch, (abs(c) + env) * abs(poch)))
+            poch, power, env = -poch * (s + j), power / N, env * rate
+        return (xi ** N).value() * h, mass, coeffs
+
+
+def mp_series_order(xi: RotationNumber, s, N: int, tol, first: int = 0):
+    """``polylog._series_order`` in mpf numbers at the working precision:
+    the smallest J >= first whose bound K |(s)_(J+1)| N^(-Re s-J-1)
+    (1 + N/(Re s + J)) is <= tol/4, or None once a bound is no smaller than
+    the two before it; returns (J, bound)."""
+    sigma = s.real
+    poch, power = abs(s), mp.mpf(N) ** (-sigma - 1)  # |(s)_(J+1)|, N^(-Re s-J-1)
+    last = (mp.inf, mp.inf)
+    J = 0
+    while True:
+        if J >= first:
+            bound = (summod._remainder_factor(xi, J, mp.mp.prec) * poch * power
+                     * (1 + N / (sigma + J)))
+            if bound <= tol / 4:
+                return J, bound
+            if bound >= max(last):
+                return None
+            last = (last[1], bound)
+        poch, power = poch * abs(s + J + 1), power / N
+        J += 1
+
+
 def nparts_chain(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     """(parts, tail) of ``summation._nparts_at`` by a chain of
     ``ScaleFunction.differentiate`` calls on mpc coefficients, K summed for
@@ -127,7 +184,7 @@ def nparts_chain(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
 
     with mp.workprec(prec):
         J = max(1, a_max + 2 - m, math.ceil(l / math.log(summod.MATCH_START)) - m - 1)
-        coeffs = summod._geometric_coeffs(xi, J, prec)
+        coeffs = geometric_coeffs(xi, J, prec)
         g = ScaleFunction.term(l, m)
         K = sum(abs(c) / math.factorial(J - j + 1) for j, c in enumerate(coeffs))
         h = []

@@ -80,6 +80,12 @@ class TestBernoulli:
         for j in range(15):
             assert bernoulli_number(j) == bernoulli_poly_oracle(j).coeff(0)
 
+    def test_recurrence_matches_the_polynomials(self):
+        # the number recurrence, cold, against B_j(0) of the polynomials
+        bernoulli_number.cache_clear()
+        for j in range(61):
+            assert bernoulli_number(j) == bernoulli_polynomial(j).coeff(0)
+
     def test_polynomials(self):
         assert bernoulli_polynomial(0) == RationalPolynomial([1])
         assert bernoulli_polynomial(1) == RationalPolynomial([Fraction(-1, 2), 1])

@@ -23,8 +23,9 @@ from mplreg.rootsofunity import RotationNumber, ZVector
 import mplreg.summation as summod
 from mplreg.summation import nested_sums
 
-from oracles import (averaged_limit, em_zeta, per_term_translation, primitive_roots,
-                     series_reference, translation_series)
+from oracles import (averaged_limit, em_zeta, mp_operator_series, mp_series_order,
+                     per_term_translation, primitive_roots, series_reference,
+                     translation_series)
 
 Z = ZVector.parse
 
@@ -289,6 +290,43 @@ class TestOperatorSeriesRoute:
         monkeypatch.setattr(polylog_mod, "_nested_sums", no_sums)
         with pytest.raises(NonConvergenceError, match="16384"):
             eval_convergent(Z("1/4001"), [mp.mpf("1.5")], tol=mp.mpf("1e-10"), ceiling=10**4)
+
+
+class TestIntegerOperatorSeries:
+    # the operator series and its order rule on integers against the mpc
+    # and mpf references (``oracles.mp_operator_series`` at prec + 64,
+    # ``oracles.mp_series_order`` at prec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.just(RotationNumber(0, 1)), primitive_roots(60)),
+           st.floats(0, 4, exclude_min=True), st.floats(-5, 5),
+           st.sampled_from([64, 256, 4096]), st.integers(0, 40),
+           st.sampled_from([53, 128, 256, 512]))
+    @example(RotationNumber(1, 2), 0.6, 0.0, 64, 40, 256)
+    @example(RotationNumber(0, 1), 4.0, 0.0, 4096, 0, 512)
+    @example(RotationNumber(1, 60), 0.05, -5.0, 64, 40, 53)
+    def test_against_mpc_reference(self, xi, re_s, im_s, N, J, prec):
+        if xi.is_one():  # Re s > 1 there, as on U_1(1)
+            re_s = 1 + 3 * max(re_s, 0.25) / 4
+        with mp.workprec(prec):
+            s = mp.mpc(re_s, im_s)
+            value, mass, coeffs = polylog_mod._operator_series(xi, s, N, J, prec, weights=True)
+            tol = max(mp.mpf("1e-10"), mp.mpf(2) ** (22 - prec))
+            found = polylog_mod._series_order(xi, s, N, tol)
+            want = mp_series_order(xi, s, N, tol)
+        ref_value, ref_mass, ref_coeffs = mp_operator_series(xi, s, N, J, prec + 64)
+        with mp.workprec(prec + 64):
+            # the derived bound of the integer series, and the reference's own
+            # error at prec + 64 bits
+            bound = (mp.ldexp(abs(ref_value), -prec) + mp.ldexp(mass, -prec - 14)
+                     + mp.ldexp(1 + ref_mass, -prec - 50))
+            assert abs(value - ref_value) <= bound
+            assert mass >= ref_mass
+            assert len(coeffs) == J + 1
+            for (w, W), (ref_w, ref_W) in zip(coeffs, ref_coeffs):
+                assert W >= ref_W
+                assert abs(w - ref_w) <= mp.ldexp(W, 1 - prec)
+        assert (found and found[0]) == (want and want[0])
 
 
 ROOTS_TO_12 = st.one_of(st.just(RotationNumber(0, 1)), primitive_roots(12))
@@ -641,8 +679,19 @@ class TestToleranceRule:
             self.ROUTES[route](None)
 
 
+def translation_trials(seed):
+    """The translation trials of ``mplreg verify`` at one seed: depth 1-3,
+    complex s, M = 50, N = 12."""
+    rng = random.Random(seed)
+    for trial in range(9):
+        r = 1 + trial % 3
+        dens = [rng.choice([2, 3, 4, 5, 6]) for _ in range(r)]
+        z = ZVector([RotationNumber(rng.randrange(d), d) for d in dens])
+        yield z, [mp.mpc(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0)) for _ in range(r)]
+
+
 class TestTranslationSeries:
-    @pytest.mark.parametrize("prec", [53, 128, 256])
+    @pytest.mark.parametrize("prec", [53, 128, 256, 512, 1024])
     def test_integer_series_against_mpc_reference(self, prec):
         # the translation trials of ``mplreg verify`` (depth 1-3, complex s,
         # M = 50, N = 12, its default tol) at seeds 0-2: the series on the
@@ -651,17 +700,35 @@ class TestTranslationSeries:
         with mp.workprec(prec):
             tol = max(mp.mpf("1e-12"), 100 * mp.mpf(2) ** (20 - prec)) / 100
             for seed in range(3):
-                rng = random.Random(seed)
-                for trial in range(9):
-                    r = 1 + trial % 3
-                    dens = [rng.choice([2, 3, 4, 5, 6]) for _ in range(r)]
-                    z = ZVector([RotationNumber(rng.randrange(d), d) for d in dens])
-                    s = [mp.mpc(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0))
-                         for _ in range(r)]
+                for z, s in translation_trials(seed):
                     rep = verify_translation(z, s, 50, 12, tol=tol)
                     rhs, terms_used, bound = translation_series(z, s, 50, 12, tol)
                     assert rep.terms_used == terms_used
                     assert abs(rep.rhs - rhs) <= bound
+
+    @pytest.mark.parametrize("prec", [53, 128, 256, 512, 1024])
+    def test_heads_against_mpc_powers(self, prec):
+        # the heads' z_1^n off ``_char_pair`` and m^(1-shift) = m m^-shift
+        # off the pass's table (``NestedPass.power``) against mpc powers at
+        # P + 64 bits: within 1 + 2^-16 units 2^-P in each part, and m (3 lb
+        # m^max(0, -Re shift) + 1) units 2^-P, lb = bit_length(M)
+        M, N = 50, 12
+        for seed in range(3):
+            for z, s in translation_trials(seed):
+                with mp.workprec(prec):
+                    shift = s[0] + (polylog_mod._delta(z[0]) if len(s) > 1 else 0)
+                    kernel = summod.NestedPass(M)
+                    nested_sums(z, [shift] + s[1:], (0,) * len(s), range(N, M + 1), kernel)
+                P = kernel.P
+                with mp.workprec(P + 64):
+                    unit = mp.ldexp(1, -P)
+                    for n, m in ((N, N - 1), (M, M - 1)):
+                        x, y = polylog_mod._root_pair(z[0], n, P)
+                        assert abs(mp.mpc(x, y) * unit - z[0].value() ** n) <= 2 * unit
+                        x, y = kernel.power(m)
+                        err = abs(m * mp.mpc(x, y) * unit - mp.mpf(m) ** (1 - shift))
+                        bound = m * (3 * M.bit_length() * m ** max(0, -shift.real) + 1)
+                        assert err <= bound * unit
 
 
 class TestTailDecay:

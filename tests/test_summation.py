@@ -26,8 +26,8 @@ from mplreg.summation import (
 )
 
 from oracles import (_mpmath_pass, em_remainder, end_blocks, fixed_point_pass, geb_blocks,
-                     geometric_closed_form, geometric_tail_coeffs, mp_matching, nparts_chain,
-                     point_value, primitive_roots)
+                     geometric_closed_form, geometric_coeffs, geometric_tail_coeffs, mp_matching,
+                     nparts_chain, point_value, primitive_roots)
 
 
 def feval(f: ScaleFunction, a: int):
@@ -282,6 +282,29 @@ class TestEngineEstimates:
         with mp.workprec(prec + 100):
             assert abs(em.total - brute_plain(f, n)) <= em.remainder_estimate
             assert abs(gb.total - brute_twisted(f, zeta, n)) <= gb.remainder_estimate
+
+    @settings(max_examples=40, deadline=None)
+    @given(terms=st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 3),
+                                    st.floats(-2, 2), st.floats(-1, 1)),
+                          min_size=1, max_size=3),
+           n=st.integers(2, 50), m=st.integers(1, 6), prec=st.sampled_from([53, 128, 512]))
+    def test_beyond_bounds_the_abs_tail(self, terms, n, m, prec):
+        # the integer tail of the remainder past n is at or above
+        # ``ScaleFunction.abs_tail`` of f^(m) at n, summed at prec + 64 bits,
+        # and within a relative 2^(4-prec) of it
+        with mp.workprec(prec):
+            f = ScaleFunction([(l, mm, mp.mpc(re, im)) for l, mm, re, im in terms])
+            got = summod._beyond(f, m, n, mp.mpf(1))
+        with mp.workprec(prec + 64):
+            g = f
+            for _ in range(m):
+                g = g.differentiate()
+            tail = g.abs_tail()
+            if tail is None:
+                assert got == mp.inf
+                return
+            want = mp.fsum(c.real * mp.log(n) ** l * mp.mpf(n) ** -e for l, e, c in tail.terms())
+            assert want <= got <= want * (1 + mp.ldexp(1, 4 - prec)) + mp.ldexp(1, -prec - 60)
 
 
 class TestTermSumExpansion:
@@ -838,9 +861,9 @@ def _pole_rate(xi):
 
 
 def _cold_geometric_coeffs(xi, J, prec):
-    """``summation._geometric_coeffs`` computed from c_0 on an empty memo."""
+    """``oracles.geometric_coeffs`` computed from c_0 on an empty memo."""
     summod._geometric_list.cache_clear()
-    return summod._geometric_coeffs(xi, J, prec)
+    return geometric_coeffs(xi, J, prec)
 
 
 class TestGeometricCoeffs:
@@ -849,8 +872,8 @@ class TestGeometricCoeffs:
            st.sampled_from([128, 256]))
     def test_memo_is_bit_identical(self, xi, J, prec):
         # every entry extends a shorter one of the same (xi, prec)
-        summod._geometric_coeffs(xi, J // 2, prec)
-        got = summod._geometric_coeffs(xi, J, prec)
+        geometric_coeffs(xi, J // 2, prec)
+        got = geometric_coeffs(xi, J, prec)
         assert got == _cold_geometric_coeffs(xi, J, prec)
 
     @settings(max_examples=60, deadline=None)
@@ -868,7 +891,7 @@ class TestGeometricCoeffs:
         # scale set by the order alone left c_60 at 5/12 within 7e14 units
         # of |c_60| and at 18/37 within 5e19); the mpc recurrence it replaced
         # erred by up to 367 units of s_j
-        got = summod._geometric_coeffs(xi, J, prec)
+        got = geometric_coeffs(xi, J, prec)
         ref = geometric_closed_form(xi, J)
         k = xi.order
         with mp.workprec(1024):
@@ -905,7 +928,7 @@ class TestGeometricCoeffs:
         # <= 2 zeta(j+1) (k/2 pi)^(j+1) = s_j, with c_j within 2 units of
         # 2^-prec s_j (``test_against_closed_form``)
         k = xi.order
-        c = summod._geometric_coeffs(xi, j, prec)[j]
+        c = geometric_coeffs(xi, j, prec)[j]
         bern = eulerpoly.bernoulli_polynomial(j + 1)
         average = Fraction(k ** j, math.factorial(j + 1)) * sum(
             abs(bern(Fraction(a, k))) for a in range(k))
@@ -926,16 +949,16 @@ class TestGeometricCoeffs:
         # last (filled from the pairs the bounds hold)
         summod._geometric_list.cache_clear()
         summod._coefficient_bounds(xi, J // 3, prec)
-        summod._geometric_coeffs(xi, 2 * J // 3, prec)
-        grown = summod._coefficient_bounds(xi, J, prec), summod._geometric_coeffs(xi, J, prec)
+        geometric_coeffs(xi, 2 * J // 3, prec)
+        grown = summod._coefficient_bounds(xi, J, prec), geometric_coeffs(xi, J, prec)
         summod._geometric_list.cache_clear()
         cold = summod._coefficient_bounds(xi, J, prec)
         assert grown == (cold, _cold_geometric_coeffs(xi, J, prec))
 
     def test_precision_is_part_of_the_key(self):
         xi = RotationNumber(5, 17)
-        low = summod._geometric_coeffs(xi, 20, 128)
-        high = summod._geometric_coeffs(xi, 20, 256)
+        low = geometric_coeffs(xi, 20, 128)
+        high = geometric_coeffs(xi, 20, 256)
         assert high == _cold_geometric_coeffs(xi, 20, 256)
         assert high != low
 
@@ -945,8 +968,8 @@ class TestGeometricCoeffs:
         # and a memo extended in steps gives the same list
         xi, prec, J = RotationNumber(3, 101), 97, 300
         for step in (100, 200):
-            summod._geometric_coeffs(xi, step, prec)
-        stepped = summod._geometric_coeffs(xi, J, prec)
+            geometric_coeffs(xi, step, prec)
+        stepped = geometric_coeffs(xi, J, prec)
         summod._geometric_list.cache_clear()
         depth, frame = 0, sys._getframe()
         while frame is not None:
@@ -954,7 +977,7 @@ class TestGeometricCoeffs:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 50)
         try:
-            got = summod._geometric_coeffs(xi, J, prec)
+            got = geometric_coeffs(xi, J, prec)
         finally:
             sys.setrecursionlimit(limit)
         assert got == stepped
