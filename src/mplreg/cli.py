@@ -11,16 +11,16 @@ precision is left as it was.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
-import functools
 import io
 import itertools
 import json
 import random
+import re
 import sys
 
-import click
 import mpmath as mp
 
 from . import polylog
@@ -42,15 +42,65 @@ from .summation import euler_maclaurin, gen_euler_boole, resolve_tol
 CSV_COLUMNS = ["z", "a", "k", "method", "re", "im", "abs_err",
                "precision_bits", "order"]
 
-prec_option = click.option("--prec", type=click.IntRange(min=53), default=128,
-                           show_default=True, help="working precision in bits")
-order_option = click.option("--order", "-A", "order", type=click.IntRange(min=1),
-                            default=6, show_default=True,
-                            help="expansion precision order")
-out_option = click.option("--out", type=click.Path(), default=None,
-                          help="also write the output to this file (UTF-8)")
-format_option = click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-                             default="json", show_default=True, help="output format")
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error (unknown command or option, bad option value, missing
+    command) raises ValueError, so it takes the JSON error path with exit
+    code 1 like any other failure."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        # argparse reads a token such as -1,-1 or -1..2 as an option unless
+        # it matches this private pattern (by default plain numbers only);
+        # the values of -z, -a and -k may begin with a minus sign
+        self._negative_number_matcher = re.compile(r"^-\d")
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+# built once, at import: building it costs more than parsing a command line
+_PARSER = _Parser(prog="mplreg", description="Multiple polylogarithms at roots "
+                  "of unity: domains, values, regularisation and verification.")
+_SUBPARSERS = _PARSER.add_subparsers(required=True, metavar="command")
+
+
+def _command(name, *options):
+    """Register a command body under ``name`` with the options it reads."""
+    def register(run):
+        sub = _SUBPARSERS.add_parser(name, help=run.__doc__, description=run.__doc__)
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(run=run)
+        return run
+    return register
+
+
+def _opt(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+PREC = _opt("--prec", type=_int_at_least(53), default=128,
+            help="working precision in bits (default: %(default)s)")
+ORDER = _opt("--order", "-A", type=_int_at_least(1), default=6,
+             help="expansion precision order (default: %(default)s)")
+OUT = _opt("--out", help="also write the output to this file (UTF-8)")
+FORMAT = _opt("--format", dest="fmt", choices=["json", "text"], default="json",
+              help="output format (default: %(default)s)")
+Z = _opt("-z", dest="ztext", metavar="Z", required=True,
+         help="roots of unity, e.g. 1,-1 or 1/3,2/3")
+S = _opt("-s", dest="stext", metavar="S", help="complex point a+bi,...")
+K = _opt("-k", dest="ktext", metavar="K", help="log powers (default all 0)")
 
 
 def _write(payload: str, out):
@@ -61,7 +111,7 @@ def _write(payload: str, out):
 
 def _emit(payload: str, out):
     _write(payload, out)
-    click.echo(payload)
+    print(payload)
 
 
 def _fail(exc, out=None):
@@ -71,26 +121,31 @@ def _fail(exc, out=None):
     be that ``out`` cannot be written."""
     code = exc.exit_code if isinstance(exc, MplregError) else 1
     payload = json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
-    click.echo(payload)
+    print(payload)
     with contextlib.suppress(OSError):
         _write(payload, out)
     sys.exit(code)
 
 
-def _json_errors(command):
-    """Run a command body at its ``--prec`` and turn a failure into the JSON
-    error path.  SystemExit and KeyboardInterrupt are not exceptions in this
-    sense and pass through."""
+def main(args=None, prog_name="mplreg", standalone_mode=True):
+    """Run one command line (``sys.argv[1:]`` by default) at its ``--prec``.
+    Any exception, a usage error included, takes the JSON error path;
+    SystemExit and KeyboardInterrupt pass through.  ``prog_name`` and
+    ``standalone_mode`` have no effect."""
+    opts = {}
+    try:
+        opts = vars(_PARSER.parse_args(args))
+        run = opts.pop("run")
+        with mp.workprec(opts.get("prec") or mp.mp.prec):
+            run(**opts)
+    except Exception as exc:
+        _fail(exc, opts.get("out"))
 
-    @functools.wraps(command)
-    def wrapper(*args, **kwargs):
-        try:
-            with mp.workprec(kwargs.get("prec") or mp.mp.prec):
-                return command(*args, **kwargs)
-        except Exception as exc:
-            _fail(exc, kwargs.get("out"))
 
-    return wrapper
+# bench/run.py calls main.main(args=..., prog_name="mplreg",
+# standalone_mode=False) and reads SystemExit; the console script calls
+# sys.exit(main())
+main.main = main
 
 
 def _parse_z(text: str) -> ZVector:
@@ -112,37 +167,7 @@ def _parse_ints(text: str, flag: str):
     return tuple(out)
 
 
-class _Group(click.Group):
-    """A usage error (unknown command or option, bad option value, missing
-    command) takes the JSON error path with exit code 1."""
-
-    def parse_args(self, ctx, args):
-        try:
-            return super().parse_args(ctx, args)
-        except click.UsageError as exc:
-            _fail(exc)
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            _fail(exc)
-
-
-@click.group(cls=_Group, no_args_is_help=False)
-def main():
-    """Multiple polylogarithms at roots of unity: domains, values,
-    regularisation and verification."""
-
-
-@main.command()
-@click.option("-z", "--roots", "ztext", required=True,
-              help="roots of unity, e.g. 1,-1 or 1/3,2/3")
-@click.option("-s", "stext", default=None, help="complex point a+bi,...")
-@prec_option
-@out_option
-@format_option
-@_json_errors
+@_command("domain", Z, S, PREC, OUT, FORMAT)
 def domain(ztext, stext, prec, out, fmt):
     """Classify a point: q(z), the counts Q_i(z), domain membership and the
     candidate singular hyperplanes."""
@@ -174,20 +199,13 @@ def domain(ztext, stext, prec, out, fmt):
         _emit(json.dumps(report, indent=2), out)
 
 
-@main.command("eval")
-@click.option("-z", "ztext", required=True, help="roots of unity")
-@click.option("-s", "stext", default=None, help="complex point a+bi,...")
-@click.option("-a", "atext", default=None, help="integer point")
-@prec_option
-@order_option
-@click.option("--tol", default=None,
-              help="tolerance, > 0 and >= 2^(20-prec) (default 1e-12 at -s, "
-                   "1e-25 at -a, each raised to that floor)")
-@click.option("--ceiling", type=int, default=polylog.DEFAULT_CUTOFF_CEILING,
-              help="cutoff ceiling of the convergent route (default 10^7)")
-@out_option
-@format_option
-@_json_errors
+@_command("eval", Z, S, _opt("-a", dest="atext", metavar="A", help="integer point"),
+          PREC, ORDER,
+          _opt("--tol", help="tolerance, > 0 and >= 2^(20-prec) (default 1e-12 "
+                             "at -s, 1e-25 at -a, each raised to that floor)"),
+          _opt("--ceiling", type=int, default=polylog.DEFAULT_CUTOFF_CEILING,
+               help="cutoff ceiling of the convergent route (default 10^7)"),
+          OUT, FORMAT)
 def cmd_eval(ztext, stext, atext, prec, order, tol, ceiling, out, fmt):
     """Evaluate the nested series: by the regularised route at an integer
     point -a of V_r(z), by the convergent route at a point -s of U_r(z)."""
@@ -211,15 +229,9 @@ def cmd_eval(ztext, stext, atext, prec, order, tol, ceiling, out, fmt):
         _emit(json.dumps(obj, indent=2), out)
 
 
-@main.command("reg")
-@click.option("-z", "ztext", required=True, help="roots of unity")
-@click.option("-a", "atext", required=True, help="integer exponents")
-@click.option("-k", "ktext", default=None, help="log powers (default all 0)")
-@prec_option
-@order_option
-@out_option
-@format_option
-@_json_errors
+@_command("reg", Z,
+          _opt("-a", dest="atext", metavar="A", required=True, help="integer exponents"),
+          K, PREC, ORDER, OUT, FORMAT)
 def cmd_reg(ztext, atext, ktext, prec, order, out, fmt):
     """Regularised value plus the full asymptotic expansion of the partial
     sums (multiple Stieltjes constant at the given point and log orders)."""
@@ -289,18 +301,14 @@ def _summation_suite(rng: random.Random, trials: int, tol):
     return results
 
 
-@main.command("verify")
-@click.option("--suite", type=click.Choice(["translation", "summation", "all"]),
-              default="all")
-@click.option("--trials", type=click.IntRange(min=1), default=10)
-@click.option("--seed", type=int, default=0)
-@prec_option
-@click.option("--tol", default=None,
-              help="residual tolerance, > 0 and >= 2^(20-prec) (default "
-                   "1e-12 raised to that floor)")
-@out_option
-@format_option
-@_json_errors
+@_command("verify",
+          _opt("--suite", choices=["translation", "summation", "all"], default="all"),
+          _opt("--trials", type=_int_at_least(1), default=10),
+          _opt("--seed", type=int, default=0),
+          PREC,
+          _opt("--tol", help="residual tolerance, > 0 and >= 2^(20-prec) "
+                             "(default 1e-12 raised to that floor)"),
+          OUT, FORMAT)
 def cmd_verify(suite, trials, seed, prec, tol, out, fmt):
     """Run the translation-identity and summation-engine verification suites;
     exits nonzero if any residual exceeds the tolerance."""
@@ -345,15 +353,10 @@ def _parse_ranges(text: str):
     return axes
 
 
-@main.command("table")
-@click.option("-z", "ztext", required=True, help="roots of unity")
-@click.option("-a", "atext", required=True,
-              help='integer grid, e.g. "1..3,-1..1" (one range per coordinate)')
-@click.option("-k", "ktext", default=None, help="log powers (default all 0)")
-@prec_option
-@order_option
-@out_option
-@_json_errors
+@_command("table", Z,
+          _opt("-a", dest="atext", metavar="A", required=True,
+               help='integer grid, e.g. "1..3,-1..1" (one range per coordinate)'),
+          K, PREC, ORDER, OUT)
 def cmd_table(ztext, atext, ktext, prec, order, out):
     """Sweep a grid of integer points and emit one CSV row per point."""
     z = _parse_z(ztext)
@@ -376,12 +379,7 @@ def cmd_table(ztext, atext, ktext, prec, order, out):
     _emit(buf.getvalue().rstrip("\n"), out)
 
 
-@main.command("euler-poly")
-@click.argument("k", type=int)
-@click.argument("n", type=int)
-@out_option
-@format_option
-@_json_errors
+@_command("euler-poly", _opt("k", type=int), _opt("n", type=int), OUT, FORMAT)
 def cmd_euler_poly(k, n, out, fmt):
     """Print the exact coefficients of the generalised Euler polynomial."""
     poly = gen_euler_polynomial(k, n)
