@@ -4,8 +4,8 @@ The nested series  sum_{n_1 > ... > n_r > 0}  prod_i z_i^{n_i} n_i^{-s_i}
 is handled four ways:
 
 * ``brute_partial_sum(z, s, N, M=None)`` -- exact truncated sums t_N and
-  tails t_{M,N} (general complex weights |z_i| <= 1, complex exponents)
-  from the one kernel ``summation.nested_sums``;
+  tails t_{M,N} (roots of unity z_i, complex exponents) from the one kernel
+  ``summation.nested_sums``;
 * ``eval_convergent``    -- limit inside the conditional-convergence domain
   U_r(z): at depth <= 2, t_N at one cutoff less the operator series of each
   tail (generalised Euler-Boole), cutoff and orders fixed by derived bounds;
@@ -36,9 +36,8 @@ from .rootsofunity import (RotationNumber, ZVector, _coords, _domain_flags,
 from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
 
 from .summation import (NestedPass, _char_pair, _coefficient_bounds, _fixed_exponent,
-                        _fixed_pair, _geometric_list, _mantissas, _power_float,
-                        _remainder_factor, _rounding_slack, _scaled_mpc, _shift, nested_sums,
-                        resolve_tol)
+                        _geometric_list, _mantissas, _power_float, _remainder_factor,
+                        _rounding_slack, _scaled_mpc, _shift, nested_sums, resolve_tol)
 
 __all__ = [
     "EvalReport",
@@ -96,8 +95,9 @@ class TranslationReport:
 
 
 def _nested_sums(z, s, cutoffs, state=None) -> dict:
-    """{N: t_N} for general weights and complex exponents, one forward pass,
-    resumed from ``state`` (a ``summation.NestedPass``) when one is given."""
+    """{N: t_N} for roots of unity z and complex exponents s, one forward
+    pass, resumed from ``state`` (a ``summation.NestedPass``) when one is
+    given; the shape of (z, s) and the weights are checked before it."""
     svals = _coords(s)
     r = len(z)
     if len(svals) != r:
@@ -107,17 +107,16 @@ def _nested_sums(z, s, cutoffs, state=None) -> dict:
 
 def brute_partial_sum(z, s, N: int, M: int = None):
     """t_N of the nested sum with weights z and exponents s, or the tail
-    t_{M,N} = t_M - t_N when M > N is given."""
+    t_{M,N} = t_M - t_N when M > N is given; t_0 = t_1 = 0."""
     if N < 0:
         raise ValueError("cutoff must be >= 0")
-    if M is None:
-        if N <= 1:
-            return mp.mpc(0)
-        return _nested_sums(z, s, (N,))[N]
-    if M <= N:
+    if M is not None and M <= N:
         raise ValueError("need M > N for a tail")
-    sums = _nested_sums(z, s, (max(N, 1), M))
-    return sums[M] - sums[max(N, 1)]
+    N = max(N, 1)
+    if M is None:
+        return _nested_sums(z, s, (N,))[N]
+    sums = _nested_sums(z, s, (N, M))
+    return sums[M] - sums[N]
 
 
 def _oscillation_period(z: ZVector) -> int:
@@ -402,12 +401,9 @@ def stieltjes_constant(z: ZVector, a, kvec, A: int = 6, tol=None):
     return depth_expansion(spec, A, tol=tol).regularised_value()
 
 
-def _delta(entry) -> int:
-    """delta_i = 1 iff z_i != 1, exactly, for a RotationNumber or a complex
-    weight."""
-    if isinstance(entry, RotationNumber):
-        return 0 if entry.is_one() else 1
-    return 0 if mp.mpc(entry) == 1 else 1
+def _delta(entry: RotationNumber) -> int:
+    """delta_i = 1 iff z_i != 1, exactly."""
+    return 0 if entry.is_one() else 1
 
 
 def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
@@ -441,11 +437,12 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     The rule runs on integers rounded up, against tol/100 rounded down.
     E = max(0, mag(max_(j<=k) b_j)), so a coefficient's growth (b_k reaches
     2^80 at s_1 = 20, N = 2) does not magnify the floors of its T_k past
-    2^-P.  The shape of (z, s), then the tolerance (``summation.resolve_tol``,
+    2^-P.  The weights (roots of unity, else TypeError through ``ZVector``),
+    the shape of (z, s), then the tolerance (``summation.resolve_tol``,
     default ``DEFAULT_EVAL_TOL``), then the cutoffs are checked before any
     pass.
     """
-    entries = list(z.entries) if isinstance(z, ZVector) else list(z)
+    entries = list(ZVector(z))
     svals = [mp.mpc(c) for c in _coords(s)]
     r = len(entries)
     if len(svals) != r:
@@ -457,19 +454,16 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
     shift = svals[0] + (_delta(entries[0]) if r > 1 else 0)
     kernel = NestedPass(M)
     _nested_sums(entries, [shift] + svals[1:], range(N, M + 1), kernel)
-    z1, P = _root_pair(entries[0], 1, kernel.P), kernel.P
+    z1, P = _char_pair(entries[0], kernel.P), kernel.P
     lx = ly = 0  # the heads z_1^n m^(1-shift) t_h of (z_2.., s_2..)
     for sign, n, m, h in ((1, N, N - 1, N), (-1, M, M - 1, M - 1)):
-        x, y = _times(_root_pair(entries[0], n, P), kernel.power(m))
+        x, y = _times(_char_pair(entries[0] ** n, P), kernel.power(m))
         x, y = _times((x * m, y * m), kernel.raw_sum(h, 1)[:2] if r > 1 else (1 << P, 0))
         lx, ly = lx + sign * x, ly + sign * y
     if r > 1:
-        z12 = (entries[0] * entries[1] if all(isinstance(e, RotationNumber) for e in entries[:2])
-               else mp.fprod(mp.mpc(e.value() if isinstance(e, RotationNumber) else e)
-                             for e in entries[:2]))
         merged = NestedPass(M - 1)
-        _nested_sums([z12] + entries[2:], [shift + svals[1] - 1] + svals[2:], (N, M - 1),
-                     merged)
+        _nested_sums([entries[0] * entries[1]] + entries[2:], [shift + svals[1] - 1] + svals[2:],
+                     (N, M - 1), merged)
         (x1, y1, Pm), (x0, y0, _) = merged.raw_sum(M - 1), merged.raw_sum(N)
         x, y = _times(z1, (x1 - x0, y1 - y0))
         lx, ly = lx + _shift(x, 2 * P - Pm), ly + _shift(y, 2 * P - Pm)
@@ -515,11 +509,3 @@ def _times(u: tuple, v: tuple) -> tuple:
     """The product of two Gaussian integers."""
     return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
 
-
-def _root_pair(entry, n: int, P: int) -> tuple:
-    """entry^n scaled by 2^P and floored: ``_char_pair`` for a root of unity,
-    an mpc power at P + 20 bits for a complex weight."""
-    if isinstance(entry, RotationNumber):
-        return _char_pair(entry ** n, P)
-    with mp.workprec(P + 20):
-        return _fixed_pair(mp.mpc(entry) ** n, P)

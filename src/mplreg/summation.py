@@ -51,14 +51,13 @@ single forward pass, which also keeps the suffix sum of every level at each
 requested cutoff.  It runs, for every input, on Python integers scaled by
 2^P, P = prec + g, with the guard g taken from an a-priori bound on the
 accumulated truncations (``pass_scale``), as list arithmetic over blocks of
-at most ``BLOCK_CAP`` n, with the outer level of a root z_1 of order q
-summed in q residue classes of n.  Roots of unity come from power tables of
-fixed-point products of one value of xi, complex weights from running
-products, log n from one table per P on integers (a prime's entry that of
-p - 1 plus one atanh series, a composite's the exact sum of two stored
-ones), integral exponents from
-exact division or multiplication, and non-integral ones from a table of
-n^-s built multiplicatively: a prime is exp(-s log p) in integer fixed point
+at most ``BLOCK_CAP`` n, with the outer level summed in q residue classes
+of n, q the order of the root z_1.  Every z_j is a root of unity, read off
+a power table of fixed-point products of one value of xi; log n comes from
+one table per P on integers (a prime's entry that of p - 1 plus one atanh
+series, a composite's the exact sum of two stored ones), integral exponents
+from exact division or multiplication, and non-integral ones from a table
+of n^-s built multiplicatively: a prime is exp(-s log p) in integer fixed point
 (Brent & Zimmermann, "Modern Computer Arithmetic", ch. 4), a composite one
 fixed-point product of stored values, and past ``SIEVE_CAP`` stored values a
 term divides out stored primes until its cofactor is stored.  For every
@@ -86,7 +85,7 @@ from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase
 
 from . import eulerpoly
 from .errors import PrecisionError
-from .rootsofunity import ONE, RotationNumber
+from .rootsofunity import ONE, RotationNumber, ZVector
 from .scalefun import ScaleFunction
 
 __all__ = [
@@ -706,13 +705,13 @@ def _exponent(s):
 def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     """{N: sum_{N>n_1>...>n_r>0} prod z_j^{n_j} (log n_j)^{k_j} n_j^{-s_j}}.
 
-    Each z_j is a RotationNumber (read off its exact power table) or a
-    complex weight with |z_j| <= 1 (powers by running products); each s_j is
-    an integer or complex.  One forward pass: level j (0-based) sums the
-    last r - j factors over n > n_{j+1} > ... > n_r > 0, so level 0 gives
-    t_n, and at n level j adds the weight w_j(n) = z_j^n (log n)^{k_j}
-    n^{-s_j} times level j + 1 as it stood before n; the innermost level
-    sums its weights alone.  Cost O(max(cutoffs) * r).
+    Each z_j is a RotationNumber, read off its exact power table (any other
+    weight raises TypeError, through ``ZVector``); each s_j is an integer or
+    complex.  One forward pass: level j (0-based) sums the last r - j factors
+    over n > n_{j+1} > ... > n_r > 0, so level 0 gives t_n, and at n level j
+    adds the weight w_j(n) = z_j^n (log n)^{k_j} n^{-s_j} times level j + 1
+    as it stood before n; the innermost level sums its weights alone.  Cost
+    O(max(cutoffs) * r).
 
     The pass runs on Python integers scaled by 2^P, P = prec + g rounded up
     to a multiple of 64 so that nearby cutoffs share the power tables, prec
@@ -723,9 +722,8 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     values shifted right by P, and the running sums one ``accumulate`` from
     the sum before the block.  The factors:
 
-    * z_j^n, a slice of the memoised integer cos/sin table of a
-      RotationNumber (``_fixed_power_table``), or the fixed-point running
-      products of a complex z_j;
+    * z_j^n, a slice of the memoised integer cos/sin table of z_j
+      (``_fixed_power_table``);
     * (log n)^k from the log table of P (``_logs``) up to ``SIEVE_CAP``,
       made on integers from itself (a prime p from p - 1), from
       ``log_int_fixed`` past it;
@@ -740,16 +738,15 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
       splits into stored primes and a cofactor that is stored or, when none
       of them splits it, computed like a prime (``_split``).
 
-    No level reads level 0, so when z_1 is a RotationNumber of order q, level
-    0 keeps q sums R_c instead, one per residue class c of n mod q, and adds
-    each term without its z_1^n: level 1 before n times (log n)^k_1
-    n^-s_1 (at depth 1, (log n)^k_1 n^-s_1 alone).  A cutoff N reads
+    No level reads level 0, so with z_1 of order q, level 0 keeps q sums R_c
+    instead, one per residue class c of n mod q, and adds each term without
+    its z_1^n: level 1 before n times (log n)^k_1 n^-s_1 (at depth 1,
+    (log n)^k_1 n^-s_1 alone).  A cutoff N reads
     t_N = sum_c z_1^c R_c(N), one floor per part, at a cost of O(q)
     products; a cutoff fewer than q terms past an earlier one of the same
     block adds those terms, each times its z_1^n, to that cutoff's unfloored
     sum instead, the same integers at four products per term, so a window
-    of q consecutive cutoffs costs O(q), not O(q^2).  A complex z_1 keeps
-    its running product.
+    of q consecutive cutoffs costs O(q), not O(q^2).
 
     Every level j >= 1 and every n^-s entry get the same bits as a pass one
     n at a time with the same floors (``oracles.fixed_point_pass`` in the
@@ -765,7 +762,7 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     requested cutoff N, t_N of the suffix series (z_j.., s_j.., k_j..) within
     the same bound (``NestedPass.suffix_sum``).
     """
-    z = tuple(z)
+    z = ZVector(z).entries
     exps = [_exponent(s_j) for s_j in s]
     kvec = tuple(int(k) for k in kvec)
     cutoffs = sorted(set(int(N) for N in cutoffs))
@@ -776,16 +773,13 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     P = state.P
     top = cutoffs[-1]
     # per level: the order of z_j and the cos and sin of z_j^n, tiled to
-    # cover any block of this call, or None and the scaled z_j
+    # cover any block of this call
     span = min(BLOCK_CAP, top - state.n)
     levels = []
     for zj in z:
-        if isinstance(zj, RotationNumber):
-            table = _fixed_power_table(zj, P)
-            reps = span // zj.order + 2
-            levels.append((zj.order, [c for c, _ in table] * reps, [s for _, s in table] * reps))
-        else:
-            levels.append((None, *_fixed_pair(mp.mpc(zj), P)))
+        table = _fixed_power_table(zj, P)
+        reps = span // zj.order + 2
+        levels.append((zj.order, [c for c, _ in table] * reps, [s for _, s in table] * reps))
     kmax = max(kvec)
     logs = _logs(P, top) if kmax else ()
     n0 = state.n
@@ -811,22 +805,16 @@ def _block(state, levels, kvec, exps, lp, ns, marks):
     """Advances ``state`` over the n of the range ``ns``, recording every
     level at each cutoff in ``marks``, from the innermost level out; each
     level's list of sums before each n of the block and after its last is
-    what the level outside it reads.  Every list holds integers at 2^P, each
-    product floored as in the per-n pass (``_weigh``, ``_times``)."""
+    what the level outside it reads; level 0 goes to the residue sums.
+    Every list holds integers at 2^P, each product floored as in the per-n
+    pass (``_weigh``, ``_times``)."""
     P, L, n0 = state.P, len(ns), ns.start
     entries = _table_block(state, ns)
     sums = [None] * len(levels)
     inner = None
-    for j in reversed(range(state.residues is not None, len(levels))):
+    for j in reversed(range(1, len(levels))):
         q, u, v = levels[j]
-        if q:
-            C, S = u[n0 % q:n0 % q + L], v[n0 % q:n0 % q + L]
-        else:
-            pw = list(accumulate(repeat(None, L), lambda x, _: (
-                (x[0] * u - x[1] * v) >> P, (x[0] * v + x[1] * u) >> P),
-                initial=state.powers[j]))
-            state.powers[j] = pw[-1]
-            C, S = [x for x, _ in pw[1:]], [y for _, y in pw[1:]]
+        C, S = u[n0 % q:n0 % q + L], v[n0 % q:n0 % q + L]
         C, S = _weigh(C, S, kvec[j], exps[j], entries[j], lp, ns, P)
         if inner is not None:
             C, S = _times(C, S, *inner, P)
@@ -834,10 +822,6 @@ def _block(state, levels, kvec, exps, lp, ns, marks):
                  list(accumulate(S, initial=state.level_im[j])))
         state.level_re[j], state.level_im[j] = inner[0][-1], inner[1][-1]
         sums[j] = inner
-    if state.residues is None:
-        for N in marks:
-            state._record(N, [re[N - n0] for re, _ in sums], [im[N - n0] for _, im in sums])
-        return
     # level 0 per residue class of n mod q
     if inner is None:
         C, S = [1 << P] * L, [0] * L
@@ -1055,23 +1039,21 @@ class NestedPass:
         self.top, self.prec = int(top), mp.mp.prec
         self.n, self.terms, self.key, self.hits = 1, 0, None, {}
         # set by ``_start`` on the first call: the fractional bits P; per
-        # level its scaled sum (re, im) and the running product of a complex
-        # weight; the q sums (re, im) of level 0 per residue class and the
-        # cos and sin of z_1^c, c < q, when z_1 has order q, else None; per
-        # level the n^-s table of a non-integral exponent
+        # level j >= 1 its scaled sum (re, im); the q sums (re, im) of level 0
+        # per residue class and the cos and sin of z_1^c, c < q, q the order
+        # of z_1; per level the n^-s table of a non-integral exponent
         # (``_fixed_exponent``'s constants and the re and im lists, index n
         # from 1), else None; and the primes the tables have met
-        self.P = self.level_re = self.level_im = self.powers = None
+        self.P = self.level_re = self.level_im = None
         self.residues = self.root = self.tables = self.primes = None
 
     def _start(self, z, exps, kvec):
         self.P = P = pass_scale(z, exps, kvec, self.top)
-        r = len(z)
-        self.level_re, self.level_im, self.powers = [0] * r, [0] * r, [(1 << P, 0)] * r
-        if isinstance(z[0], RotationNumber):
-            self.residues = [0] * z[0].order, [0] * z[0].order
-            table = _fixed_power_table(z[0], P)
-            self.root = [c for c, _ in table], [s for _, s in table]
+        r, q = len(z), z[0].order
+        self.level_re, self.level_im = [0] * r, [0] * r
+        self.residues = [0] * q, [0] * q
+        table = _fixed_power_table(z[0], P)
+        self.root = [c for c, _ in table], [s for _, s in table]
         self.tables = [None if isinstance(a, int) else
                        (_fixed_exponent(a, P, self.top), [0, 1 << P], [0, 0]) for a in exps]
         self.primes = []
@@ -1084,13 +1066,10 @@ class NestedPass:
                 sum(map(mul, sin, R)) + sum(map(mul, cos, I)))
 
     def _record(self, N: int, re: list, im: list, level0=None):
-        """Keeps the sums of every level at cutoff N; when the pass keeps
-        residue sums, level 0 is ``level0`` (or ``_residue_sum()``) >> P."""
-        re, im = list(re), list(im)
-        if self.residues is not None:
-            x, y = level0 or self._residue_sum()
-            re[0], im[0] = x >> self.P, y >> self.P
-        self.hits[N] = (re, im)
+        """Keeps the sums of the levels j >= 1 in ``re`` and ``im`` at
+        cutoff N, and as level 0 ``level0`` (or ``_residue_sum()``) >> P."""
+        x, y = level0 or self._residue_sum()
+        self.hits[N] = ([x >> self.P, *re[1:]], [y >> self.P, *im[1:]])
 
     def raw_sum(self, N: int, j: int = 0) -> tuple:
         """(re, im, P): t_N of the suffix series (z_j.., s_j.., k_j..) as the
@@ -1149,18 +1128,16 @@ def _guard_bits(z, exps, kvec, top) -> int:
     entry errs by < 3 lb n^max(0, -Re s_j) u <= 3 lb M_j u, and by 1 u more
     when it is multiplied in.  So the scaled weight errs by less than
     8 (1 + K) M_j u, K = max k_j, times lb when s_j is not integral.  The
-    running product of a complex weight, |z_j| <= 1, errs by < 4 u more at
-    each of its N rounded steps, so that weight errs N times as much.  The
     level sums obey |running[j]| <= N^(r-j) prod_{i>=j} M_i, and each step
     adds |w_j| times the error of running[j+1], the weight error times
     |running[j+1]|, and one truncation.  Over N steps and r levels, by
     induction from the innermost level, every t_N errs by less than
 
-        B u,   B = (r + 1) (8K + 10) N^(r + c) lb^d prod_j M_j,
+        B u,   B = (r + 1) (8K + 10) N^r lb^d prod_j M_j,
 
-    c the number of complex weights and d of non-integral exponents, the
-    factor r + 1 (rather than r) absorbing the products of two errors; every
-    M_i >= 1, so the running[j] that the induction reaches err less.
+    d the number of non-integral exponents, the factor r + 1 (rather than r)
+    absorbing the products of two errors; every M_i >= 1, so the running[j]
+    that the induction reaches err less.
 
     Level 0 of a root z_1 of order q is summed per residue class instead:
     each term running[1] (log n)^k_1 n^-s_1 takes the floors of a weighted
@@ -1175,7 +1152,8 @@ def _guard_bits(z, exps, kvec, top) -> int:
     residue sums trade N terms' entry errors for one product's: B stands.
 
     g = bit_length(B) + 8 then gives B u <= 2^-(prec+8), 2^19 N times below
-    the 2^(11-prec) N that ``_rounding_slack(2N, ...)`` certifies.
+    the 2^(11-prec) N that ``run_matching`` charges for rounding at the
+    cutoff pair (N, 2N).
 
     A factor f^-s_j (``_power_entry``) is computed at wp = P + g' bits,
     g' = 13 + max(0, mag(s_j)) + bit_length(lb).  Its log f is the log
@@ -1194,12 +1172,10 @@ def _guard_bits(z, exps, kvec, top) -> int:
     r = len(exps)
     lb = max(1, top.bit_length())
     bound = (r + 1) * (8 * max(kvec) + 10) * top ** r
-    for zj, a, k in zip(z, exps, kvec):
+    for a, k in zip(exps, kvec):
         bound *= top ** max(0, -a if isinstance(a, int) else int(mp.ceil(-mp.re(a)))) * lb ** k
         if not isinstance(a, int):
             bound *= lb
-        if not isinstance(zj, RotationNumber):
-            bound *= top
     return bound.bit_length() + 8
 
 
@@ -1338,9 +1314,10 @@ def run_matching(sums_fn, approx_fn, tail: Scaled, tol_eff, prop_fn=None):
     (``_read_chars``) and ``prop_fn``'s integer bound.  So c(N) = t_N -
     approx(N) is exact, the drift test compares dx^2 + dy^2 with (10
     floor(tol 2^U) + 16 prop)^2, and the residual max(drift, tail(2N)) +
-    prop + 2^(10-prec) 2N (1 + |t_2N| + |approx(2N)|) (``_rounding_slack``)
-    sums integers rounded up (isqrt + 1, ``_read`` up, a ceiling shift)
-    into one mpf rounded up; the constant is c(2N) floored to 2^W, exact.
+    prop + 2^(10-prec) 2N (1 + |t_2N| + |approx(2N)|) (the rounding charge,
+    ``mass`` below) sums integers rounded up (isqrt + 1, ``_read`` up, a
+    ceiling shift) into one mpf rounded up; the constant is c(2N) floored to
+    2^W, exact.
     """
     W, prec, ladder = tail.W, mp.mp.prec, _matching_ladder()
     U, allow = 3 * W, 10 * to_fixed(mp.mpf(tol_eff)._mpf_, 3 * W)

@@ -61,17 +61,39 @@ class TestBrutePartialSum:
         tail = brute_partial_sum(z, s, 20, 50)
         assert abs(tail - (t_m - t_n)) < mp.mpf("1e-30")
 
-    def test_general_complex_weights(self):
-        w = mp.mpc("0.6", "0.3")
-        got = brute_partial_sum([w], [mp.mpc(1.5, -1)], 6)
-        want = sum(w ** n / mp.mpf(n) ** mp.mpc(1.5, -1) for n in range(1, 6))
-        assert abs(got - want) < mp.mpf("1e-35")
+    @pytest.mark.parametrize("N,M", [(0, None), (1, None), (0, 5), (5, None)])
+    def test_shape_is_checked_at_every_cutoff(self, N, M):
+        # below the depth the sum is 0, but a point of the wrong depth is
+        # still an error
+        with pytest.raises(DomainError):
+            brute_partial_sum(Z("1,-1"), [2], N, M)
 
     def test_closed_form_limit(self):
         # sum over n1 > n2 of (-1)^n2 / n1^2 converges to -zeta(2)/4
         limit = averaged_limit(
             lambda cs: nested_sums(Z("1,-1"), [2, 0], (0, 0), cs), 2)
         assert abs(limit + em_zeta(2) / 4) < mp.mpf("1e-12")
+
+
+class TestRootsOnly:
+    ENTRIES = {
+        "nested_sums": lambda z, s: nested_sums(z, s, (0,) * len(z), [10]),
+        "brute_partial_sum": lambda z, s: brute_partial_sum(z, s, 10),
+        "verify_translation": lambda z, s: verify_translation(z, s, 20, 10),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_non_root_weight_raises_before_any_pass(self, monkeypatch, entry, j):
+        # a z_j given as a complex number rather than a RotationNumber
+        def no_pass(*args):
+            raise AssertionError("a pass was started")
+
+        monkeypatch.setattr(summod.NestedPass, "_start", no_pass)
+        z = [RotationNumber(1, 3), RotationNumber(1, 4)]
+        z[j] = mp.mpc("0.6", "0.3")
+        with pytest.raises(TypeError):
+            self.ENTRIES[entry](z, [mp.mpf(2), mp.mpf(2)])
 
 
 class TestEvalConvergent:
@@ -543,12 +565,6 @@ class TestTranslation:
             rep = verify_translation(z, s, 50, 15, tol=mp.mpf("1e-17"))
             assert rep.residual < mp.mpf("1e-15")
 
-    def test_general_complex_weights(self):
-        z = [mp.mpc("0.8", "0.2"), mp.mpc("-0.5", "0.1")]
-        s = [mp.mpc(1.2, 0.4), mp.mpc(0.6)]
-        rep = verify_translation(z, s, 40, 12, tol=mp.mpf("1e-18"))
-        assert rep.residual < mp.mpf("1e-16")
-
     def test_residual_tracks_tolerance(self):
         z, s = Z("1,-1"), [2, -1]
         loose = verify_translation(z, s, 60, 20, tol=mp.mpf("1e-12"))
@@ -583,13 +599,11 @@ class TestTranslation:
         rep = verify_translation(Z("1/2,1/3"), [2, 2], 3, 2, tol=mp.mpf("1e-20"))
         assert rep.residual < mp.mpf("1e-20")
 
-    # the entries of z: 1 (delta_1 = 0), roots of order <= 12 and one
-    # complex weight of modulus < 1
-    WEIGHTS = st.one_of(st.just(RotationNumber(0, 1)), primitive_roots(12),
-                        st.just(mp.mpc("0.6", "0.3")))
+    # the entries of z: 1 (delta_1 = 0) and roots of order <= 12
+    WEIGHTS = st.one_of(st.just(RotationNumber(0, 1)), primitive_roots(12))
 
     @settings(max_examples=30, deadline=None)
-    @example(z=[mp.mpc("0.6", "0.3")], re_s1=20.0, im_s1=0.0, rest=[(0.2, 0.0)] * 2,
+    @example(z=[RotationNumber(1, 5)], re_s1=20.0, im_s1=0.0, rest=[(0.2, 0.0)] * 2,
              N=2, span=5, digits=30, prec=128)
     @given(z=st.lists(WEIGHTS, min_size=1, max_size=3),
            re_s1=st.floats(0.2, 20), im_s1=st.floats(-2, 2),
@@ -602,8 +616,8 @@ class TestTranslation:
         # at Re s_1 up to 20 the coefficients grow before they decay; the
         # series summed on until its bound is below tol 1e-10 differs from
         # the stopped one by at most tol/100 plus rounding.  At the example
-        # the coefficients reach 2^80 over 169 terms: with the floors of
-        # T_k at 2^-P the rhs erred by 3.4e-32 against a bound of 1.0e-32
+        # the coefficients reach 2^80 over 170 terms: with the floors of
+        # T_k at 2^-P the rhs erred by 2.7e-32 against a bound of 1.0e-32
         M = N + span
         with mp.workprec(prec):
             tol = mp.mpf(10) ** (-digits * prec // 128)
@@ -618,8 +632,7 @@ class TestTranslation:
         (Z("-1"), [mp.mpc(1.5, 0.5)], 40, 10, "1e-22", False),
         (Z("1/3"), [mp.mpc(0.8, -0.6)], 50, 12, "1e-30", True),
         (Z("1,-1"), [2, -1], 60, 20, "1e-20", False),
-        ([mp.mpc("0.8", "0.2"), mp.mpc("-0.5", "0.1")],
-         [mp.mpc(1.2, 0.4), mp.mpc(0.6)], 40, 12, "1e-18", False),
+        (Z("1/5,2/3"), [mp.mpc(1.2, 0.4), mp.mpc(0.6)], 40, 12, "1e-18", False),
         (Z("1/4,-1,1/3"), [mp.mpc(1.5), mp.mpc(1, 0.5), mp.mpc(0.8)], 50, 12,
          "1e-30", True),
         # M = N + 1: the merged tail is empty
@@ -723,7 +736,7 @@ class TestTranslationSeries:
                 with mp.workprec(P + 64):
                     unit = mp.ldexp(1, -P)
                     for n, m in ((N, N - 1), (M, M - 1)):
-                        x, y = polylog_mod._root_pair(z[0], n, P)
+                        x, y = summod._char_pair(z[0] ** n, P)
                         assert abs(mp.mpc(x, y) * unit - z[0].value() ** n) <= 2 * unit
                         x, y = kernel.power(m)
                         err = abs(m * mp.mpc(x, y) * unit - mp.mpf(m) ** (1 - shift))
