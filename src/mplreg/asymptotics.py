@@ -73,7 +73,7 @@ class AsymptoticExpansion:
         if scale is None:
             parts = {xi: f.terms() for xi, f in (parts or {}).items()}
             keys = [(l, m) for terms in parts.values() for l, m, _ in terms]
-            scale = summation.pass_scale((ONE,), (min([0] + [m for _, m in keys]),),
+            scale = summation.pass_scale((min([0] + [m for _, m in keys]),),
                                          (max([0] + [l for l, _ in keys]),),
                                          2 * summation.MATCH_CEILING)
             parts = {xi: {(l, m): summation._fixed_pair(c, scale) for l, m, c in terms}
@@ -344,7 +344,7 @@ def depth_expansion(spec: DepthSpec, A: int, tol=None) -> AsymptoticExpansion:
     ladder.append(2 * ladder[-1])
     kernel = summation.NestedPass(ladder[-1])
     # the expansions' scale is the pass's, so the reads share its tables
-    W = summation.pass_scale(spec.z, spec.a, spec.kvec, ladder[-1])
+    W = summation.pass_scale(spec.a, spec.kvec, ladder[-1])
 
     def build(i: int, a_i: int) -> AsymptoticExpansion:
         if i == spec.r:

@@ -281,9 +281,10 @@ def _summation_suite(rng: random.Random, trials: int, tol):
         num = rng.choice([x for x in range(1, k) if mp.libmp.gcd(x, k) == 1])
         zeta = RotationNumber(num, k)
         n = max(n, k)
-        # term by term in mpmath, independent of the evaluator the engines use,
-        # at 64 more bits: the engines' estimates bound their own rounding
-        with mp.workprec(mp.mp.prec + 64):
+        # term by term in mpmath, independent of the engines' integer pass, at
+        # 256 more bits: the engines' estimates bound their own rounding, and
+        # a sum that cancels to 0 leaves the estimate near 2^(-2 prec)
+        with mp.workprec(mp.mp.prec + 256):
             values = [mp.fsum(c * mp.log(i) ** l * mp.mpf(i) ** -e for l, e, c in terms)
                       for i in range(1, n)]
             brute_em = sum(values, mp.mpc(0))

@@ -4,8 +4,9 @@ This is the function class every summation engine consumes: it is closed
 under differentiation, has elementary antiderivatives, its absolute tails
 integrate in closed form into the same class, and f(n + t0) re-expands into
 it through its Taylor series.  Coefficients are mpc numbers, the term
-indices (l, m) exact integers, and ``_grid`` evaluates on Python integers.
-(The expansion algebra keeps its n-parts as integers: ``summation.Scaled``.)
+indices (l, m) exact integers.  The engines read only ``terms()``: they sum
+on Python integers (``summation._moment_blocks``), as the expansion algebra
+keeps its n-parts (``summation.Scaled``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, log_int_fixed, round_nearest
 
 __all__ = ["ScaleFunction"]
 
@@ -23,14 +23,6 @@ def _as_mpc(c):
     if isinstance(c, Fraction):
         return mp.mpc(c.numerator) / c.denominator
     return mp.mpc(c)
-
-
-def _rounded_sum(values, wp: int, prec: int) -> tuple:
-    """The _mpf_ of the sum of the man 2^exp in ``values``, each floored to
-    the unit 2^e wp bits below the largest of them, rounded once to prec."""
-    e = max([man.bit_length() + exp for man, exp in values], default=0) - wp
-    return from_man_exp(sum([man << exp - e if exp >= e else man >> e - exp
-                             for man, exp in values]), e, prec, round_nearest)
 
 
 class ScaleFunction:
@@ -118,63 +110,18 @@ class ScaleFunction:
                 factor = factor * (-j) / (1 - m)
         return ScaleFunction(out)
 
-    @staticmethod
-    def _grid(functions, points) -> list:
-        """[[f(t) for f in functions] for t in points], t >= 1, on integers
-        at wp = prec + 14 + L + bit_length(T) bits per f (L its largest l, T
-        its number of terms).  x = (log t)^l t^-m: for an integral t,
-        ``log_int_fixed`` (< 2 units 2^-wp), fixed-point powers, and t^-m an
-        exact multiply (m <= 0) or a floor division with m bit_length(t)
-        extra bits; else mpmath at wp.  Each coefficient part times x is
-        exact; ``_rounded_sum`` adds those of one part of f.  Error per part,
-        S the sum of that part of the terms' absolute values: log t >= log 2
-        > 1/1.45, so x errs relatively by delta < 2^(l+4-wp) (mpmath by
-        < 2 (l + 2) ulp), the T floors by < 2 T (1 + delta) 2^-wp S, the sum
-        by E < 2^(L + bit_length(T) + 5 - wp) S, and rounding adds
-        < 2^-prec (|part of f(t)| + E): below 2^-prec |part of f(t)| +
-        2^-(prec+8) S in all."""
-        prec = mp.mp.prec
-        coeffs = []  # per f: wp; per term (wp, l, m) and each part's (mantissa, exponent)
-        for f in functions:
-            wp = prec + 14 + max((l for l, _ in f._terms), default=0) + len(f._terms).bit_length()
-            coeffs.append((wp, [((wp, *key), *((-man if sign else man, exp)
-                                               for sign, man, exp, _ in c._mpc_))
-                                for key, c in f._terms.items()]))
-        keys = {key for _, terms in coeffs for key, _, _ in terms}
-        rows = []
-        for t in points:
-            t = int(t) if mp.isint(t) else mp.mpf(t)
-            x, logs, bits = {}, {}, isinstance(t, int) and t.bit_length()
-            for wp, l, m in keys:
-                if not bits:
-                    with mp.workprec(wp):
-                        logs[wp] = log_t = logs.get(wp) or mp.log(t)
-                        sign, man, exp, _ = (log_t ** l * t ** -m)._mpf_
-                    x[wp, l, m] = (-man if sign else man, exp)
-                    continue
-                if wp not in logs:  # 20 more bits: a log cached at another wp floors alike
-                    logs[wp] = [1 << wp, log_int_fixed(t, wp + 20) >> 20 if t > 1 else 0]
-                powers = logs[wp]
-                while len(powers) <= l:
-                    powers.append((powers[-1] * powers[1]) >> wp)
-                x[wp, l, m] = (((powers[l] << m * bits) // t ** m, -wp - m * bits) if m > 0
-                               else (powers[l] * t ** -m, -wp))
-            row = []
-            for wp, terms in coeffs:
-                re, im = [], []
-                for key, (re_man, re_exp), (im_man, im_exp) in terms:
-                    xm, xe = x[key]
-                    if xm and re_man:
-                        re.append((re_man * xm, re_exp + xe))
-                    if xm and im_man:
-                        im.append((im_man * xm, im_exp + xe))
-                row.append(mp.make_mpc((_rounded_sum(re, wp, prec), _rounded_sum(im, wp, prec))))
-            rows.append(row)
-        return rows
-
     def _value_at(self, t):
-        """Value at t >= 1: the bits of ``_grid`` for f at t in any call."""
-        return ScaleFunction._grid([self], [t])[0][0]
+        """Value at t >= 1: the terms in mpmath at wp = prec + 14 + L +
+        bit_length(T) bits (L the largest l, T the number of terms), and per
+        part their exact sum rounded once to prec.  A term errs relatively by
+        < (L + 6) 2^-wp (log t, its power, t^-m and the product with c), so a
+        part errs by < 2^-prec |part of f(t)| + 2^-(prec+8) S, S the sum of
+        that part of the terms' absolute values."""
+        L = max([0] + [l for l, _ in self._terms])
+        with mp.workprec(mp.mp.prec + 14 + L + len(self._terms).bit_length()):
+            t, log_t = mp.mpf(t), mp.log(t)
+            terms = [c * log_t ** l * t ** -m for (l, m), c in self._terms.items()]
+        return mp.mpc(mp.fsum(terms))
 
     def evaluate(self, t):
         """Value at a point t > 1."""

@@ -9,18 +9,17 @@ Two finite-cutoff engines reproduce sums over scale functions exactly:
 with the remainder integral in closed form.  For k >= 3 the quasi-periodic
 polynomial jumps at the integers, so integration by parts picks up
 correction sums proportional to zeta E_{k,j}(1) - E_{k,j}(0), which
-vanishes identically at k = 2 (the classical alternating formula).  The
-remainder, the corrections and the blocks at the ends t = lo and t = n
-(the integral F(n) - F(1) and the derivative boundaries) come from one
-pass of exact integer moment sums over the integers of the range
-(``_moment_blocks``), f's complex coefficients entering only at the end,
-as exact products with them, and each block is rounded once; the
-remainder still comes from f^(m)'s antiderivatives, never from f's values.
-Only the twisted engine's head and step blocks read f itself, at 2k - 2
-points partly outside that range, through ``ScaleFunction._grid``.  Every
-block's rounding is bounded (``_moment_blocks``, ``_breakdown``), and the
-bound is the rounding part of the engines' ``remainder_estimate``; the part
-past n is int_n^inf |f^(m)| bounded on integers and rounded up (``_beyond``).
+vanishes identically at k = 2 (the classical alternating formula).  Every
+block (the remainder, the corrections, the integral F(n) - F(1), the
+derivative boundaries, and the twisted engine's head and step blocks, which
+read f itself at 1..k-1 and n..n+k-2) comes from one pass of exact integer
+moment sums (``_moment_blocks``), f's complex coefficients entering only at
+the end, as exact products with them, and each block is rounded once; the
+remainder still comes from f^(m)'s antiderivatives, never from f's values,
+and the engines read f only through ``terms()``.  Every block's rounding is
+bounded (``_round_block``, ``_breakdown``), and the bound is the rounding
+part of the engines' ``remainder_estimate``; the part past n is
+int_n^inf |f^(m)| bounded on integers and rounded up (``_beyond``).
 
 ``term_sum_expansion`` returns the ``AsymptoticExpansion`` of
 sum_{a<n} xi^a (log a)^l a^(-m), with symbolic n-dependent coefficients
@@ -130,28 +129,17 @@ def _rounding_slack(n, magnitudes):
     return mp.mpf(2) ** (10 - mp.mp.prec) * n * amp
 
 
-def _breakdown(f, k, n, named_ends, moments, beyond):
-    """An engine's result: its blocks, their total, and as its remainder
-    estimate ``beyond`` (the remainder past n, which shrinks as m grows),
-    the moment blocks' bounds and this charge for the rest.  The twisted
-    engine's head and step blocks read U = 2k - 2 values f(t), t < T = n + k,
-    off ``_grid`` at wp = prec + 64, f's coefficients exact, so each errs by
-    < 2^(1-wp) Phi, Phi = sum_terms (|Re c| + |Im c|) lb^l T^max(0,-mu) >=
-    |f(t)| and ``_grid``'s S(t), lb = bit_length(T) > log T.  Each enters <= 2
-    products with a weight of modulus <= k (powers of zeta or <v_{i,j},
-    w_{i,j}>) erring by < 4k^2 2^-wp, in sums of <= 2U terms, so these blocks
-    err by < 2^(2-wp) U (U + 2k + 10) k Phi (0 at k = 1); rounding them to
-    prec and summing all blocks adds < 2^-prec len(blocks) sum |blocks|."""
-    blocks = [+v for _, v in named_ends] + [v for _, v, _ in moments]
-    top, U = n + k, 2 * k - 2
-    phi = sum((abs(c.real) + abs(c.imag)) * top.bit_length() ** l * top ** max(0, -mu)
-              for l, mu, c in f.terms())
-    charge = mp.ldexp(mp.ldexp(U * (U + 2 * k + 10) * k * phi, -62)
-                      + len(blocks) * sum(abs(v.real) + abs(v.imag) for v in blocks), -mp.mp.prec)
+def _breakdown(f, k, zeta, n, m, factor):
+    """An engine's blocks (``_moment_blocks``), their total, and as its
+    remainder estimate factor int_n^inf |f^(m)| (``_beyond``, the remainder
+    past n), the blocks' bounds and 2^-prec len(blocks) sum |blocks|."""
+    moments = _moment_blocks(f, k, zeta, n, m)
+    blocks = [v for _, v, _ in moments]
+    charge = mp.ldexp(len(blocks) * sum(abs(v.real) + abs(v.imag) for v in blocks),
+                      -mp.mp.prec)
     return SummationBreakdown(
-        total=sum(blocks, mp.mpc(0)),
-        boundary_terms=list(zip([name for name, *_ in named_ends + moments], blocks)),
-        remainder_estimate=beyond + sum(bound for _, _, bound in moments) + charge)
+        total=sum(blocks, mp.mpc(0)), boundary_terms=[(name, v) for name, v, _ in moments],
+        remainder_estimate=_beyond(f, m, n, factor) + sum(b for _, _, b in moments) + charge)
 
 
 def _beyond(f, m, n, factor):
@@ -192,45 +180,29 @@ def euler_maclaurin(f: ScaleFunction, n: int, m: int) -> SummationBreakdown:
     from one pass of moment sums (``_moment_blocks``)."""
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    beyond = _beyond(f, m, n, _mpq(eulerpoly.bernoulli_sup_bound(m) / math.factorial(m),
-                                   round_ceiling))
-    return _breakdown(f, 1, n, [], _moment_blocks(f, 1, ONE, n, m), beyond)
+    return _breakdown(f, 1, ONE, n, m, _mpq(eulerpoly.bernoulli_sup_bound(m)
+                                            / math.factorial(m), round_ceiling))
 
 
 def gen_euler_boole(f: ScaleFunction, k: int, zeta: RotationNumber,
                     n: int, m: int) -> SummationBreakdown:
-    """sum_{a=1}^{n-1} zeta^a f(a) from the twisted summation formula.
-
-    The head/tail averaging block and the step blocks weighted by <v,w>
-    read f at the 2k - 2 end points 1..k-1 and n..n+k-2 (``_grid``), which
-    for k >= 3 lie past the moment pass's range k-1..n; the derivative
-    boundary at orders < m, the step corrections (exactly 0 at k = 2) and
-    the order-m remainder <v,w>/(m-1)! sum_i zeta^(i+1) int_i^(i+1)
-    E_{k,m-1}(1 + i - x) f^(m)(x) dx come from one pass of moment sums
-    (``_moment_blocks``)."""
+    """sum_{a=1}^{n-1} zeta^a f(a) from the twisted summation formula: the
+    head block, the step blocks, the derivative boundary at orders < m, the
+    step corrections (exactly 0 at k = 2) and the order-m remainder
+    <v,w>/(m-1)! sum_i zeta^(i+1) int_i^(i+1) E_{k,m-1}(1 + i - x) f^(m)(x)
+    dx, all from one pass of moment sums (``_moment_blocks``)."""
     eulerpoly._require_primitive(k, zeta)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if m < 1:
         raise ValueError("need m >= 1")
-    with mp.workprec(mp.mp.prec + 64):
-        zp, points = zeta.power_values(), [*range(1, k), *range(n, n + k - 1)]
-        ends = dict(zip(points, (v for v, in ScaleFunction._grid([f], points))))
-        head = sum((ends[t] * sum(zp[1:t + 1]) for t in range(1, k)), mp.mpc(0))
-        tail = sum((ends[n + t] * sum(zp[t + 1:]) for t in range(k - 1)), mp.mpc(0))
-        blk_head = (head + zp[n % k] * tail) / k
-        blk_lower = sum((eulerpoly.inner_product(k, zeta, 1, i) * (ends[i + 1] - ends[i])
-                         for i in range(1, k - 1)), mp.mpc(0))
-        blk_upper = zp[n % k] * sum((eulerpoly.inner_product(k, zeta, i, k - 1)
-                                     * (ends[i + n - 1] - ends[i + n - 2])
-                                     for i in range(2, k)), mp.mpc(0))
-        vw = abs(eulerpoly.inner_product(k, zeta, 1, k - 1))
-    beyond = _beyond(f, m, n, mp.fmul(vw, _mpq(eulerpoly.sup_bound(k, m - 1)
-                                                    / math.factorial(m - 1), round_ceiling),
-                                      rounding="u"))
-    return _breakdown(f, k, n, [("head", blk_head), ("lower_steps", blk_lower),
-                                ("upper_steps", blk_upper)],
-                      _moment_blocks(f, k, zeta, n, m), beyond)
+    # |<v_{1,k-1}, w>| = 1/|1 - zeta| = 1/(2 sin(pi x)), x the distance of the
+    # rotation number to an integer: at 20 more bits, raised by 2^-(prec+10)
+    prec, x = mp.mp.prec, min(zeta.fraction, 1 - zeta.fraction)
+    with mp.workprec(prec + 20):
+        vw = (1 + mp.ldexp(1, -prec - 10)) / (2 * mp.sinpi(mp.mpf(x.numerator) / x.denominator))
+    sup = _mpq(eulerpoly.sup_bound(k, m - 1) / math.factorial(m - 1), round_ceiling)
+    return _breakdown(f, k, zeta, n, m, mp.fmul(vw, sup, rounding="u"))
 
 
 def _moment_blocks(f: ScaleFunction, k: int, zeta: RotationNumber, n: int, m: int) -> list:
@@ -254,71 +226,111 @@ def _moment_blocks(f: ScaleFunction, k: int, zeta: RotationNumber, n: int, m: in
     blocks are the end terms alone: on those weights the derivative boundary
     <v,w> sum_j (E_{k,j}(1) f^(j)(k-1) - zeta^n E_{k,j}(0) f^(j)(n))/j!, at
     k = 1 F(n) - F(1) (u = v = F) and sum_{j<=m} B_j/j! (f^(j-1)(n) -
-    f^(j-1)(1)), exact at t = 1 as log 1 = 0.  One pass over lo <= t <= n
-    gives per key X(lo), X(n) and the exact sums of X(t) = floor(x(t) 2^P)
-    in each residue class of t mod k, and a block is sum_terms c sum_p
-    zeta^p Y_p / (den k 2^(2P)), Y_p integers, zeta^p scaled by 2^P, summed
-    exactly and rounded once per part.  The remainder cancels by up to
-    n^(deg+1), deg = deg Q, so P = prec + (deg + 1) bit_length(n) plus
-    ``_grid``'s own 14 + L + bit_length(#keys), L the largest log power,
-    rounded up to 64.
+    f^(j-1)(1)), exact at t = 1 as log 1 = 0.  The twisted engine's head
+    and step blocks are k^-1 sum c zeta^p f(t) (``_end_weights``), so a term
+    gives Y_p = sum c x_{l,mu}(t) on f's own key.  One pass over 1 <= t <=
+    top = n + max(0, k - 2) gives per key X(t) = floor(x(t) 2^P) and the
+    exact sums of X(t), lo < t < n, per residue class of t mod k, and a
+    block is sum_terms c sum_p zeta^p Y_p / (den k 2^(2P)), Y_p integers
+    (``_round_block``).  The remainder cancels by up to n^(deg+1), deg =
+    deg Q, so P = prec + (deg + 1) bit_length(top) + 14 + L +
+    bit_length(#keys), L the largest log power, rounded up to 64.
 
-    The bound: with lb = bit_length(n) and u = 2^-P, (log t)^l errs by
+    The bound: with lb = bit_length(top) and u = 2^-P, (log t)^l errs by
     < 3l lb^(l-1) u (``_log_powers``), relatively by < 3l lb^(l-1) 1.45^l u
     for t >= 2 (log 1 = 0 is exact), and a floor of t^-nu, nu > 0, adds < 1 u,
-    so the sums of a key over the N = n - lo + 1 points, and any of its
-    values, err by < E_key = 6l lb^l 2^l (sum X + N) u + N + 1 units u, the
-    Y_p by < sum|w| sum_key (|u| + |v|) E_key in all, each zeta^p by < 1.5
-    u, and the rounding by 2^-prec |value|: the bound is 2^-prec (|Re| +
-    |Im|) + sum_terms (|Re c| + |Im c|) (2 sum|w| sum_key (|u| + |v|) E_key
-    2^P + 2 sum_p |Y_p|) / (den k 2^(2P)), rounded up."""
-    prec, lo = mp.mp.prec, max(1, k - 1)
-    ns, plans = range(lo, n + 1), [(c, _moment_weights(l, mu, m, k)) for l, mu, c in f.terms()]
+    so the sums of a key over the N = top points, and any of its values, err
+    by < E_key = 6l lb^l 2^l (sum X + N) u + N + 1 units u.  The Y_p so err
+    in all by < sum|w| sum_key (|u| + |v|) E_key, or by < sum|c| E_key for
+    a head or step block, and the bound is ``_round_block``'s."""
+    prec, lo, top = mp.mp.prec, max(1, k - 1), n + max(0, k - 2)
+    ns, plans = range(1, top + 1), [(c, _moment_weights(l, mu, m, k)) for l, mu, c in f.terms()]
     keys = {key for _, blocks in plans for block in blocks for key in block[0]}
-    L, N, lb = max((l for l, _ in keys), default=0), len(ns), n.bit_length()
+    ends = _end_weights(k, n) if k > 1 else []
+    keys |= {(l, mu) for l, mu, _ in f.terms()} if ends else set()
+    L, N, lb = max((l for l, _ in keys), default=0), len(ns), top.bit_length()
     P = prec + (m + (k == 1)) * lb + 14 + L + len(keys).bit_length()
     P += -P % 64
-    lp = _log_powers(_logs(P, n) if L else (), P, L, ns)
+    lp = _log_powers(_logs(P, top) if L else (), P, L, ns)
     lp[0], moments = [1 << P] * N, {}
     for l, nu in keys:
         xs = _weigh(lp[l], [], 0, nu, None, lp, ns, P)[0]
-        moments[l, nu] = ([sum(xs[1 + (r - lo - 1) % k:-1:k]) for r in range(k)], xs[0], xs[-1],
+        moments[l, nu] = ([sum(xs[lo + (r - lo - 1) % k:n - 1:k]) for r in range(k)], xs,
                           (6 * l * lb ** l * 2 ** l * (sum(xs) + N) >> P) + N + 1)
     table, w = _fixed_power_table(zeta, P), [1] if k == 1 else [-p for p in range(k)]
-    # (name, weight set, inner sums, end terms)
-    spec = ([("integral", 2, False, True), ("derivative_boundary", 1, False, True)] if k == 1
-            else [("derivative_boundary", 1, False, True), ("step_corrections", 1, True, False)])
     # f's coefficients as integers times 2^e0, one e0 for all, so that each
     # block sums unreduced numerators over one denominator
     mans, e0 = _mantissas([c for c, _ in plans])
     out = []
-    for name, b, inner, ends in spec + [("remainder_integral", 0, True, True)]:
-        re = im = bound = 0
-        den = math.lcm(*(blocks[b][3] for _, blocks in plans))
-        for (_, blocks), (cr, ci) in zip(plans, mans):
+    for name, triples in ends:
+        rows = []
+        for l, mu, _ in f.terms():
+            Y, (_, xs, key_err) = [0] * k, moments[l, mu]
+            for (p, t), c in triples.items():
+                Y[p] += c * xs[t - 1]
+            rows.append((Y, sum(map(abs, triples.values())) * key_err, 1))
+        out.append(_round_block(name, rows, mans, e0, 1, table, P))
+    # (name, weight set, inner sums, end terms)
+    spec = ([("integral", 2, False, True), ("derivative_boundary", 1, False, True)] if k == 1
+            else [("derivative_boundary", 1, False, True), ("step_corrections", 1, True, False)])
+    for name, b, inner, with_ends in spec + [("remainder_integral", 0, True, True)]:
+        rows, den = [], math.lcm(*(blocks[b][3] for _, blocks in plans))
+        for _, blocks in plans:
             Z, err = [0] * k, 0
             for key, u, v in zip(*blocks[b][:3]):
-                sums, first, last, key_err = moments[key]
+                sums, xs, key_err = moments[key]
                 for r, s in enumerate(sums if inner else ()):
                     Z[r] += u * s
                     Z[(r + 1) % k] -= v * s
-                if ends:
-                    Z[n % k] += u * last
-                    Z[(lo + 1) % k] -= v * first
+                if with_ends:
+                    Z[n % k] += u * xs[n - 1]
+                    Z[(lo + 1) % k] -= v * xs[lo - 1]
                 err += (abs(u) + abs(v)) * key_err
-            Y = [sum(w[q] * Z[p - q] for q in range(k)) for p in range(k)]
-            yc, ys = (sum(map(mul, Y, part)) for part in zip(*table))
-            q = den // blocks[b][3]
-            re, im = re + (cr * yc - ci * ys) * q, im + (cr * ys + ci * yc) * q
-            bound += (abs(cr) + abs(ci)) * ((sum(map(abs, w)) * err << P + 1)
-                                            + 2 * sum(map(abs, Y))) * q
-        # the block is 2^e0 re / scale, each value rounded once
-        num, scale = max(e0, 0), (den * len(w) << 2 * P) << max(-e0, 0)
-        out.append((name, mp.mpc(*(mp.make_mpf(from_rational(x << num, scale, prec, round_nearest))
-                                   for x in (re, im))),
-                    mp.make_mpf(from_rational(abs(re) + abs(im) + (bound << prec) << num,
-                                              scale << prec, prec, round_ceiling))))
+            rows.append(([sum(w[q] * Z[p - q] for q in range(k)) for p in range(k)],
+                         sum(map(abs, w)) * err, den // blocks[b][3]))
+        out.append(_round_block(name, rows, mans, e0, den, table, P))
     return out
+
+
+def _end_weights(k: int, n: int) -> list:
+    """[(name, {(p, t): c})], k times each block sum c zeta^p f(t): the head
+    (sum_{t<k} f(t) sum_{1<=p<=t} zeta^p + zeta^n sum_{t<k-1} f(n+t)
+    sum_{t<p<k} zeta^p)/k, the lower steps sum_{i<k-1} <v_{1,i}, w_{1,i}>
+    (f(i+1) - f(i)), the upper steps zeta^n sum_{1<i<k} <v_{i,k-1}, w_{i,k-1}>
+    (f(n+i-1) - f(n+i-2)), with k <v_{i,j}, w_{i,j}> = sum_{a=i..j} (a - k)
+    zeta^((i+j-a) mod k)."""
+    head, lower, upper = defaultdict(int), defaultdict(int), defaultdict(int)
+    for t in range(1, k):
+        for p in range(1, t + 1):
+            head[p, t] += 1
+        for p in range(t, k):
+            head[(p + n) % k, n + t - 1] += 1
+    for block, steps in ((lower, [(1, i, i + 1, 0) for i in range(1, k - 1)]),
+                         (upper, [(i, k - 1, n + i - 1, n) for i in range(2, k)])):
+        for i, j, t, s in steps:
+            for a in range(i, j + 1):
+                block[(i + j - a + s) % k, t] += a - k
+                block[(i + j - a + s) % k, t - 1] -= a - k
+    return [("head", head), ("lower_steps", lower), ("upper_steps", upper)]
+
+
+def _round_block(name, rows, mans, e0, den, table, P) -> tuple:
+    """(name, value, bound) of sum_terms c sum_p zeta^p Y_p d / (den q
+    2^(2P)), q the order of zeta, from a row (Y, err, d) per term, the Y_p
+    integers erring by < err units 2^-P in all, c = (x + i y) 2^e0 from
+    ``mans``: exact, each part rounded once.  The zeta^p of ``table`` err by
+    < 1.5 units, so the bound is 2^-prec (|Re| + |Im|) + sum_terms (|x| +
+    |y|) 2^e0 (2 err 2^P + 2 sum_p |Y_p|) d / (den q 2^(2P)), rounded up."""
+    prec, re, im, bound = mp.mp.prec, 0, 0, 0
+    for (Y, err, d), (cr, ci) in zip(rows, mans):
+        yc, ys = (sum(map(mul, Y, part)) for part in zip(*table))
+        re, im = re + (cr * yc - ci * ys) * d, im + (cr * ys + ci * yc) * d
+        bound += (abs(cr) + abs(ci)) * ((err << P + 1) + 2 * sum(map(abs, Y))) * d
+    num, scale = max(e0, 0), (den * len(table) << 2 * P) << max(-e0, 0)
+    return (name, mp.mpc(*(mp.make_mpf(from_rational(x << num, scale, prec, round_nearest))
+                           for x in (re, im))),
+            mp.make_mpf(from_rational(abs(re) + abs(im) + (bound << prec) << num,
+                                      scale << prec, prec, round_ceiling)))
 
 
 def _antiderivative(l: int, row: tuple, s: int) -> tuple:
@@ -1048,7 +1060,7 @@ class NestedPass:
         self.residues = self.root = self.tables = self.primes = None
 
     def _start(self, z, exps, kvec):
-        self.P = P = pass_scale(z, exps, kvec, self.top)
+        self.P = P = pass_scale(exps, kvec, self.top)
         r, q = len(z), z[0].order
         self.level_re, self.level_im = [0] * r, [0] * r
         self.residues = [0] * q, [0] * q
@@ -1100,14 +1112,14 @@ class NestedPass:
                              f"{mp.mp.prec} bits or on another input")
 
 
-def pass_scale(z, exps, kvec, top: int) -> int:
-    """The fractional bits P of a pass over (z, exps, kvec) to cutoff
-    ``top``: prec + ``_guard_bits``, rounded up to a multiple of 64."""
-    P = mp.mp.prec + _guard_bits(z, exps, kvec, top)
+def pass_scale(exps, kvec, top: int) -> int:
+    """The fractional bits P of a pass over (exps, kvec) to cutoff ``top``:
+    prec + ``_guard_bits``, rounded up to a multiple of 64."""
+    P = mp.mp.prec + _guard_bits(exps, kvec, top)
     return P + -P % 64
 
 
-def _guard_bits(z, exps, kvec, top) -> int:
+def _guard_bits(exps, kvec, top) -> int:
     """Guard bits g such that the fixed-point pass to cutoff N = top, run
     with P >= prec + g fractional bits, errs by at most 2^-(prec+8).
 

@@ -10,14 +10,15 @@ fixed-point kernel; ``fixed_point_pass`` is that kernel one n at a time
 with the same floors, the reference for its blocks: the same bits on every
 level but the outermost and in every n^-s entry.  ``point_value`` sums the
 terms of a ScaleFunction in mpmath at 100 bits above the working
-precision, the reference for its integer evaluator.  ``em_remainder`` and ``geb_blocks`` rebuild the
-engines' remainder and correction blocks interval by interval, from values
-that evaluator gives one point at a time, each unit integral the exact
-rational one of those values rounded once: run 64 bits higher, the
-reference for the engines' moment sums;
-``end_blocks`` rebuilds the engines' end-only blocks (integral and
-derivative boundary) from ``point_value`` at the two ends, the reference
-for those blocks of the moment pass;
+precision, the reference for its ``_value_at``.  ``em_remainder`` and
+``geb_blocks`` rebuild the engines' remainder and correction blocks interval
+by interval, from values ``_value_at`` gives one point at a time, each unit
+integral the exact rational one of those values rounded once: run 64 bits
+higher, the reference for the engines' moment sums;
+``end_blocks`` rebuilds the engines' end-only blocks (integral, derivative
+boundary, and the twisted engine's head and step blocks) from
+``point_value`` at the two ends, the reference for those blocks of the
+moment pass;
 ``per_term_translation`` sums each tail of the translation series in a
 pass of its own, the reference for the one-pass ``verify_translation``;
 ``series_reference`` sums its series on past the stop, the reference for
@@ -330,7 +331,7 @@ def fixed_point_pass(z, s, kvec, cutoffs, top: int):
     at index n the (re, im) of n^-s_j, from n = 1 up to ``SIEVE_CAP``."""
     z = tuple(z)
     exps = [summod._exponent(s_j) for s_j in s]
-    P = mp.mp.prec + summod._guard_bits(z, exps, kvec, top)
+    P = mp.mp.prec + summod._guard_bits(exps, kvec, top)
     P += -P % 64
     cap = summod.SIEVE_CAP
     tables = [None if isinstance(a, int) else [None, (1 << P, 0)] for a in exps]
@@ -408,7 +409,7 @@ def _mpq(q: Fraction):
 def point_value(f, t):
     """f(t), t >= 1 an mpf or int, straight from its terms with a log of its
     own at 100 bits above the working precision, and for each part (real,
-    imaginary) the bound that ``ScaleFunction._grid`` derives for its error:
+    imaginary) the bound that ``ScaleFunction._value_at`` derives for its error:
     2^-prec |part of f(t)| + 2^-(prec+8) S, S the sum of the absolute values
     of that part of the terms.  Returns (f(t), (bound of re, bound of im))."""
     prec = mp.mp.prec
@@ -508,8 +509,13 @@ def end_blocks(f, k: int, zeta: RotationNumber, n: int, m: int) -> dict:
     ``euler_maclaurin``'s integral F(n) - F(1) and derivative boundary
     sum_{j<=m} B_j/j! (f^(j-1)(n) - f^(j-1)(1)), and ``gen_euler_boole``'s
     derivative boundary <v,w> sum_{j<m} (E_{k,j}(1) f^(j)(k-1) - zeta^n
-    E_{k,j}(0) f^(j)(n))/j!, with F from ``ScaleFunction.antiderivative``,
-    f^(j) from ``differentiate`` and every value from ``point_value``."""
+    E_{k,j}(0) f^(j)(n))/j!, its head (sum_{t<k} f(t) sum_{1<=p<=t} zeta^p +
+    zeta^n sum_{t<k-1} f(n+t) sum_{t<p<k} zeta^p)/k and its lower and upper
+    steps sum_{i<k-1} <v_{1,i}, w_{1,i}> (f(i+1) - f(i)) and zeta^n
+    sum_{1<i<k} <v_{i,k-1}, w_{i,k-1}> (f(n+i-1) - f(n+i-2)), with F from
+    ``ScaleFunction.antiderivative``, f^(j) from ``differentiate``, the inner
+    products from their definition (``eulerpoly.inner_product``) and every
+    value from ``point_value``."""
     derivs = [f]
     for _ in range(m):
         derivs.append(derivs[-1].differentiate())
@@ -520,14 +526,22 @@ def end_blocks(f, k: int, zeta: RotationNumber, n: int, m: int) -> dict:
     anti = f.antiderivative()
     em = mp.fsum(_mpq(eulerpoly.bernoulli_number(j) / math.factorial(j))
                  * (at(derivs[j - 1], n) - at(derivs[j - 1], 1)) for j in range(1, m + 1))
-    zn = zeta.power_values()[n % k]
+    zp = zeta.power_values()
+    zn = zp[n % k]
     gb = mp.fsum((_mpq(eulerpoly.gen_euler_at_one(k, j)) * at(derivs[j], k - 1)
                   - zn * _mpq(eulerpoly.gen_euler_at_zero(k, j)) * at(derivs[j], n))
                  / math.factorial(j) for j in range(1, m))
+    head = (mp.fsum(at(f, t) * mp.fsum(zp[1:t + 1]) for t in range(1, k))
+            + zn * mp.fsum(at(f, n + t) * mp.fsum(zp[t + 1:]) for t in range(k - 1))) / k
+    lower = mp.fsum(eulerpoly.inner_product(k, zeta, 1, i) * (at(f, i + 1) - at(f, i))
+                    for i in range(1, k - 1))
+    upper = zn * mp.fsum(eulerpoly.inner_product(k, zeta, i, k - 1)
+                         * (at(f, n + i - 1) - at(f, n + i - 2)) for i in range(2, k))
     return {"euler_maclaurin": {"integral": at(anti, n) - at(anti, 1),
                                 "derivative_boundary": em},
             "gen_euler_boole": {"derivative_boundary": eulerpoly.inner_product(k, zeta, 1, k - 1)
-                                * gb}}
+                                * gb, "head": head, "lower_steps": lower,
+                                "upper_steps": upper}}
 
 
 def per_term_translation(z, s, M: int, N: int, tol) -> TranslationReport:

@@ -109,17 +109,16 @@ class TestEvaluate:
                                      st.sampled_from(["e", 2.5, 1000.25])),
                            min_size=1, max_size=4))
     def test_grid_meets_its_error_bound(self, terms, more, prec, points):
-        # each part errs by at most 2^-prec |part of f(t)| + 2^-(prec+8) S,
-        # S the sum of the absolute values of that part of the terms; two
-        # functions per call share the powers of t, and evaluate gives the
-        # same bits one function at a time
+        # ``_value_at`` at each point of a grid: each part errs by at most
+        # 2^-prec |part of f(t)| + 2^-(prec+8) S, S the sum of the absolute
+        # values of that part of the terms, and evaluate gives the same bits
         with mp.workprec(prec):
             functions = [ScaleFunction([(l, m, mp.mpc(re, im) * mp.mpf(10) ** d)
                                         for l, m, d, re, im in ts]) for ts in (terms, more)]
             points = [+mp.e if t == "e" else mp.mpf(t) for t in [1] + points]
-            rows = ScaleFunction._grid(functions, points)
-            for t, row in zip(points, rows):
-                for f, value in zip(functions, row):
+            for t in points:
+                for f in functions:
+                    value = f._value_at(t)
                     ref, (bound_re, bound_im) = point_value(f, t)
                     assert abs(value.real - ref.real) <= bound_re
                     assert abs(value.imag - ref.imag) <= bound_im
