@@ -1,16 +1,17 @@
 """Exact Bernoulli and generalised Euler polynomial machinery.
 
-The Bernoulli polynomials (int_x^(x+1) B_n = x^n) come from one exact
-recurrence, memoised.  The generalised Euler polynomials, the unique
+Both families are built once, as integer rows over one denominator:
+B_N(x) = sum_t b_t x^t / L, b_t = C(N, t) B_{N-t} L, L the lcm of the
+denominators of B_0..B_N.  The generalised Euler polynomials, the unique
 polynomials with
 
     (1/k) * (E_{k,n}(x) + E_{k,n}(x+1) + ... + E_{k,n}(x+k-1)) = x^n,
 
-are differences of scaled Bernoulli polynomials,
-E_{k,n}(x) = k^(n+1)/(n+1) (B_{n+1}((x+1)/k) - B_{n+1}(x/k)), whose
-average over the k shifts telescopes to x^n.  The generating series are
-test oracles.  k = 2 recovers the classical Euler polynomials.  Everything
-here is exact rational arithmetic on big integers.
+are E_{k,n}(x) = k^N/N (B_N((x+1)/k) - B_N(x/k)), N = n + 1, so [x^i]
+E_{k,n} = sum_{t>i} b_t k^(N-t) C(t, i) / (L N).  Their values at 0 and 1
+and sup bounds read the rows; a ``RationalPolynomial`` is built only on
+request.  The generating series are test oracles.  k = 2 recovers the
+classical Euler polynomials.  Everything here is exact, on big integers.
 """
 
 from __future__ import annotations
@@ -138,18 +139,22 @@ def bernoulli_number(j: int) -> Fraction:
 
 
 @lru_cache(maxsize=4096)
-def bernoulli_polynomial(j: int) -> RationalPolynomial:
-    """B_j(x), the polynomial with int_x^(x+1) B_j = x^j.  Since
-    int_x^(x+1) t^j dt = sum_{m<=j} C(j, m)/(j-m+1) x^m, that is
-    B_j = x^j - sum_{m<j} C(j, m)/(j-m+1) B_m."""
-    if j < 0:
+def _bernoulli_rows(N: int) -> tuple:
+    """(b, L), B_N(x) = sum_t b_t x^t / L: L the lcm of the denominators of
+    B_0..B_N and b_t = C(N, t) B_{N-t} L, integers."""
+    if N < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    coeffs = [Fraction(0)] * j + [Fraction(1)]
-    for m in range(j):
-        c = Fraction(math.comb(j, m), j - m + 1)
-        for i, pc in enumerate(bernoulli_polynomial(m).coeffs):
-            coeffs[i] -= c * pc
-    return RationalPolynomial(coeffs)
+    numbers = [bernoulli_number(j) for j in range(N + 1)]
+    L = math.lcm(*(b.denominator for b in numbers))
+    return tuple(math.comb(N, t) * b.numerator * (L // b.denominator)
+                 for t, b in enumerate(reversed(numbers))), L
+
+
+@lru_cache(maxsize=4096)
+def bernoulli_polynomial(j: int) -> RationalPolynomial:
+    """B_j(x), the polynomial with int_x^(x+1) B_j = x^j, off its row."""
+    row, L = _bernoulli_rows(j)
+    return RationalPolynomial([Fraction(b, L) for b in row])
 
 
 def bernoulli_sup_bound(j: int) -> Fraction:
@@ -157,7 +162,7 @@ def bernoulli_sup_bound(j: int) -> Fraction:
     the Fourier bound 2 zeta(j) j!/(2 pi)^j with pi > 3.1415926 and
     zeta(j) <= 1 + 2^-j + int_2^inf x^-j dx = 1 + 2^-j (j + 1)/(j - 1)."""
     if j < 2:
-        return Fraction(1, bernoulli_polynomial(j).degree + 1)
+        return Fraction(1, len(_bernoulli_rows(j)[0]))
     two_pi = Fraction(62831852, 10 ** 7)
     return 2 * (1 + Fraction(j + 1, (j - 1) << j)) * math.factorial(j) / two_pi ** j
 
@@ -170,42 +175,47 @@ def power_sum(k: int, d: int) -> int:
     return sum(j ** d for j in range(1, k))
 
 
-def _gen_euler_parts(k: int, n: int) -> tuple:
-    """B_{n+1} and k^(n+1)/(n+1), after checking k >= 2 and n >= 0."""
+@lru_cache(maxsize=4096)
+def _euler_rows(k: int, n: int) -> tuple:
+    """(e, D), E_{k,n}(x) = sum_i e_i x^i / D, from B_N's row (b, L), N = n + 1:
+    e_i = sum_{t>i} b_t k^(N-t) C(t, i), D = L N; k >= 2 and n >= 0."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if n < 0:
         raise ValueError("polynomial index must be >= 0")
-    return bernoulli_polynomial(n + 1), Fraction(k ** (n + 1), n + 1)
+    (b, L), N = _bernoulli_rows(n + 1), n + 1
+    return tuple(sum(b[t] * k ** (N - t) * math.comb(t, i) for t in range(i + 1, N + 1))
+                 for i in range(N)), L * N
 
 
 @lru_cache(maxsize=4096)
 def gen_euler_polynomial(k: int, n: int) -> RationalPolynomial:
-    """E_{k,n}(x) = k^(n+1)/(n+1) (B_{n+1}((x+1)/k) - B_{n+1}(x/k))."""
-    b, scale = _gen_euler_parts(k, n)
-    a = Fraction(1, k)
-    return (b.compose_affine(a, a) - b.compose_affine(a, 0)) * scale
+    """E_{k,n}(x) = k^(n+1)/(n+1) (B_{n+1}((x+1)/k) - B_{n+1}(x/k)), off its row."""
+    row, D = _euler_rows(k, n)
+    return RationalPolynomial([Fraction(e, D) for e in row])
 
 
 @lru_cache(maxsize=4096)
 def gen_euler_at_zero(k: int, n: int) -> Fraction:
-    """E_{k,n}(0) = k^(n+1)/(n+1) (B_{n+1}(1/k) - B_{n+1}(0)), by Horner."""
-    b, scale = _gen_euler_parts(k, n)
-    return scale * (b(Fraction(1, k)) - b.coeff(0))
+    """E_{k,n}(0), the row's constant entry."""
+    row, D = _euler_rows(k, n)
+    return Fraction(row[0], D)
 
 
 @lru_cache(maxsize=4096)
 def gen_euler_at_one(k: int, n: int) -> Fraction:
-    """E_{k,n}(1) = k^(n+1)/(n+1) (B_{n+1}(2/k) - B_{n+1}(1/k)), by Horner."""
-    b, scale = _gen_euler_parts(k, n)
-    return scale * (b(Fraction(2, k)) - b(Fraction(1, k)))
+    """E_{k,n}(1), the row's sum."""
+    row, D = _euler_rows(k, n)
+    return Fraction(sum(row), D)
 
 
 @lru_cache(maxsize=4096)
 def sup_bound(k: int, n: int) -> Fraction:
-    """An upper bound for max |E_{k,n}(x)| on [0, 1]: its coefficient sum or,
-    as (x + 1)/k and x/k lie in [0, 1], 2 k^(n+1)/(n+1) sup|B_{n+1}|."""
-    return min(gen_euler_polynomial(k, n).coeff_abs_sum(),
+    """An upper bound for max |E_{k,n}(x)| on [0, 1]: its row's absolute sum
+    over D or, as (x + 1)/k and x/k lie in [0, 1], 2 k^(n+1)/(n+1)
+    sup|B_{n+1}|."""
+    row, D = _euler_rows(k, n)
+    return min(Fraction(sum(map(abs, row)), D),
                2 * Fraction(k ** (n + 1), n + 1) * bernoulli_sup_bound(n + 1))
 
 

@@ -318,19 +318,28 @@ def _round_block(name, rows, mans, e0, den, table, P) -> tuple:
     """(name, value, bound) of sum_terms c sum_p zeta^p Y_p d / (den q
     2^(2P)), q the order of zeta, from a row (Y, err, d) per term, the Y_p
     integers erring by < err units 2^-P in all, c = (x + i y) 2^e0 from
-    ``mans``: exact, each part rounded once.  The zeta^p of ``table`` err by
-    < 1.5 units, so the bound is 2^-prec (|Re| + |Im|) + sum_terms (|x| +
-    |y|) 2^e0 (2 err 2^P + 2 sum_p |Y_p|) d / (den q 2^(2P)), rounded up."""
-    prec, re, im, bound = mp.mp.prec, 0, 0, 0
+    ``mans``: exact, each part rounded once by one division by den q
+    (``_quotient``).  The zeta^p of ``table`` err by < 1.5 units, so the
+    bound is 2^-prec (|Re| + |Im|) + sum_terms (|x| + |y|) 2^e0 (2 err 2^P +
+    2 sum_p |Y_p|) d / (den q 2^(2P)), rounded up."""
+    prec, re, im, bound, parts = mp.mp.prec, 0, 0, 0, list(zip(*table))
     for (Y, err, d), (cr, ci) in zip(rows, mans):
-        yc, ys = (sum(map(mul, Y, part)) for part in zip(*table))
+        yc, ys = (sum(map(mul, Y, part)) for part in parts)
         re, im = re + (cr * yc - ci * ys) * d, im + (cr * ys + ci * yc) * d
         bound += (abs(cr) + abs(ci)) * ((err << P + 1) + 2 * sum(map(abs, Y))) * d
-    num, scale = max(e0, 0), (den * len(table) << 2 * P) << max(-e0, 0)
-    return (name, mp.mpc(*(mp.make_mpf(from_rational(x << num, scale, prec, round_nearest))
-                           for x in (re, im))),
-            mp.make_mpf(from_rational(abs(re) + abs(im) + (bound << prec) << num,
-                                      scale << prec, prec, round_ceiling)))
+    q, e = den * len(table), e0 - 2 * P
+    value = [mp.make_mpf(_quotient(x, q, e, prec, round_nearest)) for x in (re, im)]
+    return (name, mp.mpc(*value), mp.make_mpf(_quotient(abs(re) + abs(im) + (bound << prec),
+                                                         q, e - prec, prec, round_ceiling)))
+
+
+def _quotient(x: int, d: int, e: int, prec: int, rnd) -> tuple:
+    """x 2^e / d, d > 0, rounded to prec bits as ``from_rational`` rounds it:
+    one divmod to a quotient of at least prec + 2 bits, then a sticky bit,
+    set when the remainder is not 0."""
+    s = max(prec + 2 + d.bit_length() - abs(x).bit_length(), 0)
+    q, r = divmod(abs(x) << s, d)
+    return from_man_exp((q << 1 | bool(r)) * (-1 if x < 0 else 1), e - s - 1, prec, rnd)
 
 
 def _antiderivative(l: int, row: tuple, s: int) -> tuple:
@@ -381,22 +390,26 @@ def _engine_table(m: int, k: int) -> tuple:
     fac Q(a (x - t) + c), fac = (-1)^(m+1)/m! (k = 1) or 1/(m-1)!, as
     integers over dc; the end weights (j, e0_j, e1_j) of f^(j) over de:
     B_(j+1)/(j+1)! twice, j < m, at k = 1, -E_{k,j}(0)/j! and -E_{k,j}(1)/j!,
-    1 <= j < m, at k >= 2 (e1 = -e0 at k = 2)."""
-    poly, a, fac, shifts = ((eulerpoly.bernoulli_polynomial(m), 1,
-                             Fraction((-1) ** (m + 1), math.factorial(m)), (1, 0)) if k == 1 else
-                            (eulerpoly.gen_euler_polynomial(k, m - 1), -1,
-                             Fraction(1, math.factorial(m - 1)), (0, 1)))
-    shifted = [[[fac * p * a ** (e + q) * math.comb(e + q, e) * (-1) ** q
+    1 <= j < m, at k >= 2 (e1 = -e0 at k = 2).  Q is B_m's or E_{k,m-1}'s
+    integer row over den (``eulerpoly``), Q(x + c)_j = sum_{i>=j} C(i, j)
+    c^(i-j) Q_i, all on integers; dc is the lcm of the reduced denominators."""
+    (row, den), a, sign, fac, shifts = (
+        (eulerpoly._bernoulli_rows(m), 1, (-1) ** (m + 1), math.factorial(m), (1, 0)) if k == 1
+        else (eulerpoly._euler_rows(k, m - 1), -1, 1, math.factorial(m - 1), (0, 1)))
+    den *= fac
+    shifted = [[[sign * p * a ** (e + q) * math.comb(e + q, e) * (-1) ** q
                  for q, p in enumerate(coeffs[e:])] for e in range(len(coeffs))]
-               for coeffs in ((poly.compose_affine(1, c) if c else poly).coeffs for c in shifts)]
-    dc = math.lcm(*(x.denominator for table in shifted for row in table for x in row))
+               for coeffs in ([sum(math.comb(i, j) * c ** (i - j) * row[i]
+                                   for i in range(j, len(row))) for j in range(len(row))]
+                              for c in shifts)]
+    dc = math.lcm(*(den // math.gcd(x, den) for table in shifted for row in table for x in row))
     ends = ([(j, *[eulerpoly.bernoulli_number(j + 1) / math.factorial(j + 1)] * 2)
              for j in range(m)] if k == 1 else
             [(j, *(-Fraction(g(k, j)) / math.factorial(j)
                    for g in (eulerpoly.gen_euler_at_zero, eulerpoly.gen_euler_at_one)))
              for j in range(1, m)])
     de = math.lcm(*(x.denominator for _, *row in ends for x in row))
-    return ([[[int(x * dc) for x in row] for row in table] for table in shifted],
+    return ([[[x * dc // den for x in row] for row in table] for table in shifted],
             tuple((j, int(e0 * de), int(e1 * de)) for j, e0, e1 in ends), de, dc)
 
 
@@ -499,8 +512,9 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 # W), ``_log_at`` 34 (n, W), ``_fixed_power_table`` 80 (xi, P) and
 # ``_log_table`` 4 P, each table of 1,001 or 2,001 entries (a table stops at
 # SIEVE_CAP + 1), with room to spare; two rounds of ``direct`` (seed 5) reach 35
-# (l, mu, m, k) of ``_moment_weights``, 14 (m, k) of ``_engine_table`` and 9
-# (k, n) of ``eulerpoly.sup_bound``
+# (l, mu, m, k) of ``_moment_weights``, 14 (m, k) of ``_engine_table``, 9
+# (k, n) of ``eulerpoly.sup_bound`` and, under these, 5 N of
+# ``eulerpoly._bernoulli_rows`` and 17 (k, n) of ``eulerpoly._euler_rows``
 @lru_cache(maxsize=4096)
 def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     """n-dependent part of sum_{a<n} xi^a (log a)^l a^(-m), every xi, as

@@ -37,6 +37,10 @@ of ``summation._nparts_at``.
 ``mp_matching`` is the constant matcher in mpmath numbers, the reference
 for the integer ``summation.run_matching``.  ``domain_member`` tests one
 domain from its definition, the reference for the one-pass domain flags.
+``engine_table_fractions`` builds an engine's table from the
+``RationalPolynomial``s with ``Fraction`` arithmetic, composing the shift
+by ``compose_affine``, the reference for the integer rows of
+``summation._engine_table``.
 ``primitive_roots`` is the shared Hypothesis strategy for roots of unity of
 high order.
 """
@@ -404,6 +408,29 @@ def fixed_point_pass(z, s, kvec, cutoffs, top: int):
 
 def _mpq(q: Fraction):
     return mp.make_mpf(from_rational(q.numerator, q.denominator, mp.mp.prec, round_nearest))
+
+
+def engine_table_fractions(m: int, k: int) -> tuple:
+    """``summation._engine_table(m, k)`` from the polynomials as
+    ``RationalPolynomial``s: each x^e t^q coefficient of fac Q(a (x - t) + c)
+    a ``Fraction``, Q(x + c) from ``compose_affine``, then put over the lcm
+    of the denominators."""
+    poly, a, fac, shifts = ((eulerpoly.bernoulli_polynomial(m), 1,
+                             Fraction((-1) ** (m + 1), math.factorial(m)), (1, 0)) if k == 1 else
+                            (eulerpoly.gen_euler_polynomial(k, m - 1), -1,
+                             Fraction(1, math.factorial(m - 1)), (0, 1)))
+    shifted = [[[fac * p * a ** (e + q) * math.comb(e + q, e) * (-1) ** q
+                 for q, p in enumerate(coeffs[e:])] for e in range(len(coeffs))]
+               for coeffs in ((poly.compose_affine(1, c) if c else poly).coeffs for c in shifts)]
+    dc = math.lcm(*(x.denominator for table in shifted for row in table for x in row))
+    ends = ([(j, *[eulerpoly.bernoulli_number(j + 1) / math.factorial(j + 1)] * 2)
+             for j in range(m)] if k == 1 else
+            [(j, *(-Fraction(g(k, j)) / math.factorial(j)
+                   for g in (eulerpoly.gen_euler_at_zero, eulerpoly.gen_euler_at_one)))
+             for j in range(1, m)])
+    de = math.lcm(*(x.denominator for _, *row in ends for x in row))
+    return ([[[int(x * dc) for x in row] for row in table] for table in shifted],
+            tuple((j, int(e0 * de), int(e1 * de)) for j, e0, e1 in ends), de, dc)
 
 
 def point_value(f, t):

@@ -1,7 +1,7 @@
 """Exact polynomial machinery, checked against generating-series oracles.
 
 The oracles invert the generating series directly with Fraction power-series
-arithmetic, independent of the averaging recurrence used by the library.
+arithmetic, independent of the integer coefficient rows used by the library.
 """
 
 import math
@@ -12,6 +12,8 @@ import pytest
 
 from mplreg.eulerpoly import (
     RationalPolynomial,
+    _bernoulli_rows,
+    _euler_rows,
     bernoulli_number,
     bernoulli_polynomial,
     bernoulli_sup_bound,
@@ -81,10 +83,14 @@ class TestBernoulli:
             assert bernoulli_number(j) == bernoulli_poly_oracle(j).coeff(0)
 
     def test_recurrence_matches_the_polynomials(self):
-        # the number recurrence, cold, against B_j(0) of the polynomials
+        # the number recurrence, cold, against B_j = j! [t^j] t/(e^t - 1),
+        # the generating series the polynomials' oracle inverts (the
+        # polynomials themselves are built from these numbers)
         bernoulli_number.cache_clear()
+        rec = series_reciprocal([Fraction(1, math.factorial(i + 1)) for i in range(61)], 60)
         for j in range(61):
-            assert bernoulli_number(j) == bernoulli_polynomial(j).coeff(0)
+            assert bernoulli_number(j) == math.factorial(j) * rec[j]
+            assert bernoulli_polynomial(j).coeff(0) == bernoulli_number(j)
 
     def test_polynomials(self):
         assert bernoulli_polynomial(0) == RationalPolynomial([1])
@@ -156,6 +162,30 @@ class TestGenEuler:
     def test_power_sum_convention(self):
         assert power_sum(4, 0) == 4
         assert power_sum(3, 2) == 5
+
+
+class TestRows:
+    def test_bernoulli_rows_against_generating_series(self):
+        # B_N for N <= 31, the rows behind E_{k,n} for n <= 30
+        for N in range(32):
+            row, L = _bernoulli_rows(N)
+            assert L == math.lcm(*(bernoulli_number(j).denominator for j in range(N + 1)))
+            assert [Fraction(b, L) for b in row] == list(bernoulli_poly_oracle(N).coeffs)
+
+    def test_euler_rows_against_generating_series(self):
+        # E_{k,n} for k <= 12 and n <= 30, each over the one denominator L (n + 1)
+        for k in range(2, 13):
+            for n in range(31):
+                row, D = _euler_rows(k, n)
+                assert D == _bernoulli_rows(n + 1)[1] * (n + 1)
+                assert [Fraction(e, D) for e in row] == list(gen_euler_oracle(k, n).coeffs)
+
+    def test_rows_validate_their_indices(self):
+        for args in ((1, 2), (3, -1)):
+            with pytest.raises(ValueError):
+                _euler_rows(*args)
+        with pytest.raises(ValueError):
+            _bernoulli_rows(-1)
 
 
 class TestSupBound:

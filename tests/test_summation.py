@@ -4,9 +4,10 @@ import math
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
-from mpmath.libmp import log_int_fixed
+from mpmath.libmp import from_rational, log_int_fixed, round_ceiling, round_nearest
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,15 +20,18 @@ from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber, ZVector
 from mplreg.scalefun import ScaleFunction
 import mplreg.summation as summod
 from mplreg.summation import (
+    _quotient,
     euler_maclaurin,
     gen_euler_boole,
     nested_sums,
     term_sum_expansion,
 )
 
-from oracles import (_mpmath_pass, em_remainder, end_blocks, fixed_point_pass, geb_blocks,
-                     geometric_closed_form, geometric_coeffs, geometric_tail_coeffs, mp_matching,
-                     nparts_chain, point_value, primitive_roots)
+from oracles import (_mpmath_pass, em_remainder, end_blocks, engine_table_fractions,
+                     fixed_point_pass, geb_blocks, geometric_closed_form, geometric_coeffs,
+                     geometric_tail_coeffs, mp_matching, nparts_chain, point_value,
+                     primitive_roots)
+from test_eulerpoly import gen_euler_oracle
 
 
 def feval(f: ScaleFunction, a: int):
@@ -247,6 +251,41 @@ class TestEngineTables:
         for zeta in (MINUS_ONE, RotationNumber(1, 3), RotationNumber(3, 5), RotationNumber(5, 12)):
             assert gen_euler_boole(f, zeta.order, zeta, 30, 4).remainder_estimate < mp.inf
 
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 9), k=st.integers(1, 12), l=st.integers(0, 3), mu=st.integers(-1, 4))
+    def test_tables_equal_their_fraction_references(self, m, k, l, mu):
+        # the integer rows give the table, its moment weights and the sup
+        # bound that Fractions and compose_affine give, bit for bit
+        want = engine_table_fractions(m, k)
+        assert summod._engine_table(m, k) == want
+        weights = summod._moment_weights(l, mu, m, k)
+        with mock.patch.object(summod, "_engine_table", lambda *args: want):
+            assert weights == summod._moment_weights.__wrapped__(l, mu, m, k)
+        if k > 1:
+            n = m - 1
+            assert eulerpoly.sup_bound(k, n) == min(
+                gen_euler_oracle(k, n).coeff_abs_sum(),
+                2 * Fraction(k ** (n + 1), n + 1) * eulerpoly.bernoulli_sup_bound(n + 1))
+
+    def test_cold_engines_build_no_polynomial(self, monkeypatch):
+        """From cleared memos both engines run on the integer rows alone:
+        neither builds a ``RationalPolynomial``."""
+        def refuse(*args):
+            raise AssertionError("the engines read the integer rows, not a RationalPolynomial")
+
+        for memo in (summod._engine_table, summod._moment_weights, eulerpoly._bernoulli_rows,
+                     eulerpoly._euler_rows, eulerpoly.bernoulli_number,
+                     eulerpoly.bernoulli_polynomial, eulerpoly.gen_euler_polynomial,
+                     eulerpoly.gen_euler_at_zero, eulerpoly.gen_euler_at_one,
+                     eulerpoly.sup_bound):
+            memo.cache_clear()
+        monkeypatch.setattr(eulerpoly.RationalPolynomial, "__init__", refuse)
+        f = ScaleFunction([(1, 2, 1), (0, -1, mp.mpc(0.5, -1)), (2, 0, 0.25)])
+        for m in (1, 4, 7):
+            assert mp.isfinite(euler_maclaurin(f, 30, m).total)
+            for k in range(2, 13):
+                assert mp.isfinite(gen_euler_boole(f, k, RotationNumber(1, k), 30, m).total)
+
 
 class TestEngineEstimates:
     """Both engines against brute sums at 100 more bits, in verify's ranges
@@ -462,6 +501,28 @@ class TestTwistedTail:
                          summod.eval_tail(tail, N) - summod.eval_tail(dropped, N))):
                     slack = ref.residual_bound + summod._rounding_slack(N, [total, approx])
                     assert abs(total - approx - c_ref) <= bound + slack, N
+
+
+# an integer of 0 to 3,000 bits, of either sign, and a divisor of exactly 1 to
+# 2,000 bits
+numerators = st.integers(0, 3000).flatmap(lambda b: st.integers(-(1 << b), 1 << b))
+divisors = st.integers(1, 2000).flatmap(lambda b: st.integers(1 << b - 1, (1 << b) - 1))
+
+
+class TestQuotient:
+    """``_round_block``'s one-division rounding gives the tuple that
+    ``from_rational`` gives, ties and exact quotients included."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(x=3 * ((1 << 53) + 1), d=3, e=0, prec=53, rnd=round_nearest)
+    @example(x=3 * ((1 << 53) + 1) + 1, d=3, e=0, prec=53, rnd=round_nearest)
+    @example(x=-3 * ((1 << 53) + 1) - 1, d=3, e=-7, prec=53, rnd=round_ceiling)
+    @example(x=0, d=5, e=3, prec=128, rnd=round_ceiling)
+    @given(x=numerators, d=divisors, e=st.integers(-300, 300), prec=st.integers(53, 1024),
+           rnd=st.sampled_from([round_nearest, round_ceiling]))
+    def test_equals_from_rational(self, x, d, e, prec, rnd):
+        num, den = (x << e, d) if e >= 0 else (x, d << -e)
+        assert _quotient(x, d, e, prec, rnd) == from_rational(num, den, prec, rnd)
 
 
 class TestMpq:
