@@ -411,16 +411,20 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
 
     Depth 1 uses the plain identity in s_1; higher depth uses the combined
     form with the shift delta_1.  One kernel pass at (shift, s_2, ...), read
-    at every cutoff N..M, gives the terms w(n) = t_{n+1} - t_n: the tail at
-    shift + k is T_k = sum_{N<=n<M} w(n) n^-k, the (z_1 - 1) tail
-    sum w(n) n; at depth >= 2 the two heads at N and M - 1 are the suffix
-    sums of its level 1 there.  The merged tail takes one more pass, so a
-    call makes at most 2 passes, 1 at depth 1.
+    at every cutoff N..M, gives all of it: the terms w(n) = t_{n+1} - t_n,
+    the tail at shift + k T_k = sum_{N<=n<M} w(n) n^-k, the (z_1 - 1) tail
+    sum w(n) n, and with g(n) = z_1^(n+1) n^(1-shift) and S_2 its level 1
+    (1 at depth 1) the heads g(N-1) S_2(N) - g(M-1) S_2(M-1) and the merged
+    tail z_1 sum_{N<=n<M-1} (z_1 z_2)^n n^(1-shift-s_2) S_3(n) = sum g(n)
+    (S_2(n+1) - S_2(n)), by parts sum_{N<=n<M} (g(n-1) - g(n)) S_2(n).
 
-    All on the passes' integers at 2^P (``NestedPass.raw_sum``).  The left
-    side, the heads (z_1^n off ``_char_pair``, m^(1-shift) = m m^-shift off
-    the pass's table, ``NestedPass.power``), the merged tail and (z_1 - 1)
-    sum w(n) n, is one exact sum at 2^(3P) rounded once.  The series
+    On the pass's integers at 2^P (z_1^(n+1) off its root table, n^-shift
+    off ``NestedPass.power``), the left side is one exact sum at 2^(3P)
+    rounded once.  By parts the errors B_1 u of S_2 (level 1's bound, N M_0
+    B_1 < B, B u the pass's at its precision prec', ``_guard_bits``) move it
+    by < 2M B u and those of g by < B u, so at depth >= 2 the pass runs at
+    prec' = prec + bit_length(2M + 1) and the sum errs by < 2^-(prec+8).
+    The series
     sum_k (shift - 1)_(k+1)/(k+1)! T_k floors the terms, E bits up, over n
     per step (< 1/(1 - 1/N) units 2^-(P+E) per part); its coefficients are
     Gaussian integers at 2^C, C = P + E + 8, stepped from the exact shift -
@@ -452,26 +456,21 @@ def verify_translation(z, s, M: int, N: int, tol=None) -> TranslationReport:
         raise ValueError("need M > N >= 2")
 
     shift = svals[0] + (_delta(entries[0]) if r > 1 else 0)
-    kernel = NestedPass(M)
-    _nested_sums(entries, [shift] + svals[1:], range(N, M + 1), kernel)
-    z1, P = _char_pair(entries[0], kernel.P), kernel.P
-    lx = ly = 0  # the heads z_1^n m^(1-shift) t_h of (z_2.., s_2..)
-    for sign, n, m, h in ((1, N, N - 1, N), (-1, M, M - 1, M - 1)):
-        x, y = _times(_char_pair(entries[0] ** n, P), kernel.power(m))
-        x, y = _times((x * m, y * m), kernel.raw_sum(h, 1)[:2] if r > 1 else (1 << P, 0))
-        lx, ly = lx + sign * x, ly + sign * y
-    if r > 1:
-        merged = NestedPass(M - 1)
-        _nested_sums([entries[0] * entries[1]] + entries[2:], [shift + svals[1] - 1] + svals[2:],
-                     (N, M - 1), merged)
-        (x1, y1, Pm), (x0, y0, _) = merged.raw_sum(M - 1), merged.raw_sum(N)
-        x, y = _times(z1, (x1 - x0, y1 - y0))
-        lx, ly = lx + _shift(x, 2 * P - Pm), ly + _shift(y, 2 * P - Pm)
+    with mp.workprec(mp.mp.prec + ((2 * M + 1).bit_length() if r > 1 else 0)):
+        kernel = NestedPass(M)
+        _nested_sums(entries, [shift] + svals[1:], range(N, M + 1), kernel)
+    (cos, sin), q, P = kernel.root, entries[0].order, kernel.P
+    g = [_times((cos[(n + 1) % q] * n, sin[(n + 1) % q] * n), kernel.power(n))
+         for n in range(N - 1, M)]
+    lx = ly = 0
+    for n, (x0, y0), (x1, y1) in zip(range(N, M), g, g[1:]):
+        x, y = _times((x0 - x1, y0 - y1), kernel.raw_sum(n, 1)[:2] if r > 1 else (1 << P, 0))
+        lx, ly = lx + x, ly + y
     # w(n) n^-k, k = 0: the exact differences of the pass's sums
     raw = [kernel.raw_sum(n) for n in range(N, M + 1)]
     terms = [(x1 - x0, y1 - y0) for (x0, y0, _), (x1, y1, _) in zip(raw, raw[1:])]
-    x, y = _times((z1[0] - (1 << P), z1[1]), (sum(x * n for n, (x, _) in enumerate(terms, N)),
-                                            sum(y * n for n, (_, y) in enumerate(terms, N))))
+    wn = [sum(n * w[i] for n, w in enumerate(terms, N)) for i in (0, 1)]  # sum w(n) n
+    x, y = _times((cos[1 % q] - (1 << P), sin[1 % q]), wn)
     lhs = _scaled_mpc(lx + (x << P), ly + (y << P), 3 * P)
 
     Z, (a, b, F) = mp.mp.prec + 64, _dyadic(shift - 1)

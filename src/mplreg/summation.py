@@ -57,16 +57,17 @@ one table per P on integers (a prime's entry that of p - 1 plus one atanh
 series, a composite's the exact sum of two stored ones), integral exponents
 from exact division or multiplication, and non-integral ones from a table
 of n^-s built multiplicatively: a prime is exp(-s log p) in integer fixed point
-(Brent & Zimmermann, "Modern Computer Arithmetic", ch. 4), a composite one
-fixed-point product of stored values, and past ``SIEVE_CAP`` stored values a
-term divides out stored primes until its cofactor is stored.  For every
-input each t_N errs by at most 2^-(prec+8) before its final rounding,
+(Brent & Zimmermann, "Modern Computer Arithmetic", ch. 4) memoised, a
+composite one fixed-point product of stored values, and past ``SIEVE_CAP``
+stored values a term divides out primes until its cofactor is stored.  For
+every input each t_N errs by at most 2^-(prec+8) before its final rounding,
 made only when t_N is read.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from collections import UserDict, defaultdict
@@ -240,9 +241,10 @@ def _moment_blocks(f: ScaleFunction, k: int, zeta: RotationNumber, n: int, m: in
     < 3l lb^(l-1) u (``_log_powers``), relatively by < 3l lb^(l-1) 1.45^l u
     for t >= 2 (log 1 = 0 is exact), and a floor of t^-nu, nu > 0, adds < 1 u,
     so the sums of a key over the N = top points, and any of its values, err
-    by < E_key = 6l lb^l 2^l (sum X + N) u + N + 1 units u.  The Y_p so err
-    in all by < sum|w| sum_key (|u| + |v|) E_key, or by < sum|c| E_key for
-    a head or step block, and the bound is ``_round_block``'s."""
+    by < E_key = 6l lb^l 2^l (sum X + N) u + N + 1 units u, 0 if X(t) = t^-nu
+    2^P is exact (l = 0, nu <= 0).  The Y_p so err in all by < sum|w|
+    sum_key (|u| + |v|) E_key, or by < sum|c| E_key for a head or step
+    block, and the bound is ``_round_block``'s."""
     prec, lo, top = mp.mp.prec, max(1, k - 1), n + max(0, k - 2)
     ns, plans = range(1, top + 1), [(c, _moment_weights(l, mu, m, k)) for l, mu, c in f.terms()]
     keys = {key for _, blocks in plans for block in blocks for key in block[0]}
@@ -255,8 +257,8 @@ def _moment_blocks(f: ScaleFunction, k: int, zeta: RotationNumber, n: int, m: in
     lp[0], moments = [1 << P] * N, {}
     for l, nu in keys:
         xs = _weigh(lp[l], [], 0, nu, None, lp, ns, P)[0]
-        moments[l, nu] = ([sum(xs[lo + (r - lo - 1) % k:n - 1:k]) for r in range(k)], xs,
-                          (6 * l * lb ** l * 2 ** l * (sum(xs) + N) >> P) + N + 1)
+        err = (6 * l * lb ** l * 2 ** l * (sum(xs) + N) >> P) + N + 1 if l or nu > 0 else 0
+        moments[l, nu] = ([sum(xs[lo + (r - lo - 1) % k:n - 1:k]) for r in range(k)], xs, err)
     table, w = _fixed_power_table(zeta, P), [1] if k == 1 else [-p for p in range(k)]
     # f's coefficients as integers times 2^e0, one e0 for all, so that each
     # block sums unreduced numerators over one denominator
@@ -514,7 +516,8 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 # SIEVE_CAP + 1), with room to spare; two rounds of ``direct`` (seed 5) reach 35
 # (l, mu, m, k) of ``_moment_weights``, 14 (m, k) of ``_engine_table``, 9
 # (k, n) of ``eulerpoly.sup_bound`` and, under these, 5 N of
-# ``eulerpoly._bernoulli_rows`` and 17 (k, n) of ``eulerpoly._euler_rows``
+# ``eulerpoly._bernoulli_rows``, 17 (k, n) of ``eulerpoly._euler_rows`` and
+# (seed 1) 606 (f, fixed, P) of ``_power_entry``, 1,116 calls unmemoised
 @lru_cache(maxsize=4096)
 def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     """n-dependent part of sum_{a<n} xi^a (log a)^l a^(-m), every xi, as
@@ -685,7 +688,7 @@ def _log_at(n: int, W: int) -> int:
     not hold n, which grows no table; past ``SIEVE_CAP``, ``log_int_fixed``."""
     if n > SIEVE_CAP:
         return log_int_fixed(n, W)
-    return _log_sum(n, _log_table(W)[0], W + 64) >> 64
+    return _log_sum(n, _log_table(W), W + 64) >> 64
 
 
 def _log_sum(n: int, logs: list, wp: int) -> int:
@@ -757,12 +760,13 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
       multiply by n^|a| (a <= 0);
     * n^-s, s not integral, from a table of scaled complex pairs kept on the
       pass state and grown block by block to the cutoff reached.  A prime's
-      entry is exp(-s log p) in integer fixed point, floored once
-      (``_power_entry``); a composite n = p m, p its smallest prime factor,
-      is one fixed-point product of stored entries, each stored as it is
-      made.  The table stores at most ``SIEVE_CAP`` values; past them n
-      splits into stored primes and a cofactor that is stored or, when none
-      of them splits it, computed like a prime (``_split``).
+      entry is exp(-s log p) in integer fixed point, floored once and
+      memoised (``_power_entry``); a composite n = p m, p its smallest
+      prime factor (``_split``), is one fixed-point product of stored
+      entries, each stored as it is made.  The table stores at most
+      ``SIEVE_CAP`` values; past them n splits into primes and a cofactor
+      that is stored or, when no prime up to the cap splits it, computed
+      like a prime.
 
     No level reads level 0, so with z_1 of order q, level 0 keeps q sums R_c
     instead, one per residue class c of n mod q, and adds each term without
@@ -921,7 +925,7 @@ def _table_block(state, ns) -> list:
         return tables
     P, cap = state.P, SIEVE_CAP
     stored = len(next(filter(None, tables))[1])
-    factors = [_split(n, state.primes, cap) if n >= stored else None for n in ns]
+    factors = [_split(n) if n >= stored else None for n in ns]
     out = []
     for table in tables:
         if table is None:
@@ -954,10 +958,9 @@ BLOCK_CAP = 1024
 
 
 @lru_cache(maxsize=4096)
-def _log_table(P: int) -> tuple:
-    """The memo of ``_logs``: [floor(log n 2^(P+64))] from n = 0 (a 0 there)
-    and the primes below its length."""
-    return [0, 0], []
+def _log_table(P: int) -> list:
+    """The memo of ``_logs``: [floor(log n 2^(P+64))] from n = 0 (a 0 there)."""
+    return [0, 0]
 
 
 def _logs(P: int, top: int) -> list:
@@ -969,9 +972,9 @@ def _logs(P: int, top: int) -> list:
     1975): steps(p) = 1 + steps(p - 1) and steps(ab) = steps(a) + steps(b)
     give steps(n) <= 2 log2 n - Omega(n) (p - 1 has two prime factors for
     p >= 5), so it errs by < (2 log2 n - 1) delta units."""
-    logs, primes = _log_table(P)
+    logs = _log_table(P)
     for n in range(len(logs), min(top, SIEVE_CAP) + 1):
-        f = _split(n, primes, SIEVE_CAP)
+        f = _split(n)
         logs.append(logs[f[0]] + logs[f[1]] if len(f) > 1 else logs[n - 1] + _log_step(n, P + 64))
     return logs
 
@@ -990,13 +993,27 @@ def _log_step(p: int, wp: int) -> int:
     return total >> g
 
 
-def _split(n: int, primes: list, cap: int) -> list:
-    """n > 1 as factors whose product is n, every one but the last a stored
-    prime; ``primes`` lists the primes up to min(n - 1, cap) and gains n when
-    n <= cap is prime.  Up to the cap: [p, n/p], p the smallest prime factor,
-    or [n] for a prime.  Past it, the smallest stored primes come out until
-    the cofactor is stored (<= cap); a cofactor left past the cap is a prime
-    or has no stored prime factor."""
+@lru_cache(maxsize=4096)
+def _factor_table() -> tuple:
+    """The memo of ``_split``: smallest prime factors from n = 0, and the primes."""
+    return array("i", [0, 1]), []
+
+
+def _split(n: int) -> list:
+    """n > 1 as factors of product n, all but the last primes <= the cap.  Up
+    to ``SIEVE_CAP``: [p, n/p], p the smallest prime factor, or [n], off
+    ``_factor_table``, sieved afresh to twice its length (n at least, the
+    cap at most) when n or the cap is past it.  Past the cap, the smallest
+    primes come out until the cofactor is <= cap or has no factor <= cap."""
+    cap, (spf, primes) = SIEVE_CAP, _factor_table()
+    if not min(n, cap) < len(spf) <= cap + 1:
+        size = min(cap, max(n, 2 * len(spf))) + 1
+        spf[:] = array("i", range(size))
+        for d in range(math.isqrt(size - 1), 1, -1):  # the smallest divisor written last
+            spf[d * d::d] = array("i", [d]) * len(range(d * d, size, d))
+        primes[:] = [p for p in range(2, size) if spf[p] == p]
+    if n <= cap:
+        return [n] if spf[n] == n else [spf[n], n // spf[n]]
     m, out = n, []
     for p in primes:
         if p * p > m:
@@ -1004,10 +1021,8 @@ def _split(n: int, primes: list, cap: int) -> list:
         while m % p == 0:
             out.append(p)
             m //= p
-            if n <= cap or m <= cap:
+            if m <= cap:
                 return out + [m]
-    if n <= cap:
-        primes.append(n)
     return out + [m]
 
 
@@ -1018,7 +1033,8 @@ def _sieve_entry(table: tuple, factors: list, P: int) -> tuple:
     x = None
     for f in factors:
         u, v = (X[f], Y[f]) if f < len(X) else _power_entry(f, fixed, P)
-        x, y = (u, v) if x is None else ((x * u - y * v) >> P, (x * v + y * u) >> P)
+        x, y = ((u, v) if x is None else (x * u >> P, 0) if not fixed[2]  # real: y = v = 0
+                else ((x * u - y * v) >> P, (x * v + y * u) >> P))
     return x, y
 
 
@@ -1029,9 +1045,10 @@ def _fixed_exponent(s, P: int, top: int) -> tuple:
     return (wp, *_fixed_pair(-s, wp), ln2_fixed(wp), pi_fixed(wp - 1))
 
 
+@lru_cache(maxsize=4096)
 def _power_entry(f: int, fixed: tuple, P: int) -> tuple:
-    """f^-s scaled by 2^P and floored, log f off the log table when f <=
-    ``SIEVE_CAP`` and wp <= P + 58."""
+    """f^-s scaled by 2^P and floored, memoised (``fixed`` fixes s), log f
+    off the log table when f <= ``SIEVE_CAP`` and wp <= P + 58."""
     wp = fixed[0]
     x, y, e = _power_float(f, fixed, _logs(P, f)[f] >> P + 64 - wp
                            if f <= SIEVE_CAP and wp <= P + 58 else None)
@@ -1039,15 +1056,15 @@ def _power_entry(f: int, fixed: tuple, P: int) -> tuple:
 
 
 def _power_float(f: int, fixed: tuple, L: int = None) -> tuple:
-    """f^-s = (x + i y) 2^e at the wp of ``fixed``: e^t (cos y', sin y') and
-    2^n, -s log f = x' + iy', x' = n ln 2 + t, log f ``L`` at 2^wp or
-    floored afresh; within 2^-(P+8), P that of ``fixed`` (``_guard_bits``)."""
+    """f^-s = (x + i y) 2^e at the wp of ``fixed``: e^t (cos y', sin y') 2^n
+    ((2^wp, 0) exactly at y' = 0), -s log f = x' + iy', x' = n ln 2 + t, log f
+    ``L`` at 2^wp or floored afresh; within 2^-(P+8) (``_guard_bits``)."""
     wp, re_s, im_s, ln2, pi2 = fixed
     if L is None:
         L = to_fixed(mpf_log(from_int(f), wp + f.bit_length()), wp)
     n, t = divmod((re_s * L) >> wp, ln2)
-    c, s = cos_sin_fixed((im_s * L) >> wp, wp, pi2)
     e = exp_basecase(t, wp)
+    c, s = cos_sin_fixed((im_s * L) >> wp, wp, pi2) if im_s else (1 << wp, 0)
     return e * c, e * s, n - 2 * wp
 
 
@@ -1069,9 +1086,9 @@ class NestedPass:
         # per residue class and the cos and sin of z_1^c, c < q, q the order
         # of z_1; per level the n^-s table of a non-integral exponent
         # (``_fixed_exponent``'s constants and the re and im lists, index n
-        # from 1), else None; and the primes the tables have met
+        # from 1), else None
         self.P = self.level_re = self.level_im = None
-        self.residues = self.root = self.tables = self.primes = None
+        self.residues = self.root = self.tables = None
 
     def _start(self, z, exps, kvec):
         self.P = P = pass_scale(exps, kvec, self.top)
@@ -1082,7 +1099,6 @@ class NestedPass:
         self.root = [c for c, _ in table], [s for _, s in table]
         self.tables = [None if isinstance(a, int) else
                        (_fixed_exponent(a, P, self.top), [0, 1 << P], [0, 0]) for a in exps]
-        self.primes = []
 
     def _residue_sum(self) -> tuple:
         """sum_c z_1^c R_c, not yet shifted: level 0 of the residue sums as
@@ -1111,7 +1127,7 @@ class NestedPass:
         if table is None:
             return ((1 << self.P) // n ** a if a > 0 else n ** -a << self.P), 0
         return ((table[1][n], table[2][n]) if n < len(table[1])
-                else _sieve_entry(table, _split(n, self.primes, SIEVE_CAP), self.P))
+                else _sieve_entry(table, _split(n), self.P))
 
     def suffix_sum(self, N: int, j: int = 0):
         """``raw_sum`` rounded to an mpc at the precision of the pass."""

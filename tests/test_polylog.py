@@ -637,6 +637,8 @@ class TestTranslation:
          "1e-30", True),
         # M = N + 1: the merged tail is empty
         (Z("1/2,1/3"), [2, 2], 3, 2, "1e-20", False),
+        # Re(shift + s_2) < 1: the merged tail's terms grow like n^2.2
+        (Z("1,1/3"), [mp.mpc(-1.5, 0.5), mp.mpc(0.3)], 60, 12, "1e-30", True),
     ]
 
     @pytest.mark.parametrize("prec", [128, 256])
@@ -654,7 +656,7 @@ class TestTranslation:
 
             monkeypatch.setattr(polylog_mod, "nested_sums", counting)
             rep = verify_translation(z, s, M, N, tol=tol)
-            assert len(passes) <= (1 if len(s) == 1 else 2)
+            assert len(passes) == 1
             assert rep.terms_used == ref.terms_used
             assert not long or rep.terms_used > 14
             bound = mp.mpf(2) ** (10 - prec) * M * (1 + abs(ref.lhs))
@@ -720,27 +722,39 @@ class TestTranslationSeries:
                     assert abs(rep.rhs - rhs) <= bound
 
     @pytest.mark.parametrize("prec", [53, 128, 256, 512, 1024])
-    def test_heads_against_mpc_powers(self, prec):
-        # the heads' z_1^n off ``_char_pair`` and m^(1-shift) = m m^-shift
-        # off the pass's table (``NestedPass.power``) against mpc powers at
-        # P + 64 bits: within 1 + 2^-16 units 2^-P in each part, and m (3 lb
-        # m^max(0, -Re shift) + 1) units 2^-P, lb = bit_length(M)
+    def test_heads_against_mpc_powers(self, monkeypatch, prec):
+        # the heads and the merged tail read z_1^(n+1) off the pass's root
+        # table and n^(1-shift) = n n^-shift off its n^-s table
+        # (``NestedPass.power``), N - 1 <= n < M, against mpc powers at P +
+        # 64 bits: within 1 + 2^-16 units 2^-P in each part, and n (3 lb
+        # n^max(0, -Re shift) + 1) units 2^-P, lb = bit_length(M).  The call
+        # makes one pass
         M, N = 50, 12
+        made = []
+
+        class Recorded(summod.NestedPass):
+            def __init__(self, top):
+                super().__init__(top)
+                made.append(self)
+
+        monkeypatch.setattr(polylog_mod, "NestedPass", Recorded)
         for seed in range(3):
             for z, s in translation_trials(seed):
                 with mp.workprec(prec):
                     shift = s[0] + (polylog_mod._delta(z[0]) if len(s) > 1 else 0)
-                    kernel = summod.NestedPass(M)
-                    nested_sums(z, [shift] + s[1:], (0,) * len(s), range(N, M + 1), kernel)
+                    tol = max(mp.mpf("1e-12"), 100 * mp.mpf(2) ** (20 - prec)) / 100
+                    made.clear()
+                    verify_translation(z, s, M, N, tol=tol)
+                [kernel], q = made, z[0].order
                 P = kernel.P
                 with mp.workprec(P + 64):
                     unit = mp.ldexp(1, -P)
-                    for n, m in ((N, N - 1), (M, M - 1)):
-                        x, y = summod._char_pair(z[0] ** n, P)
-                        assert abs(mp.mpc(x, y) * unit - z[0].value() ** n) <= 2 * unit
-                        x, y = kernel.power(m)
-                        err = abs(m * mp.mpc(x, y) * unit - mp.mpf(m) ** (1 - shift))
-                        bound = m * (3 * M.bit_length() * m ** max(0, -shift.real) + 1)
+                    for n in range(N - 1, M):
+                        x, y = kernel.root[0][(n + 1) % q], kernel.root[1][(n + 1) % q]
+                        assert abs(mp.mpc(x, y) * unit - z[0].value() ** (n + 1)) <= 2 * unit
+                        x, y = kernel.power(n)
+                        err = abs(n * mp.mpc(x, y) * unit - mp.mpf(n) ** (1 - shift))
+                        bound = n * (3 * M.bit_length() * n ** max(0, -shift.real) + 1)
                         assert err <= bound * unit
 
 

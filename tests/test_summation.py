@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import itertools
 import math
 import random
@@ -30,7 +31,7 @@ from mplreg.summation import (
 from oracles import (_mpmath_pass, em_remainder, end_blocks, engine_table_fractions,
                      fixed_point_pass, geb_blocks, geometric_closed_form, geometric_coeffs,
                      geometric_tail_coeffs, mp_matching, nparts_chain, point_value,
-                     primitive_roots)
+                     power_entry, primitive_roots, split_reference)
 from test_eulerpoly import gen_euler_oracle
 
 
@@ -237,6 +238,22 @@ class TestEngineTables:
                 for name, want in ref.items():
                     value, bound = moments[name]
                     assert abs(value - want) <= bound, (engine, name)
+
+    @pytest.mark.parametrize("prec", [53, 128])
+    @pytest.mark.parametrize("k, p, n", [(3, 1, 16), (5, 2, 16), (7, 3, 40)])
+    def test_head_and_steps_carry_their_floors(self, k, p, n, prec):
+        # f = (log x) x^-30 + 1: past t = 1 the values are far below 2^-P, so
+        # the floors of X(t), not the relative rounding, bound the upper
+        # steps; the constant's key is exact and charges nothing
+        with mp.workprec(prec):
+            f = ScaleFunction([(1, 30, mp.mpc(1)), (0, 0, mp.mpc(1))])
+            zeta = RotationNumber(p, k)
+            got = {name: (v, b) for name, v, b in summod._moment_blocks(f, k, zeta, n, 4)}
+            with mp.workprec(prec + 64):
+                refs = end_blocks(f, k, zeta, n, 4)["gen_euler_boole"]
+                for name in ("head", "lower_steps", "upper_steps"):
+                    value, bound = got[name]
+                    assert abs(value - refs[name]) <= bound, name
 
     def test_engines_read_no_derivative_values(self, monkeypatch):
         """Both engines read f only through ``terms()``: they never evaluate,
@@ -604,6 +621,22 @@ def _against_mpmath_loop(z, s, kvec, cutoffs, prec):
 ROOTS = [RotationNumber(1, 3), RotationNumber(1, 4), RotationNumber(2, 5)]
 
 
+@contextlib.contextmanager
+def small_sieve(cap=64):
+    """``SIEVE_CAP`` lowered to ``cap``, the memo of the prime entries
+    emptied on the way in and out: below the cap a prime's entry reads log p
+    off the log table, past it afresh, so an entry made at one cap is not
+    the entry of the other."""
+    memo = summod._power_entry
+    memo.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(summod, "SIEVE_CAP", cap)
+            yield
+    finally:
+        memo.cache_clear()
+
+
 class TestFixedPass:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(factors, min_size=1, max_size=3),
@@ -661,16 +694,16 @@ class TestFixedPass:
                      + mp.mpf(2) ** -prec * (abs(want.real) + abs(want.imag)))
             assert abs(got - want) <= bound
 
-    def test_sieve_cap_crossing(self, monkeypatch):
+    def test_sieve_cap_crossing(self):
         # past the cap a value is a product of stored primes and a cofactor
         # that is stored or computed afresh; at cap 64 the pass to 5,000
         # meets both, and the cofactor 67^2 has no stored prime factor
-        monkeypatch.setattr(summod, "SIEVE_CAP", 64)
         z = [RotationNumber(1, 3), RotationNumber(3, 10), ROOTS[1]]
         s = [mp.mpc("0.4", "0.5"), mp.mpc("-0.5", "2"), 2]
         kvec = [1, 0, 0]
-        _against_mpmath_loop(z, s, kvec, {63, 64, 65, 4489, 5000}, 128)
-        with mp.workprec(128):
+        with small_sieve():
+            _against_mpmath_loop(z, s, kvec, {63, 64, 65, 4489, 5000}, 128)
+        with small_sieve(), mp.workprec(128):
             ref = nested_sums(z, s, kvec, [10, 64, 65, 66, 4490, 5000],
                               summod.NestedPass(5000))
             state = summod.NestedPass(5000)
@@ -776,9 +809,7 @@ class TestBlockedPass:
         s = [e for _, e, _ in spec]
         kvec = [k for _, _, k in spec]
         cutoffs = sorted(cutoffs | {base + d for d in offsets})
-        with pytest.MonkeyPatch.context() as patch, mp.workprec(prec):
-            if small_cap:
-                patch.setattr(summod, "SIEVE_CAP", 64)
+        with small_sieve() if small_cap else contextlib.nullcontext(), mp.workprec(prec):
             state = summod.NestedPass(cutoffs[-1])
             nested_sums(z, s, kvec, cutoffs, state)
             P, hits, tables = fixed_point_pass(z, s, kvec, cutoffs, cutoffs[-1])
@@ -820,10 +851,39 @@ class TestPowerEntry:
                 for part, scaled in zip((want.real, want.imag), got):
                     assert abs(mp.fsub(mp.ldexp(part, P), scaled, exact=True)) < allowance
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-3, 3), st.one_of(st.just(0.0), st.floats(-20, 20))),
+                    min_size=1, max_size=3),
+           st.sampled_from([128, 192, 256, 384, 512, 768, 1024]),
+           st.lists(st.integers(2, 2 ** 15), min_size=1, max_size=12))
+    def test_memo_and_real_path_match_the_reference(self, exps, P, fs):
+        # the memoised entry, on its real-exponent path when Im s = 0, bit
+        # for bit as the general uncached formula (``oracles.power_entry``):
+        # from a cold memo with the exponents interleaved, and warm
+        fixed = [summod._fixed_exponent(mp.mpc(re, im), P, 2 ** 15 + 1) for re, im in exps]
+        want = {(f, i): power_entry(f, fx, P) for i, fx in enumerate(fixed) for f in fs}
+        summod._power_entry.cache_clear()
+        cold = {(f, i): summod._power_entry(f, fx, P) for f in fs for i, fx in enumerate(fixed)}
+        warm = {(f, i): summod._power_entry(f, fx, P) for i, fx in enumerate(fixed) for f in fs}
+        assert cold == want == warm
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(factors, min_size=1, max_size=3), st.integers(2, 3000),
+           st.sampled_from([128, 256]))
+    def test_pass_does_not_depend_on_the_memo(self, spec, top, prec):
+        # the same raw sums from an emptied memo, a warm one and an emptied one again
+        z, s, kvec = (list(col) for col in zip(*spec))
+        got = []
+        with mp.workprec(prec):
+            for clear in (True, False, True):
+                if clear:
+                    summod._power_entry.cache_clear()
+                got.append(nested_sums(z, s, kvec, [top // 2 or 1, top]).data)
+        assert got[0] == got[1] == got[2]
+
     def test_sieved_pass_calls_no_mpmath_exp_or_log(self, monkeypatch):
         # every n^-s of a pass, past the cap too, comes from integer fixed
         # point: mp.exp and mp.log are never called
-        monkeypatch.setattr(summod, "SIEVE_CAP", 64)
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -835,14 +895,33 @@ class TestPowerEntry:
         monkeypatch.setattr(mp, "exp", counted("exp", mp.exp))
         monkeypatch.setattr(mp, "log", counted("log", mp.log))
         entries, power_entry = [], summod._power_entry
-        monkeypatch.setattr(summod, "_power_entry",
-                            lambda f, *rest: entries.append(f) or power_entry(f, *rest))
         z = [RotationNumber(1, 3), RotationNumber(3, 10)]
         s = [mp.mpc("0.4", "0.5"), mp.mpc("-0.5", "2")]
-        with mp.workprec(128):
+        with small_sieve(), mp.workprec(128):
+            monkeypatch.setattr(summod, "_power_entry",
+                                lambda f, *rest: entries.append(f) or power_entry(f, *rest))
             nested_sums(z, s, [1, 0], [5000])
         assert max(entries) > 64  # a cofactor past the cap
         assert calls["exp"] == calls["log"] == 0
+
+
+class TestFactorTable:
+    def test_factor_lists_against_trial_division(self):
+        # every n <= 2^17 from a cold table of smallest factors: the lists of
+        # the per-pass trial division it replaced, past the cap too
+        summod._factor_table.cache_clear()
+        primes = []
+        for n in range(2, 2 ** 17 + 1):
+            assert summod._split(n) == split_reference(n, primes, summod.SIEVE_CAP), n
+        assert len(summod._factor_table()[0]) == summod.SIEVE_CAP + 1
+
+    def test_below_a_lowered_cap(self):
+        # a table grown past a lowered cap splits past that cap by its primes alone
+        summod._split(summod.SIEVE_CAP + 1)
+        primes = []
+        with small_sieve():
+            for n in range(2, 5001):
+                assert summod._split(n) == split_reference(n, primes, 64), n
 
 
 class TestKernelTables:
@@ -1125,7 +1204,7 @@ class TestNparts:
         # not the table of its scale holds n yet, and reading it grows no
         # table; past SIEVE_CAP it is log_int_fixed's, as in the kernel
         W, ns = 1856, [2, 250, 1000, 4001, 4096, 7919]
-        logs = summod._log_table(W)[0]
+        logs = summod._log_table(W)
         size = len(logs)
         summod._log_at.cache_clear()  # reads memoised before this test
         cold = [summod._log_at(n, W) for n in ns]
@@ -1148,7 +1227,7 @@ class TestNparts:
         short = list(summod._logs(W, 64))
         cold = [summod._log_at(p, W) for p in ps]
         sums = [summod._log_sum(p, short, W + 64) for p in ps]
-        assert len(summod._log_table(W)[0]) == len(short) == 65
+        assert len(summod._log_table(W)) == len(short) == 65
         table = summod._logs(W, max(ps))
         assert sums == [table[p] for p in ps]
         assert cold == [table[p] >> 64 for p in ps]
