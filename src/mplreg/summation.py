@@ -57,11 +57,11 @@ one table per P on integers (a prime's entry that of p - 1 plus one atanh
 series, a composite's the exact sum of two stored ones), integral exponents
 from exact division or multiplication, and non-integral ones from a table
 of n^-s built multiplicatively: a prime is exp(-s log p) in integer fixed point
-(Brent & Zimmermann, "Modern Computer Arithmetic", ch. 4) memoised, a
-composite one fixed-point product of stored values, and past ``SIEVE_CAP``
-stored values a term divides out primes until its cofactor is stored.  For
-every input each t_N errs by at most 2^-(prec+8) before its final rounding,
-made only when t_N is read.
+(Brent & Zimmermann, "Modern Computer Arithmetic", ch. 4), a composite one
+fixed-point product of stored values, and past ``SIEVE_CAP`` stored values a
+term divides out primes until its cofactor is stored.  For every input
+each t_N errs by at most 2^-(prec+8) before its final rounding, made only
+when t_N is read.
 """
 
 from __future__ import annotations
@@ -516,8 +516,7 @@ def _term_nparts(xi: RotationNumber, l: int, m: int, a_max: int):
 # SIEVE_CAP + 1), with room to spare; two rounds of ``direct`` (seed 5) reach 35
 # (l, mu, m, k) of ``_moment_weights``, 14 (m, k) of ``_engine_table``, 9
 # (k, n) of ``eulerpoly.sup_bound`` and, under these, 5 N of
-# ``eulerpoly._bernoulli_rows``, 17 (k, n) of ``eulerpoly._euler_rows`` and
-# (seed 1) 606 (f, fixed, P) of ``_power_entry``, 1,116 calls unmemoised
+# ``eulerpoly._bernoulli_rows`` and 17 (k, n) of ``eulerpoly._euler_rows``
 @lru_cache(maxsize=4096)
 def _nparts_at(xi: RotationNumber, l: int, m: int, a_max: int, prec: int):
     """n-dependent part of sum_{a<n} xi^a (log a)^l a^(-m), every xi, as
@@ -760,10 +759,10 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
       multiply by n^|a| (a <= 0);
     * n^-s, s not integral, from a table of scaled complex pairs kept on the
       pass state and grown block by block to the cutoff reached.  A prime's
-      entry is exp(-s log p) in integer fixed point, floored once and
-      memoised (``_power_entry``); a composite n = p m, p its smallest
-      prime factor (``_split``), is one fixed-point product of stored
-      entries, each stored as it is made.  The table stores at most
+      entry is exp(-s log p) in integer fixed point, floored once
+      (``_power_entry``); a composite n = p m, p its smallest prime factor
+      (``_split``), is one fixed-point product of stored entries, each
+      stored as it is made.  The table stores at most
       ``SIEVE_CAP`` values; past them n splits into primes and a cofactor
       that is stored or, when no prime up to the cap splits it, computed
       like a prime.
@@ -995,23 +994,21 @@ def _log_step(p: int, wp: int) -> int:
 
 @lru_cache(maxsize=4096)
 def _factor_table() -> tuple:
-    """The memo of ``_split``: smallest prime factors from n = 0, and the primes."""
-    return array("i", [0, 1]), []
+    """The memo of ``_split``: the smallest prime factor of every n <=
+    ``SIEVE_CAP`` (n itself below 2 and for a prime), and the primes."""
+    size = SIEVE_CAP + 1
+    spf = array("i", range(size))
+    for d in range(math.isqrt(SIEVE_CAP), 1, -1):  # the smallest divisor written last
+        spf[d * d::d] = array("i", [d]) * len(range(d * d, size, d))
+    return spf, [p for p in range(2, size) if spf[p] == p]
 
 
 def _split(n: int) -> list:
     """n > 1 as factors of product n, all but the last primes <= the cap.  Up
     to ``SIEVE_CAP``: [p, n/p], p the smallest prime factor, or [n], off
-    ``_factor_table``, sieved afresh to twice its length (n at least, the
-    cap at most) when n or the cap is past it.  Past the cap, the smallest
-    primes come out until the cofactor is <= cap or has no factor <= cap."""
+    ``_factor_table``.  Past the cap, the smallest primes come out until the
+    cofactor is <= cap or has no factor <= cap."""
     cap, (spf, primes) = SIEVE_CAP, _factor_table()
-    if not min(n, cap) < len(spf) <= cap + 1:
-        size = min(cap, max(n, 2 * len(spf))) + 1
-        spf[:] = array("i", range(size))
-        for d in range(math.isqrt(size - 1), 1, -1):  # the smallest divisor written last
-            spf[d * d::d] = array("i", [d]) * len(range(d * d, size, d))
-        primes[:] = [p for p in range(2, size) if spf[p] == p]
     if n <= cap:
         return [n] if spf[n] == n else [spf[n], n // spf[n]]
     m, out = n, []
@@ -1033,8 +1030,7 @@ def _sieve_entry(table: tuple, factors: list, P: int) -> tuple:
     x = None
     for f in factors:
         u, v = (X[f], Y[f]) if f < len(X) else _power_entry(f, fixed, P)
-        x, y = ((u, v) if x is None else (x * u >> P, 0) if not fixed[2]  # real: y = v = 0
-                else ((x * u - y * v) >> P, (x * v + y * u) >> P))
+        x, y = (u, v) if x is None else ((x * u - y * v) >> P, (x * v + y * u) >> P)
     return x, y
 
 
@@ -1045,10 +1041,9 @@ def _fixed_exponent(s, P: int, top: int) -> tuple:
     return (wp, *_fixed_pair(-s, wp), ln2_fixed(wp), pi_fixed(wp - 1))
 
 
-@lru_cache(maxsize=4096)
 def _power_entry(f: int, fixed: tuple, P: int) -> tuple:
-    """f^-s scaled by 2^P and floored, memoised (``fixed`` fixes s), log f
-    off the log table when f <= ``SIEVE_CAP`` and wp <= P + 58."""
+    """f^-s scaled by 2^P and floored, log f off the log table when f <=
+    ``SIEVE_CAP`` and wp <= P + 58."""
     wp = fixed[0]
     x, y, e = _power_float(f, fixed, _logs(P, f)[f] >> P + 64 - wp
                            if f <= SIEVE_CAP and wp <= P + 58 else None)
@@ -1056,15 +1051,15 @@ def _power_entry(f: int, fixed: tuple, P: int) -> tuple:
 
 
 def _power_float(f: int, fixed: tuple, L: int = None) -> tuple:
-    """f^-s = (x + i y) 2^e at the wp of ``fixed``: e^t (cos y', sin y') 2^n
-    ((2^wp, 0) exactly at y' = 0), -s log f = x' + iy', x' = n ln 2 + t, log f
-    ``L`` at 2^wp or floored afresh; within 2^-(P+8) (``_guard_bits``)."""
+    """f^-s = (x + i y) 2^e at the wp of ``fixed``: e^t (cos y', sin y') and
+    2^n, -s log f = x' + iy', x' = n ln 2 + t, log f ``L`` at 2^wp or
+    floored afresh; within 2^-(P+8), P that of ``fixed`` (``_guard_bits``)."""
     wp, re_s, im_s, ln2, pi2 = fixed
     if L is None:
         L = to_fixed(mpf_log(from_int(f), wp + f.bit_length()), wp)
     n, t = divmod((re_s * L) >> wp, ln2)
+    c, s = cos_sin_fixed((im_s * L) >> wp, wp, pi2)
     e = exp_basecase(t, wp)
-    c, s = cos_sin_fixed((im_s * L) >> wp, wp, pi2) if im_s else (1 << wp, 0)
     return e * c, e * s, n - 2 * wp
 
 

@@ -8,10 +8,7 @@ Aitken extrapolation over raw partial sums.  ``_mpmath_pass`` is the
 nested partial-sum loop in mpmath numbers, the reference for the package's
 fixed-point kernel; ``fixed_point_pass`` is that kernel one n at a time
 with the same floors, the reference for its blocks: the same bits on every
-level but the outermost and in every n^-s entry.  Its prime entries come
-from ``power_entry``, the general exp and cos/sin formula with no memo and
-no real-exponent path, the reference for ``summation._power_entry``.
-``point_value`` sums the
+level but the outermost and in every n^-s entry.  ``point_value`` sums the
 terms of a ScaleFunction in mpmath at 100 bits above the working
 precision, the reference for its ``_value_at``.  ``em_remainder`` and
 ``geb_blocks`` rebuild the engines' remainder and correction blocks interval
@@ -53,8 +50,7 @@ import math
 
 from hypothesis import strategies as st
 import mpmath as mp
-from mpmath.libmp import from_int, from_rational, mpf_log, round_nearest, to_fixed
-from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase
+from mpmath.libmp import from_rational, round_nearest
 
 from mplreg import eulerpoly
 from mplreg.errors import PrecisionError
@@ -407,7 +403,7 @@ def fixed_point_pass(z, s, kvec, cutoffs, top: int):
                     x = None
                     for f in factors:
                         u, v = (sieve[f] if f < len(sieve)
-                                else power_entry(f, fixed[j], P))
+                                else summod._power_entry(f, fixed[j], P))
                         x, y = (u, v) if x is None else ((x * u - y * v) >> P,
                                                          (x * v + y * u) >> P)
                     if n <= cap:
@@ -427,23 +423,6 @@ def fixed_point_pass(z, s, kvec, cutoffs, top: int):
                 re[j] += (c * x - s_ * y) >> P
                 im[j] += (c * y + s_ * x) >> P
     return P, hits, tables
-
-
-def power_entry(f: int, fixed: tuple, P: int) -> tuple:
-    """The kernel's entry f^-s scaled by 2^P and floored by the general
-    formula, uncached and with no real-exponent path: -s log f = x' + i y',
-    x' = n ln 2 + t, is e^t (cos y', sin y') 2^n at the wp of ``fixed``
-    (``summod._fixed_exponent``), log f off the log table when f <=
-    ``SIEVE_CAP`` and wp <= P + 58, else floored afresh."""
-    wp, re_s, im_s, ln2, pi2 = fixed
-    if f <= summod.SIEVE_CAP and wp <= P + 58:
-        L = summod._logs(P, f)[f] >> P + 64 - wp
-    else:
-        L = to_fixed(mpf_log(from_int(f), wp + f.bit_length()), wp)
-    n, t = divmod((re_s * L) >> wp, ln2)
-    c, s = cos_sin_fixed((im_s * L) >> wp, wp, pi2)
-    e = exp_basecase(t, wp)
-    return summod._shift(e * c, P + n - 2 * wp), summod._shift(e * s, P + n - 2 * wp)
 
 
 def _mpq(q: Fraction):

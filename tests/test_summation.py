@@ -31,7 +31,7 @@ from mplreg.summation import (
 from oracles import (_mpmath_pass, em_remainder, end_blocks, engine_table_fractions,
                      fixed_point_pass, geb_blocks, geometric_closed_form, geometric_coeffs,
                      geometric_tail_coeffs, mp_matching, nparts_chain, point_value,
-                     power_entry, primitive_roots, split_reference)
+                     primitive_roots, split_reference)
 from test_eulerpoly import gen_euler_oracle
 
 
@@ -623,18 +623,15 @@ ROOTS = [RotationNumber(1, 3), RotationNumber(1, 4), RotationNumber(2, 5)]
 
 @contextlib.contextmanager
 def small_sieve(cap=64):
-    """``SIEVE_CAP`` lowered to ``cap``, the memo of the prime entries
-    emptied on the way in and out: below the cap a prime's entry reads log p
-    off the log table, past it afresh, so an entry made at one cap is not
-    the entry of the other."""
-    memo = summod._power_entry
-    memo.cache_clear()
+    """``SIEVE_CAP`` lowered to ``cap``, the table of smallest factors
+    emptied on the way in and out, so that it is sieved to the cap in use."""
+    summod._factor_table.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(summod, "SIEVE_CAP", cap)
             yield
     finally:
-        memo.cache_clear()
+        summod._factor_table.cache_clear()
 
 
 class TestFixedPass:
@@ -851,36 +848,6 @@ class TestPowerEntry:
                 for part, scaled in zip((want.real, want.imag), got):
                     assert abs(mp.fsub(mp.ldexp(part, P), scaled, exact=True)) < allowance
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.floats(-3, 3), st.one_of(st.just(0.0), st.floats(-20, 20))),
-                    min_size=1, max_size=3),
-           st.sampled_from([128, 192, 256, 384, 512, 768, 1024]),
-           st.lists(st.integers(2, 2 ** 15), min_size=1, max_size=12))
-    def test_memo_and_real_path_match_the_reference(self, exps, P, fs):
-        # the memoised entry, on its real-exponent path when Im s = 0, bit
-        # for bit as the general uncached formula (``oracles.power_entry``):
-        # from a cold memo with the exponents interleaved, and warm
-        fixed = [summod._fixed_exponent(mp.mpc(re, im), P, 2 ** 15 + 1) for re, im in exps]
-        want = {(f, i): power_entry(f, fx, P) for i, fx in enumerate(fixed) for f in fs}
-        summod._power_entry.cache_clear()
-        cold = {(f, i): summod._power_entry(f, fx, P) for f in fs for i, fx in enumerate(fixed)}
-        warm = {(f, i): summod._power_entry(f, fx, P) for i, fx in enumerate(fixed) for f in fs}
-        assert cold == want == warm
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(factors, min_size=1, max_size=3), st.integers(2, 3000),
-           st.sampled_from([128, 256]))
-    def test_pass_does_not_depend_on_the_memo(self, spec, top, prec):
-        # the same raw sums from an emptied memo, a warm one and an emptied one again
-        z, s, kvec = (list(col) for col in zip(*spec))
-        got = []
-        with mp.workprec(prec):
-            for clear in (True, False, True):
-                if clear:
-                    summod._power_entry.cache_clear()
-                got.append(nested_sums(z, s, kvec, [top // 2 or 1, top]).data)
-        assert got[0] == got[1] == got[2]
-
     def test_sieved_pass_calls_no_mpmath_exp_or_log(self, monkeypatch):
         # every n^-s of a pass, past the cap too, comes from integer fixed
         # point: mp.exp and mp.log are never called
@@ -895,11 +862,11 @@ class TestPowerEntry:
         monkeypatch.setattr(mp, "exp", counted("exp", mp.exp))
         monkeypatch.setattr(mp, "log", counted("log", mp.log))
         entries, power_entry = [], summod._power_entry
+        monkeypatch.setattr(summod, "_power_entry",
+                            lambda f, *rest: entries.append(f) or power_entry(f, *rest))
         z = [RotationNumber(1, 3), RotationNumber(3, 10)]
         s = [mp.mpc("0.4", "0.5"), mp.mpc("-0.5", "2")]
         with small_sieve(), mp.workprec(128):
-            monkeypatch.setattr(summod, "_power_entry",
-                                lambda f, *rest: entries.append(f) or power_entry(f, *rest))
             nested_sums(z, s, [1, 0], [5000])
         assert max(entries) > 64  # a cofactor past the cap
         assert calls["exp"] == calls["log"] == 0
@@ -916,7 +883,8 @@ class TestFactorTable:
         assert len(summod._factor_table()[0]) == summod.SIEVE_CAP + 1
 
     def test_below_a_lowered_cap(self):
-        # a table grown past a lowered cap splits past that cap by its primes alone
+        # a full table emptied and sieved to a lowered cap splits past that
+        # cap by its primes alone
         summod._split(summod.SIEVE_CAP + 1)
         primes = []
         with small_sieve():
