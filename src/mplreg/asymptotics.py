@@ -340,7 +340,7 @@ def depth_expansion(spec: DepthSpec, A: int, tol=None) -> AsymptoticExpansion:
     if A < 0:
         raise ValueError(f"expansion precision must be >= 0, got {A}")
     # every cutoff run_matching can ask for: N and 2N of each ladder point
-    ladder = summation._matching_ladder()
+    ladder = summation._matching_cutoffs()
     ladder.append(2 * ladder[-1])
     kernel = summation.NestedPass(ladder[-1])
     # the expansions' scale is the pass's, so the reads share its tables

@@ -7,11 +7,10 @@ is handled four ways:
   tails t_{M,N} (roots of unity z_i, complex exponents) from the one kernel
   ``summation.nested_sums``;
 * ``eval_convergent``    -- limit inside the conditional-convergence domain
-  U_r(z): at depth <= 2, t_N at one cutoff less the operator series of each
-  tail (generalised Euler-Boole), cutoff and orders fixed by derived bounds;
-  at depth >= 3 and at z_2 = s_2 = 1, period averaging and Richardson
-  extrapolation on the tail exponents z and s fix, across a ladder read off
-  one resumed kernel pass;
+  U_r(z): t_N at one cutoff less the operator series (generalised
+  Euler-Boole) of the depth-1 tails that every level of the nested sum
+  leaves, at every depth, cutoff and orders fixed by derived bounds before
+  one kernel pass;
 * ``eval_integer_point`` -- regularised evaluation at integer points of
   V_r(z) through the asymptotic-expansion driver;
 * ``verify_translation`` -- numerical check of the translation identities
@@ -25,19 +24,22 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
+from itertools import accumulate, repeat
+from operator import mul
 from dataclasses import dataclass, field
 
 import mpmath as mp
 
 from .asymptotics import DepthSpec, depth_expansion, fmt_real
 from .errors import DomainError, NonConvergenceError
-from .rootsofunity import (RotationNumber, ZVector, _coords, _domain_flags,
-                           index_set_and_count, rotation_product)
-from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
+from .rootsofunity import ONE, RotationNumber, ZVector, _coords, _domain_flags
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_add, mpc_add_mpf, round_ceiling,
+                          to_fixed)
 
 from .summation import (NestedPass, _char_pair, _coefficient_bounds, _fixed_exponent,
-                        _geometric_list, _mantissas, _power_float, _remainder_factor,
-                        _rounding_slack, _scaled_mpc, _shift, nested_sums, resolve_tol)
+                        _geometric_list, _log_at, _mantissas, _power_float, _remainder_factor,
+                        _scaled_mpc, _shift, nested_sums, resolve_tol)
 
 __all__ = [
     "EvalReport",
@@ -52,7 +54,7 @@ __all__ = [
 
 DEFAULT_EVAL_TOL = "1e-12"
 DEFAULT_CUTOFF_CEILING = 10**7
-CONVERGENT_START = 64  # first cutoff of the convergent route (the ladder's, rounded up)
+CONVERGENT_START = 64  # first cutoff of the convergent route; log N >= 4 from it on
 
 
 def pochhammer(s, count: int):
@@ -119,117 +121,159 @@ def brute_partial_sum(z, s, N: int, M: int = None):
     return sums[M] - sums[N]
 
 
-def _oscillation_period(z: ZVector) -> int:
-    """lcm of the orders of the z_i: averaging t_N over this many consecutive
-    cutoffs cancels every oscillatory character of the expansion."""
-    return math.lcm(*(zi.order for zi in z))
-
-
-def _tail_exponents(z: ZVector, s, count: int) -> list:
-    """The first ``count`` exponents e of the N^-e terms of a period-averaged
-    t_N on period multiples, by real part and with multiplicity.  Chain i
-    (levels i, ..., 1) starts at S_i - Q_i(z), S_i = s_1 + ... + s_i, plus one
-    when the average cancels its character z_1...z_i != 1, and steps by
-    integers; a repeated exponent removes the log term where two chains meet.
-    Inside U_r(z), a subset of V_r(z), every Re e > 0."""
-    coords = _coords(s)
-    bases = [sum(coords[:i]) - index_set_and_count(z, i)[1]
-             + (0 if rotation_product(z, 1, i).is_one() else 1)
-             for i in range(1, z.r + 1)]
-    return sorted((b + k for b in bases for k in range(count)),
-                  key=lambda e: e.real)[:count]
-
-
 def eval_convergent(z: ZVector, s, tol=None, *,
                     ceiling=DEFAULT_CUTOFF_CEILING) -> EvalReport:
-    """Evaluate inside U_r(z): at depth <= 2 by the operator series of the
-    tails at one cutoff, at depth >= 3 by the doubling ladder (``_ladder``).
+    """Evaluate inside U_r(z): t_N at one cutoff N less the operator series
+    of the tails of every level, N and every order fixed before one kernel
+    pass to N (``_series_plan``).
 
-    At depth 1, f = x^-s has f^(j) = (-1)^j (s)_j x^(-s-j), and the identity
-    of ``summation._nparts_at`` (Euler-Maclaurin at xi = 1) gives
-    Li_s(xi) = t_N - xi^N h(N) - eps(N), h = [xi = 1] x^(1-s)/(1 - s) +
-    sum_{j<=J} c_j f^(j), |eps(N)| <= K |(s)_(J+1)| N^(-Re s-J-1)
-    (1 + N/(Re s + J)), as Re s > 0 on U_1(z).  N runs over
-    ``CONVERGENT_START`` 2^i, each with the smallest J whose bound is
-    <= tol/4 (``_series_order``); the bound falls while J <~ 2 pi |x| N, |x|
-    the distance of xi's rotation number to the nearest integer.  So N and J
-    are fixed before any term is summed, an N past the ceiling raises
-    NonConvergenceError naming it, and t_N comes from one kernel pass to N;
-    the tolerance (``summation.resolve_tol``, default ``DEFAULT_EVAL_TOL``)
-    and a ceiling below ``CONVERGENT_START`` are checked before that.
+    Level j of the pass (0-based) is S_j(n) = sum_{m<n} z_j^m m^-s_j
+    S_{j+1}(m), S_r = 1, S_0 = t.  For n >= N each is written as monomials
+    w xi^n (log n)^l n^-sigma, keyed on (xi, sigma, l) with sigma exact and
+    their weights merged, the constant C_j at (1, 0, 0), plus eps_j(n).
+    Summing z_j^m m^-s_j S_{j+1}(m) over N <= m < n makes each monomial of
+    level j + 1 one depth-1 series of f = (log x)^l x^-sigma at (z_j xi, s_j
+    + sigma): by the identity of ``summation._nparts_at`` (generalised
+    Euler-Boole), sum_{m<n} xi^m f(m) = const + xi^n h(n) + eps(n), h =
+    [xi = 1] F + sum_{i<=J} c_i f^(i), F the antiderivative ((log x)^(l+1)/
+    (l+1) where sigma = 1 exactly, the one place a log power rises) and
+    |eps(n)| <= b (N/n)^(Re sigma + J - l/4) (``_series_order``).  The
+    monomials of the h (``_operator_series``) are level j's, and C_j is
+    S_j(N) less them at N; so the value C_0 = t_N - sum_k w_k xi_k^N h_k(N)
+    errs by |eps_0(N)| and what the weights carry (``_plan_at``), and on
+    U_r(z) every monomial of level 0 decays.  The estimate is that bound
+    plus 2^(2-prec) (1 + M_0), the rounding of level 0.  At depth 1 this is
+    t_N - xi^N h(N), J the smallest order with b <= tol/4.
 
-    The estimate is the bound plus the rounding charge 2^(2-prec) (1 + M),
-    M = |t_N| + |N^(1-s)/(1 - s)| + sum_j (|c_j| + e_j) |(s)_j| N^(-Re s-j)
-    rounded up, e_j = 3 (2 pi |x|)^-(j+1) (0 at xi = 1): t_N errs by
-    2^-(prec+8) in the kernel and 2^-prec |t_N| in its rounding, xi^N h(N)
-    on integers by < 2^-prec |h(N)| + 2^-(prec+14) M (``_operator_series``)
-    and t_N - xi^N h(N) by 2^-prec (|t_N| + |h(N)|): < 2^(1-prec) (1 + M).
-
-    At depth 2 (``_series_plan``), with T(xi, sigma) = sum_{n>=N} xi^n
-    n^-sigma = -xi^N h_sigma(N) - eps_sigma(N), the inner sum S2(n) =
-    sum_{m<n} z2^m m^-s2 is C2 + z2^n h2(n) + eps2(n) for n >= N,
-    |eps2(n)| <= B2(n), the bound above at (z2, s2, J2 >= 1, n), as
-    Re s2 + J2 > 0.  Summing z1^n n^-s1 S2(n) over n >= N gives
-
-        Li = t_N + C2 T(z1, s1) + [z2 = 1]/(1 - s2) T(z1, s1 + s2 - 1)
-             + sum_{j<=J2} c_j(z2) (-1)^j (s2)_j T(z1 z2, s1 + s2 + j) + E,
-
-    C2 = S2(N) - z2^N h2(N) - eps2(N), S2(N) level 1 of the pass, and
-    |E| <= sum_{n>=N} n^-Re s1 B2(n) <= N^-Re s1 (1 + N/(Re(s1+s2) + J2 - 1))
-    B2(N), first term plus integral.  Each tail converges on U_2(z)
-    (Re s1 > [z1 = 1], Re(s1+s2) > [z2 = 1] + [z1 z2 = 1]).  With W_k >=
-    |coefficient k| + its error (1 + |S2(N)| + M2 for C2, M2 the mass of
-    h2), b_k and M_k the bound and mass of tail k, the estimate is
-    B2(N) (|T(z1, s1)| + b_1 + E's factor) + sum_k W_k b_k plus
-    2^(2-prec) (1 + |t_N| + 2 sum_k W_k M_k): t_N errs as at depth 1, each
-    coefficient by 2^(1-prec) W_k (C2 with S2(N)'s kernel and rounding
-    errors) and each tail by 2^(1-prec) M_k, so each product by
-    < 2^(2-prec) W_k M_k, and the final sum by
-    2^-prec (|t_N| + sum_k W_k M_k).  z2 = 1 with s2 = 1 (log n in the
-    inner sum) and depth >= 3 stay on the ladder.
+    Before any pass: the tolerance (``summation.resolve_tol``, default
+    ``DEFAULT_EVAL_TOL``), a ceiling below ``CONVERGENT_START``, then N,
+    ``CONVERGENT_START`` 2^i, the first with a plan; an N past the ceiling
+    raises NonConvergenceError naming it.
     """
     flags = _domain_flags(z, s)
     if not flags["Urz"]:
         raise DomainError(f"point {_coords(s)} is outside U_r(z) for z = {z}")
     tol, s = resolve_tol(tol, DEFAULT_EVAL_TOL), _coords(s)
-    if z.r > 2 or z.r == 2 and z[1].is_one() and s[1] == 1:
-        return _ladder(z, s, tol, ceiling)
     if ceiling < CONVERGENT_START:
         raise ValueError(f"ceiling {ceiling} is below the first cutoff {CONVERGENT_START}")
     N = CONVERGENT_START
-    while (found := _series_plan(z, s, N, tol)) is None:
+    while (plan := _series_plan(z, s, N, tol)) is None and N < 2 ** 40:  # the last one planned
         N *= 2
-    if N > ceiling:
-        raise NonConvergenceError(f"the operator series reaches {mp.nstr(tol, 5)} "
-                                  f"at cutoff {N}, past the ceiling {ceiling}")
-    kernel, prec = NestedPass(N), mp.mp.prec
-    t_N = _nested_sums(z, s, (N,), kernel)[N]
-    J, bound, tail2, mass2, far, tails = found
-    S2 = kernel.suffix_sum(N, 1) if z.r == 2 else None
-    with mp.workprec(prec + 12 + J.bit_length()):
-        rest, mass = 0, abs(t_N)
-        for w, weight, xi, sigma, (order, b) in tails:
-            tail, m, _ = _operator_series(xi, sigma, N, order, prec)
-            if w is None:  # T(z1, s1): C2 is known now, and eps2(N) T(z1, s1) joins E
-                w, weight = S2 - tail2, 1 + abs(S2) + mass2
-                bound *= abs(tail) + b + far
-            rest += w * tail
-            bound += weight * b
-            mass += z.r * weight * m  # depth 1's w = 1 is exact: only the tail errs
-    return EvalReport(t_N - rest, bound + mp.mpf(2) ** (2 - prec) * (1 + mass), "convergent",
-                      flags, {"cutoff": N, "order": J, "terms": kernel.terms})
+    if plan is None or N > ceiling:
+        raise NonConvergenceError(f"the operator series reaches {mp.nstr(tol, 5)} " + (
+            f"at cutoff {N}, past the ceiling {ceiling}" if plan else f"at no cutoff up to {N}"))
+    (levels, bound, mass), kernel, prec = plan, NestedPass(N), mp.mp.prec
+    sums = [_nested_sums(z, s, (N,), kernel)[N]] + [kernel.suffix_sum(N, j) for j in range(1, z.r)]
+    order = max(J for series in levels for J, _, _ in series.values())
+    with mp.workprec(prec + 12 + order.bit_length()):
+        value, mass = _assemble(levels, sums, prec), abs(sums[0]) + mass
+    return EvalReport(value, bound + mp.mpf(2) ** (2 - prec) * (1 + mass), "convergent", flags,
+                      {"cutoff": N, "order": order, "terms": kernel.terms})
+
+
+# the key (xi, sigma, l) of the constant of a level: xi = 1, sigma = 0 (as
+# an exact mpc tuple), l = 0
+CONSTANT = (ONE, (fzero, fzero), 0)
+
+
+def _series_plan(z: ZVector, s, N: int, tol):
+    """``_plan_at``'s (levels, B, M_0) at cutoff N with B <= tol/4, or None,
+    after at most three targets tau: tol/4 at depth 1, tol/16 deeper; tol/4
+    when an order is not found at a smaller one; tau tol/8 over B when B
+    exceeds tol/4."""
+    tau = tol / 4 ** min(z.r, 2)
+    for _ in range(3):
+        found = _plan_at(z, s, N, tau)
+        if found and found[1] <= tol / 4 or found is None and tau >= tol / 4:
+            return found
+        tau = tau * tol / (8 * found[1]) if found else tol / 4
+
+
+def _plan_at(z: ZVector, s, N: int, tau):
+    """The series of ``eval_convergent``'s identity at cutoff N, level by
+    level from the innermost, before any pass: (levels, B, M_0), each level
+    {key: (J, xi^N h(N), [(key of a monomial of h, its weight)])}, B the bound
+    of the value's error and M_0 = sum_k m_k M_k of level 0, or None when
+    an order is not found.  J is the smallest order whose b times the
+    magnitude m of the key's weight is <= tau.
+
+    Each weight carries m >= |w| (sum m W, W >= |coefficient| of
+    ``_operator_series``) and a radius rho >= its error (sum (rho +
+    2^(2-prec) (m + rho)) W, the coefficients' rounding with it).  With
+    |xi^N h(N)| <= M and |eps_j(n)| <= B_j (N/n)^mu_j, B_j = sum_k (m_k +
+    rho_k) b_k + B_(j+1) N^-Re s_j (1 + N/nu), nu = Re s_j + mu_(j+1) - 1
+    (first term plus integral of sum_{m>=n} m^-Re s_j eps_(j+1)(m)), mu_j
+    the least Re sigma + J - l/4 and nu; C_j's radius is sum_k rho_k M_k +
+    B_j + 2^(2-prec) (1 + M_j), M_j = |S_j(N)| + sum_k m_k M_k, with
+    |S_j(N)| <= prod_{i>=j} N^max(0, 1-Re s_i) (1 + log N), and M_j bounds
+    |C_j|: S_j(N) errs by 2^-(prec+8) + 2^-prec |S_j(N)|, each product by
+    < 2^(1-prec) m_k M_k at the wider precision and C_j by its rounding.
+    B = B_0 + sum_k rho_k M_k at level 0.  Each order needs Re sigma + J -
+    l/4 > max(0, d_j), d_0 = 0 and d_j = 2 - Re s_(j-1) + max(0, d_(j-1)),
+    so that nu > 1 + max(0, d_j)."""
+    prec, re = mp.mp.prec, [float(c.real) for c in s]
+    # the d_j in floats: an order one short of d_j by their rounding still leaves nu > 1
+    need = list(accumulate(re[:-1], lambda d, x: 2 - x + max(0, d), initial=0))
+    up, monos, levels, bound, size = mp.mpf(2) ** (2 - prec), {CONSTANT: (1, 0)}, [], 0, 1
+    for j in reversed(range(z.r)):
+        if j:
+            size *= mp.mpf(N) ** max(0, 1 - s[j].real) * (1 + mp.log(N))
+        out, series = defaultdict(list), {}
+        mass, rad, eps, decay = size if j else 0, 0, 0, math.inf
+        for key, (m, rho) in monos.items():
+            (xi, sigma, l), W_rho = key, rho + up * (m + rho)
+            xi, sigma = z[j] * xi, mp.make_mpc(mpc_add(s[j]._mpc_, sigma, 0))
+            if not (found := _series_order(xi, sigma, N, 4 * tau / m, need[j], l)):
+                return None
+            J, b = found
+            tail, M, terms = _operator_series(xi, sigma, N, J, prec, l, j > 0)
+            series[key] = J, tail, [((xi, mpc_add_mpf(sigma._mpc_, from_int(i), 0), k), c)
+                                    for i, k, c, _ in terms]
+            for (monomial, _), (*_, W) in zip(series[key][2], terms):
+                out[monomial].append((m * W, W_rho * W))
+            mass, rad, eps = mass + m * M, rad + rho * M, eps + (m + rho) * b
+            decay = min(decay, float(sigma.real) + J - l / 4 - 1e-9)
+        if bound:
+            nu = re[j] + mu - 1
+            eps += bound * mp.mpf(N) ** -s[j].real * (1 + N / mp.mpf(nu))
+            decay = min(decay, nu)
+        levels.append(series)
+        if not j:
+            return levels, rad + eps, mass
+        out[CONSTANT].append((mass, rad + eps + up * (1 + mass)))
+        monos = {key: tuple(map(sum, zip(*parts))) for key, parts in out.items()}
+        bound, mu = eps, decay
+
+
+def _assemble(levels, sums, prec: int):
+    """C_0 of ``_plan_at``'s levels, from the innermost: the weights of a
+    level's monomials from the weights of the one inside, and C_j = S_j(N)
+    less sum_k w_k xi_k^N h_k(N), rounded to ``prec``."""
+    weights = {CONSTANT: 1}
+    for series, S in zip(levels, reversed(sums)):
+        out, rest = defaultdict(int), 0
+        for key, (_, tail, monomials) in series.items():
+            rest += weights[key] * tail
+            for monomial, c in monomials:
+                out[monomial] += weights[key] * c
+        out[CONSTANT] += (C := mp.fsub(S, rest, prec=prec))
+        weights = out
+    return C
 
 
 def _dyadic(s) -> tuple:
-    """(a, b, F), F >= 0, with s = (a + i b) 2^-F exactly."""
-    [(a, b)], e = _mantissas([mp.mpc(s)])
+    """(a, b, F), F >= 0, with the mpc s = (a + i b) 2^-F exactly, read as
+    it stands (an exact sum of exponents can hold more than prec bits)."""
+    [(a, b)], e = _mantissas([s])
     return a << max(e, 0), b << max(e, 0), max(-e, 0)
 
 
-def _normal(x: int, y: int, e: int, Q: int, d: int = 1) -> tuple:
-    """(x + i y) 2^e / d as (X + i Y) 2^E floored to Q bits, within sqrt 2 2^(1-Q)."""
-    k = Q + d.bit_length() - max(abs(x), abs(y)).bit_length()
-    return (_shift(x, k) // d, _shift(y, k) // d, e - k) if x or y else (0, 0, e)
+def _normal(xs: list, e: int, Q: int, d: int = 1) -> tuple:
+    """(xs 2^e / d as [X] 2^E, each floored, the largest of Q bits: within
+    sqrt 2 2^(1-Q) of it per pair."""
+    top = max(map(abs, xs))
+    k = Q + d.bit_length() - top.bit_length()
+    return ([_shift(x, k) // d for x in xs], e - k) if top else (xs, e)
 
 
 def _up(x: int, y: int, G: int) -> int:
@@ -238,23 +282,42 @@ def _up(x: int, y: int, G: int) -> int:
     return m + (m >> G) + 2
 
 
-def _series_order(xi: RotationNumber, s, N: int, tol, first: int = 0):
-    """(J, bound), the smallest J >= first whose bound of ``eval_convergent``
-    at N is <= tol/4, or None once it is no smaller than the two before it;
-    needs Re s + first > 0.  On integers, the bound rounded up and tol/4
-    down at 2^(prec+64-mag(tol)): |(s)_(J+1)| N^(-Re s-J-1) one product of
-    prec + 32 bits rounded up per step, 1 + N/(Re s + J) an exact ratio."""
+def _step(t: list, c: int, b: int, F: int) -> list:
+    """Row step of the derivatives of (log x)^l x^-s, 2^F times: pair k of
+    ``t`` becomes (k + 1) t_(k+1) - (s + j) t_k, s + j = (c + i b) 2^-F."""
+    pairs = list(zip(t[::2], t[1::2])) + [(0, 0)]
+    return [v for k, ((x, y), (u, w)) in enumerate(zip(pairs, pairs[1:]))
+            for v in (((k + 1) * u << F) - (x * c - y * b), ((k + 1) * w << F) - (x * b + y * c))]
+
+
+def _series_order(xi: RotationNumber, s, N: int, tol, need: float = 0, l: int = 0):
+    """(J, b), the smallest J with Re s + J - l/4 > max(0, need) whose bound
+    b of the remainder of the series of f = (log x)^l x^-s at N is <= tol/4,
+    or None once b is no smaller than the two before it.  b = K sum_t
+    |d_(J+1,t)| L^t N^(-Re s-J-1) (1 + N/(Re s + J - t/4)) bounds the sum
+    over n >= N of K sup_[n,n+1] |f^(J+1)| (``summation._nparts_at``), first
+    term plus integral, as (log x)^t <= L^t (x/N)^(t/4), L >= log N >= 4,
+    so it is b (N/n)^(Re s + J - l/4) past n.  On integers, b rounded up and
+    tol/4 down at 2^(prec+64-mag(tol)): rows G_t >= |d_(j,t)| N^(-Re s-j),
+    d the rows of ``_step``, of prec + 32 bits rounded up per step
+    (|d_(j+1,t)| <= (t + 1) |d_(j,t+1)| + |s + j| |d_(j,t)|), L from
+    ``_log_at``, each 1 + N/(...) an exact ratio."""
     (a, b, F), prec = _dyadic(s), mp.mp.prec
     Q, Z = prec + 32, prec + 64 - mp.mag(tol)
-    x, _, e = _power_float(N, _fixed_exponent(mp.mpf(s.real), Q, N))
-    g, e = _normal(-x - (x >> Q + 7) - 1, 0, e, Q)[::2]  # -N^-Re s, less its 2^-(Q+8)
+    x, _, e = _power_float(N, _fixed_exponent(s.real, Q, N))
+    g, e = _normal([0] * l + [-x - (x >> Q + 7) - 1], e, Q)  # -N^-Re s, less its 2^-(Q+8)
+    L = _log_at(N, Q) + 2 if l else 0
     limit, last = to_fixed(mp.mpf(tol)._mpf_, Z) >> 2, (math.inf, math.inf)
     for J in itertools.count():
         c = a + (J << F)
-        g, e = _normal(g * (math.isqrt(c * c + b * b << 2 * Q) + 1), 0, e - F - Q, Q, N)[::2]
-        if J >= first:
+        m = math.isqrt(c * c + b * b << 2 * Q) + 1
+        g, e = _normal([v * m + ((t + 1) * u << F + Q)
+                        for t, (v, u) in enumerate(zip(g, g[1:] + [0]))], e - F - Q, Q, N)
+        if 4 * c > l << F and float(s.real) + J - l / 4 > need:
             _, man, exp, _ = _remainder_factor(xi, J, prec)._mpf_
-            bound = -(_shift(man * g * (c + (N << F)), exp + e + Z) // c)
+            bound = -sum(_shift(man * v * L ** t * (4 * c - (t << F) + (N << F + 2)),
+                                exp + e + Z - Q * t) // (4 * c - (t << F))
+                         for t, v in enumerate(g))
             if bound <= limit:
                 return J, mp.make_mpf(from_man_exp(bound, -Z, prec, round_ceiling))
             if bound >= max(last):
@@ -262,122 +325,68 @@ def _series_order(xi: RotationNumber, s, N: int, tol, first: int = 0):
             last = (last[1], bound)
 
 
-def _operator_series(xi: RotationNumber, s, N: int, J: int, prec: int,
+def _operator_series(xi: RotationNumber, s, N: int, J: int, prec: int, l: int = 0,
                      weights: bool = False):
-    """(xi^N h(N), M, [(c_j (-1)^j (s)_j, (|c_j| + e_j) |(s)_j|)]) of
-    ``eval_convergent``'s depth-1 identity at order J: sum_{n>=N} xi^n n^-s
-    is -xi^N h(N) within its bound, and M = |N^(1-s)/(1 - s)| +
-    sum_j (|c_j| + e_j) |(s)_j| N^(-Re s-j) is the mass of its rounding;
-    the list, the weights of depth 2's tails, is empty unless ``weights``.
+    """(xi^N h(N), M, [(i, t, w, W)]) of the series of f = (log x)^l x^-s at
+    order J (``eval_convergent``): sum_{n>=N} xi^n f(n) is -xi^N h(N) within
+    its bound, M >= |F(N)| + sum_j (|c_j| + e_j) |f^(j)(N)| the mass of its
+    rounding, and, with ``weights``, w and W >= |w| the weight of each
+    monomial (log n)^t n^-(s+i) of h with c_i != 0, i = -1 for F's.
 
-    On integers: t_j = (-1)^j (s)_j N^(-s-j) and p_j = (-1)^j (s)_j, of
-    Q = prec + 24 + bit_length(J) bits (``_normal``), step from N^-s and 1
-    by -(s + j)/N and -(s + j), s exact, within (j + 2) 2^(1.5-Q); c_j
-    within 2^-(prec+16) e_j (``_coefficient_bounds``).  h(N) sums floored
-    products at 2^H, 2^-H < 2^(2-Q) M, and xi^N h(N) (``_char_pair``) is
-    exact until rounded once: within 2^-prec |h(N)| + 2^-(prec+14) M.  M
-    and the weights are upper bounds rounded up, each c_j p_j exact until
-    rounded."""
-    Q, a, b, F = prec + 24 + J.bit_length(), *_dyadic(s)
+    On integers: the rows t_j = (d_(j,k) N^(-s-j))_k and p_j = (d_(j,k))_k,
+    Q = prec + 24 + bit_length(J) + 4 l bits (``_normal``), step from N^-s
+    and 1 by ``_step`` over N and 1, s exact, within (j + 2) 2^(1.5-Q) of
+    the largest; (log N)^k and an upper bound of it off ``_log_at`` (the 4 l
+    bits absorb their errors); c_j within 2^-(prec+16) e_j
+    (``_coefficient_bounds``).  F = sum_k A_k (log x)^k x^(1-s), A_k exact
+    rationals from F' = f, (k + 1) A_(k+1) + (1 - s) A_k = [k = l], each
+    term of F(N) one floor.  h(N) sums floored products at 2^H, 2^-H <
+    2^(2-Q) M, and xi^N h(N) (``_char_pair``) is exact until rounded once: within
+    2^-prec |h(N)| + 2^-(prec+14) M.  M and W are upper bounds rounded up,
+    each w exact until rounded (F's at prec + 20 bits)."""
+    Q, a, b, F = prec + 24 + J.bit_length() + 4 * l, *_dyadic(s)
     _, _, (ea, eb), _ = _geometric_list(xi, prec)
-    t, p = _normal(*_power_float(N, _fixed_exponent(s, Q, N)), Q), (1 << Q, 0, -Q)
-    (x, y, e), c, H = t, (1 << F) - a, -t[2]  # N^(1-s)/(1 - s) = t_0 N 2^F/(c - i b)
-    h = [_shift(v * N, e + F + H) // (c * c + b * b) if xi.is_one() else 0
-         for v in (x * c - y * b, x * b + y * c)]
-    mass, coeffs, ea_j, den = _up(*h, prec + 20), [], 3 * ea, eb
+    x, y, e = _power_float(N, _fixed_exponent(s, Q, N))
+    t, e = _normal([0, 0] * l + [x, y], e, Q)
+    (x, y), p, pe, c, H = t[-2:], [0, 0] * l + [1 << Q, 0], -Q, (1 << F) - a, -e
+    den, one, X, U, anti, G = c * c + b * b, xi.is_one(), [1 << Q], [1 << Q], [], prec + 20
+    L = _log_at(N, Q) if l or one and not den else 0
+    for _ in range(l + 1):
+        X, U = X + [X[-1] * L >> Q], U + [-(-U[-1] * (L + 2) >> Q)]
+    # A_l = 1/(1 - s) = 2^F (c + i b)/den, A_(k-1) = -k A_k/(1 - s) down to
+    # A_0; at s = 1 (den = 0) the one A_(l+1) = 1/(l+1), and N t ~ 2^H
+    u, v, d, k = (c << F, b << F, den, l) if den else (1, 0, l + 1, l + 1)
+    while one and (u or v):
+        anti.append((k, u, v, d))
+        u, v, d, k = -k * (u * c - v * b << F), -k * (u * b + v * c << F), d * den, k - 1
+    with mp.workprec(G):  # F's monomials, exact until rounded
+        coeffs = [(-1, k, w, abs(w) * (1 + mp.ldexp(1, -prec - 10)))
+                  for k, u, v, d in anti for w in [mp.mpc(u, v) / d]] if weights else []
+    # F(N) = sum_k A_k (log N)^k N^(1-s), N^(1-s) = N t at 2^H, each term floored
+    F_N = [(k, ((x * u - y * v) * N // d, (x * v + y * u) * N // d)) for k, u, v, d in anti]
+    h = [sum(q[i] * X[k] for k, q in F_N) >> Q for i in (0, 1)]
+    mass = -(-sum(_up(*q, G) * U[k] for k, q in F_N or [(0, (0, 0))]) >> Q)
+    ea_j, eden = 3 * ea, eb
     for j, (u, v, S, A) in enumerate(_coefficient_bounds(xi, J, prec)):
-        # (|c_j| + e_j) 2^S <= num/den, e_j <= 3 (a'/b')^(j+1) = ea_j/den
-        num, (x, y, e), (px, py, pe) = A * den + (ea_j << S), t, p
+        # (|c_j| + e_j) 2^S <= num/eden, e_j <= 3 (a'/b')^(j+1) = ea_j/eden
+        num = A * eden + (ea_j << S)
+        x, y = (sum(map(mul, t[0::2], X)) >> Q, sum(map(mul, t[1::2], X)) >> Q) if l else t
         h[0] += _shift(u * x - v * y, e - S + H)
         h[1] += _shift(u * y + v * x, e - S + H)
-        mass -= _shift(-num * _up(x, y, prec + 20), e - S + H) // den
+        T = -(-sum(map(mul, map(_up, t[0::2], t[1::2], repeat(G)), U)) >> Q) if l else _up(*t, G)
+        mass -= _shift(-num * T, e - S + H) // eden
         c = a + (j << F)
-        t = _normal(-(x * c - y * b), -(x * b + y * c), e - F, Q, N)
+        t, e = _normal(_step(t, c, b, F), e - F, Q, N)
         if weights:
-            W = -(-num * _up(px, py, prec + 20) // den)
-            coeffs.append((_scaled_mpc(u * px - v * py, u * py + v * px, S - pe, prec),
-                           mp.make_mpf(from_man_exp(W, pe - S, prec, round_ceiling))))
-            p = _normal(-(px * c - py * b), -(px * b + py * c), pe - F, Q)
-        ea_j, den = ea_j * ea, den * eb
+            coeffs += [(j, k, _scaled_mpc(u * px - v * py, u * py + v * px, S - pe, prec),
+                        mp.make_mpf(from_man_exp(-(-num * _up(px, py, G) // eden), pe - S, prec,
+                                                 round_ceiling)))
+                       for k, (px, py) in enumerate(zip(p[::2], p[1::2])) if u or v]
+            p, pe = _normal(_step(p, c, b, F), pe - F, Q)
+        ea_j, eden = ea_j * ea, eden * eb
     cx, cy = _char_pair(xi ** N, Q)
     return (_scaled_mpc(h[0] * cx - h[1] * cy, h[0] * cy + h[1] * cx, H + Q, prec),
             mp.make_mpf(from_man_exp(mass, -H, prec, round_ceiling)), coeffs)
-
-
-def _series_plan(z: ZVector, s, N: int, tol):
-    """At cutoff N: None, or (J, B, z2^N h2(N), M2, E's factor, and per tail
-    (coefficient, W, xi, sigma, (J, b))), every order from ``_series_order``
-    before any term is summed.  Depth 1 is the one tail (1, 1, z1, s1), b <=
-    tol/4, B = 0.  At depth 2, J = J2, B = B2(N), and B2(N) times bounds of
-    |T(z1, s1)| (its series at J = 1: M + b) and of E's factor takes tol/8,
-    the tails' W b share the other tol/8; C2's W takes |S2(N)| <=
-    N^max(0, 1-Re s2) (1 + log N) here, and C2 itself is None."""
-    if z.r == 1:
-        found = _series_order(z[0], s[0], N, tol)
-        return found and (found[0], 0, 0, 0, 0, [(1, 1, z[0], s[0], found)])
-    (z1, z2), (s1, s2), prec = z, s, mp.mp.prec
-    head = mp.mpf(N) ** -s1.real
-    lead = (_operator_series(z1, s1, N, 1, prec)[1] + head * (1 + N / (s1 + s2).real)
-            + _remainder_factor(z1, 1, prec) * abs(s1 * (s1 + 1)) * head / N ** 2
-            * (1 + N / (s1.real + 1)))
-    inner = _series_order(z2, s2, N, tol / (2 * lead), max(1, 1 + math.floor(-s2.real)))
-    if inner is None:
-        return None
-    J2, B2 = inner
-    tail2, mass2, coeffs = _operator_series(z2, s2, N, J2, prec, weights=True)
-    tails = [(None, 1 + N ** max(0, 1 - s2.real) * (1 + mp.log(N)) + mass2, z1, s1)]
-    if z2.is_one():
-        tails.append((1 / (1 - s2), 1 / abs(1 - s2), z1, s1 + s2 - 1))
-    tails += [(w, W, z1 * z2, s1 + s2 + j) for j, (w, W) in enumerate(coeffs) if w]
-    orders = [_series_order(xi, sigma, N, tol / (2 * len(tails) * weight))
-              for _, weight, xi, sigma in tails]
-    if None in orders:
-        return None
-    far = head * (1 + N / ((s1 + s2).real + J2 - 1))
-    return J2, B2, tail2, mass2, far, [t + (o,) for t, o in zip(tails, orders)]
-
-
-def _ladder(z: ZVector, s, tol, ceiling) -> EvalReport:
-    """The convergent value at depth >= 3 and at z2 = 1, s2 = 1 (and the
-    reference of the tests at depth <= 2): t_N averaged over one oscillation
-    period and Richardson-extrapolated, with the exponents of
-    ``_tail_exponents``, across period multiples from ``CONVERGENT_START`` up
-    (off them xi^N-phased terms stay), doubling until two increments pass
-    tol/2.  One resumed kernel pass gives
-    every rung (``diagnostics["terms"]``); a ceiling below the first rung
-    raises ValueError before it starts."""
-    period = _oscillation_period(z)
-    n = -(-CONVERGENT_START // period) * period
-    if ceiling < n:
-        raise ValueError(f"ceiling {ceiling} is below the first rung {n}")
-
-    weights = [mp.power(2, e)
-               for e in _tail_exponents(z, s, (ceiling // n).bit_length())]
-    row = []  # last row of the Richardson table, one column per exponent
-    values = []
-    kernel = NestedPass(ceiling + period)
-    small_streak = 0
-    while n <= ceiling:
-        window = _nested_sums(z, s, range(n, n + period), kernel)
-        # column j+1 removes the N^-e_j term of column j across one doubling
-        prev, row = row, [sum(window.values()) / period]
-        for w, t in zip(weights, prev):
-            row.append((w * row[-1] - t) / (w - 1))
-        values.append(row[-1])
-        if len(values) >= 2:
-            increment = abs(values[-1] - values[-2])
-            small_streak = small_streak + 1 if increment < tol / 2 else 0
-            if small_streak >= 2:
-                # the ladder cannot see rounding common to its rungs; the
-                # kernel's sums carry it up to the last cutoff reached
-                estimate = 4 * increment + _rounding_slack(kernel.n, [values[-1]])
-                return EvalReport(values[-1], estimate, "convergent", _domain_flags(z, s),
-                                  {"cutoff": n, "rungs": len(values),
-                                   "period": period, "terms": kernel.terms})
-        n *= 2
-    raise NonConvergenceError(
-        f"accelerated partial sums did not settle below {mp.nstr(tol, 5)} "
-        f"up to cutoff {n // 2}")
 
 
 def eval_integer_point(z: ZVector, a, A: int = 6, tol=None) -> EvalReport:

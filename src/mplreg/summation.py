@@ -123,13 +123,6 @@ class SummationBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _rounding_slack(n, magnitudes):
-    amp = mp.mpf(1)
-    for v in magnitudes:
-        amp += abs(v)
-    return mp.mpf(2) ** (10 - mp.mp.prec) * n * amp
-
-
 def _breakdown(f, k, zeta, n, m, factor):
     """An engine's blocks (``_moment_blocks``), their total, and as its
     remainder estimate factor int_n^inf |f^(m)| (``_beyond``, the remainder
@@ -691,17 +684,15 @@ def _log_at(n: int, W: int) -> int:
 
 
 def _log_sum(n: int, logs: list, wp: int) -> int:
-    """The entry of n in ``logs``, or the exact sum of the entries of its
-    prime factors, each prime p past the end made as ``_logs`` makes it."""
+    """The entry of n <= ``SIEVE_CAP`` in ``logs`` at 2^wp or, past their
+    end, the one ``_logs`` makes: a composite n = p m (``_split``) the exact
+    sum of the entries of p and m, a prime p that of p - 1 plus
+    2 atanh(1/(2p - 1)) (``_log_step``)."""
     if n < len(logs):
         return logs[n]
-    x, p = 0, 2
-    while n > 1:
-        while n % p:
-            p = p + 1 if p * p <= n else n
-        n //= p
-        x += logs[p] if p < len(logs) else _log_sum(p - 1, logs, wp) + _log_step(p, wp)
-    return x
+    f = _split(n)
+    return (_log_sum(f[0], logs, wp) + _log_sum(f[1], logs, wp) if len(f) > 1
+            else _log_sum(n - 1, logs, wp) + _log_step(n, wp))
 
 
 def eval_nparts(parts: Scaled, xi: RotationNumber, n):
@@ -963,18 +954,16 @@ def _log_table(P: int) -> list:
 
 
 def _logs(P: int, top: int) -> list:
-    """``_log_table(P)`` extended in place to n = min(top, ``SIEVE_CAP``): a
-    composite n = p m (``_split``) is the exact sum of the entries of p and
-    m, a prime p that of p - 1 plus 2 atanh(1/(2p - 1)) (``_log_step``, low
-    by < delta = 1 + 2^-5 units 2^-(P+64)).  An entry so sums one step per
+    """``_log_table(P)`` extended in place to n = min(top, ``SIEVE_CAP``),
+    each entry from those before it (``_log_sum``; a prime's step low by
+    < delta = 1 + 2^-5 units 2^-(P+64)).  An entry so sums one step per
     node of the tree of p - 1 factorisations (Pratt, SIAM J. Comput. 4,
     1975): steps(p) = 1 + steps(p - 1) and steps(ab) = steps(a) + steps(b)
     give steps(n) <= 2 log2 n - Omega(n) (p - 1 has two prime factors for
     p >= 5), so it errs by < (2 log2 n - 1) delta units."""
     logs = _log_table(P)
     for n in range(len(logs), min(top, SIEVE_CAP) + 1):
-        f = _split(n)
-        logs.append(logs[f[0]] + logs[f[1]] if len(f) > 1 else logs[n - 1] + _log_step(n, P + 64))
+        logs.append(_log_sum(n, logs, P + 64))
     return logs
 
 
@@ -1038,7 +1027,7 @@ def _fixed_exponent(s, P: int, top: int) -> tuple:
     """(wp, -Re s, -Im s, ln 2, pi/2), the last four scaled by 2^wp and
     floored: what every n^-s entry of a pass to ``top`` shares."""
     wp = P + 13 + max(0, mp.mag(s)) + top.bit_length().bit_length()  # ``_guard_bits``
-    return (wp, *_fixed_pair(-s, wp), ln2_fixed(wp), pi_fixed(wp - 1))
+    return (wp, *_fixed_pair(mp.fneg(s, exact=True), wp), ln2_fixed(wp), pi_fixed(wp - 1))
 
 
 def _power_entry(f: int, fixed: tuple, P: int) -> tuple:
@@ -1260,7 +1249,7 @@ MATCH_START = 250
 MATCH_CEILING = 2 ** 12 * MATCH_START
 
 
-def _matching_ladder() -> list:
+def _matching_cutoffs() -> list:
     """The cutoffs N at which ``run_matching`` can match at (N, 2N):
     MATCH_START 2^k up to MATCH_CEILING, read from the module at each call."""
     return [MATCH_START << k for k in range((MATCH_CEILING // MATCH_START).bit_length())]
@@ -1324,7 +1313,7 @@ def choose_cutoff(tail: Scaled, tol, prop_fn=None):
     """
     W, best_n, best_score = tail.W, None, None
     limit = to_fixed(mp.mpf(tol)._mpf_, 3 * W) >> 2
-    for n in _matching_ladder():
+    for n in _matching_cutoffs():
         score = (_read(tail.terms, W, n, up=True)[0] << W) + (prop_fn(n) if prop_fn else 0)
         if score <= limit:
             return n
@@ -1356,7 +1345,7 @@ def run_matching(sums_fn, approx_fn, tail: Scaled, tol_eff, prop_fn=None):
     ceiling shift) into one mpf rounded up; the constant is c(2N) floored to
     2^W, exact.
     """
-    W, prec, ladder = tail.W, mp.mp.prec, _matching_ladder()
+    W, prec, ladder = tail.W, mp.mp.prec, _matching_cutoffs()
     U, allow = 3 * W, 10 * to_fixed(mp.mpf(tol_eff)._mpf_, 3 * W)
     for n in ladder[ladder.index(choose_cutoff(tail, tol_eff, prop_fn=prop_fn)):]:
         sums = sums_fn((n, 2 * n))

@@ -43,6 +43,10 @@ by ``compose_affine``, the reference for the integer rows of
 ``summation._engine_table``.
 ``primitive_roots`` is the shared Hypothesis strategy for roots of unity of
 high order.
+``ladder`` is the convergent route's former doubling ladder (period
+averaging and Richardson extrapolation on the exponents of
+``tail_exponents``, with the rounding charge of ``rounding_slack``), the
+reference of the operator-series route where it settles.
 """
 
 from fractions import Fraction
@@ -54,9 +58,12 @@ from mpmath.libmp import from_rational, round_nearest
 
 from mplreg import eulerpoly
 from mplreg.errors import PrecisionError
-from mplreg.polylog import TranslationReport, _delta, brute_partial_sum, pochhammer
-from mplreg.rootsofunity import (RotationNumber, ZVector, _coords, first_nontrivial_prefix,
-                                 index_set_and_count)
+from mplreg.errors import NonConvergenceError
+from mplreg.polylog import (CONVERGENT_START, EvalReport, TranslationReport, _delta,
+                            _nested_sums, brute_partial_sum, pochhammer)
+from mplreg.rootsofunity import (RotationNumber, ZVector, _coords, _domain_flags,
+                                 first_nontrivial_prefix, index_set_and_count,
+                                 rotation_product)
 import mplreg.summation as summod
 from mplreg.summation import NestedPass, nested_sums
 
@@ -138,45 +145,65 @@ def geometric_coeffs(xi: RotationNumber, J: int, prec: int) -> tuple:
                      for j, (u, v, S, _) in enumerate(bounds))
 
 
-def mp_operator_series(xi: RotationNumber, s, N: int, J: int, prec: int):
-    """``polylog._operator_series`` in mpc numbers at prec + 12 +
-    bit_length(J) bits, from the c_j of ``geometric_coeffs`` at ``prec``:
-    (xi^N h(N), M, [(c_j (-1)^j (s)_j, (|c_j| + e_j) |(s)_j|)]), e_j =
-    3 (2 pi |x|)^-(j+1) (0 at xi = 1); the reference for the integer
+def mp_operator_series(xi: RotationNumber, s, N: int, J: int, prec: int, l: int = 0):
+    """``polylog._operator_series`` of f = (log x)^l x^-s in mpc numbers at
+    prec + 12 + bit_length(J) bits, from the c_j of ``geometric_coeffs`` at
+    ``prec``: (xi^N h(N), M, {(i, t): (w, W)}), the weight w of each
+    monomial (log n)^t n^-(s+i) of h with c_i != 0, c_i d_(i,t), and W =
+    (|c_i| + e_i) |d_(i,t)|, e_i = 3 (2 pi |x|)^-(i+1) (0 at xi = 1), d the
+    rows d_(i+1,t) = (t + 1) d_(i,t+1) - (s + i) d_(i,t) from (log x)^l; at
+    xi = 1 the antiderivative's, i = -1, w = (-1)^(l-t) l!/t!/(1-s)^(l-t+1),
+    or 1/(l + 1) at t = l + 1 when s = 1; the reference for the integer
     series."""
     with mp.workprec(prec + 12 + J.bit_length()):
         near = min(xi.fraction, 1 - xi.fraction)
         rate = near.denominator / (2 * mp.pi * near.numerator) if near else 0
-        power, poch, env = mp.mpf(N) ** -s, mp.mpc(1), 3 * rate
-        h = power * N / (1 - s) if xi.is_one() else mp.mpc(0)
-        mass, coeffs = abs(h), []
+        power, row, env, lg = mp.mpf(N) ** -s, [0] * l + [mp.mpc(1)], 3 * rate, mp.log(N)
+        coeffs = {}
+        if xi.is_one() and s == 1:
+            coeffs[-1, l + 1] = (mp.mpf(1) / (l + 1),) * 2
+        elif xi.is_one():
+            for t in range(l + 1):
+                w = (-1) ** (l - t) * mp.factorial(l) / mp.factorial(t) / (1 - s) ** (l - t + 1)
+                coeffs[-1, t] = (w, abs(w))
+        h = mp.fsum(w * lg ** t * (power * N) for (_, t), (w, _) in coeffs.items())
+        mass = mp.fsum(W * lg ** t * abs(power * N) for (_, t), (_, W) in coeffs.items())
         for j, c in enumerate(geometric_coeffs(xi, J, prec)):
-            h += c * poch * power
-            mass += (abs(c) + env) * abs(poch * power)
-            coeffs.append((c * poch, (abs(c) + env) * abs(poch)))
-            poch, power, env = -poch * (s + j), power / N, env * rate
+            for t, d in enumerate(row):
+                h += c * d * lg ** t * power
+                mass += (abs(c) + env) * abs(d) * lg ** t * abs(power)
+                if c:
+                    coeffs[j, t] = (c * d, (abs(c) + env) * abs(d))
+            row = [(t + 1) * (row[t + 1] if t < l else 0) - (s + j) * row[t]
+                   for t in range(l + 1)]
+            power, env = power / N, env * rate
         return (xi ** N).value() * h, mass, coeffs
 
 
-def mp_series_order(xi: RotationNumber, s, N: int, tol, first: int = 0):
+def mp_series_order(xi: RotationNumber, s, N: int, tol, first: int = 0, l: int = 0):
     """``polylog._series_order`` in mpf numbers at the working precision:
-    the smallest J >= first whose bound K |(s)_(J+1)| N^(-Re s-J-1)
-    (1 + N/(Re s + J)) is <= tol/4, or None once a bound is no smaller than
-    the two before it; returns (J, bound)."""
-    sigma = s.real
-    poch, power = abs(s), mp.mpf(N) ** (-sigma - 1)  # |(s)_(J+1)|, N^(-Re s-J-1)
+    the smallest J >= first whose bound K sum_t |d_(J+1,t)| (log N)^t
+    N^(-Re s-J-1) (1 + N/(Re s + J - t/4)) is <= tol/4, |d| the majorant
+    rows (t + 1) |d_(j,t+1)| + |s + j| |d_(j,t)| from (log x)^l, or None
+    once a bound is no smaller than the two before it; returns (J, bound)."""
+    sigma, lg, row = s.real, mp.log(N), [0] * l + [1]
+    poch = [(t + 1) * (row[t + 1] if t < l else 0) + abs(s) * row[t] for t in range(l + 1)]
+    power = mp.mpf(N) ** (-sigma - 1)  # N^(-Re s-J-1)
     last = (mp.inf, mp.inf)
     J = 0
     while True:
-        if J >= first:
-            bound = (summod._remainder_factor(xi, J, mp.mp.prec) * poch * power
-                     * (1 + N / (sigma + J)))
+        if J >= first and sigma + J > mp.mpf(l) / 4:
+            K = summod._remainder_factor(xi, J, mp.mp.prec)
+            bound = sum(K * p * lg ** t * power * (1 + N / (sigma + J - mp.mpf(t) / 4))
+                        for t, p in enumerate(poch))
             if bound <= tol / 4:
                 return J, bound
             if bound >= max(last):
                 return None
             last = (last[1], bound)
-        poch, power = poch * abs(s + J + 1), power / N
+        poch = [(t + 1) * (poch[t + 1] if t < l else 0) + abs(s + J + 1) * poch[t]
+                for t in range(l + 1)]
+        power = power / N
         J += 1
 
 
@@ -231,6 +258,78 @@ def averaged_limit(sums_fn, period: int, start: int = 512, rungs: int = 8):
     return table[-1][-1]
 
 
+def rounding_slack(n, magnitudes):
+    """2^(10-prec) n (1 + sum |v|), a worst-case charge for the rounding of
+    n mpmath additions of values of these magnitudes."""
+    amp = mp.mpf(1)
+    for v in magnitudes:
+        amp += abs(v)
+    return mp.mpf(2) ** (10 - mp.mp.prec) * n * amp
+
+
+def oscillation_period(z: ZVector) -> int:
+    """lcm of the orders of the z_i: averaging t_N over this many consecutive
+    cutoffs cancels every oscillatory character of the expansion."""
+    return math.lcm(*(zi.order for zi in z))
+
+
+def tail_exponents(z: ZVector, s, count: int) -> list:
+    """The first ``count`` exponents e of the N^-e terms of a period-averaged
+    t_N on period multiples, by real part and with multiplicity.  Chain i
+    (levels i, ..., 1) starts at S_i - Q_i(z), S_i = s_1 + ... + s_i, plus one
+    when the average cancels its character z_1...z_i != 1, and steps by
+    integers; a repeated exponent removes the log term where two chains meet.
+    Inside U_r(z), a subset of V_r(z), every Re e > 0."""
+    coords = _coords(s)
+    bases = [sum(coords[:i]) - index_set_and_count(z, i)[1]
+             + (0 if rotation_product(z, 1, i).is_one() else 1)
+             for i in range(1, z.r + 1)]
+    return sorted((b + k for b in bases for k in range(count)),
+                  key=lambda e: e.real)[:count]
+
+
+def ladder(z: ZVector, s, tol, ceiling) -> EvalReport:
+    """The convergent value by the doubling ladder: t_N averaged over one
+    oscillation period and Richardson-extrapolated, with the exponents of
+    ``tail_exponents``, across period multiples from ``CONVERGENT_START`` up
+    (off them xi^N-phased terms stay), doubling until two increments pass
+    tol/2; the estimate 4 times the last increment plus ``rounding_slack``
+    of the sums up to the last cutoff reached, a heuristic.  One resumed
+    kernel pass gives every rung (``diagnostics["terms"]``); a ceiling below
+    the first rung raises ValueError before it starts, a ladder that does
+    not settle by the ceiling NonConvergenceError."""
+    s = _coords(s)
+    period = oscillation_period(z)
+    n = -(-CONVERGENT_START // period) * period
+    if ceiling < n:
+        raise ValueError(f"ceiling {ceiling} is below the first rung {n}")
+    weights = [mp.power(2, e)
+               for e in tail_exponents(z, s, (ceiling // n).bit_length())]
+    row = []  # last row of the Richardson table, one column per exponent
+    values = []
+    kernel = NestedPass(ceiling + period)
+    small_streak = 0
+    while n <= ceiling:
+        window = _nested_sums(z, s, range(n, n + period), kernel)
+        # column j+1 removes the N^-e_j term of column j across one doubling
+        prev, row = row, [sum(window.values()) / period]
+        for w, t in zip(weights, prev):
+            row.append((w * row[-1] - t) / (w - 1))
+        values.append(row[-1])
+        if len(values) >= 2:
+            increment = abs(values[-1] - values[-2])
+            small_streak = small_streak + 1 if increment < tol / 2 else 0
+            if small_streak >= 2:
+                estimate = 4 * increment + rounding_slack(kernel.n, [values[-1]])
+                return EvalReport(values[-1], estimate, "convergent", _domain_flags(z, s),
+                                  {"cutoff": n, "rungs": len(values),
+                                   "period": period, "terms": kernel.terms})
+        n *= 2
+    raise NonConvergenceError(
+        f"accelerated partial sums did not settle below {mp.nstr(tol, 5)} "
+        f"up to cutoff {n // 2}")
+
+
 def domain_member(domain_kind: str, z: ZVector, s) -> bool:
     """Strict membership of s in U_r ("Ur"), U_r(z) ("Urz") or V_r(z)
     ("Vrz") from the definitions: the running sums of Re s_i against i, the
@@ -254,11 +353,11 @@ def mp_matching(sums_fn, approx_fn, tail, tol, prop_fn=None, prec=None):
     """``summation.run_matching`` with every step in mpmath numbers at the
     working precision: the sums and the reads as mpc, and as mpf the tail's
     upper bound (``eval_tail``), the carried image ``prop_fn(n)``, the drift
-    |c(N) - c(2N)| and the rounding charge of ``_rounding_slack``, taken at
+    |c(N) - c(2N)| and the rounding charge of ``rounding_slack``, taken at
     ``prec`` bits (by default the working precision); the cutoff from the
     same ladder and rules as ``choose_cutoff``.  Returns (constant,
     residual, cutoff)."""
-    ladder = summod._matching_ladder()
+    ladder = summod._matching_cutoffs()
     best_n = best = start = None
     for n in ladder:
         score = summod.eval_tail(tail, n) + (prop_fn(n) if prop_fn else 0)

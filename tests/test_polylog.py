@@ -10,8 +10,6 @@ from mplreg.errors import DomainError, NonConvergenceError, PrecisionError
 import mplreg.polylog as polylog_mod
 from mplreg.polylog import (
     EvalReport,
-    _oscillation_period,
-    _tail_exponents,
     brute_partial_sum,
     eval_convergent,
     eval_integer_point,
@@ -23,9 +21,9 @@ from mplreg.rootsofunity import RotationNumber, ZVector
 import mplreg.summation as summod
 from mplreg.summation import nested_sums
 
-from oracles import (averaged_limit, em_zeta, mp_operator_series, mp_series_order,
-                     per_term_translation, primitive_roots, series_reference,
-                     translation_series)
+from oracles import (averaged_limit, em_zeta, ladder, mp_operator_series, mp_series_order,
+                     oscillation_period, per_term_translation, primitive_roots,
+                     series_reference, tail_exponents, translation_series)
 
 Z = ZVector.parse
 
@@ -120,14 +118,15 @@ class TestEvalConvergent:
             eval_convergent(Z("1,-1"), [1, 0])
 
     def test_accelerated_ceiling_raises(self):
+        # the reference ladder (``oracles.ladder``) does not settle by 2,000
         with pytest.raises(NonConvergenceError):
-            polylog_mod._ladder(Z("-1"), [mp.mpf("0.1")], mp.mpf("1e-30"), 2000)
+            ladder(Z("-1"), [mp.mpf("0.1")], mp.mpf("1e-30"), 2000)
 
     @pytest.mark.parametrize("tol,ceiling", [(0, 20000), (-1, 20000),
                                              ("1e-12", 10), ("1e-12", 63)])
     def test_hopeless_ladder_raises_before_summing(self, tol, ceiling,
                                                    monkeypatch):
-        # a tol <= 0 can never be met, and at z = 1/4 the first rung is 64
+        # a tol <= 0 can never be met, and the first cutoff is 64
         def no_sums(*args):
             raise AssertionError("a term was summed")
 
@@ -136,16 +135,19 @@ class TestEvalConvergent:
             eval_convergent(Z("1/4"), [mp.mpf("0.4")], tol=tol, ceiling=ceiling)
 
     def test_oscillation_period_is_the_full_lcm(self):
-        assert _oscillation_period(Z("1/5,1/7,1/13")) == 455
-        assert _oscillation_period(Z("1,-1,1/3")) == 6
+        assert oscillation_period(Z("1/5,1/7,1/13")) == 455
+        assert oscillation_period(Z("1,-1,1/3")) == 6
 
     def test_raw_mode_matches_contract(self):
         # the convergent route keeps the contract at an absolutely
-        # convergent point: the value lies within its estimate
+        # convergent point: the value lies within its estimate; and it
+        # reports one diagnostics shape at every depth
         rep = eval_convergent(Z("-1"), [2], tol=mp.mpf("1e-6"))
         want = -(1 - mp.mpf(2) ** -1) * em_zeta(2)  # -eta(2)
         assert abs(rep.value - want) <= rep.abs_error_estimate + mp.mpf("1e-12")
-        assert "accelerated" not in rep.diagnostics
+        for ztext, s in (("-1", [2]), ("1,-1", [2, 0]), ("-1,1,1/3", [3, 2, 2])):
+            rep = eval_convergent(Z(ztext), s, tol=mp.mpf("1e-6"))
+            assert set(rep.diagnostics) == {"cutoff", "order", "terms"}
 
 
 class TestConvergentRoute:
@@ -178,7 +180,7 @@ class TestConvergentRoute:
                                                    + ts.abs_error_estimate)
 
     def test_tail_exponents(self):
-        got = _tail_exponents(Z("-1,-1"), [mp.mpf("0.7"), mp.mpf("0.6")], 5)
+        got = tail_exponents(Z("-1,-1"), [mp.mpf("0.7"), mp.mpf("0.6")], 5)
         want = ["0.3", "1.3", "1.7", "2.3", "2.7"]
         assert all(abs(e - mp.mpf(w)) < mp.mpf("1e-30") for e, w in zip(got, want))
         assert len(got) == 5
@@ -214,13 +216,13 @@ class TestConvergentRoute:
         assert err <= rep.abs_error_estimate
 
     def test_ladder_estimate_carries_rounding(self):
-        # the ladder stops at cutoff 4,608 with 4 times the last increment
-        # at 3.1e-13, and the rounding slack of the sums up to the last
-        # cutoff reached (8.7e-10) dominates an estimate that must stay
+        # the reference ladder stops at cutoff 4,608 with 4 times the last
+        # increment at 3.1e-13, and the rounding slack of the sums up to the
+        # last cutoff reached (8.7e-10) dominates an estimate that must stay
         # above the error (2.6e-16)
         xi, s = self.ROUNDING_POINT
         with mp.workprec(53):
-            rep = polylog_mod._ladder(ZVector([xi]), [s], mp.mpf(2) ** -33, self.CEILING)
+            rep = ladder(ZVector([xi]), [s], mp.mpf(2) ** -33, self.CEILING)
         with mp.workprec(128):
             err = abs(rep.value - mp.polylog(s, xi.value()))
         assert err <= rep.abs_error_estimate
@@ -228,7 +230,7 @@ class TestConvergentRoute:
     def test_ladder_is_one_pass(self):
         # every rung is a multiple of the period, and one pass sums each
         # n below the last cutoff reached (cutoff + period - 1) exactly once
-        d = polylog_mod._ladder(Z("1/3"), [mp.mpf("0.5")], self.TOL, self.CEILING).diagnostics
+        d = ladder(Z("1/3"), [mp.mpf("0.5")], self.TOL, self.CEILING).diagnostics
         assert d["cutoff"] % d["period"] == 0
         assert d["terms"] == d["cutoff"] + d["period"] - 2
 
@@ -293,7 +295,7 @@ class TestOperatorSeriesRoute:
     def test_agrees_with_the_ladder(self, ztext, s):
         z, s, tol = Z(ztext), [mp.mpc(complex(x)) for x in s.split(",")], mp.mpf("1e-10")
         rep = eval_convergent(z, s, tol=tol)
-        ref = polylog_mod._ladder(z, s, tol, 2 * 10**5)
+        ref = ladder(z, s, tol, 2 * 10**5)
         assert abs(rep.value - ref.value) <= rep.abs_error_estimate + ref.abs_error_estimate
         assert rep.diagnostics["cutoff"] <= 256
 
@@ -330,13 +332,29 @@ class TestIntegerOperatorSeries:
     def test_against_mpc_reference(self, xi, re_s, im_s, N, J, prec):
         if xi.is_one():  # Re s > 1 there, as on U_1(1)
             re_s = 1 + 3 * max(re_s, 0.25) / 4
+        self.check(xi, re_s, im_s, N, J, prec, 0)
+
+    # the rows of f = (log x)^l x^-s: every root, s on both sides of 1 and
+    # s = 1 exactly at xi = 1, where the antiderivative is a log power
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(st.just(RotationNumber(0, 1)), primitive_roots(60)),
+           st.floats(0.5, 4), st.floats(-3, 3), st.sampled_from([64, 256, 4096]),
+           st.integers(0, 30), st.sampled_from([53, 128, 256]), st.integers(1, 3))
+    @example(RotationNumber(0, 1), 1.0, 0.0, 64, 12, 128, 1)
+    @example(RotationNumber(0, 1), 1.0, 0.0, 256, 20, 256, 3)
+    @example(RotationNumber(1, 2), 1.0, 0.0, 64, 10, 128, 1)
+    @example(RotationNumber(0, 1), 0.5, 2.0, 64, 8, 53, 2)
+    def test_log_rows_against_mpc_reference(self, xi, re_s, im_s, N, J, prec, l):
+        self.check(xi, re_s, im_s, N, J, prec, l)
+
+    def check(self, xi, re_s, im_s, N, J, prec, l):
         with mp.workprec(prec):
             s = mp.mpc(re_s, im_s)
-            value, mass, coeffs = polylog_mod._operator_series(xi, s, N, J, prec, weights=True)
+            value, mass, coeffs = polylog_mod._operator_series(xi, s, N, J, prec, l, True)
             tol = max(mp.mpf("1e-10"), mp.mpf(2) ** (22 - prec))
-            found = polylog_mod._series_order(xi, s, N, tol)
-            want = mp_series_order(xi, s, N, tol)
-        ref_value, ref_mass, ref_coeffs = mp_operator_series(xi, s, N, J, prec + 64)
+            found = polylog_mod._series_order(xi, s, N, tol, 0, l)
+            want = mp_series_order(xi, s, N, tol, 0, l)
+        ref_value, ref_mass, ref_coeffs = mp_operator_series(xi, s, N, J, prec + 64, l)
         with mp.workprec(prec + 64):
             # the derived bound of the integer series, and the reference's own
             # error at prec + 64 bits
@@ -344,8 +362,9 @@ class TestIntegerOperatorSeries:
                      + mp.ldexp(1 + ref_mass, -prec - 50))
             assert abs(value - ref_value) <= bound
             assert mass >= ref_mass
-            assert len(coeffs) == J + 1
-            for (w, W), (ref_w, ref_W) in zip(coeffs, ref_coeffs):
+            assert sorted((i, k) for i, k, _, _ in coeffs) == sorted(ref_coeffs)
+            for i, k, w, W in coeffs:
+                ref_w, ref_W = ref_coeffs[i, k]
                 assert W >= ref_W
                 assert abs(w - ref_w) <= mp.ldexp(W, 1 - prec)
         assert (found and found[0]) == (want and want[0])
@@ -389,10 +408,66 @@ class TestNestedSeriesRoute:
                             tol=mp.mpf("1e-10"), ceiling=10**4)
 
     @pytest.mark.parametrize("ztext", ["-1,1", "1/3,1"])
-    def test_inner_harmonic_stays_on_the_ladder(self, ztext):
-        # z2 = 1 with s2 = 1: the inner sum carries log n
-        d = eval_convergent(Z(ztext), [1, 1], tol=mp.mpf("1e-10")).diagnostics
-        assert {"rungs", "period"} <= set(d)
+    def test_inner_harmonic_against_the_ladder(self, ztext):
+        # z2 = 1 with s2 = 1: the inner sum carries log n, so the outer tail
+        # is the series of f = log x / x; against the reference ladder and,
+        # at this integer point, the regularised route
+        z, tol = Z(ztext), mp.mpf("1e-10")
+        rep = eval_convergent(z, [1, 1], tol=tol)
+        assert set(rep.diagnostics) == {"cutoff", "order", "terms"}
+        for ref in (ladder(z, [1, 1], tol, 2 * 10**5), eval_integer_point(z, (1, 1))):
+            assert abs(rep.value - ref.value) <= rep.abs_error_estimate + ref.abs_error_estimate
+
+
+class TestDeepSeriesRoute:
+    # depth 3: the same recursion over one more level
+
+    @settings(max_examples=12, deadline=None)
+    @given(ROOTS_TO_12, ROOTS_TO_12, ROOTS_TO_12,
+           *[st.tuples(st.floats(0.05, 3), st.floats(-2, 2))] * 3,
+           st.sampled_from([128, 256]), st.sampled_from(["1e-10", "1e-20"]))
+    @example(RotationNumber(0, 1), RotationNumber(0, 1), RotationNumber(0, 1),
+             (1.30, -0.76), (1.17, 0.63), (0.87, 0.16), 128, "1e-10")
+    @example(RotationNumber(0, 1), RotationNumber(1, 2), RotationNumber(0, 1),
+             (1.5, 0.0), (0.7, 0.0), (0.5, 0.0), 128, "1e-10")
+    def test_stuffle(self, x, y, w, s, t, u, prec, tol):
+        # Li_s(x) Li_{t,u}(y,w) = Li_{s,t,u}(x,y,w) + Li_{t,s,u}(y,x,w)
+        # + Li_{t,u,s}(y,w,x) + Li_{s+t,u}(xy,w) + Li_{t,s+u}(y,xw), every
+        # point inside U, Li_s(x) at prec + 64.  The first example is the
+        # CI point's five terms; in the second Li_{t,s,u} and Li_{t,u,s}
+        # have z2 = z3 = 1 and s2 + s3 = 2, so their middle level is log n
+        with mp.workprec(prec):
+            s, t, u, tol = mp.mpc(*s), mp.mpc(*t), mp.mpc(*u), mp.mpf(tol)
+            points = [((x, y, w), (s, t, u)), ((y, x, w), (t, s, u)), ((y, w, x), (t, u, s)),
+                      ((x * y, w), (s + t, u)), ((y, x * w), (t, s + u)), ((y, w), (t, u))]
+            assume(all(polylog_mod._domain_flags(ZVector(z), v)["Urz"] for z, v in points))
+            reps = [eval_convergent(ZVector(z), list(v), tol=tol) for z, v in points]
+        with mp.workprec(prec + 64):
+            li = hurwitz_polylog(x, s)
+            err = abs(li * reps[-1].value - sum(rep.value for rep in reps[:-1]))
+            bound = abs(li) * reps[-1].abs_error_estimate + sum(
+                rep.abs_error_estimate for rep in reps[:-1])
+        assert err <= bound, (err, reps)
+        assert all(set(rep.diagnostics) == {"cutoff", "order", "terms"} for rep in reps)
+
+    # points where the reference ladder settles within a second
+    @pytest.mark.parametrize("ztext,s", [("-1,1/3,1/4", "1.5,0.8,0.6"), ("-1,1,1", "0.7,1.5,0.5"),
+                                         ("1/3,1,1", "1.2,1.1,0.9"), ("1,1,1", "2.5,1.2,0.5")])
+    def test_agrees_with_the_ladder(self, ztext, s):
+        z, s, tol = Z(ztext), [mp.mpc(complex(x)) for x in s.split(",")], mp.mpf("1e-10")
+        rep, ref = eval_convergent(z, s, tol=tol), ladder(z, s, tol, 2 * 10**5)
+        assert abs(rep.value - ref.value) <= rep.abs_error_estimate + ref.abs_error_estimate
+        assert rep.diagnostics["cutoff"] == 64
+
+    def test_small_ceiling_raises_before_summing(self, monkeypatch):
+        # the outermost tails at order 4,001 need cutoff 16,384, as at depth 1
+        def no_sums(*args):
+            raise AssertionError("a term was summed")
+
+        monkeypatch.setattr(polylog_mod, "_nested_sums", no_sums)
+        with pytest.raises(NonConvergenceError, match="16384"):
+            eval_convergent(Z("1/4001,1/3,-1"), [mp.mpf("1.5"), 1, 1],
+                            tol=mp.mpf("1e-10"), ceiling=10**4)
 
 
 class TestEvalIntegerPoint:

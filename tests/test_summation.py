@@ -31,7 +31,7 @@ from mplreg.summation import (
 from oracles import (_mpmath_pass, em_remainder, end_blocks, engine_table_fractions,
                      fixed_point_pass, geb_blocks, geometric_closed_form, geometric_coeffs,
                      geometric_tail_coeffs, mp_matching, nparts_chain, point_value,
-                     primitive_roots, split_reference)
+                     primitive_roots, rounding_slack, split_reference)
 from test_eulerpoly import gen_euler_oracle
 
 
@@ -516,7 +516,7 @@ class TestTwistedTail:
                         (summod.eval_nparts(parts, xi, N), summod.eval_tail(tail, N)),
                         (summod.eval_nparts(h, xi, N),
                          summod.eval_tail(tail, N) - summod.eval_tail(dropped, N))):
-                    slack = ref.residual_bound + summod._rounding_slack(N, [total, approx])
+                    slack = ref.residual_bound + rounding_slack(N, [total, approx])
                     assert abs(total - approx - c_ref) <= bound + slack, N
 
 
@@ -1199,6 +1199,19 @@ class TestNparts:
         table = summod._logs(W, max(ps))
         assert sums == [table[p] for p in ps]
         assert cold == [table[p] >> 64 for p in ps]
+
+    def test_log_reads_match_every_entry(self):
+        # every n <= SIEVE_CAP read off a table that holds none of them (at
+        # 192 bits; every third n at 256), through ``_split``'s parts: the
+        # entry ``_logs`` then makes, bit for bit
+        for W, step in ((192, 1), (256, 3)):
+            summod._log_table.cache_clear()
+            summod._log_at.cache_clear()
+            ns = range(2, summod.SIEVE_CAP + 1, step)
+            cold = [summod._log_at(n, W) for n in ns]
+            assert len(summod._log_table(W)) == 2
+            table = summod._logs(W, summod.SIEVE_CAP)
+            assert cold == [table[n] >> 64 for n in ns]
 
     def test_rows_are_the_derivatives(self):
         # f = (log x)^2 x^-1: f' = (2 log x - (log x)^2) x^-2,
