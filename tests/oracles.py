@@ -660,7 +660,17 @@ def end_blocks(f, k: int, zeta: RotationNumber, n: int, m: int) -> dict:
     sum_{1<i<k} <v_{i,k-1}, w_{i,k-1}> (f(n+i-1) - f(n+i-2)), with F from
     ``ScaleFunction.antiderivative``, f^(j) from ``differentiate``, the inner
     products from their definition (``eulerpoly.inner_product``) and every
-    value from ``point_value``."""
+    value from ``point_value``.  The blocks are linear in f, so each is
+    summed term by term: a difference such as f(n) - f(1) taken of all of f
+    at once loses a small term to a large one (1 + c/x, |c| ~ 1e-243)."""
+    from mplreg.scalefun import ScaleFunction
+    blocks = [_term_end_blocks(ScaleFunction([t]), k, zeta, n, m) for t in f.terms()]
+    return {engine: {name: mp.fsum(b[engine][name] for b in blocks) for name in names}
+            for engine, names in _term_end_blocks(ScaleFunction(), k, zeta, n, m).items()}
+
+
+def _term_end_blocks(f, k: int, zeta: RotationNumber, n: int, m: int) -> dict:
+    """``end_blocks`` of f taken whole, point by point."""
     derivs = [f]
     for _ in range(m):
         derivs.append(derivs[-1].differentiate())
