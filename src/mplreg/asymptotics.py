@@ -213,57 +213,43 @@ def nested_char_partial_sums(z: ZVector, a, kvec, cutoffs, state=None) -> dict:
     return summation.nested_sums(z, a, kvec, cutoffs, state)
 
 
-def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
-                precision=None, tol=None, carried_growth=None) -> AsymptoticExpansion:
+def partial_sum(e: AsymptoticExpansion, sums_fn, *, carried_growth,
+                precision=None, tol=None) -> AsymptoticExpansion:
     """Expansion of v_n = sum_{m<n} u_m given the expansion e of u_n.
 
     The n-dependent coefficients come from each stored term's symbolic
     n-parts; the constant is matched once, at a cutoff pair (N, 2N), against
-    exact partial sums of u given by ``sums_fn`` (``cutoffs -> {N: value}``,
-    a number or a raw sum of ``summation.NestedPass.raw_sum``), which also
+    exact partial sums of u given by ``sums_fn`` (``cutoffs -> {N: (re, im,
+    P)}``, the raw sums of ``summation.NestedPass.raw_sum``), which also
     absorbs the constant of the part of u that e does not represent.
-    Without ``sums_fn``, e is taken to represent u exactly (its
-    ``residual_bound`` is not carried) and the oracle is sum c *
-    ``summation.char_partial_sums`` over e's terms, on integers.
 
     ``carried_growth = (exponent, log_power)`` tells the matcher how the
     uncertainty carried in e's coefficients (``residual_bound``) is imaged
     at a cutoff n, namely within residual_bound * (1+log n)^log_power *
-    n^exponent.  The depth driver derives it from its head monomial; the
-    default falls back to the worst stored decay index, which is correct
-    but can be far too conservative.  Both are ints, the log power >= 0, and
-    a carried ``residual_bound`` is finite and >= 0, else ValueError.
+    n^exponent; the depth driver derives it from its head monomial.  Both
+    are ints, the log power >= 0, and ``residual_bound`` is finite and >= 0,
+    else ValueError.  An e that carries nothing (``residual_bound`` 0) has
+    no image: the predicted residual alone picks the cutoff, and one that
+    cannot reach tol raises PrecisionError before any sum is asked for.
     """
     a_out = e.precision if precision is None else int(precision)
     tol_eff = summation.resolve_tol(tol, summation.DEFAULT_MATCH_TOL)
     a_int, W = summation.internal_precision(a_out, tol_eff), e.scale
-    exact = sums_fn is None
-    if exact:
-        def sums_fn(cutoffs):
-            # c at 2^W times t_N at 2^P, each product shifted to 2^(3W)
-            total = dict.fromkeys(cutoffs, (0, 0))
-            for xi, coeffs in e._parts.items():
-                for (l, m), (cr, ci) in coeffs.items():
-                    state = summation.NestedPass(max(cutoffs))
-                    summation.char_partial_sums(xi, l, m, cutoffs, state)
-                    for n, (x, y) in total.items():
-                        re, im, P = state.raw_sum(n)
-                        total[n] = (x + summation._shift(cr * re - ci * im, 2 * W - P),
-                                    y + summation._shift(cr * im + ci * re, 2 * W - P))
-            return {n: (x, y, 3 * W) for n, (x, y) in total.items()}
-    elif not callable(sums_fn):
-        raise ValueError("sums_fn must be a callable cutoffs -> {N: value}")
-    elif not (mp.isfinite(e.residual_bound) and e.residual_bound >= 0):
+    growth_exp, growth_log = carried_growth
+    if not callable(sums_fn):
+        raise ValueError("sums_fn must be a callable cutoffs -> {N: (re, im, P)}")
+    if not (mp.isfinite(e.residual_bound) and e.residual_bound >= 0):
         raise ValueError(f"residual_bound must be finite and >= 0: {e.residual_bound}")
+    if not (isinstance(growth_exp, int) and isinstance(growth_log, int) and growth_log >= 0):
+        raise ValueError(f"carried_growth must be two ints, the second >= 0: {carried_growth}")
 
     # c times the n-parts (at 2^V) of every term, collected per character,
     # and |c| times its tail, rounded up, all at e's scale 2^W: each product
     # one floor (one ceiling in the tail), each sum exact
-    by_char, tail, max_log = {}, defaultdict(int), 0
+    by_char, tail = {}, defaultdict(int)
     for xi, coeffs in e._parts.items():
         acc = by_char.setdefault(xi, {})
         for (l, m), (cr, ci) in coeffs.items():
-            max_log = max(max_log, l)
             parts, rest = summation._term_nparts(xi, l, m, a_int)
             V = parts.W
             for key, (pr, pi) in parts.terms.items():
@@ -273,16 +259,6 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
             for key, t in rest.terms.items():
                 tail[key] += (size * t >> V) + 1
 
-    # uncertainty already carried by e's coefficients, imaged at a cutoff;
-    # grows when the expansion has growing terms (negative decay indices)
-    if carried_growth is not None:
-        growth_exp, growth_log = carried_growth
-    else:
-        growth_exp = -min(0, e.order()) if not e.is_empty() else 0
-        growth_log = max_log
-
-    if not (isinstance(growth_exp, int) and isinstance(growth_log, int) and growth_log >= 0):
-        raise ValueError(f"carried_growth must be two ints, the second >= 0: {carried_growth}")
     # residual_bound (1 + log n)^growth_log n^growth_exp, rounded up in units
     # 2^-3W, log n raised past ``_log_at``'s error (< 2 units 2^-W)
     carried = -to_fixed(mpf_neg(e.residual_bound._mpf_), 3 * W)
@@ -297,10 +273,7 @@ def partial_sum(e: AsymptoticExpansion, sums_fn=None, *,
     c2, residual, _ = summation.run_matching(
         sums_fn,
         lambda n: _eval_parts_by_char(by_char, W, n),
-        summation.Scaled(dict(tail), W), tol_eff,
-        # an exact e carries no uncertainty: the predicted residual alone
-        # picks the cutoff, and one that cannot reach tol fails at once
-        prop_fn=None if exact else prop)
+        summation.Scaled(dict(tail), W), tol_eff, prop_fn=prop if e.residual_bound else None)
 
     one = by_char.setdefault(ONE, {})
     (x, y), (cr, ci) = one.get((0, 0), (0, 0)), summation._fixed_pair(c2, W)

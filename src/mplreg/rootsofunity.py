@@ -237,11 +237,13 @@ def parse_complex(text: str) -> mp.mpc:
 
 
 def _coords(s) -> tuple:
-    if isinstance(s, ComplexPoint):
-        return s.coords
-    if isinstance(s, (list, tuple)):
-        return tuple(mp.mpc(c) for c in s)
-    return (mp.mpc(s),)
+    """s as mpc coordinates, every route's one reading: DomainError if one
+    is infinite or NaN."""
+    coords = s.coords if isinstance(s, ComplexPoint) else tuple(
+        map(mp.mpc, s if isinstance(s, (list, tuple)) else (s,)))
+    if not all(map(mp.isfinite, coords)):
+        raise DomainError("a coordinate is not finite: " + ", ".join(map(mp.nstr, coords)))
+    return coords
 
 
 def rotation_product(z: ZVector, i: int, j: int) -> RotationNumber:

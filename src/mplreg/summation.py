@@ -21,27 +21,28 @@ bounded (``_round_block``, ``_breakdown``), and the bound is the rounding
 part of the engines' ``remainder_estimate``; the part past n is
 int_n^inf |f^(m)| bounded on integers and rounded up (``_beyond``).
 
-``term_sum_expansion`` returns the ``AsymptoticExpansion`` of
-sum_{a<n} xi^a (log a)^l a^(-m), with symbolic n-dependent coefficients
-from one series for every xi: the antiderivative when xi = 1 plus
-h = sum_{j<=J} c_j f^(j), c_j the Taylor coefficients of 1/(xi e^t - 1)
-less its pole (from their recurrence on scaled Python integers, O(J^2) once
-per (xi, prec)), J = max(1, A + 2 - m), and the f^(j) of f = (log x)^l
-x^-m read off one memoised table of exact integer derivative rows that
-every xi and precision share, so a term costs O(J l) integer products
-whatever the order of xi; the remainder is K (|f^(J+1)|(n) + int_n^inf
-|f^(J+1)|), K = [xi = 1]/(J + 2)! + sum_j |c_j| / (J - j + 1)! memoised per
-(xi, J, prec), once the absolute terms of f^(J+1) decrease on [n, inf).
-The n-parts and this bound are ``Scaled`` sums, Gaussian integers at one
-scale 2^V (``_nparts_at``): each part c_j d_{j,i} is floored once from
-the scaled pairs of the c_j within a bound derived there, and each tail
-coefficient is rounded up.  They are read at a cutoff on integers
+``term_sum_expansion``, the depth driver at depth 1, returns the
+``AsymptoticExpansion`` of sum_{a<n} xi^a (log a)^l a^(-m), with symbolic
+n-dependent coefficients from one series for every xi: the antiderivative
+when xi = 1 plus h = sum_{j<=J} c_j f^(j), c_j the Taylor coefficients of
+1/(xi e^t - 1) less its pole (from their recurrence on scaled Python
+integers, O(J^2) once per (xi, prec)), J = max(1, A + 2 - m), and the f^(j)
+of f = (log x)^l x^-m read off one memoised table of exact integer
+derivative rows that every xi and precision share, so a term costs O(J l)
+integer products whatever the order of xi; the remainder is K (|f^(J+1)|(n)
++ int_n^inf |f^(J+1)|), K = [xi = 1]/(J + 2)! + sum_j |c_j| / (J - j + 1)!
+memoised per (xi, J, prec), once the absolute terms of f^(J+1) decrease on
+[n, inf).  The n-parts and this bound are ``Scaled`` sums, Gaussian integers
+at one scale 2^V (``_nparts_at``): each part c_j d_{j,i} is floored once
+from the scaled pairs of the c_j within a bound derived there, and each
+tail coefficient is rounded up.  They are read at a cutoff on integers
 (``_read``, each log power's terms one Horner sum in 1/n floored once;
 ``_read_chars``) through the kernel's log code.  The constant, its
-regularised value, is matched against exact partial sums at a cutoff pair
-(N, 2N), within its ``residual_bound``, on integers at 2^(3W)
-(``run_matching``: the pass's raw sums, the unrounded reads, a squared
-drift test, one mpc and one mpf rounded per match).
+regularised value, is matched against the raw sums of one kernel pass at a
+cutoff pair (N, 2N), within its ``residual_bound``, on integers at 2^(3W)
+(``run_matching``: the unrounded reads, a squared drift test, one mpc and
+one mpf rounded per match); with no carried uncertainty, a tol that no
+cutoff's predicted tail reaches raises before the pass (``choose_cutoff``).
 
 ``nested_sums`` is the package's one partial-sum kernel: every exact
 truncated nested sum t_N (the matching oracle of every level of the depth
@@ -139,14 +140,16 @@ def _breakdown(f, k, zeta, n, m, factor):
 def _beyond(f, m, n, factor):
     """factor int_n^inf |f^(m)| rounded up, +inf if f^(m) decays no faster
     than 1/x: f^(m) off ``_derivative_rows`` on exact integers, each
-    modulus rounded up at 2^V into ``_tail_integral``, read up at n."""
+    modulus rounded up at 2^V into ``_tail_integral``, read up at n; V =
+    prec + 64 rounded up to 64, plus the bits f's largest part lies below 2^-64."""
     mans, e0 = _mantissas([c for _, _, c in f.terms()])
     terms = defaultdict(lambda: [0, 0])
     for (l, mu, _), (x, y) in zip(f.terms(), mans):
         for i, r in enumerate(_derivative_rows(l, mu, m - 1)[m]):
             terms[i, mu + m][0] += x * r
             terms[i, mu + m][1] += y * r
-    V, tail = mp.mp.prec + 64 + -mp.mp.prec % 64, defaultdict(int)
+    top = max((max(abs(x), abs(y)).bit_length() for x, y in mans), default=0) + e0
+    V, tail = mp.mp.prec + 64 + -mp.mp.prec % 64 + max(0, -64 - top), defaultdict(int)
     k = e0 + V  # |x + i y| 2^k rounded up
     for (i, mu), (x, y) in terms.items():
         if (x or y) and mu <= 1:
@@ -746,8 +749,8 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     * (log n)^k from the log table of P (``_logs``) up to ``SIEVE_CAP``,
       made on integers from itself (a prime p from p - 1), from
       ``log_int_fixed`` past it;
-    * n^-a, a integral, by an exact division by n^a (a > 0) or an exact
-      multiply by n^|a| (a <= 0);
+    * n^-a, a integral, by an exact division by n^min(a, 2P) (a > 0, see
+      ``NestedPass.power``) or an exact multiply by n^|a| (a <= 0);
     * n^-s, s not integral, from a table of scaled complex pairs kept on the
       pass state and grown block by block to the cutoff reached.  A prime's
       entry is exp(-s log p) in integer fixed point, floored once
@@ -791,6 +794,8 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
     if state.P is None:
         state._start(z, exps, kvec)
     P = state.P
+    # an integral a past 2P divides as a = 2P does (``NestedPass.power``)
+    weights = [min(a, 2 * P) if isinstance(a, int) else a for a in exps]
     top = cutoffs[-1]
     # per level: the order of z_j and the cos and sin of z_j^n, tiled to
     # cover any block of this call
@@ -807,7 +812,7 @@ def nested_sums(z, s, kvec, cutoffs, state=None) -> dict:
         n1 = min(top, n0 + BLOCK_CAP)
         lp = _log_powers(logs, P, kmax, range(n0, n1))
         marks = cutoffs[bisect_left(cutoffs, n0):bisect_left(cutoffs, n1)]
-        _block(state, levels, kvec, exps, lp, range(n0, n1), marks)
+        _block(state, levels, kvec, weights, lp, range(n0, n1), marks)
         n0 = n1
     state._record(top, state.level_re, state.level_im)
     state.n, state.terms = top, state.terms + top - state.n
@@ -1106,9 +1111,13 @@ class NestedPass:
 
     def power(self, n: int, j: int = 0) -> tuple:
         """n^-s_j scaled by 2^P and floored: the table's entry (past them a
-        product of stored ones), exact but for the floor at integral s_j."""
+        product of stored ones), exact but for the floor at integral s_j.
+        An integral a > 2P divides as 2P does: each C the pass divides by n^a
+        (2^P here) has |C| < 2^P B < 2^(2P) <= n^(2P), B the bound of
+        ``_guard_bits``, so floor(C/n^a) is 0 or -1 alike (n = 1: exact)."""
         a, table = self.key[1][j], self.tables[j]
         if table is None:
+            a = min(a, 2 * self.P)
             return ((1 << self.P) // n ** a if a > 0 else n ** -a << self.P), 0
         return ((table[1][n], table[2][n]) if n < len(table[1])
                 else _sieve_entry(table, _split(n), self.P))
@@ -1336,7 +1345,7 @@ def run_matching(sums_fn, approx_fn, tail: Scaled, tol_eff, prop_fn=None):
 
     All on integers in units 2^-U, U = 3W, W = tail.W: t_N of ``sums_fn``
     as raw sums (re, im, P), P <= U (``NestedPass.raw_sum``), shifted
-    exactly (a number is floored), the unrounded reads of ``approx_fn``
+    exactly, the unrounded reads of ``approx_fn``
     (``_read_chars``) and ``prop_fn``'s integer bound.  So c(N) = t_N -
     approx(N) is exact, the drift test compares dx^2 + dy^2 with (10
     floor(tol 2^U) + 16 prop)^2, and the residual max(drift, tail(2N)) +
@@ -1349,9 +1358,8 @@ def run_matching(sums_fn, approx_fn, tail: Scaled, tol_eff, prop_fn=None):
     U, allow = 3 * W, 10 * to_fixed(mp.mpf(tol_eff)._mpf_, 3 * W)
     for n in ladder[ladder.index(choose_cutoff(tail, tol_eff, prop_fn=prop_fn)):]:
         sums = sums_fn((n, 2 * n))
-        (x1, y1), (x2, y2) = (_fixed_pair(mp.mpc(t), U) if not isinstance(t, tuple)
-                              else (_shift(t[0], U - t[2]), _shift(t[1], U - t[2]))
-                              for t in (sums[n], sums[2 * n]))
+        (x1, y1), (x2, y2) = ((_shift(re, U - P), _shift(im, U - P))
+                              for re, im, P in (sums[n], sums[2 * n]))
         (a1, b1), (a2, b2) = approx_fn(n), approx_fn(2 * n)
         dx, dy = x1 - a1 - x2 + a2, y1 - b1 - y2 + b2
         prop = prop_fn(2 * n) if prop_fn is not None else 0
@@ -1372,15 +1380,14 @@ def run_matching(sums_fn, approx_fn, tail: Scaled, tol_eff, prop_fn=None):
 
 def term_sum_expansion(xi: RotationNumber, l: int, m: int, A: int, tol=None):
     """The ``AsymptoticExpansion`` of  v_n = sum_{a<n} xi^a (log a)^l a^(-m)
-    to precision A.
-
-    This is ``asymptotics.partial_sum`` on the monomial: the n-dependent
-    coefficients and their remainder bound are symbolic (``_term_nparts``);
-    the constant, its ``regularised_value()``, is matched numerically against
-    exact partial sums at a cutoff pair (N, 2N) and certified, within its
-    ``residual_bound``, by the double-cutoff stability check.
+    to precision A: the depth driver at depth 1 (``asymptotics.
+    depth_expansion``).  The n-dependent coefficients and their remainder
+    bound are symbolic (``_term_nparts``); the constant, its
+    ``regularised_value()``, is matched against one kernel pass at a cutoff
+    pair (N, 2N) and certified, within its ``residual_bound``, by the
+    double-cutoff stability check.  A tol that no ladder point's predicted
+    residual reaches raises PrecisionError before any term is summed.
     """
-    from .asymptotics import AsymptoticExpansion, partial_sum
+    from .asymptotics import DepthSpec, depth_expansion
 
-    monomial = AsymptoticExpansion({xi: ScaleFunction.term(l, m)}, precision=max(A, m))
-    return partial_sum(monomial, precision=A, tol=tol)
+    return depth_expansion(DepthSpec(ZVector([xi]), (m,), (l,)), A, tol)

@@ -35,7 +35,9 @@ on them in mpmath numbers, the references for their integer versions.
 differentiation on mpc coefficients, the reference for the scaled integers
 of ``summation._nparts_at``.
 ``mp_matching`` is the constant matcher in mpmath numbers, the reference
-for the integer ``summation.run_matching``.  ``domain_member`` tests one
+for the integer ``summation.run_matching``.  ``per_term_sums`` sums an
+expansion's terms exactly, each in a kernel pass of its own, the reference
+partial sums of ``asymptotics.partial_sum``.  ``domain_member`` tests one
 domain from its definition, the reference for the one-pass domain flags.
 ``engine_table_fractions`` builds an engine's table from the
 ``RationalPolynomial``s with ``Fraction`` arithmetic, composing the shift
@@ -379,6 +381,28 @@ def mp_matching(sums_fn, approx_fn, tail, tol, prop_fn=None, prec=None):
                 2 * n * (1 + abs(sums[2 * n]) + abs(approx2)), 10 - (prec or mp.mp.prec)))
             return c2, residual, n
     raise PrecisionError(f"constant matching unstable at N = {n}")
+
+
+def per_term_sums(e):
+    """A ``sums_fn`` of ``asymptotics.partial_sum`` for u = e exactly: the
+    raw sums (re, im, 3W), W = e.scale, of sum_terms c t_N, each t_N of
+    ``summation.char_partial_sums`` in a pass of its own, each product of c
+    at 2^W and t_N at 2^P shifted to 2^(3W)."""
+    W = e.scale
+
+    def sums_fn(cutoffs):
+        total = dict.fromkeys(cutoffs, (0, 0))
+        for xi, coeffs in e._parts.items():
+            for (l, m), (cr, ci) in coeffs.items():
+                state = NestedPass(max(cutoffs))
+                summod.char_partial_sums(xi, l, m, cutoffs, state)
+                for n, (x, y) in total.items():
+                    re, im, P = state.raw_sum(n)
+                    total[n] = (x + summod._shift(cr * re - ci * im, 2 * W - P),
+                                y + summod._shift(cr * im + ci * re, 2 * W - P))
+        return {n: (x, y, 3 * W) for n, (x, y) in total.items()}
+
+    return sums_fn
 
 
 def primitive_roots(max_order: int):

@@ -18,6 +18,8 @@ from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber, ZVector, rotatio
 from mplreg.scalefun import ScaleFunction
 import mplreg.summation as summod
 
+from oracles import per_term_sums
+
 I_4 = RotationNumber(1, 4)
 
 
@@ -107,41 +109,48 @@ class TestAlgebra:
             assert mp.mpc(mp.mpf(t["re"]), mp.mpf(t["im"])) == c
 
 
+def summed(e, **kwargs):
+    """``partial_sum`` of e against its exact per-term partial sums."""
+    return partial_sum(e, per_term_sums(e), carried_growth=(0, 0), **kwargs)
+
+
 class TestPartialSum:
     def test_alternating_unit(self):
         e = exp_of({(MINUS_ONE, 0, 0): mp.mpc(1)}, 3)
-        out = partial_sum(e)
+        out = summed(e)
         assert abs(out.coefficient(ONE, 0, 0) + mp.mpf("0.5")) < mp.mpf("1e-24")
         assert abs(out.coefficient(MINUS_ONE, 0, 0) + mp.mpf("0.5")) < mp.mpf("1e-24")
 
     def test_empty_input(self):
-        out = partial_sum(exp_of({}, 4))
+        out = summed(exp_of({}, 4))
         assert out.is_empty()
         assert out.regularised_value() == 0
 
     def test_basel_leading_term(self):
         e = exp_of({(ONE, 0, 2): mp.mpc(1)}, 3)
-        out = partial_sum(e)
+        out = summed(e)
         assert abs(out.regularised_value() - mp.pi ** 2 / 6) < mp.mpf("1e-24")
         assert abs(out.coefficient(ONE, 0, 1) + 1) < mp.mpf("1e-24")
 
-    def test_callable_mode_matches_exact_mode(self):
-        from mplreg.summation import char_partial_sums
-
+    def test_one_pass_sums_match_the_per_term_oracle(self):
+        # (2 + i) times one pass's raw sums, exact, against the oracle's
+        # products floored to 2^(3W)
         e = exp_of({(MINUS_ONE, 1, 1): mp.mpc(2, 1)}, 4)
 
         def sums(cutoffs):
-            base = char_partial_sums(MINUS_ONE, 1, 1, cutoffs)
-            return {n: mp.mpc(2, 1) * v for n, v in base.items()}
+            state = summod.NestedPass(max(cutoffs))
+            summod.char_partial_sums(MINUS_ONE, 1, 1, cutoffs, state)
+            raw = {n: state.raw_sum(n) for n in cutoffs}
+            return {n: (2 * re - im, re + 2 * im, P) for n, (re, im, P) in raw.items()}
 
-        via_exact = partial_sum(e)
-        via_match = partial_sum(e, sums)
-        for (key, c) in via_exact.items():
-            assert abs(via_match.coefficient(*key) - c) < mp.mpf("1e-22")
+        via_oracle = summed(e)
+        via_pass = partial_sum(e, sums, carried_growth=(0, 0))
+        for (key, c) in via_oracle.items():
+            assert abs(via_pass.coefficient(*key) - c) < mp.mpf("1e-22")
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
-            partial_sum(exp_of({}, 2), "bogus")
+            partial_sum(exp_of({}, 2), "bogus", carried_growth=(0, 0))
 
     @pytest.mark.parametrize("bound", [mp.inf, mp.nan, mp.mpf(-1)])
     def test_rejects_a_carried_bound_not_finite_and_nonnegative(self, bound):
@@ -150,14 +159,13 @@ class TestPartialSum:
         e = exp_of({(MINUS_ONE, 0, 1): mp.mpc(1)}, 3)
         e.residual_bound = bound
         with pytest.raises(ValueError):
-            partial_sum(e, lambda cutoffs: summod.char_partial_sums(MINUS_ONE, 0, 1, cutoffs))
+            summed(e)
 
     @pytest.mark.parametrize("growth", [(0.5, 1), (mp.mpf(1), 0), (1, -1), (1, 1.0)])
     def test_rejects_a_carried_growth_not_of_ints(self, growth):
         e = exp_of({(MINUS_ONE, 0, 1): mp.mpc(1)}, 3)
         with pytest.raises(ValueError):
-            partial_sum(e, lambda cutoffs: summod.char_partial_sums(MINUS_ONE, 0, 1, cutoffs),
-                        carried_growth=growth)
+            partial_sum(e, per_term_sums(e), carried_growth=growth)
 
     @pytest.mark.parametrize("growth", [(-2, 0), (-1, 2), (0, 0), (0, 1), (2, 1)])
     def test_carried_image_bounds_the_mpmath_one(self, growth, monkeypatch):
@@ -172,8 +180,7 @@ class TestPartialSum:
         monkeypatch.setattr(summod, "run_matching", spy)
         e = exp_of({(MINUS_ONE, 0, 1): mp.mpc(1)}, 3)
         e.residual_bound = mp.mpf("3.7e-30")
-        partial_sum(e, lambda cutoffs: summod.char_partial_sums(MINUS_ONE, 0, 1, cutoffs),
-                    carried_growth=growth)
+        partial_sum(e, per_term_sums(e), carried_growth=growth)
         (prop, W), = props
         g_exp, g_log = growth
         with mp.workprec(3 * W + 64):
@@ -182,11 +189,25 @@ class TestPartialSum:
                 got = mp.ldexp(prop(n), -3 * W)
                 assert want <= got <= want * (1 + mp.mpf(2) ** -100) + mp.ldexp(1, -3 * W)
 
-    def test_linearity_in_exact_mode(self):
+    def test_nothing_carried_has_no_image(self, monkeypatch):
+        # an input whose residual_bound is 0 hands the matcher no carried
+        # image, whatever its growth: the predicted tail alone picks N
+        real, props = summod.run_matching, []
+
+        def spy(sums_fn, approx_fn, tail, tol, prop_fn=None):
+            props.append(prop_fn)
+            return real(sums_fn, approx_fn, tail, tol, prop_fn)
+
+        monkeypatch.setattr(summod, "run_matching", spy)
+        e = exp_of({(MINUS_ONE, 0, 1): mp.mpc(1)}, 3)
+        partial_sum(e, per_term_sums(e), carried_growth=(2, 1))
+        assert props == [None]
+
+    def test_linearity(self):
         e1 = exp_of({(MINUS_ONE, 0, 1): mp.mpc(2)}, 4)
         e2 = exp_of({(ONE, 0, 2): mp.mpc(0, 3)}, 4)
-        lhs = partial_sum(e1.add(e2))
-        rhs = partial_sum(e1).add(partial_sum(e2))
+        lhs = summed(e1.add(e2))
+        rhs = summed(e1).add(summed(e2))
         for key, c in lhs.items():
             assert abs(rhs.coefficient(*key) - c) < mp.mpf("1e-24")
 

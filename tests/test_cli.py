@@ -52,6 +52,13 @@ class TestDomain:
         obj = json.loads(res.output)
         assert obj["membership"]["Urz"] is True
 
+    @pytest.mark.parametrize("command", ["domain", "eval"])
+    @pytest.mark.parametrize("s", ["inf", "nan", "1+infi"])
+    def test_non_finite_point_exits_2(self, command, s):
+        res = invoke([command, "-z", "-1", "-s", s])
+        assert res.exit_code == 2
+        assert json.loads(res.output)["error"]["type"] == "DomainError"
+
     def test_parse_error_is_json_with_exit_1(self):
         res = invoke(["domain", "-z", "1/x"])
         assert res.exit_code == 1

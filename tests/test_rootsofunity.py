@@ -204,6 +204,13 @@ class TestDomains:
         with pytest.raises(DomainError):
             contains("Ur", Z("1,-1"), (2,))
 
+    @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan, mp.mpc(2, mp.inf)])
+    def test_non_finite_coordinate(self, bad):
+        # an infinite real part would otherwise lie in every domain
+        for kind in ("Ur", "Urz", "Vrz"):
+            with pytest.raises(DomainError, match="not finite"):
+                contains(kind, Z("-1,1"), (2, bad))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             contains("Wr", Z("1"), (2,))

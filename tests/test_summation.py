@@ -14,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mplreg import eulerpoly
-from mplreg.asymptotics import DepthSpec, depth_expansion
+from mplreg.asymptotics import AsymptoticExpansion, DepthSpec, depth_expansion, partial_sum
 from mplreg.errors import PrecisionError
-from mplreg.polylog import DEFAULT_EVAL_TOL
+from mplreg.polylog import DEFAULT_EVAL_TOL, eval_integer_point
 from mplreg.rootsofunity import MINUS_ONE, ONE, RotationNumber, ZVector
 from mplreg.scalefun import ScaleFunction
 import mplreg.summation as summod
@@ -30,8 +30,8 @@ from mplreg.summation import (
 
 from oracles import (_mpmath_pass, em_remainder, end_blocks, engine_table_fractions,
                      fixed_point_pass, geb_blocks, geometric_closed_form, geometric_coeffs,
-                     geometric_tail_coeffs, mp_matching, nparts_chain, point_value,
-                     primitive_roots, rounding_slack, split_reference)
+                     geometric_tail_coeffs, mp_matching, nparts_chain, per_term_sums,
+                     point_value, primitive_roots, rounding_slack, split_reference)
 from test_eulerpoly import gen_euler_oracle
 
 
@@ -343,6 +343,9 @@ class TestEngineEstimates:
             assert abs(res.total) <= res.remainder_estimate < mp.mpf(2) ** -100
 
     @settings(max_examples=40, deadline=None)
+    # a coefficient far below 1, whose moduli at a scale fixed by prec alone
+    # were rounded up by 16 units past the cap
+    @example(terms=[(2, 1, 0.0, 2.09e-251)], n=31, m=1, prec=128)
     @given(terms=st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 3),
                                     st.floats(-2, 2), st.floats(-1, 1)),
                           min_size=1, max_size=3),
@@ -459,6 +462,36 @@ class TestTermSumExpansion:
         # the floor at 128 bits is 2^-108; a tolerance just above it passes
         assert (summod.resolve_tol(mp.mpf(2) ** -107, summod.DEFAULT_MATCH_TOL)
                 == mp.mpf(2) ** -107)
+
+    def test_unreachable_ladder_fails_before_summing(self, monkeypatch):
+        # at order 65,537 no ladder point's predicted tail reaches tol/4 and
+        # the innermost level carries nothing: PrecisionError before a pass
+        def no_sums(*args):
+            raise AssertionError("summed although no cutoff can reach the tolerance")
+
+        monkeypatch.setattr(summod, "nested_sums", no_sums)
+        with pytest.raises(PrecisionError, match="up to cutoff 1024000"):
+            eval_integer_point(ZVector.parse("1/65537"), (1,))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(st.just(ONE), primitive_roots(60)), st.integers(0, 2),
+           st.integers(-2, 3), st.sampled_from([53, 128, 256]))
+    def test_against_partial_sum_on_the_per_term_oracle(self, xi, l, m, prec):
+        # the depth-1 driver against ``partial_sum`` of the monomial on its
+        # own per-term sums: the same keys, the same n-dependent
+        # coefficients, the constants within the two residual bounds
+        with mp.workprec(prec):
+            got = term_sum_expansion(xi, l, m, 3)
+            monomial = AsymptoticExpansion({xi: ScaleFunction.term(l, m)}, precision=max(3, m))
+            want = partial_sum(monomial, per_term_sums(monomial), carried_growth=(0, 0),
+                               precision=3)
+            (have, ref) = (dict(e.items()) for e in (got, want))
+            assert have.keys() == ref.keys()
+            constant = (ONE, 0, 0)
+            assert {k: v for k, v in have.items() if k != constant} == \
+                {k: v for k, v in ref.items() if k != constant}
+            assert (abs(got.regularised_value() - want.regularised_value())
+                    <= got.residual_bound + want.residual_bound)
 
 
 class TestResolveTol:
@@ -821,6 +854,35 @@ class TestBlockedPass:
             assert (got is None) == (ref is None)
             if got is not None:
                 assert list(zip(got[1], got[2]))[1:] == ref[1:]
+
+    @pytest.mark.parametrize("prec", [128, 256])
+    @pytest.mark.parametrize("layout", [lambda cap: (3, cap + 5, -1),
+                                        lambda cap: (cap + 1, 2, cap + 700)],
+                             ids=["middle", "outer-and-inner"])
+    def test_exponents_past_the_cap(self, layout, prec):
+        # an integral exponent past 2P divides as 2P does: every level j >= 1
+        # and ``NestedPass.power`` bit for bit as the per-n pass's exact n^a,
+        # level 0 within 2^-(prec+8) of it
+        z, kvec, cutoffs = [RotationNumber(1, 3), MINUS_ONE, RotationNumber(2, 5)], [1, 0, 2], \
+            [700, 1025, 1200]
+        with mp.workprec(prec):
+            # P reads the negative exponents only: the cap is 2P at layout(1)
+            cap = 2 * summod.pass_scale(layout(1), kvec, cutoffs[-1])
+            a = layout(cap)
+            state = summod.NestedPass(cutoffs[-1])
+            nested_sums(z, a, kvec, cutoffs, state)
+            P, hits, _ = fixed_point_pass(z, a, kvec, cutoffs, cutoffs[-1])
+        assert 2 * state.P == cap
+        for N in cutoffs:
+            for j in range(1, len(z)):
+                assert state.raw_sum(N, j)[:2] == (hits[N][0][j], hits[N][1][j])
+            x, y, _ = state.raw_sum(N)
+            dx, dy = x - hits[N][0][0], y - hits[N][1][0]
+            assert dx * dx + dy * dy <= 4 ** (P - prec - 8)
+        for j, a_j in enumerate(a):
+            for n in (1, 2, 3, 1199):
+                want = (1 << P) // n ** a_j if a_j > 0 else n ** -a_j << P
+                assert state.power(n, j) == (want, 0)
 
 
 class TestPowerEntry:
